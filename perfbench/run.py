@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-  python3 perfbench/run.py --workload scaled-rescore --seed 3 --seconds 30 --trace 0
+  python3 perfbench/run.py --workload scaled-rescore --seed 3 --seconds 35 --trace 0
   python3 perfbench/run.py --smoke
 
 One client runs one CLI invocation at a time (a closed loop). A round runs a
