@@ -258,11 +258,10 @@ def main() -> None:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--size", choices=sorted(SIZES), default="full")
     args = parser.parse_args()
     if (args.out / "pre.db").exists():
         parser.error(f"{args.out / 'pre.db'} already exists")
-    truth = write_corpus(args.seed, args.out, SIZES[args.size])
+    truth = write_corpus(args.seed, args.out)
     refs = sum(len(r["refs"]) for r in truth["reviews"])
     print(f"{len(truth['reviews'])} reviews, {refs} reference links, "
           f"{len({c for r in truth['reviews'] for c in r['refs']})} distinct references")

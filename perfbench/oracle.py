@@ -168,17 +168,32 @@ def check_score_table(stdout: str, expected: dict[str, dict]) -> list[str]:
     return problems
 
 
-def check_stored_reports(db: Path, expected: dict[str, dict]) -> list[str]:
-    """The latest stored report of every review, at full precision."""
+def report_counts(db: Path, ids) -> dict[str, int]:
+    """How many reports the snapshot holds for each of ids."""
+    from litmetrics.snapshot import SnapshotStore
+
+    with SnapshotStore(db, read_only=True) as store:
+        return {cid: len(store.report_history(cid)) for cid in ids}
+
+
+def check_stored_reports(db: Path, expected: dict[str, dict],
+                         before: dict[str, int]) -> list[str]:
+    """The score just run stored exactly one report per review, on top of
+    the `before` counts the round started from; that new report is the
+    latest one, and it is right at full precision."""
     from litmetrics.snapshot import SnapshotStore
 
     problems = []
     with SnapshotStore(db, read_only=True) as store:
         for cid, exp in expected.items():
-            report = store.latest_report(cid)
-            if report is None:
-                problems.append(f"report: {cid} has no stored report")
+            history = store.report_history(cid)
+            if len(history) != before[cid] + 1:
+                problems.append(f"report: {cid} has {len(history)} stored reports, "
+                                f"expected {before[cid]} + 1")
                 continue
+            report = history[-1]
+            if store.latest_report(cid) != report:
+                problems.append(f"report: {cid} newest report is not the latest one")
             got = {"tncsi": report.tncsi, "iei_avg": report.iei_avg,
                    "iei_inst": report.iei_instant, "arq": report.arq, "rqm": report.rqm,
                    "cdr": report.cdr, "rad": report.rad, "rui": report.rui}

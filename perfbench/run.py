@@ -48,8 +48,7 @@ WORK = ROOT / ".perfbench"
 WORKLOADS = ("scaled-ingest", "scaled-rescore")
 NOW = "2024-10-01"
 FIXTURE_RATE = "1000000"  # replayed fixtures need no pacing; the limiter still runs
-SETUP_REPEATS = 3  # set up at least this many times, and for at least SETUP_MIN_S
-SETUP_MIN_S = 4.0
+SETUP_REPEATS = 3  # set-ups before the first round; each round adds one more
 MIN_ROUNDS = 2
 INVOCATION_TIMEOUT_S = 150
 SCORE = ["--now", NOW, "score", "--all"]
@@ -92,6 +91,7 @@ class Prepared:
     fixtures: Path | None
     truth: dict
     expected: dict = field(default_factory=dict)
+    reports_before: dict = field(default_factory=dict)  # stored reports per review
 
 
 @dataclass
@@ -190,13 +190,20 @@ def warm(prepared: Prepared) -> Prepared:
     return Prepared(warm_db, None, prepared.truth)
 
 
+def expect(prepared: Prepared) -> None:
+    """Fill in what every round's checks compare against."""
+    prepared.expected = oracle.expected_reports(prepared.truth)
+    prepared.reports_before = oracle.report_counts(prepared.snapshot, prepared.expected)
+
+
 def check(label: str, inv: Invocation, db: Path, prepared: Prepared) -> list[str]:
     try:
         if label == "enrich":
             return oracle.check_enrich(inv.stdout, db, prepared.truth)
         if label == "score":
             return (oracle.check_score_table(inv.stdout, prepared.expected)
-                    + oracle.check_stored_reports(db, prepared.expected))
+                    + oracle.check_stored_reports(db, prepared.expected,
+                                                  prepared.reports_before))
         if label == "stats":
             return oracle.check_stats(inv.stdout, prepared.expected)
         return oracle.check_trend(inv.stdout, prepared.truth)
@@ -265,19 +272,30 @@ def measure(workload: str, seed: int, seconds: float, size: str, run_dir: Path):
     load_harness()
     warm_up(run_dir)
     setup_times: list[float] = []
-    while len(setup_times) < SETUP_REPEATS or sum(setup_times) < SETUP_MIN_S:
-        out = run_dir / f"setup{len(setup_times)}"
+
+    def set_up(out: Path) -> Prepared:
+        shutil.rmtree(out, ignore_errors=True)
         start = time.perf_counter()
         prepared = prepare(out, seed, size)
         setup_times.append(time.perf_counter() - start)
-        if len(setup_times) > 1:
-            shutil.rmtree(run_dir / f"setup{len(setup_times) - 2}")
+        return prepared
+
+    # Set-ups are spread over the whole run, so that their median averages
+    # the host's drift over the same span as the invocations' medians.
+    for _ in range(SETUP_REPEATS - 1):
+        set_up(run_dir / "resetup")
+    prepared = set_up(run_dir / "setup")
     if workload == "scaled-rescore":
         prepared = warm(prepared)
-    prepared.expected = oracle.expected_reports(prepared.truth)
+    expect(prepared)
     tally, db = Tally(), run_dir / "round.db"
     runner = subprocess_runner(run_dir)
-    rounds = rounds_for(seconds, lambda: run_round(workload, prepared, runner, db, tally))
+
+    def one_round() -> dict:
+        set_up(run_dir / "resetup")
+        return run_round(workload, prepared, runner, db, tally)
+
+    rounds = rounds_for(seconds, one_round)
     metrics = {
         "setup_s": statistics.median(setup_times),
         "score_s": statistics.median(r["score"] for r in rounds),
@@ -295,7 +313,7 @@ def trace(workload: str, seed: int, seconds: float, size: str, run_dir: Path):
     prepared = prepare(run_dir / "setup", seed, size)
     if workload == "scaled-rescore":
         prepared = warm(prepared)
-    prepared.expected = oracle.expected_reports(prepared.truth)
+    expect(prepared)
     import_s = import_seconds(run_dir)
     tally, db = Tally(), run_dir / "round.db"
     tracers: list[Tracer] = []
@@ -319,16 +337,7 @@ def trace(workload: str, seed: int, seconds: float, size: str, run_dir: Path):
         tracers.append(tracer)
 
     rounds_for(seconds, pair)
-    per_round = [t.layer_metrics() for t in tracers]
-    metrics = {}
-    for name, value in per_round[0].items():
-        if PER_LAYER[name] == "count":
-            if any(r[name] != value for r in per_round):
-                print(f"# {workload}: {name} differs between traced rounds: "
-                      f"{[r[name] for r in per_round]}", file=sys.stderr)
-            metrics[name] = value
-        else:
-            metrics[name] = statistics.median(r[name] for r in per_round)
+    metrics = fold_rounds([t.layer_metrics() for t in tracers], tally)
     metrics["cli.import_s"] = import_s
     metrics["trace.overhead_pct"] = 100.0 * (
         statistics.median(traced_walls) / statistics.median(untraced_walls) - 1.0)
@@ -336,6 +345,21 @@ def trace(workload: str, seed: int, seconds: float, size: str, run_dir: Path):
     tracers[0].write(spans)
     print(f"# {workload}: {len(tracers)} traced rounds, spans in {spans}", file=sys.stderr)
     return tally, {k: (metrics[k], PER_LAYER[k]) for k in PER_LAYER}
+
+
+def fold_rounds(per_round: list[dict], tally: Tally) -> dict:
+    """One figure per layer metric: a count must repeat exactly in every
+    traced round, or the run fails; a time is the median over the rounds."""
+    metrics = {}
+    for name, value in per_round[0].items():
+        values = [r[name] for r in per_round]
+        if PER_LAYER[name] != "count":
+            metrics[name] = statistics.median(values)
+            continue
+        if any(v != value for v in values):
+            tally.problems.append(f"trace: {name} differs between traced rounds: {values}")
+        metrics[name] = value
+    return metrics
 
 
 def environment() -> str:

@@ -1,6 +1,7 @@
 """Keeps the benchmark from rotting: its smoke mode must run every workload
 with all checks passing, print exactly the metrics BENCHMARK.json declares,
-and its output checks must reject a wrong indicator value.
+and its checks must reject a wrong indicator value and a traced count that
+does not repeat.
 
   python3 -m pytest perfbench/test_smoke.py
 """
@@ -17,6 +18,7 @@ sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 import corpus  # noqa: E402
 import oracle  # noqa: E402
+import run  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -58,3 +60,15 @@ def test_checks_reject_a_wrong_indicator_value():
     for name in oracle.FLOAT_COLUMNS:
         wrong = {**expected, cid: {**expected[cid], name: expected[cid][name] + 0.01}}
         assert oracle.check_score_table(_table(wrong), expected), name
+
+
+def test_a_traced_count_that_differs_between_rounds_fails_the_run():
+    rounds = [{"snapshot.get_paper_calls": 7, "snapshot.get_paper_s": 0.5},
+              {"snapshot.get_paper_calls": 7, "snapshot.get_paper_s": 0.7}]
+    tally = run.Tally()
+    assert run.fold_rounds(rounds, tally) == {"snapshot.get_paper_calls": 7,
+                                              "snapshot.get_paper_s": 0.6}
+    assert tally.problems == []
+    rounds[1]["snapshot.get_paper_calls"] = 8
+    run.fold_rounds(rounds, tally)
+    assert tally.problems
