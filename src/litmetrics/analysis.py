@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from typing import IO, Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
-from scipy.stats import rankdata
 
 from .errors import ConstantInput, EmptyInput, LengthMismatch
 from .indicators import citation_histograms, kl_divergence
@@ -70,11 +68,59 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of tied values gets the mean of its positions."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(v)]
+    ranks = np.empty(len(v), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return h
+
+
+def _betainc_regularized(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for 0 < x <= 1, with y = 1 - x passed in so callers keep its precision."""
+    if y <= 0.0:
+        return 1.0
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    # the fraction converges fast below the mean; use the symmetry above it
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
+
+
 def _p_from_t_transform(r: float, n: int) -> float:
     if abs(r) >= 1.0:
         return 0.0
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * scipy_stats.t.sf(abs(t), n - 2))
+    df = n - 2
+    t2 = r * r * df / (1.0 - r * r)
+    # two-sided Student-t tail: P(|T| >= |t|) = I_{df/(df+t^2)}(df/2, 1/2)
+    return _betainc_regularized(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
@@ -87,7 +133,7 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     ax = np.asarray(x, dtype=np.float64)
     ay = np.asarray(y, dtype=np.float64)
     r = _pearson(ax, ay)
-    rho = _pearson(rankdata(ax, method="average"), rankdata(ay, method="average"))
+    rho = _pearson(_average_ranks(ax), _average_ranks(ay))
     return CorrelationResult(
         pearson_r=r,
         pearson_p=_p_from_t_transform(r, n),

@@ -12,7 +12,6 @@ from datetime import date, datetime
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BinMismatch,
@@ -334,8 +333,10 @@ def optimize_beta(
 
     The objective is the integral of |dRQM/dS| over [l_s, r_s] at fixed mean
     reference quality. RQM is strictly monotone in S for arq_bar < 1, so the
-    integral collapses to RQM(l_s; beta) - RQM(r_s; beta), which is maximised
-    numerically over the search range.
+    integral collapses to RQM(l_s; beta) - RQM(r_s; beta) = exp(-beta*b) -
+    exp(-beta*a) with a = exp(-(1-arq_bar)*l_s) and b = exp(-(1-arq_bar)*r_s).
+    That is unimodal in beta with its stationary point at
+    (1-arq_bar)*(r_s-l_s) / (a-b), which is clamped to the search range.
 
     This calibration is exposed for inspection only; the shipped default
     remains ``DEFAULT_BETA`` and is never replaced silently.
@@ -350,13 +351,13 @@ def optimize_beta(
     if arq_bar <= 0.0:
         raise ValueError("arq_bar must lie in (0, 1)")
 
-    res = minimize_scalar(
-        lambda b: -rqm_spread(b, l_s, r_s, arq_bar),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return float(res.x)
+    decay = 1.0 - arq_bar
+    span = decay * (r_s - l_s)
+    # log of span / (a - b), written so that a and b cannot underflow to zero
+    log_beta = math.log(span) + decay * l_s - math.log(-math.expm1(-span))
+    if log_beta >= math.log(hi):
+        return float(hi)
+    return max(float(lo), math.exp(log_beta))
 
 
 def rqm_spread(beta: float, l_s: float, r_s: float, arq_bar: float) -> float:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import date, datetime, timezone
 from typing import Any
 
 DATE_FMT = "%Y-%m-%d"
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
+# exact shapes of DATE_FMT and TIMESTAMP_FMT, decoded without strptime
+_DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})", re.ASCII)
+_TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z", re.ASCII)
 
 
 def canonical_json(obj: Any) -> str:
@@ -22,7 +26,14 @@ def format_date(d: date | None) -> str | None:
 def parse_date(s: str | None) -> date | None:
     if s is None or s == "":
         return None
-    return datetime.strptime(s[:10], DATE_FMT).date()
+    head = s[:10]
+    m = _DATE_RE.fullmatch(head)
+    if m is not None:
+        try:
+            return date(*map(int, m.groups()))
+        except ValueError:
+            pass  # out-of-range field: strptime raises its own message below
+    return datetime.strptime(head, DATE_FMT).date()
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -32,6 +43,12 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(s: str) -> datetime:
+    m = _TIMESTAMP_RE.fullmatch(s)
+    if m is not None:
+        try:
+            return datetime(*map(int, m.groups()))
+        except ValueError:
+            pass
     return datetime.strptime(s, TIMESTAMP_FMT)
 
 

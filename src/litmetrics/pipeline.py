@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Optional, Sequence
@@ -11,6 +12,7 @@ from .errors import EmptyResult, LitmetricsError, LlmUnavailable, UnknownPaper
 from .indicators import (
     DEFAULT_BETA,
     RAD_FIT_WINDOW_MONTHS,
+    ExponentialFit,
     IndicatorReport,
     RqmInputs,
     RuiWeights,
@@ -136,7 +138,9 @@ class ScoringEngine:
     """Computes indicator reports for stored papers.
 
     All remote lookups run through the snapshot cache, so a snapshot that was
-    populated online can be re-scored offline and byte-identically.
+    populated online can be re-scored offline and byte-identically. Each
+    topic's sample is fetched and fitted once per engine, so concurrent
+    workers score every paper of a topic against the same sample.
     """
 
     store: SnapshotStore
@@ -148,6 +152,10 @@ class ScoringEngine:
     topic_k: int = 1000
     # month weights for the weighted trend variant; None leaves it unset
     iei_weights: Optional[Sequence[float]] = None
+    _topic_fits: dict[str, Future] = field(default_factory=dict, init=False, repr=False)
+    _topic_fits_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     def _now(self) -> date:
         return self.now or date.today()
@@ -163,6 +171,32 @@ class ScoringEngine:
         updated = PaperRecord(**{**record.__dict__, "topic_keyword": keyword})
         self.store.upsert_paper(updated)
         return keyword
+
+    def _topic_fit(self, keyword: str) -> ExponentialFit:
+        """Exponential fit of the keyword's topic sample, memoised per engine.
+
+        The first caller for a keyword fetches and fits; concurrent callers
+        wait for its outcome, which is a fit or the error it raised.
+        """
+        with self._topic_fits_lock:
+            pending = self._topic_fits.get(keyword)
+            owner = pending is None
+            if owner:
+                pending = self._topic_fits[keyword] = Future()
+        if owner:
+            try:
+                pending.set_result(self._fetch_topic_fit(keyword))
+            except BaseException as exc:
+                pending.set_exception(exc)  # waiting workers raise it too
+                raise
+        return pending.result()
+
+    def _fetch_topic_fit(self, keyword: str) -> ExponentialFit:
+        try:
+            context = fetch_topic_sample(self.s2, keyword, self.topic_k, cache=self.store)
+        except EmptyResult as exc:
+            raise EmptyResult(f"TNCSI uncomputable: {exc}") from exc
+        return fit_exponential_mle(context.sample_citation_counts)
 
     def _reference_records(self, record: PaperRecord) -> list[PaperRecord]:
         refs = []
@@ -185,11 +219,7 @@ class ScoringEngine:
 
         fit = None
         if "tncsi" in which or "rqm" in which:
-            try:
-                context = fetch_topic_sample(self.s2, keyword, self.topic_k, cache=self.store)
-            except EmptyResult as exc:
-                raise EmptyResult(f"TNCSI uncomputable: {exc}") from exc
-            fit = fit_exponential_mle(context.sample_citation_counts)
+            fit = self._topic_fit(keyword)
             report.sample_size = fit.sample_size
 
         if "tncsi" in which:

@@ -344,25 +344,6 @@ class FixtureTransport:
             raise NetworkError(f"no recorded fixture for {method} {url} {params}") from None
 
 
-class RecordingTransport:
-    """Wraps another transport and appends every exchange to an NDJSON file."""
-
-    def __init__(self, inner: Transport, out_path: str | Path):
-        self.inner = inner
-        self.out_path = Path(out_path)
-
-    def request(self, method, url, params, headers, body=None):
-        resp = self.inner.request(method, url, params, headers, body)
-        req = {"method": method.upper(), "url": url,
-               "params": {k: str(v) for k, v in params.items()}}
-        if body is not None:
-            req["body"] = body
-        pair = {"request": req, "response": {"status": resp.status, "body": resp.body}}
-        with open(self.out_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(pair, ensure_ascii=False) + "\n")
-        return resp
-
-
 # ---------------------------------------------------------------------------
 # cache protocol (satisfied by the snapshot store)
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from litmetrics.analysis import (
+    _average_ranks,
+    _p_from_t_transform,
     correlations,
     descriptive_stats,
     gaussian_smooth,
@@ -49,17 +52,19 @@ def brute_force_correlations(x: list[float], y: list[float]) -> tuple[float, flo
         vw = sum((b - mw) ** 2 for b in w)
         return cov / math.sqrt(vu * vw)
 
-    def pval(r: float) -> float:
-        if abs(r) >= 1.0:
-            return 0.0
-        t = abs(r) * math.sqrt((n - 2) / (1 - r * r))
-        nu = n - 2
-        xx = nu / (nu + t * t)
-        return float(mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, xx, regularized=True))
-
     r = corr(x, y)
     rho = corr(ranks(x), ranks(y))
-    return r, pval(r), rho, pval(rho)
+    return r, oracle_p_value(r, n), rho, oracle_p_value(rho, n)
+
+
+def oracle_p_value(r: float, n: int) -> float:
+    """Two-sided t-transform p-value from mpmath's regularized incomplete beta."""
+    if abs(r) >= 1.0:
+        return 0.0
+    t = abs(r) * math.sqrt((n - 2) / (1 - r * r))
+    nu = n - 2
+    xx = nu / (nu + t * t)
+    return float(mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, xx, regularized=True))
 
 
 class TestDescriptiveStats:
@@ -117,6 +122,16 @@ class TestCorrelations:
         y = [10, 10, 20, 30]
         res = correlations(x, y)
         assert res.spearman_rho == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=30))
+    def test_average_ranks_match_scipy_on_ties(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        assert np.array_equal(_average_ranks(v), rankdata(v, method="average"))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 10, 30, 200, 5000])
+    def test_p_value_matches_mpmath_oracle(self, n):
+        for r in (-0.9999, -0.6, -0.1, -1e-9, 0.0, 1e-6, 0.05, 0.3, 0.75, 0.999999):
+            assert _p_from_t_transform(r, n) == pytest.approx(oracle_p_value(r, n), abs=1e-6)
 
     def test_errors(self):
         with pytest.raises(LengthMismatch):

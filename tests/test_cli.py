@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from datetime import date, datetime
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from conftest import (
     s2_search_exchange,
     write_fixture_dir,
 )
+import litmetrics
 from litmetrics.cli import Settings, build_parser, main, read_config_file
 from litmetrics.demo import build_demo_corpus, build_demo_snapshot, write_fixture_ndjson
 from litmetrics.retrieval import OfflineTransport, PaperRecord, arxiv_review_query
@@ -28,6 +32,17 @@ def demo_db(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("demo") / "demo.db"
     build_demo_snapshot(path)
     return path
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(litmetrics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, litmetrics.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestScoreCommand:

@@ -349,6 +349,26 @@ class TestOptimizeBeta:
         best = max(rqm_spread(float(b), 5, 10, 0.6) for b in grid)
         assert rqm_spread(beta, 5, 10, 0.6) >= best - 1e-6
 
+    @pytest.mark.parametrize("l_s, r_s, arq_bar, search_range, clamped", [
+        (5, 10, 0.6, (0.1, 100.0), None),
+        (0, 1, 0.5, (0.1, 100.0), None),
+        (1, 3, 0.2, (0.1, 100.0), None),
+        (2.5, 4.0, 0.9, (0.1, 100.0), None),
+        (5, 10, 0.6, (0.1, 10.0), "hi"),
+        (0, 1, 0.5, (2.0, 50.0), "lo"),
+        (20, 30, 0.2, (0.1, 100.0), "hi"),
+        (1000, 1001, 0.1, (0.1, 100.0), "hi"),  # a and b underflow to zero
+    ])
+    def test_matches_dense_grid_maximum(self, l_s, r_s, arq_bar, search_range, clamped):
+        lo, hi = search_range
+        beta = optimize_beta(l_s, r_s, arq_bar, search_range=search_range)
+        assert lo <= beta <= hi
+        grid = np.append(np.arange(lo, hi, 1e-2), hi)
+        best = max(rqm_spread(float(b), l_s, r_s, arq_bar) for b in grid)
+        assert rqm_spread(beta, l_s, r_s, arq_bar) >= best - 1e-12
+        if clamped is not None:
+            assert beta == {"lo": lo, "hi": hi}[clamped]
+
     def test_flat_objective(self):
         with pytest.raises(FlatObjective):
             optimize_beta(5, 10, 1.0)

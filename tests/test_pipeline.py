@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+from collections import Counter
 from datetime import date, datetime
 
 import pytest
@@ -32,6 +36,23 @@ def fast_client(exchanges):
     return SemanticScholarClient(
         transport=FixtureTransport.from_pairs(exchanges), limiter=RateLimiter(100_000.0)
     )
+
+
+class SlowCountingTransport:
+    """Counts requests per (url, query, fields) and holds each one briefly, so
+    concurrent workers overlap inside a fetch."""
+
+    def __init__(self, inner, delay=0.02):
+        self.inner = inner
+        self.delay = delay
+        self.requests = Counter()
+        self.lock = threading.Lock()
+
+    def request(self, method, url, params, headers, body=None):
+        with self.lock:
+            self.requests[(url, params.get("query"), params.get("fields"))] += 1
+        time.sleep(self.delay)
+        return self.inner.request(method, url, params, headers, body)
 
 
 def review(cid="arxiv:2301.00001", **kw) -> PaperRecord:
@@ -187,6 +208,57 @@ class TestScoreBatch:
         # the successful report was persisted, failures were not
         assert store.latest_report(good.canonical_id) is not None
         assert store.report_history(good.canonical_id) != []
+
+    def test_each_topic_sample_fetched_once_across_workers(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        sizes = {"topic a": 4, "topic b": 6}
+        keyword_of = {}
+        for n in range(12):
+            paper = review(f"arxiv:2301.{n:05d}", topic_keyword=sorted(sizes)[n % 2])
+            store.upsert_paper(paper)
+            keyword_of[paper.canonical_id] = paper.topic_keyword
+        exchanges = [
+            s2_search_exchange(kw, "citationCount", [{"citationCount": 5}] * size, limit=100)
+            for kw, size in sizes.items()
+        ]
+        transport = SlowCountingTransport(FixtureTransport.from_pairs(exchanges))
+        client = SemanticScholarClient(transport=transport, limiter=RateLimiter(100_000.0))
+        engine = ScoringEngine(store=store, s2=client, now=NOW)
+        items = []
+        worker = threading.Thread(
+            target=lambda: items.extend(score_batch(engine, list(keyword_of), ["tncsi"], workers=4)),
+            daemon=True,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [i.error for i in items] == [None] * len(keyword_of)
+        assert sorted((query, fields, count)
+                      for (_, query, fields), count in transport.requests.items()) == [
+            ("topic a", "citationCount", 1), ("topic b", "citationCount", 1)]
+        assert {i.paper_id: i.report.sample_size for i in items} == {
+            pid: sizes[kw] for pid, kw in keyword_of.items()}
+
+    def test_topic_sample_error_is_shared_by_the_topic(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        ids = []
+        for n in range(6):
+            paper = review(f"arxiv:2301.{n:05d}", topic_keyword="unsampled")
+            store.upsert_paper(paper)
+            ids.append(paper.canonical_id)
+        exchanges = [s2_search_exchange("unsampled", "citationCount", [], limit=100)]
+        transport = SlowCountingTransport(FixtureTransport.from_pairs(exchanges))
+        client = SemanticScholarClient(transport=transport, limiter=RateLimiter(100_000.0))
+        engine = ScoringEngine(store=store, s2=client, now=NOW)
+        items = score_batch(engine, ids, ["tncsi"], workers=4)
+        assert {i.error for i in items} == {
+            "EmptyResult: TNCSI uncomputable: no search hits for keyword 'unsampled'"}
+        assert list(transport.requests.values()) == [1]
 
     def test_sequential_fallback(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")

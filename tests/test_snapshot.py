@@ -228,6 +228,42 @@ class TestCanonicalJsonIO:
         ts = ts.replace(microsecond=0)
         assert parse_timestamp(format_timestamp(ts)) == ts
 
+    @staticmethod
+    def _outcome(parse, s):
+        try:
+            return parse(s)
+        except ValueError:
+            return ValueError
+
+    # near-miss strings around the exact shapes: field widths, digit values and
+    # digit scripts vary, so out-of-range fields and wrong shapes both occur
+    _FIELD = st.sampled_from(["0", "00", "0000", "1999", "2024", "9999", "01", "02", "09",
+                              "12", "13", "24", "28", "29", "30", "31", "59", "60", "61",
+                              "99", "7", " 7", "+1", "\u0661\u0662", "\u00b2"])
+    _DATE = st.builds("{}-{}-{}".format, _FIELD, _FIELD, _FIELD)
+    _TIMESTAMP = st.builds("{}T{}:{}:{}Z".format, _DATE, _FIELD, _FIELD, _FIELD)
+
+    @given(st.one_of(
+        _DATE,
+        _TIMESTAMP,
+        st.builds(str.__add__, _DATE, st.sampled_from(["T00:00:00", "x", "Z", " "])),
+        st.text(alphabet="0123456789-:TZ \u0660\u0669", max_size=24),
+        st.datetimes().map(lambda t: f"{t.year:04d}-{t.month:02d}-{t.day:02d}T"
+                                     f"{t.hour:02d}:{t.minute:02d}:{t.second:02d}Z"),
+    ))
+    def test_fast_date_decode_agrees_with_strptime(self, s):
+        from litmetrics.jsonio import DATE_FMT, TIMESTAMP_FMT, parse_date, parse_timestamp
+
+        def strptime_date(v):
+            return datetime.strptime(v[:10], DATE_FMT).date()
+
+        def strptime_timestamp(v):
+            return datetime.strptime(v, TIMESTAMP_FMT)
+
+        if s:
+            assert self._outcome(parse_date, s) == self._outcome(strptime_date, s)
+        assert self._outcome(parse_timestamp, s) == self._outcome(strptime_timestamp, s)
+
     def test_canonical_json_is_sorted_and_compact(self):
         from litmetrics.jsonio import canonical_json
 
