@@ -190,12 +190,7 @@ def select_ids(store: SnapshotStore, ids: list[str], use_all: bool,
     """Explicit ids, or with --all every paper carrying a topic keyword
     (harvested reviews, as opposed to bare reference rows)."""
     if use_all:
-        selected = []
-        for cid in store.paper_ids():
-            record = store.get_paper(cid)
-            if record is not None and record.topic_keyword:
-                selected.append(cid)
-        return selected
+        return store.review_ids()
     if not ids:
         parser.error("give paper ids or --all")
     return ids
@@ -255,7 +250,7 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
     rows = []
     failures = 0
     for item in items:
-        record = runtime.store.get_paper(item.paper_id)
+        record = engine.records.get(item.paper_id)
         year = record.publication_date.year if record and record.publication_date else None
         cites = record.citation_count if record else None
         if item.error:
@@ -333,11 +328,10 @@ METRIC_EXTRACTORS = {
 
 def cmd_stats(runtime: Runtime, args, parser) -> int:
     extractor = METRIC_EXTRACTORS[args.metric]
+    reports = runtime.store.latest_reports()
     values = []
-    for cid in runtime.store.paper_ids():
-        rec = runtime.store.get_paper(cid)
-        rep = runtime.store.latest_report(cid)
-        v = extractor(rec, rep)
+    for cid, rec in runtime.store.get_papers().items():
+        v = extractor(rec, reports.get(cid))
         if v is not None:
             values.append(v)
     if not values:
@@ -362,9 +356,11 @@ def cmd_stats(runtime: Runtime, args, parser) -> int:
 
 
 def cmd_trend(runtime: Runtime, args, parser) -> int:
+    features = runtime.store.all_latest_features()
+    records = runtime.store.get_papers(cid for cid, _ in features)
     rows_in = []
-    for cid, fv in runtime.store.all_latest_features():
-        rec = runtime.store.get_paper(cid)
+    for cid, fv in features:
+        rec = records.get(cid)
         if rec is not None and rec.publication_date is not None:
             rows_in.append((rec.publication_date.year, fv))
     if not rows_in:

@@ -108,9 +108,7 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
         fetched = fetch_paper_record(client, data[0]["paperId"], cache=store)
 
     references = fetch_references(client, api_id_for(fetched), cache=store)
-    for ref in references:
-        if store.get_paper(ref.canonical_id) is None:
-            store.upsert_paper(ref)
+    store.insert_new_papers(references)
 
     merged = PaperRecord(
         canonical_id=record.canonical_id,
@@ -141,6 +139,9 @@ class ScoringEngine:
     populated online can be re-scored offline and byte-identically. Each
     topic's sample is fetched and fitted once per engine, so concurrent
     workers score every paper of a topic against the same sample.
+
+    ``records`` holds the papers and references that `load_records` read for
+    the current batch; a paper it lacks is read from the store.
     """
 
     store: SnapshotStore
@@ -152,6 +153,7 @@ class ScoringEngine:
     topic_k: int = 1000
     # month weights for the weighted trend variant; None leaves it unset
     iei_weights: Optional[Sequence[float]] = None
+    records: dict[str, PaperRecord] = field(default_factory=dict, init=False, repr=False)
     _topic_fits: dict[str, Future] = field(default_factory=dict, init=False, repr=False)
     _topic_fits_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
@@ -170,7 +172,23 @@ class ScoringEngine:
         keyword = llm_topic_keyword(record.title, record.abstract, self.llm)
         updated = PaperRecord(**{**record.__dict__, "topic_keyword": keyword})
         self.store.upsert_paper(updated)
+        self.records[updated.canonical_id] = updated
         return keyword
+
+    def load_records(
+        self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS
+    ) -> None:
+        """Read the papers and, when RQM or RUI is wanted, the union of their
+        references, one bulk read each, as the records that `score` uses."""
+        records = self.store.get_papers(paper_ids)
+        if {"rqm", "rui"} & set(which or ALL_INDICATORS):
+            ref_ids = {rid for r in records.values() for rid in r.reference_ids}
+            records.update(self.store.get_papers(ref_ids - records.keys()))
+        self.records = records
+
+    def _record(self, paper_id: str) -> Optional[PaperRecord]:
+        record = self.records.get(paper_id)
+        return record if record is not None else self.store.get_paper(paper_id)
 
     def _topic_fit(self, keyword: str) -> ExponentialFit:
         """Exponential fit of the keyword's topic sample, memoised per engine.
@@ -201,7 +219,7 @@ class ScoringEngine:
     def _reference_records(self, record: PaperRecord) -> list[PaperRecord]:
         refs = []
         for rid in record.reference_ids:
-            ref = self.store.get_paper(rid)
+            ref = self._record(rid)
             if ref is not None:
                 refs.append(ref)
         return refs
@@ -209,7 +227,9 @@ class ScoringEngine:
     def score(
         self, paper_id: str, which: Sequence[str] = ALL_INDICATORS
     ) -> IndicatorReport:
-        record = self.store.require_paper(paper_id)
+        record = self._record(paper_id)
+        if record is None:
+            raise UnknownPaper(paper_id)
         which = tuple(which) or ALL_INDICATORS
         now = self._now()
         report = IndicatorReport(computed_at=datetime(now.year, now.month, now.day))
@@ -305,20 +325,27 @@ def score_batch(
 ) -> list[BatchItem]:
     """Score many papers through a bounded worker pool.
 
-    Results keep the input order regardless of completion order; per-item
-    failures are captured, never raised.
+    The papers and their references are read in bulk before scoring, and the
+    reports are stored in one transaction after it, so an interrupted batch
+    stores none. Results keep the input order regardless of completion order;
+    per-item failures are captured, never raised.
     """
+    engine.load_records(paper_ids, which)
 
     def run(pid: str) -> BatchItem:
         try:
             report = engine.score(pid, which)
         except LitmetricsError as exc:
             return BatchItem(paper_id=pid, error=f"{type(exc).__name__}: {exc}")
-        if persist:
-            engine.store.store_report(pid, report)
         return BatchItem(paper_id=pid, report=report)
 
     if workers <= 1 or len(paper_ids) <= 1:
-        return [run(pid) for pid in paper_ids]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, paper_ids))
+        items = [run(pid) for pid in paper_ids]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            items = list(pool.map(run, paper_ids))
+    if persist:
+        engine.store.store_reports(
+            [(item.paper_id, item.report) for item in items if item.report is not None]
+        )
+    return items

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterable, Optional
 
 from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
@@ -22,6 +22,9 @@ from .jsonio import canonical_json, format_timestamp, parse_timestamp, utc_now
 from .retrieval import PaperRecord
 
 SCHEMA_VERSION = 1
+
+# ids bound per `IN (...)` query, well below SQLite's parameter limit
+_IN_CHUNK = 500
 
 FEATURE_NAMES = (
     "taxonomy",
@@ -222,13 +225,52 @@ class SnapshotStore:
         return record.canonical_id
 
     def get_paper(self, canonical_id: str) -> Optional[PaperRecord]:
+        return self.get_papers([canonical_id]).get(canonical_id)
+
+    def get_papers(self, ids: Optional[Iterable[str]] = None) -> dict[str, PaperRecord]:
+        """Stored records by canonical id, each row read and decoded once.
+
+        With ``ids``, ids that are not stored are left out; without, every
+        paper is returned in canonical id order.
+        """
         with self._lock:
-            row = self._conn.execute(
-                "SELECT record_json FROM papers WHERE canonical_id = ?", (canonical_id,)
-            ).fetchone()
-        if row is None:
-            return None
-        return PaperRecord.from_json_dict(json.loads(row[0]))
+            if ids is None:
+                rows = self._conn.execute(
+                    "SELECT canonical_id, record_json FROM papers ORDER BY canonical_id"
+                ).fetchall()
+            else:
+                rows = self._paper_rows("canonical_id, record_json", ids)
+        return {cid: PaperRecord.from_json_dict(json.loads(blob)) for cid, blob in rows}
+
+    def _paper_rows(self, columns: str, ids: Iterable[str]) -> list[tuple]:
+        """`papers` rows for the given ids, in chunked IN queries; the caller
+        holds the lock."""
+        wanted = sorted(set(ids))
+        rows = []
+        for start in range(0, len(wanted), _IN_CHUNK):
+            chunk = wanted[start:start + _IN_CHUNK]
+            rows += self._conn.execute(
+                f"SELECT {columns} FROM papers "
+                f"WHERE canonical_id IN ({','.join('?' * len(chunk))})",
+                chunk,
+            ).fetchall()
+        return rows
+
+    def insert_new_papers(self, records: Iterable[PaperRecord]) -> None:
+        """Insert, in one transaction, the records whose canonical id is not
+        stored yet; stored rows stay untouched, and of two records with one id
+        the first wins."""
+        rows = [(r.canonical_id, r.to_canonical_json()) for r in records]
+        with self._lock:
+            try:
+                with self._conn:
+                    self._conn.executemany(
+                        "INSERT INTO papers (canonical_id, record_json) VALUES (?, ?) "
+                        "ON CONFLICT(canonical_id) DO NOTHING",
+                        rows,
+                    )
+            except sqlite3.Error as exc:
+                raise StorageError(f"insert failed: {exc}") from exc
 
     def require_paper(self, canonical_id: str) -> PaperRecord:
         record = self.get_paper(canonical_id)
@@ -236,10 +278,15 @@ class SnapshotStore:
             raise UnknownPaper(canonical_id)
         return record
 
-    def paper_ids(self) -> list[str]:
+    def review_ids(self) -> list[str]:
+        """Ids of papers carrying a topic keyword (harvested reviews, as
+        opposed to bare reference rows), in canonical id order, read in one
+        query without decoding any record."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT canonical_id FROM papers ORDER BY canonical_id"
+                "SELECT canonical_id FROM papers "
+                "WHERE json_extract(record_json, '$.topic_keyword') <> '' "
+                "ORDER BY canonical_id"
             ).fetchall()
         return [r[0] for r in rows]
 
@@ -247,20 +294,15 @@ class SnapshotStore:
         with self._lock:
             return self._conn.execute("SELECT COUNT(*) FROM papers").fetchone()[0]
 
-    def iter_papers(self) -> Iterator[PaperRecord]:
-        for cid in self.paper_ids():
-            record = self.get_paper(cid)
-            if record is not None:
-                yield record
-
     # -- JSONL export / import ---------------------------------------------
 
     def export_jsonl(self, stream: IO[str], ids: Optional[Iterable[str]] = None) -> int:
         """Write one canonical-JSON record per line, ordered by canonical id."""
-        selected = sorted(ids) if ids is not None else self.paper_ids()
+        selected = sorted(ids) if ids is not None else None
+        records = self.get_papers(selected)
         count = 0
-        for cid in selected:
-            record = self.get_paper(cid)
+        for cid in records if selected is None else selected:
+            record = records.get(cid)
             if record is None:
                 continue
             stream.write(record.to_canonical_json() + "\n")
@@ -286,15 +328,26 @@ class SnapshotStore:
     # -- reports and features (versioned append) ---------------------------
 
     def store_report(self, paper_id: str, report: IndicatorReport) -> None:
-        self.require_paper(paper_id)
-        computed_at = report.computed_at or utc_now()
-        payload = canonical_json(report_to_json_dict(report))
+        self.store_reports([(paper_id, report)])
+
+    def store_reports(self, pairs: Iterable[tuple[str, IndicatorReport]]) -> None:
+        """Append (paper id, report) pairs in one transaction: all are stored,
+        or, when a paper is unknown or the write fails, none."""
+        rows = [
+            (paper_id, format_timestamp(report.computed_at or utc_now()),
+             canonical_json(report_to_json_dict(report)))
+            for paper_id, report in pairs
+        ]
         with self._lock:
+            stored = {cid for (cid,) in self._paper_rows("canonical_id", (r[0] for r in rows))}
+            for paper_id, _, _ in rows:
+                if paper_id not in stored:
+                    raise UnknownPaper(paper_id)
             try:
                 with self._conn:
-                    self._conn.execute(
+                    self._conn.executemany(
                         "INSERT INTO reports (paper_id, computed_at, report_json) VALUES (?, ?, ?)",
-                        (paper_id, format_timestamp(computed_at), payload),
+                        rows,
                     )
             except sqlite3.Error as exc:
                 raise StorageError(f"store_report failed: {exc}") from exc
@@ -307,6 +360,18 @@ class SnapshotStore:
                 (paper_id,),
             ).fetchone()
         return report_from_json_dict(json.loads(row[0])) if row else None
+
+    def latest_reports(self) -> dict[str, IndicatorReport]:
+        """Every paper's latest report, picked as `latest_report` picks it,
+        in one query."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT paper_id, report_json FROM ("
+                " SELECT paper_id, report_json, ROW_NUMBER() OVER ("
+                "  PARTITION BY paper_id ORDER BY computed_at DESC, id DESC) AS row_num"
+                " FROM reports) WHERE row_num = 1"
+            ).fetchall()
+        return {pid: report_from_json_dict(json.loads(blob)) for pid, blob in rows}
 
     def report_history(self, paper_id: str) -> list[IndicatorReport]:
         with self._lock:

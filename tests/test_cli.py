@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import sqlite3
 import subprocess
 import sys
 from datetime import date, datetime
@@ -20,9 +22,11 @@ from conftest import (
     write_fixture_dir,
 )
 import litmetrics
+from litmetrics.analysis import descriptive_stats
 from litmetrics.cli import Settings, build_parser, main, read_config_file
 from litmetrics.demo import build_demo_corpus, build_demo_snapshot, write_fixture_ndjson
-from litmetrics.retrieval import OfflineTransport, PaperRecord, arxiv_review_query
+from litmetrics.indicators import IndicatorReport
+from litmetrics.retrieval import OfflineTransport, PaperRecord, StubLlm, arxiv_review_query
 from litmetrics.snapshot import SnapshotStore
 
 
@@ -106,6 +110,35 @@ class TestScoreCommand:
         )
         assert code == 1
         assert "UnknownPaper" in capsys.readouterr().out
+
+    def test_one_and_four_workers_print_and_store_the_same(self, demo_db, tmp_path, capsys):
+        outputs = []
+        for workers in ("1", "4"):
+            db = tmp_path / f"w{workers}.db"
+            shutil.copy(demo_db, db)
+            assert main(["--db", str(db), "--offline", "--now", "2024-10-01",
+                         "--workers", workers, "score", "--all"],
+                        transport=OfflineTransport()) == 0
+            with sqlite3.connect(db) as conn:
+                stored = conn.execute(
+                    "SELECT paper_id, computed_at, report_json FROM reports ORDER BY id"
+                ).fetchall()
+            outputs.append((capsys.readouterr().out, stored))
+        assert outputs[0] == outputs[1]
+
+    def test_error_row_shows_the_keyword_the_llm_assigned(self, tmp_path, capsys):
+        db = tmp_path / "k.db"
+        with SnapshotStore(db) as store:
+            store.upsert_paper(PaperRecord(
+                canonical_id="arxiv:2402.11111", title="A Survey on Graphs",
+                external_ids={"arxiv": "2402.11111"}, retrieved_at=datetime(2024, 10, 1)))
+        stub = StubLlm({"A Survey on Graphs": "graph learning"})
+        code = main(["--db", str(db), "--offline", "--now", "2024-10-01",
+                     "score", "arxiv:2402.11111", "--tncsi"],
+                    transport=OfflineTransport(), llm=stub)
+        assert code == 1
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("arxiv:2402.11111  -     -      graph learning  -      error: ")
 
     def test_reports_are_persisted(self, demo_db):
         with SnapshotStore(demo_db, read_only=True) as store:
@@ -285,6 +318,32 @@ class TestStatsTrendRobustness:
         assert payload["metric"] == "tncsi"
         assert 0.0 <= payload["mean"] <= 1.0
         assert cpath.read_text().startswith("metric,n,max,min,mean,median,mode")
+
+    def test_stats_equals_the_per_paper_loop_with_tied_reports(self, tmp_path, capsys):
+        db = tmp_path / "tied.db"
+        tied = datetime(2024, 6, 1)
+        with SnapshotStore(db) as store:
+            for n in range(4):
+                store.upsert_paper(PaperRecord(canonical_id=f"arxiv:{n}", title="t",
+                                               retrieved_at=datetime(2024, 10, 1)))
+            store.store_report("arxiv:0", IndicatorReport(tncsi=0.2, computed_at=tied))
+            store.store_report("arxiv:0", IndicatorReport(tncsi=0.9, computed_at=tied))
+            store.store_report("arxiv:1", IndicatorReport(tncsi=0.5, computed_at=tied))
+            store.store_report("arxiv:1", IndicatorReport(tncsi=0.1, computed_at=datetime(2024, 1, 1)))
+            store.store_report("arxiv:3", IndicatorReport(tncsi=0.3, computed_at=tied))
+            # the per-paper loop that stats ran before it read in bulk
+            expected = []
+            for n in range(4):
+                report = store.latest_report(f"arxiv:{n}")
+                if report is not None and report.tncsi is not None:
+                    expected.append(report.tncsi)
+        jpath = tmp_path / "stats.json"
+        assert main(["--db", str(db), "--offline", "stats", "tncsi", "--json", str(jpath)]) == 0
+        s = descriptive_stats(expected)
+        assert expected == [0.9, 0.5, 0.3]
+        assert json.loads(jpath.read_text()) == {
+            "metric": "tncsi", "n": 3, "max": s.max, "min": s.min, "mean": s.mean,
+            "median": s.median, "mode": s.mode}
 
     def test_stats_empty_metric(self, tmp_path, capsys):
         db = tmp_path / "empty.db"

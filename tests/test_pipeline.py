@@ -10,11 +10,17 @@ from datetime import date, datetime
 
 import pytest
 
-from conftest import s2_citations_exchange, s2_search_exchange
+from conftest import (
+    s2_citations_exchange,
+    s2_paper_exchange,
+    s2_references_exchange,
+    s2_search_exchange,
+)
 from litmetrics.errors import EmptyResult, LlmUnavailable, UnknownPaper
 from litmetrics.pipeline import (
     ScoringEngine,
     api_id_for,
+    enrich,
     lower_median_date,
     months_between,
     score_batch,
@@ -268,3 +274,82 @@ class TestScoreBatch:
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
         items = score_batch(engine, [good.canonical_id], ["iei"], workers=1)
         assert items[0].report.iei_instant is not None
+
+
+class TestBulkReads:
+    SAMPLE = [s2_search_exchange(
+        "something", "citationCount", [{"citationCount": c} for c in (1, 5, 9, 20)], limit=100)]
+
+    def score_counted(self, tmp_path, monkeypatch, n_refs, which=("tncsi", "rqm")):
+        """Score six reviews citing overlapping windows of n_refs shared
+        references; return the decodes per id and the `papers` queries."""
+        store = SnapshotStore(tmp_path / f"refs{n_refs}.db")
+        refs = [reference(f"s2:r{k:03d}", date(2019, 1 + k % 12, 1), 10 + k)
+                for k in range(n_refs)]
+        store.insert_new_papers(refs)
+        ids = []
+        for n in range(6):
+            paper = review(f"arxiv:2301.{n:05d}",
+                           reference_ids=[r.canonical_id for r in refs[n % 3:]])
+            store.upsert_paper(paper)
+            ids.append(paper.canonical_id)
+
+        decodes = Counter()
+        decode = PaperRecord.__dict__["from_json_dict"].__func__
+
+        def counting(cls, data):
+            decodes[data["canonical_id"]] += 1
+            return decode(cls, data)
+
+        queries = []
+        monkeypatch.setattr(PaperRecord, "from_json_dict", classmethod(counting))
+        store._conn.set_trace_callback(queries.append)
+        try:
+            engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
+            items = score_batch(engine, ids, which, workers=4)
+        finally:
+            store._conn.set_trace_callback(None)
+            monkeypatch.undo()
+        reference_engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
+        assert [i.report for i in items] == [reference_engine.score(pid, which) for pid in ids]
+        return decodes, [q for q in queries if "FROM papers" in q]
+
+    def test_each_stored_row_decoded_once_in_a_constant_number_of_queries(
+            self, tmp_path, monkeypatch):
+        few_decodes, few_queries = self.score_counted(tmp_path, monkeypatch, 5)
+        many_decodes, many_queries = self.score_counted(tmp_path, monkeypatch, 60)
+        assert len(many_decodes) == 6 + 60
+        assert set(few_decodes.values()) == set(many_decodes.values()) == {1}
+        assert len(few_queries) == len(many_queries)
+
+    def test_references_are_not_read_for_tncsi_alone(self, tmp_path, monkeypatch):
+        decodes, _ = self.score_counted(tmp_path, monkeypatch, 5, which=("tncsi",))
+        assert sorted(decodes) == [f"arxiv:2301.{n:05d}" for n in range(6)]
+
+
+class TestEnrich:
+    def test_existing_reference_rows_stay_untouched(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(review(citation_count=None))
+        stored_ref = reference("s2:r1", date(2018, 1, 1), 5)
+        store.upsert_paper(stored_ref)
+        fetched = {"paperId": "s2rev", "externalIds": {"ArXiv": "2301.00001"},
+                   "title": "A Survey on Something", "publicationDate": "2024-02-01",
+                   "citationCount": 42}
+        refs = [
+            {"paperId": "r1", "externalIds": {}, "title": "Changed upstream",
+             "publicationDate": "2020-05-01", "citationCount": 900},
+            {"paperId": "r2", "externalIds": {}, "title": "New",
+             "publicationDate": "2019-03-01", "citationCount": 400},
+            {"paperId": "r2", "externalIds": {}, "title": "New, listed twice",
+             "publicationDate": "2019-03-01", "citationCount": 1},
+        ]
+        client = fast_client([s2_paper_exchange("ARXIV:2301.00001", fetched),
+                              s2_references_exchange("ARXIV:2301.00001", refs)])
+        enrich(store, client, "arxiv:2301.00001")
+        assert store.get_paper("s2:r1").to_canonical_json() == stored_ref.to_canonical_json()
+        assert (store.get_paper("s2:r2").title, store.get_paper("s2:r2").citation_count) == (
+            "New", 400)
+        merged = store.get_paper("arxiv:2301.00001")
+        assert merged.citation_count == 42
+        assert merged.reference_ids == ["s2:r1", "s2:r2", "s2:r2"]

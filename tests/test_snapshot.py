@@ -76,6 +76,24 @@ class TestUpsert:
                 outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
 
+    def test_get_papers_spans_chunks_and_skips_unknown_ids(self, store):
+        records = [record(f"s2:{n:04d}", cites=n) for n in range(1200)]
+        store.insert_new_papers(records)
+        wanted = [r.canonical_id for r in records[::-1]] + ["s2:missing"]
+        got = store.get_papers(wanted)
+        assert sorted(got) == sorted(r.canonical_id for r in records)
+        assert all(got[r.canonical_id].to_canonical_json() == r.to_canonical_json()
+                   for r in records)
+        assert list(store.get_papers()) == [r.canonical_id for r in records]
+        assert store.get_papers([]) == {}
+
+    def test_review_ids_are_the_papers_with_a_topic_keyword(self, store):
+        store.upsert_paper(record("arxiv:2", topic_keyword="graphs"))
+        store.upsert_paper(record("arxiv:1", topic_keyword="trees"))
+        store.upsert_paper(record("s2:none", topic_keyword=None))
+        store.upsert_paper(record("s2:empty", topic_keyword=""))
+        assert store.review_ids() == ["arxiv:1", "arxiv:2"]
+
     def test_dangling_reference_ids_allowed(self, store):
         store.upsert_paper(record("arxiv:1", reference_ids=["s2:missing1", "s2:missing2"]))
         assert store.get_paper("arxiv:1").reference_ids == ["s2:missing1", "s2:missing2"]
@@ -135,6 +153,40 @@ class TestReportsAndFeatures:
         with pytest.raises(UnknownPaper):
             store.store_report("arxiv:nope", IndicatorReport(tncsi=0.5))
 
+    def test_store_reports_is_one_transaction(self, store):
+        ids = [f"arxiv:{n}" for n in range(3)]
+        for cid in ids:
+            store.upsert_paper(record(cid))
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        store.store_reports([(cid, IndicatorReport(tncsi=0.1 * n)) for n, cid in enumerate(ids)])
+        store._conn.set_trace_callback(None)
+        verbs = [sql.split()[0] for sql in statements]
+        assert verbs.count("BEGIN") == 1 and verbs.count("COMMIT") == 1
+        assert verbs.count("INSERT") == 3
+        assert [store.latest_report(cid).tncsi for cid in ids] == [0.0, 0.1, 0.2]
+
+    def test_store_reports_with_unknown_paper_stores_none(self, store):
+        store.upsert_paper(record("arxiv:1"))
+        with pytest.raises(UnknownPaper, match="arxiv:nope"):
+            store.store_reports([("arxiv:1", IndicatorReport(tncsi=0.5)),
+                                 ("arxiv:nope", IndicatorReport(tncsi=0.5))])
+        assert store.report_history("arxiv:1") == []
+
+    def test_latest_reports_pick_as_latest_report_does(self, store):
+        for cid in ("arxiv:1", "arxiv:2", "arxiv:3"):
+            store.upsert_paper(record(cid))
+        tied = datetime(2024, 6, 1)
+        # equal computed_at: the later row wins
+        store.store_report("arxiv:1", IndicatorReport(tncsi=0.2, computed_at=tied))
+        store.store_report("arxiv:1", IndicatorReport(tncsi=0.9, computed_at=tied))
+        # later computed_at wins over a later row
+        store.store_report("arxiv:2", IndicatorReport(tncsi=0.5, computed_at=datetime(2024, 7, 1)))
+        store.store_report("arxiv:2", IndicatorReport(tncsi=0.1, computed_at=tied))
+        latest = store.latest_reports()
+        assert latest == {cid: store.latest_report(cid) for cid in ("arxiv:1", "arxiv:2")}
+        assert {cid: r.tncsi for cid, r in latest.items()} == {"arxiv:1": 0.9, "arxiv:2": 0.5}
+
     def test_features_round_trip(self, store):
         store.upsert_paper(record("arxiv:1"))
         fv = FeatureVector(taxonomy=1, discussion=1)
@@ -168,7 +220,7 @@ class TestReadOnlyAndSchema:
 
         with SnapshotStore(path, read_only=True) as ro:
             assert ro.paper_count() == 5
-            list(ro.iter_papers())
+            ro.get_papers()
             buf = io.StringIO()
             ro.export_jsonl(buf)
             with pytest.raises(StorageError):
