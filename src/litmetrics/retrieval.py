@@ -2,9 +2,10 @@
 LLM chat-completion endpoint.
 
 Everything is lazy and replayable: constructing a client or a paper handle
-performs no network traffic, every request funnels through a process-wide
-per-host rate limiter, and all traffic can be served from recorded fixture
-files or from payloads cached in the snapshot store.
+performs no network traffic, every request of a client funnels through its
+rate limiter (its own, unless one is passed in to share), and all traffic
+can be served from recorded fixture files or from payloads cached in the
+snapshot store.
 """
 
 from __future__ import annotations
@@ -220,20 +221,6 @@ class RateLimiter:
         delay = slot - now
         if delay > 0:
             time.sleep(delay)
-
-
-_HOST_LIMITERS: dict[str, RateLimiter] = {}
-_HOST_LIMITERS_LOCK = threading.Lock()
-
-
-def shared_limiter(host: str, rate: float = 1.0) -> RateLimiter:
-    """Process-wide limiter for one remote host; first caller fixes the rate."""
-    with _HOST_LIMITERS_LOCK:
-        limiter = _HOST_LIMITERS.get(host)
-        if limiter is None:
-            limiter = RateLimiter(rate)
-            _HOST_LIMITERS[host] = limiter
-        return limiter
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +452,7 @@ class ArxivClient:
     ):
         self.base_url = base_url
         self._transport = transport
-        self.limiter = limiter if limiter is not None else shared_limiter("arxiv", rate)
+        self.limiter = limiter if limiter is not None else RateLimiter(rate)
 
     @property
     def transport(self) -> Transport:
@@ -583,7 +570,7 @@ class SemanticScholarClient:
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self._transport = transport
-        self.limiter = limiter if limiter is not None else shared_limiter("semanticscholar", rate)
+        self.limiter = limiter if limiter is not None else RateLimiter(rate)
 
     @property
     def transport(self) -> Transport:
@@ -940,7 +927,7 @@ class LlmHttpClient:
         self.api_key = api_key
         self.model = model
         self._transport = transport
-        self.limiter = limiter if limiter is not None else shared_limiter("llm", rate)
+        self.limiter = limiter if limiter is not None else RateLimiter(rate)
 
     @property
     def transport(self) -> Transport:

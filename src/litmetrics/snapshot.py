@@ -328,16 +328,23 @@ class SnapshotStore:
     # -- reports and features (versioned append) ---------------------------
 
     def store_report(self, paper_id: str, report: IndicatorReport) -> None:
-        self.store_reports([(paper_id, report)])
+        self.write([(paper_id, report)])
 
-    def store_reports(self, pairs: Iterable[tuple[str, IndicatorReport]]) -> None:
-        """Append (paper id, report) pairs in one transaction: all are stored,
-        or, when a paper is unknown or the write fails, none."""
+    def write(self, reports: Iterable[tuple[str, IndicatorReport]] = (),
+              cache_entries: Iterable[tuple[str, str, datetime]] = ()) -> None:
+        """Append (paper id, report) pairs and upsert (key, payload, stored_at)
+        API-cache entries in one transaction: all are stored, or, when a paper
+        is unknown or the write fails, none. A cached key keeps the stored_at
+        of its first put."""
         rows = [
             (paper_id, format_timestamp(report.computed_at or utc_now()),
              canonical_json(report_to_json_dict(report)))
-            for paper_id, report in pairs
+            for paper_id, report in reports
         ]
+        cached = [(key, payload, format_timestamp(stored_at))
+                  for key, payload, stored_at in cache_entries]
+        if not rows and not cached:
+            return
         with self._lock:
             stored = {cid for (cid,) in self._paper_rows("canonical_id", (r[0] for r in rows))}
             for paper_id, _, _ in rows:
@@ -346,11 +353,16 @@ class SnapshotStore:
             try:
                 with self._conn:
                     self._conn.executemany(
+                        "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "
+                        "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload",
+                        cached,
+                    )
+                    self._conn.executemany(
                         "INSERT INTO reports (paper_id, computed_at, report_json) VALUES (?, ?, ?)",
                         rows,
                     )
             except sqlite3.Error as exc:
-                raise StorageError(f"store_report failed: {exc}") from exc
+                raise StorageError(f"snapshot write failed: {exc}") from exc
 
     def latest_report(self, paper_id: str) -> Optional[IndicatorReport]:
         with self._lock:
@@ -405,11 +417,14 @@ class SnapshotStore:
         return FeatureVector(**json.loads(row[0])) if row else None
 
     def all_latest_features(self) -> list[tuple[str, FeatureVector]]:
+        """Every paper's latest feature vector, picked as `latest_features`
+        picks it, in paper id order."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT f.paper_id, f.features_json FROM features f "
-                "JOIN (SELECT paper_id, MAX(id) AS max_id FROM features GROUP BY paper_id) m "
-                "ON f.id = m.max_id ORDER BY f.paper_id"
+                "SELECT paper_id, features_json FROM ("
+                " SELECT paper_id, features_json, ROW_NUMBER() OVER ("
+                "  PARTITION BY paper_id ORDER BY recorded_at DESC, id DESC) AS row_num"
+                " FROM features) WHERE row_num = 1 ORDER BY paper_id"
             ).fetchall()
         return [(pid, FeatureVector(**json.loads(blob))) for pid, blob in rows]
 
@@ -423,13 +438,4 @@ class SnapshotStore:
         return row[0] if row else None
 
     def cache_put(self, key: str, payload: str) -> None:
-        with self._lock:
-            try:
-                with self._conn:
-                    self._conn.execute(
-                        "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "
-                        "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload",
-                        (key, payload, format_timestamp(utc_now())),
-                    )
-            except sqlite3.Error as exc:
-                raise StorageError(f"cache_put failed: {exc}") from exc
+        self.write(cache_entries=[(key, payload, utc_now())])

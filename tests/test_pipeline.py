@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
 from collections import Counter
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import (
+    CountingTransport,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
     s2_search_exchange,
 )
+from litmetrics import pipeline, snapshot
+from litmetrics.cli import main
+from litmetrics.demo import DEMO_NOW, build_demo_corpus, build_demo_snapshot
 from litmetrics.errors import EmptyResult, LlmUnavailable, UnknownPaper
+from litmetrics.jsonio import canonical_json, format_timestamp
 from litmetrics.pipeline import (
     ScoringEngine,
     api_id_for,
@@ -26,11 +33,14 @@ from litmetrics.pipeline import (
     score_batch,
 )
 from litmetrics.retrieval import (
+    S2_API_URL,
     FixtureTransport,
+    OfflineTransport,
     PaperRecord,
     RateLimiter,
     SemanticScholarClient,
     StubLlm,
+    request_key,
 )
 from litmetrics.snapshot import SnapshotStore
 
@@ -38,10 +48,12 @@ NOW = date(2024, 10, 1)
 RETRIEVED = datetime(2024, 10, 1)
 
 
+def replay_client(transport) -> SemanticScholarClient:
+    return SemanticScholarClient(transport=transport, limiter=RateLimiter(100_000.0))
+
+
 def fast_client(exchanges):
-    return SemanticScholarClient(
-        transport=FixtureTransport.from_pairs(exchanges), limiter=RateLimiter(100_000.0)
-    )
+    return replay_client(FixtureTransport.from_pairs(exchanges))
 
 
 class SlowCountingTransport:
@@ -274,6 +286,239 @@ class TestScoreBatch:
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
         items = score_batch(engine, [good.canonical_id], ["iei"], workers=1)
         assert items[0].report.iei_instant is not None
+
+
+@pytest.fixture(scope="module")
+def demo_corpus():
+    return build_demo_corpus()
+
+
+@pytest.fixture(scope="module")
+def demo_payloads(tmp_path_factory):
+    """The demo snapshot's cached payloads by key: what scoring it fetches."""
+    path = tmp_path_factory.mktemp("demo") / "demo.db"
+    build_demo_snapshot(path)
+    with SnapshotStore(path, read_only=True) as store:
+        return payloads(store)
+
+
+def cold_demo_store(path, corpus) -> SnapshotStore:
+    """The demo papers and references with an empty API cache."""
+    store = SnapshotStore(path)
+    store.insert_new_papers(corpus.references + corpus.papers)
+    return store
+
+
+def payloads(store) -> dict[str, dict]:
+    """Cached payloads by key, less the fetch time a topic sample records."""
+    rows = store._conn.execute("SELECT key, payload FROM api_cache")
+    return {key: {k: v for k, v in json.loads(payload).items() if k != "fetched_at"}
+            for key, payload in rows}
+
+
+class BreakingTransport:
+    """Raises ``error`` for one URL and records the requests it serves."""
+
+    def __init__(self, inner, broken_url, error):
+        self.inner = inner
+        self.broken_url = broken_url
+        self.error = error
+        self.served = set()
+
+    def request(self, method, url, params, headers, body=None):
+        if url == self.broken_url:
+            raise self.error
+        self.served.add(request_key(method, url, params, body))
+        return self.inner.request(method, url, params, headers, body)
+
+
+def begin_count(store, action) -> int:
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    try:
+        action()
+    finally:
+        store._conn.set_trace_callback(None)
+    return [sql.split()[0] for sql in statements].count("BEGIN")
+
+
+class TestBatchWrites:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_cold_batch_commits_once(self, tmp_path, demo_corpus, demo_payloads, workers,
+                                       monkeypatch):
+        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX_AGE_S", 1e9)  # a slow host stays at one
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave inside the batch cache
+        try:
+            items = score_batch(engine, ids, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+            store._conn.set_trace_callback(None)
+        verbs = [sql.split()[0] for sql in statements]
+        assert verbs.count("BEGIN") == 1 and verbs.count("COMMIT") == 1
+        assert [i.error for i in items] == [None] * len(ids)
+        assert sorted(store.latest_reports()) == sorted(ids)
+        assert payloads(store) == demo_payloads
+
+    def test_cold_run_caches_every_fetch_and_replays_offline(self, tmp_path, demo_corpus, capsys):
+        db = tmp_path / "s.db"
+        cold_demo_store(db, demo_corpus).close()
+        argv = ["--db", str(db), "--rate", "100000", "--now", "2024-10-01", "score", "--all"]
+        fixtures = FixtureTransport.from_pairs(demo_corpus.exchanges)
+        assert main(argv, transport=fixtures) == 0
+        cold = capsys.readouterr().out
+        offline = CountingTransport(OfflineTransport())
+        assert main(["--offline", *argv], transport=offline) == 0
+        assert offline.count == 0
+        assert capsys.readouterr().out == cold
+
+    @pytest.mark.parametrize("error, workers", [(RuntimeError("transport defect"), 1),
+                                                (KeyboardInterrupt(), 4)],
+                             ids=["error-1-worker", "ctrl-c-4-workers"])
+    def test_a_failing_batch_keeps_the_payloads_fetched_before_it(
+            self, tmp_path, demo_corpus, demo_payloads, error, workers):
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        arxiv_id = demo_corpus.papers[3].external_ids["arxiv"]
+        broken = BreakingTransport(FixtureTransport.from_pairs(demo_corpus.exchanges),
+                                   f"{S2_API_URL}/paper/ARXIV:{arxiv_id}/citations", error)
+        engine = ScoringEngine(store=store, s2=replay_client(broken), now=DEMO_NOW)
+        with pytest.raises(type(error)):
+            score_batch(engine, ids, workers=workers)
+        kept = payloads(store)
+        assert kept and all(demo_payloads[key] == payload for key, payload in kept.items())
+        assert store.latest_reports() == {}
+        # a re-run fetches only what the failed batch had not
+        counting = CountingTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(counting), now=DEMO_NOW)
+        assert [i.error for i in score_batch(engine, ids, workers=1)] == [None] * len(ids)
+        assert broken.served.isdisjoint(key for _, key in counting.calls)
+        assert payloads(store) == demo_payloads
+
+    def test_without_persist_the_payloads_are_stored_and_no_report(
+            self, tmp_path, demo_corpus, demo_payloads):
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
+        items = score_batch(engine, ids, workers=4, persist=False)
+        assert all(i.report is not None for i in items)
+        assert store.latest_reports() == {}
+        assert payloads(store) == demo_payloads
+
+    def test_a_payload_put_in_the_batch_serves_its_later_lookups(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(reference("s2:r1", date(2015, 1, 1), 50))
+        ids = []
+        for n in range(2):  # same topic, date and references: same count windows
+            paper = review(f"arxiv:2301.{n:05d}", reference_ids=["s2:r1"])
+            store.upsert_paper(paper)
+            ids.append(paper.canonical_id)
+        exchanges = [
+            s2_search_exchange(
+                "something", "publicationDate", [{"publicationDate": "2015-01-01"}] * 4,
+                extra={"publicationDateOrYear": "2015-01-01:2024-02-01"}),
+            s2_search_exchange(
+                "something", "publicationDate", [{"publicationDate": "2024-02-01"}] * 8,
+                extra={"publicationDateOrYear": "2024-02-01:2024-10-01"}),
+        ]
+        transport = CountingTransport(FixtureTransport.from_pairs(exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=NOW)
+        items = score_batch(engine, ids, ["rui"], workers=1)
+        assert [i.report.cdr for i in items] == [2.0, 2.0]
+        assert transport.count == 2
+
+    def test_a_batch_writes_whenever_it_holds_the_most_payloads(
+            self, tmp_path, demo_corpus, demo_payloads, monkeypatch):
+        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX", 3)
+        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX_AGE_S", 1e9)
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
+        begins = begin_count(store, lambda: score_batch(engine, ids, workers=1))
+        assert len(demo_payloads) > 3
+        assert begins == len(demo_payloads) // 3 + 1  # and once more for the rest and the reports
+        assert payloads(store) == demo_payloads
+        assert sorted(store.latest_reports()) == sorted(ids)
+
+    def test_paced_fetches_are_written_about_as_they_arrive(
+            self, tmp_path, demo_corpus, monkeypatch):
+        clock = [0.0]
+
+        class PacedTransport:
+            """Moves the batch's clock 0.6 s forward per request."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def request(self, *args, **kwargs):
+                clock[0] += 0.6
+                return self.inner.request(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        ids = [p.canonical_id for p in demo_corpus.papers[:4]]
+        transport = PacedTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=DEMO_NOW)
+        begins = begin_count(store, lambda: score_batch(engine, ids, ["iei"], workers=1))
+        # puts at 0.6, 1.2, 1.8 and 2.4 s: written at 1.2 and 2.4 s, then the reports
+        assert begins == 3
+        assert len(store._conn.execute("SELECT key FROM api_cache").fetchall()) == 4
+
+    def test_puts_after_the_batch_closed_are_written_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX", 10**9)
+        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX_AGE_S", 1e9)
+        store = SnapshotStore(tmp_path / "s.db")
+        cache = pipeline._BatchCache(store)
+        halfway, closed = threading.Barrier(5), threading.Event()
+
+        def put(worker):  # a worker that a second Ctrl-C left running
+            for n in range(100):
+                cache.cache_put(f"{worker}-{n}", "{}")
+                if n == 49:
+                    halfway.wait()
+                    closed.wait()
+
+        threads = [threading.Thread(target=put, args=(w,)) for w in range(4)]
+        for thread in threads:
+            thread.start()
+        halfway.wait()
+        cache.close([])
+        closed.set()
+        for thread in threads:
+            thread.join()
+        assert cache.pending == {}
+        assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 400
+
+    def test_stored_at_is_the_time_of_the_put(self, tmp_path, demo_corpus, monkeypatch):
+        clock = [datetime(2024, 10, 1)]
+
+        class TickingTransport:
+            """Moves the clock one minute forward per request."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def request(self, *args, **kwargs):
+                clock[0] += timedelta(minutes=1)
+                return self.inner.request(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "utc_now", lambda: clock[0])
+        monkeypatch.setattr(snapshot, "utc_now", lambda: clock[0])
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        papers = demo_corpus.papers[:2]
+        transport = TickingTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=DEMO_NOW)
+        score_batch(engine, [p.canonical_id for p in papers], ["iei"], workers=1)
+        stamps = dict(store._conn.execute("SELECT key, stored_at FROM api_cache"))
+        keys = [canonical_json({"op": "citations", "paper_id": f"ARXIV:{p.external_ids['arxiv']}"})
+                for p in papers]
+        assert [stamps[key] for key in keys] == [
+            format_timestamp(datetime(2024, 10, 1, 0, minute)) for minute in (1, 2)]
 
 
 class TestBulkReads:

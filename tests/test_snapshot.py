@@ -157,21 +157,28 @@ class TestReportsAndFeatures:
         ids = [f"arxiv:{n}" for n in range(3)]
         for cid in ids:
             store.upsert_paper(record(cid))
+        store.cache_put("k1", "old")
         statements = []
         store._conn.set_trace_callback(statements.append)
-        store.store_reports([(cid, IndicatorReport(tncsi=0.1 * n)) for n, cid in enumerate(ids)])
+        store.write([(cid, IndicatorReport(tncsi=0.1 * n)) for n, cid in enumerate(ids)],
+                    [("k1", "new", datetime(2024, 6, 1)), ("k2", "v", datetime(2024, 6, 1))])
         store._conn.set_trace_callback(None)
         verbs = [sql.split()[0] for sql in statements]
         assert verbs.count("BEGIN") == 1 and verbs.count("COMMIT") == 1
-        assert verbs.count("INSERT") == 3
+        assert verbs.count("INSERT") == 5
         assert [store.latest_report(cid).tncsi for cid in ids] == [0.0, 0.1, 0.2]
+        assert (store.cache_get("k1"), store.cache_get("k2")) == ("new", "v")
+        stamps = dict(store._conn.execute("SELECT key, stored_at FROM api_cache"))
+        assert stamps["k2"] == "2024-06-01T00:00:00Z" != stamps["k1"]  # k1 keeps its first put
 
     def test_store_reports_with_unknown_paper_stores_none(self, store):
         store.upsert_paper(record("arxiv:1"))
         with pytest.raises(UnknownPaper, match="arxiv:nope"):
-            store.store_reports([("arxiv:1", IndicatorReport(tncsi=0.5)),
-                                 ("arxiv:nope", IndicatorReport(tncsi=0.5))])
+            store.write([("arxiv:1", IndicatorReport(tncsi=0.5)),
+                         ("arxiv:nope", IndicatorReport(tncsi=0.5))],
+                        [("k", "v", RETRIEVED)])
         assert store.report_history("arxiv:1") == []
+        assert store.cache_get("k") is None
 
     def test_latest_reports_pick_as_latest_report_does(self, store):
         for cid in ("arxiv:1", "arxiv:2", "arxiv:3"):
@@ -192,6 +199,16 @@ class TestReportsAndFeatures:
         fv = FeatureVector(taxonomy=1, discussion=1)
         store.store_features("arxiv:1", fv)
         assert store.latest_features("arxiv:1") == fv
+
+    def test_all_latest_features_pick_as_latest_features_does(self, store):
+        store.upsert_paper(record("arxiv:1"))
+        # stored second, but recorded earlier: the June vector stays the latest
+        store.store_features("arxiv:1", FeatureVector(discussion=1),
+                             recorded_at=datetime(2024, 6, 1))
+        store.store_features("arxiv:1", FeatureVector(discussion=0),
+                             recorded_at=datetime(2024, 1, 1))
+        assert store.latest_features("arxiv:1").discussion == 1
+        assert store.all_latest_features() == [("arxiv:1", FeatureVector(discussion=1))]
 
     def test_features_unknown_paper(self, store):
         with pytest.raises(UnknownPaper):
