@@ -71,6 +71,10 @@ class Settings:
         file_values: dict[str, str] = {}
         if args.config:
             file_values = read_config_file(Path(args.config))
+        unknown = sorted(file_values.keys() - CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config key {', '.join(map(repr, unknown))} "
+                             f"(known: {', '.join(CONFIG_KEYS)})")
 
         def pick(flag_value, env_name: Optional[str], file_key: str, default):
             if flag_value is not None:
@@ -83,8 +87,12 @@ class Settings:
 
         self.db = str(pick(args.db, None, "db", "litmetrics.db"))
         self.rate = float(pick(args.rate, None, "rate", 1.0))
+        if not self.rate > 0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
         self.workers = int(pick(args.workers, None, "workers", 4))
         self.topic_k = int(pick(args.k, None, "k", 1000))
+        if self.topic_k < 1:
+            raise ValueError(f"k must be at least 1, got {self.topic_k}")
         self.beta = float(pick(args.beta, None, "beta", DEFAULT_BETA))
         self.s2_api_key = pick(None, "S2_API_KEY", "s2_api_key", None)
         self.llm_api_key = pick(None, "LLM_API_KEY", "llm_api_key", None)

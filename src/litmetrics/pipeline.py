@@ -204,7 +204,9 @@ class ScoringEngine:
         """Exponential fit of the keyword's topic sample, memoised per engine.
 
         The first caller for a keyword fetches and fits; concurrent callers
-        wait for its outcome, which is a fit or the error it raised.
+        wait for its outcome, which is a fit or the error it raised. Only a
+        fit or a library error is kept; after any other exception (a
+        transport defect, Ctrl-C) the next call fetches again.
         """
         with self._topic_fits_lock:
             pending = self._topic_fits.get(keyword)
@@ -215,6 +217,9 @@ class ScoringEngine:
             try:
                 pending.set_result(self._fetch_topic_fit(keyword))
             except BaseException as exc:
+                if not isinstance(exc, LitmetricsError):
+                    with self._topic_fits_lock:
+                        del self._topic_fits[keyword]
                 pending.set_exception(exc)  # waiting workers raise it too
                 raise
         return pending.result()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -38,6 +40,34 @@ def demo_db(tmp_path_factory) -> Path:
     return path
 
 
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+GOLDEN_RUNS = {  # in this order: `stats` reads the reports that `score` stores
+    "score_all": ["score", "--all"],
+    **{f"stats_{m}": ["stats", m] for m in ("tncsi", "rqm", "rui", "iei", "cites")},
+    "trend_discussion": ["trend", "--feature", "discussion", "--sigma", "1.0"],
+}
+
+
+@pytest.fixture(scope="module")
+def demo_stdout(tmp_path_factory) -> dict[str, tuple[int, str]]:
+    """Exit code and stdout of each golden run on a fresh demo snapshot."""
+    path = tmp_path_factory.mktemp("golden") / "demo.db"
+    build_demo_snapshot(path)
+    results = {}
+    for name, argv in GOLDEN_RUNS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--db", str(path), "--offline", "--now", "2024-10-01", *argv],
+                        transport=OfflineTransport())
+        results[name] = (code, out.getvalue())
+    return results
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_demo_stdout_matches_golden(demo_stdout, name):
+    assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         src = str(Path(litmetrics.__file__).resolve().parents[1])
@@ -47,6 +77,17 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_latency_probe_scores_the_cold_demo(self):
+        src = str(Path(litmetrics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = Path(__file__).resolve().parents[1] / "scripts" / "latency_probe.py"
+        done = subprocess.run([sys.executable, str(script), "--rate", "100000", "--latency", "0",
+                               "--workers", "2", "--llm-latency", "0"],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert "exit=0 requests=66 llm_calls=20 " in done.stdout
+        assert done.stdout.rstrip().endswith("failed_rows=0")
 
 
 class TestScoreCommand:
@@ -433,6 +474,24 @@ class TestSettings:
         cfg.write_text("rate = not-a-number\n")
         assert main(["--config", str(cfg), "--db", str(tmp_path / "x.db"),
                      "score", "--all"]) == 2
+
+    @pytest.mark.parametrize("key, value", [("rate", "0"), ("rate", "-1"), ("rate", "nan"),
+                                            ("k", "0")])
+    def test_out_of_range_rate_or_k_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        db = ["--db", str(tmp_path / "x.db"), "--offline"]
+        for source in (["--config", str(cfg)], [f"--{key}={value}"]):
+            assert main([*db, *source, "score", "--all"]) == 2
+            assert f"error: bad configuration: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["rat = 5", "worker = 4"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"rate = 2\n{line}\n")
+        assert main(["--config", str(cfg), "--db", str(tmp_path / "x.db"),
+                     "score", "--all"]) == 2
+        assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
 
 
 class TestFixturesFlagRoundTrip:

@@ -278,6 +278,23 @@ class TestScoreBatch:
             "EmptyResult: TNCSI uncomputable: no search hits for keyword 'unsampled'"}
         assert list(transport.requests.values()) == [1]
 
+    @pytest.mark.parametrize("error", [RuntimeError("defect"), KeyboardInterrupt()],
+                             ids=["error", "ctrl-c"])
+    def test_a_topic_fetch_that_broke_is_fetched_again(self, tmp_path, error):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(review())
+        exchanges = [s2_search_exchange("something", "citationCount",
+                                        [{"citationCount": 3}], limit=100)]
+        broken = BreakingTransport(FixtureTransport.from_pairs(exchanges),
+                                   f"{S2_API_URL}/paper/search", error)
+        transport = CountingTransport(broken)
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=NOW)
+        with pytest.raises(type(error)):
+            score_batch(engine, ["arxiv:2301.00001"], ["tncsi"])
+        broken.broken_url = None  # the same engine asks again and gets the sample
+        assert score_batch(engine, ["arxiv:2301.00001"], ["tncsi"])[0].report.sample_size == 1
+        assert transport.count == 2
+
     def test_sequential_fallback(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         good = review()
