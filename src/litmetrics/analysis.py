@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import csv
 import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Optional, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import ConstantInput, EmptyInput, LengthMismatch
 from .indicators import citation_histograms, kl_divergence
 from .retrieval import TopicContext
 from .snapshot import FEATURE_NAMES, FeatureVector
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -36,13 +38,10 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     lo, hi = min(data), max(data)
     # exact summation, then clamp the possible 1-ulp excursion of the division
     mean = min(max(math.fsum(data) / len(data), lo), hi)
-    return DescriptiveStats(
-        max=hi,
-        min=lo,
-        mean=mean,
-        median=float(np.median(np.asarray(data, dtype=np.float64))),
-        mode=mode,
-    )
+    # np.median's mean adds the middle values to 0.0; 0.0 + v gives the same
+    # floats and signs of zero
+    median = statistics.median(0.0 + v for v in data)
+    return DescriptiveStats(max=hi, min=lo, mean=mean, median=median, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,8 @@ class CorrelationResult:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    import numpy as np
+
     cx = x - x.mean()
     cy = y - y.mean()
     vx = float(np.dot(cx, cx))
@@ -70,6 +71,8 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks; each run of tied values gets the mean of its positions."""
+    import numpy as np
+
     order = np.argsort(v, kind="stable")
     ordered = v[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -130,6 +133,8 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = len(x)
     if n < 3:
         raise EmptyInput("need at least 3 paired values")
+    import numpy as np
+
     ax = np.asarray(x, dtype=np.float64)
     ay = np.asarray(y, dtype=np.float64)
     r = _pearson(ax, ay)
@@ -166,6 +171,8 @@ def gaussian_smooth(
         raise ValueError("sigma must be non-negative")
     if sigma == 0.0:
         return [float(v) for v in values]
+    import numpy as np
+
     pos = np.asarray(positions, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
     radius = 3.0 * sigma

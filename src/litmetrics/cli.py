@@ -18,15 +18,7 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import (
-    descriptive_stats,
-    synonym_robustness,
-    trend_rows,
-    write_csv,
-    yearly_feature_trend,
-)
 from .errors import LitmetricsError
-from .extraction import extract_features_from_document, load_structured_text
 from .indicators import DEFAULT_BETA
 from .jsonio import canonical_json
 from .pipeline import ALL_INDICATORS, ScoringEngine, enrich, harvest, score_batch
@@ -90,6 +82,8 @@ class Settings:
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
         self.workers = int(pick(args.workers, None, "workers", 4))
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         self.topic_k = int(pick(args.k, None, "k", 1000))
         if self.topic_k < 1:
             raise ValueError(f"k must be at least 1, got {self.topic_k}")
@@ -286,6 +280,8 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
 
 
 def cmd_features(runtime: Runtime, args, parser) -> int:
+    from .extraction import extract_features_from_document, load_structured_text
+
     ids = select_ids(runtime.store, args.ids, args.all, parser)
     if runtime.llm is None:
         print("error: LlmUnavailable: features need --llm-stub or an LLM endpoint",
@@ -318,30 +314,31 @@ def _frozen_ts(runtime: Runtime) -> Optional[datetime]:
     return datetime(now.year, now.month, now.day) if now else None
 
 
-METRIC_EXTRACTORS = {
-    "cites": lambda rec, rep: rec.citation_count,
-    "refs": lambda rec, rep: len(rec.reference_ids) if rec.reference_ids else None,
-    "authors": lambda rec, rep: rec.author_count or None,
-    "year": lambda rec, rep: rec.publication_date.year if rec.publication_date else None,
-    "tncsi": lambda rec, rep: rep.tncsi if rep else None,
-    "iei": lambda rec, rep: rep.iei_avg if rep else None,
-    "arq": lambda rec, rep: rep.arq if rep else None,
-    "s_mp": lambda rec, rep: rep.s_mp if rep else None,
-    "rqm": lambda rec, rep: rep.rqm if rep else None,
-    "cdr": lambda rec, rep: rep.cdr if rep else None,
-    "rad": lambda rec, rep: rep.rad if rep else None,
-    "rui": lambda rec, rep: rep.rui if rep else None,
+RECORD_METRICS = {
+    "cites": lambda rec: rec.citation_count,
+    "refs": lambda rec: len(rec.reference_ids) if rec.reference_ids else None,
+    "authors": lambda rec: rec.author_count or None,
+    "year": lambda rec: rec.publication_date.year if rec.publication_date else None,
+}
+REPORT_METRICS = {  # metric -> IndicatorReport field
+    "tncsi": "tncsi", "iei": "iei_avg", "arq": "arq", "s_mp": "s_mp",
+    "rqm": "rqm", "cdr": "cdr", "rad": "rad", "rui": "rui",
 }
 
 
 def cmd_stats(runtime: Runtime, args, parser) -> int:
-    extractor = METRIC_EXTRACTORS[args.metric]
-    reports = runtime.store.latest_reports()
-    values = []
-    for cid, rec in runtime.store.get_papers().items():
-        v = extractor(rec, reports.get(cid))
-        if v is not None:
-            values.append(v)
+    from .analysis import descriptive_stats, write_csv
+
+    if args.metric in REPORT_METRICS:
+        # every report belongs to a stored paper, so no record is read; the
+        # values keep the paper-id order of the record read below
+        name = REPORT_METRICS[args.metric]
+        reports = sorted(runtime.store.latest_reports().items())
+        values = [getattr(rep, name) for _, rep in reports]
+    else:
+        extract = RECORD_METRICS[args.metric]
+        values = [extract(rec) for rec in runtime.store.get_papers().values()]
+    values = [v for v in values if v is not None]
     if not values:
         print(f"error: EmptyInput: no values for metric {args.metric!r}", file=sys.stderr)
         return 1
@@ -364,6 +361,8 @@ def cmd_stats(runtime: Runtime, args, parser) -> int:
 
 
 def cmd_trend(runtime: Runtime, args, parser) -> int:
+    from .analysis import trend_rows, write_csv, yearly_feature_trend
+
     features = runtime.store.all_latest_features()
     records = runtime.store.get_papers(cid for cid, _ in features)
     rows_in = []
@@ -386,6 +385,8 @@ def cmd_trend(runtime: Runtime, args, parser) -> int:
 
 
 def cmd_robustness(runtime: Runtime, args, parser) -> int:
+    from .analysis import synonym_robustness, write_csv
+
     data = json.loads(Path(args.groups_file).read_text(encoding="utf-8"))
     raw_groups = data["groups"] if isinstance(data, dict) else data
     groups = [(g["anchor"], list(g["comparisons"])) for g in raw_groups]
@@ -472,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", required=True, help="directory of structured-text documents")
 
     p = sub.add_parser("stats", help="descriptive statistics for one metric")
-    p.add_argument("metric", choices=sorted(METRIC_EXTRACTORS))
+    p.add_argument("metric", choices=sorted([*RECORD_METRICS, *REPORT_METRICS]))
     p.add_argument("--csv")
     p.add_argument("--json")
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     BinMismatch,
     DegenerateSample,
@@ -389,6 +387,11 @@ def rad(
     Accumulates the curve over [0, m_pc/12] years in uniform steps
     (default 1/120 year). The discrete trapezoid is the defining method;
     the closed-form antiderivative only serves as a test oracle.
+
+    The result is bit-identical to ``np.trapezoid(ys, np.linspace(0, span,
+    n + 1))``: the grid is ``x_i = i * (span / n)`` with the last point set
+    to ``span``, each term is ``(x_{i+1} - x_i) * (y_{i+1} + y_i) / 2.0``, and
+    the terms are summed in numpy's pairwise order (see ``_pairwise_sum``).
     """
     if m_pc < 0:
         raise ValueError("months since publication must be non-negative")
@@ -398,9 +401,46 @@ def rad(
         return 0.0
     span = m_pc / 12.0
     n_steps = max(1, math.ceil(span / step - 1e-12))
-    xs = np.linspace(0.0, span, n_steps + 1)
-    ys = ((poly.c3 * xs + poly.c2) * xs + poly.c1) * xs + poly.c0
-    return float(np.trapezoid(ys, xs))
+    h = span / n_steps
+    xs = [h * i for i in range(n_steps)]
+    xs.append(span)
+    c3, c2, c1, c0 = poly.c3, poly.c2, poly.c1, poly.c0
+    ys = [((c3 * x + c2) * x + c1) * x + c0 for x in xs]
+    terms = [(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    return 0.0 + _pairwise_sum(terms, 0, n_steps)  # add.reduce starts from 0.0
+
+
+def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
+    """Sum of ``a[lo:lo + n]`` in the order of numpy's float64 ``add.reduce``.
+
+    Fewer than 8 values are added in turn from 0.0; up to 128 go through 8
+    interleaved accumulators, combined as a balanced tree, and then the
+    remainder in turn; longer runs split at n // 2 rounded down to a multiple
+    of 8 and recurse on both halves.
+    """
+    if n < 8:
+        total = 0.0
+        for v in a[lo:lo + n]:
+            total += v
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
+        for i in range(lo + 8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in a[end:lo + n]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
 
 
 def cdr(n_pc: int, n_mp: int) -> float:
@@ -459,6 +499,8 @@ def kl_divergence(
         raise BinMismatch("histograms are empty")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    import numpy as np
+
     p = np.asarray(p_counts, dtype=np.float64) + epsilon
     q = np.asarray(q_counts, dtype=np.float64) + epsilon
     if np.any(p < epsilon) or np.any(q < epsilon):
@@ -483,6 +525,8 @@ def citation_histograms(
     other = list(other_counts)
     if not anchor or not other:
         raise EmptySample("both samples must be non-empty")
+    import numpy as np
+
     pooled = np.asarray(anchor + other, dtype=np.float64)
     cap = int(math.ceil(float(np.percentile(pooled, percentile))))
     n_bins = cap + 2  # 0..cap plus overflow

@@ -202,8 +202,10 @@ DEFAULT_TOPIC_PROFILE = LlmPromptProfile(
 class RateLimiter:
     """Minimum-interval pacing: at most ``rate`` acquisitions per second.
 
-    Thread-safe; a slot is reserved under the lock and any needed delay is
-    slept outside it, so concurrent callers are serialized fairly.
+    Thread-safe; callers pass one at a time, and each waits under the lock
+    until ``interval`` after the moment the one before it was let through.
+    A sleep that wakes late therefore delays the callers behind it, instead
+    of letting them through in a burst on slots reserved before it woke.
     """
 
     def __init__(self, rate: float = 1.0):
@@ -215,12 +217,10 @@ class RateLimiter:
 
     def acquire(self) -> None:
         with self._lock:
-            now = time.monotonic()
-            slot = max(now, self._next_slot)
-            self._next_slot = slot + self.interval
-        delay = slot - now
-        if delay > 0:
-            time.sleep(delay)
+            delay = self._next_slot - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            self._next_slot = time.monotonic() + self.interval
 
 
 # ---------------------------------------------------------------------------

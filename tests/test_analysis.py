@@ -67,6 +67,15 @@ def oracle_p_value(r: float, n: int) -> float:
     return float(mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, xx, regularized=True))
 
 
+FINITE = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0]))
+INTS = st.integers(-(2**70), 2**70)
+
+
+def even_lists(elements):
+    return st.lists(st.tuples(elements, elements), min_size=1, max_size=20).map(
+        lambda pairs: [v for pair in pairs for v in pair])
+
+
 class TestDescriptiveStats:
     def test_hand_example(self):
         s = descriptive_stats([1, 2, 2, 9])
@@ -88,6 +97,16 @@ class TestDescriptiveStats:
         s = descriptive_stats(values)
         assert s.min <= s.mean <= s.max
         assert s.min <= s.median <= s.max
+
+    @given(st.one_of(
+        st.lists(FINITE, min_size=1, max_size=40),
+        st.lists(INTS, min_size=1, max_size=40),
+        even_lists(FINITE),
+        even_lists(INTS),
+    ))
+    def test_median_is_numpys(self, values):
+        expected = float(np.median(np.asarray(values, dtype=np.float64)))
+        assert descriptive_stats(values).median.hex() == expected.hex()
 
 
 class TestCorrelations:

@@ -10,6 +10,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import textwrap
 from datetime import date, datetime
 from pathlib import Path
 
@@ -77,6 +78,29 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
+
+    def test_import_score_and_stats_load_no_numpy(self, demo_db, tmp_path):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        src = str(Path(litmetrics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = textwrap.dedent(f"""
+            import sys
+            from litmetrics.cli import main
+
+            def numpy_modules(step, code=0):
+                return [step, code, [m for m in sys.modules if m.split(".")[0] == "numpy"]]
+
+            flags = ["--db", {str(db)!r}, "--offline", "--now", "2024-10-01"]
+            seen = [numpy_modules("import")]
+            seen.append(numpy_modules("score", main([*flags, "score", "--all"])))
+            seen.append(numpy_modules("stats", main([*flags, "stats", "tncsi"])))
+            print(seen, file=sys.stderr)
+        """)
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stderr.splitlines()[-1] == str([["import", 0, []], ["score", 0, []],
+                                                     ["stats", 0, []]])
 
     def test_latency_probe_scores_the_cold_demo(self):
         src = str(Path(litmetrics.__file__).resolve().parents[1])
@@ -386,6 +410,22 @@ class TestStatsTrendRobustness:
             "metric": "tncsi", "n": 3, "max": s.max, "min": s.min, "mean": s.mean,
             "median": s.median, "mode": s.mode}
 
+    def test_report_metric_decodes_no_record(self, demo_db, tmp_path, monkeypatch, capsys):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        flags = ["--db", str(db), "--offline", "--now", "2024-10-01"]
+        assert main([*flags, "score", "--all"]) == 0
+        capsys.readouterr()
+        decoded = []
+        decode = PaperRecord.from_json_dict.__func__
+        monkeypatch.setattr(PaperRecord, "from_json_dict",
+                            classmethod(lambda cls, d: decoded.append(d) or decode(cls, d)))
+        assert main([*flags, "stats", "tncsi"]) == 0
+        assert decoded == []
+        assert capsys.readouterr().out == (GOLDEN / "stats_tncsi.txt").read_text(encoding="utf-8")
+        assert main([*flags, "stats", "cites"]) == 0
+        assert decoded  # a record metric still reads the records
+
     def test_stats_empty_metric(self, tmp_path, capsys):
         db = tmp_path / "empty.db"
         with SnapshotStore(db):
@@ -476,7 +516,7 @@ class TestSettings:
                      "score", "--all"]) == 2
 
     @pytest.mark.parametrize("key, value", [("rate", "0"), ("rate", "-1"), ("rate", "nan"),
-                                            ("k", "0")])
+                                            ("k", "0"), ("workers", "0"), ("workers", "-3")])
     def test_out_of_range_rate_or_k_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"{key} = {value}\n")

@@ -403,6 +403,36 @@ class TestRad:
         with pytest.raises(ValueError):
             rad(12, step=0.0)
 
+    @staticmethod
+    def numpy_rad(m_pc: int, poly: AgingPolynomial = AgingPolynomial(),
+                  step: float = 1.0 / 120.0) -> float:
+        """The trapezoid over numpy's grid that `rad` reproduces bit for bit."""
+        if m_pc == 0:
+            return 0.0
+        span = m_pc / 12.0
+        xs = np.linspace(0.0, span, max(1, math.ceil(span / step - 1e-12)) + 1)
+        ys = ((poly.c3 * xs + poly.c2) * xs + poly.c1) * xs + poly.c0
+        return float(np.trapezoid(ys, xs))
+
+    def test_bit_identical_to_numpy_trapezoid(self):
+        # every month up to 60 years (up to 7,200 terms, every summation
+        # branch), then every 29th month up to 3000 (30,000 terms)
+        for m in [*range(721), *range(721, 3001, 29), 3000]:
+            assert rad(m).hex() == self.numpy_rad(m).hex(), m
+
+    @given(m=st.integers(0, 3000))
+    def test_bit_identical_to_numpy_at_any_age(self, m):
+        assert rad(m).hex() == self.numpy_rad(m).hex()
+
+    @given(
+        m=st.integers(0, 240),
+        step=st.floats(0.004, 3.0),
+        coefficients=st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+    )
+    def test_bit_identical_to_numpy_for_any_step_and_cubic(self, m, step, coefficients):
+        poly = AgingPolynomial(*coefficients)
+        assert rad(m, poly, step).hex() == self.numpy_rad(m, poly, step).hex()
+
 
 class TestCdrRui:
     def test_cdr_examples(self):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
+import time
 from datetime import date
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from litmetrics.errors import (
     ParseError,
     RateLimited,
 )
+from litmetrics import retrieval
 from litmetrics.retrieval import (
     ArxivClient,
     DictCache,
@@ -336,35 +340,56 @@ class TestLazyLoading:
 
 
 class TestRateLimiter:
-    def test_pacing_respects_budget(self, fixture_transport_factory):
-        # 40 requests from 4 threads at 25 rps must spread over >= 1.5 s and
-        # never put more than 25 requests into any sliding 1-second window
-        rate = 25.0
-        n = 40
-        exchanges = [s2_citations_exchange(f"p{i}", []) for i in range(n)]
-        inner = fixture_transport_factory(exchanges)
-        counting = CountingTransport(inner)
-        client = SemanticScholarClient(transport=counting, limiter=RateLimiter(rate))
+    RATE = 25.0
+    N = 40
+
+    def request_stamps(self, fixture_transport_factory) -> list[float]:
+        """Sorted send times of N requests from 4 threads through one limiter."""
+        exchanges = [s2_citations_exchange(f"p{i}", []) for i in range(self.N)]
+        counting = CountingTransport(fixture_transport_factory(exchanges))
+        client = SemanticScholarClient(transport=counting, limiter=RateLimiter(self.RATE))
 
         def worker(ids):
             for pid in ids:
                 fetch_monthly_citations(client, pid, 6, now=NOW)
 
-        ids = [f"p{i}" for i in range(n)]
+        ids = [f"p{i}" for i in range(self.N)]
         threads = [threading.Thread(target=worker, args=(ids[i::4],)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        stamps = sorted(ts for ts, _ in counting.calls)
-        assert len(stamps) == n
+            t.join(timeout=30)
+            assert not t.is_alive()
+        return sorted(ts for ts, _ in counting.calls)
+
+    def assert_within_budget(self, stamps: list[float]) -> None:
+        assert len(stamps) == self.N
         # shrink the window a little so scheduling jitter cannot drag the
         # request sitting exactly on the 1-second boundary into the count
         window = 1.0 - 0.02
         for start in stamps:
             in_window = sum(1 for s in stamps if start <= s < start + window)
-            assert in_window <= rate
-        assert stamps[-1] - stamps[0] >= (n - 1) / rate - 0.05
+            assert in_window <= self.RATE
+        assert stamps[-1] - stamps[0] >= (self.N - 1) / self.RATE - 0.05
+
+    def test_pacing_respects_budget(self, fixture_transport_factory):
+        # 40 requests from 4 threads at 25 rps must spread over >= 1.5 s and
+        # never put more than 25 requests into any sliding 1-second window
+        self.assert_within_budget(self.request_stamps(fixture_transport_factory))
+
+    def test_late_wakes_do_not_let_later_callers_burst(self, fixture_transport_factory,
+                                                       monkeypatch):
+        # two sleeps wake 0.1 s late; the callers queued behind them must not
+        # then go out on a schedule set before they woke
+        sleeps = itertools.count(1)
+
+        def late_sleep(seconds):
+            time.sleep(seconds + (0.1 if next(sleeps) in (5, 6) else 0.0))
+
+        monkeypatch.setattr(retrieval, "time",
+                            SimpleNamespace(monotonic=time.monotonic, sleep=late_sleep))
+        self.assert_within_budget(self.request_stamps(fixture_transport_factory))
+        assert next(sleeps) > 6
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
