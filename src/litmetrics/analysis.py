@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
@@ -40,7 +39,9 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     mean = min(max(math.fsum(data) / len(data), lo), hi)
     # np.median's mean adds the middle values to 0.0; 0.0 + v gives the same
     # floats and signs of zero
-    median = statistics.median(0.0 + v for v in data)
+    ordered = sorted(0.0 + v for v in data)
+    mid = len(ordered) // 2
+    median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
     return DescriptiveStats(max=hi, min=lo, mean=mean, median=median, mode=mode)
 
 

@@ -236,7 +236,13 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
         which = list(ALL_INDICATORS)
     ids = select_ids(runtime.store, args.ids, args.all, parser)
     engine = runtime.engine()
-    items = score_batch(engine, ids, which, workers=runtime.settings.workers)
+    # a batch that can reach no host and no live LLM has no wait for a pool
+    # to overlap, so it runs on the calling thread
+    fetches = not isinstance(runtime.transport, OfflineTransport) or not (
+        runtime.llm is None or isinstance(runtime.llm, StubLlm)
+    )
+    workers = runtime.settings.workers if fetches else 1
+    items = score_batch(engine, ids, which, workers=workers)
 
     header = ["id", "year", "cites", "topic"]
     if "tncsi" in which:
@@ -447,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="freeze the current date (YYYY-MM-DD) for reproducible runs")
     parser.add_argument("--llm-stub", help="JSON table of canned LLM responses")
     parser.add_argument("--rate", type=float, help="requests per second (default 1)")
-    parser.add_argument("--workers", type=int, help="batch worker threads (default 4)")
+    parser.add_argument("--workers", type=int,
+                        help="batch worker threads when fetching "
+                             "(default 4; runs that cannot fetch use one)")
     parser.add_argument("--k", type=int, help="topic sample size (default 1000)")
     parser.add_argument("--beta", type=float, help="RQM shift parameter (default 5)")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from datetime import date, datetime, timezone
+from functools import lru_cache
 from typing import Any
 
 DATE_FMT = "%Y-%m-%d"
@@ -12,6 +13,10 @@ TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 # exact shapes of DATE_FMT and TIMESTAMP_FMT, decoded without strptime
 _DATE_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})", re.ASCII)
 _TIMESTAMP_RE = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})Z", re.ASCII)
+# A snapshot repeats a few thousand distinct dates across its records and
+# citation payloads; up to this many decoded strings are remembered. The
+# results are immutable and can be shared; a string that raises is not.
+_PARSE_CACHE_SIZE = 8192
 
 
 def canonical_json(obj: Any) -> str:
@@ -23,6 +28,7 @@ def format_date(d: date | None) -> str | None:
     return None if d is None else d.strftime(DATE_FMT)
 
 
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_date(s: str | None) -> date | None:
     if s is None or s == "":
         return None
@@ -42,6 +48,7 @@ def format_timestamp(ts: datetime) -> str:
     return ts.strftime(TIMESTAMP_FMT)
 
 
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_timestamp(s: str) -> datetime:
     m = _TIMESTAMP_RE.fullmatch(s)
     if m is not None:

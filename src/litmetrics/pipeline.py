@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Optional, Sequence
@@ -134,6 +133,23 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
 # ---------------------------------------------------------------------------
 
 
+class _TopicFit:
+    """A keyword's fit or the error its fetch raised, once the fetch is over."""
+
+    __slots__ = ("known", "fit", "error")
+
+    def __init__(self) -> None:
+        self.known = threading.Event()
+        self.fit: Optional[ExponentialFit] = None
+        self.error: Optional[BaseException] = None
+
+    def result(self) -> ExponentialFit:
+        self.known.wait()
+        if self.error is not None:
+            raise self.error
+        return self.fit
+
+
 @dataclass
 class ScoringEngine:
     """Computes indicator reports for stored papers.
@@ -161,7 +177,7 @@ class ScoringEngine:
     iei_weights: Optional[Sequence[float]] = None
     records: dict[str, PaperRecord] = field(default_factory=dict, init=False, repr=False)
     cache: ApiCache = field(init=False, repr=False)
-    _topic_fits: dict[str, Future] = field(default_factory=dict, init=False, repr=False)
+    _topic_fits: dict[str, _TopicFit] = field(default_factory=dict, init=False, repr=False)
     _topic_fits_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
     )
@@ -212,16 +228,18 @@ class ScoringEngine:
             pending = self._topic_fits.get(keyword)
             owner = pending is None
             if owner:
-                pending = self._topic_fits[keyword] = Future()
+                pending = self._topic_fits[keyword] = _TopicFit()
         if owner:
             try:
-                pending.set_result(self._fetch_topic_fit(keyword))
+                pending.fit = self._fetch_topic_fit(keyword)
             except BaseException as exc:
                 if not isinstance(exc, LitmetricsError):
                     with self._topic_fits_lock:
                         del self._topic_fits[keyword]
-                pending.set_exception(exc)  # waiting workers raise it too
+                pending.error = exc  # waiting workers raise it too
                 raise
+            finally:
+                pending.known.set()
         return pending.result()
 
     def _fetch_topic_fit(self, keyword: str) -> ExponentialFit:
@@ -417,6 +435,8 @@ def score_batch(
         if workers <= 1 or len(paper_ids) <= 1:
             items = [run(pid) for pid in paper_ids]
         else:
+            from concurrent.futures import ThreadPoolExecutor  # loads logging
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 items = list(pool.map(run, paper_ids))
         if persist:

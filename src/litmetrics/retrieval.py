@@ -10,13 +10,11 @@ snapshot store.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
 import threading
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -478,6 +476,8 @@ class ArxivClient:
 
 def parse_arxiv_feed(body: str) -> list[dict]:
     """Parse an arXiv Atom feed into entry dicts; malformed XML -> ParseError."""
+    import xml.etree.ElementTree as ET  # only harvest reads XML
+
     try:
         root = ET.fromstring(body)
     except ET.ParseError as exc:
@@ -975,6 +975,8 @@ class StubLlm:
 
     @staticmethod
     def key_for(messages: Sequence[dict]) -> str:
+        import hashlib  # kept off the start-up of commands that use no LLM
+
         blob = canonical_json([{m["role"]: m["content"]} for m in messages])
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

@@ -11,6 +11,7 @@ import sqlite3
 import subprocess
 import sys
 import textwrap
+import threading
 from datetime import date, datetime
 from pathlib import Path
 
@@ -88,19 +89,37 @@ class TestStartup:
             import sys
             from litmetrics.cli import main
 
-            def numpy_modules(step, code=0):
-                return [step, code, [m for m in sys.modules if m.split(".")[0] == "numpy"]]
+            def loaded(step, code, unused):
+                return [step, code, [m for m in sys.modules
+                                     if any(m == u or m.startswith(u + ".") for u in unused)]]
 
             flags = ["--db", {str(db)!r}, "--offline", "--now", "2024-10-01"]
-            seen = [numpy_modules("import")]
-            seen.append(numpy_modules("score", main([*flags, "score", "--all"])))
-            seen.append(numpy_modules("stats", main([*flags, "stats", "tncsi"])))
+            score_unused = ["concurrent.futures", "hashlib", "xml.etree", "numpy"]
+            seen = [loaded("import", 0, score_unused)]
+            seen.append(loaded("score", main([*flags, "score", "--all"]), score_unused))
+            seen.append(loaded("stats", main([*flags, "stats", "tncsi"]), ["statistics", "numpy"]))
             print(seen, file=sys.stderr)
         """)
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stderr.splitlines()[-1] == str([["import", 0, []], ["score", 0, []],
                                                      ["stats", 0, []]])
+
+    @pytest.mark.parametrize("can_fetch", [False, True], ids=["offline", "offline-fixtures"])
+    def test_score_starts_threads_only_when_it_can_fetch(self, demo_db, tmp_path, monkeypatch,
+                                                          capsys, can_fetch):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        fixtures = (["--fixtures", str(write_fixture_dir(tmp_path / "fixtures", []))]
+                    if can_fetch else [])
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        assert main(["--db", str(db), "--offline", *fixtures, "--now", "2024-10-01",
+                     "--workers", "4", "score", "--all"]) == 0
+        assert bool(started) == can_fetch
+        assert capsys.readouterr().out == (GOLDEN / "score_all.txt").read_text(encoding="utf-8")
 
     def test_latency_probe_scores_the_cold_demo(self):
         src = str(Path(litmetrics.__file__).resolve().parents[1])
@@ -375,9 +394,12 @@ class TestStatsTrendRobustness:
         assert hashlib.sha256(demo_db.read_bytes()).hexdigest() == before
 
     def test_stats_json_and_csv(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)  # the demo snapshot holds no report until scored
+        assert main(["--db", str(db), "--offline", "--now", "2024-10-01", "score", "--all"]) == 0
         jpath = tmp_path / "stats.json"
         cpath = tmp_path / "stats.csv"
-        assert main(["--db", str(demo_db), "--offline", "stats", "tncsi",
+        assert main(["--db", str(db), "--offline", "stats", "tncsi",
                      "--json", str(jpath), "--csv", str(cpath)]) == 0
         payload = json.loads(jpath.read_text())
         assert payload["metric"] == "tncsi"

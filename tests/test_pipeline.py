@@ -295,6 +295,37 @@ class TestScoreBatch:
         assert score_batch(engine, ["arxiv:2301.00001"], ["tncsi"])[0].report.sample_size == 1
         assert transport.count == 2
 
+    def test_workers_waiting_on_a_broken_topic_fetch_raise_its_error(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        ids = [f"arxiv:2301.{n:05d}" for n in range(4)]
+        for cid in ids:
+            store.upsert_paper(review(cid))
+        looked_up = threading.Semaphore(0)
+
+        class Lookups(dict):
+            def get(self, key, default=None):
+                looked_up.release()
+                return super().get(key, default)
+
+        class StalledTransport:
+            """Breaks the one topic fetch once all four workers have looked
+            up its keyword, so three of them are waiting on it."""
+
+            calls = 0
+
+            def request(self, method, url, params, headers, body=None):
+                self.calls += 1
+                for _ in ids:
+                    assert looked_up.acquire(timeout=5)
+                raise RuntimeError("defect")
+
+        transport = StalledTransport()
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=NOW)
+        engine._topic_fits = Lookups()
+        with pytest.raises(RuntimeError, match="defect"):
+            score_batch(engine, ids, ["tncsi"], workers=4)
+        assert transport.calls == 1
+
     def test_sequential_fallback(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         good = review()

@@ -333,6 +333,22 @@ class TestCanonicalJsonIO:
             assert self._outcome(parse_date, s) == self._outcome(strptime_date, s)
         assert self._outcome(parse_timestamp, s) == self._outcome(strptime_timestamp, s)
 
+    def test_memoised_parse_raises_every_time_and_shares_values(self):
+        from litmetrics.jsonio import parse_date, parse_timestamp
+
+        for parse, bad, good in [
+            (parse_date, ["2024-13-01", "2024-02-30", "2024", "2024-05", "soon"], "2024-02-29"),
+            (parse_timestamp, ["2024-01-01T24:00:00Z", "2024-01-01", "2024-01-01T00:00:00"],
+             "2024-02-29T23:59:59Z"),
+        ]:
+            for s in bad:
+                for _ in range(3):
+                    with pytest.raises(ValueError):
+                        parse(s)
+            first = parse(good)
+            assert parse(good) == first
+            assert parse(good) is first  # decoded once, then shared
+
     def test_canonical_json_is_sorted_and_compact(self):
         from litmetrics.jsonio import canonical_json
 
