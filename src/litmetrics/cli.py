@@ -11,6 +11,7 @@ time-dependent indicators reproducible.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import LitmetricsError
 from .indicators import DEFAULT_BETA
-from .jsonio import canonical_json
+from .jsonio import canonical_json, parse_date
 from .pipeline import ALL_INDICATORS, ScoringEngine, enrich, harvest, score_batch
 from .retrieval import (
     ArxivClient,
@@ -163,6 +164,10 @@ class Runtime:
 
 def _parse_date(text: str) -> date:
     try:
+        # parse_date decodes the exact YYYY-MM-DD shape without strptime, whose
+        # first call imports _strptime, and hands it any other 10-character string
+        if len(text) == 10:
+            return parse_date(text)
         return datetime.strptime(text, "%Y-%m-%d").date()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from exc
@@ -320,11 +325,14 @@ def _frozen_ts(runtime: Runtime) -> Optional[datetime]:
     return datetime(now.year, now.month, now.day) if now else None
 
 
-RECORD_METRICS = {
-    "cites": lambda rec: rec.citation_count,
-    "refs": lambda rec: len(rec.reference_ids) if rec.reference_ids else None,
-    "authors": lambda rec: rec.author_count or None,
-    "year": lambda rec: rec.publication_date.year if rec.publication_date else None,
+RECORD_METRICS = {  # metric -> its value for every paper, in canonical id order
+    "cites": lambda store: [count for count, _ in store.citation_facts().values()],
+    "refs": lambda store: [n or None for (n,) in store.paper_fields(
+        "json_array_length(record_json, '$.reference_ids')")],
+    "authors": lambda store: [int(n or 0) or None for (n,) in store.paper_fields(
+        "json_extract(record_json, '$.author_count')")],
+    "year": lambda store: [published.year if published else None
+                           for _, published in store.citation_facts().values()],
 }
 REPORT_METRICS = {  # metric -> IndicatorReport field
     "tncsi": "tncsi", "iei": "iei_avg", "arq": "arq", "s_mp": "s_mp",
@@ -337,13 +345,12 @@ def cmd_stats(runtime: Runtime, args, parser) -> int:
 
     if args.metric in REPORT_METRICS:
         # every report belongs to a stored paper, so no record is read; the
-        # values keep the paper-id order of the record read below
+        # values keep the paper-id order of the record metrics below
         name = REPORT_METRICS[args.metric]
         reports = sorted(runtime.store.latest_reports().items())
         values = [getattr(rep, name) for _, rep in reports]
     else:
-        extract = RECORD_METRICS[args.metric]
-        values = [extract(rec) for rec in runtime.store.get_papers().values()]
+        values = RECORD_METRICS[args.metric](runtime.store)
     values = [v for v in values if v is not None]
     if not values:
         print(f"error: EmptyInput: no values for metric {args.metric!r}", file=sys.stderr)
@@ -552,6 +559,12 @@ def main(
 
 
 def entrypoint() -> None:
+    # The modules, classes and functions that imports created live until the
+    # process exits. Freezing them moves them out of the collector's view, so
+    # neither a collection during the command nor the one at exit walks them
+    # again. Only the console entry point freezes; `main` called in-process
+    # (tests, a benchmark's warm-up, traced runs) leaves the collector as it is.
+    gc.freeze()
     sys.exit(main())
 
 

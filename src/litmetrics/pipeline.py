@@ -47,6 +47,8 @@ from .snapshot import SnapshotStore
 
 ALL_INDICATORS = ("tncsi", "iei", "rqm", "rui")
 IEI_WINDOW_MONTHS = 6
+# what RQM and RUI read of a reference: (citation_count, publication_date)
+ReferenceFacts = tuple[Optional[int], Optional[date]]
 
 
 def months_between(earlier: date, later: date) -> int:
@@ -159,8 +161,10 @@ class ScoringEngine:
     topic's sample is fetched and fitted once per engine, so concurrent
     workers score every paper of a topic against the same sample.
 
-    ``records`` holds the papers and references that `load_records` read for
-    the current batch; a paper it lacks is read from the store. ``cache`` is
+    ``records`` holds the papers that `load_records` read for the current
+    batch, and ``references`` the (citation_count, publication_date) of
+    their references, None for an id the store lacks; a paper or reference
+    they lack is read from the store. ``cache`` is
     the store itself, so a `score` call on its own writes each fetched
     payload as it arrives; `score_batch` swaps in a write-behind cache for
     the length of the batch.
@@ -176,6 +180,9 @@ class ScoringEngine:
     # month weights for the weighted trend variant; None leaves it unset
     iei_weights: Optional[Sequence[float]] = None
     records: dict[str, PaperRecord] = field(default_factory=dict, init=False, repr=False)
+    references: dict[str, Optional[ReferenceFacts]] = field(
+        default_factory=dict, init=False, repr=False
+    )
     cache: ApiCache = field(init=False, repr=False)
     _topic_fits: dict[str, _TopicFit] = field(default_factory=dict, init=False, repr=False)
     _topic_fits_lock: threading.Lock = field(
@@ -204,13 +211,16 @@ class ScoringEngine:
     def load_records(
         self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS
     ) -> None:
-        """Read the papers and, when RQM or RUI is wanted, the union of their
-        references, one bulk read each, as the records that `score` uses."""
+        """Read the papers and, when RQM or RUI is wanted, the two fields
+        those read of the union of their references, one bulk read each, for
+        `score` to use."""
         records = self.store.get_papers(paper_ids)
+        references = {}
         if {"rqm", "rui"} & set(which or ALL_INDICATORS):
-            ref_ids = {rid for r in records.values() for rid in r.reference_ids}
-            records.update(self.store.get_papers(ref_ids - records.keys()))
-        self.records = records
+            ref_ids = {rid for r in records.values() for rid in r.reference_ids} - records.keys()
+            facts = self.store.citation_facts(ref_ids)
+            references = {rid: facts.get(rid) for rid in ref_ids}
+        self.records, self.references = records, references
 
     def _record(self, paper_id: str) -> Optional[PaperRecord]:
         record = self.records.get(paper_id)
@@ -249,13 +259,22 @@ class ScoringEngine:
             raise EmptyResult(f"TNCSI uncomputable: {exc}") from exc
         return fit_exponential_mle(context.sample_citation_counts)
 
-    def _reference_records(self, record: PaperRecord) -> list[PaperRecord]:
-        refs = []
+    def _reference_facts(self, record: PaperRecord) -> list[ReferenceFacts]:
+        """(citation_count, publication_date) of the record's stored
+        references, in reference order. A reference of the batch's own papers
+        uses that paper's record; those `load_records` did not read are read
+        in one call, and an id the store lacks is left out."""
+        unread = [rid for rid in record.reference_ids
+                  if rid not in self.records and rid not in self.references]
+        read = self.store.citation_facts(unread) if unread else {}
+        facts = []
         for rid in record.reference_ids:
-            ref = self._record(rid)
-            if ref is not None:
-                refs.append(ref)
-        return refs
+            paper = self.records.get(rid)
+            if paper is not None:
+                facts.append((paper.citation_count, paper.publication_date))
+            elif (fact := self.references.get(rid, read.get(rid))) is not None:
+                facts.append(fact)
+        return facts
 
     def score(
         self, paper_id: str, which: Sequence[str] = ALL_INDICATORS
@@ -297,19 +316,19 @@ class ScoringEngine:
 
         refs = None
         if "rqm" in which or "rui" in which:
-            refs = self._reference_records(record)
+            refs = self._reference_facts(record)
 
         if "rqm" in which:
-            cited = [r.citation_count for r in refs if r.citation_count is not None]
+            cited = [count for count, _ in refs if count is not None]
             if not cited:
                 raise EmptyResult(f"{paper_id} has no references with citation counts")
             report.arq = arq([tncsi(c, fit) for c in cited])
             if record.publication_date is None:
                 raise EmptyResult(f"{paper_id} has no publication date")
             ages = [
-                months_between(r.publication_date, record.publication_date)
-                for r in refs
-                if r.publication_date is not None
+                months_between(published, record.publication_date)
+                for _, published in refs
+                if published is not None
             ]
             if not ages:
                 raise EmptyResult(f"{paper_id} has no dated references")
@@ -319,7 +338,7 @@ class ScoringEngine:
         if "rui" in which:
             if record.publication_date is None:
                 raise EmptyResult(f"{paper_id} has no publication date")
-            dated = [r.publication_date for r in refs if r.publication_date is not None]
+            dated = [published for _, published in refs if published is not None]
             if not dated:
                 raise EmptyResult(f"{paper_id} has no dated references")
             median_ref_date = lower_median_date(dated)

@@ -54,6 +54,17 @@ ATOM_NS = {"atom": "http://www.w3.org/2005/Atom"}
 # ---------------------------------------------------------------------------
 
 
+def check_citation_facts(
+    citation_count: Optional[int], publication_date: Optional[date], retrieved_at: datetime
+) -> None:
+    """The checks a record makes on its citation count and publication date,
+    the two fields RQM and RUI read of a reference."""
+    if citation_count is not None and citation_count < 0:
+        raise ValueError("citation_count must be non-negative")
+    if publication_date is not None and publication_date > retrieved_at.date():
+        raise ValueError("publication_date cannot postdate retrieval")
+
+
 @dataclass
 class PaperRecord:
     """Metadata for one scholarly document.
@@ -78,15 +89,9 @@ class PaperRecord:
     def __post_init__(self) -> None:
         if not self.canonical_id:
             raise ValueError("canonical_id must be non-empty")
-        if self.citation_count is not None and self.citation_count < 0:
-            raise ValueError("citation_count must be non-negative")
         if self.author_count < 0:
             raise ValueError("author_count must be non-negative")
-        if (
-            self.publication_date is not None
-            and self.publication_date > self.retrieved_at.date()
-        ):
-            raise ValueError("publication_date cannot postdate retrieval")
+        check_citation_facts(self.citation_count, self.publication_date, self.retrieved_at)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,14 +12,14 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass, fields as dataclass_fields
-from datetime import datetime
+from datetime import date, datetime
 from pathlib import Path
 from typing import IO, Iterable, Optional
 
 from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
-from .jsonio import canonical_json, format_timestamp, parse_timestamp, utc_now
-from .retrieval import PaperRecord
+from .jsonio import canonical_json, format_timestamp, parse_date, parse_timestamp, utc_now
+from .retrieval import PaperRecord, check_citation_facts
 
 SCHEMA_VERSION = 1
 
@@ -233,28 +233,48 @@ class SnapshotStore:
         With ``ids``, ids that are not stored are left out; without, every
         paper is returned in canonical id order.
         """
-        with self._lock:
-            if ids is None:
-                rows = self._conn.execute(
-                    "SELECT canonical_id, record_json FROM papers ORDER BY canonical_id"
-                ).fetchall()
-            else:
-                rows = self._paper_rows("canonical_id, record_json", ids)
+        rows = self.paper_fields("canonical_id, record_json", ids)
         return {cid: PaperRecord.from_json_dict(json.loads(blob)) for cid, blob in rows}
 
-    def _paper_rows(self, columns: str, ids: Iterable[str]) -> list[tuple]:
-        """`papers` rows for the given ids, in chunked IN queries; the caller
-        holds the lock."""
-        wanted = sorted(set(ids))
-        rows = []
-        for start in range(0, len(wanted), _IN_CHUNK):
-            chunk = wanted[start:start + _IN_CHUNK]
-            rows += self._conn.execute(
-                f"SELECT {columns} FROM papers "
-                f"WHERE canonical_id IN ({','.join('?' * len(chunk))})",
-                chunk,
-            ).fetchall()
-        return rows
+    def paper_fields(self, columns: str, ids: Optional[Iterable[str]] = None) -> list[tuple]:
+        """`papers` rows of ``columns``, SQL expressions such as
+        ``json_extract(record_json, '$.citation_count')``, with no record
+        decoded: for the stored ids among ``ids`` in chunked IN queries, or
+        without ``ids`` for every paper in canonical id order."""
+        with self._lock:
+            if ids is None:
+                return self._conn.execute(
+                    f"SELECT {columns} FROM papers ORDER BY canonical_id"
+                ).fetchall()
+            wanted = sorted(set(ids))
+            rows = []
+            for start in range(0, len(wanted), _IN_CHUNK):
+                chunk = wanted[start:start + _IN_CHUNK]
+                rows += self._conn.execute(
+                    f"SELECT {columns} FROM papers "
+                    f"WHERE canonical_id IN ({','.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall()
+            return rows
+
+    def citation_facts(
+        self, ids: Optional[Iterable[str]] = None
+    ) -> dict[str, tuple[Optional[int], Optional[date]]]:
+        """(citation_count, publication_date) by canonical id, read as
+        `paper_fields` reads rows and checked as a `PaperRecord` checks these
+        two fields, which raise the same ValueError; no other field is read."""
+        rows = self.paper_fields(
+            "canonical_id, json_extract(record_json, '$.citation_count'), "
+            "json_extract(record_json, '$.publication_date'), "
+            "json_extract(record_json, '$.retrieved_at')",
+            ids,
+        )
+        facts = {}
+        for cid, count, published_text, retrieved_text in rows:
+            published = parse_date(published_text)
+            check_citation_facts(count, published, parse_timestamp(retrieved_text))
+            facts[cid] = (count, published)
+        return facts
 
     def insert_new_papers(self, records: Iterable[PaperRecord]) -> None:
         """Insert, in one transaction, the records whose canonical id is not
@@ -346,7 +366,7 @@ class SnapshotStore:
         if not rows and not cached:
             return
         with self._lock:
-            stored = {cid for (cid,) in self._paper_rows("canonical_id", (r[0] for r in rows))}
+            stored = {cid for (cid,) in self.paper_fields("canonical_id", (r[0] for r in rows))}
             for paper_id, _, _ in rows:
                 if paper_id not in stored:
                     raise UnknownPaper(paper_id)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import sqlite3
 import subprocess
@@ -16,6 +18,8 @@ from datetime import date, datetime
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     arxiv_exchange,
@@ -26,8 +30,9 @@ from conftest import (
     write_fixture_dir,
 )
 import litmetrics
+from litmetrics import cli
 from litmetrics.analysis import descriptive_stats
-from litmetrics.cli import Settings, build_parser, main, read_config_file
+from litmetrics.cli import RECORD_METRICS, Settings, build_parser, main, read_config_file
 from litmetrics.demo import build_demo_corpus, build_demo_snapshot, write_fixture_ndjson
 from litmetrics.indicators import IndicatorReport
 from litmetrics.retrieval import OfflineTransport, PaperRecord, StubLlm, arxiv_review_query
@@ -94,7 +99,7 @@ class TestStartup:
                                      if any(m == u or m.startswith(u + ".") for u in unused)]]
 
             flags = ["--db", {str(db)!r}, "--offline", "--now", "2024-10-01"]
-            score_unused = ["concurrent.futures", "hashlib", "xml.etree", "numpy"]
+            score_unused = ["concurrent.futures", "hashlib", "xml.etree", "numpy", "_strptime"]
             seen = [loaded("import", 0, score_unused)]
             seen.append(loaded("score", main([*flags, "score", "--all"]), score_unused))
             seen.append(loaded("stats", main([*flags, "stats", "tncsi"]), ["statistics", "numpy"]))
@@ -120,6 +125,26 @@ class TestStartup:
                      "--workers", "4", "score", "--all"]) == 0
         assert bool(started) == can_fetch
         assert capsys.readouterr().out == (GOLDEN / "score_all.txt").read_text(encoding="utf-8")
+
+    def test_entrypoint_freezes_the_heap_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        with pytest.raises(SystemExit) as exited:
+            cli.entrypoint()
+        assert exited.value.code == 0
+        assert calls == ["freeze", "main"]
+
+    def test_module_run_prints_the_golden_score_table(self, demo_db, tmp_path):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        src = str(Path(litmetrics.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "litmetrics", "--db", str(db), "--offline",
+                               "--now", "2024-10-01", "score", "--all"],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout == (GOLDEN / "score_all.txt").read_text(encoding="utf-8")
 
     def test_latency_probe_scores_the_cold_demo(self):
         src = str(Path(litmetrics.__file__).resolve().parents[1])
@@ -251,6 +276,23 @@ class TestUsageErrors:
 
     def test_bad_now_value(self, demo_db):
         assert main(["--db", str(demo_db), "--now", "not-a-date", "score", "--all"]) == 2
+
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet="0123456789-０１２", min_size=8, max_size=11),
+        st.dates().map(lambda d: f"{d.year:04d}-{d.month:02d}-{d.day:02d}"),
+        st.builds(lambda y, m, d: f"{y}-{m}-{d}", st.integers(0, 10_000),
+                  st.integers(0, 13), st.integers(0, 32)),
+    ))
+    def test_now_accepts_exactly_what_strptime_accepts(self, text):
+        try:
+            expected = datetime.strptime(text, "%Y-%m-%d").date()
+        except ValueError:
+            with pytest.raises(argparse.ArgumentTypeError,
+                               match=f"^not a YYYY-MM-DD date: {re.escape(repr(text))}$"):
+                cli._parse_date(text)
+        else:
+            assert cli._parse_date(text) == expected
 
 
 class TestHarvestEnrich:
@@ -445,8 +487,36 @@ class TestStatsTrendRobustness:
         assert main([*flags, "stats", "tncsi"]) == 0
         assert decoded == []
         assert capsys.readouterr().out == (GOLDEN / "stats_tncsi.txt").read_text(encoding="utf-8")
-        assert main([*flags, "stats", "cites"]) == 0
-        assert decoded  # a record metric still reads the records
+
+    def test_record_metric_decodes_no_record(self, demo_db, monkeypatch, capsys):
+        decoded = []
+        decode = PaperRecord.from_json_dict.__func__
+        monkeypatch.setattr(PaperRecord, "from_json_dict",
+                            classmethod(lambda cls, d: decoded.append(d) or decode(cls, d)))
+        assert main(["--db", str(demo_db), "--offline", "stats", "cites"]) == 0
+        assert decoded == []
+        assert capsys.readouterr().out == (GOLDEN / "stats_cites.txt").read_text(encoding="utf-8")
+
+    def test_record_metrics_read_what_the_records_hold(self, demo_db, tmp_path):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        decoded_metrics = {
+            "cites": lambda rec: rec.citation_count,
+            "refs": lambda rec: len(rec.reference_ids) if rec.reference_ids else None,
+            "authors": lambda rec: rec.author_count or None,
+            "year": lambda rec: rec.publication_date.year if rec.publication_date else None,
+        }
+        with SnapshotStore(db) as store:
+            store.upsert_paper(PaperRecord(canonical_id="s2:bare", title="Bare",
+                                           retrieved_at=datetime(2024, 10, 1)))
+            store.upsert_paper(PaperRecord(
+                canonical_id="s2:full", title="Full", publication_date=date(1999, 12, 31),
+                citation_count=0, reference_ids=["s2:bare", "s2:gone"], author_count=7,
+                retrieved_at=datetime(2024, 10, 1)))
+            records = store.get_papers().values()
+            assert set(decoded_metrics) == set(RECORD_METRICS)
+            for metric, extract in decoded_metrics.items():
+                assert RECORD_METRICS[metric](store) == [extract(rec) for rec in records], metric
 
     def test_stats_empty_metric(self, tmp_path, capsys):
         db = tmp_path / "empty.db"

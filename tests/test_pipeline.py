@@ -573,17 +573,18 @@ class TestBulkReads:
     SAMPLE = [s2_search_exchange(
         "something", "citationCount", [{"citationCount": c} for c in (1, 5, 9, 20)], limit=100)]
 
-    def score_counted(self, tmp_path, monkeypatch, n_refs, which=("tncsi", "rqm")):
+    def score_counted(self, tmp_path, monkeypatch, n_refs, which=("tncsi", "rqm"), dangling=()):
         """Score six reviews citing overlapping windows of n_refs shared
-        references; return the decodes per id and the `papers` queries."""
-        store = SnapshotStore(tmp_path / f"refs{n_refs}.db")
+        references, and the ``dangling`` ids, which are not stored; return
+        the decodes per id and the `papers` queries."""
+        store = SnapshotStore(tmp_path / f"refs{n_refs}-{len(dangling)}.db")
         refs = [reference(f"s2:r{k:03d}", date(2019, 1 + k % 12, 1), 10 + k)
                 for k in range(n_refs)]
         store.insert_new_papers(refs)
         ids = []
         for n in range(6):
             paper = review(f"arxiv:2301.{n:05d}",
-                           reference_ids=[r.canonical_id for r in refs[n % 3:]])
+                           reference_ids=[r.canonical_id for r in refs[n % 3:]] + [*dangling])
             store.upsert_paper(paper)
             ids.append(paper.canonical_id)
 
@@ -607,17 +608,47 @@ class TestBulkReads:
         assert [i.report for i in items] == [reference_engine.score(pid, which) for pid in ids]
         return decodes, [q for q in queries if "FROM papers" in q]
 
-    def test_each_stored_row_decoded_once_in_a_constant_number_of_queries(
+    def test_only_the_reviews_are_decoded_in_a_constant_number_of_queries(
             self, tmp_path, monkeypatch):
         few_decodes, few_queries = self.score_counted(tmp_path, monkeypatch, 5)
         many_decodes, many_queries = self.score_counted(tmp_path, monkeypatch, 60)
-        assert len(many_decodes) == 6 + 60
-        assert set(few_decodes.values()) == set(many_decodes.values()) == {1}
+        reviews = {f"arxiv:2301.{n:05d}": 1 for n in range(6)}
+        assert few_decodes == many_decodes == reviews
         assert len(few_queries) == len(many_queries)
+
+    def test_a_reference_that_is_not_stored_costs_no_query(self, tmp_path, monkeypatch):
+        _, queries = self.score_counted(tmp_path, monkeypatch, 5)
+        _, dangling_queries = self.score_counted(tmp_path, monkeypatch, 5, dangling=["s2:gone"])
+        assert len(dangling_queries) == len(queries)
 
     def test_references_are_not_read_for_tncsi_alone(self, tmp_path, monkeypatch):
         decodes, _ = self.score_counted(tmp_path, monkeypatch, 5, which=("tncsi",))
         assert sorted(decodes) == [f"arxiv:2301.{n:05d}" for n in range(6)]
+
+
+class TestMalformedReferenceRows:
+    @pytest.mark.parametrize("field, value", [
+        ("citation_count", -1),
+        ("publication_date", "2019-02-30"),
+        ("publication_date", "2025-01-01"),  # after retrieved_at
+    ], ids=["negative-count", "bad-date", "after-retrieval"])
+    def test_scoring_raises_what_decoding_the_record_raises(self, tmp_path, field, value):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.insert_new_papers([reference("s2:r1", date(2019, 1, 1), 10)])
+        row = {**reference("s2:r2", date(2019, 1, 1), 10).to_json_dict(), field: value}
+        with store._conn:
+            store._conn.execute("INSERT INTO papers (canonical_id, record_json) VALUES (?, ?)",
+                                ("s2:r2", canonical_json(row)))
+        paper_id = store.upsert_paper(review(reference_ids=["s2:r1", "s2:r2"]))
+        with pytest.raises(ValueError) as from_record:
+            PaperRecord.from_json_dict(row)
+        engine = ScoringEngine(store=store, s2=fast_client(TestBulkReads.SAMPLE), now=NOW)
+        with pytest.raises(ValueError) as from_batch:
+            score_batch(engine, [paper_id], ("tncsi", "rqm"))
+        engine = ScoringEngine(store=store, s2=fast_client(TestBulkReads.SAMPLE), now=NOW)
+        with pytest.raises(ValueError) as from_score:
+            engine.score(paper_id, ("tncsi", "rqm"))
+        assert str(from_batch.value) == str(from_score.value) == str(from_record.value)
 
 
 class TestEnrich:
