@@ -242,8 +242,9 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
     ids = select_ids(runtime.store, args.ids, args.all, parser)
     engine = runtime.engine()
     # a batch that can reach no host and no live LLM has no wait for a pool
-    # to overlap, so it runs on the calling thread
-    fetches = not isinstance(runtime.transport, OfflineTransport) or not (
+    # to overlap, so it runs on the calling thread; replayed fixtures answer
+    # locally, one request at a time through the limiter
+    fetches = not isinstance(runtime.transport, (OfflineTransport, FixtureTransport)) or not (
         runtime.llm is None or isinstance(runtime.llm, StubLlm)
     )
     workers = runtime.settings.workers if fetches else 1
@@ -377,12 +378,12 @@ def cmd_trend(runtime: Runtime, args, parser) -> int:
     from .analysis import trend_rows, write_csv, yearly_feature_trend
 
     features = runtime.store.all_latest_features()
-    records = runtime.store.get_papers(cid for cid, _ in features)
+    facts = runtime.store.citation_facts(cid for cid, _ in features)
     rows_in = []
     for cid, fv in features:
-        rec = records.get(cid)
-        if rec is not None and rec.publication_date is not None:
-            rows_in.append((rec.publication_date.year, fv))
+        _, published = facts.get(cid, (None, None))
+        if published is not None:
+            rows_in.append((published.year, fv))
     if not rows_in:
         print("error: EmptyInput: no stored features with publication years",
               file=sys.stderr)

@@ -96,7 +96,8 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
 
     The graph lookup joins on the arXiv id when present, else the DOI, else a
     title search as last resort; the join route is recorded in the stored
-    external ids under ``s2_join``.
+    external ids under ``s2_join``. The references are stored as papers of
+    their own, by `fetch_references`, and the paper keeps their ids.
     """
     record = store.require_paper(paper_id)
     if record.external_ids.get("arxiv") or record.external_ids.get("doi"):
@@ -111,8 +112,7 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
         join_key = "title"
         fetched = fetch_paper_record(client, data[0]["paperId"], cache=store)
 
-    references = fetch_references(client, api_id_for(fetched), cache=store)
-    store.insert_new_papers(references)
+    reference_ids = fetch_references(client, api_id_for(fetched), store)
 
     merged = PaperRecord(
         canonical_id=record.canonical_id,
@@ -122,7 +122,7 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
         publication_date=record.publication_date or fetched.publication_date,
         venue=fetched.venue or record.venue,
         citation_count=fetched.citation_count,
-        reference_ids=[r.canonical_id for r in references],
+        reference_ids=reference_ids,
         author_count=record.author_count or fetched.author_count,
         topic_keyword=record.topic_keyword,
         retrieved_at=fetched.retrieved_at,

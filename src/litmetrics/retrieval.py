@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
 
 from .errors import (
     EmptyKeyword,
@@ -345,6 +345,12 @@ class ApiCache(Protocol):
     def cache_put(self, key: str, payload: str) -> None: ...
 
 
+class PaperStore(ApiCache, Protocol):
+    """An API cache that also stores papers, as `fetch_references` needs."""
+
+    def insert_new_papers(self, records: Iterable[PaperRecord]) -> None: ...
+
+
 class DictCache:
     """In-memory ApiCache for tests and one-shot scripts."""
 
@@ -359,17 +365,23 @@ class DictCache:
 
 
 def _cached_call(
-    cache: Optional[ApiCache], key_obj: dict, compute: Callable[[], dict]
-) -> dict:
+    cache: Optional[ApiCache],
+    key_obj: dict,
+    compute: Callable[[], dict],
+    decode: Callable[[dict], Any] = lambda payload: payload,
+) -> Any:
+    """``decode`` of the payload cached under the key, or else of what
+    ``compute`` returns, which is cached only once it has decoded."""
     key = canonical_json(key_obj)
     if cache is not None:
         hit = cache.cache_get(key)
         if hit is not None:
-            return json.loads(hit)
+            return decode(json.loads(hit))
     payload = compute()
+    result = decode(payload)
     if cache is not None:
         cache.cache_put(key, canonical_json(payload))
-    return payload
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -827,22 +839,35 @@ def fetch_paper_record(
     paper_id: str,
     cache: Optional[ApiCache] = None,
 ) -> PaperRecord:
-    """One paper's metadata by S2-acceptable id (ARXIV:..., DOI:..., sha)."""
+    """One paper's metadata by S2-acceptable id (ARXIV:..., DOI:..., sha).
+    A payload that fails `PaperRecord`'s checks raises and is not cached."""
 
     def compute() -> dict:
         data = client.paper(paper_id)
         return _record_from_s2(data, canonical_id_for_s2(data))
 
-    payload = _cached_call(cache, {"op": "paper", "paper_id": paper_id}, compute)
-    return PaperRecord.from_json_dict(payload)
+    return _cached_call(
+        cache, {"op": "paper", "paper_id": paper_id}, compute, PaperRecord.from_json_dict
+    )
 
 
 def fetch_references(
-    client: SemanticScholarClient,
-    paper_id: str,
-    cache: Optional[ApiCache] = None,
-) -> list[PaperRecord]:
-    """Reference list with citation counts and publication dates attached."""
+    client: SemanticScholarClient, paper_id: str, store: PaperStore
+) -> list[str]:
+    """Canonical ids of a paper's references, in list order, duplicates kept.
+
+    On a cache miss every reference record, with its citation count and
+    publication date, is fetched and decoded; the ones whose id is not stored
+    yet are inserted as papers, and only then is the id list cached as
+    ``{"ids": [...]}``. A record that fails `PaperRecord`'s checks raises
+    before anything is stored. Rows before ids: a cached list never names a
+    paper the store lacks, since a failure between the two leaves no list
+    and the next call fetches again; a cache that defers its puts must still
+    write the list only after the rows. On a hit no record is decoded and no
+    row written. A list cached as ``{"records": [...]}``, the format before
+    ids, is served as it always was: its records are decoded and inserted as
+    new, and the payload stays as it is.
+    """
 
     def compute() -> dict:
         records = []
@@ -857,15 +882,20 @@ def fetch_references(
                     continue
                 rec = _record_from_s2(cited, canonical_id_for_s2(cited))
                 rec["retrieved_at"] = retrieved_at
-                records.append(rec)
+                records.append(PaperRecord.from_json_dict(rec))
             nxt = page.get("next")
             if not data or nxt is None:
                 break
             offset = int(nxt)
-        return {"records": records}
+        store.insert_new_papers(records)
+        return {"ids": [r.canonical_id for r in records]}
 
-    payload = _cached_call(cache, {"op": "references", "paper_id": paper_id}, compute)
-    return [PaperRecord.from_json_dict(r) for r in payload["records"]]
+    payload = _cached_call(store, {"op": "references", "paper_id": paper_id}, compute)
+    if "ids" in payload:
+        return payload["ids"]
+    records = [PaperRecord.from_json_dict(rec) for rec in payload["records"]]
+    store.insert_new_papers(records)
+    return [r.canonical_id for r in records]
 
 
 class LazyPaper:

@@ -22,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    CountingTransport,
     arxiv_exchange,
     s2_citations_exchange,
     s2_paper_exchange,
@@ -110,20 +111,22 @@ class TestStartup:
         assert done.stderr.splitlines()[-1] == str([["import", 0, []], ["score", 0, []],
                                                      ["stats", 0, []]])
 
-    @pytest.mark.parametrize("can_fetch", [False, True], ids=["offline", "offline-fixtures"])
+    @pytest.mark.parametrize("source", ["offline", "offline-fixtures", "injected"])
     def test_score_starts_threads_only_when_it_can_fetch(self, demo_db, tmp_path, monkeypatch,
-                                                          capsys, can_fetch):
+                                                          capsys, source):
         db = tmp_path / "demo.db"
         shutil.copyfile(demo_db, db)
         fixtures = (["--fixtures", str(write_fixture_dir(tmp_path / "fixtures", []))]
-                    if can_fetch else [])
+                    if source == "offline-fixtures" else [])
+        # a transport passed in may wait on a remote host, so the pool starts
+        transport = CountingTransport(OfflineTransport()) if source == "injected" else None
         started = []
         start = threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
         assert main(["--db", str(db), "--offline", *fixtures, "--now", "2024-10-01",
-                     "--workers", "4", "score", "--all"]) == 0
-        assert bool(started) == can_fetch
+                     "--workers", "4", "score", "--all"], transport=transport) == 0
+        assert bool(started) == (source == "injected")
         assert capsys.readouterr().out == (GOLDEN / "score_all.txt").read_text(encoding="utf-8")
 
     def test_entrypoint_freezes_the_heap_before_main(self, monkeypatch):
@@ -524,6 +527,17 @@ class TestStatsTrendRobustness:
             pass
         assert main(["--db", str(db), "--offline", "stats", "cites"]) == 1
         assert "EmptyInput" in capsys.readouterr().err
+
+    def test_trend_decodes_no_record(self, demo_db, monkeypatch, capsys):
+        decoded = []
+        decode = PaperRecord.from_json_dict.__func__
+        monkeypatch.setattr(PaperRecord, "from_json_dict",
+                            classmethod(lambda cls, d: decoded.append(d) or decode(cls, d)))
+        assert main(["--db", str(demo_db), "--offline", "trend",
+                     "--feature", "discussion", "--sigma", "1.0"]) == 0
+        assert decoded == []
+        assert capsys.readouterr().out == (
+            GOLDEN / "trend_discussion.txt").read_text(encoding="utf-8")
 
     def test_trend_csv(self, demo_db, tmp_path, capsys):
         cpath = tmp_path / "trend.csv"

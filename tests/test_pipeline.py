@@ -19,10 +19,10 @@ from conftest import (
     s2_references_exchange,
     s2_search_exchange,
 )
-from litmetrics import pipeline, snapshot
+from litmetrics import pipeline, retrieval, snapshot
 from litmetrics.cli import main
 from litmetrics.demo import DEMO_NOW, build_demo_corpus, build_demo_snapshot
-from litmetrics.errors import EmptyResult, LlmUnavailable, UnknownPaper
+from litmetrics.errors import EmptyResult, LlmUnavailable, StorageError, UnknownPaper
 from litmetrics.jsonio import canonical_json, format_timestamp
 from litmetrics.pipeline import (
     ScoringEngine,
@@ -651,29 +651,92 @@ class TestMalformedReferenceRows:
         assert str(from_batch.value) == str(from_score.value) == str(from_record.value)
 
 
+REFERENCES_KEY = canonical_json({"op": "references", "paper_id": "ARXIV:2301.00001"})
+
+
 class TestEnrich:
+    FETCHED = {"paperId": "s2rev", "externalIds": {"ArXiv": "2301.00001"},
+               "title": "A Survey on Something", "publicationDate": "2024-02-01",
+               "citationCount": 42}
+    REFS = [
+        {"paperId": "r1", "externalIds": {}, "title": "Changed upstream",
+         "publicationDate": "2020-05-01", "citationCount": 900},
+        {"paperId": "r2", "externalIds": {}, "title": "New",
+         "publicationDate": "2019-03-01", "citationCount": 400},
+        {"paperId": "r2", "externalIds": {}, "title": "New, listed twice",
+         "publicationDate": "2019-03-01", "citationCount": 1},
+    ]
+    EXCHANGES = [s2_paper_exchange("ARXIV:2301.00001", FETCHED),
+                 s2_references_exchange("ARXIV:2301.00001", REFS)]
+
+    @staticmethod
+    def papers_rows(store) -> dict[str, str]:
+        return dict(store._conn.execute("SELECT canonical_id, record_json FROM papers"))
+
     def test_existing_reference_rows_stay_untouched(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(review(citation_count=None))
         stored_ref = reference("s2:r1", date(2018, 1, 1), 5)
         store.upsert_paper(stored_ref)
-        fetched = {"paperId": "s2rev", "externalIds": {"ArXiv": "2301.00001"},
-                   "title": "A Survey on Something", "publicationDate": "2024-02-01",
-                   "citationCount": 42}
-        refs = [
-            {"paperId": "r1", "externalIds": {}, "title": "Changed upstream",
-             "publicationDate": "2020-05-01", "citationCount": 900},
-            {"paperId": "r2", "externalIds": {}, "title": "New",
-             "publicationDate": "2019-03-01", "citationCount": 400},
-            {"paperId": "r2", "externalIds": {}, "title": "New, listed twice",
-             "publicationDate": "2019-03-01", "citationCount": 1},
-        ]
-        client = fast_client([s2_paper_exchange("ARXIV:2301.00001", fetched),
-                              s2_references_exchange("ARXIV:2301.00001", refs)])
-        enrich(store, client, "arxiv:2301.00001")
+        enrich(store, fast_client(self.EXCHANGES), "arxiv:2301.00001")
         assert store.get_paper("s2:r1").to_canonical_json() == stored_ref.to_canonical_json()
         assert (store.get_paper("s2:r2").title, store.get_paper("s2:r2").citation_count) == (
             "New", 400)
         merged = store.get_paper("arxiv:2301.00001")
         assert merged.citation_count == 42
         assert merged.reference_ids == ["s2:r1", "s2:r2", "s2:r2"]
+
+    def test_reference_lists_are_cached_as_ids(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(review(citation_count=None))
+        enrich(store, fast_client(self.EXCHANGES), "arxiv:2301.00001")
+        assert json.loads(store.cache_get(REFERENCES_KEY)) == {"ids": ["s2:r1", "s2:r2", "s2:r2"]}
+        references = [json.loads(payload) for key, payload in store._conn.execute(
+            "SELECT key, payload FROM api_cache") if json.loads(key)["op"] == "references"]
+        assert references and not any("records" in payload for payload in references)
+
+    def test_a_list_cached_as_records_is_still_served(self, tmp_path):
+        fresh = SnapshotStore(tmp_path / "fresh.db")
+        fresh.upsert_paper(review(citation_count=None))
+        enrich(fresh, fast_client(self.EXCHANGES), "arxiv:2301.00001")
+        ids = fresh.get_paper("arxiv:2301.00001").reference_ids
+        # a snapshot enriched before lists were cached as ids: the full
+        # records, as fetched, under the same key, and no reference rows yet
+        old = SnapshotStore(tmp_path / "old.db")
+        old.upsert_paper(review(citation_count=None))
+        stamp = format_timestamp(fresh.get_paper("s2:r1").retrieved_at)
+        legacy = canonical_json({"records": [
+            {**retrieval._record_from_s2(ref, retrieval.canonical_id_for_s2(ref)),
+             "retrieved_at": stamp} for ref in self.REFS]})
+        paper_key = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
+        old.write(cache_entries=[(paper_key, fresh.cache_get(paper_key), RETRIEVED),
+                                 (REFERENCES_KEY, legacy, RETRIEVED)])
+        offline = OfflineTransport()
+        enrich(old, replay_client(offline), "arxiv:2301.00001")
+        assert offline.attempts == 0
+        assert old.get_paper("arxiv:2301.00001").reference_ids == ids
+        assert self.papers_rows(old) == self.papers_rows(fresh)
+        assert old.cache_get(REFERENCES_KEY) == legacy
+
+    def test_a_failed_put_of_the_ids_leaves_no_list(self, tmp_path, monkeypatch):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(review(citation_count=None))
+        counting = CountingTransport(FixtureTransport.from_pairs(self.EXCHANGES))
+        put = store.cache_put
+
+        def failing_put(key, payload):
+            if key == REFERENCES_KEY:
+                raise StorageError("disk full")
+            put(key, payload)
+
+        monkeypatch.setattr(store, "cache_put", failing_put)
+        with pytest.raises(StorageError):
+            enrich(store, replay_client(counting), "arxiv:2301.00001")
+        assert {"s2:r1", "s2:r2"} <= self.papers_rows(store).keys()
+        assert store.cache_get(REFERENCES_KEY) is None
+        monkeypatch.setattr(store, "cache_put", put)
+        enrich(store, replay_client(counting), "arxiv:2301.00001")
+        assert sum("/references" in key for _, key in counting.calls) == 2
+        stored = self.papers_rows(store).keys()
+        for key, payload in store._conn.execute("SELECT key, payload FROM api_cache"):
+            assert set(json.loads(payload).get("ids", ())) <= stored, key

@@ -46,6 +46,7 @@ from litmetrics.retrieval import (
     llm_topic_keyword,
     parse_arxiv_feed,
 )
+from litmetrics.snapshot import SnapshotStore
 
 NOW = date(2024, 10, 15)
 
@@ -484,7 +485,7 @@ class TestCacheIdempotenceAllOps:
         assert count_relevant(*args, cache=cache) == 3
         assert counting.count == 1
 
-    def test_paper_record_and_references(self, fixture_transport_factory):
+    def test_paper_record_and_references(self, fixture_transport_factory, tmp_path):
         from conftest import s2_references_exchange
         from litmetrics.retrieval import fetch_paper_record, fetch_references
 
@@ -500,13 +501,49 @@ class TestCacheIdempotenceAllOps:
             s2_references_exchange("ARXIV:2401.77777", refs),
         ])
         counting = CountingTransport(inner)
-        cache = DictCache()
+        store = SnapshotStore(tmp_path / "s.db")
         client = s2_client(counting)
-        r1 = fetch_paper_record(client, "ARXIV:2401.77777", cache=cache)
-        r2 = fetch_paper_record(client, "ARXIV:2401.77777", cache=cache)
-        l1 = fetch_references(client, "ARXIV:2401.77777", cache=cache)
-        l2 = fetch_references(client, "ARXIV:2401.77777", cache=cache)
+        r1 = fetch_paper_record(client, "ARXIV:2401.77777", cache=store)
+        r2 = fetch_paper_record(client, "ARXIV:2401.77777", cache=store)
+        l1 = fetch_references(client, "ARXIV:2401.77777", store)
+        l2 = fetch_references(client, "ARXIV:2401.77777", store)
         assert counting.count == 2
         assert r1.to_canonical_json() == r2.to_canonical_json()
-        assert [r.to_canonical_json() for r in l1] == [r.to_canonical_json() for r in l2]
+        assert l1 == l2 == ["s2:q1"]
         assert r1.retrieved_at == r2.retrieved_at  # timestamp comes from the cache
+        row = store.get_paper("s2:q1")
+        assert (row.external_ids, row.title, row.publication_date, row.citation_count) == (
+            {"s2": "q1"}, "Q1", date(2020, 1, 1), 10)
+
+
+class TestNothingUndecodableIsCached:
+    """A payload that fails `PaperRecord`'s checks raises on every call and
+    leaves no cache entry behind."""
+
+    @pytest.mark.parametrize("op", ["paper", "references"])
+    def test_each_call_fetches_again_and_raises(self, fixture_transport_factory, tmp_path, op):
+        from conftest import s2_references_exchange
+        from litmetrics.retrieval import fetch_paper_record, fetch_references
+
+        if op == "paper":
+            paper = {"paperId": "fut", "externalIds": {"ArXiv": "2401.88888"}, "title": "F",
+                     "publicationDate": "2999-01-01", "citationCount": 1}
+            exchange = s2_paper_exchange("ARXIV:2401.88888", paper)
+            fetch, message = fetch_paper_record, "publication_date cannot postdate retrieval"
+        else:
+            refs = [{"paperId": "ok", "externalIds": {}, "title": "OK",
+                     "publicationDate": "2020-01-01", "citationCount": 3},
+                    {"paperId": "neg", "externalIds": {}, "title": "Neg",
+                     "publicationDate": "2020-01-01", "citationCount": -1}]
+            exchange = s2_references_exchange("ARXIV:2401.88888", refs)
+            fetch, message = fetch_references, "citation_count must be non-negative"
+        counting = CountingTransport(fixture_transport_factory([exchange]))
+        store = SnapshotStore(tmp_path / "s.db")
+        client = s2_client(counting)
+        for calls in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                fetch(client, "ARXIV:2401.88888", store)
+            assert counting.count == calls
+        key = retrieval.canonical_json({"op": op, "paper_id": "ARXIV:2401.88888"})
+        assert store.cache_get(key) is None
+        assert store.paper_count() == 0
