@@ -18,6 +18,17 @@ file. The summary is recomputed over all of them, per workload and trace
 mode: each metric's median and quartiles per side (`statistics.quantiles`,
 n=4, default method) and in how many pairs the change was better, by the
 direction BENCHMARK.json gives; ties count for neither side.
+
+Each metric also carries the verdicts of the claim rule:
+- ``claim_met``: the change was better in at least nine tenths of the pairs,
+  and its median is better than the parent's by more than the parent's
+  quartile spread;
+- ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's BENCHMARK.json ``bound``, a fraction of the
+  parent's median;
+- ``unresolved``: the parent's quartile spread is wider than that bound, so
+  the runs cannot show a change of the bound's size.
+The last two are None for a metric without a bound.
 """
 
 from __future__ import annotations
@@ -65,7 +76,8 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+def summarise(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     groups: dict[str, dict] = {}
     for run in runs:
         if run["result"] is not None:
@@ -82,12 +94,19 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             sign = -1 if better.get(name, "lower") == "lower" else 1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
             parent, change = quartiles(values["parent"]), quartiles(values["change"])
+            gain = sign * (change["median"] - parent["median"])  # > 0: the change is better
+            spread = parent["q3"] - parent["q1"]
+            bound = (bounds or {}).get(name)
+            allowed = None if bound is None else bound * abs(parent["median"])
             metrics[name] = {
                 "parent": parent,
                 "change": change,
                 "change_better_in_pairs": f"{wins}/{len(complete)}",
                 "median_gap": change["median"] - parent["median"],
-                "parent_quartile_spread": parent["q3"] - parent["q1"],
+                "parent_quartile_spread": spread,
+                "claim_met": 10 * wins >= 9 * len(complete) and gain > spread,
+                "within_bound": None if allowed is None else -gain <= allowed,
+                "unresolved": None if allowed is None else spread > allowed,
             }
         summary[key] = {
             "pairs": len(complete),
@@ -115,6 +134,7 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     data = (json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists()
             else {"runs": []})
     runs = data["runs"]
@@ -132,7 +152,7 @@ def main() -> int:
                 metric = (record["result"] or {}).get("metrics", {}).get("score_s", {})
                 print(f"{workload} seed={seed} {side}: rc={record['rc']} "
                       f"score_s={metric.get('value')}", file=sys.stderr)
-            data["summary"] = summarise(runs, better)
+            data["summary"] = summarise(runs, better, bounds)
             args.out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     return 0 if all(r["rc"] == 0 for r in runs) else 1
 

@@ -24,6 +24,7 @@ from .indicators import DEFAULT_BETA
 from .jsonio import canonical_json, parse_date
 from .pipeline import ALL_INDICATORS, ScoringEngine, enrich, harvest, score_batch
 from .retrieval import (
+    S2_SEARCH_CAP,
     ArxivClient,
     FixtureTransport,
     LiveTransport,
@@ -88,6 +89,9 @@ class Settings:
         self.topic_k = int(pick(args.k, None, "k", 1000))
         if self.topic_k < 1:
             raise ValueError(f"k must be at least 1, got {self.topic_k}")
+        if self.topic_k > S2_SEARCH_CAP:
+            raise ValueError(f"k must be at most {S2_SEARCH_CAP}, the search's result cap, "
+                             f"got {self.topic_k}")
         self.beta = float(pick(args.beta, None, "beta", DEFAULT_BETA))
         self.s2_api_key = pick(None, "S2_API_KEY", "s2_api_key", None)
         self.llm_api_key = pick(None, "LLM_API_KEY", "llm_api_key", None)
@@ -464,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int,
                         help="batch worker threads when fetching "
                              "(default 4; runs that cannot fetch use one)")
-    parser.add_argument("--k", type=int, help="topic sample size (default 1000)")
+    parser.add_argument("--k", type=int, help="topic sample size, 1-1000 (default 1000)")
     parser.add_argument("--beta", type=float, help="RQM shift parameter (default 5)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -553,6 +557,9 @@ def main(
             return int(exc.code or 0)
     except LitmetricsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a defect: one line and exit 1, not a traceback
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     finally:
         if runtime is not None:

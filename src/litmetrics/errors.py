@@ -61,8 +61,9 @@ class NetworkForbidden(NetworkError):
     """A network request was attempted while running offline."""
 
 
-class ParseError(LitmetricsError):
-    """A remote response could not be parsed."""
+class ParseError(LitmetricsError, ValueError):
+    """A remote response could not be parsed, or a fetched payload failed its
+    checks. Also a ValueError, which the payload checks raise."""
 
 
 class EmptyKeyword(LitmetricsError):

@@ -57,12 +57,14 @@ class CitationSeries:
 
     ``window_end`` is the first month *not* covered by the series (the
     current month at retrieval time); index i covers the month
-    ``window_end - (len - i)`` months.
+    ``window_end - (len - i)`` months. Citing papers without a date, and
+    those dated only by year, are left out and counted apart.
     """
 
     monthly_counts: tuple[int, ...]
     window_end: date
     dropped_undated: int = 0
+    dropped_year_only: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "monthly_counts", tuple(self.monthly_counts))

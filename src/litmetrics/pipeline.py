@@ -30,6 +30,7 @@ from .indicators import (
 )
 from .jsonio import utc_now
 from .retrieval import (
+    S2_SEARCH_CAP,
     ApiCache,
     ArxivClient,
     LlmBackend,
@@ -313,6 +314,10 @@ class ScoringEngine:
                 report.warnings.append(
                     f"{series.dropped_undated} undated citing papers dropped"
                 )
+            if series.dropped_year_only:
+                report.warnings.append(
+                    f"{series.dropped_year_only} citing papers dated only by year dropped"
+                )
 
         refs = None
         if "rqm" in which or "rui" in which:
@@ -348,7 +353,12 @@ class ScoringEngine:
             n_pc = count_relevant(
                 self.s2, keyword, record.publication_date, now, cache=self.cache
             )
-            report.cdr = cdr(n_pc, n_mp)
+            report.cdr = cdr(n_pc.count, n_mp.count)
+            for name, n in (("n_mp", n_mp), ("n_pc", n_pc)):
+                if n.total is not None:
+                    report.warnings.append(
+                        f"{name} counted from the first {S2_SEARCH_CAP} of {n.total} search hits"
+                    )
             m_pc = months_between(record.publication_date, now)
             report.rad = rad(m_pc)
             if m_pc > RAD_FIT_WINDOW_MONTHS:

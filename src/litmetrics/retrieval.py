@@ -15,15 +15,17 @@ import random
 import re
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import (
     EmptyKeyword,
     EmptyResult,
     InvalidDateRange,
+    LitmetricsError,
     LlmUnavailable,
     MalformedResponse,
     NetworkError,
@@ -45,6 +47,9 @@ from .jsonio import (
 ARXIV_API_URL = "https://export.arxiv.org/api/query"
 S2_API_URL = "https://api.semanticscholar.org/graph/v1"
 DEFAULT_TOPIC_SAMPLE_K = 1000
+# S2's relevance search serves no hit past the first 1,000 of a query
+# (https://api.semanticscholar.org/api-docs/graph)
+S2_SEARCH_CAP = 1000
 S2_PAGE_SIZE = 100
 ATOM_NS = {"atom": "http://www.w3.org/2005/Atom"}
 
@@ -371,14 +376,23 @@ def _cached_call(
     decode: Callable[[dict], Any] = lambda payload: payload,
 ) -> Any:
     """``decode`` of the payload cached under the key, or else of what
-    ``compute`` returns, which is cached only once it has decoded."""
+    ``compute`` returns, which is cached only once it has decoded.
+
+    A payload that fails a check of ``compute`` or ``decode`` (a ValueError,
+    KeyError or TypeError) raises `ParseError` naming the op, and nothing is
+    cached; a `LitmetricsError` passes through as it is.
+    """
     key = canonical_json(key_obj)
-    if cache is not None:
-        hit = cache.cache_get(key)
+    hit = cache.cache_get(key) if cache is not None else None
+    try:
         if hit is not None:
             return decode(json.loads(hit))
-    payload = compute()
-    result = decode(payload)
+        payload = compute()
+        result = decode(payload)
+    except LitmetricsError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed {key_obj['op']} payload: {exc}") from exc
     if cache is not None:
         cache.cache_put(key, canonical_json(payload))
     return result
@@ -558,10 +572,12 @@ def fetch_arxiv_candidates(
             )
         return {"records": records}
 
-    payload = _cached_call(
-        cache, {"op": "arxiv_candidates", "keyword": keyword, "limit": limit}, compute
+    return _cached_call(
+        cache,
+        {"op": "arxiv_candidates", "keyword": keyword, "limit": limit},
+        compute,
+        lambda payload: [PaperRecord.from_json_dict(r) for r in payload["records"]],
     )
-    return [PaperRecord.from_json_dict(r) for r in payload["records"]]
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +713,55 @@ def _month_index(d: date) -> int:
     return d.year * 12 + (d.month - 1)
 
 
+_YEAR_RE = re.compile(r"\d{4}", re.ASCII)
+_YEAR_MONTH_RE = re.compile(r"(\d{4})-(\d{2})", re.ASCII)
+
+
+def _citation_months(citing_dates: Iterable[Any]) -> dict:
+    """Citing papers per publication month, the form a ``citations`` payload
+    is cached in: ``{"months": {"YYYY-MM": n}, "undated": n, "year_only": n}``.
+
+    None or "" is undated and a bare ``YYYY`` is year-only; ``YYYY-MM``, and
+    ``YYYY-MM-DD`` read from the first ten characters as `parse_date` reads
+    them, count in their month. Any other value raises ValueError.
+    """
+    month_indexes: list[int] = []
+    undated = year_only = 0
+    for raw in citing_dates:
+        try:
+            d = parse_date(raw)
+        except (ValueError, TypeError):
+            d = _partial_date(raw)
+            if d is None:
+                year_only += 1
+                continue
+        if d is None:
+            undated += 1
+        else:
+            month_indexes.append(_month_index(d))
+    return {
+        "months": {f"{i // 12:04d}-{i % 12 + 1:02d}": n
+                   for i, n in Counter(month_indexes).items()},
+        "undated": undated,
+        "year_only": year_only,
+    }
+
+
+def _partial_date(raw: Any) -> Optional[date]:
+    """The first day of a ``YYYY-MM`` citing date's month, or None for a bare
+    ``YYYY``; any other value raises ValueError."""
+    if isinstance(raw, str):
+        if _YEAR_RE.fullmatch(raw):
+            return None
+        m = _YEAR_MONTH_RE.fullmatch(raw)
+        if m:
+            try:
+                return date(int(m[1]), int(m[2]), 1)
+            except ValueError:
+                pass
+    raise ValueError(f"citing date {raw!r} is not YYYY, YYYY-MM or YYYY-MM-DD")
+
+
 def fetch_monthly_citations(
     client: SemanticScholarClient,
     paper_id: str,
@@ -707,12 +772,21 @@ def fetch_monthly_citations(
     """Bucket citing papers into the last full calendar months before ``now``.
 
     The bucket key is the citing paper's publication month; citers without a
-    publication date are dropped and tallied. Months with no citations are
-    explicit zeros. The current month is excluded.
+    publication date, and those dated only by year, are dropped and tallied
+    apart. Months with no citations are explicit zeros. The current month is
+    excluded, and so is any later one.
+
+    The payload is cached as the month histogram of `_citation_months`, built
+    and checked before it is cached, so a citing date that fails the checks
+    raises `ParseError` and leaves no entry. A payload cached as
+    ``{"citing_dates": [...]}``, the format before months, is read through
+    the same histogram and stays as it is.
     """
     if window_months < 2:
         raise ValueError("window_months must be >= 2")
     now = now or utc_now().date()
+    window_end = date(now.year, now.month, 1)
+    start_index = _month_index(window_end) - window_months
 
     def compute() -> dict:
         citing_dates: list[Optional[str]] = []
@@ -727,26 +801,33 @@ def fetch_monthly_citations(
             if not data or nxt is None:
                 break
             offset = int(nxt)
-        return {"citing_dates": citing_dates}
+        return _citation_months(citing_dates)
 
-    payload = _cached_call(cache, {"op": "citations", "paper_id": paper_id}, compute)
+    def decode(payload: dict) -> CitationSeries:
+        if "citing_dates" in payload:
+            payload = _citation_months(payload["citing_dates"])
+        counts = [0] * window_months
+        for month, n in payload["months"].items():
+            i = _month_index(date(int(month[:4]), int(month[5:]), 1)) - start_index
+            if 0 <= i < window_months:
+                counts[i] += n
+        return CitationSeries(
+            monthly_counts=tuple(counts),
+            window_end=window_end,
+            dropped_undated=payload["undated"],
+            dropped_year_only=payload["year_only"],
+        )
 
-    window_end = date(now.year, now.month, 1)
-    end_index = _month_index(window_end)  # exclusive
-    start_index = end_index - window_months
-    counts = [0] * window_months
-    dropped = 0
-    for raw in payload["citing_dates"]:
-        d = parse_date(raw)
-        if d is None:
-            dropped += 1
-            continue
-        idx = _month_index(d)
-        if start_index <= idx < end_index:
-            counts[idx - start_index] += 1
-    return CitationSeries(
-        monthly_counts=tuple(counts), window_end=window_end, dropped_undated=dropped
-    )
+    return _cached_call(cache, {"op": "citations", "paper_id": paper_id}, compute, decode)
+
+
+class RelevantCount(NamedTuple):
+    """Search hits in a date window. ``total`` is set only when the search
+    reported more hits than its paging could reach (S2's relevance search
+    stops at `S2_SEARCH_CAP`), so ``count`` saw only the first of them."""
+
+    count: int
+    total: Optional[int] = None
 
 
 def count_relevant(
@@ -755,17 +836,21 @@ def count_relevant(
     from_date: date,
     to_date: date,
     cache: Optional[ApiCache] = None,
-) -> int:
-    """Number of search hits published in the half-open window [from, to)."""
+) -> RelevantCount:
+    """Number of search hits published in the half-open window [from, to).
+
+    The payload is cached as ``{"count": n}``, with ``"total": t`` added only
+    when the search reported more hits than its paging reached.
+    """
     if not keyword or not keyword.strip():
         raise EmptyKeyword("keyword must be non-empty")
     if from_date > to_date:
         raise InvalidDateRange(f"{from_date} > {to_date}")
     if from_date == to_date:
-        return 0
+        return RelevantCount(0)
 
     def compute() -> dict:
-        total = 0
+        count = reached = total = 0
         offset = 0
         date_filter = f"{format_date(from_date)}:{format_date(to_date)}"
         while True:
@@ -777,15 +862,17 @@ def count_relevant(
                 extra={"publicationDateOrYear": date_filter},
             )
             data = page.get("data") or []
+            reached += len(data)
+            total = max(total, int(page.get("total") or 0))
             for item in data:
                 d = parse_date(item.get("publicationDate"))
                 if d is not None and from_date <= d < to_date:
-                    total += 1
+                    count += 1
             nxt = page.get("next")
             if not data or nxt is None:
                 break
             offset = int(nxt)
-        return {"count": total}
+        return {"count": count, "total": total} if total > reached else {"count": count}
 
     payload = _cached_call(
         cache,
@@ -797,7 +884,7 @@ def count_relevant(
         },
         compute,
     )
-    return int(payload["count"])
+    return RelevantCount(int(payload["count"]), payload.get("total"))
 
 
 def _record_from_s2(data: dict, canonical_id: str, join_key: Optional[str] = None) -> dict:
@@ -840,7 +927,8 @@ def fetch_paper_record(
     cache: Optional[ApiCache] = None,
 ) -> PaperRecord:
     """One paper's metadata by S2-acceptable id (ARXIV:..., DOI:..., sha).
-    A payload that fails `PaperRecord`'s checks raises and is not cached."""
+    A payload that fails `PaperRecord`'s checks raises `ParseError` and is
+    not cached."""
 
     def compute() -> dict:
         data = client.paper(paper_id)
@@ -860,13 +948,13 @@ def fetch_references(
     publication date, is fetched and decoded; the ones whose id is not stored
     yet are inserted as papers, and only then is the id list cached as
     ``{"ids": [...]}``. A record that fails `PaperRecord`'s checks raises
-    before anything is stored. Rows before ids: a cached list never names a
-    paper the store lacks, since a failure between the two leaves no list
-    and the next call fetches again; a cache that defers its puts must still
-    write the list only after the rows. On a hit no record is decoded and no
-    row written. A list cached as ``{"records": [...]}``, the format before
-    ids, is served as it always was: its records are decoded and inserted as
-    new, and the payload stays as it is.
+    `ParseError` before anything is stored. Rows before ids: a cached list
+    never names a paper the store lacks, since a failure between the two
+    leaves no list and the next call fetches again; a cache that defers its
+    puts must still write the list only after the rows. On a hit no record
+    is decoded and no row written. A list cached as ``{"records": [...]}``,
+    the format before ids, is served as it always was: its records are
+    decoded and inserted as new, and the payload stays as it is.
     """
 
     def compute() -> dict:
@@ -890,12 +978,14 @@ def fetch_references(
         store.insert_new_papers(records)
         return {"ids": [r.canonical_id for r in records]}
 
-    payload = _cached_call(store, {"op": "references", "paper_id": paper_id}, compute)
-    if "ids" in payload:
-        return payload["ids"]
-    records = [PaperRecord.from_json_dict(rec) for rec in payload["records"]]
-    store.insert_new_papers(records)
-    return [r.canonical_id for r in records]
+    def decode(payload: dict) -> list[str]:
+        if "ids" in payload:
+            return payload["ids"]
+        records = [PaperRecord.from_json_dict(rec) for rec in payload["records"]]
+        store.insert_new_papers(records)
+        return [r.canonical_id for r in records]
+
+    return _cached_call(store, {"op": "references", "paper_id": paper_id}, compute, decode)
 
 
 class LazyPaper:

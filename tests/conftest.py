@@ -67,7 +67,10 @@ def s2_search_exchange(
     limit: int = S2_PAGE_SIZE,
     extra: dict | None = None,
     next_offset: int | None = None,
+    total: int | None = None,
 ) -> dict:
+    """One search page; ``total`` is the hit count the page reports, by
+    default the number of hits on it."""
     params = {
         "query": query,
         "offset": str(offset),
@@ -76,7 +79,7 @@ def s2_search_exchange(
     }
     if extra:
         params.update({k: str(v) for k, v in extra.items()})
-    body = {"total": len(data), "offset": offset, "data": data}
+    body = {"total": len(data) if total is None else total, "offset": offset, "data": data}
     if next_offset is not None:
         body["next"] = next_offset
     return {

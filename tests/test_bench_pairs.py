@@ -62,3 +62,38 @@ def test_summarise_counts_wins_by_direction_and_quartiles_per_side(bench_pairs, 
 def test_summarise_flags_an_incorrect_run(bench_pairs, better):
     runs = [run(0, "parent", 1.0, 1), run(0, "change", 0.5, 1, correct=False)]
     assert bench_pairs.summarise(runs, better)["scaled-ingest trace=0"]["all_correct"] is False
+
+
+@pytest.fixture(scope="module")
+def bounds() -> dict[str, float]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+PARENT = [1.70, 1.69, 1.68, 1.70, 1.69, 1.71, 1.69, 1.70, 1.68, 1.69]  # quartile spread 0.0125
+
+
+@pytest.mark.parametrize("metric, parent, change, verdicts", [
+    # (claim_met, within_bound, unresolved); snapshot_mb is lower-better, bound 0.1
+    ("snapshot_mb", PARENT, [v - 0.17 for v in PARENT], (True, True, False)),
+    ("snapshot_mb", PARENT, [v - 0.17 for v in PARENT[:9]] + [PARENT[9]],  # a tie: 9/10
+     (True, True, False)),
+    ("snapshot_mb", PARENT, [v - 0.17 for v in PARENT[:8]] + PARENT[8:], (False, True, False)),
+    ("snapshot_mb", PARENT, [v - 0.005 for v in PARENT], (False, True, False)),  # gap < spread
+    ("snapshot_mb", PARENT, [v + 0.15 for v in PARENT], (False, True, False)),  # worse, in bound
+    ("snapshot_mb", PARENT, [v + 0.18 for v in PARENT], (False, False, False)),
+    ("snapshot_mb", [1.0, 2.0, 1.2, 1.8, 1.1, 1.9, 1.5, 1.4, 1.6, 1.3],
+     [1.0, 2.0, 1.2, 1.8, 1.1, 1.9, 1.5, 1.4, 1.6, 1.3], (False, True, True)),
+    ("retrieval.cache_hits", [10] * 10, [12] * 10, (True, None, None)),  # no bound
+], ids=["met", "met-with-a-tie", "8-of-10", "gap-within-spread", "worse-within-bound",
+        "worse-beyond-bound", "unresolved", "no-bound"])
+def test_summarise_states_the_claim_rule_verdicts(bench_pairs, better, bounds, metric,
+                                                  parent, change, verdicts):
+    runs = [{"pair": i, "workload": "scaled-ingest", "seed": 900 + i, "side": side,
+             "trace": 0, "result": {"correct": True, "failed": 0,
+                                    "metrics": {metric: {"value": value, "unit": "MB"}}}}
+            for i, pair in enumerate(zip(parent, change))
+            for side, value in zip(("parent", "change"), pair)]
+    summary = bench_pairs.summarise(runs, better, bounds)
+    got = summary["scaled-ingest trace=0"]["metrics"][metric]
+    assert (got["claim_met"], got["within_bound"], got["unresolved"]) == verdicts

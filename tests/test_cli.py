@@ -252,6 +252,32 @@ class TestScoreCommand:
         row = capsys.readouterr().out.splitlines()[1]
         assert row.startswith("arxiv:2402.11111  -     -      graph learning  -      error: ")
 
+    def test_a_malformed_citing_date_fails_its_paper_only(self, tmp_path, capsys):
+        db = tmp_path / "s.db"
+        citing = {"9999.00001": ["2024-09-01"], "9999.00002": ["2024-09-02", "2024-13-40"],
+                  "9999.00003": ["2024-08-03", None]}
+        with SnapshotStore(db) as store:
+            for arxiv_id in citing:
+                store.upsert_paper(PaperRecord(
+                    canonical_id=f"arxiv:{arxiv_id}", title=f"A Survey {arxiv_id}",
+                    external_ids={"arxiv": arxiv_id}, topic_keyword="kw",
+                    retrieved_at=datetime(2024, 1, 1)))
+        fixtures = write_fixture_dir(tmp_path / "fx", [
+            s2_citations_exchange(f"ARXIV:{arxiv_id}", dates)
+            for arxiv_id, dates in citing.items()])
+        code = main(["--db", str(db), "--fixtures", str(fixtures), "--rate", "1000",
+                     "--now", "2024-10-01", "score", "--all", "--iei"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 1
+        assert [row.split()[0] for row in rows if "error: ParseError" in row] == [
+            "arxiv:9999.00002"]
+        assert "malformed citations payload: citing date '2024-13-40'" in rows[1]
+        with SnapshotStore(db, read_only=True) as store:
+            assert sorted(store.latest_reports()) == ["arxiv:9999.00001", "arxiv:9999.00003"]
+            cached = [json.loads(key)["paper_id"] for (key,) in
+                      store._conn.execute("SELECT key FROM api_cache")]
+        assert sorted(cached) == ["ARXIV:9999.00001", "ARXIV:9999.00003"]
+
     def test_reports_are_persisted(self, demo_db):
         with SnapshotStore(demo_db, read_only=True) as store:
             report = store.latest_report("arxiv:2500.10000")
@@ -276,6 +302,21 @@ class TestUsageErrors:
                      "score", "--all"])
         assert code == 1
         assert "fixtures directory not found" in capsys.readouterr().err
+
+    def test_a_defect_prints_one_line_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        class BrokenTransport:
+            def request(self, method, url, params, headers, body=None):
+                raise RuntimeError("transport defect")
+
+        closed = []
+        close = cli.Runtime.close
+        monkeypatch.setattr(cli.Runtime, "close", lambda self: (closed.append(1), close(self)))
+        code = main(["--db", str(tmp_path / "x.db"), "--rate", "1000", "harvest", "gnn"],
+                    transport=BrokenTransport())
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: internal: RuntimeError: transport defect\n"
+        assert captured.out == "" and closed == [1]
 
     def test_bad_now_value(self, demo_db):
         assert main(["--db", str(demo_db), "--now", "not-a-date", "score", "--all"]) == 2
@@ -372,6 +413,30 @@ class TestHarvestEnrich:
             assert rec.external_ids["s2_join"] == "arxiv"
             assert rec.reference_ids == ["s2:r1", "doi:10.1/r2"]
             assert store.get_paper("s2:r1").citation_count == 900
+
+    def test_enrich_goes_on_past_a_payload_that_fails_its_checks(self, tmp_path, capsys):
+        db = tmp_path / "h.db"
+        with SnapshotStore(db) as store:
+            for arxiv_id in ("2402.00001", "2402.00002"):
+                store.upsert_paper(PaperRecord(
+                    canonical_id=f"arxiv:{arxiv_id}", title="A Survey",
+                    external_ids={"arxiv": arxiv_id}, retrieved_at=datetime(2024, 1, 1)))
+        paper = {"paperId": "p", "externalIds": {"ArXiv": "2402.00001"}, "title": "A Survey",
+                 "publicationDate": "2024-02-01", "citationCount": 1}
+        fixtures = write_fixture_dir(tmp_path / "fx", [
+            s2_paper_exchange("ARXIV:2402.00001", {**paper, "publicationDate": "2999-01-01"}),
+            s2_paper_exchange("ARXIV:2402.00002",
+                              {**paper, "externalIds": {"ArXiv": "2402.00002"}}),
+            s2_references_exchange("ARXIV:2402.00002", []),
+        ])
+        code = main(["--db", str(db), "--fixtures", str(fixtures), "--rate", "1000",
+                     "enrich", "arxiv:2402.00001", "arxiv:2402.00002"])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "arxiv:2402.00001  error: ParseError: malformed paper payload: "
+            "publication_date cannot postdate retrieval",
+            "arxiv:2402.00002  enriched",
+        ]
 
     def test_enrich_unknown_paper_reports_error(self, tmp_path, capsys):
         db = tmp_path / "h.db"
@@ -622,7 +687,8 @@ class TestSettings:
                      "score", "--all"]) == 2
 
     @pytest.mark.parametrize("key, value", [("rate", "0"), ("rate", "-1"), ("rate", "nan"),
-                                            ("k", "0"), ("workers", "0"), ("workers", "-3")])
+                                            ("k", "0"), ("k", "1001"), ("workers", "0"),
+                                            ("workers", "-3")])
     def test_out_of_range_rate_or_k_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"{key} = {value}\n")

@@ -174,6 +174,31 @@ class TestScoringEngine:
         report = engine.score(paper.canonical_id, ["iei"])
         assert "2 undated citing papers dropped" in report.warnings
 
+    def test_year_only_citers_warning(self, tmp_path):
+        store = self.make_store(tmp_path, review())
+        exchanges = [s2_citations_exchange("ARXIV:2301.00001",
+                                           ["2024-09-01", "2024", None, "2023", "2024-08"])]
+        engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
+        report = engine.score("arxiv:2301.00001", ["iei"])
+        assert report.warnings == ["1 undated citing papers dropped",
+                                   "2 citing papers dated only by year dropped"]
+
+    def test_counts_from_a_capped_search_warn(self, tmp_path):
+        refs = [reference("s2:r1", date(2020, 1, 1), 50)]
+        store = self.make_store(tmp_path, review(reference_ids=["s2:r1"]), refs)
+        exchanges = [
+            s2_search_exchange(
+                "something", "publicationDate", [{"publicationDate": "2021-01-01"}] * 4,
+                extra={"publicationDateOrYear": "2020-01-01:2024-02-01"}, total=5000),
+            s2_search_exchange(
+                "something", "publicationDate", [{"publicationDate": "2024-03-01"}] * 8,
+                extra={"publicationDateOrYear": "2024-02-01:2024-10-01"}),
+        ]
+        engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
+        report = engine.score("arxiv:2301.00001", ["rui"])
+        assert report.cdr == 2.0  # the counts are what the paging reached
+        assert report.warnings == ["n_mp counted from the first 1000 of 5000 search hits"]
+
     def test_llm_assigns_and_persists_missing_keyword(self, tmp_path):
         paper = review(topic_keyword=None)
         store = self.make_store(tmp_path, paper)
@@ -364,6 +389,18 @@ def payloads(store) -> dict[str, dict]:
             for key, payload in rows}
 
 
+def demo_citing_dates(corpus) -> dict[str, list]:
+    """The citing dates each demo paper's citations exchange serves, by paper id."""
+    dates = {}
+    for exchange in corpus.exchanges:
+        url = exchange["request"]["url"]
+        if url.endswith("/citations"):
+            paper_id = url.removeprefix(f"{S2_API_URL}/paper/").removesuffix("/citations")
+            dates[paper_id] = [item["citingPaper"]["publicationDate"]
+                               for item in json.loads(exchange["response"]["body"])["data"]]
+    return dates
+
+
 class BreakingTransport:
     """Raises ``error`` for one URL and records the requests it serves."""
 
@@ -447,6 +484,46 @@ class TestBatchWrites:
         assert [i.error for i in score_batch(engine, ids, workers=1)] == [None] * len(ids)
         assert broken.served.isdisjoint(key for _, key in counting.calls)
         assert payloads(store) == demo_payloads
+
+    def test_citations_are_cached_as_the_month_counts_of_their_dates(
+            self, tmp_path, demo_corpus):
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
+        assert [i.error for i in score_batch(engine, ids, workers=1)] == [None] * len(ids)
+        cached = {key: payload for key, payload in payloads(store).items()
+                  if json.loads(key)["op"] == "citations"}
+        assert cached == {
+            canonical_json({"op": "citations", "paper_id": paper_id}):
+                {"months": dict(Counter(d[:7] for d in dates)), "undated": 0, "year_only": 0}
+            for paper_id, dates in demo_citing_dates(demo_corpus).items()}
+
+    def test_a_snapshot_cached_citing_dates_scores_the_same(self, tmp_path, demo_corpus, capsys):
+        dbs = {fmt: tmp_path / f"{fmt}.db" for fmt in ("months", "dates")}
+        for db in dbs.values():
+            build_demo_snapshot(db)
+        # a snapshot scored before citations were cached as months held the
+        # citing dates as fetched
+        legacy = {canonical_json({"op": "citations", "paper_id": paper_id}):
+                  canonical_json({"citing_dates": dates})
+                  for paper_id, dates in demo_citing_dates(demo_corpus).items()}
+        with SnapshotStore(dbs["dates"]) as store:
+            for key, payload in legacy.items():
+                store.cache_put(key, payload)
+        out, reports = {}, {}
+        for fmt, db in dbs.items():
+            offline = CountingTransport(OfflineTransport())
+            assert main(["--db", str(db), "--offline", "--now", "2024-10-01", "score", "--all"],
+                        transport=offline) == 0
+            assert offline.count == 0
+            out[fmt] = capsys.readouterr().out
+            with SnapshotStore(db, read_only=True) as store:
+                reports[fmt] = store._conn.execute(
+                    "SELECT paper_id, computed_at, report_json FROM reports ORDER BY id").fetchall()
+                if fmt == "dates":
+                    assert {key: store.cache_get(key) for key in legacy} == legacy
+        assert out["dates"] == out["months"]
+        assert reports["dates"] == reports["months"] and len(reports["dates"]) == 20
 
     def test_without_persist_the_payloads_are_stored_and_no_report(
             self, tmp_path, demo_corpus, demo_payloads):

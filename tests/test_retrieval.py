@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 import threading
 import time
-from datetime import date
+from datetime import date, datetime
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CountingTransport,
@@ -22,6 +26,7 @@ from litmetrics.errors import (
     EmptyKeyword,
     EmptyResult,
     InvalidDateRange,
+    LitmetricsError,
     LlmUnavailable,
     MalformedResponse,
     NetworkForbidden,
@@ -29,12 +34,15 @@ from litmetrics.errors import (
     RateLimited,
 )
 from litmetrics import retrieval
+from litmetrics.pipeline import ScoringEngine, score_batch
 from litmetrics.retrieval import (
     ArxivClient,
     DictCache,
+    FixtureTransport,
     LazyPaper,
     LlmHttpClient,
     OfflineTransport,
+    PaperRecord,
     RateLimiter,
     SemanticScholarClient,
     StubLlm,
@@ -208,6 +216,141 @@ class TestMonthlyCitations:
         series = fetch_monthly_citations(s2_client(transport), "p4", 6, now=NOW)
         assert series.monthly_counts == (0, 0, 0, 0, 0, 1)
 
+    def test_citations_are_cached_as_a_month_histogram(self, fixture_transport_factory):
+        citing = ["2024-09-10", "2024-09-30T23:59:59Z", "2024-08", None, "", "2023",
+                  "2031-01-01"]
+        transport = fixture_transport_factory([s2_citations_exchange("p5", citing)])
+        cache = DictCache()
+        series = fetch_monthly_citations(s2_client(transport), "p5", 6, now=NOW, cache=cache)
+        assert series.monthly_counts == (0, 0, 0, 0, 1, 2)
+        assert (series.dropped_undated, series.dropped_year_only) == (2, 1)
+        # the future month is kept; it falls outside every window before it
+        assert [json.loads(p) for p in cache.data.values()] == [
+            {"months": {"2024-08": 1, "2024-09": 2, "2031-01": 1}, "undated": 2,
+             "year_only": 1}]
+
+    def test_a_year_only_citer_is_dropped_and_its_payload_served(
+            self, fixture_transport_factory):
+        exchange = s2_citations_exchange("p6", ["2024", "2024-08-02"])
+        counting = CountingTransport(fixture_transport_factory([exchange]))
+        cache = DictCache()
+        client = s2_client(counting)
+        for _ in range(2):
+            series = fetch_monthly_citations(client, "p6", 6, now=NOW, cache=cache)
+            assert series.monthly_counts == (0, 0, 0, 0, 1, 0)
+            assert (series.dropped_undated, series.dropped_year_only) == (0, 1)
+        assert (counting.count, len(cache.data)) == (1, 1)
+
+    def test_dates_cached_before_months_are_still_served(self, fixture_transport_factory):
+        citing = ["2024-09-10", "2024-08", None, "2023", "2024-05-31"]
+        transport = fixture_transport_factory([s2_citations_exchange("p7", citing)])
+        fresh = fetch_monthly_citations(s2_client(transport), "p7", 6, now=NOW)
+        key = retrieval.canonical_json({"op": "citations", "paper_id": "p7"})
+        legacy = retrieval.canonical_json({"citing_dates": citing})
+        cache = DictCache()
+        cache.data[key] = legacy
+        offline = OfflineTransport()
+        assert fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW, cache=cache) == fresh
+        assert offline.attempts == 0
+        assert cache.data == {key: legacy}
+
+
+def date_rule(raw) -> tuple[str, tuple[int, int] | None]:
+    """The citing-date rule, stated apart from the program: ("month", (y, m)),
+    ("undated", None), ("year_only", None) or ("bad", None)."""
+    if raw is None or raw == "":
+        return "undated", None
+    if not isinstance(raw, str):
+        return "bad", None
+    if re.fullmatch(r"[0-9]{4}", raw):
+        return "year_only", None
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}", raw):
+        text, fmt = raw, "%Y-%m"
+    else:
+        text, fmt = raw[:10], "%Y-%m-%d"
+    try:
+        d = datetime.strptime(text, fmt)
+    except ValueError:
+        return "bad", None
+    return "month", (d.year, d.month)
+
+
+def bucketed(citing: list, now: date, window: int = 6) -> tuple[tuple[int, ...], int, int]:
+    """(monthly counts, undated, year-only) of the window before ``now``'s month."""
+    end = now.year * 12 + now.month - 1
+    counts = [0] * window
+    tally = {"undated": 0, "year_only": 0}
+    for raw in citing:
+        kind, month = date_rule(raw)
+        if kind == "month":
+            i = month[0] * 12 + month[1] - 1 - (end - window)
+            if 0 <= i < window:
+                counts[i] += 1
+        else:
+            tally[kind] += 1
+    return tuple(counts), tally["undated"], tally["year_only"]
+
+
+_days = st.dates(min_value=date(1990, 1, 1), max_value=date(2031, 12, 31))
+CITING_DATES = st.lists(st.one_of(
+    _days.map(str),
+    _days.map(lambda d: f"{d}T08:30:00Z"),
+    _days.map(lambda d: d.strftime("%Y-%m")),
+    _days.map(lambda d: str(d.year)),
+    st.sampled_from([None, ""]),
+), max_size=40)
+GARBAGE = st.one_of(
+    st.sampled_from(["2024-13-40", "abc", "2024-02-30", "2024-00", "2024-1", "24-01-01",
+                     " 2024-01-05", "0000-01"]),
+    st.integers(),
+    st.text(alphabet="0123456789-T: ", max_size=12),
+)
+NOWS = (date(2024, 10, 15), date(2025, 1, 1), date(2031, 6, 30))
+
+
+class TestCitationDateRuleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(citing=CITING_DATES)
+    def test_the_series_is_the_bucketing_of_the_dates_for_every_now(self, citing):
+        exchange = s2_citations_exchange("pH", citing)
+        counting = CountingTransport(FixtureTransport.from_pairs([exchange]))
+        cache = DictCache()
+        for now in NOWS:
+            series = fetch_monthly_citations(s2_client(counting), "pH", 6, now=now, cache=cache)
+            assert (series.monthly_counts, series.dropped_undated,
+                    series.dropped_year_only) == bucketed(citing, now)
+        assert counting.count == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(citing=CITING_DATES, garbage=st.lists(GARBAGE, max_size=2),
+           at=st.integers(min_value=0))
+    def test_only_typed_errors_leave_and_a_raise_caches_nothing(self, citing, garbage, at):
+        for value in garbage:
+            citing.insert(at % (len(citing) + 1), value)
+        bad = any(date_rule(raw)[0] == "bad" for raw in citing)
+        key = retrieval.canonical_json({"op": "citations", "paper_id": "pG"})
+        client = s2_client(FixtureTransport.from_pairs([s2_citations_exchange("pG", citing)]))
+        cache = DictCache()
+        try:
+            series = fetch_monthly_citations(client, "pG", 6, now=NOW, cache=cache)
+        except LitmetricsError as exc:
+            assert bad and isinstance(exc, ParseError)
+            assert cache.data == {}
+        else:
+            assert not bad and key in cache.data
+            assert (series.monthly_counts, series.dropped_undated,
+                    series.dropped_year_only) == bucketed(citing, NOW)
+        # the same through a scoring batch over a store
+        store = SnapshotStore(":memory:")
+        store.upsert_paper(PaperRecord(
+            canonical_id="s2:pG", title="A Survey", external_ids={"s2": "pG"},
+            topic_keyword="kw", retrieved_at=datetime(2024, 10, 1)))
+        engine = ScoringEngine(store=store, s2=client, now=NOW)
+        (item,) = score_batch(engine, ["s2:pG"], ["iei"], workers=1)
+        assert (item.error or "").startswith("ParseError") == bad
+        assert (store.cache_get(key) is None) == bad
+        store.close()
+
 
 class TestCountRelevant:
     def test_half_open_window(self, fixture_transport_factory):
@@ -229,16 +372,33 @@ class TestCountRelevant:
         n = count_relevant(
             s2_client(transport), "object detection", date(2023, 1, 1), date(2023, 6, 1)
         )
-        assert n == 4
+        assert n == (4, None)  # no `total`: the paging reached every hit
 
     def test_empty_interval(self, fixture_transport_factory):
         transport = fixture_transport_factory([])
-        assert count_relevant(s2_client(transport), "x", NOW, NOW) == 0
+        assert count_relevant(s2_client(transport), "x", NOW, NOW) == (0, None)
 
     def test_reversed_dates(self, fixture_transport_factory):
         transport = fixture_transport_factory([])
         with pytest.raises(InvalidDateRange):
             count_relevant(s2_client(transport), "x", date(2024, 2, 1), date(2024, 1, 1))
+
+    @pytest.mark.parametrize("total, payload", [(1000, {"count": 900}),
+                                                (4321, {"count": 900, "total": 4321})])
+    def test_a_search_its_paging_cannot_finish_caches_its_total(
+            self, fixture_transport_factory, total, payload):
+        window = {"publicationDateOrYear": "2023-01-01:2023-06-01"}
+        hits = [{"publicationDate": "2023-02-01"}] * 90 + [{"publicationDate": None}] * 10
+        # the relevance search serves ten pages of 100 and no `next` after them
+        pages = [s2_search_exchange("kw", "publicationDate", hits, offset=offset,
+                                    extra=window, total=total,
+                                    next_offset=offset + 100 if offset < 900 else None)
+                 for offset in range(0, 1000, 100)]
+        cache = DictCache()
+        n = count_relevant(s2_client(fixture_transport_factory(pages)), "kw",
+                           date(2023, 1, 1), date(2023, 6, 1), cache=cache)
+        assert n == (900, payload.get("total"))
+        assert [json.loads(p) for p in cache.data.values()] == [payload]
 
 
 class TestLlmTopicKeyword:
@@ -481,8 +641,8 @@ class TestCacheIdempotenceAllOps:
         cache = DictCache()
         client = s2_client(counting)
         args = (client, "kw", date(2023, 1, 1), date(2023, 6, 1))
-        assert count_relevant(*args, cache=cache) == 3
-        assert count_relevant(*args, cache=cache) == 3
+        assert count_relevant(*args, cache=cache) == (3, None)
+        assert count_relevant(*args, cache=cache) == (3, None)
         assert counting.count == 1
 
     def test_paper_record_and_references(self, fixture_transport_factory, tmp_path):
@@ -517,10 +677,10 @@ class TestCacheIdempotenceAllOps:
 
 
 class TestNothingUndecodableIsCached:
-    """A payload that fails `PaperRecord`'s checks raises on every call and
-    leaves no cache entry behind."""
+    """A payload that fails its checks (`PaperRecord`'s, or the citing-date
+    rule) raises `ParseError` on every call and leaves no cache entry behind."""
 
-    @pytest.mark.parametrize("op", ["paper", "references"])
+    @pytest.mark.parametrize("op", ["paper", "references", "citations"])
     def test_each_call_fetches_again_and_raises(self, fixture_transport_factory, tmp_path, op):
         from conftest import s2_references_exchange
         from litmetrics.retrieval import fetch_paper_record, fetch_references
@@ -530,19 +690,25 @@ class TestNothingUndecodableIsCached:
                      "publicationDate": "2999-01-01", "citationCount": 1}
             exchange = s2_paper_exchange("ARXIV:2401.88888", paper)
             fetch, message = fetch_paper_record, "publication_date cannot postdate retrieval"
-        else:
+        elif op == "references":
             refs = [{"paperId": "ok", "externalIds": {}, "title": "OK",
                      "publicationDate": "2020-01-01", "citationCount": 3},
                     {"paperId": "neg", "externalIds": {}, "title": "Neg",
                      "publicationDate": "2020-01-01", "citationCount": -1}]
             exchange = s2_references_exchange("ARXIV:2401.88888", refs)
             fetch, message = fetch_references, "citation_count must be non-negative"
+        else:
+            exchange = s2_citations_exchange("ARXIV:2401.88888", ["2024-08-02", "2024-13-40"])
+            fetch, message = (lambda client, pid, store: fetch_monthly_citations(
+                client, pid, 6, now=NOW, cache=store)), "citing date '2024-13-40'"
         counting = CountingTransport(fixture_transport_factory([exchange]))
         store = SnapshotStore(tmp_path / "s.db")
         client = s2_client(counting)
         for calls in (1, 2):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message) as raised:
                 fetch(client, "ARXIV:2401.88888", store)
+            assert isinstance(raised.value, ParseError)
+            assert f"malformed {op} payload" in str(raised.value)
             assert counting.count == calls
         key = retrieval.canonical_json({"op": op, "paper_id": "ARXIV:2401.88888"})
         assert store.cache_get(key) is None
