@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Optional, Sequence
 
-from .errors import EmptyResult, LitmetricsError, LlmUnavailable, UnknownPaper
+from .errors import EmptyResult, LitmetricsError, LlmUnavailable, ParseError, UnknownPaper
 from .indicators import (
     DEFAULT_BETA,
     RAD_FIT_WINDOW_MONTHS,
@@ -97,8 +97,10 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
 
     The graph lookup joins on the arXiv id when present, else the DOI, else a
     title search as last resort; the join route is recorded in the stored
-    external ids under ``s2_join``. The references are stored as papers of
-    their own, by `fetch_references`, and the paper keeps their ids.
+    external ids under ``s2_join``. A title search with no hit raises
+    `UnknownPaper`, and one whose page is not a JSON object or whose first hit
+    names no ``paperId`` raises `ParseError`. The references are stored as
+    papers of their own, by `fetch_references`, and the paper keeps their ids.
     """
     record = store.require_paper(paper_id)
     if record.external_ids.get("arxiv") or record.external_ids.get("doi"):
@@ -107,11 +109,15 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
         fetched = fetch_paper_record(client, lookup, cache=store)
     else:
         page = client.search_page(record.title, 0, 1, "paperId")
-        data = page.get("data") or []
-        if not data:
+        data = (page.get("data") or []) if isinstance(page, dict) else None
+        if data == []:
             raise UnknownPaper(f"no search hit for title of {paper_id}")
+        hit = data[0] if isinstance(data, list) else None
+        s2_id = hit.get("paperId") if isinstance(hit, dict) else None
+        if not s2_id or not isinstance(s2_id, str):
+            raise ParseError(f"malformed title search for {paper_id}: no paperId in {page!r:.80}")
         join_key = "title"
-        fetched = fetch_paper_record(client, data[0]["paperId"], cache=store)
+        fetched = fetch_paper_record(client, s2_id, cache=store)
 
     reference_ids = fetch_references(client, api_id_for(fetched), store)
 

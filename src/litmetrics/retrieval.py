@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import (
     EmptyKeyword,
@@ -260,7 +260,8 @@ def request_key(method: str, url: str, params: dict, body: Optional[str] = None)
 
 
 class LiveTransport:
-    """Real HTTP via requests; created lazily so imports stay network-free."""
+    """Real HTTP via requests, imported on the first request, so building one
+    is network-free and import-free."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
@@ -378,9 +379,10 @@ def _cached_call(
     """``decode`` of the payload cached under the key, or else of what
     ``compute`` returns, which is cached only once it has decoded.
 
-    A payload that fails a check of ``compute`` or ``decode`` (a ValueError,
-    KeyError or TypeError) raises `ParseError` naming the op, and nothing is
-    cached; a `LitmetricsError` passes through as it is.
+    A payload that fails a check of ``compute`` or ``decode``, or has a value
+    of the wrong JSON type where one is read (a ValueError, KeyError,
+    TypeError, AttributeError or OverflowError), raises `ParseError` naming
+    the op, and nothing is cached; a `LitmetricsError` passes through as it is.
     """
     key = canonical_json(key_obj)
     hit = cache.cache_get(key) if cache is not None else None
@@ -391,7 +393,7 @@ def _cached_call(
         result = decode(payload)
     except LitmetricsError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed {key_obj['op']} payload: {exc}") from exc
     if cache is not None:
         cache.cache_put(key, canonical_json(payload))
@@ -476,18 +478,11 @@ class ArxivClient:
         self,
         transport: Optional[Transport] = None,
         base_url: str = ARXIV_API_URL,
-        rate: float = 1.0,
         limiter: Optional[RateLimiter] = None,
     ):
         self.base_url = base_url
-        self._transport = transport
-        self.limiter = limiter if limiter is not None else RateLimiter(rate)
-
-    @property
-    def transport(self) -> Transport:
-        if self._transport is None:
-            self._transport = LiveTransport()
-        return self._transport
+        self.transport: Transport = transport if transport is not None else LiveTransport()
+        self.limiter = limiter if limiter is not None else RateLimiter()
 
     def search(self, query: str, limit: int) -> list[dict]:
         """Run one query and parse the feed into plain entry dicts."""
@@ -597,19 +592,12 @@ class SemanticScholarClient:
         transport: Optional[Transport] = None,
         base_url: str = S2_API_URL,
         api_key: Optional[str] = None,
-        rate: float = 1.0,
         limiter: Optional[RateLimiter] = None,
     ):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
-        self._transport = transport
-        self.limiter = limiter if limiter is not None else RateLimiter(rate)
-
-    @property
-    def transport(self) -> Transport:
-        if self._transport is None:
-            self._transport = LiveTransport()
-        return self._transport
+        self.transport: Transport = transport if transport is not None else LiveTransport()
+        self.limiter = limiter if limiter is not None else RateLimiter()
 
     def _headers(self) -> dict:
         return {"x-api-key": self.api_key} if self.api_key else {}
@@ -655,6 +643,27 @@ class SemanticScholarClient:
         )
 
 
+def _pages(fetch_page: Callable[[int], dict]) -> Iterator[tuple[dict, list]]:
+    """Each page of an S2 listing with its ``data``, from offset 0 on.
+
+    ``fetch_page(offset)`` returns one page. The paging follows each page's
+    ``next`` and stops after a page with no ``data`` or no ``next``; a ``next``
+    that is not an integer past the page's offset raises ValueError, so a
+    host that names the same page again cannot hold the caller in a loop.
+    """
+    offset = 0
+    while True:
+        page = fetch_page(offset)
+        data = page.get("data") or []
+        yield page, data
+        nxt = page.get("next")
+        if not data or nxt is None:
+            return
+        if not isinstance(nxt, int) or nxt <= offset:
+            raise ValueError(f"page at offset {offset} names next {nxt!r}, not one past it")
+        offset = nxt
+
+
 def fetch_topic_sample(
     client: SemanticScholarClient,
     keyword: str,
@@ -673,20 +682,12 @@ def fetch_topic_sample(
 
     def compute() -> dict:
         counts: list[int] = []
-        offset = 0
-        while len(counts) < k:
-            page = client.search_page(
-                keyword, offset, min(S2_PAGE_SIZE, k - len(counts)), "citationCount"
-            )
-            data = page.get("data") or []
-            for item in data:
+        for _, data in _pages(lambda offset: client.search_page(
+                keyword, offset, min(S2_PAGE_SIZE, k - len(counts)), "citationCount")):
+            for item in data[: k - len(counts)]:
                 counts.append(int(item.get("citationCount") or 0))
-                if len(counts) >= k:
-                    break
-            nxt = page.get("next")
-            if not data or nxt is None:
+            if len(counts) >= k:
                 break
-            offset = int(nxt)
         return {
             "counts": counts,
             "fetched_at": format_timestamp(utc_now()),
@@ -790,17 +791,11 @@ def fetch_monthly_citations(
 
     def compute() -> dict:
         citing_dates: list[Optional[str]] = []
-        offset = 0
-        while True:
-            page = client.citations_page(paper_id, offset, S2_PAGE_SIZE)
-            data = page.get("data") or []
+        for _, data in _pages(
+                lambda offset: client.citations_page(paper_id, offset, S2_PAGE_SIZE)):
             for item in data:
                 citing = item.get("citingPaper") or {}
                 citing_dates.append(citing.get("publicationDate"))
-            nxt = page.get("next")
-            if not data or nxt is None:
-                break
-            offset = int(nxt)
         return _citation_months(citing_dates)
 
     def decode(payload: dict) -> CitationSeries:
@@ -851,27 +846,20 @@ def count_relevant(
 
     def compute() -> dict:
         count = reached = total = 0
-        offset = 0
         date_filter = f"{format_date(from_date)}:{format_date(to_date)}"
-        while True:
-            page = client.search_page(
-                keyword,
-                offset,
-                S2_PAGE_SIZE,
-                "publicationDate",
-                extra={"publicationDateOrYear": date_filter},
-            )
-            data = page.get("data") or []
+        for page, data in _pages(lambda offset: client.search_page(
+            keyword,
+            offset,
+            S2_PAGE_SIZE,
+            "publicationDate",
+            extra={"publicationDateOrYear": date_filter},
+        )):
             reached += len(data)
             total = max(total, int(page.get("total") or 0))
             for item in data:
                 d = parse_date(item.get("publicationDate"))
                 if d is not None and from_date <= d < to_date:
                     count += 1
-            nxt = page.get("next")
-            if not data or nxt is None:
-                break
-            offset = int(nxt)
         return {"count": count, "total": total} if total > reached else {"count": count}
 
     payload = _cached_call(
@@ -887,16 +875,16 @@ def count_relevant(
     return RelevantCount(int(payload["count"]), payload.get("total"))
 
 
-def _record_from_s2(data: dict, canonical_id: str, join_key: Optional[str] = None) -> dict:
+def _record_from_s2(data: dict, retrieved_at: str) -> dict:
+    """The `PaperRecord` JSON dict of one S2 paper object, fetched at
+    ``retrieved_at`` (a `format_timestamp` string)."""
     external = {}
     for source, value in (data.get("externalIds") or {}).items():
         external[source.lower()] = str(value)
     if data.get("paperId"):
         external["s2"] = data["paperId"]
-    if join_key:
-        external["s2_join"] = join_key
     return {
-        "canonical_id": canonical_id,
+        "canonical_id": canonical_id_for_s2(data),
         "external_ids": external,
         "title": _collapse_ws(data.get("title") or ""),
         "abstract": _collapse_ws(data.get("abstract") or ""),
@@ -906,7 +894,7 @@ def _record_from_s2(data: dict, canonical_id: str, join_key: Optional[str] = Non
         "reference_ids": [],
         "author_count": len(data.get("authors") or []),
         "topic_keyword": None,
-        "retrieved_at": format_timestamp(utc_now()),
+        "retrieved_at": retrieved_at,
     }
 
 
@@ -931,8 +919,7 @@ def fetch_paper_record(
     not cached."""
 
     def compute() -> dict:
-        data = client.paper(paper_id)
-        return _record_from_s2(data, canonical_id_for_s2(data))
+        return _record_from_s2(client.paper(paper_id), format_timestamp(utc_now()))
 
     return _cached_call(
         cache, {"op": "paper", "paper_id": paper_id}, compute, PaperRecord.from_json_dict
@@ -959,22 +946,14 @@ def fetch_references(
 
     def compute() -> dict:
         records = []
-        offset = 0
         retrieved_at = format_timestamp(utc_now())
-        while True:
-            page = client.references_page(paper_id, offset, S2_PAGE_SIZE)
-            data = page.get("data") or []
+        for _, data in _pages(
+                lambda offset: client.references_page(paper_id, offset, S2_PAGE_SIZE)):
             for item in data:
                 cited = item.get("citedPaper") or {}
-                if not cited.get("paperId"):
-                    continue
-                rec = _record_from_s2(cited, canonical_id_for_s2(cited))
-                rec["retrieved_at"] = retrieved_at
-                records.append(PaperRecord.from_json_dict(rec))
-            nxt = page.get("next")
-            if not data or nxt is None:
-                break
-            offset = int(nxt)
+                if cited.get("paperId"):
+                    rec = _record_from_s2(cited, retrieved_at)
+                    records.append(PaperRecord.from_json_dict(rec))
         store.insert_new_papers(records)
         return {"ids": [r.canonical_id for r in records]}
 
@@ -1043,7 +1022,6 @@ class LlmHttpClient:
         api_key: Optional[str] = None,
         model: str = "gpt-3.5-turbo",
         transport: Optional[Transport] = None,
-        rate: float = 1.0,
         limiter: Optional[RateLimiter] = None,
     ):
         if not base_url:
@@ -1051,14 +1029,8 @@ class LlmHttpClient:
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.model = model
-        self._transport = transport
-        self.limiter = limiter if limiter is not None else RateLimiter(rate)
-
-    @property
-    def transport(self) -> Transport:
-        if self._transport is None:
-            self._transport = LiveTransport()
-        return self._transport
+        self.transport: Transport = transport if transport is not None else LiveTransport()
+        self.limiter = limiter if limiter is not None else RateLimiter()
 
     def complete(self, messages: Sequence[dict]) -> str:
         headers = {"Content-Type": "application/json"}

@@ -89,9 +89,13 @@ def s2_search_exchange(
 
 
 def s2_citations_exchange(
-    paper_id: str, citing_dates: list[str | None], offset: int = 0
+    paper_id: str, citing_dates: list[str | None], offset: int = 0,
+    next_offset: int | None = None,
 ) -> dict:
     data = [{"citingPaper": {"publicationDate": d}} for d in citing_dates]
+    body = {"offset": offset, "data": data}
+    if next_offset is not None:
+        body["next"] = next_offset
     return {
         "request": {
             "method": "GET",
@@ -102,7 +106,7 @@ def s2_citations_exchange(
                 "limit": str(S2_PAGE_SIZE),
             },
         },
-        "response": {"status": 200, "body": json.dumps({"offset": offset, "data": data})},
+        "response": {"status": 200, "body": json.dumps(body)},
     }
 
 
@@ -119,8 +123,13 @@ def s2_paper_exchange(paper_id: str, paper: dict, fields: str | None = None) -> 
     }
 
 
-def s2_references_exchange(paper_id: str, refs: list[dict], offset: int = 0) -> dict:
+def s2_references_exchange(
+    paper_id: str, refs: list[dict], offset: int = 0, next_offset: int | None = None
+) -> dict:
     data = [{"citedPaper": r} for r in refs]
+    body = {"offset": offset, "data": data}
+    if next_offset is not None:
+        body["next"] = next_offset
     return {
         "request": {
             "method": "GET",
@@ -131,8 +140,13 @@ def s2_references_exchange(paper_id: str, refs: list[dict], offset: int = 0) -> 
                 "limit": str(S2_PAGE_SIZE),
             },
         },
-        "response": {"status": 200, "body": json.dumps({"offset": offset, "data": data})},
+        "response": {"status": 200, "body": json.dumps(body)},
     }
+
+
+def with_body(exchange: dict, body) -> dict:
+    """The exchange answered with ``body``, any JSON value, in place of its own."""
+    return {**exchange, "response": {"status": 200, "body": json.dumps(body)}}
 
 
 def write_fixture_dir(path: Path, exchanges: list[dict], name: str = "recorded.ndjson") -> Path:
@@ -149,10 +163,13 @@ def write_fixture_dir(path: Path, exchanges: list[dict], name: str = "recorded.n
 
 
 class CountingTransport:
-    """Delegates to an inner transport while recording timestamps and keys."""
+    """Delegates to an inner transport while recording timestamps and keys.
+    A request past ``max_calls`` fails the test, so a fetch that would page
+    without end fails instead of hanging."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, max_calls: int | None = None):
         self.inner = inner
+        self.max_calls = max_calls
         self.calls: list[tuple[float, str]] = []
 
     @property
@@ -161,6 +178,7 @@ class CountingTransport:
 
     def request(self, method, url, params, headers, body=None):
         self.calls.append((time.monotonic(), request_key(method, url, params, body)))
+        assert self.max_calls is None or self.count <= self.max_calls, "paging did not end"
         return self.inner.request(method, url, params, headers, body)
 
 

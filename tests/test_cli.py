@@ -28,6 +28,7 @@ from conftest import (
     s2_paper_exchange,
     s2_references_exchange,
     s2_search_exchange,
+    with_body,
     write_fixture_dir,
 )
 import litmetrics
@@ -252,9 +253,12 @@ class TestScoreCommand:
         row = capsys.readouterr().out.splitlines()[1]
         assert row.startswith("arxiv:2402.11111  -     -      graph learning  -      error: ")
 
-    def test_a_malformed_citing_date_fails_its_paper_only(self, tmp_path, capsys):
+    @staticmethod
+    def score_iei_with_a_bad_second_page(tmp_path, capsys, bad_page: dict) -> str:
+        """`score --all --iei` of three papers whose second is answered with
+        ``bad_page``; checks that only it fails, and returns its row."""
         db = tmp_path / "s.db"
-        citing = {"9999.00001": ["2024-09-01"], "9999.00002": ["2024-09-02", "2024-13-40"],
+        citing = {"9999.00001": ["2024-09-01"], "9999.00002": ["2024-09-02"],
                   "9999.00003": ["2024-08-03", None]}
         with SnapshotStore(db) as store:
             for arxiv_id in citing:
@@ -262,21 +266,32 @@ class TestScoreCommand:
                     canonical_id=f"arxiv:{arxiv_id}", title=f"A Survey {arxiv_id}",
                     external_ids={"arxiv": arxiv_id}, topic_keyword="kw",
                     retrieved_at=datetime(2024, 1, 1)))
-        fixtures = write_fixture_dir(tmp_path / "fx", [
-            s2_citations_exchange(f"ARXIV:{arxiv_id}", dates)
-            for arxiv_id, dates in citing.items()])
+        exchanges = [s2_citations_exchange(f"ARXIV:{arxiv_id}", dates)
+                     for arxiv_id, dates in citing.items()]
+        exchanges[1] = bad_page
+        fixtures = write_fixture_dir(tmp_path / "fx", exchanges)
         code = main(["--db", str(db), "--fixtures", str(fixtures), "--rate", "1000",
                      "--now", "2024-10-01", "score", "--all", "--iei"])
         rows = capsys.readouterr().out.splitlines()[1:]
         assert code == 1
         assert [row.split()[0] for row in rows if "error: ParseError" in row] == [
             "arxiv:9999.00002"]
-        assert "malformed citations payload: citing date '2024-13-40'" in rows[1]
         with SnapshotStore(db, read_only=True) as store:
             assert sorted(store.latest_reports()) == ["arxiv:9999.00001", "arxiv:9999.00003"]
             cached = [json.loads(key)["paper_id"] for (key,) in
                       store._conn.execute("SELECT key FROM api_cache")]
         assert sorted(cached) == ["ARXIV:9999.00001", "ARXIV:9999.00003"]
+        return rows[1]
+
+    def test_a_malformed_citing_date_fails_its_paper_only(self, tmp_path, capsys):
+        bad = s2_citations_exchange("ARXIV:9999.00002", ["2024-09-02", "2024-13-40"])
+        row = self.score_iei_with_a_bad_second_page(tmp_path, capsys, bad)
+        assert "malformed citations payload: citing date '2024-13-40'" in row
+
+    def test_a_page_of_the_wrong_json_type_fails_its_paper_only(self, tmp_path, capsys):
+        bad = with_body(s2_citations_exchange("ARXIV:9999.00002", []), {"data": [1, 2]})
+        row = self.score_iei_with_a_bad_second_page(tmp_path, capsys, bad)
+        assert "malformed citations payload: 'int' object has no attribute 'get'" in row
 
     def test_reports_are_persisted(self, demo_db):
         with SnapshotStore(demo_db, read_only=True) as store:
@@ -437,6 +452,35 @@ class TestHarvestEnrich:
             "publication_date cannot postdate retrieval",
             "arxiv:2402.00002  enriched",
         ]
+
+    @pytest.mark.parametrize("page, error", [
+        ({"data": [{"title": "A Survey"}]}, "ParseError: malformed title search for s2:a: "
+                                             "no paperId in {'data': [{'title': 'A Survey'}]}"),
+        ([{"paperId": "a"}], "ParseError: malformed title search for s2:a: "
+                             "no paperId in [{'paperId': 'a'}]"),
+        ({"data": []}, "UnknownPaper: no search hit for title of s2:a"),
+    ], ids=["hit-without-paper-id", "page-not-an-object", "no-hit"])
+    def test_a_title_join_that_fails_fails_its_paper_only(self, tmp_path, capsys, page, error):
+        db = tmp_path / "h.db"
+        with SnapshotStore(db) as store:
+            for s2_id in ("a", "b"):
+                store.upsert_paper(PaperRecord(canonical_id=f"s2:{s2_id}",
+                                               title=f"Survey {s2_id.upper()}",
+                                               retrieved_at=datetime(2024, 1, 1)))
+        fixtures = write_fixture_dir(tmp_path / "fx", [
+            with_body(s2_search_exchange("Survey A", "paperId", [], limit=1), page),
+            s2_search_exchange("Survey B", "paperId", [{"paperId": "b"}], limit=1),
+            s2_paper_exchange("b", {"paperId": "b", "title": "Survey B",
+                                    "publicationDate": "2023-02-01", "citationCount": 4}),
+            s2_references_exchange("b", []),
+        ])
+        code = main(["--db", str(db), "--fixtures", str(fixtures), "--rate", "1000",
+                     "enrich", "s2:a", "s2:b"])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == [f"s2:a  error: {error}", "s2:b  enriched"]
+        with SnapshotStore(db, read_only=True) as store:
+            assert store.get_paper("s2:b").external_ids == {"s2": "b", "s2_join": "title"}
+            assert store.get_paper("s2:b").citation_count == 4
 
     def test_enrich_unknown_paper_reports_error(self, tmp_path, capsys):
         db = tmp_path / "h.db"

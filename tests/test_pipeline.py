@@ -783,8 +783,7 @@ class TestEnrich:
         old.upsert_paper(review(citation_count=None))
         stamp = format_timestamp(fresh.get_paper("s2:r1").retrieved_at)
         legacy = canonical_json({"records": [
-            {**retrieval._record_from_s2(ref, retrieval.canonical_id_for_s2(ref)),
-             "retrieved_at": stamp} for ref in self.REFS]})
+            retrieval._record_from_s2(ref, stamp) for ref in self.REFS]})
         paper_key = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
         old.write(cache_entries=[(paper_key, fresh.cache_get(paper_key), RETRIEVED),
                                  (REFERENCES_KEY, legacy, RETRIEVED)])

@@ -20,7 +20,9 @@ from conftest import (
     arxiv_exchange,
     s2_citations_exchange,
     s2_paper_exchange,
+    s2_references_exchange,
     s2_search_exchange,
+    with_body,
 )
 from litmetrics.errors import (
     EmptyKeyword,
@@ -50,6 +52,8 @@ from litmetrics.retrieval import (
     count_relevant,
     fetch_arxiv_candidates,
     fetch_monthly_citations,
+    fetch_paper_record,
+    fetch_references,
     fetch_topic_sample,
     llm_topic_keyword,
     parse_arxiv_feed,
@@ -57,6 +61,7 @@ from litmetrics.retrieval import (
 from litmetrics.snapshot import SnapshotStore
 
 NOW = date(2024, 10, 15)
+WINDOW = {"publicationDateOrYear": "2023-01-01:2023-06-01"}
 
 
 def s2_client(transport, rate=None):
@@ -187,6 +192,13 @@ class TestTopicSample:
         ctx = fetch_topic_sample(s2_client(transport), "big topic", k=150)
         assert len(ctx.sample_citation_counts) == 101
 
+    def test_a_page_with_more_hits_than_asked_for_is_cut_at_k(self):
+        data = [{"citationCount": c} for c in [5, 6, 7, 8]]
+        page = s2_search_exchange("topic", "citationCount", data, limit=3, next_offset=3)
+        transport = FixtureTransport.from_pairs([page])
+        ctx = fetch_topic_sample(s2_client(transport), "topic", k=3)
+        assert ctx.sample_citation_counts == (5, 6, 7)
+
 
 class TestMonthlyCitations:
     def test_bucketing_with_leading_zeros(self, fixture_transport_factory):
@@ -253,6 +265,15 @@ class TestMonthlyCitations:
         assert fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW, cache=cache) == fresh
         assert offline.attempts == 0
         assert cache.data == {key: legacy}
+
+    def test_a_next_that_does_not_advance_ends_the_paging(self):
+        exchange = s2_citations_exchange("p8", ["2024-09-01"], next_offset=0)
+        counting = CountingTransport(FixtureTransport.from_pairs([exchange]), max_calls=3)
+        cache = DictCache()
+        with pytest.raises(ParseError, match="malformed citations payload: page at offset 0 "
+                                             "names next 0, not one past it"):
+            fetch_monthly_citations(s2_client(counting), "p8", 6, now=NOW, cache=cache)
+        assert (counting.count, cache.data) == (1, {})
 
 
 def date_rule(raw) -> tuple[str, tuple[int, int] | None]:
@@ -678,7 +699,8 @@ class TestCacheIdempotenceAllOps:
 
 class TestNothingUndecodableIsCached:
     """A payload that fails its checks (`PaperRecord`'s, or the citing-date
-    rule) raises `ParseError` on every call and leaves no cache entry behind."""
+    rule), or holds a value of the wrong JSON type, raises `ParseError` on
+    every call and leaves no cache entry behind."""
 
     @pytest.mark.parametrize("op", ["paper", "references", "citations"])
     def test_each_call_fetches_again_and_raises(self, fixture_transport_factory, tmp_path, op):
@@ -713,3 +735,160 @@ class TestNothingUndecodableIsCached:
         key = retrieval.canonical_json({"op": op, "paper_id": "ARXIV:2401.88888"})
         assert store.cache_get(key) is None
         assert store.paper_count() == 0
+
+    @pytest.mark.parametrize("op, exchange", [
+        ("citations", with_body(s2_citations_exchange("pW", []), {"offset": 0, "data": [1, 2]})),
+        ("citations", with_body(s2_citations_exchange("pW", []),
+                                [{"citingPaper": {"publicationDate": "2024-09-01"}}])),
+        ("citations", with_body(s2_citations_exchange("pW", []),
+                                {"offset": 0, "data": [{"citingPaper": 5}]})),
+        ("topic_sample", with_body(s2_search_exchange("kw", "citationCount", [], limit=5),
+                                   {"offset": 0, "data": [1]})),
+        ("paper", s2_paper_exchange("pW", {"paperId": "pW", "externalIds": ["ArXiv"],
+                                           "title": "T"})),
+        # Python's JSON parser reads the non-standard `Infinity`
+        ("count_relevant", with_body(s2_search_exchange("kw", "publicationDate", [],
+                                                        extra=WINDOW),
+                                     {"data": [{"publicationDate": "2023-02-01"}],
+                                      "total": float("inf")})),
+    ], ids=["data-of-numbers", "body-an-array", "citing-paper-a-number", "topic-data-of-numbers",
+            "external-ids-a-list", "total-infinite"])
+    def test_a_value_of_the_wrong_json_type_raises_parse_error(self, op, exchange):
+        fetch = {
+            "citations": lambda client, cache: fetch_monthly_citations(
+                client, "pW", 6, now=NOW, cache=cache),
+            "topic_sample": lambda client, cache: fetch_topic_sample(client, "kw", 5, cache),
+            "paper": lambda client, cache: fetch_paper_record(client, "pW", cache),
+            "count_relevant": lambda client, cache: count_relevant(
+                client, "kw", date(2023, 1, 1), date(2023, 6, 1), cache),
+        }[op]
+        cache = DictCache()
+        with pytest.raises(ParseError, match=f"malformed {op} payload: "):
+            fetch(s2_client(FixtureTransport.from_pairs([exchange])), cache)
+        assert cache.data == {}
+
+
+class PaperDictCache(DictCache):
+    """A `DictCache` that also takes the papers `fetch_references` stores."""
+
+    def __init__(self):
+        super().__init__()
+        self.papers: list[PaperRecord] = []
+
+    def insert_new_papers(self, records):
+        self.papers.extend(records)
+
+
+REFS = [{"paperId": f"q{i}", "externalIds": {"DOI": f"10.1/q{i}"}, "title": f"Q{i}",
+         "publicationDate": "2020-01-01", "citationCount": i} for i in range(3)]
+# per paged op: its valid pages, each but the last naming the next one's
+# offset; the fetch; what the fetch returns from those pages, as the example
+# tests above find it; and the object paths inside an item of a page that the
+# op reads
+PAGED_OPS = {
+    "topic_sample": (
+        [s2_search_exchange("kw", "citationCount", [{"citationCount": 3}, {"citationCount": 1}],
+                            limit=5, next_offset=2),
+         s2_search_exchange("kw", "citationCount", [{"citationCount": 7}], offset=2, limit=3)],
+        lambda client, cache: fetch_topic_sample(
+            client, "kw", 5, cache).sample_citation_counts,
+        (3, 1, 7),
+        [],
+    ),
+    "citations": (
+        [s2_citations_exchange("pP", ["2024-09-01", "2024-08-15"], next_offset=100),
+         s2_citations_exchange("pP", ["2024-09-30"], offset=100)],
+        lambda client, cache: fetch_monthly_citations(
+            client, "pP", 6, now=NOW, cache=cache).monthly_counts,
+        (0, 0, 0, 0, 1, 2),
+        [("citingPaper",)],
+    ),
+    "count_relevant": (
+        [s2_search_exchange("kw", "publicationDate", [{"publicationDate": "2023-02-01"},
+                                                      {"publicationDate": "2022-12-31"}],
+                            extra=WINDOW, next_offset=100),
+         s2_search_exchange("kw", "publicationDate", [{"publicationDate": "2023-05-31"}],
+                            offset=100, extra=WINDOW)],
+        lambda client, cache: count_relevant(
+            client, "kw", date(2023, 1, 1), date(2023, 6, 1), cache),
+        (2, None),
+        [],
+    ),
+    "references": (
+        [s2_references_exchange("pP", REFS[:2], next_offset=100),
+         s2_references_exchange("pP", REFS[2:], offset=100)],
+        lambda client, cache: fetch_references(client, "pP", cache),
+        ["doi:10.1/q0", "doi:10.1/q1", "doi:10.1/q2"],
+        [("citedPaper",), ("citedPaper", "externalIds")],
+    ),
+}
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                         st.text(max_size=4))
+NOT_OBJECT = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=2))
+NOT_LIST = st.one_of(JSON_SCALARS, st.dictionaries(st.text(max_size=3), JSON_SCALARS,
+                                                   max_size=2))
+
+
+def replaced(value, path: tuple, new):
+    """A copy of the JSON ``value`` with the value at ``path`` set to ``new``."""
+    if not path:
+        return new
+    copy = list(value) if isinstance(value, list) else dict(value)
+    copy[path[0]] = new if len(path) == 1 else replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def page_mutations(offset: int, nested: list[tuple]) -> st.SearchStrategy:
+    """(path, new value, whether the op must fail: True, False or None for
+    either) for one page at ``offset``. A falsy ``data`` or nested object
+    reads as absent; a ``next`` never names an offset the fixture lacks."""
+    not_advancing = st.one_of(
+        st.integers(max_value=offset),
+        NOT_LIST.filter(lambda v: v is not None and not isinstance(v, (bool, int))),
+        st.lists(JSON_SCALARS, max_size=2))
+    return st.one_of(
+        NOT_OBJECT.map(lambda v: ((), v, True)),
+        NOT_LIST.map(lambda v: (("data",), v, bool(v))),
+        NOT_OBJECT.map(lambda v: (("data", 0), v, True)),
+        not_advancing.map(lambda v: (("next",), v, True)),
+        NOT_OBJECT.map(lambda v: (("total",), v, None)),
+        *(NOT_OBJECT.map(lambda v, p=p: (("data", 0, *p), v, bool(v))) for p in nested),
+    )
+
+
+class TestPageShapeProperties:
+    """Mutated pages of every paged op: only `ParseError` (or `EmptyResult`
+    for a topic left with no hit) leaves the fetch, a `ParseError` leaves no
+    cache entry and no stored paper, and unmutated pages give the examples'
+    result."""
+
+    @pytest.mark.parametrize("op", sorted(PAGED_OPS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_only_typed_errors_leave_and_a_failed_op_caches_nothing(self, op, data):
+        pages, fetch, expected, nested = PAGED_OPS[op]
+        bodies = [json.loads(page["response"]["body"]) for page in pages]
+        i = data.draw(st.integers(0, len(pages) - 1), label="page")
+        mutation = data.draw(st.none() | page_mutations(bodies[i]["offset"], nested),
+                             label="mutation")
+        if mutation is not None:
+            path, new, must_fail = mutation
+            pages = [*pages[:i], with_body(pages[i], replaced(bodies[i], path, new)),
+                     *pages[i + 1:]]
+        else:
+            must_fail = False
+        counting = CountingTransport(FixtureTransport.from_pairs(pages), max_calls=len(pages))
+        cache = PaperDictCache()
+        try:
+            result = fetch(s2_client(counting), cache)
+        except ParseError as exc:
+            assert must_fail is not False, exc
+            assert (cache.data, cache.papers) == ({}, [])
+        except EmptyResult:
+            assert op == "topic_sample" and must_fail is not True
+        else:
+            assert must_fail is not True, result
+            assert len(cache.data) == 1
+            if mutation is None:
+                assert result == expected
