@@ -12,6 +12,9 @@ behind its own limiter at ``--rate``, assign them. Compare, for example:
 
   python scripts/latency_probe.py --latency 1.5 --workers 1
   python scripts/latency_probe.py --latency 1.5 --workers 4
+
+The probe exits 1 when the score exits non-zero or prints a failed row, so a
+short run, such as ``--latency 0.01 --rate 1000``, checks the worker pool.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -101,9 +105,12 @@ def main() -> None:
         with contextlib.redirect_stdout(out):
             code = litmetrics_main(argv, transport=transport, llm=llm)
         elapsed = time.monotonic() - started
+    failed_rows = out.getvalue().count("Error")
     print(f"workers={args.workers} latency={args.latency}s rate={args.rate}/s "
           f"exit={code} requests={transport.count} llm_calls={llm.count if llm else 0} "
-          f"score_s={elapsed:.1f} failed_rows={out.getvalue().count('Error')}")
+          f"score_s={elapsed:.1f} failed_rows={failed_rows}")
+    if code or failed_rows:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -547,7 +547,6 @@ def main(
     except (ValueError, OSError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 2
-    runtime = None
     try:
         runtime = Runtime(settings, transport=transport, llm=llm,
                           read_only=args.command in READ_ONLY_COMMANDS)
@@ -555,15 +554,14 @@ def main(
             return COMMANDS[args.command](runtime, args, parser)
         except SystemExit as exc:  # parser.error inside a command
             return int(exc.code or 0)
+        finally:
+            runtime.close()  # writes the payloads the store still holds
     except LitmetricsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a defect: one line and exit 1, not a traceback
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if runtime is not None:
-            runtime.close()
 
 
 def entrypoint() -> None:

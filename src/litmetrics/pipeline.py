@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Optional, Sequence
@@ -28,10 +27,8 @@ from .indicators import (
     rui,
     tncsi,
 )
-from .jsonio import utc_now
 from .retrieval import (
     S2_SEARCH_CAP,
-    ApiCache,
     ArxivClient,
     LlmBackend,
     PaperRecord,
@@ -171,10 +168,8 @@ class ScoringEngine:
     ``records`` holds the papers that `load_records` read for the current
     batch, and ``references`` the (citation_count, publication_date) of
     their references, None for an id the store lacks; a paper or reference
-    they lack is read from the store. ``cache`` is
-    the store itself, so a `score` call on its own writes each fetched
-    payload as it arrives; `score_batch` swaps in a write-behind cache for
-    the length of the batch.
+    they lack is read from the store. Fetched payloads are cached in the
+    store, which writes them behind.
     """
 
     store: SnapshotStore
@@ -190,14 +185,10 @@ class ScoringEngine:
     references: dict[str, Optional[ReferenceFacts]] = field(
         default_factory=dict, init=False, repr=False
     )
-    cache: ApiCache = field(init=False, repr=False)
     _topic_fits: dict[str, _TopicFit] = field(default_factory=dict, init=False, repr=False)
     _topic_fits_lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
     )
-
-    def __post_init__(self) -> None:
-        self.cache = self.store
 
     def _now(self) -> date:
         return self.now or date.today()
@@ -261,7 +252,7 @@ class ScoringEngine:
 
     def _fetch_topic_fit(self, keyword: str) -> ExponentialFit:
         try:
-            context = fetch_topic_sample(self.s2, keyword, self.topic_k, cache=self.cache)
+            context = fetch_topic_sample(self.s2, keyword, self.topic_k, cache=self.store)
         except EmptyResult as exc:
             raise EmptyResult(f"TNCSI uncomputable: {exc}") from exc
         return fit_exponential_mle(context.sample_citation_counts)
@@ -310,7 +301,7 @@ class ScoringEngine:
 
         if "iei" in which:
             series = fetch_monthly_citations(
-                self.s2, api_id_for(record), IEI_WINDOW_MONTHS, now=now, cache=self.cache
+                self.s2, api_id_for(record), IEI_WINDOW_MONTHS, now=now, cache=self.store
             )
             report.iei_avg = iei_average(series)
             report.iei_instant = iei_instantaneous(series)
@@ -354,10 +345,10 @@ class ScoringEngine:
                 raise EmptyResult(f"{paper_id} has no dated references")
             median_ref_date = lower_median_date(dated)
             n_mp = count_relevant(
-                self.s2, keyword, median_ref_date, record.publication_date, cache=self.cache
+                self.s2, keyword, median_ref_date, record.publication_date, cache=self.store
             )
             n_pc = count_relevant(
-                self.s2, keyword, record.publication_date, now, cache=self.cache
+                self.s2, keyword, record.publication_date, now, cache=self.store
             )
             report.cdr = cdr(n_pc.count, n_mp.count)
             for name, n in (("n_mp", n_mp), ("n_pc", n_pc)):
@@ -384,59 +375,6 @@ class BatchItem:
     error: Optional[str] = None
 
 
-# A batch writes the payloads it holds once this many are held, or at the
-# first put this long after its last write. That bounds what a hard kill
-# loses and what the batch holds in memory. At the default `--rate` of one
-# request a second, fetches arrive about this far apart and each is written
-# about as it arrives; faster fetches (a higher rate, replayed fixtures)
-# share a transaction.
-BATCH_PENDING_MAX = 100
-BATCH_PENDING_MAX_AGE_S = 1.0
-
-
-class _BatchCache:
-    """Read-through, write-behind API cache for one `score_batch` run.
-
-    Lookups see the batch's pending payloads first, then the store. Puts are
-    held in memory with the time of the put, and written in one transaction
-    when a bound above is reached and when the batch closes the cache; after
-    that, each put is written at once.
-    """
-
-    def __init__(self, store: SnapshotStore):
-        self.store = store
-        self.pending: dict[str, tuple[str, datetime]] = {}
-        self.closed = False
-        self._lock = threading.Lock()
-        self._written_at = time.monotonic()
-
-    def cache_get(self, key: str) -> Optional[str]:
-        with self._lock:
-            hit = self.pending.get(key)
-        return hit[0] if hit is not None else self.store.cache_get(key)
-
-    def cache_put(self, key: str, payload: str) -> None:
-        with self._lock:
-            self.pending[key] = (payload, utc_now())
-            if (self.closed or len(self.pending) >= BATCH_PENDING_MAX
-                    or time.monotonic() - self._written_at >= BATCH_PENDING_MAX_AGE_S):
-                self._write(())
-
-    def close(self, reports: Sequence[tuple[str, IndicatorReport]]) -> None:
-        """Write the pending payloads and ``reports`` in one transaction."""
-        with self._lock:
-            self.closed = True
-            self._write(reports)
-
-    def _write(self, reports: Sequence[tuple[str, IndicatorReport]]) -> None:
-        # under the lock, and cleared only once written, so a lookup finds a
-        # payload either here or in the store
-        entries = [(key, payload, at) for key, (payload, at) in self.pending.items()]
-        self.store.write(reports, entries)
-        self.pending.clear()
-        self._written_at = time.monotonic()
-
-
 def score_batch(
     engine: ScoringEngine,
     paper_ids: Sequence[str],
@@ -447,13 +385,12 @@ def score_batch(
     """Score many papers through a bounded worker pool.
 
     The papers and their references are read in bulk before scoring. The API
-    payloads fetched while scoring are held back, within the bounds of
-    `BATCH_PENDING_MAX` and `BATCH_PENDING_MAX_AGE_S`, and the last of them
-    are written together with the reports in one transaction after it. When
-    the batch raises, when ``persist`` is false or when no paper scored, the
-    payloads are still written, and no report is. Results keep the input
-    order regardless of completion order; per-item failures are captured,
-    never raised.
+    payloads fetched while scoring are held by the store, within its bounds,
+    and the last of them are written together with the reports in one
+    transaction after it. When the batch raises, when ``persist`` is false or
+    when no paper scored, the payloads are still written, and no report is.
+    Results keep the input order regardless of completion order; per-item
+    failures are captured, never raised.
     """
     engine.load_records(paper_ids, which)
 
@@ -464,7 +401,6 @@ def score_batch(
             return BatchItem(paper_id=pid, error=f"{type(exc).__name__}: {exc}")
         return BatchItem(paper_id=pid, report=report)
 
-    engine.cache = cache = _BatchCache(engine.store)
     reports: list[tuple[str, IndicatorReport]] = []
     try:
         if workers <= 1 or len(paper_ids) <= 1:
@@ -477,6 +413,5 @@ def score_batch(
         if persist:
             reports = [(item.paper_id, item.report) for item in items if item.report is not None]
     finally:
-        engine.cache = engine.store
-        cache.close(reports)
+        engine.store.write(reports)
     return items

@@ -59,13 +59,21 @@ ATOM_NS = {"atom": "http://www.w3.org/2005/Atom"}
 # ---------------------------------------------------------------------------
 
 
+def _check_count(name: str, value: Any) -> None:
+    """Raise ValueError unless ``value`` is a JSON integer, not a bool, >= 0."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def check_citation_facts(
     citation_count: Optional[int], publication_date: Optional[date], retrieved_at: datetime
 ) -> None:
     """The checks a record makes on its citation count and publication date,
     the two fields RQM and RUI read of a reference."""
-    if citation_count is not None and citation_count < 0:
-        raise ValueError("citation_count must be non-negative")
+    if citation_count is not None:
+        _check_count("citation_count", citation_count)
     if publication_date is not None and publication_date > retrieved_at.date():
         raise ValueError("publication_date cannot postdate retrieval")
 
@@ -673,7 +681,9 @@ def fetch_topic_sample(
     """Citation counts of up to k search hits for the keyword.
 
     The search endpoint and paging parameters are recorded in the context's
-    provenance, since relevance ranking affects which sample is drawn.
+    provenance, since relevance ranking affects which sample is drawn. A hit
+    with no count counts 0; a count that is not a non-negative integer, fetched
+    or cached, raises `ParseError`, and a fetched one caches nothing.
     """
     if not keyword or not keyword.strip():
         raise EmptyKeyword("keyword must be non-empty")
@@ -685,7 +695,8 @@ def fetch_topic_sample(
         for _, data in _pages(lambda offset: client.search_page(
                 keyword, offset, min(S2_PAGE_SIZE, k - len(counts)), "citationCount")):
             for item in data[: k - len(counts)]:
-                counts.append(int(item.get("citationCount") or 0))
+                count = item.get("citationCount")
+                counts.append(0 if count is None else count)
             if len(counts) >= k:
                 break
         return {
@@ -698,7 +709,13 @@ def fetch_topic_sample(
             },
         }
 
-    payload = _cached_call(cache, {"op": "topic_sample", "keyword": keyword, "k": k}, compute)
+    def decode(payload: dict) -> dict:
+        for count in payload["counts"]:
+            _check_count("citationCount", count)
+        return payload
+
+    payload = _cached_call(
+        cache, {"op": "topic_sample", "keyword": keyword, "k": k}, compute, decode)
     if not payload["counts"]:
         raise EmptyResult(f"no search hits for keyword {keyword!r}")
     return TopicContext(
@@ -937,8 +954,9 @@ def fetch_references(
     ``{"ids": [...]}``. A record that fails `PaperRecord`'s checks raises
     `ParseError` before anything is stored. Rows before ids: a cached list
     never names a paper the store lacks, since a failure between the two
-    leaves no list and the next call fetches again; a cache that defers its
-    puts must still write the list only after the rows. On a hit no record
+    leaves no list and the next call fetches again. `SnapshotStore` commits
+    the rows at once and holds the list until its next write, so a hard kill
+    can lose the list, never the rows it names. On a hit no record
     is decoded and no row written. A list cached as ``{"records": [...]}``,
     the format before ids, is served as it always was: its records are
     decoded and inserted as new, and the payload stays as it is.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import time
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date, datetime
 from pathlib import Path
@@ -25,6 +26,15 @@ SCHEMA_VERSION = 1
 
 # ids bound per `IN (...)` query, well below SQLite's parameter limit
 _IN_CHUNK = 500
+
+# The store holds the API payloads put into it and writes them once this many
+# are held, or at the first put this long after its last write. That bounds
+# what a hard kill loses and what the store holds in memory. At the default
+# `--rate` of one request a second, fetches arrive about this far apart and
+# each is written about as it arrives; faster fetches (a higher rate,
+# replayed fixtures) share a transaction.
+PENDING_MAX = 100
+PENDING_MAX_AGE_S = 1.0
 
 FEATURE_NAMES = (
     "taxonomy",
@@ -149,7 +159,10 @@ class SnapshotStore:
     """Versioned local snapshot; safe for concurrent readers, one writer.
 
     sqlite3 here reports threadsafety level 1, so the shared connection is
-    serialized by a lock on every access, reads included.
+    serialized by a lock on every access, reads included. API payloads are
+    written behind: `cache_put` holds them, within the bounds of
+    `PENDING_MAX` and `PENDING_MAX_AGE_S`, and `write` and `close` store
+    what is held.
     """
 
     def __init__(self, path: str | Path, read_only: bool = False,
@@ -157,6 +170,9 @@ class SnapshotStore:
         self.path = Path(path)
         self.read_only = read_only
         self._lock = threading.RLock()
+        # key -> (payload, time of the put), until written; under the lock
+        self._pending: dict[str, tuple[str, datetime]] = {}
+        self._written_at = time.monotonic()
         exists = self.path.exists()
         if read_only and not exists:
             raise StorageError(f"snapshot {self.path} does not exist")
@@ -195,7 +211,11 @@ class SnapshotStore:
         )
 
     def close(self) -> None:
-        self._conn.close()
+        """Write the held payloads, then close the connection."""
+        try:
+            self.write()
+        finally:
+            self._conn.close()
 
     def __enter__(self) -> "SnapshotStore":
         return self
@@ -350,22 +370,21 @@ class SnapshotStore:
     def store_report(self, paper_id: str, report: IndicatorReport) -> None:
         self.write([(paper_id, report)])
 
-    def write(self, reports: Iterable[tuple[str, IndicatorReport]] = (),
-              cache_entries: Iterable[tuple[str, str, datetime]] = ()) -> None:
-        """Append (paper id, report) pairs and upsert (key, payload, stored_at)
-        API-cache entries in one transaction: all are stored, or, when a paper
-        is unknown or the write fails, none. A cached key keeps the stored_at
-        of its first put."""
+    def write(self, reports: Iterable[tuple[str, IndicatorReport]] = ()) -> None:
+        """Append (paper id, report) pairs and upsert the held API payloads in
+        one transaction: all are stored, or, when a paper is unknown or the
+        write fails, none, and the payloads stay held. A cached key keeps the
+        stored_at of its first put."""
         rows = [
             (paper_id, format_timestamp(report.computed_at or utc_now()),
              canonical_json(report_to_json_dict(report)))
             for paper_id, report in reports
         ]
-        cached = [(key, payload, format_timestamp(stored_at))
-                  for key, payload, stored_at in cache_entries]
-        if not rows and not cached:
-            return
         with self._lock:
+            cached = [(key, payload, format_timestamp(stored_at))
+                      for key, (payload, stored_at) in self._pending.items()]
+            if not rows and not cached:
+                return
             stored = {cid for (cid,) in self.paper_fields("canonical_id", (r[0] for r in rows))}
             for paper_id, _, _ in rows:
                 if paper_id not in stored:
@@ -383,6 +402,8 @@ class SnapshotStore:
                     )
             except sqlite3.Error as exc:
                 raise StorageError(f"snapshot write failed: {exc}") from exc
+            self._pending.clear()
+            self._written_at = time.monotonic()
 
     def latest_report(self, paper_id: str) -> Optional[IndicatorReport]:
         with self._lock:
@@ -451,11 +472,23 @@ class SnapshotStore:
     # -- API cache ----------------------------------------------------------
 
     def cache_get(self, key: str) -> Optional[str]:
+        """The payload held or stored under the key, None if neither."""
         with self._lock:
+            held = self._pending.get(key)
+            if held is not None:
+                return held[0]
             row = self._conn.execute(
                 "SELECT payload FROM api_cache WHERE key = ?", (key,)
             ).fetchone()
         return row[0] if row else None
 
     def cache_put(self, key: str, payload: str) -> None:
-        self.write(cache_entries=[(key, payload, utc_now())])
+        """Hold the payload, stamped with the time of the put, and write what
+        is held once a bound is reached."""
+        if self.read_only:
+            raise StorageError(f"snapshot {self.path} is read-only")
+        with self._lock:
+            self._pending[key] = (payload, utc_now())
+            if (len(self._pending) >= PENDING_MAX
+                    or time.monotonic() - self._written_at >= PENDING_MAX_AGE_S):
+                self.write()

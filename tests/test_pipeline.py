@@ -18,12 +18,13 @@ from conftest import (
     s2_paper_exchange,
     s2_references_exchange,
     s2_search_exchange,
+    with_body,
 )
-from litmetrics import pipeline, retrieval, snapshot
+from litmetrics import retrieval, snapshot
 from litmetrics.cli import main
 from litmetrics.demo import DEMO_NOW, build_demo_corpus, build_demo_snapshot
 from litmetrics.errors import EmptyResult, LlmUnavailable, StorageError, UnknownPaper
-from litmetrics.jsonio import canonical_json, format_timestamp
+from litmetrics.jsonio import canonical_json, format_date, format_timestamp
 from litmetrics.pipeline import (
     ScoringEngine,
     api_id_for,
@@ -431,14 +432,14 @@ class TestBatchWrites:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_a_cold_batch_commits_once(self, tmp_path, demo_corpus, demo_payloads, workers,
                                        monkeypatch):
-        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX_AGE_S", 1e9)  # a slow host stays at one
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)  # a slow host stays at one
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         ids = [p.canonical_id for p in demo_corpus.papers]
         engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
         statements = []
         store._conn.set_trace_callback(statements.append)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # workers interleave inside the batch cache
+        sys.setswitchinterval(1e-6)  # workers interleave inside the store
         try:
             items = score_batch(engine, ids, workers=workers)
         finally:
@@ -535,6 +536,28 @@ class TestBatchWrites:
         assert store.latest_reports() == {}
         assert payloads(store) == demo_payloads
 
+    def test_a_negative_topic_count_fails_its_topic_only(self, tmp_path, demo_corpus, capsys):
+        db = tmp_path / "s.db"
+        cold_demo_store(db, demo_corpus).close()
+        exchanges = list(demo_corpus.exchanges)
+        i, page = next((i, json.loads(x["response"]["body"])) for i, x in enumerate(exchanges)
+                       if x["request"]["params"].get("fields") == "citationCount")
+        keyword = exchanges[i]["request"]["params"]["query"]
+        page["data"][0]["citationCount"] = -5
+        exchanges[i] = with_body(exchanges[i], page)
+        code = main(["--db", str(db), "--rate", "100000", "--now", "2024-10-01",
+                     "score", "--all"], transport=FixtureTransport.from_pairs(exchanges))
+        out, err = capsys.readouterr()
+        assert code == 1 and "internal" not in err
+        failed = [row.split()[0] for row in out.splitlines()
+                  if "error: ParseError: malformed topic_sample payload: "
+                     "citationCount must be non-negative" in row]
+        assert failed == [p.canonical_id for p in demo_corpus.papers if p.topic_keyword == keyword]
+        with SnapshotStore(db, read_only=True) as store:
+            assert len(store.latest_reports()) == len(demo_corpus.papers) - len(failed)
+            assert not any(json.loads(key) == {"op": "topic_sample", "keyword": keyword,
+                                               "k": 1000} for key in payloads(store))
+
     def test_a_payload_put_in_the_batch_serves_its_later_lookups(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(reference("s2:r1", date(2015, 1, 1), 50))
@@ -559,8 +582,8 @@ class TestBatchWrites:
 
     def test_a_batch_writes_whenever_it_holds_the_most_payloads(
             self, tmp_path, demo_corpus, demo_payloads, monkeypatch):
-        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX", 3)
-        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX_AGE_S", 1e9)
+        monkeypatch.setattr(snapshot, "PENDING_MAX", 3)
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         ids = [p.canonical_id for p in demo_corpus.papers]
         engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
@@ -575,7 +598,7 @@ class TestBatchWrites:
         clock = [0.0]
 
         class PacedTransport:
-            """Moves the batch's clock 0.6 s forward per request."""
+            """Moves the store's clock 0.6 s forward per request."""
 
             def __init__(self, inner):
                 self.inner = inner
@@ -584,7 +607,7 @@ class TestBatchWrites:
                 clock[0] += 0.6
                 return self.inner.request(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(snapshot, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         ids = [p.canonical_id for p in demo_corpus.papers[:4]]
         transport = PacedTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
@@ -594,30 +617,35 @@ class TestBatchWrites:
         assert begins == 3
         assert len(store._conn.execute("SELECT key FROM api_cache").fetchall()) == 4
 
-    def test_puts_after_the_batch_closed_are_written_at_once(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX", 10**9)
-        monkeypatch.setattr(pipeline, "BATCH_PENDING_MAX_AGE_S", 1e9)
+    def test_puts_while_a_write_runs_are_all_stored(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX", 10**9)
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = SnapshotStore(tmp_path / "s.db")
-        cache = pipeline._BatchCache(store)
-        halfway, closed = threading.Barrier(5), threading.Event()
+        halfway, go = threading.Barrier(5), threading.Event()
 
-        def put(worker):  # a worker that a second Ctrl-C left running
+        def put(worker):  # a batch worker, still fetching while the store writes
             for n in range(100):
-                cache.cache_put(f"{worker}-{n}", "{}")
+                store.cache_put(f"{worker}-{n}", "{}")
                 if n == 49:
                     halfway.wait()
-                    closed.wait()
+                    go.wait()
 
         threads = [threading.Thread(target=put, args=(w,)) for w in range(4)]
         for thread in threads:
             thread.start()
         halfway.wait()
-        cache.close([])
-        closed.set()
-        for thread in threads:
-            thread.join()
-        assert cache.pending == {}
-        assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the puts interleave with the write
+        try:
+            go.set()
+            store.write()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        store.close()
+        with SnapshotStore(tmp_path / "s.db", read_only=True) as reopened:
+            assert reopened._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 400
 
     def test_stored_at_is_the_time_of_the_put(self, tmp_path, demo_corpus, monkeypatch):
         clock = [datetime(2024, 10, 1)]
@@ -632,7 +660,6 @@ class TestBatchWrites:
                 clock[0] += timedelta(minutes=1)
                 return self.inner.request(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "utc_now", lambda: clock[0])
         monkeypatch.setattr(snapshot, "utc_now", lambda: clock[0])
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         papers = demo_corpus.papers[:2]
@@ -768,6 +795,7 @@ class TestEnrich:
         store.upsert_paper(review(citation_count=None))
         enrich(store, fast_client(self.EXCHANGES), "arxiv:2301.00001")
         assert json.loads(store.cache_get(REFERENCES_KEY)) == {"ids": ["s2:r1", "s2:r2", "s2:r2"]}
+        store.write()
         references = [json.loads(payload) for key, payload in store._conn.execute(
             "SELECT key, payload FROM api_cache") if json.loads(key)["op"] == "references"]
         assert references and not any("records" in payload for payload in references)
@@ -785,8 +813,8 @@ class TestEnrich:
         legacy = canonical_json({"records": [
             retrieval._record_from_s2(ref, stamp) for ref in self.REFS]})
         paper_key = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
-        old.write(cache_entries=[(paper_key, fresh.cache_get(paper_key), RETRIEVED),
-                                 (REFERENCES_KEY, legacy, RETRIEVED)])
+        old.cache_put(paper_key, fresh.cache_get(paper_key))
+        old.cache_put(REFERENCES_KEY, legacy)
         offline = OfflineTransport()
         enrich(old, replay_client(offline), "arxiv:2301.00001")
         assert offline.attempts == 0
@@ -813,6 +841,114 @@ class TestEnrich:
         monkeypatch.setattr(store, "cache_put", put)
         enrich(store, replay_client(counting), "arxiv:2301.00001")
         assert sum("/references" in key for _, key in counting.calls) == 2
+        store.write()
         stored = self.papers_rows(store).keys()
         for key, payload in store._conn.execute("SELECT key, payload FROM api_cache"):
             assert set(json.loads(payload).get("ids", ())) <= stored, key
+
+
+def demo_enrich_exchanges(corpus, bad_reference_of: str = "") -> list[dict]:
+    """The paper and references exchanges `enrich` makes for each demo paper;
+    the references of the paper ``bad_reference_of`` names hold a negative
+    citation count."""
+    refs = {r.canonical_id: r for r in corpus.references}
+    exchanges = []
+    for paper in corpus.papers:
+        api_id = f"ARXIV:{paper.external_ids['arxiv']}"
+        exchanges.append(s2_paper_exchange(api_id, {
+            "paperId": paper.external_ids["s2"],
+            "externalIds": {"ArXiv": paper.external_ids["arxiv"]},
+            "title": paper.title, "publicationDate": format_date(paper.publication_date),
+            "citationCount": paper.citation_count}))
+        cited = [{"paperId": refs[rid].external_ids["s2"], "externalIds": {},
+                  "title": refs[rid].title,
+                  "publicationDate": format_date(refs[rid].publication_date),
+                  "citationCount": refs[rid].citation_count} for rid in paper.reference_ids]
+        if paper.canonical_id == bad_reference_of:
+            cited[-1] = {**cited[-1], "citationCount": -1}
+        exchanges.append(s2_references_exchange(api_id, cited))
+    return exchanges
+
+
+class TestEnrichWrites:
+    def test_enrich_all_commits_about_twice_a_paper(self, tmp_path, demo_corpus, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        store = SnapshotStore(tmp_path / "s.db")
+        store.insert_new_papers(demo_corpus.papers)
+        client = fast_client(demo_enrich_exchanges(demo_corpus))
+        ids = store.review_ids()
+
+        def enrich_all():  # as `enrich --all` runs, then closes the store
+            for cid in ids:
+                enrich(store, client, cid)
+            store.write()
+
+        # each paper's reference rows, then the paper itself; the payloads,
+        # two a paper, are written together at the end
+        assert begin_count(store, enrich_all) == 2 * len(ids) + 1
+        store.close()
+        with SnapshotStore(tmp_path / "s.db", read_only=True) as reopened:
+            assert len(payloads(reopened)) == 2 * len(ids)
+            for paper in demo_corpus.papers:
+                assert reopened.get_paper(paper.canonical_id).reference_ids == paper.reference_ids
+
+    @pytest.mark.parametrize("abort", [False, True], ids=["parse-error", "transport-defect"])
+    def test_a_failing_enrich_keeps_the_rows_and_payloads_before_it(
+            self, tmp_path, demo_corpus, capsys, abort):
+        db = tmp_path / "s.db"
+        with SnapshotStore(db) as store:
+            store.insert_new_papers(demo_corpus.papers)
+        ids = sorted(p.canonical_id for p in demo_corpus.papers)
+        failing = next(p for p in demo_corpus.papers if p.canonical_id == ids[3])
+        references_url = f"{S2_API_URL}/paper/ARXIV:{failing.external_ids['arxiv']}/references"
+        if abort:
+            transport = BreakingTransport(
+                FixtureTransport.from_pairs(demo_enrich_exchanges(demo_corpus)),
+                references_url, RuntimeError("transport defect"))
+        else:
+            transport = FixtureTransport.from_pairs(
+                demo_enrich_exchanges(demo_corpus, bad_reference_of=failing.canonical_id))
+        code = main(["--db", str(db), "--rate", "100000", "enrich", "--all"],
+                    transport=transport)
+        out, err = capsys.readouterr()
+        assert code == 1
+        if abort:  # the run stops at the failing paper
+            assert err == "error: internal: RuntimeError: transport defect\n"
+            enriched = ids[:3]
+        else:  # the failing paper alone
+            assert err == ""
+            assert f"{failing.canonical_id}  error: ParseError" in out
+            enriched = [cid for cid in ids if cid != failing.canonical_id]
+        assert out.count("  enriched") == len(enriched)
+        with SnapshotStore(db, read_only=True) as store:
+            stored = {cid for (cid,) in store.paper_fields("canonical_id")}
+            cached = payloads(store)
+            for key, payload in cached.items():
+                assert set(payload.get("ids", ())) <= stored, key
+            for cid in enriched:
+                paper = next(p for p in demo_corpus.papers if p.canonical_id == cid)
+                assert store.get_paper(cid).reference_ids == paper.reference_ids
+                references_key = canonical_json(
+                    {"op": "references", "paper_id": f"ARXIV:{paper.external_ids['arxiv']}"})
+                assert cached[references_key] == {"ids": paper.reference_ids}
+            assert canonical_json({"op": "references",
+                                   "paper_id": f"ARXIV:{failing.external_ids['arxiv']}"}) \
+                not in cached
+
+    def test_a_write_that_fails_at_close_exits_1_with_one_line(
+            self, tmp_path, demo_corpus, capsys, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        db = tmp_path / "s.db"
+        with SnapshotStore(db) as store:
+            store.insert_new_papers(demo_corpus.papers)
+        paper_id = demo_corpus.papers[0].canonical_id
+
+        def failing_write(self, reports=()):
+            raise StorageError("disk full")
+
+        monkeypatch.setattr(SnapshotStore, "write", failing_write)
+        code = main(["--db", str(db), "--rate", "100000", "enrich", paper_id],
+                    transport=FixtureTransport.from_pairs(demo_enrich_exchanges(demo_corpus)))
+        assert code == 1
+        assert capsys.readouterr() == (f"{paper_id}  enriched\n",
+                                       "error: StorageError: disk full\n")

@@ -192,6 +192,12 @@ class TestTopicSample:
         ctx = fetch_topic_sample(s2_client(transport), "big topic", k=150)
         assert len(ctx.sample_citation_counts) == 101
 
+    def test_a_hit_without_a_count_counts_zero(self):
+        page = s2_search_exchange("topic", "citationCount",
+                                  [{"citationCount": 4}, {}, {"citationCount": None}], limit=3)
+        ctx = fetch_topic_sample(s2_client(FixtureTransport.from_pairs([page])), "topic", k=3)
+        assert ctx.sample_citation_counts == (4, 0, 0)
+
     def test_a_page_with_more_hits_than_asked_for_is_cut_at_k(self):
         data = [{"citationCount": c} for c in [5, 6, 7, 8]]
         page = s2_search_exchange("topic", "citationCount", data, limit=3, next_offset=3)
@@ -751,8 +757,18 @@ class TestNothingUndecodableIsCached:
                                                         extra=WINDOW),
                                      {"data": [{"publicationDate": "2023-02-01"}],
                                       "total": float("inf")})),
+        *(("topic_sample", s2_search_exchange(
+            "kw", "citationCount", [{"citationCount": 3}, {"citationCount": count}], limit=5))
+          for count in (1.5, True, "7", -5)),
+        *(("references", s2_references_exchange("pW", [
+            {"paperId": "q0", "externalIds": {}, "title": "Q0",
+             "publicationDate": "2020-01-01", "citationCount": count}]))
+          for count in (1.5, float("inf"), True)),
     ], ids=["data-of-numbers", "body-an-array", "citing-paper-a-number", "topic-data-of-numbers",
-            "external-ids-a-list", "total-infinite"])
+            "external-ids-a-list", "total-infinite", "topic-count-fractional",
+            "topic-count-a-bool", "topic-count-a-string", "topic-count-negative",
+            "reference-count-fractional",
+            "reference-count-infinite", "reference-count-a-bool"])
     def test_a_value_of_the_wrong_json_type_raises_parse_error(self, op, exchange):
         fetch = {
             "citations": lambda client, cache: fetch_monthly_citations(
@@ -761,11 +777,21 @@ class TestNothingUndecodableIsCached:
             "paper": lambda client, cache: fetch_paper_record(client, "pW", cache),
             "count_relevant": lambda client, cache: count_relevant(
                 client, "kw", date(2023, 1, 1), date(2023, 6, 1), cache),
+            "references": lambda client, cache: fetch_references(client, "pW", cache),
         }[op]
-        cache = DictCache()
+        cache = PaperDictCache()
         with pytest.raises(ParseError, match=f"malformed {op} payload: "):
             fetch(s2_client(FixtureTransport.from_pairs([exchange])), cache)
-        assert cache.data == {}
+        assert (cache.data, cache.papers) == ({}, [])
+
+    def test_a_topic_count_cached_before_counts_were_checked_raises_parse_error(self):
+        cache = DictCache()
+        key = retrieval.canonical_json({"op": "topic_sample", "keyword": "kw", "k": 5})
+        cache.cache_put(key, retrieval.canonical_json(
+            {"counts": [3, -5], "fetched_at": "2024-10-01T00:00:00Z", "provenance": {}}))
+        with pytest.raises(ParseError, match="malformed topic_sample payload: "
+                                             "citationCount must be non-negative"):
+            fetch_topic_sample(s2_client(OfflineTransport()), "kw", 5, cache)
 
 
 class PaperDictCache(DictCache):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from litmetrics import snapshot
 from litmetrics.errors import SchemaMismatch, StorageError, UnknownPaper
 from litmetrics.indicators import IndicatorReport
 from litmetrics.retrieval import PaperRecord
@@ -153,15 +154,19 @@ class TestReportsAndFeatures:
         with pytest.raises(UnknownPaper):
             store.store_report("arxiv:nope", IndicatorReport(tncsi=0.5))
 
-    def test_store_reports_is_one_transaction(self, store):
+    def test_store_reports_is_one_transaction(self, store, monkeypatch):
         ids = [f"arxiv:{n}" for n in range(3)]
         for cid in ids:
             store.upsert_paper(record(cid))
         store.cache_put("k1", "old")
+        store.write()
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        monkeypatch.setattr(snapshot, "utc_now", lambda: datetime(2024, 6, 1))
+        store.cache_put("k1", "new")
+        store.cache_put("k2", "v")
         statements = []
         store._conn.set_trace_callback(statements.append)
-        store.write([(cid, IndicatorReport(tncsi=0.1 * n)) for n, cid in enumerate(ids)],
-                    [("k1", "new", datetime(2024, 6, 1)), ("k2", "v", datetime(2024, 6, 1))])
+        store.write([(cid, IndicatorReport(tncsi=0.1 * n)) for n, cid in enumerate(ids)])
         store._conn.set_trace_callback(None)
         verbs = [sql.split()[0] for sql in statements]
         assert verbs.count("BEGIN") == 1 and verbs.count("COMMIT") == 1
@@ -173,12 +178,15 @@ class TestReportsAndFeatures:
 
     def test_store_reports_with_unknown_paper_stores_none(self, store):
         store.upsert_paper(record("arxiv:1"))
+        store.cache_put("k", "v")
         with pytest.raises(UnknownPaper, match="arxiv:nope"):
             store.write([("arxiv:1", IndicatorReport(tncsi=0.5)),
-                         ("arxiv:nope", IndicatorReport(tncsi=0.5))],
-                        [("k", "v", RETRIEVED)])
+                         ("arxiv:nope", IndicatorReport(tncsi=0.5))])
         assert store.report_history("arxiv:1") == []
-        assert store.cache_get("k") is None
+        assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 0
+        assert store.cache_get("k") == "v"  # still held, and written with the next write
+        store.write()
+        assert store._conn.execute("SELECT payload FROM api_cache").fetchall() == [("v",)]
 
     def test_latest_reports_pick_as_latest_report_does(self, store):
         for cid in ("arxiv:1", "arxiv:2", "arxiv:3"):
@@ -281,6 +289,15 @@ class TestCache:
         assert store.cache_get("k") == '{"v": 1}'
         store.cache_put("k", '{"v": 2}')
         assert store.cache_get("k") == '{"v": 2}'
+
+    def test_a_put_is_held_until_the_store_closes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        path = tmp_path / "s.db"
+        with SnapshotStore(path) as store:
+            store.cache_put("k", "v")
+            assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 0
+        with SnapshotStore(path, read_only=True) as reopened:
+            assert reopened.cache_get("k") == "v"
 
 
 class TestCanonicalJsonIO:
