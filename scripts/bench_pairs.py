@@ -12,7 +12,8 @@ ones, each as `python3 perfbench/run.py --workload W --seed S --seconds N
       --seeds 901-910 --out BENCH_9.json
 
 The output file keeps every run: its seed, side, position in the pair, exit
-status, the environment line and the JSON line run.py printed. Runs already
+status, the environment line, the JSON line run.py printed and the wall
+seconds of each step of each round, from run.py's `# round` lines. Runs already
 in the file are kept, so several calls (workloads, traced runs) build one
 file. The summary is recomputed over all of them, per workload and trace
 mode: each metric's median and quartiles per side (`statistics.quantiles`,
@@ -29,6 +30,9 @@ Each metric also carries the verdicts of the claim rule:
 - ``unresolved``: the parent's quartile spread is wider than that bound, so
   the runs cannot show a change of the bound's size.
 The last two are None for a metric without a bound.
+
+Each step (``enrich``, ``score``, ...) gets the median and quartiles per side
+of its runs' median round, with no verdict.
 """
 
 from __future__ import annotations
@@ -54,6 +58,14 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
+def round_steps(stderr: str) -> list[dict[str, float]]:
+    """Wall seconds per step of each round, from lines such as
+    ``# round enrich=0.5123 score=0.1874``."""
+    return [{step: float(value) for step, _, value in
+             (item.partition("=") for item in line.split()[2:])}
+            for line in stderr.splitlines() if line.startswith("# round ")]
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -68,12 +80,26 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         "rc": proc.returncode,
         "environment": next((line[2:] for line in lines if line.startswith("# python")), None),
         "result": json_lines[-1] if json_lines else None,
+        "rounds": round_steps(proc.stderr),
     }
 
 
 def quartiles(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+
+
+def step_times(complete: list[dict]) -> dict:
+    """Per step and side, the quartiles of each run's median round."""
+    medians: dict[str, dict[str, list[float]]] = {}
+    for pair in complete:
+        for side in SIDES:
+            rounds = pair[side].get("rounds") or []
+            for step in rounds[0] if rounds else ():
+                medians.setdefault(step, {}).setdefault(side, []).append(
+                    statistics.median(r[step] for r in rounds))
+    return {step: {side: quartiles(values) for side, values in sides.items()}
+            for step, sides in sorted(medians.items())}
 
 
 def summarise(runs: list[dict], better: dict[str, str],
@@ -83,13 +109,14 @@ def summarise(runs: list[dict], better: dict[str, str],
         if run["result"] is not None:
             key = f"{run['workload']} trace={run['trace']}"
             groups.setdefault(key, {}).setdefault((run["seed"], run["pair"]), {})[
-                run["side"]] = run["result"]
+                run["side"]] = run
     summary = {}
     for key, pairs in sorted(groups.items()):
         complete = [p for p in pairs.values() if set(p) == set(SIDES)]
+        results = [{side: p[side]["result"] for side in SIDES} for p in complete]
         metrics = {}
-        for name in complete[0]["parent"]["metrics"] if complete else ():
-            values = {side: [p[side]["metrics"][name]["value"] for p in complete]
+        for name in results[0]["parent"]["metrics"] if results else ():
+            values = {side: [p[side]["metrics"][name]["value"] for p in results]
                       for side in SIDES}
             sign = -1 if better.get(name, "lower") == "lower" else 1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
@@ -111,8 +138,9 @@ def summarise(runs: list[dict], better: dict[str, str],
         summary[key] = {
             "pairs": len(complete),
             "all_correct": all(p[s]["correct"] and not p[s]["failed"]
-                               for p in complete for s in SIDES),
+                               for p in results for s in SIDES),
             "metrics": metrics,
+            "steps": step_times(complete),
         }
     return summary
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from typing import Optional, Sequence
 
@@ -31,6 +31,7 @@ from .retrieval import (
     S2_SEARCH_CAP,
     ArxivClient,
     LlmBackend,
+    LookupOnlyCache,
     PaperRecord,
     SemanticScholarClient,
     count_relevant,
@@ -84,9 +85,19 @@ def api_id_for(record: PaperRecord) -> str:
 def harvest(
     store: SnapshotStore, client: ArxivClient, keyword: str, limit: int = 100
 ) -> list[str]:
-    """Query arXiv for reviews on the keyword and upsert matches into the store."""
+    """Query arXiv for reviews on the keyword and store the matches.
+
+    A match that is not stored is inserted. A stored one keeps every field,
+    its enrichment included, except that a row with no topic keyword, such as
+    a reference row, takes the keyword and so becomes a review.
+    """
     records = fetch_arxiv_candidates(client, keyword, limit, cache=store)
-    return [store.upsert_paper(r) for r in records]
+    stored = store.get_papers(r.canonical_id for r in records)
+    store.insert_new_papers(records)
+    for record in stored.values():
+        if not record.topic_keyword:
+            store.upsert_paper(replace(record, topic_keyword=keyword))
+    return [r.canonical_id for r in records]
 
 
 def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -> str:
@@ -98,12 +109,23 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
     `UnknownPaper`, and one whose page is not a JSON object or whose first hit
     names no ``paperId`` raises `ParseError`. The references are stored as
     papers of their own, by `fetch_references`, and the paper keeps their ids.
+
+    The paper's row is the only copy of what was fetched: payloads that
+    earlier versions cached are read, and none is cached. A row that holds
+    ``s2_join`` is enriched already and is returned as it is, with no request
+    and no write. Rows before ids holds through the row: the reference rows
+    are committed before the row that names them is written, last, so a
+    failure between the two leaves the paper without ``s2_join``, and the
+    next call fetches again.
     """
     record = store.require_paper(paper_id)
+    if "s2_join" in record.external_ids:
+        return record.canonical_id
+    lookups = LookupOnlyCache(store)
     if record.external_ids.get("arxiv") or record.external_ids.get("doi"):
         lookup = api_id_for(record)
         join_key = "arxiv" if record.external_ids.get("arxiv") else "doi"
-        fetched = fetch_paper_record(client, lookup, cache=store)
+        fetched = fetch_paper_record(client, lookup, cache=lookups)
     else:
         page = client.search_page(record.title, 0, 1, "paperId")
         data = (page.get("data") or []) if isinstance(page, dict) else None
@@ -114,7 +136,7 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
         if not s2_id or not isinstance(s2_id, str):
             raise ParseError(f"malformed title search for {paper_id}: no paperId in {page!r:.80}")
         join_key = "title"
-        fetched = fetch_paper_record(client, s2_id, cache=store)
+        fetched = fetch_paper_record(client, s2_id, cache=lookups)
 
     reference_ids = fetch_references(client, api_id_for(fetched), store)
 

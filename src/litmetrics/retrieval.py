@@ -378,6 +378,31 @@ class DictCache:
         self.data[key] = payload
 
 
+class LookupOnlyCache:
+    """A view of an API cache that serves the payloads stored in it and
+    stores none: `cache_put` does nothing."""
+
+    def __init__(self, cache: ApiCache):
+        self._cache = cache
+
+    def cache_get(self, key):
+        return self._cache.cache_get(key)
+
+    def cache_put(self, key, payload):
+        pass
+
+
+def _checked(op: str, step: Callable[[], Any]) -> Any:
+    """``step()``, with a ValueError, KeyError, TypeError, AttributeError or
+    OverflowError it raises turned into `ParseError` naming the op."""
+    try:
+        return step()
+    except LitmetricsError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"malformed {op} payload: {exc}") from exc
+
+
 def _cached_call(
     cache: Optional[ApiCache],
     key_obj: dict,
@@ -391,18 +416,29 @@ def _cached_call(
     of the wrong JSON type where one is read (a ValueError, KeyError,
     TypeError, AttributeError or OverflowError), raises `ParseError` naming
     the op, and nothing is cached; a `LitmetricsError` passes through as it is.
+    A cached payload that ``decode`` rejects, such as one an older version
+    cached before a check was added, is fetched again: a fresh payload that
+    decodes replaces it, and when the fetch raises a `LitmetricsError`
+    (offline, say) the `ParseError` of the cached payload is raised.
     """
+    op = key_obj["op"]
     key = canonical_json(key_obj)
     hit = cache.cache_get(key) if cache is not None else None
-    try:
-        if hit is not None:
-            return decode(json.loads(hit))
+
+    def fetch() -> tuple[dict, Any]:
         payload = compute()
-        result = decode(payload)
-    except LitmetricsError:
-        raise
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise ParseError(f"malformed {key_obj['op']} payload: {exc}") from exc
+        return payload, decode(payload)
+
+    if hit is None:
+        payload, result = _checked(op, fetch)
+    else:
+        try:
+            return _checked(op, lambda: decode(json.loads(hit)))
+        except ParseError as stale:
+            try:
+                payload, result = _checked(op, fetch)
+            except LitmetricsError:
+                raise stale
     if cache is not None:
         cache.cache_put(key, canonical_json(payload))
     return result
@@ -948,18 +984,17 @@ def fetch_references(
 ) -> list[str]:
     """Canonical ids of a paper's references, in list order, duplicates kept.
 
-    On a cache miss every reference record, with its citation count and
-    publication date, is fetched and decoded; the ones whose id is not stored
-    yet are inserted as papers, and only then is the id list cached as
-    ``{"ids": [...]}``. A record that fails `PaperRecord`'s checks raises
-    `ParseError` before anything is stored. Rows before ids: a cached list
-    never names a paper the store lacks, since a failure between the two
-    leaves no list and the next call fetches again. `SnapshotStore` commits
-    the rows at once and holds the list until its next write, so a hard kill
-    can lose the list, never the rows it names. On a hit no record
-    is decoded and no row written. A list cached as ``{"records": [...]}``,
-    the format before ids, is served as it always was: its records are
-    decoded and inserted as new, and the payload stays as it is.
+    Every reference record, with its citation count and publication date, is
+    fetched and decoded; the ones whose id is not stored yet are inserted as
+    papers, in one transaction, and the ids are returned, not cached: the
+    caller keeps them, as `enrich` keeps them in the paper's row. A record
+    that fails `PaperRecord`'s checks raises `ParseError` before anything is
+    stored. Rows before ids: the rows are committed before this returns, so
+    ids the caller stores afterwards never name a paper the store lacks.
+
+    A list that an earlier version cached under the ``references`` op is
+    still served, and left as it is: ``{"ids": [...]}`` with no row written,
+    ``{"records": [...]}`` with its records decoded and inserted as new.
     """
 
     def compute() -> dict:
@@ -982,7 +1017,8 @@ def fetch_references(
         store.insert_new_papers(records)
         return [r.canonical_id for r in records]
 
-    return _cached_call(store, {"op": "references", "paper_id": paper_id}, compute, decode)
+    return _cached_call(LookupOnlyCache(store), {"op": "references", "paper_id": paper_id},
+                        compute, decode)
 
 
 class LazyPaper:

@@ -373,8 +373,8 @@ class SnapshotStore:
     def write(self, reports: Iterable[tuple[str, IndicatorReport]] = ()) -> None:
         """Append (paper id, report) pairs and upsert the held API payloads in
         one transaction: all are stored, or, when a paper is unknown or the
-        write fails, none, and the payloads stay held. A cached key keeps the
-        stored_at of its first put."""
+        write fails, none, and the payloads stay held. A payload replaces the
+        one stored under its key, stored_at included."""
         rows = [
             (paper_id, format_timestamp(report.computed_at or utc_now()),
              canonical_json(report_to_json_dict(report)))
@@ -393,7 +393,8 @@ class SnapshotStore:
                 with self._conn:
                     self._conn.executemany(
                         "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "
-                        "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload",
+                        "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload, "
+                        "stored_at = excluded.stored_at",
                         cached,
                     )
                     self._conn.executemany(

@@ -97,3 +97,31 @@ def test_summarise_states_the_claim_rule_verdicts(bench_pairs, better, bounds, m
     summary = bench_pairs.summarise(runs, better, bounds)
     got = summary["scaled-ingest trace=0"]["metrics"][metric]
     assert (got["claim_met"], got["within_bound"], got["unresolved"]) == verdicts
+
+
+def test_round_steps_reads_the_round_lines(bench_pairs):
+    stderr = ("# setup 0.4\n# round enrich=0.5123 score=0.1874 stats=0.0900\n"
+              "warning: slow host\n# round enrich=0.5000 score=0.2000 stats=0.1000\n")
+    assert bench_pairs.round_steps(stderr) == [
+        {"enrich": 0.5123, "score": 0.1874, "stats": 0.09},
+        {"enrich": 0.5, "score": 0.2, "stats": 0.1}]
+
+
+def test_summarise_gives_each_steps_median_per_side_without_a_verdict(bench_pairs, better):
+    def with_rounds(pair, side, enrich_times):
+        return {**run(pair, side, 1.0, 1),
+                "rounds": [{"enrich": t, "score": 0.2} for t in enrich_times]}
+
+    runs = [with_rounds(0, "parent", [0.5, 0.7, 0.6]), with_rounds(0, "change", [0.4, 0.3]),
+            with_rounds(1, "parent", [0.8]), with_rounds(1, "change", [0.5, 0.5, 0.9]),
+            run(2, "parent", 1.0, 1), run(2, "change", 1.0, 1)]  # runs that kept no rounds
+
+    steps = bench_pairs.summarise(runs, better)["scaled-ingest trace=0"]["steps"]
+
+    assert sorted(steps) == ["enrich", "score"]
+    # each run's median round: parent 0.6 and 0.8, change 0.35 and 0.5
+    assert steps["enrich"]["parent"]["median"] == pytest.approx(0.7)
+    assert steps["enrich"]["change"]["median"] == pytest.approx(0.425)
+    assert steps["enrich"]["parent"]["n"] == steps["enrich"]["change"]["n"] == 2
+    assert set(steps["enrich"]) == {"parent", "change"}
+    assert "claim_met" not in steps["enrich"]["parent"]

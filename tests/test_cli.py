@@ -853,3 +853,25 @@ class TestFullWorkflow:
         assert main(base + ["--offline", "stats", "tncsi"]) == 0
         out = capsys.readouterr().out
         assert "tncsi" in out
+
+    def test_a_second_harvest_keeps_the_enrichment(self, tmp_path, capsys):
+        fixtures = self.build_fixtures(tmp_path)
+        db = tmp_path / "flow.db"
+        base = ["--db", str(db), "--fixtures", str(fixtures), "--rate", "1000",
+                "--now", "2024-10-01"]
+        assert main(base + ["harvest", self.KEYWORD]) == 0
+        first = capsys.readouterr()
+        assert main(base + ["enrich", "arxiv:2402.11111"]) == 0
+        capsys.readouterr()
+        with SnapshotStore(db, read_only=True) as store:
+            enriched = store.get_paper("arxiv:2402.11111").to_canonical_json()
+        assert main(base + ["harvest", self.KEYWORD]) == 0
+        assert capsys.readouterr() == first
+        with SnapshotStore(db, read_only=True) as store:
+            assert store.get_paper("arxiv:2402.11111").to_canonical_json() == enriched
+        offline = OfflineTransport()
+        assert main(["--db", str(db), "--offline", "--now", "2024-10-01", "enrich", "--all"],
+                    transport=offline) == 0
+        assert main(base + ["score", "arxiv:2402.11111"]) == 0
+        assert offline.attempts == 0
+        assert "error" not in capsys.readouterr().out

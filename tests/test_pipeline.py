@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     CountingTransport,
+    arxiv_exchange,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -23,12 +24,19 @@ from conftest import (
 from litmetrics import retrieval, snapshot
 from litmetrics.cli import main
 from litmetrics.demo import DEMO_NOW, build_demo_corpus, build_demo_snapshot
-from litmetrics.errors import EmptyResult, LlmUnavailable, StorageError, UnknownPaper
+from litmetrics.errors import (
+    EmptyResult,
+    LlmUnavailable,
+    ParseError,
+    StorageError,
+    UnknownPaper,
+)
 from litmetrics.jsonio import canonical_json, format_date, format_timestamp
 from litmetrics.pipeline import (
     ScoringEngine,
     api_id_for,
     enrich,
+    harvest,
     lower_median_date,
     months_between,
     score_batch,
@@ -755,6 +763,36 @@ class TestMalformedReferenceRows:
         assert str(from_batch.value) == str(from_score.value) == str(from_record.value)
 
 
+class TestHarvest:
+    FEED = [{"arxiv_id": f"2301.0000{n}", "title": f"A Survey on Something, {n}",
+             "abstract": "We survey something.", "published": f"2023-01-0{n}"}
+            for n in (1, 2, 3)]
+
+    def test_stored_rows_keep_their_fields_and_a_reference_row_becomes_a_review(
+            self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        enriched = review("arxiv:2301.00001", topic_keyword="other topic",
+                          external_ids={"arxiv": "2301.00001", "s2_join": "arxiv"},
+                          reference_ids=["s2:r1"])
+        as_reference = review("arxiv:2301.00002", topic_keyword=None, citation_count=7)
+        store.upsert_paper(enriched)
+        store.upsert_paper(as_reference)
+        query = retrieval.arxiv_review_query("something")
+        client = retrieval.ArxivClient(
+            transport=FixtureTransport.from_pairs([arxiv_exchange(query, 10, self.FEED)]),
+            limiter=RateLimiter(100_000.0))
+        assert harvest(store, client, "something", 10) == [
+            "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
+        assert store.get_paper("arxiv:2301.00001") == enriched
+        assert store.get_paper("arxiv:2301.00002") == PaperRecord(
+            **{**as_reference.__dict__, "topic_keyword": "something"})
+        harvested = store.get_paper("arxiv:2301.00003")
+        assert (harvested.title, harvested.topic_keyword, harvested.citation_count) == (
+            "A Survey on Something, 3", "something", None)
+        assert store.review_ids() == [
+            "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
+
+
 REFERENCES_KEY = canonical_json({"op": "references", "paper_id": "ARXIV:2301.00001"})
 
 
@@ -790,61 +828,106 @@ class TestEnrich:
         assert merged.citation_count == 42
         assert merged.reference_ids == ["s2:r1", "s2:r2", "s2:r2"]
 
-    def test_reference_lists_are_cached_as_ids(self, tmp_path):
+    def test_reference_lists_are_kept_in_the_row_only(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(review(citation_count=None))
         enrich(store, fast_client(self.EXCHANGES), "arxiv:2301.00001")
-        assert json.loads(store.cache_get(REFERENCES_KEY)) == {"ids": ["s2:r1", "s2:r2", "s2:r2"]}
         store.write()
-        references = [json.loads(payload) for key, payload in store._conn.execute(
-            "SELECT key, payload FROM api_cache") if json.loads(key)["op"] == "references"]
-        assert references and not any("records" in payload for payload in references)
+        assert store.get_paper("arxiv:2301.00001").reference_ids == ["s2:r1", "s2:r2", "s2:r2"]
+        assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 0
 
-    def test_a_list_cached_as_records_is_still_served(self, tmp_path):
+    def old_snapshot(self, path, references_payload: str) -> SnapshotStore:
+        """An un-enriched review with the paper and references payloads an
+        earlier version cached for it, and nothing else."""
+        store = SnapshotStore(path)
+        store.upsert_paper(review(citation_count=None))
+        paper_key = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
+        store.cache_put(paper_key, canonical_json(
+            retrieval._record_from_s2(self.FETCHED, format_timestamp(RETRIEVED))))
+        store.cache_put(REFERENCES_KEY, references_payload)
+        store.write()
+        return store
+
+    def enriched_rows(self, tmp_path, monkeypatch) -> dict[str, str]:
+        """The `papers` rows an online enrich leaves, stamped with RETRIEVED."""
         fresh = SnapshotStore(tmp_path / "fresh.db")
         fresh.upsert_paper(review(citation_count=None))
+        monkeypatch.setattr(retrieval, "utc_now", lambda: RETRIEVED)
         enrich(fresh, fast_client(self.EXCHANGES), "arxiv:2301.00001")
-        ids = fresh.get_paper("arxiv:2301.00001").reference_ids
+        monkeypatch.undo()
+        return self.papers_rows(fresh)
+
+    def test_a_list_cached_as_records_is_still_served(self, tmp_path, monkeypatch):
         # a snapshot enriched before lists were cached as ids: the full
-        # records, as fetched, under the same key, and no reference rows yet
-        old = SnapshotStore(tmp_path / "old.db")
-        old.upsert_paper(review(citation_count=None))
-        stamp = format_timestamp(fresh.get_paper("s2:r1").retrieved_at)
+        # records, as fetched, under the references key, and no reference rows
         legacy = canonical_json({"records": [
-            retrieval._record_from_s2(ref, stamp) for ref in self.REFS]})
-        paper_key = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
-        old.cache_put(paper_key, fresh.cache_get(paper_key))
-        old.cache_put(REFERENCES_KEY, legacy)
+            retrieval._record_from_s2(ref, format_timestamp(RETRIEVED)) for ref in self.REFS]})
+        old = self.old_snapshot(tmp_path / "old.db", legacy)
         offline = OfflineTransport()
         enrich(old, replay_client(offline), "arxiv:2301.00001")
+        old.write()
         assert offline.attempts == 0
-        assert old.get_paper("arxiv:2301.00001").reference_ids == ids
-        assert self.papers_rows(old) == self.papers_rows(fresh)
+        assert self.papers_rows(old) == self.enriched_rows(tmp_path, monkeypatch)
         assert old.cache_get(REFERENCES_KEY) == legacy
+        assert old._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 2
 
-    def test_a_failed_put_of_the_ids_leaves_no_list(self, tmp_path, monkeypatch):
+    def test_a_list_cached_as_ids_is_still_served(self, tmp_path, monkeypatch):
+        # the format before lists were kept in the row only: the ids, with
+        # the rows they name stored before them
+        rows = self.enriched_rows(tmp_path, monkeypatch)
+        ids = json.loads(rows["arxiv:2301.00001"])["reference_ids"]
+        listed = canonical_json({"ids": ids})
+        old = self.old_snapshot(tmp_path / "old.db", listed)
+        old.insert_new_papers(PaperRecord.from_json_dict(json.loads(rows[cid])) for cid in ids)
+        offline = OfflineTransport()
+        enrich(old, replay_client(offline), "arxiv:2301.00001")
+        old.write()
+        assert offline.attempts == 0
+        assert self.papers_rows(old) == rows
+        assert old.cache_get(REFERENCES_KEY) == listed
+
+    def test_an_enriched_row_is_enriched_from_itself(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(review(citation_count=None))
+        enrich(store, fast_client(self.EXCHANGES), "arxiv:2301.00001")
+        before = self.papers_rows(store)
+        offline = OfflineTransport()
+        assert begin_count(store, lambda: enrich(
+            store, replay_client(offline), "arxiv:2301.00001")) == 0
+        assert offline.attempts == 0
+        assert self.papers_rows(store) == before
+
+    def test_a_failed_write_of_the_row_leaves_it_unenriched(self, tmp_path, monkeypatch):
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(review(citation_count=None))
         counting = CountingTransport(FixtureTransport.from_pairs(self.EXCHANGES))
-        put = store.cache_put
+        upsert = store.upsert_paper
 
-        def failing_put(key, payload):
-            if key == REFERENCES_KEY:
-                raise StorageError("disk full")
-            put(key, payload)
+        def failing_upsert(record):
+            raise StorageError("disk full")
 
-        monkeypatch.setattr(store, "cache_put", failing_put)
+        monkeypatch.setattr(store, "upsert_paper", failing_upsert)
         with pytest.raises(StorageError):
             enrich(store, replay_client(counting), "arxiv:2301.00001")
         assert {"s2:r1", "s2:r2"} <= self.papers_rows(store).keys()
-        assert store.cache_get(REFERENCES_KEY) is None
-        monkeypatch.setattr(store, "cache_put", put)
+        assert "s2_join" not in store.get_paper("arxiv:2301.00001").external_ids
+        monkeypatch.setattr(store, "upsert_paper", upsert)
         enrich(store, replay_client(counting), "arxiv:2301.00001")
         assert sum("/references" in key for _, key in counting.calls) == 2
-        store.write()
         stored = self.papers_rows(store).keys()
-        for key, payload in store._conn.execute("SELECT key, payload FROM api_cache"):
-            assert set(json.loads(payload).get("ids", ())) <= stored, key
+        assert set(store.get_paper("arxiv:2301.00001").reference_ids) <= stored
+
+    def test_a_failed_references_fetch_leaves_the_row_unenriched(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(review(citation_count=None))
+        broken = with_body(self.EXCHANGES[1], {"offset": 0, "data": [1]})
+        with pytest.raises(ParseError, match="malformed references payload"):
+            enrich(store, fast_client([self.EXCHANGES[0], broken]), "arxiv:2301.00001")
+        assert store.get_paper("arxiv:2301.00001").external_ids == {"arxiv": "2301.00001"}
+        counting = CountingTransport(FixtureTransport.from_pairs(self.EXCHANGES))
+        enrich(store, replay_client(counting), "arxiv:2301.00001")
+        assert counting.count == 2
+        assert store.get_paper("arxiv:2301.00001").external_ids["s2_join"] == "arxiv"
 
 
 def demo_enrich_exchanges(corpus, bad_reference_of: str = "") -> list[dict]:
@@ -871,7 +954,8 @@ def demo_enrich_exchanges(corpus, bad_reference_of: str = "") -> list[dict]:
 
 
 class TestEnrichWrites:
-    def test_enrich_all_commits_about_twice_a_paper(self, tmp_path, demo_corpus, monkeypatch):
+    def test_enrich_all_commits_twice_a_paper_and_caches_nothing(
+            self, tmp_path, demo_corpus, monkeypatch):
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = SnapshotStore(tmp_path / "s.db")
         store.insert_new_papers(demo_corpus.papers)
@@ -883,17 +967,31 @@ class TestEnrichWrites:
                 enrich(store, client, cid)
             store.write()
 
-        # each paper's reference rows, then the paper itself; the payloads,
-        # two a paper, are written together at the end
-        assert begin_count(store, enrich_all) == 2 * len(ids) + 1
+        # each paper's reference rows, then the paper itself
+        assert begin_count(store, enrich_all) == 2 * len(ids)
         store.close()
         with SnapshotStore(tmp_path / "s.db", read_only=True) as reopened:
-            assert len(payloads(reopened)) == 2 * len(ids)
+            assert payloads(reopened) == {}
             for paper in demo_corpus.papers:
                 assert reopened.get_paper(paper.canonical_id).reference_ids == paper.reference_ids
 
+    def test_a_second_offline_enrich_all_leaves_the_file_as_it_is(
+            self, tmp_path, demo_corpus, capsys):
+        db = tmp_path / "s.db"
+        with SnapshotStore(db) as store:
+            store.insert_new_papers(demo_corpus.papers)
+        transport = FixtureTransport.from_pairs(demo_enrich_exchanges(demo_corpus))
+        assert main(["--db", str(db), "--rate", "100000", "enrich", "--all"],
+                    transport=transport) == 0
+        first, before = capsys.readouterr().out, db.read_bytes()
+        offline = OfflineTransport()
+        assert main(["--db", str(db), "--offline", "enrich", "--all"], transport=offline) == 0
+        assert capsys.readouterr().out == first
+        assert offline.attempts == 0
+        assert db.read_bytes() == before
+
     @pytest.mark.parametrize("abort", [False, True], ids=["parse-error", "transport-defect"])
-    def test_a_failing_enrich_keeps_the_rows_and_payloads_before_it(
+    def test_a_failing_enrich_keeps_the_rows_before_it(
             self, tmp_path, demo_corpus, capsys, abort):
         db = tmp_path / "s.db"
         with SnapshotStore(db) as store:
@@ -921,19 +1019,16 @@ class TestEnrichWrites:
             enriched = [cid for cid in ids if cid != failing.canonical_id]
         assert out.count("  enriched") == len(enriched)
         with SnapshotStore(db, read_only=True) as store:
-            stored = {cid for (cid,) in store.paper_fields("canonical_id")}
-            cached = payloads(store)
-            for key, payload in cached.items():
-                assert set(payload.get("ids", ())) <= stored, key
-            for cid in enriched:
-                paper = next(p for p in demo_corpus.papers if p.canonical_id == cid)
-                assert store.get_paper(cid).reference_ids == paper.reference_ids
-                references_key = canonical_json(
-                    {"op": "references", "paper_id": f"ARXIV:{paper.external_ids['arxiv']}"})
-                assert cached[references_key] == {"ids": paper.reference_ids}
-            assert canonical_json({"op": "references",
-                                   "paper_id": f"ARXIV:{failing.external_ids['arxiv']}"}) \
-                not in cached
+            assert payloads(store) == {}
+            records = store.get_papers()
+            for paper in demo_corpus.papers:
+                record = records[paper.canonical_id]
+                if paper.canonical_id in enriched:
+                    assert record.reference_ids == paper.reference_ids
+                    assert set(record.reference_ids) <= records.keys()
+                    assert record.external_ids["s2_join"] == "arxiv"
+                else:
+                    assert "s2_join" not in record.external_ids
 
     def test_a_write_that_fails_at_close_exits_1_with_one_line(
             self, tmp_path, demo_corpus, capsys, monkeypatch):

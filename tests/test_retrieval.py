@@ -35,7 +35,7 @@ from litmetrics.errors import (
     ParseError,
     RateLimited,
 )
-from litmetrics import retrieval
+from litmetrics import retrieval, snapshot
 from litmetrics.pipeline import ScoringEngine, score_batch
 from litmetrics.retrieval import (
     ArxivClient,
@@ -644,7 +644,9 @@ class TestRetries:
 
 
 class TestCacheIdempotenceAllOps:
-    """Repeating any fetch with the cache enabled is request-free and byte-stable."""
+    """Repeating any fetch with the cache enabled is request-free and
+    byte-stable, except a reference list, which is never cached: its caller
+    keeps the ids."""
 
     def test_monthly_citations(self, fixture_transport_factory):
         inner = fixture_transport_factory(
@@ -693,11 +695,16 @@ class TestCacheIdempotenceAllOps:
         r1 = fetch_paper_record(client, "ARXIV:2401.77777", cache=store)
         r2 = fetch_paper_record(client, "ARXIV:2401.77777", cache=store)
         l1 = fetch_references(client, "ARXIV:2401.77777", store)
+        row = store.get_paper("s2:q1").to_canonical_json()
         l2 = fetch_references(client, "ARXIV:2401.77777", store)
-        assert counting.count == 2
+        assert counting.count == 3  # the paper once, the references each time
         assert r1.to_canonical_json() == r2.to_canonical_json()
         assert l1 == l2 == ["s2:q1"]
         assert r1.retrieved_at == r2.retrieved_at  # timestamp comes from the cache
+        references_key = retrieval.canonical_json(
+            {"op": "references", "paper_id": "ARXIV:2401.77777"})
+        assert store.cache_get(references_key) is None
+        assert store.get_paper("s2:q1").to_canonical_json() == row  # stored once, kept
         row = store.get_paper("s2:q1")
         assert (row.external_ids, row.title, row.publication_date, row.citation_count) == (
             {"s2": "q1"}, "Q1", date(2020, 1, 1), 10)
@@ -794,6 +801,30 @@ class TestNothingUndecodableIsCached:
             fetch_topic_sample(s2_client(OfflineTransport()), "kw", 5, cache)
 
 
+    def test_a_payload_rejected_when_cached_is_replaced_by_a_fresh_one(self, tmp_path,
+                                                                        monkeypatch):
+        key = retrieval.canonical_json({"op": "topic_sample", "keyword": "kw", "k": 5})
+        stale = retrieval.canonical_json(
+            {"counts": [3, -5], "fetched_at": "2024-09-01T00:00:00Z", "provenance": {}})
+        store = SnapshotStore(tmp_path / "s.db")
+        monkeypatch.setattr(snapshot, "utc_now", lambda: datetime(2024, 9, 1))
+        store.cache_put(key, stale)
+        store.write()
+        monkeypatch.setattr(snapshot, "utc_now", lambda: datetime(2024, 10, 1))
+        counting = CountingTransport(FixtureTransport.from_pairs([s2_search_exchange(
+            "kw", "citationCount", [{"citationCount": 3}, {"citationCount": 5}], limit=5)]))
+        client = s2_client(counting)
+        assert fetch_topic_sample(client, "kw", 5, store).sample_citation_counts == (3, 5)
+        store.write()
+        assert counting.count == 1
+        payload, stored_at = store._conn.execute(
+            "SELECT payload, stored_at FROM api_cache WHERE key = ?", (key,)).fetchone()
+        assert json.loads(payload)["counts"] == [3, 5]
+        assert stored_at == "2024-10-01T00:00:00Z"
+        assert fetch_topic_sample(client, "kw", 5, store).sample_citation_counts == (3, 5)
+        assert counting.count == 1
+
+
 class PaperDictCache(DictCache):
     """A `DictCache` that also takes the papers `fetch_references` stores."""
 
@@ -886,8 +917,9 @@ def page_mutations(offset: int, nested: list[tuple]) -> st.SearchStrategy:
 class TestPageShapeProperties:
     """Mutated pages of every paged op: only `ParseError` (or `EmptyResult`
     for a topic left with no hit) leaves the fetch, a `ParseError` leaves no
-    cache entry and no stored paper, and unmutated pages give the examples'
-    result."""
+    cache entry and no stored paper, a success leaves one entry (the
+    references op none, and its rows stored), and unmutated pages give the
+    examples' result."""
 
     @pytest.mark.parametrize("op", sorted(PAGED_OPS))
     @settings(max_examples=100, deadline=None)
@@ -915,6 +947,10 @@ class TestPageShapeProperties:
             assert op == "topic_sample" and must_fail is not True
         else:
             assert must_fail is not True, result
-            assert len(cache.data) == 1
+            if op == "references":
+                assert cache.data == {}
+                assert [r.canonical_id for r in cache.papers] == result
+            else:
+                assert len(cache.data) == 1
             if mutation is None:
                 assert result == expected

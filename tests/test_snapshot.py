@@ -174,7 +174,7 @@ class TestReportsAndFeatures:
         assert [store.latest_report(cid).tncsi for cid in ids] == [0.0, 0.1, 0.2]
         assert (store.cache_get("k1"), store.cache_get("k2")) == ("new", "v")
         stamps = dict(store._conn.execute("SELECT key, stored_at FROM api_cache"))
-        assert stamps["k2"] == "2024-06-01T00:00:00Z" != stamps["k1"]  # k1 keeps its first put
+        assert stamps["k1"] == stamps["k2"] == "2024-06-01T00:00:00Z"  # k1 takes its last put
 
     def test_store_reports_with_unknown_paper_stores_none(self, store):
         store.upsert_paper(record("arxiv:1"))
