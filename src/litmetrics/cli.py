@@ -310,7 +310,7 @@ def cmd_features(runtime: Runtime, args, parser) -> int:
     for cid in ids:
         path = doc_path_for(docs_dir, cid)
         try:
-            runtime.store.require_paper(cid)
+            runtime.store.require_stored([cid])
             if not path.exists():
                 raise LitmetricsError(f"no structured-text document at {path}")
             doc = load_structured_text(path)
@@ -332,10 +332,8 @@ def _frozen_ts(runtime: Runtime) -> Optional[datetime]:
 
 RECORD_METRICS = {  # metric -> its value for every paper, in canonical id order
     "cites": lambda store: [count for count, _ in store.citation_facts().values()],
-    "refs": lambda store: [n or None for (n,) in store.paper_fields(
-        "json_array_length(record_json, '$.reference_ids')")],
-    "authors": lambda store: [int(n or 0) or None for (n,) in store.paper_fields(
-        "json_extract(record_json, '$.author_count')")],
+    "refs": lambda store: [n or None for n, _ in store.reference_and_author_counts()],
+    "authors": lambda store: [n or None for _, n in store.reference_and_author_counts()],
     "year": lambda store: [published.year if published else None
                            for _, published in store.citation_facts().values()],
 }

@@ -71,9 +71,12 @@ def check_citation_facts(
     citation_count: Optional[int], publication_date: Optional[date], retrieved_at: datetime
 ) -> None:
     """The checks a record makes on its citation count and publication date,
-    the two fields RQM and RUI read of a reference."""
+    the two fields RQM and RUI read of a reference. The count must fit the
+    snapshot's INTEGER column, a signed 64-bit integer."""
     if citation_count is not None:
         _check_count("citation_count", citation_count)
+        if citation_count >= 2**63:
+            raise ValueError("citation_count must be below 2**63")
     if publication_date is not None and publication_date > retrieved_at.date():
         raise ValueError("publication_date cannot postdate retrieval")
 

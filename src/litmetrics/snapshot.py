@@ -9,6 +9,8 @@ enforced by SQLite itself via a query-only pragma.
 from __future__ import annotations
 
 import json
+import os
+import shlex
 import sqlite3
 import threading
 import time
@@ -22,7 +24,7 @@ from .indicators import IndicatorReport
 from .jsonio import canonical_json, format_timestamp, parse_date, parse_timestamp, utc_now
 from .retrieval import PaperRecord, check_citation_facts
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # ids bound per `IN (...)` query, well below SQLite's parameter limit
 _IN_CHUNK = 500
@@ -76,15 +78,26 @@ class FeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
+# Schema 2's `papers`: a record's four fact fields as typed columns, the rest
+# of its `to_json_dict()` as compact JSON. Schema 1 kept one canonical-JSON
+# column, `record_json`; a writing open rebuilds it as this.
+_PAPERS = """
+CREATE TABLE {table} (
+    canonical_id TEXT PRIMARY KEY,
+    topic_keyword TEXT,
+    citation_count INTEGER,
+    publication_date TEXT,
+    retrieved_at TEXT NOT NULL,
+    record_json TEXT NOT NULL
+)"""
+# the reviews, in canonical id order, with no table read: `review_ids`
+_REVIEWS_INDEX = ("CREATE INDEX idx_papers_reviews ON papers(canonical_id, topic_keyword) "
+                  "WHERE topic_keyword <> ''")
 _SCHEMA = """
 CREATE TABLE meta (
     schema_version INTEGER NOT NULL,
     created_at TEXT NOT NULL,
     source_notes TEXT NOT NULL DEFAULT ''
-);
-CREATE TABLE papers (
-    canonical_id TEXT PRIMARY KEY,
-    record_json TEXT NOT NULL
 );
 CREATE TABLE reports (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -105,7 +118,50 @@ CREATE TABLE api_cache (
 );
 CREATE INDEX idx_reports_paper ON reports(paper_id);
 CREATE INDEX idx_features_paper ON features(paper_id);
-"""
+""" + _PAPERS.format(table="papers") + ";\n" + _REVIEWS_INDEX + ";\n"
+
+_PAPER_COLUMNS = ("canonical_id", "topic_keyword", "citation_count", "publication_date",
+                  "retrieved_at")
+_PAPER_ROW = ", ".join((*_PAPER_COLUMNS, "record_json"))
+_INSERT_PAPER = f"INSERT INTO {{table}} ({_PAPER_ROW}) VALUES (?, ?, ?, ?, ?, ?)"
+_UPSERT_PAPER = _INSERT_PAPER.format(table="papers") + (
+    " ON CONFLICT(canonical_id) DO UPDATE SET "
+    + ", ".join(f"{c} = excluded.{c}" for c in (*_PAPER_COLUMNS[1:], "record_json")))
+_INSERT_NEW_PAPER = _INSERT_PAPER.format(table="papers") + (
+    " ON CONFLICT(canonical_id) DO NOTHING")
+# what `PaperRecord.from_json_dict` reads for each absent key: record_json
+# leaves out a key at that value
+_ABSENT = PaperRecord.from_json_dict(
+    {"canonical_id": "-", "retrieved_at": "2000-01-01T00:00:00Z"}).to_json_dict()
+
+
+def _paper_row(data: dict) -> tuple:
+    """The `papers` row, in `_PAPER_ROW` order, of a record's `to_json_dict()`."""
+    rest = {key: value for key, value in data.items()
+            if key not in _PAPER_COLUMNS and not (key in _ABSENT and value == _ABSENT[key])}
+    return (*(data.get(c) for c in _PAPER_COLUMNS), canonical_json(rest))
+
+
+def _paper_record(row: tuple) -> PaperRecord:
+    """The record of a `papers` row selected as `_PAPER_ROW`."""
+    data = json.loads(row[-1])
+    data.update(zip(_PAPER_COLUMNS, row))
+    return PaperRecord.from_json_dict(data)
+
+
+def _v1_paper_row(canonical_id: str, record_json: str) -> tuple:
+    """The schema-2 row of a schema-1 row, whose record is carried over as it
+    was stored, checks failed or not. A fact field that its column would not
+    hold as stored, such as a count of `true`, `"12"` or `2**64`, raises
+    ValueError instead."""
+    data = {**json.loads(record_json), "canonical_id": canonical_id}
+    count = data.get("citation_count")
+    texts = [data.get(c) for c in ("topic_keyword", "publication_date", "retrieved_at")]
+    if not ((count is None or (type(count) is int and -2**63 <= count < 2**63))
+            and all(t is None or type(t) is str for t in texts)):
+        raise ValueError(f"paper {canonical_id!r} has a fact field that no schema-2 "
+                         f"column holds as stored: {record_json:.200}")
+    return _paper_row(data)
 
 
 def report_to_json_dict(report: IndicatorReport) -> dict:
@@ -186,14 +242,19 @@ class SnapshotStore:
                 self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
         except sqlite3.Error as exc:
             raise StorageError(f"cannot open snapshot {self.path}: {exc}") from exc
-        if not exists and not read_only:
-            with self._lock, self._conn:
-                self._conn.executescript(_SCHEMA)
-                self._conn.execute(
-                    "INSERT INTO meta (schema_version, created_at, source_notes) VALUES (?, ?, ?)",
-                    (SCHEMA_VERSION, format_timestamp(utc_now()), source_notes),
-                )
-        self._check_schema()
+        try:
+            if not exists and not read_only:
+                with self._lock, self._conn:
+                    self._conn.executescript(_SCHEMA)
+                    self._conn.execute(
+                        "INSERT INTO meta (schema_version, created_at, source_notes) "
+                        "VALUES (?, ?, ?)",
+                        (SCHEMA_VERSION, format_timestamp(utc_now()), source_notes),
+                    )
+            self._check_schema()
+        except BaseException:
+            self._conn.close()
+            raise
 
     def _check_schema(self) -> None:
         try:
@@ -202,6 +263,16 @@ class SnapshotStore:
             ).fetchone()
         except sqlite3.Error as exc:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
+        if row is not None and row[0] == 1:
+            if self.read_only:
+                raise SchemaMismatch(
+                    f"snapshot {self.path} has schema 1 and is opened read-only; any "
+                    f"writing command upgrades it to schema {SCHEMA_VERSION}, for example "
+                    f"`litmetrics --db {shlex.quote(str(self.path))} import {os.devnull}`, "
+                    "which makes no request"
+                )
+            self._upgrade_v1()
+            row = (SCHEMA_VERSION, *row[1:])
         if row is None or row[0] != SCHEMA_VERSION:
             raise SchemaMismatch(
                 f"snapshot schema {row[0] if row else 'missing'} != supported {SCHEMA_VERSION}"
@@ -209,6 +280,33 @@ class SnapshotStore:
         self.meta = SnapshotMeta(
             schema_version=row[0], created_at=parse_timestamp(row[1]), source_notes=row[2]
         )
+
+    def _upgrade_v1(self) -> None:
+        """Rebuild schema 1's `papers` table as schema 2's in one transaction:
+        all of it, or, when a row or the write fails, nothing. The other
+        tables stay as they are. A `VACUUM` then returns the old table's
+        pages, which would otherwise leave the file larger than before."""
+        with self._lock:
+            try:
+                with self._conn:
+                    self._conn.execute("BEGIN")
+                    self._conn.execute(_PAPERS.format(table="papers_v2"))
+                    self._conn.executemany(
+                        _INSERT_PAPER.format(table="papers_v2"),
+                        (_v1_paper_row(cid, blob) for cid, blob in self._conn.execute(
+                            "SELECT canonical_id, record_json FROM papers")),
+                    )
+                    self._conn.execute("DROP TABLE papers")
+                    self._conn.execute("ALTER TABLE papers_v2 RENAME TO papers")
+                    self._conn.execute(_REVIEWS_INDEX)
+                    self._conn.execute("UPDATE meta SET schema_version = ?", (SCHEMA_VERSION,))
+                self._conn.execute("VACUUM")
+            except (ValueError, TypeError) as exc:
+                raise SchemaMismatch(f"cannot upgrade {self.path} to schema "
+                                     f"{SCHEMA_VERSION}: {exc}") from exc
+            except sqlite3.Error as exc:
+                raise StorageError(f"cannot upgrade {self.path} to schema "
+                                   f"{SCHEMA_VERSION}: {exc}") from exc
 
     def close(self) -> None:
         """Write the held payloads, then close the connection."""
@@ -231,18 +329,18 @@ class SnapshotStore:
             raise StorageError("upsert_paper expects a PaperRecord")
         if not record.canonical_id:
             raise StorageError("record has an empty canonical_id")
-        payload = record.to_canonical_json()
+        self._write_papers(_UPSERT_PAPER, [record])
+        return record.canonical_id
+
+    def _write_papers(self, statement: str, records: Iterable[PaperRecord]) -> None:
+        """Run the `papers` statement over the records' rows in one transaction."""
+        rows = [_paper_row(r.to_json_dict()) for r in records]
         with self._lock:
             try:
                 with self._conn:
-                    self._conn.execute(
-                        "INSERT INTO papers (canonical_id, record_json) VALUES (?, ?) "
-                        "ON CONFLICT(canonical_id) DO UPDATE SET record_json = excluded.record_json",
-                        (record.canonical_id, payload),
-                    )
+                    self._conn.executemany(statement, rows)
             except sqlite3.Error as exc:
-                raise StorageError(f"upsert failed: {exc}") from exc
-        return record.canonical_id
+                raise StorageError(f"papers write failed: {exc}") from exc
 
     def get_paper(self, canonical_id: str) -> Optional[PaperRecord]:
         return self.get_papers([canonical_id]).get(canonical_id)
@@ -253,14 +351,12 @@ class SnapshotStore:
         With ``ids``, ids that are not stored are left out; without, every
         paper is returned in canonical id order.
         """
-        rows = self.paper_fields("canonical_id, record_json", ids)
-        return {cid: PaperRecord.from_json_dict(json.loads(blob)) for cid, blob in rows}
+        return {row[0]: _paper_record(row) for row in self._paper_rows(_PAPER_ROW, ids)}
 
-    def paper_fields(self, columns: str, ids: Optional[Iterable[str]] = None) -> list[tuple]:
-        """`papers` rows of ``columns``, SQL expressions such as
-        ``json_extract(record_json, '$.citation_count')``, with no record
-        decoded: for the stored ids among ``ids`` in chunked IN queries, or
-        without ``ids`` for every paper in canonical id order."""
+    def _paper_rows(self, columns: str, ids: Optional[Iterable[str]] = None) -> list[tuple]:
+        """`papers` rows of ``columns``, with no record decoded: for the
+        stored ids among ``ids`` in chunked IN queries, or without ``ids``
+        for every paper in canonical id order."""
         with self._lock:
             if ids is None:
                 return self._conn.execute(
@@ -280,15 +376,12 @@ class SnapshotStore:
     def citation_facts(
         self, ids: Optional[Iterable[str]] = None
     ) -> dict[str, tuple[Optional[int], Optional[date]]]:
-        """(citation_count, publication_date) by canonical id, read as
-        `paper_fields` reads rows and checked as a `PaperRecord` checks these
-        two fields, which raise the same ValueError; no other field is read."""
-        rows = self.paper_fields(
-            "canonical_id, json_extract(record_json, '$.citation_count'), "
-            "json_extract(record_json, '$.publication_date'), "
-            "json_extract(record_json, '$.retrieved_at')",
-            ids,
-        )
+        """(citation_count, publication_date) by canonical id, read from their
+        columns as `get_papers` reads rows and checked as a `PaperRecord`
+        checks these two fields, which raise the same ValueError; no record
+        is decoded."""
+        rows = self._paper_rows(
+            "canonical_id, citation_count, publication_date, retrieved_at", ids)
         facts = {}
         for cid, count, published_text, retrieved_text in rows:
             published = parse_date(published_text)
@@ -296,21 +389,18 @@ class SnapshotStore:
             facts[cid] = (count, published)
         return facts
 
+    def reference_and_author_counts(self) -> list[tuple[int, int]]:
+        """(number of reference ids, author count) of every paper, in
+        canonical id order, read in one query with no record decoded."""
+        rows = self._paper_rows("json_array_length(record_json, '$.reference_ids'), "
+                                "json_extract(record_json, '$.author_count')")
+        return [(refs or 0, int(authors or 0)) for refs, authors in rows]
+
     def insert_new_papers(self, records: Iterable[PaperRecord]) -> None:
         """Insert, in one transaction, the records whose canonical id is not
         stored yet; stored rows stay untouched, and of two records with one id
         the first wins."""
-        rows = [(r.canonical_id, r.to_canonical_json()) for r in records]
-        with self._lock:
-            try:
-                with self._conn:
-                    self._conn.executemany(
-                        "INSERT INTO papers (canonical_id, record_json) VALUES (?, ?) "
-                        "ON CONFLICT(canonical_id) DO NOTHING",
-                        rows,
-                    )
-            except sqlite3.Error as exc:
-                raise StorageError(f"insert failed: {exc}") from exc
+        self._write_papers(_INSERT_NEW_PAPER, records)
 
     def require_paper(self, canonical_id: str) -> PaperRecord:
         record = self.get_paper(canonical_id)
@@ -318,14 +408,22 @@ class SnapshotStore:
             raise UnknownPaper(canonical_id)
         return record
 
+    def require_stored(self, ids: Iterable[str]) -> None:
+        """Raise UnknownPaper for the first of ``ids`` that is not stored,
+        read from the canonical ids alone, with no record decoded."""
+        ids = list(ids)
+        stored = {cid for (cid,) in self._paper_rows("canonical_id", ids)}
+        for cid in ids:
+            if cid not in stored:
+                raise UnknownPaper(cid)
+
     def review_ids(self) -> list[str]:
         """Ids of papers carrying a topic keyword (harvested reviews, as
         opposed to bare reference rows), in canonical id order, read in one
-        query without decoding any record."""
+        query from the reviews' partial index."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT canonical_id FROM papers "
-                "WHERE json_extract(record_json, '$.topic_keyword') <> '' "
+                "SELECT canonical_id FROM papers WHERE topic_keyword <> '' "
                 "ORDER BY canonical_id"
             ).fetchall()
         return [r[0] for r in rows]
@@ -337,32 +435,29 @@ class SnapshotStore:
     # -- JSONL export / import ---------------------------------------------
 
     def export_jsonl(self, stream: IO[str], ids: Optional[Iterable[str]] = None) -> int:
-        """Write one canonical-JSON record per line, ordered by canonical id."""
-        selected = sorted(ids) if ids is not None else None
-        records = self.get_papers(selected)
-        count = 0
-        for cid in records if selected is None else selected:
-            record = records.get(cid)
-            if record is None:
-                continue
-            stream.write(record.to_canonical_json() + "\n")
-            count += 1
-        return count
+        """Write one canonical-JSON record per line, ordered by canonical id,
+        each stored id once however often ``ids`` names it."""
+        records = self.get_papers(ids)
+        for cid in sorted(records):
+            stream.write(records[cid].to_canonical_json() + "\n")
+        return len(records)
 
     def import_jsonl(self, stream: IO[str]) -> ImportResult:
-        """Upsert records from a JSONL stream; corrupt lines are skipped and tallied."""
+        """Upsert records from a JSONL stream in one transaction: all of them,
+        or, when the write fails, none. Corrupt lines are skipped and
+        tallied; of two lines with one id the last wins."""
         result = ImportResult()
+        records = []
         for line in stream:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = PaperRecord.from_json_dict(json.loads(line))
+                records.append(PaperRecord.from_json_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError):
                 result.corrupt += 1
-                continue
-            self.upsert_paper(record)
-            result.imported += 1
+        self._write_papers(_UPSERT_PAPER, records)
+        result.imported = len(records)
         return result
 
     # -- reports and features (versioned append) ---------------------------
@@ -385,10 +480,7 @@ class SnapshotStore:
                       for key, (payload, stored_at) in self._pending.items()]
             if not rows and not cached:
                 return
-            stored = {cid for (cid,) in self.paper_fields("canonical_id", (r[0] for r in rows))}
-            for paper_id, _, _ in rows:
-                if paper_id not in stored:
-                    raise UnknownPaper(paper_id)
+            self.require_stored(r[0] for r in rows)
             try:
                 with self._conn:
                     self._conn.executemany(
@@ -437,7 +529,7 @@ class SnapshotStore:
 
     def store_features(self, paper_id: str, fv: FeatureVector,
                        recorded_at: Optional[datetime] = None) -> None:
-        self.require_paper(paper_id)
+        self.require_stored([paper_id])
         stamp = format_timestamp(recorded_at or utc_now())
         with self._lock:
             try:

@@ -1,13 +1,18 @@
-"""Shared fixtures: canned HTTP exchanges, fake transports, stub LLM tables."""
+"""Shared fixtures: canned HTTP exchanges, fake transports, stub LLM tables,
+and raw `papers` rows."""
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import time
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
+from litmetrics import snapshot
+from litmetrics.jsonio import canonical_json
 from litmetrics.retrieval import (
     ARXIV_API_URL,
     S2_API_URL,
@@ -201,6 +206,41 @@ class FlakyTransport:
                 return TransportResponse(status=self.status, body="")
             raise self._error_cls("synthetic connection failure")
         return self.inner.request(method, url, params, headers, body)
+
+
+# ---------------------------------------------------------------------------
+# raw `papers` rows
+# ---------------------------------------------------------------------------
+
+
+def papers_rows(store) -> dict[str, tuple]:
+    """Every `papers` row, all its columns as stored, by canonical id."""
+    rows = store._conn.execute(f"SELECT {snapshot._PAPER_ROW} FROM papers")
+    return {row[0]: row for row in rows}
+
+
+def put_raw_paper(store, data: dict) -> None:
+    """Store a record's JSON dict as its `papers` row with no check, so a
+    row that `PaperRecord` rejects can be written."""
+    with store._conn:
+        store._conn.execute(snapshot._UPSERT_PAPER, snapshot._paper_row(data))
+
+
+def make_v1(path: Path, rows: Iterable[dict]) -> None:
+    """Turn the closed snapshot at ``path`` into a schema-1 file, as earlier
+    versions wrote it: `papers` holds one canonical-JSON record per row, the
+    JSON dicts of ``rows`` unchecked, and the other tables stay as they are."""
+    conn = sqlite3.connect(path)
+    try:
+        with conn:
+            conn.execute("DROP TABLE papers")
+            conn.execute("CREATE TABLE papers (canonical_id TEXT PRIMARY KEY, "
+                         "record_json TEXT NOT NULL)")
+            conn.executemany("INSERT INTO papers VALUES (?, ?)",
+                             [(data["canonical_id"], canonical_json(data)) for data in rows])
+            conn.execute("UPDATE meta SET schema_version = 1")
+    finally:
+        conn.close()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import sqlite3
 import subprocess
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from conftest import (
     CountingTransport,
     arxiv_exchange,
+    make_v1,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -75,6 +77,43 @@ def demo_stdout(tmp_path_factory) -> dict[str, tuple[int, str]]:
 @pytest.mark.parametrize("name", list(GOLDEN_RUNS))
 def test_demo_stdout_matches_golden(demo_stdout, name):
     assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+
+
+class TestSchemaUpgrade:
+    @staticmethod
+    def v1_demo(tmp_path) -> Path:
+        path = tmp_path / "v1.db"
+        build_demo_snapshot(path)
+        with SnapshotStore(path) as store:
+            rows = [r.to_json_dict() for r in store.get_papers().values()]
+        make_v1(path, rows)
+        return path
+
+    def test_an_upgraded_demo_snapshot_gives_the_golden_stdout(self, demo_db, tmp_path):
+        path = self.v1_demo(tmp_path)
+        transport = CountingTransport(OfflineTransport())
+        for name, argv in GOLDEN_RUNS.items():  # `score` comes first and upgrades
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--db", str(path), "--offline", "--now", "2024-10-01", *argv],
+                            transport=transport)
+            assert (code, out.getvalue()) == (0, (GOLDEN / f"{name}.txt").read_text("utf-8"))
+        assert transport.count == 0
+        for db in (demo_db, path):
+            assert main(["--db", str(db), "export", str(tmp_path / f"{db.stem}.jsonl")]) == 0
+        assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "demo.jsonl").read_bytes()
+
+    def test_stats_on_a_schema_1_file_names_the_command_that_upgrades_it(
+            self, tmp_path, capsys):
+        path = self.v1_demo(tmp_path)
+        assert main(["--db", str(path), "stats", "cites"]) == 1
+        err = capsys.readouterr().err
+        command = shlex.split(re.search(r"`litmetrics (.*)`", err).group(1))
+        assert command == ["--db", str(path), "import", os.devnull]
+        transport = CountingTransport(OfflineTransport())
+        assert main(command, transport=transport) == 0
+        assert transport.count == 0
+        assert main(["--db", str(path), "stats", "cites"]) == 0
 
 
 class TestStartup:
@@ -520,6 +559,25 @@ class TestFeaturesCommand:
             fv = store.latest_features("arxiv:2403.00001")
             assert fv.preliminary == 1 and fv.prisma == 0
 
+    def test_features_decode_no_record(self, demo_db, tmp_path, monkeypatch):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        source = Path(__file__).parent / "fixtures" / "docs" / "multiview_summarization.txt"
+        (docs / "arxiv_2403.00001.txt").write_text(source.read_text(encoding="utf-8"))
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        with SnapshotStore(db) as store:
+            store.upsert_paper(PaperRecord(canonical_id="arxiv:2403.00001", title="A review",
+                                           retrieved_at=datetime(2024, 1, 1)))
+        decodes = []
+        decode = PaperRecord.__dict__["from_json_dict"].__func__
+        monkeypatch.setattr(PaperRecord, "from_json_dict", classmethod(
+            lambda cls, data: decodes.append(data["canonical_id"]) or decode(cls, data)))
+        stub = Path(__file__).parent / "fixtures" / "stubs" / "extraction_stub.json"
+        assert main(["--db", str(db), "--offline", "--llm-stub", str(stub),
+                     "features", "arxiv:2403.00001", "--docs", str(docs)]) == 0
+        assert decodes == []
+
     def test_features_without_llm(self, demo_db, capsys):
         code = main(["--db", str(demo_db), "--offline",
                      "features", "arxiv:2500.10000", "--docs", "/nonexistent"])
@@ -692,6 +750,13 @@ class TestExportImport:
         again = tmp_path / "dump2.jsonl"
         assert main(["--db", str(db2), "--offline", "export", str(again)]) == 0
         assert out_path.read_bytes() == again.read_bytes()
+
+    def test_export_of_an_id_named_twice_writes_it_once(self, demo_db, tmp_path, capsys):
+        out_path = tmp_path / "one.jsonl"
+        assert main(["--db", str(demo_db), "export", str(out_path),
+                     "--ids", "arxiv:2500.10000", "arxiv:2500.10000"]) == 0
+        assert len(out_path.read_text().splitlines()) == 1
+        assert "exported 1 records" in capsys.readouterr().err
 
     def test_import_tallies_corrupt_lines(self, demo_db, tmp_path, capsys):
         out_path = tmp_path / "dump.jsonl"

@@ -15,6 +15,9 @@ import pytest
 from conftest import (
     CountingTransport,
     arxiv_exchange,
+    make_v1,
+    papers_rows,
+    put_raw_paper,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -738,20 +741,16 @@ class TestBulkReads:
         assert sorted(decodes) == [f"arxiv:2301.{n:05d}" for n in range(6)]
 
 
+MALFORMED = pytest.mark.parametrize("field, value", [
+    ("citation_count", -1),
+    ("publication_date", "2019-02-30"),
+    ("publication_date", "2025-01-01"),  # after retrieved_at
+], ids=["negative-count", "bad-date", "after-retrieval"])
+
+
 class TestMalformedReferenceRows:
-    @pytest.mark.parametrize("field, value", [
-        ("citation_count", -1),
-        ("publication_date", "2019-02-30"),
-        ("publication_date", "2025-01-01"),  # after retrieved_at
-    ], ids=["negative-count", "bad-date", "after-retrieval"])
-    def test_scoring_raises_what_decoding_the_record_raises(self, tmp_path, field, value):
-        store = SnapshotStore(tmp_path / "s.db")
-        store.insert_new_papers([reference("s2:r1", date(2019, 1, 1), 10)])
-        row = {**reference("s2:r2", date(2019, 1, 1), 10).to_json_dict(), field: value}
-        with store._conn:
-            store._conn.execute("INSERT INTO papers (canonical_id, record_json) VALUES (?, ?)",
-                                ("s2:r2", canonical_json(row)))
-        paper_id = store.upsert_paper(review(reference_ids=["s2:r1", "s2:r2"]))
+    @staticmethod
+    def assert_scoring_raises_what_decoding_raises(store, row, paper_id):
         with pytest.raises(ValueError) as from_record:
             PaperRecord.from_json_dict(row)
         engine = ScoringEngine(store=store, s2=fast_client(TestBulkReads.SAMPLE), now=NOW)
@@ -761,6 +760,30 @@ class TestMalformedReferenceRows:
         with pytest.raises(ValueError) as from_score:
             engine.score(paper_id, ("tncsi", "rqm"))
         assert str(from_batch.value) == str(from_score.value) == str(from_record.value)
+
+    @MALFORMED
+    def test_scoring_raises_what_decoding_the_record_raises(self, tmp_path, field, value):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.insert_new_papers([reference("s2:r1", date(2019, 1, 1), 10)])
+        row = {**reference("s2:r2", date(2019, 1, 1), 10).to_json_dict(), field: value}
+        put_raw_paper(store, row)
+        paper_id = store.upsert_paper(review(reference_ids=["s2:r1", "s2:r2"]))
+        self.assert_scoring_raises_what_decoding_raises(store, row, paper_id)
+
+    @MALFORMED
+    def test_a_schema_1_row_is_carried_over_and_raises_the_same(self, tmp_path, field, value):
+        path = tmp_path / "s.db"
+        SnapshotStore(path).close()
+        row = {**reference("s2:r2", date(2019, 1, 1), 10).to_json_dict(), field: value}
+        paper = review(reference_ids=["s2:r1", "s2:r2"])
+        make_v1(path, [reference("s2:r1", date(2019, 1, 1), 10).to_json_dict(), row,
+                       paper.to_json_dict()])
+        store = SnapshotStore(path)
+        assert store.meta.schema_version == snapshot.SCHEMA_VERSION
+        fresh = SnapshotStore(tmp_path / "fresh.db")
+        put_raw_paper(fresh, row)
+        assert papers_rows(store)["s2:r2"] == papers_rows(fresh)["s2:r2"]
+        self.assert_scoring_raises_what_decoding_raises(store, row, paper.canonical_id)
 
 
 class TestHarvest:
@@ -811,10 +834,6 @@ class TestEnrich:
     EXCHANGES = [s2_paper_exchange("ARXIV:2301.00001", FETCHED),
                  s2_references_exchange("ARXIV:2301.00001", REFS)]
 
-    @staticmethod
-    def papers_rows(store) -> dict[str, str]:
-        return dict(store._conn.execute("SELECT canonical_id, record_json FROM papers"))
-
     def test_existing_reference_rows_stay_untouched(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(review(citation_count=None))
@@ -848,14 +867,14 @@ class TestEnrich:
         store.write()
         return store
 
-    def enriched_rows(self, tmp_path, monkeypatch) -> dict[str, str]:
+    def enriched_rows(self, tmp_path, monkeypatch) -> dict[str, tuple]:
         """The `papers` rows an online enrich leaves, stamped with RETRIEVED."""
         fresh = SnapshotStore(tmp_path / "fresh.db")
         fresh.upsert_paper(review(citation_count=None))
         monkeypatch.setattr(retrieval, "utc_now", lambda: RETRIEVED)
         enrich(fresh, fast_client(self.EXCHANGES), "arxiv:2301.00001")
         monkeypatch.undo()
-        return self.papers_rows(fresh)
+        return papers_rows(fresh)
 
     def test_a_list_cached_as_records_is_still_served(self, tmp_path, monkeypatch):
         # a snapshot enriched before lists were cached as ids: the full
@@ -867,7 +886,7 @@ class TestEnrich:
         enrich(old, replay_client(offline), "arxiv:2301.00001")
         old.write()
         assert offline.attempts == 0
-        assert self.papers_rows(old) == self.enriched_rows(tmp_path, monkeypatch)
+        assert papers_rows(old) == self.enriched_rows(tmp_path, monkeypatch)
         assert old.cache_get(REFERENCES_KEY) == legacy
         assert old._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 2
 
@@ -875,27 +894,27 @@ class TestEnrich:
         # the format before lists were kept in the row only: the ids, with
         # the rows they name stored before them
         rows = self.enriched_rows(tmp_path, monkeypatch)
-        ids = json.loads(rows["arxiv:2301.00001"])["reference_ids"]
+        ids = snapshot._paper_record(rows["arxiv:2301.00001"]).reference_ids
         listed = canonical_json({"ids": ids})
         old = self.old_snapshot(tmp_path / "old.db", listed)
-        old.insert_new_papers(PaperRecord.from_json_dict(json.loads(rows[cid])) for cid in ids)
+        old.insert_new_papers(snapshot._paper_record(rows[cid]) for cid in ids)
         offline = OfflineTransport()
         enrich(old, replay_client(offline), "arxiv:2301.00001")
         old.write()
         assert offline.attempts == 0
-        assert self.papers_rows(old) == rows
+        assert papers_rows(old) == rows
         assert old.cache_get(REFERENCES_KEY) == listed
 
     def test_an_enriched_row_is_enriched_from_itself(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(review(citation_count=None))
         enrich(store, fast_client(self.EXCHANGES), "arxiv:2301.00001")
-        before = self.papers_rows(store)
+        before = papers_rows(store)
         offline = OfflineTransport()
         assert begin_count(store, lambda: enrich(
             store, replay_client(offline), "arxiv:2301.00001")) == 0
         assert offline.attempts == 0
-        assert self.papers_rows(store) == before
+        assert papers_rows(store) == before
 
     def test_a_failed_write_of_the_row_leaves_it_unenriched(self, tmp_path, monkeypatch):
         store = SnapshotStore(tmp_path / "s.db")
@@ -909,12 +928,12 @@ class TestEnrich:
         monkeypatch.setattr(store, "upsert_paper", failing_upsert)
         with pytest.raises(StorageError):
             enrich(store, replay_client(counting), "arxiv:2301.00001")
-        assert {"s2:r1", "s2:r2"} <= self.papers_rows(store).keys()
+        assert {"s2:r1", "s2:r2"} <= papers_rows(store).keys()
         assert "s2_join" not in store.get_paper("arxiv:2301.00001").external_ids
         monkeypatch.setattr(store, "upsert_paper", upsert)
         enrich(store, replay_client(counting), "arxiv:2301.00001")
         assert sum("/references" in key for _, key in counting.calls) == 2
-        stored = self.papers_rows(store).keys()
+        stored = papers_rows(store).keys()
         assert set(store.get_paper("arxiv:2301.00001").reference_ids) <= stored
 
     def test_a_failed_references_fetch_leaves_the_row_unenriched(self, tmp_path):

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
+import os
 import random
+import shlex
 import sqlite3
 from datetime import date, datetime
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_v1
 from litmetrics import snapshot
 from litmetrics.errors import SchemaMismatch, StorageError, UnknownPaper
 from litmetrics.indicators import IndicatorReport
@@ -137,6 +141,150 @@ class TestJsonl:
         out = buf.getvalue().splitlines()
         assert '"canonical_id":"arxiv:1"' in out[0]
         assert '"canonical_id":"arxiv:3"' in out[1]
+
+
+    def test_export_writes_an_id_named_twice_once(self, store):
+        store.upsert_paper(record("arxiv:1"))
+        store.upsert_paper(record("arxiv:2"))
+        buf = io.StringIO()
+        assert store.export_jsonl(buf, ids=["arxiv:1", "arxiv:1", "arxiv:9"]) == 1
+        assert buf.getvalue() == record("arxiv:1").to_canonical_json() + "\n"
+
+    def test_import_writes_every_record_in_one_transaction(self, store):
+        lines = [record(f"arxiv:{i}", cites=i).to_canonical_json() for i in range(50)]
+        lines[7] = '{"canonical_id": "broken"'
+        lines.append(record("arxiv:3", cites=99).to_canonical_json())  # the last line wins
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        try:
+            result = store.import_jsonl(io.StringIO("\n".join(lines) + "\n"))
+        finally:
+            store._conn.set_trace_callback(None)
+        assert (result.imported, result.corrupt) == (50, 1)
+        assert [sql.split()[0] for sql in statements].count("BEGIN") == 1
+        assert store.paper_count() == 49
+        assert store.get_paper("arxiv:3").citation_count == 99
+
+    def test_a_failed_import_writes_nothing(self, store):
+        store.upsert_paper(record("arxiv:0", cites=1))
+        store._conn.execute(
+            "CREATE TRIGGER refuse BEFORE INSERT ON papers WHEN NEW.canonical_id = 'arxiv:5' "
+            "BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        lines = [record(f"arxiv:{i}", cites=i + 10).to_canonical_json() for i in range(10)]
+        with pytest.raises(StorageError, match="refused"):
+            store.import_jsonl(io.StringIO("\n".join(lines)))
+        assert store.paper_count() == 1
+        assert store.get_paper("arxiv:0").citation_count == 1
+
+
+class TestRowLayout:
+    TEXT = st.one_of(st.sampled_from(["", "x"]), st.text(max_size=12))
+
+    @st.composite
+    def records(draw):
+        retrieved = draw(st.datetimes(min_value=datetime(1900, 1, 1),
+                                      max_value=datetime(2100, 12, 31))).replace(microsecond=0)
+        text = TestRowLayout.TEXT
+        return PaperRecord(
+            canonical_id=draw(st.text(min_size=1, max_size=12)),
+            title=draw(text),
+            abstract=draw(text),
+            external_ids=draw(st.dictionaries(text, text, max_size=3)),
+            publication_date=draw(st.none() | st.dates(min_value=date(1900, 1, 1),
+                                                        max_value=retrieved.date())),
+            venue=draw(st.none() | text),
+            citation_count=draw(st.none() | st.integers(0, 2**63 - 1)),
+            reference_ids=draw(st.lists(st.sampled_from(["s2:a", "s2:b"]) | text, max_size=5)),
+            author_count=draw(st.integers(0, 10**6)),
+            topic_keyword=draw(st.none() | text),
+            retrieved_at=retrieved,
+        )
+
+    @given(records())
+    def test_a_record_comes_back_from_its_row_as_it_was(self, paper):
+        row = snapshot._paper_row(paper.to_json_dict())
+        assert snapshot._paper_record(row) == paper
+        assert json.loads(row[-1]).keys().isdisjoint(snapshot._PAPER_COLUMNS)
+        with SnapshotStore(":memory:") as store:
+            store.upsert_paper(paper)
+            assert store.get_paper(paper.canonical_id) == paper
+            stored = store._conn.execute(f"SELECT {snapshot._PAPER_ROW} FROM papers").fetchone()
+            assert stored == row
+
+    def test_the_compact_json_keeps_only_what_differs_from_an_absent_key(self):
+        bare = record("arxiv:1", abstract="", publication_date=None)
+        assert snapshot._paper_row(bare.to_json_dict()) == (
+            "arxiv:1", None, None, None, "2024-10-01T12:00:00Z",
+            '{"title":"A Survey about arxiv:1"}')
+        blank = record("arxiv:1", title="", topic_keyword="", venue="",
+                       reference_ids=["s2:a", "s2:a"])
+        row = snapshot._paper_row(blank.to_json_dict())
+        assert row[1] == "" and json.loads(row[-1]) == {
+            "abstract": "Abstract of arxiv:1.", "venue": "", "reference_ids": ["s2:a", "s2:a"]}
+        assert snapshot._paper_record(row) == blank
+
+
+def other_tables(path) -> dict:
+    """Every row and the schema of the tables a schema upgrade leaves alone."""
+    conn = sqlite3.connect(path)
+    try:
+        return {table: (conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall(),
+                        conn.execute("SELECT sql FROM sqlite_master WHERE tbl_name = ?",
+                                     (table,)).fetchall())
+                for table in ("api_cache", "reports", "features")}
+    finally:
+        conn.close()
+
+
+class TestSchemaUpgrade:
+    @staticmethod
+    def v1_snapshot(tmp_path, extra_rows=()) -> tuple:
+        path = tmp_path / "v1.db"
+        records = [record(f"arxiv:{i}", cites=i, topic_keyword="t" if i % 2 else None,
+                          reference_ids=["arxiv:0"] * i) for i in range(5)]
+        with SnapshotStore(path) as store:
+            for r in records:
+                store.upsert_paper(r)
+            store.store_report("arxiv:1", IndicatorReport(tncsi=0.5))
+            store.store_features("arxiv:1", FeatureVector(discussion=1))
+            store.cache_put("k", "v")
+        make_v1(path, [r.to_json_dict() for r in records] + list(extra_rows))
+        return path, records
+
+    def test_a_writing_open_upgrades_papers_and_leaves_the_rest(self, tmp_path):
+        path, records = self.v1_snapshot(tmp_path)
+        before = other_tables(path)
+        with SnapshotStore(path) as store:
+            assert store.meta.schema_version == snapshot.SCHEMA_VERSION == 2
+            assert store.get_papers() == {r.canonical_id: r for r in records}
+            assert store.review_ids() == ["arxiv:1", "arxiv:3"]
+        assert other_tables(path) == before
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA freelist_count").fetchone() == (0,)
+        conn.close()
+        with SnapshotStore(path, read_only=True) as store:
+            assert store.citation_facts()["arxiv:4"] == (4, date(2023, 5, 1))
+
+    def test_a_read_only_open_names_a_command_that_upgrades(self, tmp_path):
+        path, _ = self.v1_snapshot(tmp_path)
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        with pytest.raises(SchemaMismatch) as raised:
+            SnapshotStore(path, read_only=True)
+        assert f"`litmetrics --db {shlex.quote(str(path))} import {os.devnull}`" in str(
+            raised.value)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+    @pytest.mark.parametrize("field, value", [
+        ("citation_count", True), ("citation_count", "12"), ("citation_count", 2**64),
+        ("publication_date", 2019), ("retrieved_at", None),
+    ], ids=["bool-count", "text-count", "huge-count", "number-date", "no-retrieved-at"])
+    def test_a_failed_upgrade_leaves_the_file_as_it_was(self, tmp_path, field, value):
+        bad = {**record("arxiv:9").to_json_dict(), field: value}  # stored after the rest
+        path, _ = self.v1_snapshot(tmp_path, [bad])
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        with pytest.raises((SchemaMismatch, StorageError), match="arxiv:9|NOT NULL"):
+            SnapshotStore(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
 
 
 class TestReportsAndFeatures:
