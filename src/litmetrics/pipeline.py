@@ -31,9 +31,9 @@ from .retrieval import (
     S2_SEARCH_CAP,
     ArxivClient,
     LlmBackend,
-    LookupOnlyCache,
     PaperRecord,
     SemanticScholarClient,
+    api_id_for,
     count_relevant,
     fetch_arxiv_candidates,
     fetch_monthly_citations,
@@ -41,6 +41,7 @@ from .retrieval import (
     fetch_references,
     fetch_topic_sample,
     llm_topic_keyword,
+    merge_fetched,
 )
 from .snapshot import SnapshotStore
 
@@ -61,20 +62,6 @@ def lower_median_date(dates: Sequence[date]) -> date:
         raise ValueError("no dates")
     ordered = sorted(dates)
     return ordered[(len(ordered) - 1) // 2]
-
-
-def api_id_for(record: PaperRecord) -> str:
-    """Identifier accepted by the graph API for an already-stored record."""
-    arxiv_id = record.external_ids.get("arxiv")
-    if arxiv_id:
-        return f"ARXIV:{arxiv_id}"
-    doi = record.external_ids.get("doi")
-    if doi:
-        return f"DOI:{doi}"
-    s2_id = record.external_ids.get("s2")
-    if s2_id:
-        return s2_id
-    raise UnknownPaper(f"{record.canonical_id} has no API-resolvable identifier")
 
 
 # ---------------------------------------------------------------------------
@@ -107,25 +94,21 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
     title search as last resort; the join route is recorded in the stored
     external ids under ``s2_join``. A title search with no hit raises
     `UnknownPaper`, and one whose page is not a JSON object or whose first hit
-    names no ``paperId`` raises `ParseError`. The references are stored as
-    papers of their own, by `fetch_references`, and the paper keeps their ids.
+    names no ``paperId`` raises `ParseError`. The references not stored yet
+    are inserted as papers of their own, and the paper keeps their ids.
 
-    The paper's row is the only copy of what was fetched: payloads that
-    earlier versions cached are read, and none is cached. A row that holds
-    ``s2_join`` is enriched already and is returned as it is, with no request
-    and no write. Rows before ids holds through the row: the reference rows
-    are committed before the row that names them is written, last, so a
-    failure between the two leaves the paper without ``s2_join``, and the
-    next call fetches again.
+    The paper's row is the only copy of what was fetched; nothing is cached.
+    A row that holds ``s2_join`` is enriched already and is returned as it
+    is, with no request and no write. Rows before ids: the reference rows are
+    committed before the row that names them is written, last, so a failure
+    between the two leaves the paper without ``s2_join``, and the next call
+    fetches again.
     """
     record = store.require_paper(paper_id)
     if "s2_join" in record.external_ids:
         return record.canonical_id
-    lookups = LookupOnlyCache(store)
     if record.external_ids.get("arxiv") or record.external_ids.get("doi"):
-        lookup = api_id_for(record)
-        join_key = "arxiv" if record.external_ids.get("arxiv") else "doi"
-        fetched = fetch_paper_record(client, lookup, cache=lookups)
+        fetched = fetch_paper_record(client, api_id_for(record))
     else:
         page = client.search_page(record.title, 0, 1, "paperId")
         data = (page.get("data") or []) if isinstance(page, dict) else None
@@ -135,24 +118,11 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
         s2_id = hit.get("paperId") if isinstance(hit, dict) else None
         if not s2_id or not isinstance(s2_id, str):
             raise ParseError(f"malformed title search for {paper_id}: no paperId in {page!r:.80}")
-        join_key = "title"
-        fetched = fetch_paper_record(client, s2_id, cache=lookups)
+        fetched = fetch_paper_record(client, s2_id)
 
-    reference_ids = fetch_references(client, api_id_for(fetched), store)
-
-    merged = PaperRecord(
-        canonical_id=record.canonical_id,
-        title=record.title or fetched.title,
-        abstract=record.abstract or fetched.abstract,
-        external_ids={**fetched.external_ids, **record.external_ids, "s2_join": join_key},
-        publication_date=record.publication_date or fetched.publication_date,
-        venue=fetched.venue or record.venue,
-        citation_count=fetched.citation_count,
-        reference_ids=reference_ids,
-        author_count=record.author_count or fetched.author_count,
-        topic_keyword=record.topic_keyword,
-        retrieved_at=fetched.retrieved_at,
-    )
+    references = fetch_references(client, api_id_for(fetched))
+    merged = merge_fetched(record, fetched, [r.canonical_id for r in references])
+    store.insert_new_papers(references)
     return store.upsert_paper(merged)
 
 

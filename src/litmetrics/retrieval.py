@@ -103,10 +103,14 @@ class PaperRecord:
     retrieved_at: datetime = field(default_factory=utc_now)
 
     def __post_init__(self) -> None:
-        if not self.canonical_id:
-            raise ValueError("canonical_id must be non-empty")
-        if self.author_count < 0:
-            raise ValueError("author_count must be non-negative")
+        if not (isinstance(self.canonical_id, str) and self.canonical_id):
+            raise ValueError(f"canonical_id must be a non-empty string, not {self.canonical_id!r}")
+        if not (self.topic_keyword is None or isinstance(self.topic_keyword, str)):
+            raise ValueError(f"topic_keyword must be a string, not {self.topic_keyword!r}")
+        if not (isinstance(self.reference_ids, list)
+                and all(isinstance(rid, str) for rid in self.reference_ids)):
+            raise ValueError("reference_ids must be a list of strings")
+        _check_count("author_count", self.author_count)
         check_citation_facts(self.citation_count, self.publication_date, self.retrieved_at)
 
     def to_json_dict(self) -> dict:
@@ -137,8 +141,8 @@ class PaperRecord:
             publication_date=parse_date(data.get("publication_date")),
             venue=data.get("venue"),
             citation_count=data.get("citation_count"),
-            reference_ids=list(data.get("reference_ids") or []),
-            author_count=int(data.get("author_count") or 0),
+            reference_ids=data.get("reference_ids", []),
+            author_count=data.get("author_count", 0),
             topic_keyword=data.get("topic_keyword"),
             retrieved_at=parse_timestamp(data["retrieved_at"]),
         )
@@ -362,12 +366,6 @@ class ApiCache(Protocol):
     def cache_put(self, key: str, payload: str) -> None: ...
 
 
-class PaperStore(ApiCache, Protocol):
-    """An API cache that also stores papers, as `fetch_references` needs."""
-
-    def insert_new_papers(self, records: Iterable[PaperRecord]) -> None: ...
-
-
 class DictCache:
     """In-memory ApiCache for tests and one-shot scripts."""
 
@@ -381,28 +379,18 @@ class DictCache:
         self.data[key] = payload
 
 
-class LookupOnlyCache:
-    """A view of an API cache that serves the payloads stored in it and
-    stores none: `cache_put` does nothing."""
-
-    def __init__(self, cache: ApiCache):
-        self._cache = cache
-
-    def cache_get(self, key):
-        return self._cache.cache_get(key)
-
-    def cache_put(self, key, payload):
-        pass
+# what reading a value of the wrong JSON type, or one that fails a check, raises
+PAYLOAD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _checked(op: str, step: Callable[[], Any]) -> Any:
-    """``step()``, with a ValueError, KeyError, TypeError, AttributeError or
-    OverflowError it raises turned into `ParseError` naming the op."""
+    """``step()``, with one of `PAYLOAD_ERRORS` it raises turned into
+    `ParseError` naming the op."""
     try:
         return step()
     except LitmetricsError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except PAYLOAD_ERRORS as exc:
         raise ParseError(f"malformed {op} payload: {exc}") from exc
 
 
@@ -835,9 +823,7 @@ def fetch_monthly_citations(
 
     The payload is cached as the month histogram of `_citation_months`, built
     and checked before it is cached, so a citing date that fails the checks
-    raises `ParseError` and leaves no entry. A payload cached as
-    ``{"citing_dates": [...]}``, the format before months, is read through
-    the same histogram and stays as it is.
+    raises `ParseError` and leaves no entry.
     """
     if window_months < 2:
         raise ValueError("window_months must be >= 2")
@@ -855,8 +841,6 @@ def fetch_monthly_citations(
         return _citation_months(citing_dates)
 
     def decode(payload: dict) -> CitationSeries:
-        if "citing_dates" in payload:
-            payload = _citation_months(payload["citing_dates"])
         counts = [0] * window_months
         for month, n in payload["months"].items():
             i = _month_index(date(int(month[:4]), int(month[5:]), 1)) - start_index
@@ -965,42 +949,33 @@ def canonical_id_for_s2(data: dict) -> str:
     return f"s2:{data.get('paperId')}"
 
 
-def fetch_paper_record(
-    client: SemanticScholarClient,
-    paper_id: str,
-    cache: Optional[ApiCache] = None,
-) -> PaperRecord:
+def api_id_for(record: PaperRecord) -> str:
+    """Identifier accepted by the graph API for an already-stored record."""
+    arxiv_id = record.external_ids.get("arxiv")
+    if arxiv_id:
+        return f"ARXIV:{arxiv_id}"
+    doi = record.external_ids.get("doi")
+    if doi:
+        return f"DOI:{doi}"
+    s2_id = record.external_ids.get("s2")
+    if s2_id:
+        return s2_id
+    raise UnknownPaper(f"{record.canonical_id} has no API-resolvable identifier")
+
+
+def fetch_paper_record(client: SemanticScholarClient, paper_id: str) -> PaperRecord:
     """One paper's metadata by S2-acceptable id (ARXIV:..., DOI:..., sha).
-    A payload that fails `PaperRecord`'s checks raises `ParseError` and is
-    not cached."""
-
-    def compute() -> dict:
-        return _record_from_s2(client.paper(paper_id), format_timestamp(utc_now()))
-
-    return _cached_call(
-        cache, {"op": "paper", "paper_id": paper_id}, compute, PaperRecord.from_json_dict
-    )
+    A payload that fails `PaperRecord`'s checks raises `ParseError`."""
+    return _checked("paper", lambda: PaperRecord.from_json_dict(
+        _record_from_s2(client.paper(paper_id), format_timestamp(utc_now()))))
 
 
-def fetch_references(
-    client: SemanticScholarClient, paper_id: str, store: PaperStore
-) -> list[str]:
-    """Canonical ids of a paper's references, in list order, duplicates kept.
+def fetch_references(client: SemanticScholarClient, paper_id: str) -> list[PaperRecord]:
+    """A paper's reference records, in list order, duplicates kept, fetched
+    and not cached. A record that fails `PaperRecord`'s checks, or a page of
+    the wrong shape, raises `ParseError`."""
 
-    Every reference record, with its citation count and publication date, is
-    fetched and decoded; the ones whose id is not stored yet are inserted as
-    papers, in one transaction, and the ids are returned, not cached: the
-    caller keeps them, as `enrich` keeps them in the paper's row. A record
-    that fails `PaperRecord`'s checks raises `ParseError` before anything is
-    stored. Rows before ids: the rows are committed before this returns, so
-    ids the caller stores afterwards never name a paper the store lacks.
-
-    A list that an earlier version cached under the ``references`` op is
-    still served, and left as it is: ``{"ids": [...]}`` with no row written,
-    ``{"records": [...]}`` with its records decoded and inserted as new.
-    """
-
-    def compute() -> dict:
+    def fetch() -> list[PaperRecord]:
         records = []
         retrieved_at = format_timestamp(utc_now())
         for _, data in _pages(
@@ -1008,40 +983,47 @@ def fetch_references(
             for item in data:
                 cited = item.get("citedPaper") or {}
                 if cited.get("paperId"):
-                    rec = _record_from_s2(cited, retrieved_at)
-                    records.append(PaperRecord.from_json_dict(rec))
-        store.insert_new_papers(records)
-        return {"ids": [r.canonical_id for r in records]}
+                    records.append(PaperRecord.from_json_dict(
+                        _record_from_s2(cited, retrieved_at)))
+        return records
 
-    def decode(payload: dict) -> list[str]:
-        if "ids" in payload:
-            return payload["ids"]
-        records = [PaperRecord.from_json_dict(rec) for rec in payload["records"]]
-        store.insert_new_papers(records)
-        return [r.canonical_id for r in records]
+    return _checked("references", fetch)
 
-    return _cached_call(LookupOnlyCache(store), {"op": "references", "paper_id": paper_id},
-                        compute, decode)
+
+def merge_fetched(record: PaperRecord, fetched: PaperRecord,
+                  reference_ids: list[str]) -> PaperRecord:
+    """The stored ``record`` enriched with the ``fetched`` record of the same
+    paper and its reference ids, which `enrich` writes. The route `enrich`
+    joined it by, arXiv id, DOI or title, is kept under ``s2_join``."""
+    ids = record.external_ids
+    join_key = "arxiv" if ids.get("arxiv") else "doi" if ids.get("doi") else "title"
+    return PaperRecord(
+        canonical_id=record.canonical_id,
+        title=record.title or fetched.title,
+        abstract=record.abstract or fetched.abstract,
+        external_ids={**fetched.external_ids, **ids, "s2_join": join_key},
+        publication_date=record.publication_date or fetched.publication_date,
+        venue=fetched.venue or record.venue,
+        citation_count=fetched.citation_count,
+        reference_ids=reference_ids,
+        author_count=record.author_count or fetched.author_count,
+        topic_keyword=record.topic_keyword,
+        retrieved_at=fetched.retrieved_at,
+    )
 
 
 class LazyPaper:
     """Handle to one paper; the first attribute access triggers the single fetch."""
 
-    def __init__(
-        self,
-        paper_id: str,
-        client: SemanticScholarClient,
-        cache: Optional[ApiCache] = None,
-    ):
+    def __init__(self, paper_id: str, client: SemanticScholarClient):
         self.paper_id = paper_id
         self._client = client
-        self._cache = cache
         self._record: Optional[PaperRecord] = None
 
     @property
     def record(self) -> PaperRecord:
         if self._record is None:
-            self._record = fetch_paper_record(self._client, self.paper_id, self._cache)
+            self._record = fetch_paper_record(self._client, self.paper_id)
         return self._record
 
     @property

@@ -22,9 +22,16 @@ from typing import IO, Iterable, Optional
 from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
 from .jsonio import canonical_json, format_timestamp, parse_date, parse_timestamp, utc_now
-from .retrieval import PaperRecord, check_citation_facts
+from .retrieval import (
+    PAYLOAD_ERRORS,
+    PaperRecord,
+    _citation_months,
+    api_id_for,
+    check_citation_facts,
+    merge_fetched,
+)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # ids bound per `IN (...)` query, well below SQLite's parameter limit
 _IN_CHUNK = 500
@@ -164,6 +171,15 @@ def _v1_paper_row(canonical_id: str, record_json: str) -> tuple:
     return _paper_row(data)
 
 
+# `paper` and `references` payloads, and citing dates; a JSON function raises
+# on text that is not JSON, so `json_valid` guards it
+_LEGACY_PAYLOADS = """SELECT key, json_extract(key, '$.op'), payload FROM api_cache
+WHERE CASE WHEN json_valid(key) AND json_valid(payload) THEN json_extract(key, '$.op')
+    IN ('paper', 'references') OR json_type(payload, '$.citing_dates') IS NOT NULL END"""
+_DELETE_LISTINGS = ("DELETE FROM api_cache WHERE CASE WHEN json_valid(key) THEN "
+                    "json_extract(key, '$.op') IN ('paper', 'references') END")
+
+
 def report_to_json_dict(report: IndicatorReport) -> dict:
     data = {
         "tncsi": report.tncsi,
@@ -229,8 +245,7 @@ class SnapshotStore:
         # key -> (payload, time of the put), until written; under the lock
         self._pending: dict[str, tuple[str, datetime]] = {}
         self._written_at = time.monotonic()
-        exists = self.path.exists()
-        if read_only and not exists:
+        if read_only and not self.path.exists():
             raise StorageError(f"snapshot {self.path} does not exist")
         try:
             if read_only:
@@ -243,17 +258,20 @@ class SnapshotStore:
         except sqlite3.Error as exc:
             raise StorageError(f"cannot open snapshot {self.path}: {exc}") from exc
         try:
-            if not exists and not read_only:
+            if not read_only and not self._conn.execute("SELECT 1 FROM sqlite_master").fetchone():
+                # one transaction, so that an interrupted creation leaves no table
                 with self._lock, self._conn:
-                    self._conn.executescript(_SCHEMA)
+                    self._conn.executescript("BEGIN;" + _SCHEMA)
                     self._conn.execute(
                         "INSERT INTO meta (schema_version, created_at, source_notes) "
                         "VALUES (?, ?, ?)",
                         (SCHEMA_VERSION, format_timestamp(utc_now()), source_notes),
                     )
             self._check_schema()
-        except BaseException:
+        except BaseException as exc:
             self._conn.close()
+            if isinstance(exc, sqlite3.Error):
+                raise StorageError(f"cannot open snapshot {self.path}: {exc}") from exc
             raise
 
     def _check_schema(self) -> None:
@@ -263,15 +281,15 @@ class SnapshotStore:
             ).fetchone()
         except sqlite3.Error as exc:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
-        if row is not None and row[0] == 1:
+        if row is not None and row[0] in (1, 2):
             if self.read_only:
                 raise SchemaMismatch(
-                    f"snapshot {self.path} has schema 1 and is opened read-only; any "
+                    f"snapshot {self.path} has schema {row[0]} and is opened read-only; any "
                     f"writing command upgrades it to schema {SCHEMA_VERSION}, for example "
                     f"`litmetrics --db {shlex.quote(str(self.path))} import {os.devnull}`, "
                     "which makes no request"
                 )
-            self._upgrade_v1()
+            self._upgrade(row[0])
             row = (SCHEMA_VERSION, *row[1:])
         if row is None or row[0] != SCHEMA_VERSION:
             raise SchemaMismatch(
@@ -281,24 +299,26 @@ class SnapshotStore:
             schema_version=row[0], created_at=parse_timestamp(row[1]), source_notes=row[2]
         )
 
-    def _upgrade_v1(self) -> None:
-        """Rebuild schema 1's `papers` table as schema 2's in one transaction:
-        all of it, or, when a row or the write fails, nothing. The other
-        tables stay as they are. A `VACUUM` then returns the old table's
-        pages, which would otherwise leave the file larger than before."""
+    def _upgrade(self, version: int) -> None:
+        """Bring a schema-1 or schema-2 file to schema 3 in one transaction:
+        all of it, or, when a row or the write fails, nothing. A `VACUUM`
+        then returns the pages it freed, which would otherwise leave the file
+        larger than before."""
         with self._lock:
             try:
                 with self._conn:
                     self._conn.execute("BEGIN")
-                    self._conn.execute(_PAPERS.format(table="papers_v2"))
-                    self._conn.executemany(
-                        _INSERT_PAPER.format(table="papers_v2"),
-                        (_v1_paper_row(cid, blob) for cid, blob in self._conn.execute(
-                            "SELECT canonical_id, record_json FROM papers")),
-                    )
-                    self._conn.execute("DROP TABLE papers")
-                    self._conn.execute("ALTER TABLE papers_v2 RENAME TO papers")
-                    self._conn.execute(_REVIEWS_INDEX)
+                    if version == 1:
+                        self._conn.execute(_PAPERS.format(table="papers_v2"))
+                        self._conn.executemany(
+                            _INSERT_PAPER.format(table="papers_v2"),
+                            (_v1_paper_row(cid, blob) for cid, blob in self._conn.execute(
+                                "SELECT canonical_id, record_json FROM papers")),
+                        )
+                        self._conn.execute("DROP TABLE papers")
+                        self._conn.execute("ALTER TABLE papers_v2 RENAME TO papers")
+                        self._conn.execute(_REVIEWS_INDEX)
+                    self._convert_payloads()
                     self._conn.execute("UPDATE meta SET schema_version = ?", (SCHEMA_VERSION,))
                 self._conn.execute("VACUUM")
             except (ValueError, TypeError) as exc:
@@ -307,6 +327,46 @@ class SnapshotStore:
             except sqlite3.Error as exc:
                 raise StorageError(f"cannot upgrade {self.path} to schema "
                                    f"{SCHEMA_VERSION}: {exc}") from exc
+
+    def _convert_payloads(self) -> None:
+        """Leave each op one payload format; no other code reads the others.
+        Citing dates become their month histogram, `stored_at` kept, or are
+        dropped when a date fails the rule. A row `enrich` looks up by arXiv
+        id or DOI and has not enriched is enriched from its `paper` and
+        `references` payloads as an offline `enrich` of it would be, or left
+        as it is when one is missing or fails its checks. Then every `paper`
+        and `references` payload goes."""
+        conn, listings = self._conn, {}
+
+        def listed(op: str, paper: PaperRecord):
+            return json.loads(listings[canonical_json({"op": op, "paper_id": api_id_for(paper)})])
+
+        for key, op, payload in conn.execute(_LEGACY_PAYLOADS).fetchall():
+            if op != "citations":
+                listings[key] = payload
+                continue
+            try:
+                months = canonical_json(_citation_months(json.loads(payload)["citing_dates"]))
+                conn.execute("UPDATE api_cache SET payload = ? WHERE key = ?", (months, key))
+            except PAYLOAD_ERRORS:
+                conn.execute("DELETE FROM api_cache WHERE key = ?", (key,))
+        for row in self._paper_rows(_PAPER_ROW) if listings else ():
+            try:
+                record = _paper_record(row)
+                ids = record.external_ids
+                if "s2_join" in ids or not (ids.get("arxiv") or ids.get("doi")):
+                    continue
+                fetched = PaperRecord.from_json_dict(listed("paper", record))
+                listing = listed("references", fetched)
+                references = [] if "ids" in listing else [
+                    PaperRecord.from_json_dict(r) for r in listing["records"]]
+                enriched = merge_fetched(record, fetched, listing["ids"] if "ids" in listing
+                                         else [r.canonical_id for r in references])
+            except (*PAYLOAD_ERRORS, UnknownPaper):
+                continue
+            conn.executemany(_INSERT_NEW_PAPER, [_paper_row(r.to_json_dict()) for r in references])
+            conn.execute(_UPSERT_PAPER, _paper_row(enriched.to_json_dict()))
+        conn.execute(_DELETE_LISTINGS)
 
     def close(self) -> None:
         """Write the held payloads, then close the connection."""

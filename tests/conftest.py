@@ -226,19 +226,29 @@ def put_raw_paper(store, data: dict) -> None:
         store._conn.execute(snapshot._UPSERT_PAPER, snapshot._paper_row(data))
 
 
-def make_v1(path: Path, rows: Iterable[dict]) -> None:
-    """Turn the closed snapshot at ``path`` into a schema-1 file, as earlier
-    versions wrote it: `papers` holds one canonical-JSON record per row, the
-    JSON dicts of ``rows`` unchecked, and the other tables stay as they are."""
+LEGACY_STORED_AT = "2024-09-01T00:00:00Z"
+
+
+def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
+                payloads: dict[str, str] | None = None) -> None:
+    """Turn the closed snapshot at ``path`` into a schema-``version`` file, 1
+    or 2, as earlier versions wrote it. ``payloads`` are cached by key, as
+    those versions cached them, stamped `LEGACY_STORED_AT`. At schema 1,
+    `papers` holds one canonical-JSON record per row, the JSON dicts of
+    ``rows`` unchecked; the other tables stay as they are."""
     conn = sqlite3.connect(path)
     try:
         with conn:
-            conn.execute("DROP TABLE papers")
-            conn.execute("CREATE TABLE papers (canonical_id TEXT PRIMARY KEY, "
-                         "record_json TEXT NOT NULL)")
-            conn.executemany("INSERT INTO papers VALUES (?, ?)",
-                             [(data["canonical_id"], canonical_json(data)) for data in rows])
-            conn.execute("UPDATE meta SET schema_version = 1")
+            if version == 1:
+                conn.execute("DROP TABLE papers")
+                conn.execute("CREATE TABLE papers (canonical_id TEXT PRIMARY KEY, "
+                             "record_json TEXT NOT NULL)")
+                conn.executemany("INSERT INTO papers VALUES (?, ?)",
+                                 [(data["canonical_id"], canonical_json(data)) for data in rows])
+            conn.executemany("INSERT OR REPLACE INTO api_cache VALUES (?, ?, ?)",
+                             [(key, payload, LEGACY_STORED_AT)
+                              for key, payload in (payloads or {}).items()])
+            conn.execute("UPDATE meta SET schema_version = ?", (version,))
     finally:
         conn.close()
 

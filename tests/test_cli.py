@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from conftest import (
     CountingTransport,
     arxiv_exchange,
-    make_v1,
+    make_legacy,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -79,18 +79,22 @@ def test_demo_stdout_matches_golden(demo_stdout, name):
     assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
 
 
+UPGRADED = pytest.mark.parametrize("version", [1, 2], ids=["schema-1", "schema-2"])
+
+
 class TestSchemaUpgrade:
     @staticmethod
-    def v1_demo(tmp_path) -> Path:
-        path = tmp_path / "v1.db"
+    def legacy_demo(tmp_path, version) -> Path:
+        path = tmp_path / "legacy.db"
         build_demo_snapshot(path)
         with SnapshotStore(path) as store:
             rows = [r.to_json_dict() for r in store.get_papers().values()]
-        make_v1(path, rows)
+        make_legacy(path, version, rows)
         return path
 
-    def test_an_upgraded_demo_snapshot_gives_the_golden_stdout(self, demo_db, tmp_path):
-        path = self.v1_demo(tmp_path)
+    @UPGRADED
+    def test_an_upgraded_demo_snapshot_gives_the_golden_stdout(self, demo_db, tmp_path, version):
+        path = self.legacy_demo(tmp_path, version)
         transport = CountingTransport(OfflineTransport())
         for name, argv in GOLDEN_RUNS.items():  # `score` comes first and upgrades
             out = io.StringIO()
@@ -101,11 +105,12 @@ class TestSchemaUpgrade:
         assert transport.count == 0
         for db in (demo_db, path):
             assert main(["--db", str(db), "export", str(tmp_path / f"{db.stem}.jsonl")]) == 0
-        assert (tmp_path / "v1.jsonl").read_bytes() == (tmp_path / "demo.jsonl").read_bytes()
+        assert (tmp_path / "legacy.jsonl").read_bytes() == (tmp_path / "demo.jsonl").read_bytes()
 
-    def test_stats_on_a_schema_1_file_names_the_command_that_upgrades_it(
-            self, tmp_path, capsys):
-        path = self.v1_demo(tmp_path)
+    @UPGRADED
+    def test_stats_on_a_legacy_file_names_the_command_that_upgrades_it(
+            self, tmp_path, capsys, version):
+        path = self.legacy_demo(tmp_path, version)
         assert main(["--db", str(path), "stats", "cites"]) == 1
         err = capsys.readouterr().err
         command = shlex.split(re.search(r"`litmetrics (.*)`", err).group(1))

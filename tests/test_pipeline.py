@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import sys
 import threading
 import time
@@ -15,7 +16,8 @@ import pytest
 from conftest import (
     CountingTransport,
     arxiv_exchange,
-    make_v1,
+    LEGACY_STORED_AT,
+    make_legacy,
     papers_rows,
     put_raw_paper,
     s2_citations_exchange,
@@ -515,14 +517,12 @@ class TestBatchWrites:
         for db in dbs.values():
             build_demo_snapshot(db)
         # a snapshot scored before citations were cached as months held the
-        # citing dates as fetched
+        # citing dates as fetched; the upgrade turns them into months
         legacy = {canonical_json({"op": "citations", "paper_id": paper_id}):
                   canonical_json({"citing_dates": dates})
                   for paper_id, dates in demo_citing_dates(demo_corpus).items()}
-        with SnapshotStore(dbs["dates"]) as store:
-            for key, payload in legacy.items():
-                store.cache_put(key, payload)
-        out, reports = {}, {}
+        make_legacy(dbs["dates"], 2, payloads=legacy)
+        out, reports, cached = {}, {}, {}
         for fmt, db in dbs.items():
             offline = CountingTransport(OfflineTransport())
             assert main(["--db", str(db), "--offline", "--now", "2024-10-01", "score", "--all"],
@@ -532,10 +532,13 @@ class TestBatchWrites:
             with SnapshotStore(db, read_only=True) as store:
                 reports[fmt] = store._conn.execute(
                     "SELECT paper_id, computed_at, report_json FROM reports ORDER BY id").fetchall()
-                if fmt == "dates":
-                    assert {key: store.cache_get(key) for key in legacy} == legacy
+                cached[fmt] = {key: store.cache_get(key) for key in legacy}
+                stamps = {key: stamp for key, stamp in store._conn.execute(
+                    "SELECT key, stored_at FROM api_cache") if key in legacy}
         assert out["dates"] == out["months"]
         assert reports["dates"] == reports["months"] and len(reports["dates"]) == 20
+        assert cached["dates"] == cached["months"]
+        assert set(stamps.values()) == {LEGACY_STORED_AT}
 
     def test_without_persist_the_payloads_are_stored_and_no_report(
             self, tmp_path, demo_corpus, demo_payloads):
@@ -776,8 +779,8 @@ class TestMalformedReferenceRows:
         SnapshotStore(path).close()
         row = {**reference("s2:r2", date(2019, 1, 1), 10).to_json_dict(), field: value}
         paper = review(reference_ids=["s2:r1", "s2:r2"])
-        make_v1(path, [reference("s2:r1", date(2019, 1, 1), 10).to_json_dict(), row,
-                       paper.to_json_dict()])
+        make_legacy(path, 1, [reference("s2:r1", date(2019, 1, 1), 10).to_json_dict(), row,
+                              paper.to_json_dict()])
         store = SnapshotStore(path)
         assert store.meta.schema_version == snapshot.SCHEMA_VERSION
         fresh = SnapshotStore(tmp_path / "fresh.db")
@@ -816,6 +819,7 @@ class TestHarvest:
             "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
 
 
+PAPER_KEY = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
 REFERENCES_KEY = canonical_json({"op": "references", "paper_id": "ARXIV:2301.00001"})
 
 
@@ -855,17 +859,19 @@ class TestEnrich:
         assert store.get_paper("arxiv:2301.00001").reference_ids == ["s2:r1", "s2:r2", "s2:r2"]
         assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 0
 
-    def old_snapshot(self, path, references_payload: str) -> SnapshotStore:
-        """An un-enriched review with the paper and references payloads an
-        earlier version cached for it, and nothing else."""
-        store = SnapshotStore(path)
-        store.upsert_paper(review(citation_count=None))
-        paper_key = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
-        store.cache_put(paper_key, canonical_json(
-            retrieval._record_from_s2(self.FETCHED, format_timestamp(RETRIEVED))))
-        store.cache_put(REFERENCES_KEY, references_payload)
-        store.write()
-        return store
+    @staticmethod
+    def legacy_snapshot(path, payloads: dict[str, str], papers=()) -> Path:
+        """A schema-2 file holding an un-enriched review, the ``papers`` and
+        the ``payloads`` that an earlier `enrich` cached."""
+        with SnapshotStore(path) as store:
+            store.insert_new_papers([review(citation_count=None), *papers])
+        make_legacy(path, 2, payloads=payloads)
+        return path
+
+    def legacy_paper(self, **changes) -> str:
+        """The `paper` payload of the review, as an earlier `enrich` cached it."""
+        return canonical_json(retrieval._record_from_s2({**self.FETCHED, **changes},
+                                                        format_timestamp(RETRIEVED)))
 
     def enriched_rows(self, tmp_path, monkeypatch) -> dict[str, tuple]:
         """The `papers` rows an online enrich leaves, stamped with RETRIEVED."""
@@ -876,34 +882,73 @@ class TestEnrich:
         monkeypatch.undo()
         return papers_rows(fresh)
 
-    def test_a_list_cached_as_records_is_still_served(self, tmp_path, monkeypatch):
+    @staticmethod
+    def enrich_offline(path, capsys) -> dict[str, tuple]:
+        """The `papers` rows after an offline `enrich` of the review, whose
+        writing open upgrades the file: it makes no request and leaves no
+        payload."""
+        offline = CountingTransport(OfflineTransport())
+        assert main(["--db", str(path), "--offline", "enrich", "arxiv:2301.00001"],
+                    transport=offline) == 0
+        assert offline.count == 0
+        assert capsys.readouterr().out == "arxiv:2301.00001  enriched\n"
+        with SnapshotStore(path, read_only=True) as store:
+            assert payloads(store) == {}
+            return papers_rows(store)
+
+    def test_a_list_cached_as_records_is_still_served(self, tmp_path, monkeypatch, capsys):
         # a snapshot enriched before lists were cached as ids: the full
         # records, as fetched, under the references key, and no reference rows
         legacy = canonical_json({"records": [
             retrieval._record_from_s2(ref, format_timestamp(RETRIEVED)) for ref in self.REFS]})
-        old = self.old_snapshot(tmp_path / "old.db", legacy)
-        offline = OfflineTransport()
-        enrich(old, replay_client(offline), "arxiv:2301.00001")
-        old.write()
-        assert offline.attempts == 0
-        assert papers_rows(old) == self.enriched_rows(tmp_path, monkeypatch)
-        assert old.cache_get(REFERENCES_KEY) == legacy
-        assert old._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 2
+        path = self.legacy_snapshot(tmp_path / "old.db",
+                                    {PAPER_KEY: self.legacy_paper(), REFERENCES_KEY: legacy})
+        assert self.enrich_offline(path, capsys) == self.enriched_rows(tmp_path, monkeypatch)
 
-    def test_a_list_cached_as_ids_is_still_served(self, tmp_path, monkeypatch):
+    def test_a_list_cached_as_ids_is_still_served(self, tmp_path, monkeypatch, capsys):
         # the format before lists were kept in the row only: the ids, with
         # the rows they name stored before them
         rows = self.enriched_rows(tmp_path, monkeypatch)
         ids = snapshot._paper_record(rows["arxiv:2301.00001"]).reference_ids
-        listed = canonical_json({"ids": ids})
-        old = self.old_snapshot(tmp_path / "old.db", listed)
-        old.insert_new_papers(snapshot._paper_record(rows[cid]) for cid in ids)
-        offline = OfflineTransport()
-        enrich(old, replay_client(offline), "arxiv:2301.00001")
-        old.write()
-        assert offline.attempts == 0
-        assert papers_rows(old) == rows
-        assert old.cache_get(REFERENCES_KEY) == listed
+        path = self.legacy_snapshot(
+            tmp_path / "old.db",
+            {PAPER_KEY: self.legacy_paper(), REFERENCES_KEY: canonical_json({"ids": ids})},
+            [snapshot._paper_record(rows[cid]) for cid in ids])
+        assert self.enrich_offline(path, capsys) == rows
+
+    def test_the_upgrade_leaves_a_title_row_and_a_row_whose_pair_fails_as_they_are(
+            self, tmp_path):
+        # a title row's pair is keyed by the id its search found, and the
+        # search is cached nowhere, though here that id is the row's own
+        by_title = review("s2:hit", external_ids={"s2": "hit"}, citation_count=None)
+        bad_paper = review("arxiv:2301.00002", citation_count=None)
+        bad_listing = review("arxiv:2301.00003", citation_count=None)
+        listing = canonical_json({"records": [
+            retrieval._record_from_s2(ref, format_timestamp(RETRIEVED)) for ref in self.REFS]})
+        negative = canonical_json({"records": [retrieval._record_from_s2(
+            {**self.REFS[0], "citationCount": -1}, format_timestamp(RETRIEVED))]})
+
+        def key(op, paper_id):
+            return canonical_json({"op": op, "paper_id": paper_id})
+
+        path = self.legacy_snapshot(tmp_path / "old.db", {
+            key("paper", "hit"): self.legacy_paper(paperId="hit", externalIds={}),
+            key("references", "hit"): listing,
+            key("paper", "ARXIV:2301.00002"): self.legacy_paper(
+                externalIds={"ArXiv": "2301.00002"}, citationCount=-1),
+            key("references", "ARXIV:2301.00002"): listing,
+            key("paper", "ARXIV:2301.00003"): self.legacy_paper(
+                externalIds={"ArXiv": "2301.00003"}),
+            key("references", "ARXIV:2301.00003"): negative,
+        }, [by_title, bad_paper, bad_listing])
+        conn = sqlite3.connect(path)
+        before = {row[0]: row
+                  for row in conn.execute(f"SELECT {snapshot._PAPER_ROW} FROM papers")}
+        conn.close()
+        assert len(before) == 4
+        with SnapshotStore(path) as store:
+            assert papers_rows(store) == before
+            assert payloads(store) == {}
 
     def test_an_enriched_row_is_enriched_from_itself(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LEGACY_STORED_AT,
     CountingTransport,
     FlakyTransport,
     arxiv_exchange,
+    make_legacy,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -259,18 +261,31 @@ class TestMonthlyCitations:
             assert (series.dropped_undated, series.dropped_year_only) == (0, 1)
         assert (counting.count, len(cache.data)) == (1, 1)
 
-    def test_dates_cached_before_months_are_still_served(self, fixture_transport_factory):
-        citing = ["2024-09-10", "2024-08", None, "2023", "2024-05-31"]
-        transport = fixture_transport_factory([s2_citations_exchange("p7", citing)])
-        fresh = fetch_monthly_citations(s2_client(transport), "p7", 6, now=NOW)
+    @pytest.mark.parametrize("citing, cached", [
+        (["2024-09-10", "2024-08", None, "2023", "2024-05-31"],
+         '{"months":{"2024-05":1,"2024-08":1,"2024-09":1},"undated":1,"year_only":1}'),
+        (["2024-09-10", "2024-13-40"], None),
+    ], ids=["converted", "dropped"])
+    def test_dates_cached_before_months_are_still_served(self, tmp_path, citing, cached):
+        # the upgrade turns the citing dates into the months they count in,
+        # or drops them when a date fails the rule, as a fetch of them would
+        path = tmp_path / "s.db"
+        SnapshotStore(path).close()
         key = retrieval.canonical_json({"op": "citations", "paper_id": "p7"})
-        legacy = retrieval.canonical_json({"citing_dates": citing})
-        cache = DictCache()
-        cache.data[key] = legacy
+        make_legacy(path, 2, payloads={key: retrieval.canonical_json({"citing_dates": citing})})
         offline = OfflineTransport()
-        assert fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW, cache=cache) == fresh
-        assert offline.attempts == 0
-        assert cache.data == {key: legacy}
+        with SnapshotStore(path) as store:
+            assert store._conn.execute("SELECT payload, stored_at FROM api_cache").fetchall() == (
+                [(cached, LEGACY_STORED_AT)] if cached else [])
+            if cached:
+                fresh = FixtureTransport.from_pairs([s2_citations_exchange("p7", citing)])
+                assert fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW,
+                                               cache=store) == fetch_monthly_citations(
+                    s2_client(fresh), "p7", 6, now=NOW)
+            else:
+                with pytest.raises(NetworkForbidden):
+                    fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW, cache=store)
+        assert offline.attempts == (0 if cached else 1)
 
     def test_a_next_that_does_not_advance_ends_the_paging(self):
         exchange = s2_citations_exchange("p8", ["2024-09-01"], next_offset=0)
@@ -674,7 +689,7 @@ class TestCacheIdempotenceAllOps:
         assert count_relevant(*args, cache=cache) == (3, None)
         assert counting.count == 1
 
-    def test_paper_record_and_references(self, fixture_transport_factory, tmp_path):
+    def test_paper_record_and_references_are_fetched_each_time(self, fixture_transport_factory):
         from conftest import s2_references_exchange
         from litmetrics.retrieval import fetch_paper_record, fetch_references
 
@@ -690,22 +705,15 @@ class TestCacheIdempotenceAllOps:
             s2_references_exchange("ARXIV:2401.77777", refs),
         ])
         counting = CountingTransport(inner)
-        store = SnapshotStore(tmp_path / "s.db")
         client = s2_client(counting)
-        r1 = fetch_paper_record(client, "ARXIV:2401.77777", cache=store)
-        r2 = fetch_paper_record(client, "ARXIV:2401.77777", cache=store)
-        l1 = fetch_references(client, "ARXIV:2401.77777", store)
-        row = store.get_paper("s2:q1").to_canonical_json()
-        l2 = fetch_references(client, "ARXIV:2401.77777", store)
-        assert counting.count == 3  # the paper once, the references each time
-        assert r1.to_canonical_json() == r2.to_canonical_json()
-        assert l1 == l2 == ["s2:q1"]
-        assert r1.retrieved_at == r2.retrieved_at  # timestamp comes from the cache
-        references_key = retrieval.canonical_json(
-            {"op": "references", "paper_id": "ARXIV:2401.77777"})
-        assert store.cache_get(references_key) is None
-        assert store.get_paper("s2:q1").to_canonical_json() == row  # stored once, kept
-        row = store.get_paper("s2:q1")
+        r1 = fetch_paper_record(client, "ARXIV:2401.77777")
+        r2 = fetch_paper_record(client, "ARXIV:2401.77777")
+        l1 = fetch_references(client, "ARXIV:2401.77777")
+        l2 = fetch_references(client, "ARXIV:2401.77777")
+        assert counting.count == 4  # neither is cached: `enrich` keeps them in rows
+        assert (r1.canonical_id, r1.citation_count) == (r2.canonical_id, 5)
+        assert [r.canonical_id for r in l1] == [r.canonical_id for r in l2] == ["s2:q1"]
+        row = l1[0]
         assert (row.external_ids, row.title, row.publication_date, row.citation_count) == (
             {"s2": "q1"}, "Q1", date(2020, 1, 1), 10)
 
@@ -724,14 +732,16 @@ class TestNothingUndecodableIsCached:
             paper = {"paperId": "fut", "externalIds": {"ArXiv": "2401.88888"}, "title": "F",
                      "publicationDate": "2999-01-01", "citationCount": 1}
             exchange = s2_paper_exchange("ARXIV:2401.88888", paper)
-            fetch, message = fetch_paper_record, "publication_date cannot postdate retrieval"
+            fetch, message = (lambda client, pid, store: fetch_paper_record(client, pid)), (
+                "publication_date cannot postdate retrieval")
         elif op == "references":
             refs = [{"paperId": "ok", "externalIds": {}, "title": "OK",
                      "publicationDate": "2020-01-01", "citationCount": 3},
                     {"paperId": "neg", "externalIds": {}, "title": "Neg",
                      "publicationDate": "2020-01-01", "citationCount": -1}]
             exchange = s2_references_exchange("ARXIV:2401.88888", refs)
-            fetch, message = fetch_references, "citation_count must be non-negative"
+            fetch, message = (lambda client, pid, store: fetch_references(client, pid)), (
+                "citation_count must be non-negative")
         else:
             exchange = s2_citations_exchange("ARXIV:2401.88888", ["2024-08-02", "2024-13-40"])
             fetch, message = (lambda client, pid, store: fetch_monthly_citations(
@@ -781,15 +791,15 @@ class TestNothingUndecodableIsCached:
             "citations": lambda client, cache: fetch_monthly_citations(
                 client, "pW", 6, now=NOW, cache=cache),
             "topic_sample": lambda client, cache: fetch_topic_sample(client, "kw", 5, cache),
-            "paper": lambda client, cache: fetch_paper_record(client, "pW", cache),
+            "paper": lambda client, cache: fetch_paper_record(client, "pW"),
             "count_relevant": lambda client, cache: count_relevant(
                 client, "kw", date(2023, 1, 1), date(2023, 6, 1), cache),
-            "references": lambda client, cache: fetch_references(client, "pW", cache),
+            "references": lambda client, cache: fetch_references(client, "pW"),
         }[op]
-        cache = PaperDictCache()
+        cache = DictCache()
         with pytest.raises(ParseError, match=f"malformed {op} payload: "):
             fetch(s2_client(FixtureTransport.from_pairs([exchange])), cache)
-        assert (cache.data, cache.papers) == ({}, [])
+        assert cache.data == {}
 
     def test_a_topic_count_cached_before_counts_were_checked_raises_parse_error(self):
         cache = DictCache()
@@ -823,17 +833,6 @@ class TestNothingUndecodableIsCached:
         assert stored_at == "2024-10-01T00:00:00Z"
         assert fetch_topic_sample(client, "kw", 5, store).sample_citation_counts == (3, 5)
         assert counting.count == 1
-
-
-class PaperDictCache(DictCache):
-    """A `DictCache` that also takes the papers `fetch_references` stores."""
-
-    def __init__(self):
-        super().__init__()
-        self.papers: list[PaperRecord] = []
-
-    def insert_new_papers(self, records):
-        self.papers.extend(records)
 
 
 REFS = [{"paperId": f"q{i}", "externalIds": {"DOI": f"10.1/q{i}"}, "title": f"Q{i}",
@@ -874,7 +873,7 @@ PAGED_OPS = {
     "references": (
         [s2_references_exchange("pP", REFS[:2], next_offset=100),
          s2_references_exchange("pP", REFS[2:], offset=100)],
-        lambda client, cache: fetch_references(client, "pP", cache),
+        lambda client, cache: [r.canonical_id for r in fetch_references(client, "pP")],
         ["doi:10.1/q0", "doi:10.1/q1", "doi:10.1/q2"],
         [("citedPaper",), ("citedPaper", "externalIds")],
     ),
@@ -917,9 +916,8 @@ def page_mutations(offset: int, nested: list[tuple]) -> st.SearchStrategy:
 class TestPageShapeProperties:
     """Mutated pages of every paged op: only `ParseError` (or `EmptyResult`
     for a topic left with no hit) leaves the fetch, a `ParseError` leaves no
-    cache entry and no stored paper, a success leaves one entry (the
-    references op none, and its rows stored), and unmutated pages give the
-    examples' result."""
+    cache entry, a success leaves one entry (the references op none), and
+    unmutated pages give the examples' result."""
 
     @pytest.mark.parametrize("op", sorted(PAGED_OPS))
     @settings(max_examples=100, deadline=None)
@@ -937,19 +935,18 @@ class TestPageShapeProperties:
         else:
             must_fail = False
         counting = CountingTransport(FixtureTransport.from_pairs(pages), max_calls=len(pages))
-        cache = PaperDictCache()
+        cache = DictCache()
         try:
             result = fetch(s2_client(counting), cache)
         except ParseError as exc:
             assert must_fail is not False, exc
-            assert (cache.data, cache.papers) == ({}, [])
+            assert cache.data == {}
         except EmptyResult:
             assert op == "topic_sample" and must_fail is not True
         else:
             assert must_fail is not True, result
             if op == "references":
                 assert cache.data == {}
-                assert [r.canonical_id for r in cache.papers] == result
             else:
                 assert len(cache.data) == 1
             if mutation is None:

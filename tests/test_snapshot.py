@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_v1
+from conftest import make_legacy
 from litmetrics import snapshot
 from litmetrics.errors import SchemaMismatch, StorageError, UnknownPaper
 from litmetrics.indicators import IndicatorReport
+from litmetrics.jsonio import canonical_json
 from litmetrics.retrieval import PaperRecord
 from litmetrics.snapshot import FeatureVector, SnapshotStore
 
@@ -124,9 +125,18 @@ class TestJsonl:
         assert store.export_jsonl(buf) == 0
         assert buf.getvalue() == ""
 
-    def test_corrupt_line_skipped_and_tallied(self, store):
+    @pytest.mark.parametrize("corrupt", [
+        '{"canonical_id": "broken"',  # truncated JSON
+        # values a column or a conversion would store as another value
+        *(canonical_json({**record("arxiv:4").to_json_dict(), field: value})
+          for field, value in [("canonical_id", 7), ("topic_keyword", 5),
+                               ("reference_ids", "abc"), ("reference_ids", ["s2:a", 1]),
+                               ("author_count", 2.7), ("author_count", True)]),
+    ], ids=["truncated", "numeric-id", "numeric-keyword", "references-a-string",
+            "reference-a-number", "fractional-authors", "authors-a-bool"])
+    def test_corrupt_line_skipped_and_tallied(self, store, corrupt):
         lines = [record(f"arxiv:{i}").to_canonical_json() for i in range(10)]
-        lines[4] = '{"canonical_id": "broken"'  # truncated JSON
+        lines[4] = corrupt
         result = store.import_jsonl(io.StringIO("\n".join(lines) + "\n"))
         assert result.imported == 9
         assert result.corrupt == 1
@@ -236,10 +246,17 @@ def other_tables(path) -> dict:
         conn.close()
 
 
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+UPGRADED = pytest.mark.parametrize("version", [1, 2], ids=["schema-1", "schema-2"])
+
+
 class TestSchemaUpgrade:
     @staticmethod
-    def v1_snapshot(tmp_path, extra_rows=()) -> tuple:
-        path = tmp_path / "v1.db"
+    def legacy_snapshot(tmp_path, version=1, extra_rows=(), payloads=None) -> tuple:
+        path = tmp_path / "legacy.db"
         records = [record(f"arxiv:{i}", cites=i, topic_keyword="t" if i % 2 else None,
                           reference_ids=["arxiv:0"] * i) for i in range(5)]
         with SnapshotStore(path) as store:
@@ -248,14 +265,16 @@ class TestSchemaUpgrade:
             store.store_report("arxiv:1", IndicatorReport(tncsi=0.5))
             store.store_features("arxiv:1", FeatureVector(discussion=1))
             store.cache_put("k", "v")
-        make_v1(path, [r.to_json_dict() for r in records] + list(extra_rows))
+        make_legacy(path, version, [r.to_json_dict() for r in records] + list(extra_rows),
+                    payloads)
         return path, records
 
-    def test_a_writing_open_upgrades_papers_and_leaves_the_rest(self, tmp_path):
-        path, records = self.v1_snapshot(tmp_path)
+    @UPGRADED
+    def test_a_writing_open_upgrades_papers_and_leaves_the_rest(self, tmp_path, version):
+        path, records = self.legacy_snapshot(tmp_path, version)
         before = other_tables(path)
         with SnapshotStore(path) as store:
-            assert store.meta.schema_version == snapshot.SCHEMA_VERSION == 2
+            assert store.meta.schema_version == snapshot.SCHEMA_VERSION
             assert store.get_papers() == {r.canonical_id: r for r in records}
             assert store.review_ids() == ["arxiv:1", "arxiv:3"]
         assert other_tables(path) == before
@@ -265,14 +284,16 @@ class TestSchemaUpgrade:
         with SnapshotStore(path, read_only=True) as store:
             assert store.citation_facts()["arxiv:4"] == (4, date(2023, 5, 1))
 
-    def test_a_read_only_open_names_a_command_that_upgrades(self, tmp_path):
-        path, _ = self.v1_snapshot(tmp_path)
-        before = hashlib.sha256(path.read_bytes()).hexdigest()
+    @UPGRADED
+    def test_a_read_only_open_names_a_command_that_upgrades(self, tmp_path, version):
+        path, _ = self.legacy_snapshot(tmp_path, version)
+        before = sha256(path)
         with pytest.raises(SchemaMismatch) as raised:
             SnapshotStore(path, read_only=True)
+        assert f"has schema {version} and is opened read-only" in str(raised.value)
         assert f"`litmetrics --db {shlex.quote(str(path))} import {os.devnull}`" in str(
             raised.value)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+        assert sha256(path) == before
 
     @pytest.mark.parametrize("field, value", [
         ("citation_count", True), ("citation_count", "12"), ("citation_count", 2**64),
@@ -280,11 +301,42 @@ class TestSchemaUpgrade:
     ], ids=["bool-count", "text-count", "huge-count", "number-date", "no-retrieved-at"])
     def test_a_failed_upgrade_leaves_the_file_as_it_was(self, tmp_path, field, value):
         bad = {**record("arxiv:9").to_json_dict(), field: value}  # stored after the rest
-        path, _ = self.v1_snapshot(tmp_path, [bad])
-        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        path, _ = self.legacy_snapshot(tmp_path, 1, [bad])
+        before = sha256(path)
         with pytest.raises((SchemaMismatch, StorageError), match="arxiv:9|NOT NULL"):
             SnapshotStore(path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+        assert sha256(path) == before
+
+    def test_a_failed_payload_conversion_leaves_the_file_as_it_was(self, tmp_path):
+        # a row to enrich, a references list to insert and citing dates to
+        # convert, all undone when the last step, the delete, fails
+        path = tmp_path / "legacy.db"
+        with SnapshotStore(path) as store:
+            store.upsert_paper(record("arxiv:1", external_ids={"arxiv": "1"}))
+        citations_key = canonical_json({"op": "citations", "paper_id": "ARXIV:1"})
+        make_legacy(path, 2, payloads={
+            canonical_json({"op": "paper", "paper_id": "ARXIV:1"}):
+                record("arxiv:1", cites=7, external_ids={"arxiv": "1"}).to_canonical_json(),
+            canonical_json({"op": "references", "paper_id": "ARXIV:1"}):
+                canonical_json({"records": [record("s2:new").to_json_dict()]}),
+            citations_key: canonical_json({"citing_dates": ["2024-09-01"]}),
+        })
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("CREATE TRIGGER refuse BEFORE DELETE ON api_cache "
+                         "BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        before = sha256(path)
+        with pytest.raises(StorageError, match="refused"):
+            SnapshotStore(path)
+        assert sha256(path) == before
+        with conn:
+            conn.execute("DROP TRIGGER refuse")
+        conn.close()
+        with SnapshotStore(path) as store:
+            assert store.get_paper("arxiv:1").reference_ids == ["s2:new"]
+            assert store.get_paper("s2:new") == record("s2:new")
+            assert store._conn.execute("SELECT key, payload FROM api_cache").fetchall() == [
+                (citations_key, '{"months":{"2024-09":1},"undated":0,"year_only":0}')]
 
 
 class TestReportsAndFeatures:
@@ -402,6 +454,25 @@ class TestReadOnlyAndSchema:
                 ro.cache_put("k", "v")
         after = hashlib.sha256(path.read_bytes()).hexdigest()
         assert before == after
+
+    def test_an_interrupted_creation_leaves_a_file_the_next_open_creates(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "snap.db"
+
+        def interrupt(value):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(snapshot, "format_timestamp", interrupt)  # before the meta row
+        with pytest.raises(KeyboardInterrupt):
+            SnapshotStore(path)
+        monkeypatch.undo()
+        with pytest.raises(SchemaMismatch, match="is not a snapshot"):
+            SnapshotStore(path, read_only=True)
+        with SnapshotStore(path) as store:
+            assert store.meta.schema_version == snapshot.SCHEMA_VERSION
+            store.upsert_paper(record("arxiv:1"))
+        with SnapshotStore(path, read_only=True) as store:
+            assert store.get_paper("arxiv:1") == record("arxiv:1")
 
     def test_read_only_requires_existing_file(self, tmp_path):
         with pytest.raises(StorageError):
