@@ -202,14 +202,15 @@ class ScoringEngine:
         self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS
     ) -> None:
         """Read the papers and, when RQM or RUI is wanted, the two fields
-        those read of the union of their references, one bulk read each, for
+        those read of the union of their references, in one bulk read, for
         `score` to use."""
-        records = self.store.get_papers(paper_ids)
         references = {}
         if {"rqm", "rui"} & set(which or ALL_INDICATORS):
-            ref_ids = {rid for r in records.values() for rid in r.reference_ids} - records.keys()
-            facts = self.store.citation_facts(ref_ids)
-            references = {rid: facts.get(rid) for rid in ref_ids}
+            records, facts = self.store.get_papers_and_reference_facts(paper_ids)
+            references = {rid: facts.get(rid) for r in records.values()
+                          for rid in r.reference_ids if rid not in records}
+        else:
+            records = self.store.get_papers(paper_ids)
         self.records, self.references = records, references
 
     def _record(self, paper_id: str) -> Optional[PaperRecord]:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date, datetime
 from pathlib import Path
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Mapping, Optional
 
 from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
@@ -31,10 +31,11 @@ from .retrieval import (
     merge_fetched,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
-# ids bound per `IN (...)` query, well below SQLite's parameter limit
-_IN_CHUNK = 500
+# ids bound per `IN (...)` list, a power of two well below SQLite's parameter
+# limit
+_IN_CHUNK = 512
 
 # The store holds the API payloads put into it and writes them once this many
 # are held, or at the first put this long after its last write. That bounds
@@ -85,12 +86,19 @@ class FeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
-# Schema 2's `papers`: a record's four fact fields as typed columns, the rest
-# of its `to_json_dict()` as compact JSON. Schema 1 kept one canonical-JSON
-# column, `record_json`; a writing open rebuilds it as this.
+# Schema 4's `papers`. `id` is explicit because `VACUUM` may renumber an
+# implicit rowid, and the ids are links: inside `record_json`, which holds a
+# record's `to_json_dict()` less the four fact fields kept as typed columns,
+# a reference stored when its citing row was written is its `id`, a JSON
+# integer, and any other reference its canonical id (a dangling id). Nothing
+# deletes or replaces a `papers` row, and an upsert keeps its `id`, so a link
+# never goes stale. Schemas 1-3 named every reference by canonical id, and
+# schema 1 kept one canonical-JSON column; a writing open rebuilds them as
+# this.
 _PAPERS = """
 CREATE TABLE {table} (
-    canonical_id TEXT PRIMARY KEY,
+    id INTEGER PRIMARY KEY,
+    canonical_id TEXT NOT NULL UNIQUE,
     topic_keyword TEXT,
     citation_count INTEGER,
     publication_date TEXT,
@@ -130,45 +138,103 @@ CREATE INDEX idx_features_paper ON features(paper_id);
 _PAPER_COLUMNS = ("canonical_id", "topic_keyword", "citation_count", "publication_date",
                   "retrieved_at")
 _PAPER_ROW = ", ".join((*_PAPER_COLUMNS, "record_json"))
-_INSERT_PAPER = f"INSERT INTO {{table}} ({_PAPER_ROW}) VALUES (?, ?, ?, ?, ?, ?)"
-_UPSERT_PAPER = _INSERT_PAPER.format(table="papers") + (
+# what `get_papers` reads: `_PAPER_ROW`, then the row's id
+_LINKED_ROW = _PAPER_ROW + ", id"
+# what `citation_facts` reads of a paper
+_FACT_COLUMNS = "canonical_id, citation_count, publication_date, retrieved_at"
+_INSERT_PAPER = f"INSERT INTO papers ({_PAPER_ROW}) VALUES (?, ?, ?, ?, ?, ?)"
+_UPSERT_PAPER = _INSERT_PAPER + (
     " ON CONFLICT(canonical_id) DO UPDATE SET "
     + ", ".join(f"{c} = excluded.{c}" for c in (*_PAPER_COLUMNS[1:], "record_json")))
-_INSERT_NEW_PAPER = _INSERT_PAPER.format(table="papers") + (
-    " ON CONFLICT(canonical_id) DO NOTHING")
+_INSERT_NEW_PAPER = _INSERT_PAPER + " ON CONFLICT(canonical_id) DO NOTHING"
 # what `PaperRecord.from_json_dict` reads for each absent key: record_json
 # leaves out a key at that value
 _ABSENT = PaperRecord.from_json_dict(
     {"canonical_id": "-", "retrieved_at": "2000-01-01T00:00:00Z"}).to_json_dict()
 
 
-def _paper_row(data: dict) -> tuple:
-    """The `papers` row, in `_PAPER_ROW` order, of a record's `to_json_dict()`."""
+def _references(data: dict) -> list:
+    """A record JSON dict's reference list, or [] where it holds no list."""
+    references = data.get("reference_ids")
+    return references if isinstance(references, list) else []
+
+
+def _paper_row(data: dict, links: Mapping[str, int]) -> tuple:
+    """The `papers` row, in `_PAPER_ROW` order, of a record's
+    `to_json_dict()`, each reference that ``links`` holds written as its
+    link."""
     rest = {key: value for key, value in data.items()
             if key not in _PAPER_COLUMNS and not (key in _ABSENT and value == _ABSENT[key])}
+    if _references(rest):
+        rest["reference_ids"] = [links.get(r, r) if type(r) is str else r
+                                 for r in rest["reference_ids"]]
     return (*(data.get(c) for c in _PAPER_COLUMNS), canonical_json(rest))
 
 
-def _paper_record(row: tuple) -> PaperRecord:
-    """The record of a `papers` row selected as `_PAPER_ROW`."""
-    data = json.loads(row[-1])
+def _row_data(row: tuple) -> dict:
+    """The JSON dict of a `papers` row selected as `_PAPER_ROW` or
+    `_LINKED_ROW`, its links as stored."""
+    data = json.loads(row[len(_PAPER_COLUMNS)])
     data.update(zip(_PAPER_COLUMNS, row))
+    return data
+
+
+def _paper_record(data: dict, names: Mapping[int, str]) -> PaperRecord:
+    """The record of a stored row's JSON dict, each link replaced by the
+    canonical id ``names`` holds for it. A link it lacks, which no row has,
+    raises StorageError."""
+    references = data.get("reference_ids")
+    if isinstance(references, list):
+        try:
+            data["reference_ids"] = [names[r] if type(r) is int else r for r in references]
+        except KeyError as exc:
+            raise StorageError(f"paper {data['canonical_id']!r} names reference link "
+                               f"{exc.args[0]}, which is no `papers` row id") from None
     return PaperRecord.from_json_dict(data)
 
 
-def _v1_paper_row(canonical_id: str, record_json: str) -> tuple:
-    """The schema-2 row of a schema-1 row, whose record is carried over as it
-    was stored, checks failed or not. A fact field that its column would not
-    hold as stored, such as a count of `true`, `"12"` or `2**64`, raises
-    ValueError instead."""
+def _padded(values: list) -> list:
+    """``values`` padded with NULLs, which match no row, to a power of two:
+    the connection caches every statement text it prepares, so `IN` lists
+    come in a few lengths, not one per count of ids."""
+    return values + [None] * ((1 << max(0, len(values) - 1).bit_length()) - len(values))
+
+
+def _checked_facts(rows: Iterable[tuple]) -> dict[str, tuple[Optional[int], Optional[date]]]:
+    """(citation_count, publication_date) by canonical id of rows selected as
+    `_FACT_COLUMNS`, checked as a `PaperRecord` checks these two fields,
+    which raise the same ValueError."""
+    facts = {}
+    for cid, count, published_text, retrieved_text in rows:
+        published = parse_date(published_text)
+        check_citation_facts(count, published, parse_timestamp(retrieved_text))
+        facts[cid] = (count, published)
+    return facts
+
+
+def _legacy_paper_row(data: dict, links: Mapping[str, int]) -> tuple:
+    """The schema-4 row, less its id, of a schema-1 to -3 record's JSON dict,
+    each stored reference as its link. A reference that is a JSON integer,
+    which schema 4 would read as a link, raises ValueError."""
+    if any(type(r) is int for r in _references(data)):
+        raise ValueError(f"paper {data['canonical_id']!r} has a reference id that is a "
+                         f"number, which schema 4 reads as a link: {_references(data)!r:.200}")
+    return _paper_row(data, links)
+
+
+def _v1_paper_row(canonical_id: str, record_json: str, links: Mapping[str, int]) -> tuple:
+    """The schema-4 row, less its id, of a schema-1 row, whose record is
+    carried over as it was stored, checks failed or not. A fact field that
+    its column would not hold as stored, such as a count of `true`, `"12"` or
+    `2**64`, raises ValueError instead."""
     data = {**json.loads(record_json), "canonical_id": canonical_id}
     count = data.get("citation_count")
     texts = [data.get(c) for c in ("topic_keyword", "publication_date", "retrieved_at")]
     if not ((count is None or (type(count) is int and -2**63 <= count < 2**63))
             and all(t is None or type(t) is str for t in texts)):
-        raise ValueError(f"paper {canonical_id!r} has a fact field that no schema-2 "
+        raise ValueError(f"paper {canonical_id!r} has a fact field that no schema-4 "
                          f"column holds as stored: {record_json:.200}")
-    return _paper_row(data)
+    return _legacy_paper_row(data, links)
 
 
 # `paper` and `references` payloads, and citing dates; a JSON function raises
@@ -281,7 +347,7 @@ class SnapshotStore:
             ).fetchone()
         except sqlite3.Error as exc:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
-        if row is not None and row[0] in (1, 2):
+        if row is not None and row[0] in (1, 2, 3):
             if self.read_only:
                 raise SchemaMismatch(
                     f"snapshot {self.path} has schema {row[0]} and is opened read-only; any "
@@ -300,25 +366,31 @@ class SnapshotStore:
         )
 
     def _upgrade(self, version: int) -> None:
-        """Bring a schema-1 or schema-2 file to schema 3 in one transaction:
-        all of it, or, when a row or the write fails, nothing. A `VACUUM`
-        then returns the pages it freed, which would otherwise leave the file
-        larger than before."""
+        """Bring a schema-1, -2 or -3 file to schema 4 in one transaction:
+        all of it, or, when a row or the write fails, nothing. `papers` is
+        rebuilt once, each row's id its place in the old table and each
+        stored reference its link; then the payloads are converted. A
+        `VACUUM` then returns the pages freed, which would otherwise leave
+        the file larger than before."""
         with self._lock:
             try:
                 with self._conn:
                     self._conn.execute("BEGIN")
-                    if version == 1:
-                        self._conn.execute(_PAPERS.format(table="papers_v2"))
-                        self._conn.executemany(
-                            _INSERT_PAPER.format(table="papers_v2"),
-                            (_v1_paper_row(cid, blob) for cid, blob in self._conn.execute(
-                                "SELECT canonical_id, record_json FROM papers")),
-                        )
-                        self._conn.execute("DROP TABLE papers")
-                        self._conn.execute("ALTER TABLE papers_v2 RENAME TO papers")
-                        self._conn.execute(_REVIEWS_INDEX)
-                    self._convert_payloads()
+                    self._conn.execute(_PAPERS.format(table="papers_v4"))
+                    columns = "canonical_id, record_json" if version == 1 else _PAPER_ROW
+                    old = self._conn.execute(
+                        f"SELECT {columns} FROM papers ORDER BY rowid").fetchall()
+                    links = {row[0]: link for link, row in enumerate(old, 1)}
+                    self._conn.executemany(
+                        f"INSERT INTO papers_v4 (id, {_PAPER_ROW}) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                        ((link, *(_v1_paper_row(*row, links) if version == 1
+                                  else _legacy_paper_row(_row_data(row), links)))
+                         for link, row in enumerate(old, 1)),
+                    )
+                    self._conn.execute("DROP TABLE papers")
+                    self._conn.execute("ALTER TABLE papers_v4 RENAME TO papers")
+                    self._conn.execute(_REVIEWS_INDEX)
+                    self._convert_payloads({link: cid for cid, link in links.items()})
                     self._conn.execute("UPDATE meta SET schema_version = ?", (SCHEMA_VERSION,))
                 self._conn.execute("VACUUM")
             except (ValueError, TypeError) as exc:
@@ -328,14 +400,15 @@ class SnapshotStore:
                 raise StorageError(f"cannot upgrade {self.path} to schema "
                                    f"{SCHEMA_VERSION}: {exc}") from exc
 
-    def _convert_payloads(self) -> None:
+    def _convert_payloads(self, names: Mapping[int, str]) -> None:
         """Leave each op one payload format; no other code reads the others.
         Citing dates become their month histogram, `stored_at` kept, or are
         dropped when a date fails the rule. A row `enrich` looks up by arXiv
         id or DOI and has not enriched is enriched from its `paper` and
         `references` payloads as an offline `enrich` of it would be, or left
         as it is when one is missing or fails its checks. Then every `paper`
-        and `references` payload goes."""
+        and `references` payload goes. ``names`` holds the canonical id of
+        every link stored."""
         conn, listings = self._conn, {}
 
         def listed(op: str, paper: PaperRecord):
@@ -352,7 +425,7 @@ class SnapshotStore:
                 conn.execute("DELETE FROM api_cache WHERE key = ?", (key,))
         for row in self._paper_rows(_PAPER_ROW) if listings else ():
             try:
-                record = _paper_record(row)
+                record = _paper_record(_row_data(row), names)
                 ids = record.external_ids
                 if "s2_join" in ids or not (ids.get("arxiv") or ids.get("doi")):
                     continue
@@ -364,8 +437,8 @@ class SnapshotStore:
                                          else [r.canonical_id for r in references])
             except (*PAYLOAD_ERRORS, UnknownPaper):
                 continue
-            conn.executemany(_INSERT_NEW_PAPER, [_paper_row(r.to_json_dict()) for r in references])
-            conn.execute(_UPSERT_PAPER, _paper_row(enriched.to_json_dict()))
+            self._put_papers(_INSERT_NEW_PAPER, [r.to_json_dict() for r in references])
+            self._put_papers(_UPSERT_PAPER, [enriched.to_json_dict()])
         conn.execute(_DELETE_LISTINGS)
 
     def close(self) -> None:
@@ -394,42 +467,84 @@ class SnapshotStore:
 
     def _write_papers(self, statement: str, records: Iterable[PaperRecord]) -> None:
         """Run the `papers` statement over the records' rows in one transaction."""
-        rows = [_paper_row(r.to_json_dict()) for r in records]
+        rows = [r.to_json_dict() for r in records]
+        if not rows:
+            return
         with self._lock:
             try:
                 with self._conn:
-                    self._conn.executemany(statement, rows)
+                    self._conn.execute("BEGIN IMMEDIATE")
+                    self._put_papers(statement, rows)
             except sqlite3.Error as exc:
                 raise StorageError(f"papers write failed: {exc}") from exc
+
+    def _put_papers(self, statement: str, rows: list[dict]) -> None:
+        """Run the `papers` statement over records' JSON dicts in one
+        `executemany`, inside the caller's transaction. A reference stored
+        before the batch, read in one chunked query, is written as its link;
+        any other, a row of the batch included, stays its canonical id."""
+        named = {r for data in rows for r in _references(data) if type(r) is str}
+        links = dict(self._paper_rows("canonical_id, id", named))
+        self._conn.executemany(statement, [_paper_row(data, links) for data in rows])
 
     def get_paper(self, canonical_id: str) -> Optional[PaperRecord]:
         return self.get_papers([canonical_id]).get(canonical_id)
 
     def get_papers(self, ids: Optional[Iterable[str]] = None) -> dict[str, PaperRecord]:
-        """Stored records by canonical id, each row read and decoded once.
+        """Stored records by canonical id, each row read and decoded once,
+        and the links to rows not read named in one chunked read by id.
 
         With ``ids``, ids that are not stored are left out; without, every
         paper is returned in canonical id order.
         """
-        return {row[0]: _paper_record(row) for row in self._paper_rows(_PAPER_ROW, ids)}
+        return self._records(self._paper_rows(_LINKED_ROW, ids))[0]
 
-    def _paper_rows(self, columns: str, ids: Optional[Iterable[str]] = None) -> list[tuple]:
-        """`papers` rows of ``columns``, with no record decoded: for the
-        stored ids among ``ids`` in chunked IN queries, or without ``ids``
-        for every paper in canonical id order."""
+    def get_papers_and_reference_facts(
+        self, ids: Iterable[str]
+    ) -> tuple[dict[str, PaperRecord], dict[str, tuple[Optional[int], Optional[date]]]]:
+        """`get_papers(ids)`, and the (citation_count, publication_date) by
+        canonical id of the stored papers other than these that their
+        reference lists name, checked as `citation_facts` checks them. The
+        facts of the links are read in the queries that name them, and those
+        of the dangling ids by canonical id in the same queries."""
+        return self._records(self._paper_rows(_LINKED_ROW, ids), facts=True)
+
+    def _records(self, rows: list[tuple], facts: bool = False) -> tuple[dict, dict]:
+        """The records of rows selected as `_LINKED_ROW`, by canonical id,
+        and with ``facts`` the checked facts of the other papers they name."""
+        names = {row[-1]: row[0] for row in rows}
+        datas = [_row_data(row) for row in rows]
+        listed = [r for data in datas for r in _references(data)]
+        links = {r for r in listed if type(r) is int} - names.keys()
+        dangling = ({r for r in listed if type(r) is str} - {row[0] for row in rows}
+                    if facts else ())
+        read = self._paper_rows("id, " + (_FACT_COLUMNS if facts else "canonical_id"),
+                                dangling, links)
+        names.update((row[0], row[1]) for row in read)
+        records = {data["canonical_id"]: _paper_record(data, names) for data in datas}
+        return records, _checked_facts(row[1:] for row in read) if facts else {}
+
+    def _paper_rows(self, columns: str, ids: Optional[Iterable[str]] = None,
+                    links: Iterable[int] = ()) -> list[tuple]:
+        """`papers` rows of ``columns``, with no record decoded: those whose
+        canonical id is among ``ids`` or whose id is among ``links``, in
+        chunked queries (a row may come once per chunk naming it), or, with
+        ``ids`` None, every paper in canonical id order. The lists are not
+        bound as one JSON array each, through `json_each`, because SQLite's
+        JSON functions cut a text at its first NUL character."""
         with self._lock:
             if ids is None:
                 return self._conn.execute(
                     f"SELECT {columns} FROM papers ORDER BY canonical_id"
                 ).fetchall()
-            wanted = sorted(set(ids))
+            ids, links = sorted(set(ids)), sorted(set(links))
             rows = []
-            for start in range(0, len(wanted), _IN_CHUNK):
-                chunk = wanted[start:start + _IN_CHUNK]
+            for start in range(0, max(len(ids), len(links)), _IN_CHUNK):
+                names, numbers = (_padded(v[start:start + _IN_CHUNK]) for v in (ids, links))
                 rows += self._conn.execute(
-                    f"SELECT {columns} FROM papers "
-                    f"WHERE canonical_id IN ({','.join('?' * len(chunk))})",
-                    chunk,
+                    f"SELECT {columns} FROM papers WHERE canonical_id IN "
+                    f"({','.join('?' * len(names))}) OR id IN ({','.join('?' * len(numbers))})",
+                    names + numbers,
                 ).fetchall()
             return rows
 
@@ -440,14 +555,7 @@ class SnapshotStore:
         columns as `get_papers` reads rows and checked as a `PaperRecord`
         checks these two fields, which raise the same ValueError; no record
         is decoded."""
-        rows = self._paper_rows(
-            "canonical_id, citation_count, publication_date, retrieved_at", ids)
-        facts = {}
-        for cid, count, published_text, retrieved_text in rows:
-            published = parse_date(published_text)
-            check_citation_facts(count, published, parse_timestamp(retrieved_text))
-            facts[cid] = (count, published)
-        return facts
+        return _checked_facts(self._paper_rows(_FACT_COLUMNS, ids))
 
     def reference_and_author_counts(self) -> list[tuple[int, int]]:
         """(number of reference ids, author count) of every paper, in

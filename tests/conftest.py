@@ -221,21 +221,38 @@ def papers_rows(store) -> dict[str, tuple]:
 
 def put_raw_paper(store, data: dict) -> None:
     """Store a record's JSON dict as its `papers` row with no check, so a
-    row that `PaperRecord` rejects can be written."""
-    with store._conn:
-        store._conn.execute(snapshot._UPSERT_PAPER, snapshot._paper_row(data))
+    row that `PaperRecord` rejects can be written. A reference that is a
+    number is written as that link."""
+    with store._lock, store._conn:
+        store._put_papers(snapshot._UPSERT_PAPER, [data])
+
+
+def link_pairs(path) -> set[tuple[int, str]]:
+    """The (id, canonical_id) pair of every `papers` row of the file."""
+    conn = sqlite3.connect(path)
+    try:
+        return set(conn.execute("SELECT id, canonical_id FROM papers"))
+    finally:
+        conn.close()
 
 
 LEGACY_STORED_AT = "2024-09-01T00:00:00Z"
+# the `papers` table of schemas 2 and 3, which named every reference by
+# canonical id
+V2_PAPERS = ("CREATE TABLE papers (canonical_id TEXT PRIMARY KEY, topic_keyword TEXT, "
+             "citation_count INTEGER, publication_date TEXT, retrieved_at TEXT NOT NULL, "
+             "record_json TEXT NOT NULL)")
 
 
 def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                 payloads: dict[str, str] | None = None) -> None:
-    """Turn the closed snapshot at ``path`` into a schema-``version`` file, 1
-    or 2, as earlier versions wrote it. ``payloads`` are cached by key, as
-    those versions cached them, stamped `LEGACY_STORED_AT`. At schema 1,
+    """Turn the closed snapshot at ``path`` into a schema-``version`` file,
+    1, 2 or 3, as earlier versions wrote it. ``payloads`` are cached by key,
+    as those versions cached them, stamped `LEGACY_STORED_AT`. At schema 1,
     `papers` holds one canonical-JSON record per row, the JSON dicts of
-    ``rows`` unchecked; the other tables stay as they are."""
+    ``rows`` unchecked. At schemas 2 and 3 it holds the rows as they are, in
+    id order and with no id, each link replaced by the canonical id it
+    names. The other tables stay as they are."""
     conn = sqlite3.connect(path)
     try:
         with conn:
@@ -245,6 +262,20 @@ def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                              "record_json TEXT NOT NULL)")
                 conn.executemany("INSERT INTO papers VALUES (?, ?)",
                                  [(data["canonical_id"], canonical_json(data)) for data in rows])
+            else:
+                names = dict(conn.execute("SELECT id, canonical_id FROM papers"))
+                stored = conn.execute(
+                    f"SELECT {snapshot._PAPER_ROW} FROM papers ORDER BY id").fetchall()
+                conn.execute("DROP TABLE papers")
+                conn.execute(V2_PAPERS)
+                conn.execute(snapshot._REVIEWS_INDEX)
+                for row in stored:
+                    rest = json.loads(row[-1])
+                    if "reference_ids" in rest:
+                        rest["reference_ids"] = [names[r] if type(r) is int else r
+                                                 for r in rest["reference_ids"]]
+                    conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?)",
+                                 (*row[:-1], canonical_json(rest)))
             conn.executemany("INSERT OR REPLACE INTO api_cache VALUES (?, ?, ?)",
                              [(key, payload, LEGACY_STORED_AT)
                               for key, payload in (payloads or {}).items()])

@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 from conftest import (
     CountingTransport,
     arxiv_exchange,
+    link_pairs,
     make_legacy,
+    put_raw_paper,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -79,7 +81,7 @@ def test_demo_stdout_matches_golden(demo_stdout, name):
     assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2], ids=["schema-1", "schema-2"])
+UPGRADED = pytest.mark.parametrize("version", [1, 2, 3], ids=["schema-1", "schema-2", "schema-3"])
 
 
 class TestSchemaUpgrade:
@@ -119,6 +121,78 @@ class TestSchemaUpgrade:
         assert main(command, transport=transport) == 0
         assert transport.count == 0
         assert main(["--db", str(path), "stats", "cites"]) == 0
+
+
+class TestLinks:
+    @staticmethod
+    def exported(path, tmp_path) -> str:
+        out = tmp_path / "export.jsonl"
+        assert main(["--db", str(path), "export", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+    def test_links_never_go_stale(self, demo_db, tmp_path):
+        path = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, path)
+        pairs = link_pairs(path)
+        review = "arxiv:2500.10000"
+
+        def grown() -> None:
+            nonlocal pairs
+            now = link_pairs(path)
+            assert pairs <= now
+            pairs = now
+
+        with SnapshotStore(path) as store:
+            paper = store.get_paper(review)
+            store.upsert_paper(paper)
+            assert store.get_paper(review) == paper
+        grown()
+        # a stored id imported again, naming a row the same batch adds after it
+        added = PaperRecord(canonical_id="arxiv:2409.00001", title="A Reference",
+                            retrieved_at=datetime(2024, 10, 1))
+        named = PaperRecord(**{**paper.__dict__,
+                               "reference_ids": [*paper.reference_ids, added.canonical_id]})
+        lines = tmp_path / "batch.jsonl"
+        lines.write_text(named.to_canonical_json() + "\n" + added.to_canonical_json() + "\n",
+                         encoding="utf-8")
+        assert main(["--db", str(path), "import", str(lines)]) == 0
+        grown()
+        # harvest gives the reference row a keyword
+        query = arxiv_review_query("ai")
+        fixtures = write_fixture_dir(tmp_path / "fixtures", [arxiv_exchange(query, 5, [
+            {"arxiv_id": "2409.00001", "title": "A Survey of AI", "abstract": "A review of ai.",
+             "published": "2024-09-01"}])])
+        assert main(["--db", str(path), "--fixtures", str(fixtures), "--rate", "100000",
+                     "harvest", "ai", "--limit", "5"]) == 0
+        grown()
+        exported = self.exported(path, tmp_path)
+        with SnapshotStore(path, read_only=True) as store:
+            assert store.get_paper(review) == named
+            assert store.get_paper(added.canonical_id).topic_keyword == "ai"
+        # the upgrade, which ends in `VACUUM`
+        make_legacy(path, 3)
+        assert main(["--db", str(path), "import", os.devnull]) == 0
+        grown()
+        assert self.exported(path, tmp_path) == exported
+        # nothing may take a row's id away from it
+        source = Path(litmetrics.snapshot.__file__).read_text(encoding="utf-8")
+        assert not re.search(r"DELETE\s+FROM\s+papers\b|REPLACE\s+INTO\s+papers\b",
+                             source, re.IGNORECASE)
+
+    def test_a_link_that_names_no_row_is_one_error_line(self, demo_db, tmp_path, capsys):
+        path = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, path)
+        with SnapshotStore(path) as store:
+            data = store.get_paper("arxiv:2500.10000").to_json_dict()
+            put_raw_paper(store, {**data, "reference_ids": [1, 9999, "s2:gone"]})
+            with pytest.raises(litmetrics.errors.StorageError):
+                store.get_paper("arxiv:2500.10000")
+        capsys.readouterr()
+        for argv in (["export", str(tmp_path / "out.jsonl")], ["--offline", "score", "--all"]):
+            assert main(["--db", str(path), *argv]) == 1
+            err = capsys.readouterr().err
+            assert err == ("error: StorageError: paper 'arxiv:2500.10000' names reference "
+                           "link 9999, which is no `papers` row id\n")
 
 
 class TestStartup:

@@ -739,6 +739,23 @@ class TestBulkReads:
         _, dangling_queries = self.score_counted(tmp_path, monkeypatch, 5, dangling=["s2:gone"])
         assert len(dangling_queries) == len(queries)
 
+    def test_a_reference_stored_after_its_review_is_scored_as_a_linked_one(self, tmp_path):
+        refs = [reference(f"s2:r{k}", date(2019, 1 + k, 1), 10 + k) for k in range(3)]
+        paper = review(reference_ids=[r.canonical_id for r in refs])
+        reports, stored = [], []
+        for late in (False, True):
+            store = SnapshotStore(tmp_path / f"late-{late}.db")
+            store.insert_new_papers([] if late else refs)
+            store.upsert_paper(paper)
+            store.insert_new_papers(refs if late else [])
+            stored.append(json.loads(papers_rows(store)[paper.canonical_id][-1]))
+            engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
+            [item] = score_batch(engine, [paper.canonical_id], ("tncsi", "rqm"), workers=1)
+            reports.append(item.report)
+        # linked when stored first, text when stored after: scored alike
+        assert [s["reference_ids"] for s in stored] == [[1, 2, 3], paper.reference_ids]
+        assert reports[0] == reports[1] and reports[0].rqm is not None
+
     def test_references_are_not_read_for_tncsi_alone(self, tmp_path, monkeypatch):
         decodes, _ = self.score_counted(tmp_path, monkeypatch, 5, which=("tncsi",))
         assert sorted(decodes) == [f"arxiv:2301.{n:05d}" for n in range(6)]
@@ -909,11 +926,13 @@ class TestEnrich:
         # the format before lists were kept in the row only: the ids, with
         # the rows they name stored before them
         rows = self.enriched_rows(tmp_path, monkeypatch)
-        ids = snapshot._paper_record(rows["arxiv:2301.00001"]).reference_ids
+        with SnapshotStore(tmp_path / "fresh.db", read_only=True) as fresh:
+            records = fresh.get_papers()
+        ids = records["arxiv:2301.00001"].reference_ids
         path = self.legacy_snapshot(
             tmp_path / "old.db",
             {PAPER_KEY: self.legacy_paper(), REFERENCES_KEY: canonical_json({"ids": ids})},
-            [snapshot._paper_record(rows[cid]) for cid in ids])
+            [records[cid] for cid in ids])
         assert self.enrich_offline(path, capsys) == rows
 
     def test_the_upgrade_leaves_a_title_row_and_a_row_whose_pair_fails_as_they_are(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_legacy
+from conftest import link_pairs, make_legacy, papers_rows, put_raw_paper
 from litmetrics import snapshot
 from litmetrics.errors import SchemaMismatch, StorageError, UnknownPaper
 from litmetrics.indicators import IndicatorReport
@@ -92,6 +92,19 @@ class TestUpsert:
                    for r in records)
         assert list(store.get_papers()) == [r.canonical_id for r in records]
         assert store.get_papers([]) == {}
+
+    def test_id_lists_of_any_length_share_a_few_statement_texts(self, store):
+        # the connection caches each statement text it prepares
+        store.insert_new_papers(record(f"s2:{n:02d}") for n in range(40))
+        statements = set()
+        store._conn.set_trace_callback(statements.add)
+        try:
+            for n in range(1, 41):
+                assert len(store.get_papers(f"s2:{k:02d}" for k in range(n))) == n
+        finally:
+            store._conn.set_trace_callback(None)
+        # statements come expanded: the commas count the ids bound, 1, 2, 4, ..., 64
+        assert len({sql.count(",") for sql in statements}) == 7
 
     def test_review_ids_are_the_papers_with_a_topic_keyword(self, store):
         store.upsert_paper(record("arxiv:2", topic_keyword="graphs"))
@@ -189,14 +202,19 @@ class TestJsonl:
 
 class TestRowLayout:
     TEXT = st.one_of(st.sampled_from(["", "x"]), st.text(max_size=12))
+    # rows stored, by their ids, before a drawn record is written
+    STORED = {"s2:a": 1, "s2:b": 2}
 
     @st.composite
-    def records(draw):
+    def records(draw, canonical_id=st.text(min_size=1, max_size=12), named=()):
+        """A record whose reference list mixes stored ids, its own id, the
+        ``named`` ids and dangling ids, duplicates included."""
         retrieved = draw(st.datetimes(min_value=datetime(1900, 1, 1),
                                       max_value=datetime(2100, 12, 31))).replace(microsecond=0)
         text = TestRowLayout.TEXT
+        cid = draw(canonical_id)
         return PaperRecord(
-            canonical_id=draw(st.text(min_size=1, max_size=12)),
+            canonical_id=cid,
             title=draw(text),
             abstract=draw(text),
             external_ids=draw(st.dictionaries(text, text, max_size=3)),
@@ -204,34 +222,71 @@ class TestRowLayout:
                                                         max_value=retrieved.date())),
             venue=draw(st.none() | text),
             citation_count=draw(st.none() | st.integers(0, 2**63 - 1)),
-            reference_ids=draw(st.lists(st.sampled_from(["s2:a", "s2:b"]) | text, max_size=5)),
+            reference_ids=draw(st.lists(
+                st.sampled_from([*TestRowLayout.STORED, cid, *named]) | text, max_size=6)),
             author_count=draw(st.integers(0, 10**6)),
             topic_keyword=draw(st.none() | text),
             retrieved_at=retrieved,
         )
 
+    @staticmethod
+    def exported(store) -> str:
+        buf = io.StringIO()
+        store.export_jsonl(buf)
+        return buf.getvalue()
+
     @given(records())
     def test_a_record_comes_back_from_its_row_as_it_was(self, paper):
-        row = snapshot._paper_row(paper.to_json_dict())
-        assert snapshot._paper_record(row) == paper
+        data = paper.to_json_dict()
+        row = snapshot._paper_row(data, {})
+        assert snapshot._paper_record(snapshot._row_data(row), {}) == paper
         assert json.loads(row[-1]).keys().isdisjoint(snapshot._PAPER_COLUMNS)
+        stored = [record(cid) for cid in self.STORED]
         with SnapshotStore(":memory:") as store:
-            store.upsert_paper(paper)
-            assert store.get_paper(paper.canonical_id) == paper
-            stored = store._conn.execute(f"SELECT {snapshot._PAPER_ROW} FROM papers").fetchone()
-            assert stored == row
+            store.insert_new_papers(stored)
+            # written while its own id may not be stored, then once it is:
+            # a self-reference is text, then a link
+            own = self.STORED.get(paper.canonical_id, len(self.STORED) + 1)
+            for links in (self.STORED, {**self.STORED, paper.canonical_id: own}):
+                store.upsert_paper(paper)
+                assert papers_rows(store)[paper.canonical_id] == snapshot._paper_row(data, links)
+                assert store.get_paper(paper.canonical_id) == paper
+                expected = {r.canonical_id: r for r in stored} | {paper.canonical_id: paper}
+                assert self.exported(store) == "".join(
+                    expected[cid].to_canonical_json() + "\n" for cid in sorted(expected))
+
+    @given(st.lists(st.sampled_from(["s2:c", "s2:d", "s2:e", "s2:f"]), min_size=1,
+                    max_size=4, unique=True).flatmap(
+        lambda ids: st.tuples(*(TestRowLayout.records(st.just(cid), ids) for cid in ids))))
+    def test_an_import_batch_naming_its_own_records_links_those_stored_before(self, batch):
+        lines = "".join(r.to_canonical_json() + "\n" for r in batch)
+        with SnapshotStore(":memory:") as store:
+            store.insert_new_papers(record(cid) for cid in self.STORED)
+            assert store.import_jsonl(io.StringIO(lines)).imported == len(batch)
+            rows = papers_rows(store)
+            for paper in batch:
+                # only the rows stored before the batch become links; a
+                # record of the batch, itself included, stays text
+                assert rows[paper.canonical_id] == snapshot._paper_row(
+                    paper.to_json_dict(), self.STORED)
+            assert store.get_papers(r.canonical_id for r in batch) == {
+                r.canonical_id: r for r in batch}
+            expected = {r.canonical_id: r for r in batch} | {
+                cid: record(cid) for cid in self.STORED}
+            assert self.exported(store) == "".join(
+                expected[cid].to_canonical_json() + "\n" for cid in sorted(expected))
 
     def test_the_compact_json_keeps_only_what_differs_from_an_absent_key(self):
         bare = record("arxiv:1", abstract="", publication_date=None)
-        assert snapshot._paper_row(bare.to_json_dict()) == (
+        assert snapshot._paper_row(bare.to_json_dict(), {}) == (
             "arxiv:1", None, None, None, "2024-10-01T12:00:00Z",
             '{"title":"A Survey about arxiv:1"}')
         blank = record("arxiv:1", title="", topic_keyword="", venue="",
-                       reference_ids=["s2:a", "s2:a"])
-        row = snapshot._paper_row(blank.to_json_dict())
+                       reference_ids=["s2:a", "s2:b", "s2:a"])
+        row = snapshot._paper_row(blank.to_json_dict(), {"s2:a": 7})
         assert row[1] == "" and json.loads(row[-1]) == {
-            "abstract": "Abstract of arxiv:1.", "venue": "", "reference_ids": ["s2:a", "s2:a"]}
-        assert snapshot._paper_record(row) == blank
+            "abstract": "Abstract of arxiv:1.", "venue": "", "reference_ids": [7, "s2:b", 7]}
+        assert snapshot._paper_record(snapshot._row_data(row), {7: "s2:a"}) == blank
 
 
 def other_tables(path) -> dict:
@@ -250,7 +305,7 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2], ids=["schema-1", "schema-2"])
+UPGRADED = pytest.mark.parametrize("version", [1, 2, 3], ids=["schema-1", "schema-2", "schema-3"])
 
 
 class TestSchemaUpgrade:
@@ -258,7 +313,8 @@ class TestSchemaUpgrade:
     def legacy_snapshot(tmp_path, version=1, extra_rows=(), payloads=None) -> tuple:
         path = tmp_path / "legacy.db"
         records = [record(f"arxiv:{i}", cites=i, topic_keyword="t" if i % 2 else None,
-                          reference_ids=["arxiv:0"] * i) for i in range(5)]
+                          reference_ids=["arxiv:0"] * i + ["s2:gone"] * (i == 4))
+                   for i in range(5)]
         with SnapshotStore(path) as store:
             for r in records:
                 store.upsert_paper(r)
@@ -277,6 +333,11 @@ class TestSchemaUpgrade:
             assert store.meta.schema_version == snapshot.SCHEMA_VERSION
             assert store.get_papers() == {r.canonical_id: r for r in records}
             assert store.review_ids() == ["arxiv:1", "arxiv:3"]
+            # ids in the old table's order; a stored reference is a link, a
+            # dangling one stays text
+            assert link_pairs(path) == {(n + 1, f"arxiv:{n}") for n in range(5)}
+            assert json.loads(papers_rows(store)["arxiv:4"][-1])["reference_ids"] == [
+                1, 1, 1, 1, "s2:gone"]
         assert other_tables(path) == before
         conn = sqlite3.connect(path)
         assert conn.execute("PRAGMA freelist_count").fetchone() == (0,)
@@ -307,14 +368,31 @@ class TestSchemaUpgrade:
             SnapshotStore(path)
         assert sha256(path) == before
 
-    def test_a_failed_payload_conversion_leaves_the_file_as_it_was(self, tmp_path):
+    @UPGRADED
+    def test_a_reference_that_is_a_number_fails_the_upgrade(self, tmp_path, version):
+        numbered = {**record("arxiv:9").to_json_dict(), "reference_ids": ["arxiv:0", 1]}
+        path, _ = self.legacy_snapshot(tmp_path, version, [numbered])
+        if version > 1:
+            conn = sqlite3.connect(path)
+            with conn:
+                conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?)",
+                             snapshot._paper_row(numbered, {}))
+            conn.close()
+        before = sha256(path)
+        with pytest.raises(SchemaMismatch, match="'arxiv:9' has a reference id that is a number"):
+            SnapshotStore(path)
+        assert sha256(path) == before
+
+    @UPGRADED
+    def test_a_failed_payload_conversion_leaves_the_file_as_it_was(self, tmp_path, version):
         # a row to enrich, a references list to insert and citing dates to
         # convert, all undone when the last step, the delete, fails
         path = tmp_path / "legacy.db"
+        legacy = record("arxiv:1", external_ids={"arxiv": "1"})
         with SnapshotStore(path) as store:
-            store.upsert_paper(record("arxiv:1", external_ids={"arxiv": "1"}))
+            store.upsert_paper(legacy)
         citations_key = canonical_json({"op": "citations", "paper_id": "ARXIV:1"})
-        make_legacy(path, 2, payloads={
+        make_legacy(path, version, [legacy.to_json_dict()], payloads={
             canonical_json({"op": "paper", "paper_id": "ARXIV:1"}):
                 record("arxiv:1", cites=7, external_ids={"arxiv": "1"}).to_canonical_json(),
             canonical_json({"op": "references", "paper_id": "ARXIV:1"}):
