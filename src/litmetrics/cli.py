@@ -239,6 +239,15 @@ def cmd_enrich(runtime: Runtime, args, parser) -> int:
     return 1 if failures else 0
 
 
+# each indicator's columns in the `score` table: (header, report field)
+_SCORE_COLUMNS = {
+    "tncsi": (("tncsi", "tncsi"),),
+    "iei": (("iei_avg", "iei_avg"), ("iei_inst", "iei_instant")),
+    "rqm": (("arq", "arq"), ("s_mp", "s_mp"), ("rqm", "rqm")),
+    "rui": (("cdr", "cdr"), ("rad", "rad"), ("rui", "rui")),
+}
+
+
 def cmd_score(runtime: Runtime, args, parser) -> int:
     which = [name for name in ALL_INDICATORS if getattr(args, name)]
     if not which:
@@ -254,16 +263,8 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
     workers = runtime.settings.workers if fetches else 1
     items = score_batch(engine, ids, which, workers=workers)
 
-    header = ["id", "year", "cites", "topic"]
-    if "tncsi" in which:
-        header.append("tncsi")
-    if "iei" in which:
-        header += ["iei_avg", "iei_inst"]
-    if "rqm" in which:
-        header += ["arq", "s_mp", "rqm"]
-    if "rui" in which:
-        header += ["cdr", "rad", "rui"]
-    header.append("note")
+    columns = [column for name in which for column in _SCORE_COLUMNS[name]]
+    header = ["id", "year", "cites", "topic", *(title for title, _ in columns), "note"]
 
     rows = []
     failures = 0
@@ -274,22 +275,13 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
         if item.error:
             failures += 1
             topic = (record.topic_keyword if record else None) or "-"
-            base = [item.paper_id, fmt(year), fmt(cites), topic]
-            pad = len(header) - len(base) - 1
-            rows.append(base + ["-"] * pad + [f"error: {item.error}"])
+            rows.append([item.paper_id, fmt(year), fmt(cites), topic,
+                         *["-"] * len(columns), f"error: {item.error}"])
             continue
         r = item.report
-        row = [item.paper_id, fmt(year), fmt(cites), r.topic_keyword or "-"]
-        if "tncsi" in which:
-            row.append(fmt(r.tncsi))
-        if "iei" in which:
-            row += [fmt(r.iei_avg), fmt(r.iei_instant)]
-        if "rqm" in which:
-            row += [fmt(r.arq), fmt(r.s_mp), fmt(r.rqm)]
-        if "rui" in which:
-            row += [fmt(r.cdr), fmt(r.rad), fmt(r.rui)]
-        row.append("; ".join(r.warnings) if r.warnings else "")
-        rows.append(row)
+        rows.append([item.paper_id, fmt(year), fmt(cites), r.topic_keyword or "-",
+                     *(fmt(getattr(r, field)) for _, field in columns),
+                     "; ".join(r.warnings) if r.warnings else ""])
     print_table(header, rows)
     print(f"scored {len(items) - failures}/{len(items)} papers", file=sys.stderr)
     return 1 if failures else 0

@@ -199,14 +199,11 @@ def build_demo_snapshot(path: str | Path, now: date = DEMO_NOW) -> DemoCorpus:
     client = SemanticScholarClient(transport=transport, limiter=RateLimiter(100_000.0))
 
     with SnapshotStore(path, source_notes="synthetic demo corpus") as store:
-        for ref in corpus.references:
-            store.upsert_paper(ref)
-        for paper in corpus.papers:
-            store.upsert_paper(paper)
-            store.store_features(
-                paper.canonical_id, corpus.features[paper.canonical_id],
-                recorded_at=DEMO_RETRIEVED_AT,
-            )
+        # the references first, so that the papers link them
+        store.write(papers=corpus.references)
+        store.write(papers=corpus.papers, features=[
+            (paper.canonical_id, corpus.features[paper.canonical_id], DEMO_RETRIEVED_AT)
+            for paper in corpus.papers])
 
         engine = ScoringEngine(store=store, s2=client, now=now)
         for keyword in DEMO_TOPICS:

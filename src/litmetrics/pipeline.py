@@ -76,14 +76,13 @@ def harvest(
 
     A match that is not stored is inserted. A stored one keeps every field,
     its enrichment included, except that a row with no topic keyword, such as
-    a reference row, takes the keyword and so becomes a review.
+    a reference row, takes the keyword and so becomes a review. The matches
+    are written in one transaction, with the search payload if it is held.
     """
     records = fetch_arxiv_candidates(client, keyword, limit, cache=store)
     stored = store.get_papers(r.canonical_id for r in records)
-    store.insert_new_papers(records)
-    for record in stored.values():
-        if not record.topic_keyword:
-            store.upsert_paper(replace(record, topic_keyword=keyword))
+    store.write(new_papers=records, papers=[replace(r, topic_keyword=keyword)
+                                            for r in stored.values() if not r.topic_keyword])
     return [r.canonical_id for r in records]
 
 
@@ -99,10 +98,10 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
 
     The paper's row is the only copy of what was fetched; nothing is cached.
     A row that holds ``s2_join`` is enriched already and is returned as it
-    is, with no request and no write. Rows before ids: the reference rows are
-    committed before the row that names them is written, last, so a failure
-    between the two leaves the paper without ``s2_join``, and the next call
-    fetches again.
+    is, with no request and no write. The new reference rows and the paper's
+    row are written in one transaction, the references first, so the row
+    links every reference; a failed write stores none of them and leaves the
+    paper without ``s2_join``, and the next call fetches again.
     """
     record = store.require_paper(paper_id)
     if "s2_join" in record.external_ids:
@@ -122,8 +121,8 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
 
     references = fetch_references(client, api_id_for(fetched))
     merged = merge_fetched(record, fetched, [r.canonical_id for r in references])
-    store.insert_new_papers(references)
-    return store.upsert_paper(merged)
+    store.write(new_papers=references, papers=[merged])
+    return merged.canonical_id
 
 
 # ---------------------------------------------------------------------------

@@ -166,29 +166,6 @@ class TopicContext:
             raise ValueError("sample size must lie in 1..k")
 
 
-@dataclass(frozen=True)
-class LlmPromptProfile:
-    """System text, few-shot pairs, and a user template with {title}/{abstract}."""
-
-    system_text: str
-    few_shot_pairs: tuple[tuple[str, str], ...]
-    user_template: str
-
-    def __post_init__(self) -> None:
-        if "{title}" not in self.user_template or "{abstract}" not in self.user_template:
-            raise ValueError("user_template needs {title} and {abstract} placeholders")
-
-    def messages(self, title: str, abstract: str) -> list[dict[str, str]]:
-        msgs = [{"role": "system", "content": self.system_text}]
-        for user_text, assistant_text in self.few_shot_pairs:
-            msgs.append({"role": "user", "content": user_text})
-            msgs.append({"role": "assistant", "content": assistant_text})
-        # plain replacement, not str.format: titles may legally contain braces
-        user = self.user_template.replace("{title}", title).replace("{abstract}", abstract)
-        msgs.append({"role": "user", "content": user})
-        return msgs
-
-
 _TOPIC_INSTRUCTION = (
     "Name the single research topic of the paper below, so the phrase can be "
     "used directly as a search keyword to retrieve closely related papers from "
@@ -196,25 +173,32 @@ _TOPIC_INSTRUCTION = (
     "learning', 'taxonomy', or 'surveys'; prefer the specific phrase that is "
     "unique to the paper's subject. Reply with the phrase only, in the form: xxx"
 )
-
-DEFAULT_TOPIC_PROFILE = LlmPromptProfile(
-    system_text=(
-        "You label scholarly papers with their single most specific topic "
-        "key phrase. You answer with the phrase only, no punctuation or "
-        "explanation."
-    ),
-    few_shot_pairs=(
-        (
-            _TOPIC_INSTRUCTION
-            + "\n\nTitle: An Image is Worth 16x16 Words: Transformers for Image "
-            "Recognition at Scale\nAbstract: Applies a pure transformer "
-            "directly to sequences of image patches for image classification, "
-            "matching convolutional networks when pre-trained at scale.",
-            "vision transformer",
-        ),
-    ),
-    user_template=_TOPIC_INSTRUCTION + "\n\nTitle: {title}\nAbstract: {abstract}",
+_TOPIC_SYSTEM = (
+    "You label scholarly papers with their single most specific topic "
+    "key phrase. You answer with the phrase only, no punctuation or "
+    "explanation."
 )
+# one worked example: (question, answer)
+_TOPIC_EXAMPLE = (
+    _TOPIC_INSTRUCTION
+    + "\n\nTitle: An Image is Worth 16x16 Words: Transformers for Image "
+    "Recognition at Scale\nAbstract: Applies a pure transformer "
+    "directly to sequences of image patches for image classification, "
+    "matching convolutional networks when pre-trained at scale.",
+    "vision transformer",
+)
+
+
+def _topic_messages(title: str, abstract: str) -> list[dict[str, str]]:
+    """The chat messages that ask for a paper's topic key phrase."""
+    question, answer = _TOPIC_EXAMPLE
+    return [
+        {"role": "system", "content": _TOPIC_SYSTEM},
+        {"role": "user", "content": question},
+        {"role": "assistant", "content": answer},
+        {"role": "user",
+         "content": f"{_TOPIC_INSTRUCTION}\n\nTitle: {title}\nAbstract: {abstract}"},
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1140,19 +1124,14 @@ class StubLlm:
 _SENTENCE_PUNCT = re.compile(r"[.!?;:]")
 
 
-def llm_topic_keyword(
-    title: str,
-    abstract: str,
-    llm: LlmBackend,
-    profile: LlmPromptProfile = DEFAULT_TOPIC_PROFILE,
-) -> str:
+def llm_topic_keyword(title: str, abstract: str, llm: LlmBackend) -> str:
     """Topic key phrase for a paper, validated against the answer-only contract.
 
     The reply must reduce to one short phrase: non-empty, a single line, no
     sentence punctuation, fewer than 12 words. Anything else (refusals,
     explanations) raises MalformedResponse.
     """
-    raw = llm.complete(profile.messages(title=title, abstract=abstract))
+    raw = llm.complete(_topic_messages(title, abstract))
     keyword = raw.strip().strip("`'\"").strip()
     if keyword.lower().startswith("xxx:"):
         keyword = keyword[4:].strip()

@@ -460,29 +460,15 @@ class SnapshotStore:
         """Insert or replace by canonical id; dangling reference ids are allowed."""
         if not isinstance(record, PaperRecord):
             raise StorageError("upsert_paper expects a PaperRecord")
-        if not record.canonical_id:
-            raise StorageError("record has an empty canonical_id")
-        self._write_papers(_UPSERT_PAPER, [record])
+        self.write(papers=[record])
         return record.canonical_id
-
-    def _write_papers(self, statement: str, records: Iterable[PaperRecord]) -> None:
-        """Run the `papers` statement over the records' rows in one transaction."""
-        rows = [r.to_json_dict() for r in records]
-        if not rows:
-            return
-        with self._lock:
-            try:
-                with self._conn:
-                    self._conn.execute("BEGIN IMMEDIATE")
-                    self._put_papers(statement, rows)
-            except sqlite3.Error as exc:
-                raise StorageError(f"papers write failed: {exc}") from exc
 
     def _put_papers(self, statement: str, rows: list[dict]) -> None:
         """Run the `papers` statement over records' JSON dicts in one
         `executemany`, inside the caller's transaction. A reference stored
-        before the batch, read in one chunked query, is written as its link;
-        any other, a row of the batch included, stays its canonical id."""
+        before the statement runs, read in one chunked query, is written as
+        its link; any other, a row the statement itself adds included, stays
+        its canonical id."""
         named = {r for data in rows for r in _references(data) if type(r) is str}
         links = dict(self._paper_rows("canonical_id, id", named))
         self._conn.executemany(statement, [_paper_row(data, links) for data in rows])
@@ -568,7 +554,7 @@ class SnapshotStore:
         """Insert, in one transaction, the records whose canonical id is not
         stored yet; stored rows stay untouched, and of two records with one id
         the first wins."""
-        self._write_papers(_INSERT_NEW_PAPER, records)
+        self.write(new_papers=records)
 
     def require_paper(self, canonical_id: str) -> PaperRecord:
         record = self.get_paper(canonical_id)
@@ -613,7 +599,9 @@ class SnapshotStore:
     def import_jsonl(self, stream: IO[str]) -> ImportResult:
         """Upsert records from a JSONL stream in one transaction: all of them,
         or, when the write fails, none. Corrupt lines are skipped and
-        tallied; of two lines with one id the last wins."""
+        tallied; of two lines with one id the last wins. Each record is
+        inserted before any is written in full, so every reference the file
+        or the snapshot stores is written as its link."""
         result = ImportResult()
         records = []
         for line in stream:
@@ -624,7 +612,7 @@ class SnapshotStore:
                 records.append(PaperRecord.from_json_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError):
                 result.corrupt += 1
-        self._write_papers(_UPSERT_PAPER, records)
+        self.write(new_papers=records, papers=records)
         result.imported = len(records)
         return result
 
@@ -633,24 +621,42 @@ class SnapshotStore:
     def store_report(self, paper_id: str, report: IndicatorReport) -> None:
         self.write([(paper_id, report)])
 
-    def write(self, reports: Iterable[tuple[str, IndicatorReport]] = ()) -> None:
-        """Append (paper id, report) pairs and upsert the held API payloads in
-        one transaction: all are stored, or, when a paper is unknown or the
-        write fails, none, and the payloads stay held. A payload replaces the
-        one stored under its key, stored_at included."""
-        rows = [
+    def write(self, reports: Iterable[tuple[str, IndicatorReport]] = (), *,
+              new_papers: Iterable[PaperRecord] = (), papers: Iterable[PaperRecord] = (),
+              features: Iterable[tuple[str, FeatureVector, Optional[datetime]]] = ()) -> None:
+        """Store, in one transaction, all of the following or, when a report
+        or features name an unknown paper or the write fails, none of them,
+        in this order: the ``new_papers`` whose canonical id is not stored
+        yet (stored rows stay untouched, and of two with one id the first
+        wins); the ``papers``, each inserted or replaced by canonical id; the
+        held API payloads; the (paper id, report) pairs; and the (paper id,
+        features, recorded_at) triples. The reports and features are
+        appended. A reference whose row is stored once the new papers are
+        inserted is written as its link. A payload replaces the one stored
+        under its key, stored_at included; after a failure the payloads stay
+        held. The only other writer is a schema upgrade."""
+        new_rows = [r.to_json_dict() for r in new_papers]
+        paper_rows = [r.to_json_dict() for r in papers]
+        report_rows = [
             (paper_id, format_timestamp(report.computed_at or utc_now()),
              canonical_json(report_to_json_dict(report)))
             for paper_id, report in reports
         ]
+        feature_rows = [
+            (paper_id, format_timestamp(recorded_at or utc_now()), canonical_json(fv.as_dict()))
+            for paper_id, fv, recorded_at in features
+        ]
         with self._lock:
             cached = [(key, payload, format_timestamp(stored_at))
                       for key, (payload, stored_at) in self._pending.items()]
-            if not rows and not cached:
+            if not (new_rows or paper_rows or report_rows or feature_rows or cached):
                 return
-            self.require_stored(r[0] for r in rows)
             try:
                 with self._conn:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                    self._put_papers(_INSERT_NEW_PAPER, new_rows)
+                    self._put_papers(_UPSERT_PAPER, paper_rows)
+                    self.require_stored(row[0] for row in report_rows + feature_rows)
                     self._conn.executemany(
                         "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "
                         "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload, "
@@ -659,7 +665,12 @@ class SnapshotStore:
                     )
                     self._conn.executemany(
                         "INSERT INTO reports (paper_id, computed_at, report_json) VALUES (?, ?, ?)",
-                        rows,
+                        report_rows,
+                    )
+                    self._conn.executemany(
+                        "INSERT INTO features (paper_id, recorded_at, features_json) "
+                        "VALUES (?, ?, ?)",
+                        feature_rows,
                     )
             except sqlite3.Error as exc:
                 raise StorageError(f"snapshot write failed: {exc}") from exc
@@ -697,17 +708,7 @@ class SnapshotStore:
 
     def store_features(self, paper_id: str, fv: FeatureVector,
                        recorded_at: Optional[datetime] = None) -> None:
-        self.require_stored([paper_id])
-        stamp = format_timestamp(recorded_at or utc_now())
-        with self._lock:
-            try:
-                with self._conn:
-                    self._conn.execute(
-                        "INSERT INTO features (paper_id, recorded_at, features_json) VALUES (?, ?, ?)",
-                        (paper_id, stamp, canonical_json(fv.as_dict())),
-                    )
-            except sqlite3.Error as exc:
-                raise StorageError(f"store_features failed: {exc}") from exc
+        self.write(features=[(paper_id, fv, recorded_at)])
 
     def latest_features(self, paper_id: str) -> Optional[FeatureVector]:
         with self._lock:

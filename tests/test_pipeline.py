@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from datetime import date, datetime, timedelta
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from conftest import (
 )
 from litmetrics import retrieval, snapshot
 from litmetrics.cli import main
-from litmetrics.demo import DEMO_NOW, build_demo_corpus, build_demo_snapshot
+from litmetrics.demo import DEMO_NOW, DEMO_RETRIEVED_AT, build_demo_corpus, build_demo_snapshot
 from litmetrics.errors import (
     EmptyResult,
     LlmUnavailable,
@@ -441,6 +442,45 @@ def begin_count(store, action) -> int:
     return [sql.split()[0] for sql in statements].count("BEGIN")
 
 
+def stored_rows(path) -> tuple[list, list]:
+    """Every `papers` row with its id, and every `features` row, by id."""
+    conn = sqlite3.connect(path)
+    try:
+        return (conn.execute(f"SELECT id, {snapshot._PAPER_ROW} FROM papers ORDER BY id")
+                .fetchall(), conn.execute("SELECT * FROM features ORDER BY id").fetchall())
+    finally:
+        conn.close()
+
+
+class TestDemoSnapshot:
+    def test_rows_and_features_take_two_transactions_and_are_those_of_single_writes(
+            self, tmp_path, demo_corpus, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        written = []
+        write = SnapshotStore.write
+
+        def recording_write(self, reports=(), **rows):
+            rows = {name: list(items) for name, items in rows.items()}
+            written.append(sum(map(len, rows.values())))
+            write(self, reports, **rows)
+
+        monkeypatch.setattr(SnapshotStore, "write", recording_write)
+        build_demo_snapshot(tmp_path / "demo.db")
+        # the references, then the papers with their features; then the
+        # payloads at close
+        assert written == [len(demo_corpus.references), 2 * len(demo_corpus.papers), 0]
+        monkeypatch.setattr(SnapshotStore, "write", write)
+        # as written one row or feature vector at a time, references first
+        with SnapshotStore(tmp_path / "single.db") as store:
+            for ref in demo_corpus.references:
+                store.upsert_paper(ref)
+            for paper in demo_corpus.papers:
+                store.upsert_paper(paper)
+                store.store_features(paper.canonical_id, demo_corpus.features[paper.canonical_id],
+                                     recorded_at=DEMO_RETRIEVED_AT)
+        assert stored_rows(tmp_path / "demo.db") == stored_rows(tmp_path / "single.db")
+
+
 class TestBatchWrites:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_a_cold_batch_commits_once(self, tmp_path, demo_corpus, demo_payloads, workers,
@@ -463,6 +503,31 @@ class TestBatchWrites:
         assert [i.error for i in items] == [None] * len(ids)
         assert sorted(store.latest_reports()) == sorted(ids)
         assert payloads(store) == demo_payloads
+
+    def test_keywords_from_an_llm_are_stored_with_every_held_payload(
+            self, tmp_path, demo_corpus, demo_payloads, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        store = SnapshotStore(tmp_path / "s.db")
+        store.insert_new_papers(
+            [*demo_corpus.references,
+             *(replace(p, topic_keyword=None) for p in demo_corpus.papers)])
+        stub = StubLlm({p.title: p.topic_keyword for p in demo_corpus.papers})
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), llm=stub,
+                               now=DEMO_NOW)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # keyword writes interleave with puts
+        try:
+            items = score_batch(engine, ids, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [i.error for i in items] == [None] * len(ids)
+        store.close()
+        with SnapshotStore(tmp_path / "s.db", read_only=True) as reopened:
+            assert payloads(reopened) == demo_payloads
+            assert {cid: r.topic_keyword for cid, r in reopened.get_papers(ids).items()} == {
+                p.canonical_id: p.topic_keyword for p in demo_corpus.papers}
+            assert sorted(reopened.latest_reports()) == sorted(ids)
 
     def test_cold_run_caches_every_fetch_and_replays_offline(self, tmp_path, demo_corpus, capsys):
         db = tmp_path / "s.db"
@@ -835,6 +900,22 @@ class TestHarvest:
         assert store.review_ids() == [
             "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
 
+    def test_a_harvest_commits_its_rows_and_payload_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(review("arxiv:2301.00002", topic_keyword=None))
+        query = retrieval.arxiv_review_query("something")
+        client = retrieval.ArxivClient(
+            transport=FixtureTransport.from_pairs([arxiv_exchange(query, 10, self.FEED)]),
+            limiter=RateLimiter(100_000.0))
+        assert begin_count(store, lambda: harvest(store, client, "something", 10)) == 1
+        assert store.review_ids() == [
+            "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
+        assert [op for (op,) in store._conn.execute(
+            "SELECT json_extract(key, '$.op') FROM api_cache")] == ["arxiv_candidates"]
+        assert begin_count(store, store.write) == 0  # nothing is left held
+        store.close()
+
 
 PAPER_KEY = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
 REFERENCES_KEY = canonical_json({"op": "references", "paper_id": "ARXIV:2301.00001"})
@@ -980,21 +1061,18 @@ class TestEnrich:
         assert offline.attempts == 0
         assert papers_rows(store) == before
 
-    def test_a_failed_write_of_the_row_leaves_it_unenriched(self, tmp_path, monkeypatch):
+    def test_a_failed_write_of_the_row_leaves_it_unenriched(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(review(citation_count=None))
+        before = papers_rows(store)
         counting = CountingTransport(FixtureTransport.from_pairs(self.EXCHANGES))
-        upsert = store.upsert_paper
-
-        def failing_upsert(record):
-            raise StorageError("disk full")
-
-        monkeypatch.setattr(store, "upsert_paper", failing_upsert)
-        with pytest.raises(StorageError):
+        # the paper's row fails after its new reference rows are inserted
+        store._conn.execute("CREATE TRIGGER refuse BEFORE UPDATE ON papers "
+                            "BEGIN SELECT RAISE(ABORT, 'disk full'); END")
+        with pytest.raises(StorageError, match="disk full"):
             enrich(store, replay_client(counting), "arxiv:2301.00001")
-        assert {"s2:r1", "s2:r2"} <= papers_rows(store).keys()
-        assert "s2_join" not in store.get_paper("arxiv:2301.00001").external_ids
-        monkeypatch.setattr(store, "upsert_paper", upsert)
+        assert papers_rows(store) == before  # no reference row is left
+        store._conn.execute("DROP TRIGGER refuse")
         enrich(store, replay_client(counting), "arxiv:2301.00001")
         assert sum("/references" in key for _, key in counting.calls) == 2
         stored = papers_rows(store).keys()
@@ -1037,7 +1115,7 @@ def demo_enrich_exchanges(corpus, bad_reference_of: str = "") -> list[dict]:
 
 
 class TestEnrichWrites:
-    def test_enrich_all_commits_twice_a_paper_and_caches_nothing(
+    def test_enrich_all_commits_once_a_paper_and_caches_nothing(
             self, tmp_path, demo_corpus, monkeypatch):
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = SnapshotStore(tmp_path / "s.db")
@@ -1050,8 +1128,8 @@ class TestEnrichWrites:
                 enrich(store, client, cid)
             store.write()
 
-        # each paper's reference rows, then the paper itself
-        assert begin_count(store, enrich_all) == 2 * len(ids)
+        # each paper's reference rows and the paper itself, together
+        assert begin_count(store, enrich_all) == len(ids)
         store.close()
         with SnapshotStore(tmp_path / "s.db", read_only=True) as reopened:
             assert payloads(reopened) == {}
@@ -1121,8 +1199,12 @@ class TestEnrichWrites:
             store.insert_new_papers(demo_corpus.papers)
         paper_id = demo_corpus.papers[0].canonical_id
 
-        def failing_write(self, reports=()):
-            raise StorageError("disk full")
+        write = SnapshotStore.write
+
+        def failing_write(self, reports=(), **rows):
+            if not (reports or any(rows.values())):  # the write at close
+                raise StorageError("disk full")
+            write(self, reports, **rows)
 
         monkeypatch.setattr(SnapshotStore, "write", failing_write)
         code = main(["--db", str(db), "--rate", "100000", "enrich", paper_id],
@@ -1130,3 +1212,6 @@ class TestEnrichWrites:
         assert code == 1
         assert capsys.readouterr() == (f"{paper_id}  enriched\n",
                                        "error: StorageError: disk full\n")
+        monkeypatch.setattr(SnapshotStore, "write", write)
+        with SnapshotStore(db, read_only=True) as store:
+            assert "s2_join" in store.get_paper(paper_id).external_ids

@@ -466,10 +466,13 @@ class TestLlmTopicKeyword:
         assert llm_topic_keyword("The {X} Framework", "a", stub) == "structured state spaces"
 
     def test_hash_key_lookup(self):
-        from litmetrics.retrieval import DEFAULT_TOPIC_PROFILE
+        from litmetrics.retrieval import _topic_messages
 
-        messages = DEFAULT_TOPIC_PROFILE.messages(title="T", abstract="A")
-        stub = StubLlm({StubLlm.key_for(messages): "graph neural networks"})
+        # pinned, so that a change to the prompt fails here and not only in
+        # the canned tables keyed by its hash
+        key = StubLlm.key_for(_topic_messages("T", "A"))
+        assert key == "25e931a6e40c7197"
+        stub = StubLlm({key: "graph neural networks"})
         assert llm_topic_keyword("T", "A", stub) == "graph neural networks"
 
     def test_stub_without_match_raises(self):
@@ -478,9 +481,9 @@ class TestLlmTopicKeyword:
 
     def test_http_client_parses_chat_payload(self, fixture_transport_factory):
         from litmetrics.jsonio import canonical_json
-        from litmetrics.retrieval import DEFAULT_TOPIC_PROFILE
+        from litmetrics.retrieval import _topic_messages
 
-        messages = DEFAULT_TOPIC_PROFILE.messages(title="T", abstract="A")
+        messages = _topic_messages("T", "A")
         body = canonical_json({"model": "m", "messages": messages, "temperature": 0})
         exchange = {
             "request": {

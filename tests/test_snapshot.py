@@ -258,17 +258,19 @@ class TestRowLayout:
     @given(st.lists(st.sampled_from(["s2:c", "s2:d", "s2:e", "s2:f"]), min_size=1,
                     max_size=4, unique=True).flatmap(
         lambda ids: st.tuples(*(TestRowLayout.records(st.just(cid), ids) for cid in ids))))
-    def test_an_import_batch_naming_its_own_records_links_those_stored_before(self, batch):
+    def test_an_import_batch_links_every_name_the_batch_or_the_file_stores(self, batch):
         lines = "".join(r.to_canonical_json() + "\n" for r in batch)
         with SnapshotStore(":memory:") as store:
             store.insert_new_papers(record(cid) for cid in self.STORED)
             assert store.import_jsonl(io.StringIO(lines)).imported == len(batch)
             rows = papers_rows(store)
+            # the batch's rows take the next ids in file order, and a
+            # record of the batch, itself included, is a link too
+            links = {**self.STORED, **{paper.canonical_id: link for link, paper in
+                                       enumerate(batch, len(self.STORED) + 1)}}
             for paper in batch:
-                # only the rows stored before the batch become links; a
-                # record of the batch, itself included, stays text
                 assert rows[paper.canonical_id] == snapshot._paper_row(
-                    paper.to_json_dict(), self.STORED)
+                    paper.to_json_dict(), links)
             assert store.get_papers(r.canonical_id for r in batch) == {
                 r.canonical_id: r for r in batch}
             expected = {r.canonical_id: r for r in batch} | {
