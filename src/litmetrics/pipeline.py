@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import EmptyResult, LitmetricsError, LlmUnavailable, ParseError, UnknownPaper
 from .indicators import (
@@ -14,7 +13,6 @@ from .indicators import (
     ExponentialFit,
     IndicatorReport,
     RqmInputs,
-    RuiWeights,
     arq,
     cdr,
     fit_exponential_mle,
@@ -130,21 +128,19 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
 # ---------------------------------------------------------------------------
 
 
-class _TopicFit:
-    """A keyword's fit or the error its fetch raised, once the fetch is over."""
+def _kept(fetch, *args):
+    """What ``fetch(*args)`` returns, or the library error it raises."""
+    try:
+        return fetch(*args)
+    except LitmetricsError as exc:
+        return exc
 
-    __slots__ = ("known", "fit", "error")
 
-    def __init__(self) -> None:
-        self.known = threading.Event()
-        self.fit: Optional[ExponentialFit] = None
-        self.error: Optional[BaseException] = None
-
-    def result(self) -> ExponentialFit:
-        self.known.wait()
-        if self.error is not None:
-            raise self.error
-        return self.fit
+def _given(gathered):
+    """A gathered input, or raise the library error kept in its place."""
+    if isinstance(gathered, LitmetricsError):
+        raise gathered
+    return gathered
 
 
 @dataclass
@@ -152,15 +148,15 @@ class ScoringEngine:
     """Computes indicator reports for stored papers.
 
     All remote lookups run through the API cache, so a snapshot that was
-    populated online can be re-scored offline and byte-identically. Each
-    topic's sample is fetched and fitted once per engine, so concurrent
-    workers score every paper of a topic against the same sample.
+    populated online can be re-scored offline and byte-identically. Fetched
+    payloads are cached in the store, which writes them behind.
 
-    ``records`` holds the papers that `load_records` read for the current
-    batch, and ``references`` the (citation_count, publication_date) of
-    their references, None for an id the store lacks; a paper or reference
-    they lack is read from the store. Fetched payloads are cached in the
-    store, which writes them behind.
+    A batch is scored as gather, then compute. `load_records` reads the
+    papers into ``records`` and the (citation_count, publication_date) of
+    their references into ``references``, None for an id the store lacks.
+    `gather` fetches every keyword, citation series and topic fit, each
+    topic's once per engine, and `score` computes a report from them and
+    fetches only RUI's two counts, so no worker waits on another's fetch.
     """
 
     store: SnapshotStore
@@ -168,7 +164,6 @@ class ScoringEngine:
     llm: Optional[LlmBackend] = None
     now: Optional[date] = None
     beta: float = DEFAULT_BETA
-    rui_weights: RuiWeights = field(default_factory=RuiWeights)
     topic_k: int = 1000
     # month weights for the weighted trend variant; None leaves it unset
     iei_weights: Optional[Sequence[float]] = None
@@ -176,10 +171,10 @@ class ScoringEngine:
     references: dict[str, Optional[ReferenceFacts]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _topic_fits: dict[str, _TopicFit] = field(default_factory=dict, init=False, repr=False)
-    _topic_fits_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
-    )
+    # what `gather` fetched, each the value or the library error its fetch
+    # raised: (keyword, citation series) by (paper id, indicators), fits by keyword
+    _inputs: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False)
+    _fits: dict[str, object] = field(default_factory=dict, init=False, repr=False)
 
     def _now(self) -> date:
         return self.now or date.today()
@@ -202,7 +197,7 @@ class ScoringEngine:
     ) -> None:
         """Read the papers and, when RQM or RUI is wanted, the two fields
         those read of the union of their references, in one bulk read, for
-        `score` to use."""
+        `gather` and `score` to use."""
         references = {}
         if {"rqm", "rui"} & set(which or ALL_INDICATORS):
             records, facts = self.store.get_papers_and_reference_facts(paper_ids)
@@ -210,37 +205,37 @@ class ScoringEngine:
                           for rid in r.reference_ids if rid not in records}
         else:
             records = self.store.get_papers(paper_ids)
-        self.records, self.references = records, references
+        self.records, self.references, self._inputs = records, references, {}
 
-    def _record(self, paper_id: str) -> Optional[PaperRecord]:
+    def gather(self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS,
+               each: Callable = map) -> None:
+        """Fetch what `score` needs of the papers `load_records` read, in two
+        stages run through ``each`` (``map`` or a pool's). Stage 1 takes each
+        paper's keyword, from the LLM when none is stored, then its citation
+        series when IEI is wanted; stage 2 fits each keyword not fitted yet
+        when TNCSI or RQM is wanted. A library error is kept in place of its
+        input, for `score` to raise where it uses it; any other propagates."""
+        which = tuple(which) or ALL_INDICATORS
+        gathered = each(lambda pid: self._gather_paper(pid, which), paper_ids)
+        inputs = {(pid, which): got for pid, got in zip(paper_ids, gathered)}
+        if "tncsi" in which or "rqm" in which:
+            topics = [kw for kw in dict.fromkeys(kw for kw, _ in inputs.values())
+                      if isinstance(kw, str) and kw not in self._fits]
+            self._fits.update(zip(topics, each(lambda kw: _kept(self._fetch_topic_fit, kw),
+                                               topics)))
+        self._inputs = inputs
+
+    def _gather_paper(self, paper_id: str, which: Sequence[str]) -> tuple:
+        """Stage 1 of `gather` for one paper: (keyword, citation series or
+        None). No series is fetched for an unknown paper, a failed keyword
+        or, when TNCSI is wanted, a paper with no citation count."""
         record = self.records.get(paper_id)
-        return record if record is not None else self.store.get_paper(paper_id)
-
-    def _topic_fit(self, keyword: str) -> ExponentialFit:
-        """Exponential fit of the keyword's topic sample, memoised per engine.
-
-        The first caller for a keyword fetches and fits; concurrent callers
-        wait for its outcome, which is a fit or the error it raised. Only a
-        fit or a library error is kept; after any other exception (a
-        transport defect, Ctrl-C) the next call fetches again.
-        """
-        with self._topic_fits_lock:
-            pending = self._topic_fits.get(keyword)
-            owner = pending is None
-            if owner:
-                pending = self._topic_fits[keyword] = _TopicFit()
-        if owner:
-            try:
-                pending.fit = self._fetch_topic_fit(keyword)
-            except BaseException as exc:
-                if not isinstance(exc, LitmetricsError):
-                    with self._topic_fits_lock:
-                        del self._topic_fits[keyword]
-                pending.error = exc  # waiting workers raise it too
-                raise
-            finally:
-                pending.known.set()
-        return pending.result()
+        keyword = _kept(self.topic_keyword_for, record) if record else UnknownPaper(paper_id)
+        if ("iei" not in which or isinstance(keyword, LitmetricsError)
+                or ("tncsi" in which and record.citation_count is None)):
+            return keyword, None
+        return keyword, _kept(lambda: fetch_monthly_citations(
+            self.s2, api_id_for(record), IEI_WINDOW_MONTHS, now=self._now(), cache=self.store))
 
     def _fetch_topic_fit(self, keyword: str) -> ExponentialFit:
         try:
@@ -252,36 +247,35 @@ class ScoringEngine:
     def _reference_facts(self, record: PaperRecord) -> list[ReferenceFacts]:
         """(citation_count, publication_date) of the record's stored
         references, in reference order. A reference of the batch's own papers
-        uses that paper's record; those `load_records` did not read are read
-        in one call, and an id the store lacks is left out."""
-        unread = [rid for rid in record.reference_ids
-                  if rid not in self.records and rid not in self.references]
-        read = self.store.citation_facts(unread) if unread else {}
+        uses that paper's record, and an id the store lacks is left out."""
         facts = []
         for rid in record.reference_ids:
             paper = self.records.get(rid)
             if paper is not None:
                 facts.append((paper.citation_count, paper.publication_date))
-            elif (fact := self.references.get(rid, read.get(rid))) is not None:
+            elif (fact := self.references.get(rid)) is not None:
                 facts.append(fact)
         return facts
 
     def score(
         self, paper_id: str, which: Sequence[str] = ALL_INDICATORS
     ) -> IndicatorReport:
-        record = self._record(paper_id)
-        if record is None:
-            raise UnknownPaper(paper_id)
+        """One paper's report from its gathered inputs; a paper not gathered
+        for ``which`` is read and gathered first."""
         which = tuple(which) or ALL_INDICATORS
+        if (paper_id, which) not in self._inputs:
+            self.load_records([paper_id], which)
+            self.gather([paper_id], which)
+        keyword, series = self._inputs[paper_id, which]
+        keyword = _given(keyword)
+        record = self.records[paper_id]
         now = self._now()
         report = IndicatorReport(computed_at=datetime(now.year, now.month, now.day))
-
-        keyword = self.topic_keyword_for(record)
         report.topic_keyword = keyword
 
         fit = None
         if "tncsi" in which or "rqm" in which:
-            fit = self._topic_fit(keyword)
+            fit = _given(self._fits[keyword])
             report.sample_size = fit.sample_size
 
         if "tncsi" in which:
@@ -292,9 +286,7 @@ class ScoringEngine:
             report.tncsi = tncsi(record.citation_count, fit)
 
         if "iei" in which:
-            series = fetch_monthly_citations(
-                self.s2, api_id_for(record), IEI_WINDOW_MONTHS, now=now, cache=self.store
-            )
+            series = _given(series)
             report.iei_avg = iei_average(series)
             report.iei_instant = iei_instantaneous(series)
             if self.iei_weights is not None:
@@ -355,7 +347,7 @@ class ScoringEngine:
                     f"aging integral extrapolates beyond its fitted window "
                     f"({m_pc} > {RAD_FIT_WINDOW_MONTHS} months)"
                 )
-            report.rui = rui(report.cdr, report.rad, self.rui_weights)
+            report.rui = rui(report.cdr, report.rad)
 
         return report
 
@@ -376,13 +368,16 @@ def score_batch(
 ) -> list[BatchItem]:
     """Score many papers through a bounded worker pool.
 
-    The papers and their references are read in bulk before scoring. The API
-    payloads fetched while scoring are held by the store, within its bounds,
-    and the last of them are written together with the reports in one
-    transaction after it. When the batch raises, when ``persist`` is false or
-    when no paper scored, the payloads are still written, and no report is.
-    Results keep the input order regardless of completion order; per-item
-    failures are captured, never raised.
+    The papers and their references are read in bulk, then `gather` fetches
+    every keyword, citation series and topic fit, and only then is each
+    paper scored. Both steps run through the one pool, or on the calling
+    thread when ``workers`` is 1 or there is one paper. The API payloads
+    fetched are held by the store, within its bounds, and the last of them
+    are written together with the reports in one transaction after the
+    batch. When the batch raises, when ``persist`` is false or when no paper
+    scored, the payloads are still written, and no report is. Results keep
+    the input order regardless of completion order; per-item failures are
+    captured, never raised.
     """
     engine.load_records(paper_ids, which)
 
@@ -396,11 +391,13 @@ def score_batch(
     reports: list[tuple[str, IndicatorReport]] = []
     try:
         if workers <= 1 or len(paper_ids) <= 1:
+            engine.gather(paper_ids, which)
             items = [run(pid) for pid in paper_ids]
         else:
             from concurrent.futures import ThreadPoolExecutor  # loads logging
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
+                engine.gather(paper_ids, which, pool.map)
                 items = list(pool.map(run, paper_ids))
         if persist:
             reports = [(item.paper_id, item.report) for item in items if item.report is not None]

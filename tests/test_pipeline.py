@@ -335,36 +335,90 @@ class TestScoreBatch:
         assert score_batch(engine, ["arxiv:2301.00001"], ["tncsi"])[0].report.sample_size == 1
         assert transport.count == 2
 
-    def test_workers_waiting_on_a_broken_topic_fetch_raise_its_error(self, tmp_path):
+    def test_four_workers_on_a_broken_topic_fetch_make_one_request_and_raise_it(
+            self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         ids = [f"arxiv:2301.{n:05d}" for n in range(4)]
         for cid in ids:
             store.upsert_paper(review(cid))
-        looked_up = threading.Semaphore(0)
-
-        class Lookups(dict):
-            def get(self, key, default=None):
-                looked_up.release()
-                return super().get(key, default)
 
         class StalledTransport:
-            """Breaks the one topic fetch once all four workers have looked
-            up its keyword, so three of them are waiting on it."""
+            """Breaks the topic fetch after a pause in which any other worker
+            fetching the same topic would ask too."""
 
             calls = 0
 
             def request(self, method, url, params, headers, body=None):
                 self.calls += 1
-                for _ in ids:
-                    assert looked_up.acquire(timeout=5)
+                time.sleep(0.05)
                 raise RuntimeError("defect")
 
         transport = StalledTransport()
         engine = ScoringEngine(store=store, s2=replay_client(transport), now=NOW)
-        engine._topic_fits = Lookups()
         with pytest.raises(RuntimeError, match="defect"):
             score_batch(engine, ids, ["tncsi"], workers=4)
         assert transport.calls == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_citations_are_fetched_for_a_paper_that_fails_before_iei(
+            self, tmp_path, workers):
+        store = SnapshotStore(tmp_path / "s.db")
+        good = review("arxiv:2301.00001")
+        no_keyword = review("arxiv:2301.00002", title="Unknown to the LLM", topic_keyword=None)
+        uncounted = review("arxiv:2301.00003", citation_count=None)
+        for paper in (good, no_keyword, uncounted):
+            store.upsert_paper(paper)
+        exchanges = [s2_search_exchange("something", "citationCount",
+                                        [{"citationCount": 3}], limit=100),
+                     *(s2_citations_exchange(f"ARXIV:2301.0000{n}", ["2024-09-01"])
+                       for n in (1, 2, 3))]
+        transport = CountingTransport(FixtureTransport.from_pairs(exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport),
+                               llm=StubLlm(), now=NOW)
+        ids = ["arxiv:missing", good.canonical_id, no_keyword.canonical_id,
+               uncounted.canonical_id]
+        items = score_batch(engine, ids, ["tncsi", "iei"], workers=workers)
+        assert [(i.error or "").split(":")[0] for i in items] == [
+            "UnknownPaper", "", "LlmUnavailable", "EmptyResult"]
+        assert items[3].error.endswith("has no citation count; run enrich first")
+        citations = [key for _, key in transport.calls if "/citations" in key]
+        assert citations == [request_key("GET", f"{S2_API_URL}/paper/ARXIV:2301.00001/citations",
+                                         exchanges[1]["request"]["params"])]
+
+    def test_a_topic_with_no_hits_fails_its_papers_and_caches_their_citations(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        ids = [f"arxiv:2301.{n:05d}" for n in range(3)]
+        for cid in ids:
+            store.upsert_paper(review(cid, topic_keyword="unsampled"))
+        exchanges = [s2_search_exchange("unsampled", "citationCount", [], limit=100),
+                     *(s2_citations_exchange(f"ARXIV:2301.{n:05d}", ["2024-09-01"])
+                       for n in range(3))]
+        transport = CountingTransport(FixtureTransport.from_pairs(exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=NOW)
+        items = score_batch(engine, ids, workers=4)
+        assert [i.error for i in items] == [
+            "EmptyResult: TNCSI uncomputable: no search hits for keyword 'unsampled'"] * 3
+        urls = Counter(json.loads(key)["url"] for _, key in transport.calls)
+        assert urls == {f"{S2_API_URL}/paper/search": 1,
+                        **{f"{S2_API_URL}/paper/ARXIV:2301.{n:05d}/citations": 1
+                           for n in range(3)}}
+        assert set(payloads(store)) == {
+            canonical_json({"op": "topic_sample", "keyword": "unsampled", "k": 1000}),
+            *(canonical_json({"op": "citations", "paper_id": f"ARXIV:2301.{n:05d}"})
+              for n in range(3))}
+
+    def test_score_after_a_batch_of_other_indicators_gathers_its_own(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        paper = review()
+        store.upsert_paper(paper)
+        exchanges = [s2_search_exchange("something", "citationCount",
+                                        [{"citationCount": 3}], limit=100),
+                     s2_citations_exchange("ARXIV:2301.00001", ["2024-09-01"])]
+        engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
+        [item] = score_batch(engine, [paper.canonical_id], ["tncsi"])
+        assert item.report.tncsi is not None and item.report.iei_instant is None
+        report = engine.score(paper.canonical_id, ["iei"])
+        assert report.iei_instant is not None and report.tncsi is None
 
     def test_sequential_fallback(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
@@ -503,6 +557,18 @@ class TestBatchWrites:
         assert [i.error for i in items] == [None] * len(ids)
         assert sorted(store.latest_reports()) == sorted(ids)
         assert payloads(store) == demo_payloads
+
+    def test_a_cold_batch_makes_the_same_requests_with_one_or_four_workers(
+            self, tmp_path, demo_corpus):
+        requests = {}
+        for workers in (1, 4):
+            store = cold_demo_store(tmp_path / f"{workers}.db", demo_corpus)
+            transport = CountingTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
+            engine = ScoringEngine(store=store, s2=replay_client(transport), now=DEMO_NOW)
+            ids = [p.canonical_id for p in demo_corpus.papers]
+            assert [i.error for i in score_batch(engine, ids, workers=workers)] == [None] * 20
+            requests[workers] = Counter(key for _, key in transport.calls)
+        assert requests[1] == requests[4] and sum(requests[1].values()) == 66
 
     def test_keywords_from_an_llm_are_stored_with_every_held_payload(
             self, tmp_path, demo_corpus, demo_payloads, monkeypatch):
