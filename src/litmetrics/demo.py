@@ -208,13 +208,12 @@ def build_demo_snapshot(path: str | Path, now: date = DEMO_NOW) -> DemoCorpus:
         engine = ScoringEngine(store=store, s2=client, now=now)
         for keyword in DEMO_TOPICS:
             fetch_topic_sample(client, keyword, engine.topic_k, cache=store)
+        published = {ref.canonical_id: ref.publication_date for ref in corpus.references}
         for paper in corpus.papers:
             fetch_monthly_citations(
                 client, f"ARXIV:{paper.external_ids['arxiv']}", 6, now=now, cache=store
             )
-            dated = [
-                store.get_paper(rid).publication_date for rid in paper.reference_ids
-            ]
+            dated = [published[rid] for rid in paper.reference_ids]
             median_ref = lower_median_date([d for d in dated if d is not None])
             count_relevant(client, paper.topic_keyword, median_ref,
                            paper.publication_date, cache=store)

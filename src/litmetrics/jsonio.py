@@ -25,7 +25,9 @@ def canonical_json(obj: Any) -> str:
 
 
 def format_date(d: date | None) -> str | None:
-    return None if d is None else d.strftime(DATE_FMT)
+    """`DATE_FMT`, its year zero-padded to four digits as `parse_date` reads
+    it, which `strftime` does not do for a year before 1000."""
+    return None if d is None else f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
 
 
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)
@@ -43,9 +45,11 @@ def parse_date(s: str | None) -> date | None:
 
 
 def format_timestamp(ts: datetime) -> str:
+    """`TIMESTAMP_FMT` in UTC, zero-padded as `format_date` is."""
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return ts.strftime(TIMESTAMP_FMT)
+    return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T"
+            f"{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z")
 
 
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)

@@ -110,7 +110,20 @@ class PaperRecord:
         if not (isinstance(self.reference_ids, list)
                 and all(isinstance(rid, str) for rid in self.reference_ids)):
             raise ValueError("reference_ids must be a list of strings")
+        # what the snapshot's text columns hold as given; a null abstract
+        # would read back as ""
+        for name, value in (("title", self.title), ("venue", self.venue)):
+            if not (value is None or isinstance(value, str)):
+                raise ValueError(f"{name} must be a string or null, not {value!r}")
+        if not isinstance(self.abstract, str):
+            raise ValueError(f"abstract must be a string, not {self.abstract!r}")
+        if not (isinstance(self.external_ids, dict) and all(
+                isinstance(k, str) and isinstance(v, str) for k, v in self.external_ids.items())):
+            raise ValueError(f"external_ids must map strings to strings, not "
+                             f"{self.external_ids!r:.200}")
         _check_count("author_count", self.author_count)
+        if self.author_count >= 2**63:  # as `citation_count`
+            raise ValueError("author_count must be below 2**63")
         check_citation_facts(self.citation_count, self.publication_date, self.retrieved_at)
 
     def to_json_dict(self) -> dict:
@@ -487,7 +500,7 @@ def _keyword_pattern(keyword: str) -> re.Pattern:
 
 
 def _collapse_ws(text: str) -> str:
-    return re.sub(r"\s+", " ", text or "").strip()
+    return " ".join((text or "").split())
 
 
 class ArxivClient:

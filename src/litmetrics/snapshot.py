@@ -31,7 +31,7 @@ from .retrieval import (
     merge_fetched,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # ids bound per `IN (...)` list, a power of two well below SQLite's parameter
 # limit
@@ -86,15 +86,17 @@ class FeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
-# Schema 4's `papers`. `id` is explicit because `VACUUM` may renumber an
-# implicit rowid, and the ids are links: inside `record_json`, which holds a
-# record's `to_json_dict()` less the four fact fields kept as typed columns,
-# a reference stored when its citing row was written is its `id`, a JSON
-# integer, and any other reference its canonical id (a dangling id). Nothing
-# deletes or replaces a `papers` row, and an upsert keeps its `id`, so a link
-# never goes stale. Schemas 1-3 named every reference by canonical id, and
-# schema 1 kept one canonical-JSON column; a writing open rebuilds them as
-# this.
+# Schema 5's `papers`: one column per `PaperRecord` field, NULL, 0 and ""
+# taking no payload bytes (https://www.sqlite.org/fileformat2.html#record_format).
+# `id` is explicit because `VACUUM` may renumber an implicit rowid, and the ids
+# are links. `external_ids` is compact JSON, NULL when empty, less the entry
+# that an `arxiv:`, `doi:` or `s2:` canonical id spells; a `null` under that
+# scheme marks a record that lacks the entry, and a value that differs is
+# kept. `reference_ids` is a JSON array, NULL when empty: a reference stored
+# when its citing row was written is its `id`, a JSON integer, and any other
+# its canonical id (a dangling id). Nothing deletes or replaces a `papers`
+# row, and an upsert keeps its `id`, so a link never goes stale. Schemas 1-4
+# kept the record in `record_json`; a writing open rebuilds them as this.
 _PAPERS = """
 CREATE TABLE {table} (
     id INTEGER PRIMARY KEY,
@@ -103,7 +105,12 @@ CREATE TABLE {table} (
     citation_count INTEGER,
     publication_date TEXT,
     retrieved_at TEXT NOT NULL,
-    record_json TEXT NOT NULL
+    title TEXT,
+    abstract TEXT,
+    venue TEXT,
+    author_count INTEGER,
+    external_ids TEXT,
+    reference_ids TEXT
 )"""
 # the reviews, in canonical id order, with no table read: `review_ids`
 _REVIEWS_INDEX = ("CREATE INDEX idx_papers_reviews ON papers(canonical_id, topic_keyword) "
@@ -135,47 +142,59 @@ CREATE INDEX idx_reports_paper ON reports(paper_id);
 CREATE INDEX idx_features_paper ON features(paper_id);
 """ + _PAPERS.format(table="papers") + ";\n" + _REVIEWS_INDEX + ";\n"
 
+# each column is named as the record's JSON key it holds, so that a row
+# zips into a `to_json_dict()`
 _PAPER_COLUMNS = ("canonical_id", "topic_keyword", "citation_count", "publication_date",
-                  "retrieved_at")
-_PAPER_ROW = ", ".join((*_PAPER_COLUMNS, "record_json"))
+                  "retrieved_at", "title", "abstract", "venue", "author_count", "external_ids",
+                  "reference_ids")
+_PAPER_ROW = ", ".join(_PAPER_COLUMNS)
 # what `get_papers` reads: `_PAPER_ROW`, then the row's id
 _LINKED_ROW = _PAPER_ROW + ", id"
 # what `citation_facts` reads of a paper
 _FACT_COLUMNS = "canonical_id, citation_count, publication_date, retrieved_at"
-_INSERT_PAPER = f"INSERT INTO papers ({_PAPER_ROW}) VALUES (?, ?, ?, ?, ?, ?)"
+_INSERT_PAPER = (f"INSERT INTO papers ({_PAPER_ROW}) "
+                 f"VALUES ({', '.join('?' * len(_PAPER_COLUMNS))})")
 _UPSERT_PAPER = _INSERT_PAPER + (
     " ON CONFLICT(canonical_id) DO UPDATE SET "
-    + ", ".join(f"{c} = excluded.{c}" for c in (*_PAPER_COLUMNS[1:], "record_json")))
+    + ", ".join(f"{c} = excluded.{c}" for c in _PAPER_COLUMNS[1:]))
 _INSERT_NEW_PAPER = _INSERT_PAPER + " ON CONFLICT(canonical_id) DO NOTHING"
-# what `PaperRecord.from_json_dict` reads for each absent key: record_json
-# leaves out a key at that value
-_ABSENT = PaperRecord.from_json_dict(
-    {"canonical_id": "-", "retrieved_at": "2000-01-01T00:00:00Z"}).to_json_dict()
+# the canonical id schemes that spell an external id: `arxiv:X` is the
+# record's `external_ids["arxiv"] == "X"`, when it has that entry
+_OWN_ID_SCHEMES = ("arxiv", "doi", "s2")
 
 
-def _references(data: dict) -> list:
-    """A record JSON dict's reference list, or [] where it holds no list."""
-    references = data.get("reference_ids")
-    return references if isinstance(references, list) else []
+def _own_id(canonical_id: str) -> tuple[str, str]:
+    """(scheme, value) of a canonical id that spells an external id, or
+    ("", "") for one that does not."""
+    scheme, colon, value = canonical_id.partition(":")
+    return (scheme, value) if colon and scheme in _OWN_ID_SCHEMES else ("", "")
 
 
 def _paper_row(data: dict, links: Mapping[str, int]) -> tuple:
     """The `papers` row, in `_PAPER_ROW` order, of a record's
     `to_json_dict()`, each reference that ``links`` holds written as its
     link."""
-    rest = {key: value for key, value in data.items()
-            if key not in _PAPER_COLUMNS and not (key in _ABSENT and value == _ABSENT[key])}
-    if _references(rest):
-        rest["reference_ids"] = [links.get(r, r) if type(r) is str else r
-                                 for r in rest["reference_ids"]]
-    return (*(data.get(c) for c in _PAPER_COLUMNS), canonical_json(rest))
+    ids = dict(data["external_ids"])
+    scheme, own = _own_id(data["canonical_id"])
+    if scheme and ids.setdefault(scheme, None) == own:
+        del ids[scheme]
+    references = [links.get(r, r) if type(r) is str else r for r in data["reference_ids"]]
+    return (*(data.get(c) for c in _PAPER_COLUMNS[:-2]),
+            canonical_json(ids) if ids else None,
+            canonical_json(references) if references else None)
 
 
 def _row_data(row: tuple) -> dict:
     """The JSON dict of a `papers` row selected as `_PAPER_ROW` or
     `_LINKED_ROW`, its links as stored."""
-    data = json.loads(row[len(_PAPER_COLUMNS)])
-    data.update(zip(_PAPER_COLUMNS, row))
+    data = dict(zip(_PAPER_COLUMNS, row))
+    ids, references = data["external_ids"], data["reference_ids"]
+    ids = {} if ids is None else json.loads(ids)
+    scheme, own = _own_id(data["canonical_id"])
+    if scheme and ids.setdefault(scheme, own) is None:
+        del ids[scheme]
+    data["external_ids"] = ids
+    data["reference_ids"] = [] if references is None else json.loads(references)
     return data
 
 
@@ -183,13 +202,12 @@ def _paper_record(data: dict, names: Mapping[int, str]) -> PaperRecord:
     """The record of a stored row's JSON dict, each link replaced by the
     canonical id ``names`` holds for it. A link it lacks, which no row has,
     raises StorageError."""
-    references = data.get("reference_ids")
-    if isinstance(references, list):
-        try:
-            data["reference_ids"] = [names[r] if type(r) is int else r for r in references]
-        except KeyError as exc:
-            raise StorageError(f"paper {data['canonical_id']!r} names reference link "
-                               f"{exc.args[0]}, which is no `papers` row id") from None
+    try:
+        data["reference_ids"] = [names[r] if type(r) is int else r
+                                 for r in data["reference_ids"]]
+    except KeyError as exc:
+        raise StorageError(f"paper {data['canonical_id']!r} names reference link "
+                           f"{exc.args[0]}, which is no `papers` row id") from None
     return PaperRecord.from_json_dict(data)
 
 
@@ -212,29 +230,49 @@ def _checked_facts(rows: Iterable[tuple]) -> dict[str, tuple[Optional[int], Opti
     return facts
 
 
-def _legacy_paper_row(data: dict, links: Mapping[str, int]) -> tuple:
-    """The schema-4 row, less its id, of a schema-1 to -3 record's JSON dict,
-    each stored reference as its link. A reference that is a JSON integer,
-    which schema 4 would read as a link, raises ValueError."""
-    if any(type(r) is int for r in _references(data)):
-        raise ValueError(f"paper {data['canonical_id']!r} has a reference id that is a "
-                         f"number, which schema 4 reads as a link: {_references(data)!r:.200}")
-    return _paper_row(data, links)
+# the columns of schemas 2-4 that hold a record: typed facts, then the rest
+_LEGACY_COLUMNS = (*_PAPER_COLUMNS[:5], "record_json")
+# what `PaperRecord.from_json_dict` reads for each absent key that does not
+# read as null: schemas 2-4 left a key at that value out of `record_json`
+_LEGACY_ABSENT = {"title": "", "abstract": "", "external_ids": {}, "reference_ids": [],
+                  "author_count": 0}
 
 
-def _v1_paper_row(canonical_id: str, record_json: str, links: Mapping[str, int]) -> tuple:
-    """The schema-4 row, less its id, of a schema-1 row, whose record is
-    carried over as it was stored, checks failed or not. A fact field that
-    its column would not hold as stored, such as a count of `true`, `"12"` or
-    `2**64`, raises ValueError instead."""
-    data = {**json.loads(record_json), "canonical_id": canonical_id}
-    count = data.get("citation_count")
-    texts = [data.get(c) for c in ("topic_keyword", "publication_date", "retrieved_at")]
-    if not ((count is None or (type(count) is int and -2**63 <= count < 2**63))
-            and all(t is None or type(t) is str for t in texts)):
-        raise ValueError(f"paper {canonical_id!r} has a fact field that no schema-4 "
-                         f"column holds as stored: {record_json:.200}")
-    return _legacy_paper_row(data, links)
+def _legacy_data(version: int, row: tuple) -> dict:
+    """The JSON dict of a schema-``version`` `papers` row selected as
+    `_LEGACY_COLUMNS`, or at schema 1 as its two columns."""
+    if version == 1:
+        canonical_id, record_json = row
+        return {**_LEGACY_ABSENT, **json.loads(record_json), "canonical_id": canonical_id}
+    return {**_LEGACY_ABSENT, **json.loads(row[-1]), **dict(zip(_LEGACY_COLUMNS[:-1], row))}
+
+
+def _held(column: str, value) -> bool:
+    """Whether the schema-5 column holds ``value`` as given: a string, or a
+    signed 64-bit integer in an INTEGER column, or null."""
+    if column in ("citation_count", "author_count"):
+        return value is None or (type(value) is int and -2**63 <= value < 2**63)
+    return value is None or type(value) is str
+
+
+def _legacy_paper_row(data: dict, links: Mapping[str, int], linked: bool) -> tuple:
+    """The schema-5 row, less its id, of a schema-1 to -4 record's JSON dict,
+    carried over as it was stored, checks failed or not, and each stored
+    reference as its link. A field that its column would not hold as stored,
+    such as a count of `true`, `"12"` or `2**64`, a title that is an object
+    or an external id that is a number, raises ValueError; so does, unless
+    the file is ``linked`` (schema 4), a reference that is a JSON integer,
+    which schema 5 reads as a link."""
+    cid, ids, references = data["canonical_id"], data["external_ids"] or {}, data["reference_ids"]
+    if not (all(_held(c, data.get(c)) for c in _PAPER_COLUMNS[:-2])
+            and isinstance(ids, dict) and all(type(v) is str for v in ids.values())
+            and isinstance(references, list)):
+        raise ValueError(f"paper {cid!r} has a field that no schema-{SCHEMA_VERSION} column "
+                         f"holds as stored: {canonical_json(data):.200}")
+    if not linked and any(type(r) is int for r in references):
+        raise ValueError(f"paper {cid!r} has a reference id that is a number, which schema "
+                         f"{SCHEMA_VERSION} reads as a link: {references!r:.200}")
+    return _paper_row({**data, "external_ids": ids}, links)
 
 
 # `paper` and `references` payloads, and citing dates; a JSON function raises
@@ -347,7 +385,7 @@ class SnapshotStore:
             ).fetchone()
         except sqlite3.Error as exc:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
-        if row is not None and row[0] in (1, 2, 3):
+        if row is not None and row[0] in (1, 2, 3, 4):
             if self.read_only:
                 raise SchemaMismatch(
                     f"snapshot {self.path} has schema {row[0]} and is opened read-only; any "
@@ -366,29 +404,32 @@ class SnapshotStore:
         )
 
     def _upgrade(self, version: int) -> None:
-        """Bring a schema-1, -2 or -3 file to schema 4 in one transaction:
-        all of it, or, when a row or the write fails, nothing. `papers` is
-        rebuilt once, each row's id its place in the old table and each
-        stored reference its link; then the payloads are converted. A
-        `VACUUM` then returns the pages freed, which would otherwise leave
-        the file larger than before."""
+        """Bring a schema-1 to -4 file to schema 5 in one transaction: all of
+        it, or, when a row or the write fails, nothing. `papers` is rebuilt
+        once, each row keeping its rowid as its id, so that a schema-4 link
+        is copied as it is, and each other stored reference becoming its
+        link; then the payloads are converted. A `VACUUM` then returns the
+        pages freed, which would otherwise leave the file larger than
+        before."""
         with self._lock:
             try:
                 with self._conn:
                     self._conn.execute("BEGIN")
-                    self._conn.execute(_PAPERS.format(table="papers_v4"))
-                    columns = "canonical_id, record_json" if version == 1 else _PAPER_ROW
+                    self._conn.execute(_PAPERS.format(table="papers_v5"))
+                    columns = ("canonical_id, record_json" if version == 1
+                               else ", ".join(_LEGACY_COLUMNS))
                     old = self._conn.execute(
-                        f"SELECT {columns} FROM papers ORDER BY rowid").fetchall()
-                    links = {row[0]: link for link, row in enumerate(old, 1)}
+                        f"SELECT rowid, {columns} FROM papers ORDER BY rowid").fetchall()
+                    links = {row[1]: row[0] for row in old}
                     self._conn.executemany(
-                        f"INSERT INTO papers_v4 (id, {_PAPER_ROW}) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                        ((link, *(_v1_paper_row(*row, links) if version == 1
-                                  else _legacy_paper_row(_row_data(row), links)))
-                         for link, row in enumerate(old, 1)),
+                        f"INSERT INTO papers_v5 (id, {_PAPER_ROW}) "
+                        f"VALUES (?, {', '.join('?' * len(_PAPER_COLUMNS))})",
+                        ((row[0], *_legacy_paper_row(_legacy_data(version, row[1:]), links,
+                                                     linked=version == 4))
+                         for row in old),
                     )
                     self._conn.execute("DROP TABLE papers")
-                    self._conn.execute("ALTER TABLE papers_v4 RENAME TO papers")
+                    self._conn.execute("ALTER TABLE papers_v5 RENAME TO papers")
                     self._conn.execute(_REVIEWS_INDEX)
                     self._convert_payloads({link: cid for cid, link in links.items()})
                     self._conn.execute("UPDATE meta SET schema_version = ?", (SCHEMA_VERSION,))
@@ -469,7 +510,7 @@ class SnapshotStore:
         before the statement runs, read in one chunked query, is written as
         its link; any other, a row the statement itself adds included, stays
         its canonical id."""
-        named = {r for data in rows for r in _references(data) if type(r) is str}
+        named = {r for data in rows for r in data["reference_ids"] if type(r) is str}
         links = dict(self._paper_rows("canonical_id, id", named))
         self._conn.executemany(statement, [_paper_row(data, links) for data in rows])
 
@@ -500,7 +541,7 @@ class SnapshotStore:
         and with ``facts`` the checked facts of the other papers they name."""
         names = {row[-1]: row[0] for row in rows}
         datas = [_row_data(row) for row in rows]
-        listed = [r for data in datas for r in _references(data)]
+        listed = [r for data in datas for r in data["reference_ids"]]
         links = {r for r in listed if type(r) is int} - names.keys()
         dangling = ({r for r in listed if type(r) is str} - {row[0] for row in rows}
                     if facts else ())
@@ -546,9 +587,8 @@ class SnapshotStore:
     def reference_and_author_counts(self) -> list[tuple[int, int]]:
         """(number of reference ids, author count) of every paper, in
         canonical id order, read in one query with no record decoded."""
-        rows = self._paper_rows("json_array_length(record_json, '$.reference_ids'), "
-                                "json_extract(record_json, '$.author_count')")
-        return [(refs or 0, int(authors or 0)) for refs, authors in rows]
+        rows = self._paper_rows("json_array_length(reference_ids), author_count")
+        return [(refs or 0, authors or 0) for refs, authors in rows]
 
     def insert_new_papers(self, records: Iterable[PaperRecord]) -> None:
         """Insert, in one transaction, the records whose canonical id is not

@@ -18,6 +18,7 @@ from litmetrics.retrieval import (
     S2_API_URL,
     S2_PAGE_SIZE,
     FixtureTransport,
+    PaperRecord,
     TransportResponse,
     request_key,
 )
@@ -238,21 +239,40 @@ def link_pairs(path) -> set[tuple[int, str]]:
 
 LEGACY_STORED_AT = "2024-09-01T00:00:00Z"
 # the `papers` table of schemas 2 and 3, which named every reference by
-# canonical id
+# canonical id, and of schema 4, which linked stored references by `id`
 V2_PAPERS = ("CREATE TABLE papers (canonical_id TEXT PRIMARY KEY, topic_keyword TEXT, "
              "citation_count INTEGER, publication_date TEXT, retrieved_at TEXT NOT NULL, "
              "record_json TEXT NOT NULL)")
+V4_PAPERS = ("CREATE TABLE papers (id INTEGER PRIMARY KEY, canonical_id TEXT NOT NULL UNIQUE, "
+             "topic_keyword TEXT, citation_count INTEGER, publication_date TEXT, "
+             "retrieved_at TEXT NOT NULL, record_json TEXT NOT NULL)")
+# what `PaperRecord.from_json_dict` reads for each absent key
+LEGACY_ABSENT = PaperRecord.from_json_dict(
+    {"canonical_id": "-", "retrieved_at": "2000-01-01T00:00:00Z"}).to_json_dict()
+LEGACY_FACTS = ("canonical_id", "topic_keyword", "citation_count", "publication_date",
+                "retrieved_at")
+
+
+def legacy_paper_row(data: dict) -> tuple:
+    """The `papers` row, less any id, that schemas 2-4 wrote of a record's
+    JSON dict: the typed fact columns, then `record_json`, the rest as
+    compact JSON less each key at the value an absent key reads as."""
+    rest = {key: value for key, value in data.items()
+            if key not in LEGACY_FACTS and not (key in LEGACY_ABSENT
+                                                and value == LEGACY_ABSENT[key])}
+    return (*(data.get(c) for c in LEGACY_FACTS), canonical_json(rest))
 
 
 def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                 payloads: dict[str, str] | None = None) -> None:
     """Turn the closed snapshot at ``path`` into a schema-``version`` file,
-    1, 2 or 3, as earlier versions wrote it. ``payloads`` are cached by key,
+    1 to 4, as earlier versions wrote it. ``payloads`` are cached by key,
     as those versions cached them, stamped `LEGACY_STORED_AT`. At schema 1,
     `papers` holds one canonical-JSON record per row, the JSON dicts of
-    ``rows`` unchecked. At schemas 2 and 3 it holds the rows as they are, in
-    id order and with no id, each link replaced by the canonical id it
-    names. The other tables stay as they are."""
+    ``rows`` unchecked. At schema 4 it holds the rows as they are, ids and
+    links kept, and at schemas 2 and 3 in id order with no id, each link
+    replaced by the canonical id it names. The other tables stay as they
+    are."""
     conn = sqlite3.connect(path)
     try:
         with conn:
@@ -265,17 +285,20 @@ def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
             else:
                 names = dict(conn.execute("SELECT id, canonical_id FROM papers"))
                 stored = conn.execute(
-                    f"SELECT {snapshot._PAPER_ROW} FROM papers ORDER BY id").fetchall()
+                    f"SELECT {snapshot._LINKED_ROW} FROM papers ORDER BY id").fetchall()
                 conn.execute("DROP TABLE papers")
-                conn.execute(V2_PAPERS)
+                conn.execute(V4_PAPERS if version == 4 else V2_PAPERS)
                 conn.execute(snapshot._REVIEWS_INDEX)
                 for row in stored:
-                    rest = json.loads(row[-1])
-                    if "reference_ids" in rest:
-                        rest["reference_ids"] = [names[r] if type(r) is int else r
-                                                 for r in rest["reference_ids"]]
+                    data = snapshot._row_data(row)
+                    if version == 4:
+                        conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?, ?)",
+                                     (row[-1], *legacy_paper_row(data)))
+                        continue
+                    data["reference_ids"] = [names[r] if type(r) is int else r
+                                             for r in data["reference_ids"]]
                     conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?)",
-                                 (*row[:-1], canonical_json(rest)))
+                                 legacy_paper_row(data))
             conn.executemany("INSERT OR REPLACE INTO api_cache VALUES (?, ?, ?)",
                              [(key, payload, LEGACY_STORED_AT)
                               for key, payload in (payloads or {}).items()])

@@ -81,7 +81,8 @@ def test_demo_stdout_matches_golden(demo_stdout, name):
     assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2, 3], ids=["schema-1", "schema-2", "schema-3"])
+UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4],
+                                   ids=["schema-1", "schema-2", "schema-3", "schema-4"])
 
 
 class TestSchemaUpgrade:
@@ -918,7 +919,9 @@ class TestFullWorkflow:
     KEYWORD = "graph neural networks"
     SAMPLE = [0, 2, 5, 10, 33]  # topic citation counts; rate = 5/50 = 0.1
 
-    def build_fixtures(self, tmp_path) -> Path:
+    def build_fixtures(self, tmp_path, r2_published: str = "2019-03-01") -> Path:
+        """The exchanges of the four stages; the second reference, the
+        lower median of the two, is dated ``r2_published``."""
         query = arxiv_review_query(self.KEYWORD)
         feed = [{
             "arxiv_id": "2402.11111",
@@ -941,7 +944,7 @@ class TestFullWorkflow:
             {"paperId": "r1", "externalIds": {}, "title": "GNN Foundations",
              "publicationDate": "2020-05-01", "citationCount": 900},
             {"paperId": "r2", "externalIds": {}, "title": "Spectral Methods",
-             "publicationDate": "2019-03-01", "citationCount": 400},
+             "publicationDate": r2_published, "citationCount": 400},
         ]
         citing = ["2024-08-15", "2024-08-20", "2024-09-01", "2024-09-10", "2024-09-15"]
         window_pre = [{"publicationDate": "2019-03-01"}] * 40
@@ -955,7 +958,7 @@ class TestFullWorkflow:
             s2_citations_exchange("ARXIV:2402.11111", citing),
             s2_search_exchange(
                 self.KEYWORD, "publicationDate", window_pre,
-                extra={"publicationDateOrYear": "2019-03-01:2024-02-01"}),
+                extra={"publicationDateOrYear": f"{r2_published}:2024-02-01"}),
             s2_search_exchange(
                 self.KEYWORD, "publicationDate", window_post,
                 extra={"publicationDateOrYear": "2024-02-01:2024-10-01"}),
@@ -997,6 +1000,34 @@ class TestFullWorkflow:
         assert main(base + ["--offline", "stats", "tncsi"]) == 0
         out = capsys.readouterr().out
         assert "tncsi" in out
+
+    def test_a_reference_dated_before_year_1000_is_enriched_scored_and_exported(
+            self, tmp_path, capsys):
+        # `strftime` wrote this date as `999-05-01`, which every read rejected
+        fixtures = self.build_fixtures(tmp_path, r2_published="0999-05-01")
+        db = tmp_path / "flow.db"
+        base = ["--db", str(db), "--fixtures", str(fixtures), "--rate", "1000",
+                "--now", "2024-10-01"]
+        assert main(base + ["harvest", self.KEYWORD]) == 0
+        assert main(base + ["enrich", "--all"]) == 0
+        capsys.readouterr()
+        assert main(base + ["score", "--all"]) == 0
+        cold = capsys.readouterr().out
+        offline = CountingTransport(OfflineTransport())
+        assert main(["--db", str(db), "--offline", "--now", "2024-10-01", "score", "--all"],
+                    transport=offline) == 0
+        assert capsys.readouterr().out == cold
+        assert "error" not in cold and offline.count == 0
+        with SnapshotStore(db, read_only=True) as store:
+            assert store.get_paper("s2:r2").publication_date == date(999, 5, 1)
+            # the lower median reference date opens RUI's first window
+            assert store.latest_report("arxiv:2402.11111").cdr == 30 / 40
+        out = tmp_path / "export.jsonl"
+        assert main(["--db", str(db), "export", str(out)]) == 0
+        exported = [json.loads(line) for line in out.read_text("utf-8").splitlines()]
+        assert [(r["canonical_id"], r["publication_date"]) for r in exported] == [
+            ("arxiv:2402.11111", "2024-02-01"), ("s2:r1", "2020-05-01"),
+            ("s2:r2", "0999-05-01")]
 
     def test_a_second_harvest_keeps_the_enrichment(self, tmp_path, capsys):
         fixtures = self.build_fixtures(tmp_path)

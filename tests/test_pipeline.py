@@ -884,7 +884,7 @@ class TestBulkReads:
             [item] = score_batch(engine, [paper.canonical_id], ("tncsi", "rqm"), workers=1)
             reports.append(item.report)
         # linked when stored first, text when stored after: scored alike
-        assert [s["reference_ids"] for s in stored] == [[1, 2, 3], paper.reference_ids]
+        assert stored == [[1, 2, 3], paper.reference_ids]
         assert reports[0] == reports[1] and reports[0].rqm is not None
 
     def test_references_are_not_read_for_tncsi_alone(self, tmp_path, monkeypatch):
@@ -1107,10 +1107,11 @@ class TestEnrich:
                 externalIds={"ArXiv": "2301.00003"}),
             key("references", "ARXIV:2301.00003"): negative,
         }, [by_title, bad_paper, bad_listing])
-        conn = sqlite3.connect(path)
-        before = {row[0]: row
-                  for row in conn.execute(f"SELECT {snapshot._PAPER_ROW} FROM papers")}
-        conn.close()
+        # the rows as a store that was never a legacy file holds them
+        with SnapshotStore(tmp_path / "fresh.db") as fresh:
+            fresh.insert_new_papers([review(citation_count=None), by_title, bad_paper,
+                                     bad_listing])
+            before = papers_rows(fresh)
         assert len(before) == 4
         with SnapshotStore(path) as store:
             assert papers_rows(store) == before

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
 import threading
 import time
 from datetime import date, datetime
@@ -721,6 +722,21 @@ class TestCacheIdempotenceAllOps:
             {"s2": "q1"}, "Q1", date(2020, 1, 1), 10)
 
 
+# every code point, and those that `\s` matches in a str pattern
+_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+_REGEX_SPACES = "".join(re.findall(r"\s", _CODE_POINTS))
+
+
+class TestCollapseWhitespace:
+    def test_the_regex_and_str_split_split_at_the_same_code_points(self):
+        assert len(_REGEX_SPACES) == 29
+        assert _REGEX_SPACES == "".join(c for c in _CODE_POINTS if c.isspace())
+
+    @given(st.text(st.sampled_from(_REGEX_SPACES + "a\u00e9-\u200b")) | st.text())
+    def test_collapse_ws_is_the_regex_form(self, text):
+        assert retrieval._collapse_ws(text) == re.sub(r"\s+", " ", text).strip()
+
+
 class TestNothingUndecodableIsCached:
     """A payload that fails its checks (`PaperRecord`'s, or the citing-date
     rule), or holds a value of the wrong JSON type, raises `ParseError` on
@@ -772,6 +788,8 @@ class TestNothingUndecodableIsCached:
                                    {"offset": 0, "data": [1]})),
         ("paper", s2_paper_exchange("pW", {"paperId": "pW", "externalIds": ["ArXiv"],
                                            "title": "T"})),
+        ("paper", s2_paper_exchange("pW", {"paperId": "pW", "title": 5})),
+        ("paper", s2_paper_exchange("pW", {"paperId": "pW", "title": "T", "venue": {"a": 1}})),
         # Python's JSON parser reads the non-standard `Infinity`
         ("count_relevant", with_body(s2_search_exchange("kw", "publicationDate", [],
                                                         extra=WINDOW),
@@ -785,9 +803,9 @@ class TestNothingUndecodableIsCached:
              "publicationDate": "2020-01-01", "citationCount": count}]))
           for count in (1.5, float("inf"), True)),
     ], ids=["data-of-numbers", "body-an-array", "citing-paper-a-number", "topic-data-of-numbers",
-            "external-ids-a-list", "total-infinite", "topic-count-fractional",
-            "topic-count-a-bool", "topic-count-a-string", "topic-count-negative",
-            "reference-count-fractional",
+            "external-ids-a-list", "title-a-number", "venue-an-object", "total-infinite",
+            "topic-count-fractional", "topic-count-a-bool", "topic-count-a-string",
+            "topic-count-negative", "reference-count-fractional",
             "reference-count-infinite", "reference-count-a-bool"])
     def test_a_value_of_the_wrong_json_type_raises_parse_error(self, op, exchange):
         fetch = {

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import link_pairs, make_legacy, papers_rows, put_raw_paper
+from conftest import legacy_paper_row, link_pairs, make_legacy, papers_rows, put_raw_paper
 from litmetrics import snapshot
 from litmetrics.errors import SchemaMismatch, StorageError, UnknownPaper
 from litmetrics.indicators import IndicatorReport
@@ -144,9 +144,16 @@ class TestJsonl:
         *(canonical_json({**record("arxiv:4").to_json_dict(), field: value})
           for field, value in [("canonical_id", 7), ("topic_keyword", 5),
                                ("reference_ids", "abc"), ("reference_ids", ["s2:a", 1]),
-                               ("author_count", 2.7), ("author_count", True)]),
+                               ("author_count", 2.7), ("author_count", True),
+                               # values no `papers` column holds as given
+                               ("author_count", 2**63), ("title", {"a": 1}),
+                               ("title", True), ("title", 5), ("abstract", ["a"]),
+                               ("venue", False),
+                               ("external_ids", {"doi": 5}), ("external_ids", {"s2": None})]),
     ], ids=["truncated", "numeric-id", "numeric-keyword", "references-a-string",
-            "reference-a-number", "fractional-authors", "authors-a-bool"])
+            "reference-a-number", "fractional-authors", "authors-a-bool", "authors-too-many",
+            "title-an-object", "title-a-bool", "title-a-number", "abstract-an-array",
+            "venue-a-bool", "external-id-a-number", "external-id-null"])
     def test_corrupt_line_skipped_and_tallied(self, store, corrupt):
         lines = [record(f"arxiv:{i}").to_canonical_json() for i in range(10)]
         lines[4] = corrupt
@@ -204,27 +211,35 @@ class TestRowLayout:
     TEXT = st.one_of(st.sampled_from(["", "x"]), st.text(max_size=12))
     # rows stored, by their ids, before a drawn record is written
     STORED = {"s2:a": 1, "s2:b": 2}
+    # canonical ids that spell an external id, and ids that do not
+    CANONICAL_IDS = st.one_of(
+        st.builds("{}:{}".format, st.sampled_from(["arxiv", "doi", "s2", "corpusid"]), TEXT),
+        st.text(min_size=1, max_size=12))
 
     @st.composite
-    def records(draw, canonical_id=st.text(min_size=1, max_size=12), named=()):
-        """A record whose reference list mixes stored ids, its own id, the
-        ``named`` ids and dangling ids, duplicates included."""
-        retrieved = draw(st.datetimes(min_value=datetime(1900, 1, 1),
-                                      max_value=datetime(2100, 12, 31))).replace(microsecond=0)
+    def records(draw, canonical_id=CANONICAL_IDS, named=()):
+        """A record whose external ids hold the entry named by its canonical
+        id's scheme equal to the id, different or not at all, and whose
+        reference list mixes stored ids, its own id, the ``named`` ids and
+        dangling ids, duplicates included."""
+        retrieved = draw(st.datetimes(max_value=datetime(2100, 12, 31))).replace(microsecond=0)
         text = TestRowLayout.TEXT
         cid = draw(canonical_id)
+        scheme, _, own = cid.partition(":")
+        ids = draw(st.dictionaries(text, text, max_size=3))
+        ids.pop(scheme, None)
+        entry = draw(st.sampled_from([None, own, own + "x"]))
         return PaperRecord(
             canonical_id=cid,
-            title=draw(text),
+            title=draw(st.none() | text),
             abstract=draw(text),
-            external_ids=draw(st.dictionaries(text, text, max_size=3)),
-            publication_date=draw(st.none() | st.dates(min_value=date(1900, 1, 1),
-                                                        max_value=retrieved.date())),
+            external_ids=ids if entry is None else {**ids, scheme: entry},
+            publication_date=draw(st.none() | st.dates(max_value=retrieved.date())),
             venue=draw(st.none() | text),
             citation_count=draw(st.none() | st.integers(0, 2**63 - 1)),
             reference_ids=draw(st.lists(
                 st.sampled_from([*TestRowLayout.STORED, cid, *named]) | text, max_size=6)),
-            author_count=draw(st.integers(0, 10**6)),
+            author_count=draw(st.integers(0, 2**63 - 1)),
             topic_keyword=draw(st.none() | text),
             retrieved_at=retrieved,
         )
@@ -240,14 +255,25 @@ class TestRowLayout:
         data = paper.to_json_dict()
         row = snapshot._paper_row(data, {})
         assert snapshot._paper_record(snapshot._row_data(row), {}) == paper
-        assert json.loads(row[-1]).keys().isdisjoint(snapshot._PAPER_COLUMNS)
+        # a column per field; the last two hold JSON
+        assert row[:-2] == tuple(data[key] for key in (
+            "canonical_id", "topic_keyword", "citation_count", "publication_date",
+            "retrieved_at", "title", "abstract", "venue", "author_count"))
+        # no external id is stored that the canonical id spells
+        scheme, _, own = paper.canonical_id.partition(":")
+        stored_ids = json.loads(row[-2] or "{}")
+        if scheme in ("arxiv", "doi", "s2"):
+            assert stored_ids.get(scheme) != own
+            assert (scheme in stored_ids) == (paper.external_ids.get(scheme) != own)
+        else:
+            assert stored_ids == paper.external_ids
         stored = [record(cid) for cid in self.STORED]
         with SnapshotStore(":memory:") as store:
             store.insert_new_papers(stored)
             # written while its own id may not be stored, then once it is:
             # a self-reference is text, then a link
-            own = self.STORED.get(paper.canonical_id, len(self.STORED) + 1)
-            for links in (self.STORED, {**self.STORED, paper.canonical_id: own}):
+            own_link = self.STORED.get(paper.canonical_id, len(self.STORED) + 1)
+            for links in (self.STORED, {**self.STORED, paper.canonical_id: own_link}):
                 store.upsert_paper(paper)
                 assert papers_rows(store)[paper.canonical_id] == snapshot._paper_row(data, links)
                 assert store.get_paper(paper.canonical_id) == paper
@@ -278,17 +304,27 @@ class TestRowLayout:
             assert self.exported(store) == "".join(
                 expected[cid].to_canonical_json() + "\n" for cid in sorted(expected))
 
-    def test_the_compact_json_keeps_only_what_differs_from_an_absent_key(self):
+    def test_each_field_is_a_column_and_the_own_id_is_stored_once(self):
         bare = record("arxiv:1", abstract="", publication_date=None)
         assert snapshot._paper_row(bare.to_json_dict(), {}) == (
-            "arxiv:1", None, None, None, "2024-10-01T12:00:00Z",
-            '{"title":"A Survey about arxiv:1"}')
+            "arxiv:1", None, None, None, "2024-10-01T12:00:00Z", "A Survey about arxiv:1", "",
+            None, 0, '{"arxiv":null}', None)
         blank = record("arxiv:1", title="", topic_keyword="", venue="",
+                       external_ids={"arxiv": "1", "doi": "10.1/x"},
                        reference_ids=["s2:a", "s2:b", "s2:a"])
         row = snapshot._paper_row(blank.to_json_dict(), {"s2:a": 7})
-        assert row[1] == "" and json.loads(row[-1]) == {
-            "abstract": "Abstract of arxiv:1.", "venue": "", "reference_ids": [7, "s2:b", 7]}
+        assert row == ("arxiv:1", "", None, "2023-05-01", "2024-10-01T12:00:00Z", "",
+                       "Abstract of arxiv:1.", "", 0, '{"doi":"10.1/x"}', '[7,"s2:b",7]')
         assert snapshot._paper_record(snapshot._row_data(row), {7: "s2:a"}) == blank
+        for cid, ids, stored in [("s2:abc", {"s2": "abc"}, None),
+                                 ("s2:abc", {"s2": "other"}, '{"s2":"other"}'),
+                                 ("doi:10.1/x", {"doi": "10.1/x", "s2": "p"}, '{"s2":"p"}'),
+                                 ("corpusid:5", {}, None),
+                                 ("corpusid:5", {"corpusid": "5"}, '{"corpusid":"5"}')]:
+            paper = record(cid, external_ids=ids)
+            row = snapshot._paper_row(paper.to_json_dict(), {})
+            assert row[-2] == stored
+            assert snapshot._paper_record(snapshot._row_data(row), {}) == paper
 
 
 def other_tables(path) -> dict:
@@ -307,7 +343,10 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2, 3], ids=["schema-1", "schema-2", "schema-3"])
+UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4],
+                                   ids=["schema-1", "schema-2", "schema-3", "schema-4"])
+# the schemas that named every reference by canonical id
+NAMED = pytest.mark.parametrize("version", [1, 2, 3], ids=["schema-1", "schema-2", "schema-3"])
 
 
 class TestSchemaUpgrade:
@@ -338,8 +377,7 @@ class TestSchemaUpgrade:
             # ids in the old table's order; a stored reference is a link, a
             # dangling one stays text
             assert link_pairs(path) == {(n + 1, f"arxiv:{n}") for n in range(5)}
-            assert json.loads(papers_rows(store)["arxiv:4"][-1])["reference_ids"] == [
-                1, 1, 1, 1, "s2:gone"]
+            assert json.loads(papers_rows(store)["arxiv:4"][-1]) == [1, 1, 1, 1, "s2:gone"]
         assert other_tables(path) == before
         conn = sqlite3.connect(path)
         assert conn.execute("PRAGMA freelist_count").fetchone() == (0,)
@@ -360,8 +398,10 @@ class TestSchemaUpgrade:
 
     @pytest.mark.parametrize("field, value", [
         ("citation_count", True), ("citation_count", "12"), ("citation_count", 2**64),
-        ("publication_date", 2019), ("retrieved_at", None),
-    ], ids=["bool-count", "text-count", "huge-count", "number-date", "no-retrieved-at"])
+        ("publication_date", 2019), ("retrieved_at", None), ("author_count", "3"),
+        ("author_count", 3.0), ("external_ids", ["arxiv", "9"]), ("reference_ids", "arxiv:0"),
+    ], ids=["bool-count", "text-count", "huge-count", "number-date", "no-retrieved-at",
+            "text-authors", "float-authors", "external-ids-a-list", "references-a-string"])
     def test_a_failed_upgrade_leaves_the_file_as_it_was(self, tmp_path, field, value):
         bad = {**record("arxiv:9").to_json_dict(), field: value}  # stored after the rest
         path, _ = self.legacy_snapshot(tmp_path, 1, [bad])
@@ -370,20 +410,60 @@ class TestSchemaUpgrade:
             SnapshotStore(path)
         assert sha256(path) == before
 
-    @UPGRADED
-    def test_a_reference_that_is_a_number_fails_the_upgrade(self, tmp_path, version):
-        numbered = {**record("arxiv:9").to_json_dict(), "reference_ids": ["arxiv:0", 1]}
-        path, _ = self.legacy_snapshot(tmp_path, version, [numbered])
+    @staticmethod
+    def with_legacy_row(tmp_path, version, data):
+        """A legacy file that also holds ``data``, stored after the rest as
+        its version stored a record, and checked by nothing."""
+        path, _ = TestSchemaUpgrade.legacy_snapshot(tmp_path, version, [data])
         if version > 1:
             conn = sqlite3.connect(path)
+            row = legacy_paper_row(data)
+            row = (None, *row) if version == 4 else row  # schema 4 numbers it
             with conn:
-                conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?)",
-                             snapshot._paper_row(numbered, {}))
+                conn.execute(f"INSERT INTO papers VALUES ({', '.join('?' * len(row))})", row)
             conn.close()
+        return path
+
+    @UPGRADED
+    @pytest.mark.parametrize("field, value", [
+        ("title", {"a": 1}), ("title", True), ("abstract", ["a"]), ("venue", 7),
+        ("external_ids", {"doi": 5}),
+    ], ids=["title-an-object", "title-a-bool", "abstract-an-array", "venue-a-number",
+            "external-id-a-number"])
+    def test_a_field_no_column_holds_fails_the_upgrade(self, tmp_path, version, field, value):
+        path = self.with_legacy_row(
+            tmp_path, version, {**record("arxiv:9").to_json_dict(), field: value})
+        before = sha256(path)
+        with pytest.raises(SchemaMismatch, match="'arxiv:9' has a field that no schema-5 "
+                                                 "column holds as stored"):
+            SnapshotStore(path)
+        assert sha256(path) == before
+
+    @NAMED
+    def test_a_reference_that_is_a_number_fails_the_upgrade(self, tmp_path, version):
+        numbered = {**record("arxiv:9").to_json_dict(), "reference_ids": ["arxiv:0", 1]}
+        path = self.with_legacy_row(tmp_path, version, numbered)
         before = sha256(path)
         with pytest.raises(SchemaMismatch, match="'arxiv:9' has a reference id that is a number"):
             SnapshotStore(path)
         assert sha256(path) == before
+
+    def test_a_schema_4_upgrade_keeps_every_id_and_copies_every_link(self, tmp_path):
+        path, records = self.legacy_snapshot(tmp_path, 4)
+        # ids that are not places in the table: each id and link times ten
+        conn = sqlite3.connect(path)
+        with conn:
+            for link, rest in conn.execute("SELECT id, record_json FROM papers").fetchall():
+                data = json.loads(rest)
+                data["reference_ids"] = [r * 10 if type(r) is int else r
+                                         for r in data.get("reference_ids", [])]
+                conn.execute("UPDATE papers SET id = ?, record_json = ? WHERE id = ?",
+                             (link * 10, canonical_json(data), link))
+        conn.close()
+        with SnapshotStore(path) as store:
+            assert store.get_papers() == {r.canonical_id: r for r in records}
+            assert json.loads(papers_rows(store)["arxiv:4"][-1]) == [10, 10, 10, 10, "s2:gone"]
+        assert link_pairs(path) == {(10 * (n + 1), f"arxiv:{n}") for n in range(5)}
 
     @UPGRADED
     def test_a_failed_payload_conversion_leaves_the_file_as_it_was(self, tmp_path, version):
@@ -600,18 +680,22 @@ class TestCache:
 
 
 class TestCanonicalJsonIO:
-    @given(
-        st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31)),
-        st.datetimes(min_value=datetime(1990, 1, 1), max_value=datetime(2030, 12, 31)),
-    )
+    @given(st.dates(), st.datetimes())
     def test_date_and_timestamp_round_trip(self, d, ts):
         from litmetrics.jsonio import (
             format_date, format_timestamp, parse_date, parse_timestamp,
         )
 
+        # years before 1000 included, which `strftime` does not zero-pad
         assert parse_date(format_date(d)) == d
         ts = ts.replace(microsecond=0)
         assert parse_timestamp(format_timestamp(ts)) == ts
+        assert format_timestamp(ts)[:10] == format_date(ts.date())
+        # from year 1000 on, the text `strftime` gave
+        if d.year >= 1000:
+            assert format_date(d) == d.strftime("%Y-%m-%d")
+        if ts.year >= 1000:
+            assert format_timestamp(ts) == ts.strftime("%Y-%m-%dT%H:%M:%SZ")
 
     @staticmethod
     def _outcome(parse, s):
