@@ -15,8 +15,6 @@ import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from litmetrics.indicators import (
     DEFAULT_BETA,
     AgingPolynomial,
@@ -45,16 +43,15 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = [
-        [round(a, 2), s, rqm_value(round(a, 2), s)]
-        for a in np.arange(0.0, 1.0001, 0.05)
+        [a / 100, s, rqm_value(a / 100, s)]
+        for a in range(0, 101, 5)
         for s in range(0, 21)
     ]
     write_rows(out / "rqm_grid.csv", ["arq", "s_mp", "rqm"], rows)
 
     l_s, r_s, arq_bar = 5.0, 10.0, 0.6
     best = optimize_beta(l_s, r_s, arq_bar)
-    rows = [[round(b, 3), rqm_spread(round(b, 3), l_s, r_s, arq_bar)]
-            for b in np.arange(0.1, 60.0, 0.1)]
+    rows = [[b / 10, rqm_spread(b / 10, l_s, r_s, arq_bar)] for b in range(1, 600)]
     write_rows(out / "beta_objective.csv", ["beta", "objective"], rows)
     print(f"  numeric maximizer: beta* = {best:.4f}  "
           f"(shipped default stays {DEFAULT_BETA})")

@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Callable, Optional, Sequence
+from typing import IO, Callable, Optional, Sequence
 
 from .errors import ConstantInput, EmptyInput, LengthMismatch
-from .indicators import citation_histograms, kl_divergence
+from .indicators import _pairwise_sum, citation_histograms, kl_divergence
 from .retrieval import TopicContext
 from .snapshot import FEATURE_NAMES, FeatureVector
-
-if TYPE_CHECKING:  # numpy is imported by the functions that use it
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,30 +55,23 @@ class CorrelationResult:
     method_note: str = "two-sided p via t-transform, df = n - 2"
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    import numpy as np
-
-    cx = x - x.mean()
-    cy = y - y.mean()
-    vx = float(np.dot(cx, cx))
-    vy = float(np.dot(cy, cy))
+def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    mx = math.fsum(x) / len(x)
+    my = math.fsum(y) / len(y)
+    cx = [v - mx for v in x]
+    cy = [v - my for v in y]
+    vx = math.fsum(v * v for v in cx)
+    vy = math.fsum(v * v for v in cy)
     if vx == 0.0 or vy == 0.0:
         raise ConstantInput("correlation undefined for a constant input")
-    r = float(np.dot(cx, cy)) / math.sqrt(vx * vy)
+    r = math.fsum(a * b for a, b in zip(cx, cy)) / math.sqrt(vx * vy)
     return max(-1.0, min(1.0, r))
 
 
-def _average_ranks(v: np.ndarray) -> np.ndarray:
+def _average_ranks(v: Sequence[float]) -> list[float]:
     """1-based ranks; each run of tied values gets the mean of its positions."""
-    import numpy as np
-
-    order = np.argsort(v, kind="stable")
-    ordered = v[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(v)]
-    ranks = np.empty(len(v), dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
+    ordered = sorted(v)
+    return [(bisect_left(ordered, x) + bisect_right(ordered, x) + 1) / 2.0 for x in v]
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -134,12 +125,8 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = len(x)
     if n < 3:
         raise EmptyInput("need at least 3 paired values")
-    import numpy as np
-
-    ax = np.asarray(x, dtype=np.float64)
-    ay = np.asarray(y, dtype=np.float64)
-    r = _pearson(ax, ay)
-    rho = _pearson(_average_ranks(ax), _average_ranks(ay))
+    r = _pearson(x, y)
+    rho = _pearson(_average_ranks(x), _average_ranks(y))
     return CorrelationResult(
         pearson_r=r,
         pearson_p=_p_from_t_transform(r, n),
@@ -168,21 +155,19 @@ def gaussian_smooth(
     """Discrete Gaussian smoothing truncated at 3*sigma, renormalized so each
     output is a convex combination of the observed values (boundaries and
     gaps included); sigma = 0 returns the input unchanged."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
     if sigma == 0.0:
         return [float(v) for v in values]
-    import numpy as np
-
-    pos = np.asarray(positions, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
     radius = 3.0 * sigma
     out = []
-    for p in pos:
-        d = pos - p
-        mask = np.abs(d) <= radius
-        weights = np.exp(-0.5 * (d[mask] / sigma) ** 2)
-        out.append(float(np.dot(weights, vals[mask]) / weights.sum()))
+    for p in positions:
+        near = [(math.exp(-0.5 * ((q - p) / sigma) ** 2), v)
+                for q, v in zip(positions, values) if abs(q - p) <= radius]
+        # `_pairwise_sum`, not `sum`, whose float rounding changed in Python 3.12,
+        # so `trend` prints the same on every Python
+        total = _pairwise_sum([w * v for w, v in near], 0, len(near))
+        out.append(total / _pairwise_sum([w for w, _ in near], 0, len(near)))
     return out
 
 

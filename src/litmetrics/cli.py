@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from datetime import date, datetime
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import LitmetricsError
 from .indicators import DEFAULT_BETA
@@ -93,6 +94,8 @@ class Settings:
             raise ValueError(f"k must be at most {S2_SEARCH_CAP}, the search's result cap, "
                              f"got {self.topic_k}")
         self.beta = float(pick(args.beta, None, "beta", DEFAULT_BETA))
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         self.s2_api_key = pick(None, "S2_API_KEY", "s2_api_key", None)
         self.llm_api_key = pick(None, "LLM_API_KEY", "llm_api_key", None)
         self.llm_base_url = pick(None, "LLM_BASE_URL", "llm_base_url", None)
@@ -175,6 +178,21 @@ def _parse_date(text: str) -> date:
         return datetime.strptime(text, "%Y-%m-%d").date()
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from exc
+
+
+def _finite_float(accept: Callable[[float], bool], rule: str) -> Callable[[str], float]:
+    """argparse type: a finite float that `accept` takes, else a usage error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"not a finite {rule} number: {text!r}")
+        return value
+
+    return parse
 
 
 def fmt(value, digits: int = 4) -> str:
@@ -489,12 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trend", help="yearly feature proportions, optionally smoothed")
     p.add_argument("--feature", choices=FEATURE_NAMES)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=_finite_float(lambda v: v >= 0, "non-negative"),
+                   default=1.0)
     p.add_argument("--csv")
 
     p = sub.add_parser("robustness", help="synonym-group KL divergence study")
     p.add_argument("groups_file")
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=_finite_float(lambda v: v > 0, "positive"),
+                   default=1e-9)
     p.add_argument("--csv")
 
     p = sub.add_parser("export", help="write papers as canonical JSONL")

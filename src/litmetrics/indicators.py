@@ -499,17 +499,16 @@ def kl_divergence(
         raise BinMismatch(f"histogram sizes differ: {len(p_counts)} vs {len(q_counts)}")
     if len(p_counts) == 0:
         raise BinMismatch("histograms are empty")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    import numpy as np
-
-    p = np.asarray(p_counts, dtype=np.float64) + epsilon
-    q = np.asarray(q_counts, dtype=np.float64) + epsilon
-    if np.any(p < epsilon) or np.any(q < epsilon):
-        raise ValueError("histogram counts must be non-negative")
-    p /= p.sum()
-    q /= q.sum()
-    return float(np.sum(p * np.log(p / q)))
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not all(math.isfinite(c) and c >= 0 for c in (*p_counts, *q_counts)):
+        raise ValueError("histogram counts must be non-negative and finite")
+    p = [c + epsilon for c in p_counts]
+    q = [c + epsilon for c in q_counts]
+    p_total, q_total = _pairwise_sum(p, 0, len(p)), _pairwise_sum(q, 0, len(q))
+    p = [v / p_total for v in p]
+    q = [v / q_total for v in q]
+    return _pairwise_sum([a * math.log(a / b) for a, b in zip(p, q)], 0, len(p))
 
 
 def citation_histograms(
@@ -527,10 +526,12 @@ def citation_histograms(
     other = list(other_counts)
     if not anchor or not other:
         raise EmptySample("both samples must be non-empty")
-    import numpy as np
-
-    pooled = np.asarray(anchor + other, dtype=np.float64)
-    cap = int(math.ceil(float(np.percentile(pooled, percentile))))
+    # numpy's `linear` percentile, with its `_lerp` rounding
+    pooled = sorted(float(c) for c in anchor + other)
+    index = (len(pooled) - 1) * (percentile / 100)
+    lo = min(math.floor(index), len(pooled) - 1)
+    a, b, t = pooled[lo], pooled[min(lo + 1, len(pooled) - 1)], index - lo
+    cap = math.ceil(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     n_bins = cap + 2  # 0..cap plus overflow
 
     def fill(counts: list[int]) -> list[int]:

@@ -272,27 +272,41 @@ def request_key(method: str, url: str, params: dict, body: Optional[str] = None)
 
 
 class LiveTransport:
-    """Real HTTP via requests, imported on the first request, so building one
-    is network-free and import-free."""
+    """Real HTTP via urllib, imported on the first request, so building one
+    is network-free and import-free. Every status comes back as a response;
+    a failed connection, a timeout or a body cut short is a NetworkError."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
 
     def request(self, method, url, params, headers, body=None):
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
 
+        from . import __version__
+
+        req = urllib.request.Request(
+            f"{url}?{urllib.parse.urlencode(params)}" if params else url,
+            data=body.encode("utf-8") if body is not None else None,
+            headers={"User-Agent": f"litmetrics/{__version__}", **headers},
+            method=method,
+        )
         try:
-            resp = requests.request(
-                method,
-                url,
-                params=params,
-                headers=headers,
-                data=body.encode("utf-8") if body is not None else None,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            try:
+                resp = urllib.request.urlopen(req, timeout=self.timeout)
+            except urllib.error.HTTPError as exc:
+                resp = exc  # 429 and 5xx are for the retry loop, 404 for the caller
+            with resp:
+                data, charset = resp.read(), resp.headers.get_content_charset() or "utf-8"
+        except (OSError, http.client.HTTPException) as exc:
             raise NetworkError(f"{method} {url}: {exc}") from exc
-        return TransportResponse(status=resp.status_code, body=resp.text)
+        try:
+            text = data.decode(charset, errors="replace")
+        except LookupError:  # a charset Python does not know
+            text = data.decode("utf-8", errors="replace")
+        return TransportResponse(status=resp.status, body=text)
 
 
 class OfflineTransport:

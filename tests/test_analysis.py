@@ -9,7 +9,7 @@ from datetime import datetime
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -224,9 +224,29 @@ class TestFeatureTrend:
         for values in trend.smoothed.values():
             assert all(0.0 <= v <= 1.0 for v in values)
 
-    def test_gaussian_smooth_validation(self):
-        with pytest.raises(ValueError):
-            gaussian_smooth([0, 1], [1.0, 2.0], sigma=-1.0)
+    @given(
+        st.dictionaries(st.integers(min_value=1990, max_value=2030),
+                        st.integers(min_value=0, max_value=12), min_size=1, max_size=25),
+        st.floats(min_value=0.05, max_value=6),
+    )
+    @example({2000: 12, 2003: 0}, 1.0)  # a neighbour exactly 3 sigma away counts
+    def test_gaussian_smooth_matches_numpy(self, twelfths, sigma):
+        years = sorted(twelfths)
+        values = [twelfths[y] / 12 for y in years]
+        pos = np.asarray(years, dtype=np.float64)
+        vals = np.asarray(values)
+        expected = []
+        for p in pos:
+            mask = np.abs(pos - p) <= 3.0 * sigma
+            weights = np.exp(-0.5 * ((pos[mask] - p) / sigma) ** 2)
+            expected.append(float(np.dot(weights, vals[mask]) / weights.sum()))
+        assert gaussian_smooth(years, values, sigma) == pytest.approx(expected, rel=1e-13,
+                                                                     abs=1e-15)
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+    def test_gaussian_smooth_validation(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+            gaussian_smooth([0, 1], [1.0, 2.0], sigma=sigma)
 
     def test_empty_rows(self):
         trend = yearly_feature_trend([], sigma=1.0)

@@ -209,6 +209,7 @@ class TestStartup:
     def test_import_score_and_stats_load_no_numpy(self, demo_db, tmp_path):
         db = tmp_path / "demo.db"
         shutil.copyfile(demo_db, db)
+        groups = tmp_path / "groups.json"
         src = str(Path(litmetrics.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = textwrap.dedent(f"""
@@ -220,16 +221,24 @@ class TestStartup:
                                      if any(m == u or m.startswith(u + ".") for u in unused)]]
 
             flags = ["--db", {str(db)!r}, "--offline", "--now", "2024-10-01"]
-            score_unused = ["concurrent.futures", "hashlib", "xml.etree", "numpy", "_strptime"]
-            seen = [loaded("import", 0, score_unused)]
+            third_party = ["numpy", "scipy", "requests"]
+            score_unused = ["concurrent.futures", "hashlib", "xml.etree", "_strptime", *third_party]
+            seen = [loaded("import", 0, [*score_unused, "urllib.request", "http.client"])]
             seen.append(loaded("score", main([*flags, "score", "--all"]), score_unused))
-            seen.append(loaded("stats", main([*flags, "stats", "tncsi"]), ["statistics", "numpy"]))
+            seen.append(loaded("stats", main([*flags, "stats", "tncsi"]),
+                               ["statistics", *third_party]))
+            seen.append(loaded("trend", main([*flags, "trend"]), third_party))
+            seen.append(loaded("robustness", main([*flags, "robustness", {str(groups)!r}]),
+                               third_party))
             print(seen, file=sys.stderr)
         """)
+        groups.write_text(json.dumps([
+            {"anchor": "object detection", "comparisons": ["diffusion models"]}]))
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stderr.splitlines()[-1] == str([["import", 0, []], ["score", 0, []],
-                                                     ["stats", 0, []]])
+                                                     ["stats", 0, []], ["trend", 0, []],
+                                                     ["robustness", 0, []]])
 
     @pytest.mark.parametrize("source", ["offline", "offline-fixtures", "injected"])
     def test_score_starts_threads_only_when_it_can_fetch(self, demo_db, tmp_path, monkeypatch,
@@ -811,6 +820,17 @@ class TestStatsTrendRobustness:
         line = [l for l in out.splitlines() if l.startswith("speech recognition")][0]
         assert "0.0000" in line
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        *((["trend"], "sigma", value) for value in ("-1", "nan", "inf", "-inf", "x")),
+        *((["robustness", "groups.json"], "epsilon", value)
+          for value in ("0", "-1e-9", "nan", "inf", "x")),
+    ])
+    def test_bad_sigma_or_epsilon_is_a_usage_error(self, demo_db, capsys, argv, flag, value):
+        assert main(["--db", str(demo_db), "--offline", *argv, f"--{flag}={value}"]) == 2
+        rule = "non-negative" if flag == "sigma" else "positive"
+        assert (f"error: argument --{flag}: not a finite {rule} number: {value!r}"
+                in capsys.readouterr().err)
+
     def test_robustness_missing_term(self, demo_db, tmp_path, capsys):
         groups = tmp_path / "groups.json"
         groups.write_text(json.dumps(
@@ -877,7 +897,8 @@ class TestSettings:
 
     @pytest.mark.parametrize("key, value", [("rate", "0"), ("rate", "-1"), ("rate", "nan"),
                                             ("k", "0"), ("k", "1001"), ("workers", "0"),
-                                            ("workers", "-3")])
+                                            ("workers", "-3"), ("beta", "0"), ("beta", "-5"),
+                                            ("beta", "nan"), ("beta", "inf")])
     def test_out_of_range_rate_or_k_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"{key} = {value}\n")

@@ -9,7 +9,7 @@ from datetime import date
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from litmetrics.errors import (
@@ -527,6 +527,18 @@ class TestKlDivergence:
         assert backward == pytest.approx(0.4 * math.log(0.5) + 0.5 * math.log(5), abs=1e-6)
         assert forward != backward
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            kl_divergence([1, 2], [2, 1], epsilon=epsilon)
+
+    @pytest.mark.parametrize("bad", [-1, math.nan, math.inf])
+    def test_counts_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="counts must be non-negative and finite"):
+            kl_divergence([1, bad], [2, 1])
+        with pytest.raises(ValueError, match="counts must be non-negative and finite"):
+            kl_divergence([2, 1], [1, bad])
+
     def test_bin_mismatch(self):
         with pytest.raises(BinMismatch):
             kl_divergence([1, 2], [1, 2, 3])
@@ -540,6 +552,29 @@ class TestKlDivergence:
     def test_gibbs_inequality(self, p, q):
         n = min(len(p), len(q))
         assert kl_divergence(p[:n], q[:n]) >= -1e-12
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=12),
+        st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=12),
+    )
+    def test_matches_numpy(self, p, q):
+        n = min(len(p), len(q))
+        pp = np.asarray(p[:n], dtype=np.float64) + 1e-9
+        qq = np.asarray(q[:n], dtype=np.float64) + 1e-9
+        pp, qq = pp / pp.sum(), qq / qq.sum()
+        expected = float(np.sum(pp * np.log(pp / qq)))
+        assert kl_divergence(p[:n], q[:n]) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=60),
+        st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=60),
+        st.one_of(st.just(99.0), st.floats(min_value=0, max_value=100)),
+    )
+    @example([8, 8], [63], 80.0)  # 41 by numpy's `_lerp`, 42 by a + (b - a) * t
+    def test_histogram_cap_is_numpys_linear_percentile(self, a, b, percentile):
+        h_a, h_b = citation_histograms(a, b, percentile)
+        cap = math.ceil(float(np.percentile(np.asarray(a + b, dtype=np.float64), percentile)))
+        assert len(h_a) == len(h_b) == cap + 2
 
     def test_histogram_builder_shares_bins(self):
         h_a, h_b = citation_histograms([0, 1, 1, 2, 50], [0, 0, 3])

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import http.server
 import itertools
 import json
 import re
+import socket
 import sys
 import threading
 import time
+import urllib.parse
 from datetime import date, datetime
 from types import SimpleNamespace
 
@@ -34,10 +37,13 @@ from litmetrics.errors import (
     LitmetricsError,
     LlmUnavailable,
     MalformedResponse,
+    NetworkError,
     NetworkForbidden,
     ParseError,
     RateLimited,
+    UnknownPaper,
 )
+import litmetrics
 from litmetrics import retrieval, snapshot
 from litmetrics.pipeline import ScoringEngine, score_batch
 from litmetrics.retrieval import (
@@ -45,6 +51,7 @@ from litmetrics.retrieval import (
     DictCache,
     FixtureTransport,
     LazyPaper,
+    LiveTransport,
     LlmHttpClient,
     OfflineTransport,
     PaperRecord,
@@ -660,6 +667,138 @@ class TestRetries:
         assert offline.attempts == 0
         assert ctx1.sample_citation_counts == ctx2.sample_citation_counts
         assert ctx1.fetched_at == ctx2.fetched_at
+
+
+class _LoopbackServer(http.server.ThreadingHTTPServer):
+    """Serves `replies` in order and records every request it reads."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.replies: list[tuple[int, dict, bytes]] = []
+        self.seen: list[tuple[str, str, dict, bytes]] = []
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+
+class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    def do_GET(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.server.seen.append((self.command, self.path, dict(self.headers), body))
+        status, headers, payload = self.server.replies.pop(0)
+        self.send_response(status)
+        headers = {"Content-Length": str(len(payload)), **headers}
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    do_POST = do_GET
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def no_proxies(monkeypatch):
+    """urllib honours the proxy variables; loopback requests must go direct."""
+    for name in ("http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+@pytest.fixture
+def loopback(no_proxies):
+    server = _LoopbackServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestLiveTransport:
+    """urllib against an HTTP server on 127.0.0.1; nothing leaves the host."""
+
+    TEXT = {"Content-Type": "text/plain"}
+
+    def test_a_404_comes_back_as_a_status_and_the_client_names_it(self, loopback):
+        loopback.replies += [(404, self.TEXT, b"no such paper")] * 2
+        resp = LiveTransport().request("GET", loopback.url + "/paper/x", {}, {})
+        assert (resp.status, resp.body) == (404, "no such paper")
+        client = SemanticScholarClient(transport=LiveTransport(), base_url=loopback.url,
+                                       limiter=RateLimiter(10_000.0))
+        with pytest.raises(UnknownPaper):
+            client.paper("x")
+        assert len(loopback.seen) == 2
+
+    def test_a_429_then_200_is_retried_once(self, loopback):
+        loopback.replies += [(429, self.TEXT, b"slow down"), (200, self.TEXT, b"ok")]
+        sleeps = []
+        resp = retrieval._request_with_retries(LiveTransport(), None, "GET", loopback.url,
+                                               {}, {}, sleep=sleeps.append)
+        assert (resp.status, resp.body) == (200, "ok")
+        assert len(sleeps) == 1 and len(loopback.seen) == 2
+
+    def test_a_503_is_retried_then_raised(self, loopback):
+        loopback.replies += [(503, self.TEXT, b"down")] * retrieval.RETRY_ATTEMPTS
+        with pytest.raises(NetworkError, match="returned 503"):
+            retrieval._request_with_retries(LiveTransport(), None, "GET", loopback.url,
+                                            {}, {}, sleep=lambda s: None)
+        assert len(loopback.seen) == retrieval.RETRY_ATTEMPTS
+
+    def test_a_timeout_is_a_network_error(self, no_proxies):
+        # the listen backlog takes the connection, but nothing ever answers
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen(1)
+            url = f"http://127.0.0.1:{silent.getsockname()[1]}/"
+            with pytest.raises(NetworkError, match="timed out"):
+                LiveTransport(timeout=0.2).request("GET", url, {}, {})
+
+    def test_a_refused_port_is_a_network_error(self, no_proxies):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        with pytest.raises(NetworkError, match="refused"):
+            LiveTransport(timeout=5).request("GET", f"http://127.0.0.1:{port}/", {}, {})
+
+    def test_a_body_cut_short_is_a_network_error(self, loopback):
+        loopback.replies.append((200, {"Content-Length": "100"}, b"short"))
+        with pytest.raises(NetworkError):
+            LiveTransport().request("GET", loopback.url, {}, {})
+
+    def test_params_are_url_encoded(self, loopback):
+        loopback.replies.append((200, self.TEXT, b"{}"))
+        params = {"query": "graph neural networks & co/ü", "offset": 0, "limit": 100}
+        LiveTransport().request("GET", loopback.url + "/paper/search", params, {})
+        path = loopback.seen[0][1]
+        assert path == ("/paper/search?query=graph+neural+networks+%26+co%2F%C3%BC"
+                        "&offset=0&limit=100")
+        assert urllib.parse.parse_qs(urllib.parse.urlsplit(path).query) == {
+            k: [str(v)] for k, v in params.items()}
+
+    def test_a_post_sends_its_body_as_utf8_with_its_headers(self, loopback):
+        loopback.replies.append((200, {"Content-Type": "application/json"}, b'{"a": 1}'))
+        body = '{"prompt": "résumé"}'
+        headers = {"Content-Type": "application/json", "Authorization": "Bearer k"}
+        resp = LiveTransport().request("POST", loopback.url + "/chat", {}, headers, body)
+        assert (resp.status, resp.body) == (200, '{"a": 1}')
+        method, path, sent, data = loopback.seen[0]
+        assert (method, path, data) == ("POST", "/chat", body.encode("utf-8"))
+        assert sent["Content-Type"] == "application/json"
+        assert sent["Authorization"] == "Bearer k"
+        assert sent["Content-Length"] == str(len(body.encode("utf-8")))
+        assert sent["User-Agent"] == f"litmetrics/{litmetrics.__version__}"
+
+    @pytest.mark.parametrize("content_type, payload, text", [
+        ("text/plain; charset=latin-1", "café".encode("latin-1"), "café"),
+        ("text/plain", "café".encode("utf-8"), "café"),
+        ("text/plain; charset=no-such-codec", "café".encode("utf-8"), "café"),
+        ("text/plain", b"caf\xe9", "caf\ufffd"),
+    ])
+    def test_the_body_is_decoded_by_its_charset(self, loopback, content_type, payload, text):
+        loopback.replies.append((200, {"Content-Type": content_type}, payload))
+        assert LiveTransport().request("GET", loopback.url, {}, {}).body == text
 
 
 class TestCacheIdempotenceAllOps:
