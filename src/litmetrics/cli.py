@@ -126,7 +126,6 @@ class Runtime:
             self.transport = OfflineTransport()
         else:
             self.transport = LiveTransport()
-        self.store = SnapshotStore(settings.db, read_only=read_only)
         # one limiter per remote host, all at the configured budget
         self.arxiv = ArxivClient(
             transport=self.transport, limiter=RateLimiter(settings.rate)
@@ -149,6 +148,7 @@ class Runtime:
             )
         else:
             self.llm = None
+        self.store = SnapshotStore(settings.db, read_only=read_only)
 
     def engine(self) -> ScoringEngine:
         return ScoringEngine(
@@ -410,12 +410,29 @@ def cmd_trend(runtime: Runtime, args, parser) -> int:
     return 0
 
 
+def read_groups_file(path: Path) -> list[tuple[str, list[str]]]:
+    """Synonym groups, ``[{"anchor": term, "comparisons": [term, ...]}, ...]``,
+    given as that list or as the ``groups`` of an object; ValueError if the
+    file is not JSON of that shape."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    groups = data.get("groups") if isinstance(data, dict) else data
+    if not (isinstance(groups, list) and all(
+            isinstance(g, dict) and isinstance(g.get("anchor"), str)
+            and isinstance(g.get("comparisons"), list)
+            and all(isinstance(term, str) for term in g["comparisons"]) for g in groups)):
+        raise ValueError('not [{"anchor": term, "comparisons": [term, ...]}, ...] '
+                         'or {"groups": [...]}')
+    return [(g["anchor"], g["comparisons"]) for g in groups]
+
+
 def cmd_robustness(runtime: Runtime, args, parser) -> int:
     from .analysis import synonym_robustness, write_csv
 
-    data = json.loads(Path(args.groups_file).read_text(encoding="utf-8"))
-    raw_groups = data["groups"] if isinstance(data, dict) else data
-    groups = [(g["anchor"], list(g["comparisons"])) for g in raw_groups]
+    try:
+        groups = read_groups_file(Path(args.groups_file))
+    except ValueError as exc:  # a file that cannot be read raises OSError, for `main`
+        print(f"error: bad groups file: {exc}", file=sys.stderr)
+        return 2
 
     def fetch(keyword: str):
         return fetch_topic_sample(runtime.s2, keyword, runtime.settings.topic_k,
@@ -566,7 +583,7 @@ def main(
             return int(exc.code or 0)
         finally:
             runtime.close()  # writes the payloads the store still holds
-    except LitmetricsError as exc:
+    except (LitmetricsError, OSError) as exc:  # OSError: a file named on the command line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a defect: one line and exit 1, not a traceback

@@ -26,9 +26,6 @@ from .retrieval import (
     PaperRecord,
     RateLimiter,
     SemanticScholarClient,
-    count_relevant,
-    fetch_monthly_citations,
-    fetch_topic_sample,
 )
 from .snapshot import FeatureVector, SnapshotStore
 
@@ -189,9 +186,9 @@ def build_demo_corpus(now: date = DEMO_NOW) -> DemoCorpus:
 def build_demo_snapshot(path: str | Path, now: date = DEMO_NOW) -> DemoCorpus:
     """Create the bundled fixture snapshot: papers, features, seeded cache.
 
-    The cache is filled by running the real fetch operations against a replay
-    transport, so every cached payload has exactly the shape the live client
-    would have produced.
+    The cache is filled by a scoring engine's `gather` against a replay
+    transport, so every cached payload is one that scoring fetches, in
+    exactly the shape the live client would have produced.
     """
     corpus = build_demo_corpus(now)
     transport = FixtureTransport.from_pairs(corpus.exchanges)
@@ -206,19 +203,9 @@ def build_demo_snapshot(path: str | Path, now: date = DEMO_NOW) -> DemoCorpus:
             for paper in corpus.papers])
 
         engine = ScoringEngine(store=store, s2=client, now=now)
-        for keyword in DEMO_TOPICS:
-            fetch_topic_sample(client, keyword, engine.topic_k, cache=store)
-        published = {ref.canonical_id: ref.publication_date for ref in corpus.references}
-        for paper in corpus.papers:
-            fetch_monthly_citations(
-                client, f"ARXIV:{paper.external_ids['arxiv']}", 6, now=now, cache=store
-            )
-            dated = [published[rid] for rid in paper.reference_ids]
-            median_ref = lower_median_date([d for d in dated if d is not None])
-            count_relevant(client, paper.topic_keyword, median_ref,
-                           paper.publication_date, cache=store)
-            count_relevant(client, paper.topic_keyword, paper.publication_date,
-                           now, cache=store)
+        ids = [paper.canonical_id for paper in corpus.papers]
+        engine.load_records(ids)
+        engine.gather(ids)
     return corpus
 
 

@@ -62,6 +62,18 @@ def lower_median_date(dates: Sequence[date]) -> date:
     return ordered[(len(ordered) - 1) // 2]
 
 
+def _dated_references(paper_id: str, record: PaperRecord,
+                      refs: Sequence[ReferenceFacts]) -> list[date]:
+    """The dates of the dated ``refs``, where RQM's ages and RUI's first window
+    start; EmptyResult when the paper has no date or no reference has one."""
+    if record.publication_date is None:
+        raise EmptyResult(f"{paper_id} has no publication date")
+    dated = [published for _, published in refs if published is not None]
+    if not dated:
+        raise EmptyResult(f"{paper_id} has no dated references")
+    return dated
+
+
 # ---------------------------------------------------------------------------
 # harvest / enrich
 # ---------------------------------------------------------------------------
@@ -154,9 +166,9 @@ class ScoringEngine:
     A batch is scored as gather, then compute. `load_records` reads the
     papers into ``records`` and the (citation_count, publication_date) of
     their references into ``references``, None for an id the store lacks.
-    `gather` fetches every keyword, citation series and topic fit, each
-    topic's once per engine, and `score` computes a report from them and
-    fetches only RUI's two counts, so no worker waits on another's fetch.
+    `gather` fetches every keyword, citation series, topic fit and RUI
+    count, each topic's fit once per engine, and `score` computes a report
+    from them with no I/O.
     """
 
     store: SnapshotStore
@@ -172,7 +184,7 @@ class ScoringEngine:
         default_factory=dict, init=False, repr=False
     )
     # what `gather` fetched, each the value or the library error its fetch
-    # raised: (keyword, citation series) by (paper id, indicators), fits by keyword
+    # raised: (keyword, citation series, RUI counts) by (paper id, indicators), fits by keyword
     _inputs: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False)
     _fits: dict[str, object] = field(default_factory=dict, init=False, repr=False)
 
@@ -209,21 +221,25 @@ class ScoringEngine:
 
     def gather(self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS,
                each: Callable = map) -> None:
-        """Fetch what `score` needs of the papers `load_records` read, in two
+        """Fetch what `score` needs of the papers `load_records` read, in three
         stages run through ``each`` (``map`` or a pool's). Stage 1 takes each
         paper's keyword, from the LLM when none is stored, then its citation
         series when IEI is wanted; stage 2 fits each keyword not fitted yet
-        when TNCSI or RQM is wanted. A library error is kept in place of its
-        input, for `score` to raise where it uses it; any other propagates."""
+        when TNCSI or RQM is wanted; stage 3 takes each paper's two RUI counts
+        when RUI is wanted. A library error is kept in place of its input,
+        for `score` to raise where it uses it; any other propagates."""
         which = tuple(which) or ALL_INDICATORS
-        gathered = each(lambda pid: self._gather_paper(pid, which), paper_ids)
-        inputs = {(pid, which): got for pid, got in zip(paper_ids, gathered)}
+        gathered = list(each(lambda pid: self._gather_paper(pid, which), paper_ids))
+        keywords = [kw for kw, _ in gathered]
         if "tncsi" in which or "rqm" in which:
-            topics = [kw for kw in dict.fromkeys(kw for kw, _ in inputs.values())
+            topics = [kw for kw in dict.fromkeys(keywords)
                       if isinstance(kw, str) and kw not in self._fits]
             self._fits.update(zip(topics, each(lambda kw: _kept(self._fetch_topic_fit, kw),
                                                topics)))
-        self._inputs = inputs
+        counts = (each(lambda pid, kw: _kept(self._fetch_counts, pid, kw), paper_ids, keywords)
+                  if "rui" in which else [None] * len(paper_ids))
+        self._inputs = {(pid, which): (*got, n)
+                        for pid, got, n in zip(paper_ids, gathered, counts)}
 
     def _gather_paper(self, paper_id: str, which: Sequence[str]) -> tuple:
         """Stage 1 of `gather` for one paper: (keyword, citation series or
@@ -244,6 +260,19 @@ class ScoringEngine:
             raise EmptyResult(f"TNCSI uncomputable: {exc}") from exc
         return fit_exponential_mle(context.sample_citation_counts)
 
+    def _fetch_counts(self, paper_id: str, keyword) -> tuple:
+        """Stage 3 of `gather` for one paper: the relevant papers published
+        from its references' lower-median date to its own, and from its own
+        to now. None is fetched for a failed keyword, which is raised, or
+        for a paper with no publication date or no dated reference."""
+        keyword = _given(keyword)
+        record = self.records[paper_id]
+        median = lower_median_date(
+            _dated_references(paper_id, record, self._reference_facts(record)))
+        published = record.publication_date
+        return (count_relevant(self.s2, keyword, median, published, cache=self.store),
+                count_relevant(self.s2, keyword, published, self._now(), cache=self.store))
+
     def _reference_facts(self, record: PaperRecord) -> list[ReferenceFacts]:
         """(citation_count, publication_date) of the record's stored
         references, in reference order. A reference of the batch's own papers
@@ -260,13 +289,13 @@ class ScoringEngine:
     def score(
         self, paper_id: str, which: Sequence[str] = ALL_INDICATORS
     ) -> IndicatorReport:
-        """One paper's report from its gathered inputs; a paper not gathered
-        for ``which`` is read and gathered first."""
+        """One paper's report, computed from its gathered inputs with no I/O;
+        a paper not gathered for ``which`` is read and gathered first."""
         which = tuple(which) or ALL_INDICATORS
         if (paper_id, which) not in self._inputs:
             self.load_records([paper_id], which)
             self.gather([paper_id], which)
-        keyword, series = self._inputs[paper_id, which]
+        keyword, series, counts = self._inputs[paper_id, which]
         keyword = _given(keyword)
         record = self.records[paper_id]
         now = self._now()
@@ -300,40 +329,19 @@ class ScoringEngine:
                     f"{series.dropped_year_only} citing papers dated only by year dropped"
                 )
 
-        refs = None
-        if "rqm" in which or "rui" in which:
-            refs = self._reference_facts(record)
-
         if "rqm" in which:
+            refs = self._reference_facts(record)
             cited = [count for count, _ in refs if count is not None]
             if not cited:
                 raise EmptyResult(f"{paper_id} has no references with citation counts")
             report.arq = arq([tncsi(c, fit) for c in cited])
-            if record.publication_date is None:
-                raise EmptyResult(f"{paper_id} has no publication date")
-            ages = [
+            report.s_mp = median_semesters([
                 months_between(published, record.publication_date)
-                for _, published in refs
-                if published is not None
-            ]
-            if not ages:
-                raise EmptyResult(f"{paper_id} has no dated references")
-            report.s_mp = median_semesters(ages)
+                for published in _dated_references(paper_id, record, refs)])
             report.rqm = rqm(RqmInputs(arq=report.arq, s_mp=report.s_mp, beta=self.beta))
 
         if "rui" in which:
-            if record.publication_date is None:
-                raise EmptyResult(f"{paper_id} has no publication date")
-            dated = [published for _, published in refs if published is not None]
-            if not dated:
-                raise EmptyResult(f"{paper_id} has no dated references")
-            median_ref_date = lower_median_date(dated)
-            n_mp = count_relevant(
-                self.s2, keyword, median_ref_date, record.publication_date, cache=self.store
-            )
-            n_pc = count_relevant(
-                self.s2, keyword, record.publication_date, now, cache=self.store
-            )
+            n_mp, n_pc = _given(counts)
             report.cdr = cdr(n_pc.count, n_mp.count)
             for name, n in (("n_mp", n_mp), ("n_pc", n_pc)):
                 if n.total is not None:
@@ -366,39 +374,34 @@ def score_batch(
     workers: int = 4,
     persist: bool = True,
 ) -> list[BatchItem]:
-    """Score many papers through a bounded worker pool.
+    """Score many papers, fetching through a bounded worker pool.
 
     The papers and their references are read in bulk, then `gather` fetches
-    every keyword, citation series and topic fit, and only then is each
-    paper scored. Both steps run through the one pool, or on the calling
-    thread when ``workers`` is 1 or there is one paper. The API payloads
+    every keyword, citation series, topic fit and RUI count through the
+    pool, or on the calling thread when ``workers`` is 1 or there is one
+    paper. Every paper is then scored on the calling thread. The API payloads
     fetched are held by the store, within its bounds, and the last of them
     are written together with the reports in one transaction after the
     batch. When the batch raises, when ``persist`` is false or when no paper
     scored, the payloads are still written, and no report is. Results keep
-    the input order regardless of completion order; per-item failures are
-    captured, never raised.
+    the input order; per-item failures are captured, never raised.
     """
     engine.load_records(paper_ids, which)
-
-    def run(pid: str) -> BatchItem:
-        try:
-            report = engine.score(pid, which)
-        except LitmetricsError as exc:
-            return BatchItem(paper_id=pid, error=f"{type(exc).__name__}: {exc}")
-        return BatchItem(paper_id=pid, report=report)
-
     reports: list[tuple[str, IndicatorReport]] = []
     try:
         if workers <= 1 or len(paper_ids) <= 1:
             engine.gather(paper_ids, which)
-            items = [run(pid) for pid in paper_ids]
         else:
             from concurrent.futures import ThreadPoolExecutor  # loads logging
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 engine.gather(paper_ids, which, pool.map)
-                items = list(pool.map(run, paper_ids))
+        items = []
+        for pid in paper_ids:
+            try:
+                items.append(BatchItem(pid, report=engine.score(pid, which)))
+            except LitmetricsError as exc:
+                items.append(BatchItem(pid, error=f"{type(exc).__name__}: {exc}"))
         if persist:
             reports = [(item.paper_id, item.report) for item in items if item.report is not None]
     finally:

@@ -720,8 +720,9 @@ def fetch_topic_sample(
 
     The search endpoint and paging parameters are recorded in the context's
     provenance, since relevance ranking affects which sample is drawn. A hit
-    with no count counts 0; a count that is not a non-negative integer, fetched
-    or cached, raises `ParseError`, and a fetched one caches nothing.
+    with no count counts 0; a count that is not a non-negative integer, or a
+    fetch time or provenance that does not decode, fetched or cached, raises
+    `ParseError`, and a fetched one caches nothing.
     """
     if not keyword or not keyword.strip():
         raise EmptyKeyword("keyword must be non-empty")
@@ -747,22 +748,19 @@ def fetch_topic_sample(
             },
         }
 
-    def decode(payload: dict) -> dict:
-        for count in payload["counts"]:
+    def decode(payload: dict) -> Optional[TopicContext]:
+        """The context, or None for a search with no hits."""
+        counts = payload["counts"]
+        for count in counts:
             _check_count("citationCount", count)
-        return payload
+        stamp = parse_timestamp(payload["fetched_at"]), dict(payload["provenance"])
+        return TopicContext(keyword, counts, k, *stamp) if counts else None
 
-    payload = _cached_call(
+    context = _cached_call(
         cache, {"op": "topic_sample", "keyword": keyword, "k": k}, compute, decode)
-    if not payload["counts"]:
+    if context is None:
         raise EmptyResult(f"no search hits for keyword {keyword!r}")
-    return TopicContext(
-        keyword=keyword,
-        sample_citation_counts=tuple(payload["counts"]),
-        k=k,
-        fetched_at=parse_timestamp(payload["fetched_at"]),
-        provenance=dict(payload["provenance"]),
-    )
+    return context
 
 
 def _month_index(d: date) -> int:
@@ -834,7 +832,8 @@ def fetch_monthly_citations(
 
     The payload is cached as the month histogram of `_citation_months`, built
     and checked before it is cached, so a citing date that fails the checks
-    raises `ParseError` and leaves no entry.
+    raises `ParseError` and leaves no entry. A tally that is not a
+    non-negative integer, fetched or cached, raises `ParseError` too.
     """
     if window_months < 2:
         raise ValueError("window_months must be >= 2")
@@ -854,9 +853,12 @@ def fetch_monthly_citations(
     def decode(payload: dict) -> CitationSeries:
         counts = [0] * window_months
         for month, n in payload["months"].items():
+            _check_count("monthly count", n)
             i = _month_index(date(int(month[:4]), int(month[5:]), 1)) - start_index
             if 0 <= i < window_months:
                 counts[i] += n
+        _check_count("undated", payload["undated"])
+        _check_count("year_only", payload["year_only"])
         return CitationSeries(
             monthly_counts=tuple(counts),
             window_end=window_end,
@@ -886,8 +888,9 @@ def count_relevant(
     """Number of search hits published in the half-open window [from, to).
 
     The payload is cached as ``{"count": n}``, with ``"total": t`` added only
-    when the search reported more hits than its paging reached.
-    """
+    when the search reported more hits than its paging reached; a payload,
+    fetched or cached, whose values are not non-negative integers raises
+    `ParseError`."""
     if not keyword or not keyword.strip():
         raise EmptyKeyword("keyword must be non-empty")
     if from_date > to_date:
@@ -913,7 +916,13 @@ def count_relevant(
                     count += 1
         return {"count": count, "total": total} if total > reached else {"count": count}
 
-    payload = _cached_call(
+    def decode(payload: dict) -> RelevantCount:
+        _check_count("count", payload["count"])
+        if payload.get("total") is not None:
+            _check_count("total", payload["total"])
+        return RelevantCount(payload["count"], payload.get("total"))
+
+    return _cached_call(
         cache,
         {
             "op": "count_relevant",
@@ -922,8 +931,8 @@ def count_relevant(
             "to": format_date(to_date),
         },
         compute,
+        decode,
     )
-    return RelevantCount(int(payload["count"]), payload.get("total"))
 
 
 def _record_from_s2(data: dict, retrieved_at: str) -> dict:

@@ -284,45 +284,27 @@ _DELETE_LISTINGS = ("DELETE FROM api_cache WHERE CASE WHEN json_valid(key) THEN 
                     "json_extract(key, '$.op') IN ('paper', 'references') END")
 
 
+_REPORT_FIELDS = [f.name for f in dataclass_fields(IndicatorReport)]
+
+
 def report_to_json_dict(report: IndicatorReport) -> dict:
-    data = {
-        "tncsi": report.tncsi,
-        "iei_avg": report.iei_avg,
-        "iei_weighted": report.iei_weighted,
-        "iei_instant": report.iei_instant,
-        "arq": report.arq,
-        "s_mp": report.s_mp,
-        "rqm": report.rqm,
-        "cdr": report.cdr,
-        "rad": report.rad,
-        "rui": report.rui,
-        "topic_keyword": report.topic_keyword,
-        "sample_size": report.sample_size,
-        "warnings": list(report.warnings),
-    }
-    if report.computed_at is not None:
-        data["computed_at"] = format_timestamp(report.computed_at)
+    """The report's fields by name; ``computed_at`` formatted, or left out
+    when unset."""
+    data = {**vars(report), "warnings": list(report.warnings)}
+    computed = data.pop("computed_at")
+    if computed is not None:
+        data["computed_at"] = format_timestamp(computed)
     return data
 
 
 def report_from_json_dict(data: dict) -> IndicatorReport:
     computed = data.get("computed_at")
-    return IndicatorReport(
-        tncsi=data.get("tncsi"),
-        iei_avg=data.get("iei_avg"),
-        iei_weighted=data.get("iei_weighted"),
-        iei_instant=data.get("iei_instant"),
-        arq=data.get("arq"),
-        s_mp=data.get("s_mp"),
-        rqm=data.get("rqm"),
-        cdr=data.get("cdr"),
-        rad=data.get("rad"),
-        rui=data.get("rui"),
-        topic_keyword=data.get("topic_keyword") or "",
-        sample_size=data.get("sample_size"),
-        computed_at=parse_timestamp(computed) if computed else None,
-        warnings=list(data.get("warnings") or []),
-    )
+    return IndicatorReport(**{
+        **{name: data.get(name) for name in _REPORT_FIELDS},
+        "topic_keyword": data.get("topic_keyword") or "",
+        "computed_at": parse_timestamp(computed) if computed else None,
+        "warnings": list(data.get("warnings") or []),
+    })
 
 
 @dataclass

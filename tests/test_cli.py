@@ -421,6 +421,73 @@ class TestScoreCommand:
         row = self.score_iei_with_a_bad_second_page(tmp_path, capsys, bad)
         assert "malformed citations payload: 'int' object has no attribute 'get'" in row
 
+    @pytest.mark.parametrize("flags", [[], ["--rui"]], ids=["all-four", "rui"])
+    def test_an_unknown_id_and_a_paper_without_keyword_fail_only_their_rows(
+            self, tmp_path, capsys, flags):
+        db = tmp_path / "s.db"
+        demo = build_demo_snapshot(db)
+        with SnapshotStore(db) as store:  # could reach every fetch but its keyword's
+            store.upsert_paper(PaperRecord(
+                canonical_id="arxiv:2402.22222", title="A Survey Nobody Labelled",
+                external_ids={"arxiv": "2402.22222"}, publication_date=date(2023, 1, 1),
+                citation_count=5, reference_ids=demo.papers[0].reference_ids,
+                retrieved_at=datetime(2024, 10, 1)))
+        scored = [p.canonical_id for p in demo.papers[:3]]
+        ids = [scored[0], "nope:1", scored[1], "arxiv:2402.22222", scored[2]]
+        code = main(["--db", str(db), "--offline", "--now", "2024-10-01",
+                     "score", *ids, *flags], transport=OfflineTransport())
+        out, err = capsys.readouterr()
+        assert code == 1 and err == "scored 3/5 papers\n"
+        notes = {row.split()[0]: row.partition("error: ")[2]
+                 for row in out.splitlines()[1:]}
+        assert notes == {**dict.fromkeys(scored, ""),
+                         "nope:1": "UnknownPaper: nope:1",
+                         "arxiv:2402.22222": "LlmUnavailable: arxiv:2402.22222 has no stored "
+                                             "topic keyword and no LLM is configured"}
+        with SnapshotStore(db, read_only=True) as store:
+            assert sorted(store.latest_reports()) == sorted(scored)
+
+    POISONS = {  # id: (op, how the first cached payload of the op is spoiled)
+        "count-negative": ("count_relevant", lambda p: {**p, "count": -1}),
+        "count-a-string": ("count_relevant", lambda p: {**p, "count": "x"}),
+        "total-a-string": ("count_relevant", lambda p: {**p, "total": "x"}),
+        "fetched-at-malformed": ("topic_sample", lambda p: {**p, "fetched_at": "yesterday"}),
+        "provenance-missing": ("topic_sample",
+                               lambda p: {k: v for k, v in p.items() if k != "provenance"}),
+        "undated-a-string": ("citations", lambda p: {**p, "undated": "x"}),
+        "undated-negative": ("citations", lambda p: {**p, "undated": -3}),
+    }
+
+    @pytest.mark.parametrize("poison", list(POISONS))
+    def test_a_poisoned_cached_payload_fails_only_its_papers_offline(
+            self, tmp_path, capsys, poison):
+        op, spoil = self.POISONS[poison]
+        db = tmp_path / "s.db"
+        papers = build_demo_snapshot(db).papers
+        with sqlite3.connect(db) as conn:
+            key, payload = min(row for row in conn.execute("SELECT key, payload FROM api_cache")
+                               if json.loads(row[0])["op"] == op)
+            conn.execute("UPDATE api_cache SET payload = ? WHERE key = ?",
+                         (json.dumps(spoil(json.loads(payload))), key))
+        conn.close()
+        key = json.loads(key)
+        uses = {  # whether a demo paper's score reads the payload
+            "count_relevant": lambda p: p.topic_keyword == key["keyword"] and str(
+                p.publication_date) in (key["from"], key["to"]),
+            "topic_sample": lambda p: p.topic_keyword == key["keyword"],
+            "citations": lambda p: f"ARXIV:{p.external_ids['arxiv']}" == key["paper_id"],
+        }[op]
+        spoiled = [p.canonical_id for p in papers if uses(p)]
+        code = main(["--db", str(db), "--offline", "--now", "2024-10-01", "score", "--all"],
+                    transport=OfflineTransport())
+        out, err = capsys.readouterr()
+        assert code == 1 and "internal" not in err
+        failed = [row.split()[0] for row in out.splitlines()[1:]
+                  if f"error: ParseError: malformed {op} payload: " in row]
+        assert failed == spoiled and len(out.splitlines()) == 1 + len(papers)
+        with SnapshotStore(db, read_only=True) as store:
+            assert len(store.latest_reports()) == len(papers) - len(spoiled)
+
     def test_reports_are_persisted(self, demo_db):
         with SnapshotStore(demo_db, read_only=True) as store:
             report = store.latest_report("arxiv:2500.10000")
@@ -460,6 +527,21 @@ class TestUsageErrors:
         assert code == 1
         assert captured.err == "error: internal: RuntimeError: transport defect\n"
         assert captured.out == "" and closed == [1]
+
+    @pytest.mark.parametrize("argv", [
+        ["import", "{missing}"],
+        ["export", "{missing}/dump.jsonl"],
+        ["--llm-stub", "{missing}", "score", "--all"],
+        ["stats", "cites", "--json", "{missing}/stats.json"],
+        ["robustness", "{missing}"],
+    ], ids=["import", "export", "llm-stub", "stats-json", "robustness"])
+    def test_a_missing_file_argument_is_an_operational_error(self, demo_db, tmp_path, capsys,
+                                                             argv):
+        missing = tmp_path / "missing"
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main(["--db", str(demo_db), "--offline", "--now", "2024-10-01", *argv]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: FileNotFoundError: [Errno 2] No such file or directory: ")
 
     def test_bad_now_value(self, demo_db):
         assert main(["--db", str(demo_db), "--now", "not-a-date", "score", "--all"]) == 2
@@ -830,6 +912,22 @@ class TestStatsTrendRobustness:
         rule = "non-negative" if flag == "sigma" else "positive"
         assert (f"error: argument --{flag}: not a finite {rule} number: {value!r}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("groups", [
+        {"groups": 5},
+        {"groups": [{"anchor": "object detection"}]},
+        [{"anchor": "object detection", "comparisons": "diffusion models"}],
+        [{"anchor": 5, "comparisons": ["diffusion models"]}],
+        ["object detection"],
+        "{not json",
+    ], ids=["groups-a-number", "no-comparisons", "comparisons-a-string", "anchor-a-number",
+            "group-a-string", "not-json"])
+    def test_a_malformed_groups_file_is_a_usage_error(self, demo_db, tmp_path, capsys, groups):
+        path = tmp_path / "groups.json"
+        path.write_text(groups if isinstance(groups, str) else json.dumps(groups))
+        assert main(["--db", str(demo_db), "--offline", "robustness", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad groups file: ") and captured.out == ""
 
     def test_robustness_missing_term(self, demo_db, tmp_path, capsys):
         groups = tmp_path / "groups.json"

@@ -420,6 +420,48 @@ class TestScoreBatch:
         report = engine.score(paper.canonical_id, ["iei"])
         assert report.iei_instant is not None and report.tncsi is None
 
+    def test_a_paper_that_fails_tncsi_or_rqm_has_its_rui_counts_fetched(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.insert_new_papers([reference("s2:r1", date(2015, 1, 1), None)])  # dated, uncited
+        uncounted = review("arxiv:2301.00001", citation_count=None, reference_ids=["s2:r1"])
+        uncited = review("arxiv:2301.00002", publication_date=date(2024, 3, 1),
+                         reference_ids=["s2:r1"])
+        store.insert_new_papers([uncounted, uncited])
+        windows = [("2015-01-01", "2024-02-01"), ("2024-02-01", "2024-10-01"),
+                   ("2015-01-01", "2024-03-01"), ("2024-03-01", "2024-10-01")]
+        exchanges = [
+            s2_search_exchange("something", "citationCount", [{"citationCount": 3}], limit=100),
+            s2_citations_exchange("ARXIV:2301.00002", ["2024-09-01"]),  # none when uncounted
+            *(s2_search_exchange("something", "publicationDate", [{"publicationDate": start}],
+                                 extra={"publicationDateOrYear": f"{start}:{end}"})
+              for start, end in windows)]
+        transport = CountingTransport(FixtureTransport.from_pairs(exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=NOW)
+        items = score_batch(engine, [uncounted.canonical_id, uncited.canonical_id], workers=1)
+        assert [i.error for i in items] == [
+            "EmptyResult: arxiv:2301.00001 has no citation count; run enrich first",
+            "EmptyResult: arxiv:2301.00002 has no references with citation counts"]
+        assert transport.count == len(exchanges)
+        assert {key for key in payloads(store) if json.loads(key)["op"] == "count_relevant"} == {
+            canonical_json({"op": "count_relevant", "keyword": "something", "from": start,
+                            "to": end}) for start, end in windows}
+
+    @pytest.mark.parametrize("which", [("tncsi", "iei", "rqm", "rui"), ("rui",)],
+                             ids=["all-four", "rui"])
+    def test_after_gather_scoring_fetches_and_looks_up_nothing(
+            self, tmp_path, demo_corpus, monkeypatch, which):
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        transport = CountingTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=DEMO_NOW)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        engine.load_records(ids, which)
+        engine.gather(ids, which)
+        fetched, lookups = transport.count, []
+        monkeypatch.setattr(store, "cache_get", lookups.append)
+        reports = [engine.score(pid, which) for pid in ids]
+        assert transport.count == fetched and lookups == []
+        assert all(report.rui is not None for report in reports)
+
     def test_sequential_fallback(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         good = review()
