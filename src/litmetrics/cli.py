@@ -137,8 +137,6 @@ class Runtime:
         )
         if llm is not None:
             self.llm = llm
-        elif settings.llm_stub:
-            self.llm = StubLlm.from_json_file(settings.llm_stub)
         elif settings.llm_base_url and not settings.offline:
             self.llm = LlmHttpClient(
                 settings.llm_base_url,
@@ -340,12 +338,11 @@ def _frozen_ts(runtime: Runtime) -> Optional[datetime]:
     return datetime(now.year, now.month, now.day) if now else None
 
 
-RECORD_METRICS = {  # metric -> its value for every paper, in canonical id order
-    "cites": lambda store: [count for count, _ in store.citation_facts().values()],
-    "refs": lambda store: [n or None for n, _ in store.reference_and_author_counts()],
-    "authors": lambda store: [n or None for _, n in store.reference_and_author_counts()],
-    "year": lambda store: [published.year if published else None
-                           for _, published in store.citation_facts().values()],
+RECORD_METRICS = {  # metric -> its SQL expression over a `papers` row, NULL for none
+    "cites": "citation_count",
+    "refs": "NULLIF(json_array_length(reference_ids), 0)",
+    "authors": "NULLIF(author_count, 0)",
+    "year": "CAST(substr(publication_date, 1, 4) AS INTEGER)",
 }
 REPORT_METRICS = {  # metric -> IndicatorReport field
     "tncsi": "tncsi", "iei": "iei_avg", "arq": "arq", "s_mp": "s_mp",
@@ -363,7 +360,7 @@ def cmd_stats(runtime: Runtime, args, parser) -> int:
         reports = sorted(runtime.store.latest_reports().items())
         values = [getattr(rep, name) for _, rep in reports]
     else:
-        values = RECORD_METRICS[args.metric](runtime.store)
+        values = runtime.store.column_values(RECORD_METRICS[args.metric])
     values = [v for v in values if v is not None]
     if not values:
         print(f"error: EmptyInput: no values for metric {args.metric!r}", file=sys.stderr)
@@ -575,6 +572,12 @@ def main(
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 2
     try:
+        if llm is None and settings.llm_stub:
+            try:
+                llm = StubLlm.from_json_file(settings.llm_stub)
+            except ValueError as exc:  # a file that cannot be read raises OSError, below
+                print(f"error: bad --llm-stub file: {exc}", file=sys.stderr)
+                return 2
         runtime = Runtime(settings, transport=transport, llm=llm,
                           read_only=args.command in READ_ONLY_COMMANDS)
         try:

@@ -67,20 +67,6 @@ def _check_count(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be non-negative")
 
 
-def check_citation_facts(
-    citation_count: Optional[int], publication_date: Optional[date], retrieved_at: datetime
-) -> None:
-    """The checks a record makes on its citation count and publication date,
-    the two fields RQM and RUI read of a reference. The count must fit the
-    snapshot's INTEGER column, a signed 64-bit integer."""
-    if citation_count is not None:
-        _check_count("citation_count", citation_count)
-        if citation_count >= 2**63:
-            raise ValueError("citation_count must be below 2**63")
-    if publication_date is not None and publication_date > retrieved_at.date():
-        raise ValueError("publication_date cannot postdate retrieval")
-
-
 @dataclass
 class PaperRecord:
     """Metadata for one scholarly document.
@@ -121,10 +107,16 @@ class PaperRecord:
                 isinstance(k, str) and isinstance(v, str) for k, v in self.external_ids.items())):
             raise ValueError(f"external_ids must map strings to strings, not "
                              f"{self.external_ids!r:.200}")
+        # a count must fit the snapshot's INTEGER column, a signed 64-bit integer
         _check_count("author_count", self.author_count)
-        if self.author_count >= 2**63:  # as `citation_count`
+        if self.author_count >= 2**63:
             raise ValueError("author_count must be below 2**63")
-        check_citation_facts(self.citation_count, self.publication_date, self.retrieved_at)
+        if self.citation_count is not None:
+            _check_count("citation_count", self.citation_count)
+            if self.citation_count >= 2**63:
+                raise ValueError("citation_count must be below 2**63")
+        if self.publication_date is not None and self.publication_date > self.retrieved_at.date():
+            raise ValueError("publication_date cannot postdate retrieval")
 
     def to_json_dict(self) -> dict:
         return {
@@ -1138,9 +1130,19 @@ class StubLlm:
 
     @classmethod
     def from_json_file(cls, path: str | Path, default: Optional[str] = None) -> "StubLlm":
+        """The stub of a JSON object whose `responses`, or the object itself,
+        maps keys to responses, all strings, and whose `default`, if given,
+        is a string; ValueError if the file is not JSON of that shape."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        return cls(table=data.get("responses", data), default=data.get("default", default))
+        if not isinstance(data, dict):
+            raise ValueError(f"not a JSON object: {data!r:.200}")
+        table, default = data.get("responses", data), data.get("default", default)
+        if not (isinstance(table, dict) and all(type(v) is str for v in table.values())):
+            raise ValueError(f"responses must map strings to strings, not {table!r:.200}")
+        if not (default is None or type(default) is str):
+            raise ValueError(f"default must be a string, not {default!r:.200}")
+        return cls(table=table, default=default)
 
     def complete(self, messages: Sequence[dict]) -> str:
         self.calls.append(list(messages))

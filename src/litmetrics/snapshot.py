@@ -27,11 +27,10 @@ from .retrieval import (
     PaperRecord,
     _citation_months,
     api_id_for,
-    check_citation_facts,
     merge_fetched,
 )
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # ids bound per `IN (...)` list, a power of two well below SQLite's parameter
 # limit
@@ -86,7 +85,7 @@ class FeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
-# Schema 5's `papers`: one column per `PaperRecord` field, NULL, 0 and ""
+# `papers`, since schema 5: one column per `PaperRecord` field, NULL, 0 and ""
 # taking no payload bytes (https://www.sqlite.org/fileformat2.html#record_format).
 # `id` is explicit because `VACUUM` may renumber an implicit rowid, and the ids
 # are links. `external_ids` is compact JSON, NULL when empty, less the entry
@@ -95,8 +94,10 @@ class FeatureVector:
 # kept. `reference_ids` is a JSON array, NULL when empty: a reference stored
 # when its citing row was written is its `id`, a JSON integer, and any other
 # its canonical id (a dangling id). Nothing deletes or replaces a `papers`
-# row, and an upsert keeps its `id`, so a link never goes stale. Schemas 1-4
-# kept the record in `record_json`; a writing open rebuilds them as this.
+# row, and an upsert keeps its `id`, so a link never goes stale. Every row
+# holds a record that passed `PaperRecord`'s checks, so reads trust the
+# columns: `write` stores only records, and a writing open rebuilds the table
+# of schemas 1-5 as this from each old row read as a record.
 _PAPERS = """
 CREATE TABLE {table} (
     id INTEGER PRIMARY KEY,
@@ -151,7 +152,7 @@ _PAPER_ROW = ", ".join(_PAPER_COLUMNS)
 # what `get_papers` reads: `_PAPER_ROW`, then the row's id
 _LINKED_ROW = _PAPER_ROW + ", id"
 # what `citation_facts` reads of a paper
-_FACT_COLUMNS = "canonical_id, citation_count, publication_date, retrieved_at"
+_FACT_COLUMNS = "canonical_id, citation_count, publication_date"
 _INSERT_PAPER = (f"INSERT INTO papers ({_PAPER_ROW}) "
                  f"VALUES ({', '.join('?' * len(_PAPER_COLUMNS))})")
 _UPSERT_PAPER = _INSERT_PAPER + (
@@ -201,10 +202,12 @@ def _row_data(row: tuple) -> dict:
 def _paper_record(data: dict, names: Mapping[int, str]) -> PaperRecord:
     """The record of a stored row's JSON dict, each link replaced by the
     canonical id ``names`` holds for it. A link it lacks, which no row has,
-    raises StorageError."""
+    raises StorageError. A `reference_ids` that is no list is left for the
+    record to reject."""
     try:
-        data["reference_ids"] = [names[r] if type(r) is int else r
-                                 for r in data["reference_ids"]]
+        if type(data.get("reference_ids")) is list:
+            data["reference_ids"] = [names[r] if type(r) is int else r
+                                     for r in data["reference_ids"]]
     except KeyError as exc:
         raise StorageError(f"paper {data['canonical_id']!r} names reference link "
                            f"{exc.args[0]}, which is no `papers` row id") from None
@@ -218,61 +221,38 @@ def _padded(values: list) -> list:
     return values + [None] * ((1 << max(0, len(values) - 1).bit_length()) - len(values))
 
 
-def _checked_facts(rows: Iterable[tuple]) -> dict[str, tuple[Optional[int], Optional[date]]]:
+def _facts(rows: Iterable[tuple]) -> dict[str, tuple[Optional[int], Optional[date]]]:
     """(citation_count, publication_date) by canonical id of rows selected as
-    `_FACT_COLUMNS`, checked as a `PaperRecord` checks these two fields,
-    which raise the same ValueError."""
-    facts = {}
-    for cid, count, published_text, retrieved_text in rows:
-        published = parse_date(published_text)
-        check_citation_facts(count, published, parse_timestamp(retrieved_text))
-        facts[cid] = (count, published)
-    return facts
+    `_FACT_COLUMNS`."""
+    return {cid: (count, parse_date(published)) for cid, count, published in rows}
 
 
 # the columns of schemas 2-4 that hold a record: typed facts, then the rest
 _LEGACY_COLUMNS = (*_PAPER_COLUMNS[:5], "record_json")
-# what `PaperRecord.from_json_dict` reads for each absent key that does not
-# read as null: schemas 2-4 left a key at that value out of `record_json`
-_LEGACY_ABSENT = {"title": "", "abstract": "", "external_ids": {}, "reference_ids": [],
-                  "author_count": 0}
 
 
 def _legacy_data(version: int, row: tuple) -> dict:
     """The JSON dict of a schema-``version`` `papers` row selected as
-    `_LEGACY_COLUMNS`, or at schema 1 as its two columns."""
+    `_LEGACY_COLUMNS`, or at schema 1 as its two columns. Schemas 2-4 left
+    out of `record_json` each key at the value `PaperRecord.from_json_dict`
+    reads for an absent one."""
     if version == 1:
         canonical_id, record_json = row
-        return {**_LEGACY_ABSENT, **json.loads(record_json), "canonical_id": canonical_id}
-    return {**_LEGACY_ABSENT, **json.loads(row[-1]), **dict(zip(_LEGACY_COLUMNS[:-1], row))}
+        return {**json.loads(record_json), "canonical_id": canonical_id}
+    return {**json.loads(row[-1]), **dict(zip(_LEGACY_COLUMNS[:-1], row))}
 
 
-def _held(column: str, value) -> bool:
-    """Whether the schema-5 column holds ``value`` as given: a string, or a
-    signed 64-bit integer in an INTEGER column, or null."""
-    if column in ("citation_count", "author_count"):
-        return value is None or (type(value) is int and -2**63 <= value < 2**63)
-    return value is None or type(value) is str
-
-
-def _legacy_paper_row(data: dict, links: Mapping[str, int], linked: bool) -> tuple:
-    """The schema-5 row, less its id, of a schema-1 to -4 record's JSON dict,
-    carried over as it was stored, checks failed or not, and each stored
-    reference as its link. A field that its column would not hold as stored,
-    such as a count of `true`, `"12"` or `2**64`, a title that is an object
-    or an external id that is a number, raises ValueError; so does, unless
-    the file is ``linked`` (schema 4), a reference that is a JSON integer,
-    which schema 5 reads as a link."""
-    cid, ids, references = data["canonical_id"], data["external_ids"] or {}, data["reference_ids"]
-    if not (all(_held(c, data.get(c)) for c in _PAPER_COLUMNS[:-2])
-            and isinstance(ids, dict) and all(type(v) is str for v in ids.values())
-            and isinstance(references, list)):
-        raise ValueError(f"paper {cid!r} has a field that no schema-{SCHEMA_VERSION} column "
-                         f"holds as stored: {canonical_json(data):.200}")
-    if not linked and any(type(r) is int for r in references):
-        raise ValueError(f"paper {cid!r} has a reference id that is a number, which schema "
-                         f"{SCHEMA_VERSION} reads as a link: {references!r:.200}")
-    return _paper_row({**data, "external_ids": ids}, links)
+def _carried_record(version: int, row: tuple, names: Mapping[int, str]) -> PaperRecord:
+    """The record of a schema-``version`` `papers` row selected, less its
+    rowid, as `_upgrade` selects it, each link named by ``names``. Schemas
+    1-3 named every reference by canonical id, so there a number is no link
+    and fails the record's checks. A row that does not decode or fails the
+    checks raises ValueError naming the paper."""
+    try:
+        data = _row_data(row) if version == 5 else _legacy_data(version, row)
+        return _paper_record(data, names) if version >= 4 else PaperRecord.from_json_dict(data)
+    except PAYLOAD_ERRORS as exc:
+        raise ValueError(f"paper {row[0]!r} is no valid record: {exc}") from exc
 
 
 # `paper` and `references` payloads, and citing dates; a JSON function raises
@@ -367,7 +347,7 @@ class SnapshotStore:
             ).fetchone()
         except sqlite3.Error as exc:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
-        if row is not None and row[0] in (1, 2, 3, 4):
+        if row is not None and row[0] in range(1, SCHEMA_VERSION):
             if self.read_only:
                 raise SchemaMismatch(
                     f"snapshot {self.path} has schema {row[0]} and is opened read-only; any "
@@ -386,37 +366,38 @@ class SnapshotStore:
         )
 
     def _upgrade(self, version: int) -> None:
-        """Bring a schema-1 to -4 file to schema 5 in one transaction: all of
+        """Bring a schema-1 to -5 file to schema 6 in one transaction: all of
         it, or, when a row or the write fails, nothing. `papers` is rebuilt
-        once, each row keeping its rowid as its id, so that a schema-4 link
-        is copied as it is, and each other stored reference becoming its
-        link; then the payloads are converted. A `VACUUM` then returns the
-        pages freed, which would otherwise leave the file larger than
-        before."""
+        once: each row is read as a `PaperRecord`, so a row that fails the
+        record's checks fails the upgrade, and stored as its `to_json_dict()`
+        under its rowid, every stored reference as its link. Then the
+        payloads are converted. A `VACUUM` then returns the pages freed,
+        which would otherwise leave the file larger than before."""
+        columns = {1: "canonical_id, record_json", 5: _PAPER_ROW}.get(
+            version, ", ".join(_LEGACY_COLUMNS))
         with self._lock:
             try:
                 with self._conn:
                     self._conn.execute("BEGIN")
-                    self._conn.execute(_PAPERS.format(table="papers_v5"))
-                    columns = ("canonical_id, record_json" if version == 1
-                               else ", ".join(_LEGACY_COLUMNS))
+                    self._conn.execute(_PAPERS.format(table="papers_new"))
                     old = self._conn.execute(
                         f"SELECT rowid, {columns} FROM papers ORDER BY rowid").fetchall()
                     links = {row[1]: row[0] for row in old}
+                    names = {link: cid for cid, link in links.items()}
                     self._conn.executemany(
-                        f"INSERT INTO papers_v5 (id, {_PAPER_ROW}) "
+                        f"INSERT INTO papers_new (id, {_PAPER_ROW}) "
                         f"VALUES (?, {', '.join('?' * len(_PAPER_COLUMNS))})",
-                        ((row[0], *_legacy_paper_row(_legacy_data(version, row[1:]), links,
-                                                     linked=version == 4))
+                        ((row[0], *_paper_row(
+                            _carried_record(version, row[1:], names).to_json_dict(), links))
                          for row in old),
                     )
                     self._conn.execute("DROP TABLE papers")
-                    self._conn.execute("ALTER TABLE papers_v5 RENAME TO papers")
+                    self._conn.execute("ALTER TABLE papers_new RENAME TO papers")
                     self._conn.execute(_REVIEWS_INDEX)
-                    self._convert_payloads({link: cid for cid, link in links.items()})
+                    self._convert_payloads(names)
                     self._conn.execute("UPDATE meta SET schema_version = ?", (SCHEMA_VERSION,))
                 self._conn.execute("VACUUM")
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, StorageError) as exc:
                 raise SchemaMismatch(f"cannot upgrade {self.path} to schema "
                                      f"{SCHEMA_VERSION}: {exc}") from exc
             except sqlite3.Error as exc:
@@ -513,14 +494,14 @@ class SnapshotStore:
     ) -> tuple[dict[str, PaperRecord], dict[str, tuple[Optional[int], Optional[date]]]]:
         """`get_papers(ids)`, and the (citation_count, publication_date) by
         canonical id of the stored papers other than these that their
-        reference lists name, checked as `citation_facts` checks them. The
-        facts of the links are read in the queries that name them, and those
-        of the dangling ids by canonical id in the same queries."""
+        reference lists name, as `citation_facts` reads them. The facts of
+        the links are read in the queries that name them, and those of the
+        dangling ids by canonical id in the same queries."""
         return self._records(self._paper_rows(_LINKED_ROW, ids), facts=True)
 
     def _records(self, rows: list[tuple], facts: bool = False) -> tuple[dict, dict]:
         """The records of rows selected as `_LINKED_ROW`, by canonical id,
-        and with ``facts`` the checked facts of the other papers they name."""
+        and with ``facts`` the facts of the other papers they name."""
         names = {row[-1]: row[0] for row in rows}
         datas = [_row_data(row) for row in rows]
         listed = [r for data in datas for r in data["reference_ids"]]
@@ -531,7 +512,7 @@ class SnapshotStore:
                                 dangling, links)
         names.update((row[0], row[1]) for row in read)
         records = {data["canonical_id"]: _paper_record(data, names) for data in datas}
-        return records, _checked_facts(row[1:] for row in read) if facts else {}
+        return records, _facts(row[1:] for row in read) if facts else {}
 
     def _paper_rows(self, columns: str, ids: Optional[Iterable[str]] = None,
                     links: Iterable[int] = ()) -> list[tuple]:
@@ -561,16 +542,13 @@ class SnapshotStore:
         self, ids: Optional[Iterable[str]] = None
     ) -> dict[str, tuple[Optional[int], Optional[date]]]:
         """(citation_count, publication_date) by canonical id, read from their
-        columns as `get_papers` reads rows and checked as a `PaperRecord`
-        checks these two fields, which raise the same ValueError; no record
-        is decoded."""
-        return _checked_facts(self._paper_rows(_FACT_COLUMNS, ids))
+        columns as `get_papers` reads rows; no record is decoded."""
+        return _facts(self._paper_rows(_FACT_COLUMNS, ids))
 
-    def reference_and_author_counts(self) -> list[tuple[int, int]]:
-        """(number of reference ids, author count) of every paper, in
-        canonical id order, read in one query with no record decoded."""
-        rows = self._paper_rows("json_array_length(reference_ids), author_count")
-        return [(refs or 0, authors or 0) for refs, authors in rows]
+    def column_values(self, expression: str) -> list:
+        """The SQL ``expression`` over each `papers` row, in canonical id
+        order, read in one query with no record decoded."""
+        return [value for (value,) in self._paper_rows(expression)]
 
     def insert_new_papers(self, records: Iterable[PaperRecord]) -> None:
         """Insert, in one transaction, the records whose canonical id is not

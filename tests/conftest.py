@@ -266,13 +266,13 @@ def legacy_paper_row(data: dict) -> tuple:
 def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                 payloads: dict[str, str] | None = None) -> None:
     """Turn the closed snapshot at ``path`` into a schema-``version`` file,
-    1 to 4, as earlier versions wrote it. ``payloads`` are cached by key,
+    1 to 5, as earlier versions wrote it. ``payloads`` are cached by key,
     as those versions cached them, stamped `LEGACY_STORED_AT`. At schema 1,
     `papers` holds one canonical-JSON record per row, the JSON dicts of
-    ``rows`` unchecked. At schema 4 it holds the rows as they are, ids and
-    links kept, and at schemas 2 and 3 in id order with no id, each link
-    replaced by the canonical id it names. The other tables stay as they
-    are."""
+    ``rows`` unchecked. At schemas 4 and 5 it holds the rows as they are,
+    ids and links kept (schema 5's table is today's), and at schemas 2 and
+    3 in id order with no id, each link replaced by the canonical id it
+    names. The other tables stay as they are."""
     conn = sqlite3.connect(path)
     try:
         with conn:
@@ -282,7 +282,7 @@ def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                              "record_json TEXT NOT NULL)")
                 conn.executemany("INSERT INTO papers VALUES (?, ?)",
                                  [(data["canonical_id"], canonical_json(data)) for data in rows])
-            else:
+            elif version < 5:
                 names = dict(conn.execute("SELECT id, canonical_id FROM papers"))
                 stored = conn.execute(
                     f"SELECT {snapshot._LINKED_ROW} FROM papers ORDER BY id").fetchall()

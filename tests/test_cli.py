@@ -81,8 +81,9 @@ def test_demo_stdout_matches_golden(demo_stdout, name):
     assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4],
-                                   ids=["schema-1", "schema-2", "schema-3", "schema-4"])
+UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4, 5],
+                                   ids=["schema-1", "schema-2", "schema-3", "schema-4",
+                                        "schema-5"])
 
 
 class TestSchemaUpgrade:
@@ -543,6 +544,20 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(
             "error: FileNotFoundError: [Errno 2] No such file or directory: ")
 
+    @pytest.mark.parametrize("stub", [
+        "{bad", "[1]", '{"responses": {"k": 5}}', '{"k": ["a"]}', '{"responses": [], "k": "a"}',
+        '{"responses": {"k": "a"}, "default": 5}',
+    ], ids=["not-json", "a-list", "a-number-response", "a-list-response", "responses-a-list",
+            "default-a-number"])
+    def test_a_malformed_llm_stub_file_is_a_usage_error(self, demo_db, tmp_path, capsys, stub):
+        path = tmp_path / "stub.json"
+        path.write_text(stub, encoding="utf-8")
+        assert main(["--db", str(demo_db), "--offline", "--llm-stub", str(path),
+                     "--now", "2024-10-01", "score", "--all"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad --llm-stub file: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_bad_now_value(self, demo_db):
         assert main(["--db", str(demo_db), "--now", "not-a-date", "score", "--all"]) == 2
 
@@ -854,10 +869,14 @@ class TestStatsTrendRobustness:
                 canonical_id="s2:full", title="Full", publication_date=date(1999, 12, 31),
                 citation_count=0, reference_ids=["s2:bare", "s2:gone"], author_count=7,
                 retrieved_at=datetime(2024, 10, 1)))
+            store.upsert_paper(PaperRecord(  # a year that `%Y` would not pad
+                canonical_id="s2:old", title="Old", publication_date=date(812, 3, 1),
+                retrieved_at=datetime(2024, 10, 1)))
             records = store.get_papers().values()
             assert set(decoded_metrics) == set(RECORD_METRICS)
             for metric, extract in decoded_metrics.items():
-                assert RECORD_METRICS[metric](store) == [extract(rec) for rec in records], metric
+                assert store.column_values(RECORD_METRICS[metric]) == [
+                    extract(rec) for rec in records], metric
 
     def test_stats_empty_metric(self, tmp_path, capsys):
         db = tmp_path / "empty.db"

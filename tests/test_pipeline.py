@@ -20,7 +20,6 @@ from conftest import (
     LEGACY_STORED_AT,
     make_legacy,
     papers_rows,
-    put_raw_paper,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -932,51 +931,6 @@ class TestBulkReads:
     def test_references_are_not_read_for_tncsi_alone(self, tmp_path, monkeypatch):
         decodes, _ = self.score_counted(tmp_path, monkeypatch, 5, which=("tncsi",))
         assert sorted(decodes) == [f"arxiv:2301.{n:05d}" for n in range(6)]
-
-
-MALFORMED = pytest.mark.parametrize("field, value", [
-    ("citation_count", -1),
-    ("publication_date", "2019-02-30"),
-    ("publication_date", "2025-01-01"),  # after retrieved_at
-], ids=["negative-count", "bad-date", "after-retrieval"])
-
-
-class TestMalformedReferenceRows:
-    @staticmethod
-    def assert_scoring_raises_what_decoding_raises(store, row, paper_id):
-        with pytest.raises(ValueError) as from_record:
-            PaperRecord.from_json_dict(row)
-        engine = ScoringEngine(store=store, s2=fast_client(TestBulkReads.SAMPLE), now=NOW)
-        with pytest.raises(ValueError) as from_batch:
-            score_batch(engine, [paper_id], ("tncsi", "rqm"))
-        engine = ScoringEngine(store=store, s2=fast_client(TestBulkReads.SAMPLE), now=NOW)
-        with pytest.raises(ValueError) as from_score:
-            engine.score(paper_id, ("tncsi", "rqm"))
-        assert str(from_batch.value) == str(from_score.value) == str(from_record.value)
-
-    @MALFORMED
-    def test_scoring_raises_what_decoding_the_record_raises(self, tmp_path, field, value):
-        store = SnapshotStore(tmp_path / "s.db")
-        store.insert_new_papers([reference("s2:r1", date(2019, 1, 1), 10)])
-        row = {**reference("s2:r2", date(2019, 1, 1), 10).to_json_dict(), field: value}
-        put_raw_paper(store, row)
-        paper_id = store.upsert_paper(review(reference_ids=["s2:r1", "s2:r2"]))
-        self.assert_scoring_raises_what_decoding_raises(store, row, paper_id)
-
-    @MALFORMED
-    def test_a_schema_1_row_is_carried_over_and_raises_the_same(self, tmp_path, field, value):
-        path = tmp_path / "s.db"
-        SnapshotStore(path).close()
-        row = {**reference("s2:r2", date(2019, 1, 1), 10).to_json_dict(), field: value}
-        paper = review(reference_ids=["s2:r1", "s2:r2"])
-        make_legacy(path, 1, [reference("s2:r1", date(2019, 1, 1), 10).to_json_dict(), row,
-                              paper.to_json_dict()])
-        store = SnapshotStore(path)
-        assert store.meta.schema_version == snapshot.SCHEMA_VERSION
-        fresh = SnapshotStore(tmp_path / "fresh.db")
-        put_raw_paper(fresh, row)
-        assert papers_rows(store)["s2:r2"] == papers_rows(fresh)["s2:r2"]
-        self.assert_scoring_raises_what_decoding_raises(store, row, paper.canonical_id)
 
 
 class TestHarvest:

@@ -343,8 +343,13 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4],
-                                   ids=["schema-1", "schema-2", "schema-3", "schema-4"])
+UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4, 5],
+                                   ids=["schema-1", "schema-2", "schema-3", "schema-4",
+                                        "schema-5"])
+# the schemas that kept the record in `record_json`, where a field can hold
+# any JSON value
+RECORD_JSON = pytest.mark.parametrize("version", [1, 2, 3, 4],
+                                      ids=["schema-1", "schema-2", "schema-3", "schema-4"])
 # the schemas that named every reference by canonical id
 NAMED = pytest.mark.parametrize("version", [1, 2, 3], ids=["schema-1", "schema-2", "schema-3"])
 
@@ -424,7 +429,7 @@ class TestSchemaUpgrade:
             conn.close()
         return path
 
-    @UPGRADED
+    @RECORD_JSON
     @pytest.mark.parametrize("field, value", [
         ("title", {"a": 1}), ("title", True), ("abstract", ["a"]), ("venue", 7),
         ("external_ids", {"doi": 5}),
@@ -434,8 +439,8 @@ class TestSchemaUpgrade:
         path = self.with_legacy_row(
             tmp_path, version, {**record("arxiv:9").to_json_dict(), field: value})
         before = sha256(path)
-        with pytest.raises(SchemaMismatch, match="'arxiv:9' has a field that no schema-5 "
-                                                 "column holds as stored"):
+        with pytest.raises(SchemaMismatch, match=f"schema 6: paper 'arxiv:9' is no valid "
+                                                 f"record: {field} must "):
             SnapshotStore(path)
         assert sha256(path) == before
 
@@ -444,7 +449,8 @@ class TestSchemaUpgrade:
         numbered = {**record("arxiv:9").to_json_dict(), "reference_ids": ["arxiv:0", 1]}
         path = self.with_legacy_row(tmp_path, version, numbered)
         before = sha256(path)
-        with pytest.raises(SchemaMismatch, match="'arxiv:9' has a reference id that is a number"):
+        with pytest.raises(SchemaMismatch, match="schema 6: paper 'arxiv:9' is no valid record: "
+                                                 "reference_ids must be a list of strings"):
             SnapshotStore(path)
         assert sha256(path) == before
 
@@ -497,6 +503,45 @@ class TestSchemaUpgrade:
             assert store.get_paper("s2:new") == record("s2:new")
             assert store._conn.execute("SELECT key, payload FROM api_cache").fetchall() == [
                 (citations_key, '{"months":{"2024-09":1},"undated":0,"year_only":0}')]
+
+
+MALFORMED = pytest.mark.parametrize("field, value", [
+    ("citation_count", -1),
+    ("publication_date", "2019-02-30"),
+    ("publication_date", "2025-01-01"),  # after retrieved_at
+], ids=["negative-count", "bad-date", "after-retrieval"])
+
+
+class TestMalformedReferenceRows:
+    """A row that its record's checks reject never reaches a schema-6 file,
+    so reads trust the columns: `write` stores only records, and the upgrade
+    refuses such a row."""
+
+    @UPGRADED
+    @MALFORMED
+    def test_the_upgrade_refuses_the_row_and_leaves_the_file_as_it_was(
+            self, tmp_path, version, field, value):
+        path = tmp_path / "s.db"
+        bad = {**record("s2:r2", cites=10).to_json_dict(), field: value}
+        with pytest.raises(ValueError) as decoding:
+            PaperRecord.from_json_dict(bad)
+        review = record("arxiv:1", topic_keyword="t", reference_ids=["s2:r1", "s2:r2"])
+        rows = [record("s2:r1", cites=10).to_json_dict(), bad, review.to_json_dict()]
+        with SnapshotStore(path) as store:
+            for data in rows:
+                put_raw_paper(store, data)
+        make_legacy(path, version, rows)
+        before = sha256(path)
+        with pytest.raises(SchemaMismatch) as raised:
+            SnapshotStore(path)
+        assert str(raised.value) == (f"cannot upgrade {path} to schema {snapshot.SCHEMA_VERSION}: "
+                                     f"paper 's2:r2' is no valid record: {decoding.value}")
+        assert sha256(path) == before
+        with pytest.raises(SchemaMismatch) as raised:
+            SnapshotStore(path, read_only=True)
+        assert f"has schema {version} and is opened read-only" in str(raised.value)
+        assert f"import {os.devnull}`" in str(raised.value)
+        assert sha256(path) == before
 
 
 class TestReportsAndFeatures:
