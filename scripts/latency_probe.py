@@ -94,7 +94,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         db = Path(tmp) / "cold.db"
         with SnapshotStore(db) as store:
-            store.insert_new_papers(corpus.references + papers)
+            store.write(new_papers=corpus.references + papers)
         transport = SlowTransport(FixtureTransport.from_pairs(corpus.exchanges),
                                   args.latency, args.retry_every)
         # `--all` selects papers with a stored keyword, so name them instead

@@ -58,7 +58,7 @@ class RateLimited(NetworkError):
 
 
 class NetworkForbidden(NetworkError):
-    """A network request was attempted while running offline."""
+    """A request was made offline, or has no recording to replay; never retried."""
 
 
 class ParseError(LitmetricsError, ValueError):

@@ -21,20 +21,8 @@ from .snapshot import FeatureVector
 
 MAX_CHUNK_CHARS = 400
 
-_WORD_TOKEN = re.compile(r"[\w']+", re.UNICODE)
 _CAPTION_KEY_TERMS = re.compile(r"\b(fig|figure|tab|table)\b", re.IGNORECASE)
 _CODE_FENCE = re.compile(r"^```[a-zA-Z]*\n|\n?```$")
-
-
-def count_words(text: str) -> int:
-    """Count purely alphabetic word tokens.
-
-    Tokens are maximal runs of word characters and apostrophes; anything
-    containing a digit, underscore, or apostrophe (numbers, contractions,
-    mixed symbols) is excluded from the count.
-    """
-    normalized = text.replace("’", "'")
-    return sum(1 for token in _WORD_TOKEN.findall(normalized) if token.isalpha())
 
 
 @dataclass(frozen=True)

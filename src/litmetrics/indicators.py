@@ -314,8 +314,7 @@ def rqm(inputs: RqmInputs) -> float:
     ``1 - exp(-beta * exp(-(1 - arq) * s_mp))``: increasing in reference
     quality, decreasing in reference age, constant in age when arq is 1.
     """
-    inner = math.exp(-(1.0 - inputs.arq) * inputs.s_mp)
-    return -math.expm1(-inputs.beta * inner)
+    return rqm_at(inputs.arq, inputs.s_mp, inputs.beta)
 
 
 def rqm_value(arq_value: float, s_mp: int, beta: float = DEFAULT_BETA) -> float:
@@ -370,7 +369,7 @@ def rqm_spread(beta: float, l_s: float, r_s: float, arq_bar: float) -> float:
 
 
 def rqm_at(arq_value: float, s: float, beta: float) -> float:
-    """RQM evaluated at a real-valued age (used by the calibration objective)."""
+    """RQM evaluated at a real-valued age, as `rqm` and the calibration objective read it."""
     return -math.expm1(-beta * math.exp(-(1.0 - arq_value) * s))
 
 
@@ -464,25 +463,6 @@ def rui(cdr_value: float, rad_value: float, weights: RuiWeights = RuiWeights()) 
 # ---------------------------------------------------------------------------
 # keyword robustness helpers
 # ---------------------------------------------------------------------------
-
-
-def normalized_edit_distance(a: str, b: str) -> float:
-    """Levenshtein distance divided by the longer length; 0 for two empty strings."""
-    if a == b:
-        return 0.0
-    longer = max(len(a), len(b))
-    if longer == 0:
-        return 0.0
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1] / longer
 
 
 def kl_divergence(

@@ -18,7 +18,6 @@ from .indicators import (
     fit_exponential_mle,
     iei_average,
     iei_instantaneous,
-    iei_weighted,
     median_semesters,
     rad,
     rqm,
@@ -101,10 +100,12 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
 
     The graph lookup joins on the arXiv id when present, else the DOI, else a
     title search as last resort; the join route is recorded in the stored
-    external ids under ``s2_join``. A title search with no hit raises
-    `UnknownPaper`, and one whose page is not a JSON object or whose first hit
-    names no ``paperId`` raises `ParseError`. The references not stored yet
-    are inserted as papers of their own, and the paper keeps their ids.
+    external ids under ``s2_join``. A paper with no arXiv id, DOI or title,
+    or a title search with no hit, raises `UnknownPaper`, the first with no
+    request, and a title search whose page is not a JSON object or whose
+    first hit names no ``paperId`` raises `ParseError`. The references not
+    stored yet are inserted as papers of their own, and the paper keeps
+    their ids.
 
     The paper's row is the only copy of what was fetched; nothing is cached.
     A row that holds ``s2_join`` is enriched already and is returned as it
@@ -118,6 +119,8 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
         return record.canonical_id
     if record.external_ids.get("arxiv") or record.external_ids.get("doi"):
         fetched = fetch_paper_record(client, api_id_for(record))
+    elif not (record.title or "").strip():
+        raise UnknownPaper(f"{paper_id} has no arXiv id, DOI or title to join on")
     else:
         page = client.search_page(record.title, 0, 1, "paperId")
         data = (page.get("data") or []) if isinstance(page, dict) else None
@@ -177,8 +180,6 @@ class ScoringEngine:
     now: Optional[date] = None
     beta: float = DEFAULT_BETA
     topic_k: int = 1000
-    # month weights for the weighted trend variant; None leaves it unset
-    iei_weights: Optional[Sequence[float]] = None
     records: dict[str, PaperRecord] = field(default_factory=dict, init=False, repr=False)
     references: dict[str, Optional[ReferenceFacts]] = field(
         default_factory=dict, init=False, repr=False
@@ -318,8 +319,6 @@ class ScoringEngine:
             series = _given(series)
             report.iei_avg = iei_average(series)
             report.iei_instant = iei_instantaneous(series)
-            if self.iei_weights is not None:
-                report.iei_weighted = iei_weighted(series, self.iei_weights)
             if series.dropped_undated:
                 report.warnings.append(
                     f"{series.dropped_undated} undated citing papers dropped"
@@ -372,7 +371,6 @@ def score_batch(
     paper_ids: Sequence[str],
     which: Sequence[str] = ALL_INDICATORS,
     workers: int = 4,
-    persist: bool = True,
 ) -> list[BatchItem]:
     """Score many papers, fetching through a bounded worker pool.
 
@@ -382,9 +380,9 @@ def score_batch(
     paper. Every paper is then scored on the calling thread. The API payloads
     fetched are held by the store, within its bounds, and the last of them
     are written together with the reports in one transaction after the
-    batch. When the batch raises, when ``persist`` is false or when no paper
-    scored, the payloads are still written, and no report is. Results keep
-    the input order; per-item failures are captured, never raised.
+    batch. When the batch raises or when no paper scored, the payloads are
+    still written, and no report is. Results keep the input order; per-item
+    failures are captured, never raised.
     """
     engine.load_records(paper_ids, which)
     reports: list[tuple[str, IndicatorReport]] = []
@@ -402,8 +400,7 @@ def score_batch(
                 items.append(BatchItem(pid, report=engine.score(pid, which)))
             except LitmetricsError as exc:
                 items.append(BatchItem(pid, error=f"{type(exc).__name__}: {exc}"))
-        if persist:
-            reports = [(item.paper_id, item.report) for item in items if item.report is not None]
+        reports = [(item.paper_id, item.report) for item in items if item.report is not None]
     finally:
         engine.store.write(reports)
     return items

@@ -317,7 +317,9 @@ class FixtureTransport:
 
     Each line holds {"request": {"method", "url", "params"[, "body"]},
     "response": {"status", "body"}}; requests are matched on the canonical
-    form of the request object. Call timestamps are kept for test inspection.
+    form of the request object. A request with no recording raises
+    `NetworkForbidden`, which is not retried. Call timestamps are kept for
+    test inspection.
     """
 
     def __init__(self, fixture_dir: Optional[str | Path] = None):
@@ -355,7 +357,7 @@ class FixtureTransport:
         try:
             return self.responses[key]
         except KeyError:
-            raise NetworkError(f"no recorded fixture for {method} {url} {params}") from None
+            raise NetworkForbidden(f"no recorded fixture for {method} {url} {params}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +369,6 @@ class ApiCache(Protocol):
     def cache_get(self, key: str) -> Optional[str]: ...
 
     def cache_put(self, key: str, payload: str) -> None: ...
-
-
-class DictCache:
-    """In-memory ApiCache for tests and one-shot scripts."""
-
-    def __init__(self):
-        self.data: dict[str, str] = {}
-
-    def cache_get(self, key):
-        return self.data.get(key)
-
-    def cache_put(self, key, payload):
-        self.data[key] = payload
 
 
 # what reading a value of the wrong JSON type, or one that fails a check, raises
@@ -1130,14 +1119,16 @@ class StubLlm:
 
     @classmethod
     def from_json_file(cls, path: str | Path, default: Optional[str] = None) -> "StubLlm":
-        """The stub of a JSON object whose `responses`, or the object itself,
-        maps keys to responses, all strings, and whose `default`, if given,
-        is a string; ValueError if the file is not JSON of that shape."""
+        """The stub of a JSON object whose `responses`, or else the object
+        itself less its `default`, maps keys to responses, all strings, and
+        whose `default`, if given, is a string; ValueError if the file is not
+        JSON of that shape."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"not a JSON object: {data!r:.200}")
-        table, default = data.get("responses", data), data.get("default", default)
+        default = data.pop("default", default)
+        table = data.get("responses", data)
         if not (isinstance(table, dict) and all(type(v) is str for v in table.values())):
             raise ValueError(f"responses must map strings to strings, not {table!r:.200}")
         if not (default is None or type(default) is str):

@@ -550,12 +550,6 @@ class SnapshotStore:
         order, read in one query with no record decoded."""
         return [value for (value,) in self._paper_rows(expression)]
 
-    def insert_new_papers(self, records: Iterable[PaperRecord]) -> None:
-        """Insert, in one transaction, the records whose canonical id is not
-        stored yet; stored rows stay untouched, and of two records with one id
-        the first wins."""
-        self.write(new_papers=records)
-
     def require_paper(self, canonical_id: str) -> PaperRecord:
         record = self.get_paper(canonical_id)
         if record is None:
@@ -710,18 +704,9 @@ class SnapshotStore:
                        recorded_at: Optional[datetime] = None) -> None:
         self.write(features=[(paper_id, fv, recorded_at)])
 
-    def latest_features(self, paper_id: str) -> Optional[FeatureVector]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT features_json FROM features WHERE paper_id = ? "
-                "ORDER BY recorded_at DESC, id DESC LIMIT 1",
-                (paper_id,),
-            ).fetchone()
-        return FeatureVector(**json.loads(row[0])) if row else None
-
     def all_latest_features(self) -> list[tuple[str, FeatureVector]]:
-        """Every paper's latest feature vector, picked as `latest_features`
-        picks it, in paper id order."""
+        """Every paper's latest feature vector, by recorded_at and then
+        insertion order, in paper id order."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT paper_id, features_json FROM ("

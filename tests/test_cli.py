@@ -41,7 +41,13 @@ from litmetrics.analysis import descriptive_stats
 from litmetrics.cli import RECORD_METRICS, Settings, build_parser, main, read_config_file
 from litmetrics.demo import build_demo_corpus, build_demo_snapshot, write_fixture_ndjson
 from litmetrics.indicators import IndicatorReport
-from litmetrics.retrieval import OfflineTransport, PaperRecord, StubLlm, arxiv_review_query
+from litmetrics.retrieval import (
+    FixtureTransport,
+    OfflineTransport,
+    PaperRecord,
+    StubLlm,
+    arxiv_review_query,
+)
 from litmetrics.snapshot import SnapshotStore
 
 
@@ -258,6 +264,11 @@ class TestStartup:
                      "--workers", "4", "score", "--all"], transport=transport) == 0
         assert bool(started) == (source == "injected")
         assert capsys.readouterr().out == (GOLDEN / "score_all.txt").read_text(encoding="utf-8")
+
+    def test_a_star_import_resolves_every_exported_name(self):
+        namespace = {}
+        exec("from litmetrics import *", namespace)
+        assert sorted(set(litmetrics.__all__) - namespace.keys()) == []
 
     def test_entrypoint_freezes_the_heap_before_main(self, monkeypatch):
         calls = []
@@ -678,19 +689,24 @@ class TestHarvestEnrich:
             "arxiv:2402.00002  enriched",
         ]
 
-    @pytest.mark.parametrize("page, error", [
-        ({"data": [{"title": "A Survey"}]}, "ParseError: malformed title search for s2:a: "
-                                             "no paperId in {'data': [{'title': 'A Survey'}]}"),
-        ([{"paperId": "a"}], "ParseError: malformed title search for s2:a: "
-                             "no paperId in [{'paperId': 'a'}]"),
-        ({"data": []}, "UnknownPaper: no search hit for title of s2:a"),
-    ], ids=["hit-without-paper-id", "page-not-an-object", "no-hit"])
-    def test_a_title_join_that_fails_fails_its_paper_only(self, tmp_path, capsys, page, error):
+    @pytest.mark.parametrize("title, page, error", [
+        ("Survey A", {"data": [{"title": "A Survey"}]},
+         "ParseError: malformed title search for s2:a: "
+         "no paperId in {'data': [{'title': 'A Survey'}]}"),
+        ("Survey A", [{"paperId": "a"}], "ParseError: malformed title search for s2:a: "
+                                         "no paperId in [{'paperId': 'a'}]"),
+        ("Survey A", {"data": []}, "UnknownPaper: no search hit for title of s2:a"),
+        # nothing to join on: no search is sent, for "None" or for a blank query
+        *((title, None, "UnknownPaper: s2:a has no arXiv id, DOI or title to join on")
+          for title in (None, "", "   ")),
+    ], ids=["hit-without-paper-id", "page-not-an-object", "no-hit", "title-null",
+            "title-empty", "title-blank"])
+    def test_a_title_join_that_fails_fails_its_paper_only(self, tmp_path, capsys, title, page,
+                                                          error):
         db = tmp_path / "h.db"
         with SnapshotStore(db) as store:
-            for s2_id in ("a", "b"):
-                store.upsert_paper(PaperRecord(canonical_id=f"s2:{s2_id}",
-                                               title=f"Survey {s2_id.upper()}",
+            for s2_id, paper_title in (("a", title), ("b", "Survey B")):
+                store.upsert_paper(PaperRecord(canonical_id=f"s2:{s2_id}", title=paper_title,
                                                retrieved_at=datetime(2024, 1, 1)))
         fixtures = write_fixture_dir(tmp_path / "fx", [
             with_body(s2_search_exchange("Survey A", "paperId", [], limit=1), page),
@@ -699,10 +715,13 @@ class TestHarvestEnrich:
                                     "publicationDate": "2023-02-01", "citationCount": 4}),
             s2_references_exchange("b", []),
         ])
-        code = main(["--db", str(db), "--fixtures", str(fixtures), "--rate", "1000",
-                     "enrich", "s2:a", "s2:b"])
+        transport = CountingTransport(FixtureTransport(fixtures))
+        code = main(["--db", str(db), "--rate", "1000", "enrich", "s2:a", "s2:b"],
+                    transport=transport)
         assert code == 1
         assert capsys.readouterr().out.splitlines() == [f"s2:a  error: {error}", "s2:b  enriched"]
+        # s2:b's search, paper and references, after s2:a's search if it has a title
+        assert transport.count == (3 if page is None else 4)
         with SnapshotStore(db, read_only=True) as store:
             assert store.get_paper("s2:b").external_ids == {"s2": "b", "s2_join": "title"}
             assert store.get_paper("s2:b").citation_count == 4
@@ -742,7 +761,7 @@ class TestFeaturesCommand:
         out = capsys.readouterr().out
         assert "taxonomy" in out
         with SnapshotStore(db) as store:
-            fv = store.latest_features("arxiv:2403.00001")
+            fv = dict(store.all_latest_features())["arxiv:2403.00001"]
             assert fv.preliminary == 1 and fv.prisma == 0
 
     def test_features_decode_no_record(self, demo_db, tmp_path, monkeypatch):

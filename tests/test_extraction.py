@@ -1,4 +1,4 @@
-"""Extraction utilities: word counts, chunking, captions, features, positions."""
+"""Extraction utilities: chunking, captions, features, positions."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from litmetrics.errors import MalformedResponse
 from litmetrics.extraction import (
     Chunk,
     chunk_text,
-    count_words,
     extract_captions,
     extract_features,
     extract_features_from_document,
@@ -45,27 +44,6 @@ def doc_handwriting():
 @pytest.fixture
 def doc_minimal():
     return load_structured_text(FIXTURES / "docs" / "minimal_note.txt")
-
-
-class TestCountWords:
-    def test_numbers_excluded(self):
-        assert count_words("Deep learning in 2024") == 3
-
-    def test_empty(self):
-        assert count_words("") == 0
-
-    def test_contractions_excluded(self):
-        assert count_words("don't stop") == 1
-
-    def test_punctuation_and_symbols(self):
-        # hyphenated compounds split into their alphabetic parts
-        assert count_words("state-of-the-art (SOTA) results: 95.3%!") == 6
-
-    def test_unicode_letters_count(self):
-        assert count_words("naïve Bayes") == 2
-
-    def test_typographic_apostrophe(self):
-        assert count_words("don’t stop") == 1
 
 
 class TestChunkText:

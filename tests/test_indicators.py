@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from datetime import date
 
@@ -41,10 +40,10 @@ from litmetrics.indicators import (
     iei_weighted,
     kl_divergence,
     median_semesters,
-    normalized_edit_distance,
     optimize_beta,
     rad,
     rqm,
+    rqm_at,
     rqm_spread,
     rqm_value,
     rui,
@@ -320,6 +319,20 @@ class TestRqm:
         v = rqm(RqmInputs(arq=0.0, s_mp=40, beta=5.0))
         assert 0.0 < v < 1.0
 
+    @given(st.floats(0.0, 1.0), st.integers(0, 60), st.floats(0.01, 100.0))
+    def test_rqm_is_the_curve_the_calibration_reads(self, arq_v, s_mp, beta):
+        v = rqm(RqmInputs(arq=arq_v, s_mp=s_mp, beta=beta))
+        assert v == rqm_at(arq_v, float(s_mp), beta)
+        expected = 1.0 - math.exp(-beta * math.exp(-(1.0 - arq_v) * s_mp))
+        assert v == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("l_s, r_s, arq_v, beta", [
+        (5, 10, 0.6, 3.0), (0, 4, 0.2, 0.5), (2, 30, 0.9, 40.0),
+    ])
+    def test_the_spread_is_the_drop_of_rqm_over_the_interval(self, l_s, r_s, arq_v, beta):
+        assert rqm_spread(beta, l_s, r_s, arq_v) == (
+            rqm_value(arq_v, l_s, beta) - rqm_value(arq_v, r_s, beta))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             RqmInputs(arq=1.2, s_mp=1)
@@ -466,41 +479,6 @@ class TestCdrRui:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             RuiWeights(p=0.0, q=5.0)
-
-
-class TestNormalizedEditDistance:
-    # keyword-style corpus on which the distance behaves as a metric; the
-    # max-length normalisation admits triangle violations on adversarial
-    # triples (e.g. "ab"/"aba"/"ba"), which do not occur here
-    CORPUS = [
-        "object detection", "target detection", "object localization",
-        "few-shot object detection", "image classification", "visual classification",
-        "object categorization", "semantic segmentation", "scene segmentation",
-        "pose estimation", "human pose detection", "speech recognition",
-        "voice recognition", "image super-resolution", "action recognition",
-        "activity recognition", "named entity recognition",
-        "medical image segmentation", "vision transformer",
-    ]
-
-    def test_examples(self):
-        assert normalized_edit_distance("abc", "abc") == 0.0
-        assert normalized_edit_distance("abc", "abd") == pytest.approx(1 / 3, abs=1e-15)
-        assert normalized_edit_distance("", "xy") == 1.0
-        assert normalized_edit_distance("", "") == 0.0
-
-    @given(st.text(max_size=30), st.text(max_size=30))
-    def test_symmetry_and_bounds(self, a, b):
-        d = normalized_edit_distance(a, b)
-        assert d == normalized_edit_distance(b, a)
-        assert 0.0 <= d <= 1.0
-        assert (d == 0.0) == (a == b)
-
-    def test_triangle_inequality_on_corpus(self):
-        for x, y, z in itertools.product(self.CORPUS, repeat=3):
-            dxz = normalized_edit_distance(x, z)
-            dxy = normalized_edit_distance(x, y)
-            dyz = normalized_edit_distance(y, z)
-            assert dxz <= dxy + dyz + 1e-12
 
 
 class TestKlDivergence:

@@ -166,18 +166,16 @@ class TestScoringEngine:
         assert report.cdr == 2.0
         assert any("beyond its fitted window" in w for w in report.warnings)
 
-    def test_weighted_iei_when_weights_configured(self, tmp_path):
+    def test_the_weighted_trend_is_stored_unset(self, tmp_path):
         paper = review()
         store = self.make_store(tmp_path, paper)
-        citing = ["2024-09-01", "2024-09-02", "2024-09-03"]  # series ends ...0,3
+        citing = ["2024-09-01", "2024-09-02", "2024-09-03"]
         exchanges = [s2_citations_exchange("ARXIV:2301.00001", citing)]
-        weights = [0, 0, 0, 0, 0, 1.0]
-        engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW,
-                               iei_weights=weights)
-        report = engine.score(paper.canonical_id, ["iei"])
-        # end-tangent slope is the last increment (3), divided by l=6
-        assert report.iei_weighted == pytest.approx(0.5, abs=1e-12)
-        assert report.iei_instant == pytest.approx(3.0, abs=1e-12)
+        engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
+        [item] = score_batch(engine, [paper.canonical_id], ["iei"], workers=1)
+        assert item.report.iei_instant == pytest.approx(3.0, abs=1e-12)
+        assert item.report.iei_weighted is None
+        assert store.latest_report(paper.canonical_id).iei_weighted is None
 
     def test_undated_citers_warning(self, tmp_path):
         paper = review()
@@ -421,11 +419,11 @@ class TestScoreBatch:
 
     def test_a_paper_that_fails_tncsi_or_rqm_has_its_rui_counts_fetched(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
-        store.insert_new_papers([reference("s2:r1", date(2015, 1, 1), None)])  # dated, uncited
+        store.write(new_papers=[reference("s2:r1", date(2015, 1, 1), None)])  # dated, uncited
         uncounted = review("arxiv:2301.00001", citation_count=None, reference_ids=["s2:r1"])
         uncited = review("arxiv:2301.00002", publication_date=date(2024, 3, 1),
                          reference_ids=["s2:r1"])
-        store.insert_new_papers([uncounted, uncited])
+        store.write(new_papers=[uncounted, uncited])
         windows = [("2015-01-01", "2024-02-01"), ("2024-02-01", "2024-10-01"),
                    ("2015-01-01", "2024-03-01"), ("2024-03-01", "2024-10-01")]
         exchanges = [
@@ -488,7 +486,7 @@ def demo_payloads(tmp_path_factory):
 def cold_demo_store(path, corpus) -> SnapshotStore:
     """The demo papers and references with an empty API cache."""
     store = SnapshotStore(path)
-    store.insert_new_papers(corpus.references + corpus.papers)
+    store.write(new_papers=corpus.references + corpus.papers)
     return store
 
 
@@ -615,9 +613,9 @@ class TestBatchWrites:
             self, tmp_path, demo_corpus, demo_payloads, monkeypatch):
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = SnapshotStore(tmp_path / "s.db")
-        store.insert_new_papers(
-            [*demo_corpus.references,
-             *(replace(p, topic_keyword=None) for p in demo_corpus.papers)])
+        store.write(new_papers=[
+            *demo_corpus.references,
+            *(replace(p, topic_keyword=None) for p in demo_corpus.papers)])
         stub = StubLlm({p.title: p.topic_keyword for p in demo_corpus.papers})
         engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), llm=stub,
                                now=DEMO_NOW)
@@ -712,14 +710,13 @@ class TestBatchWrites:
         assert cached["dates"] == cached["months"]
         assert set(stamps.values()) == {LEGACY_STORED_AT}
 
-    def test_without_persist_the_payloads_are_stored_and_no_report(
+    def test_each_stored_report_is_the_report_the_batch_returned(
             self, tmp_path, demo_corpus, demo_payloads):
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         ids = [p.canonical_id for p in demo_corpus.papers]
         engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
-        items = score_batch(engine, ids, workers=4, persist=False)
-        assert all(i.report is not None for i in items)
-        assert store.latest_reports() == {}
+        items = score_batch(engine, ids, workers=4)
+        assert store.latest_reports() == {i.paper_id: i.report for i in items}
         assert payloads(store) == demo_payloads
 
     def test_a_negative_topic_count_fails_its_topic_only(self, tmp_path, demo_corpus, capsys):
@@ -870,7 +867,7 @@ class TestBulkReads:
         store = SnapshotStore(tmp_path / f"refs{n_refs}-{len(dangling)}.db")
         refs = [reference(f"s2:r{k:03d}", date(2019, 1 + k % 12, 1), 10 + k)
                 for k in range(n_refs)]
-        store.insert_new_papers(refs)
+        store.write(new_papers=refs)
         ids = []
         for n in range(6):
             paper = review(f"arxiv:2301.{n:05d}",
@@ -917,9 +914,9 @@ class TestBulkReads:
         reports, stored = [], []
         for late in (False, True):
             store = SnapshotStore(tmp_path / f"late-{late}.db")
-            store.insert_new_papers([] if late else refs)
+            store.write(new_papers=[] if late else refs)
             store.upsert_paper(paper)
-            store.insert_new_papers(refs if late else [])
+            store.write(new_papers=refs if late else [])
             stored.append(json.loads(papers_rows(store)[paper.canonical_id][-1]))
             engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
             [item] = score_batch(engine, [paper.canonical_id], ("tncsi", "rqm"), workers=1)
@@ -1024,7 +1021,7 @@ class TestEnrich:
         """A schema-2 file holding an un-enriched review, the ``papers`` and
         the ``payloads`` that an earlier `enrich` cached."""
         with SnapshotStore(path) as store:
-            store.insert_new_papers([review(citation_count=None), *papers])
+            store.write(new_papers=[review(citation_count=None), *papers])
         make_legacy(path, 2, payloads=payloads)
         return path
 
@@ -1105,8 +1102,8 @@ class TestEnrich:
         }, [by_title, bad_paper, bad_listing])
         # the rows as a store that was never a legacy file holds them
         with SnapshotStore(tmp_path / "fresh.db") as fresh:
-            fresh.insert_new_papers([review(citation_count=None), by_title, bad_paper,
-                                     bad_listing])
+            fresh.write(new_papers=[review(citation_count=None), by_title, bad_paper,
+                                    bad_listing])
             before = papers_rows(fresh)
         assert len(before) == 4
         with SnapshotStore(path) as store:
@@ -1182,7 +1179,7 @@ class TestEnrichWrites:
             self, tmp_path, demo_corpus, monkeypatch):
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = SnapshotStore(tmp_path / "s.db")
-        store.insert_new_papers(demo_corpus.papers)
+        store.write(new_papers=demo_corpus.papers)
         client = fast_client(demo_enrich_exchanges(demo_corpus))
         ids = store.review_ids()
 
@@ -1203,7 +1200,7 @@ class TestEnrichWrites:
             self, tmp_path, demo_corpus, capsys):
         db = tmp_path / "s.db"
         with SnapshotStore(db) as store:
-            store.insert_new_papers(demo_corpus.papers)
+            store.write(new_papers=demo_corpus.papers)
         transport = FixtureTransport.from_pairs(demo_enrich_exchanges(demo_corpus))
         assert main(["--db", str(db), "--rate", "100000", "enrich", "--all"],
                     transport=transport) == 0
@@ -1219,7 +1216,7 @@ class TestEnrichWrites:
             self, tmp_path, demo_corpus, capsys, abort):
         db = tmp_path / "s.db"
         with SnapshotStore(db) as store:
-            store.insert_new_papers(demo_corpus.papers)
+            store.write(new_papers=demo_corpus.papers)
         ids = sorted(p.canonical_id for p in demo_corpus.papers)
         failing = next(p for p in demo_corpus.papers if p.canonical_id == ids[3])
         references_url = f"{S2_API_URL}/paper/ARXIV:{failing.external_ids['arxiv']}/references"
@@ -1259,7 +1256,7 @@ class TestEnrichWrites:
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         db = tmp_path / "s.db"
         with SnapshotStore(db) as store:
-            store.insert_new_papers(demo_corpus.papers)
+            store.write(new_papers=demo_corpus.papers)
         paper_id = demo_corpus.papers[0].canonical_id
 
         write = SnapshotStore.write

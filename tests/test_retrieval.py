@@ -48,7 +48,6 @@ from litmetrics import retrieval, snapshot
 from litmetrics.pipeline import ScoringEngine, score_batch
 from litmetrics.retrieval import (
     ArxivClient,
-    DictCache,
     FixtureTransport,
     LazyPaper,
     LiveTransport,
@@ -81,6 +80,19 @@ def s2_client(transport, rate=None):
 
 def arxiv_client(transport):
     return ArxivClient(transport=transport, limiter=RateLimiter(10_000.0))
+
+
+@pytest.fixture
+def cache(tmp_path):
+    """The API cache the program uses: a snapshot, here on a temporary file."""
+    with SnapshotStore(tmp_path / "cache.db") as store:
+        yield store
+
+
+def cached_payloads(store: SnapshotStore) -> dict[str, str]:
+    """The payloads ``store`` holds or has written, by key."""
+    store.write()
+    return dict(store._conn.execute("SELECT key, payload FROM api_cache"))
 
 
 class TestQueryGrammar:
@@ -152,11 +164,10 @@ class TestArxivCandidates:
         with pytest.raises(ParseError):
             parse_arxiv_feed("<feed><entry></fe")
 
-    def test_caching_is_idempotent(self, fixture_transport_factory):
+    def test_caching_is_idempotent(self, fixture_transport_factory, cache):
         query = arxiv_review_query("Object Detection")
         inner = fixture_transport_factory([arxiv_exchange(query, 25, FEED_ENTRIES)])
         counting = CountingTransport(inner)
-        cache = DictCache()
         client = arxiv_client(counting)
         first = fetch_arxiv_candidates(client, "Object Detection", 25, cache=cache)
         second = fetch_arxiv_candidates(client, "Object Detection", 25, cache=cache)
@@ -244,30 +255,29 @@ class TestMonthlyCitations:
         series = fetch_monthly_citations(s2_client(transport), "p4", 6, now=NOW)
         assert series.monthly_counts == (0, 0, 0, 0, 0, 1)
 
-    def test_citations_are_cached_as_a_month_histogram(self, fixture_transport_factory):
+    def test_citations_are_cached_as_a_month_histogram(self, fixture_transport_factory,
+                                                       cache):
         citing = ["2024-09-10", "2024-09-30T23:59:59Z", "2024-08", None, "", "2023",
                   "2031-01-01"]
         transport = fixture_transport_factory([s2_citations_exchange("p5", citing)])
-        cache = DictCache()
         series = fetch_monthly_citations(s2_client(transport), "p5", 6, now=NOW, cache=cache)
         assert series.monthly_counts == (0, 0, 0, 0, 1, 2)
         assert (series.dropped_undated, series.dropped_year_only) == (2, 1)
         # the future month is kept; it falls outside every window before it
-        assert [json.loads(p) for p in cache.data.values()] == [
+        assert [json.loads(p) for p in cached_payloads(cache).values()] == [
             {"months": {"2024-08": 1, "2024-09": 2, "2031-01": 1}, "undated": 2,
              "year_only": 1}]
 
     def test_a_year_only_citer_is_dropped_and_its_payload_served(
-            self, fixture_transport_factory):
+            self, fixture_transport_factory, cache):
         exchange = s2_citations_exchange("p6", ["2024", "2024-08-02"])
         counting = CountingTransport(fixture_transport_factory([exchange]))
-        cache = DictCache()
         client = s2_client(counting)
         for _ in range(2):
             series = fetch_monthly_citations(client, "p6", 6, now=NOW, cache=cache)
             assert series.monthly_counts == (0, 0, 0, 0, 1, 0)
             assert (series.dropped_undated, series.dropped_year_only) == (0, 1)
-        assert (counting.count, len(cache.data)) == (1, 1)
+        assert (counting.count, len(cached_payloads(cache))) == (1, 1)
 
     @pytest.mark.parametrize("citing, cached", [
         (["2024-09-10", "2024-08", None, "2023", "2024-05-31"],
@@ -295,14 +305,13 @@ class TestMonthlyCitations:
                     fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW, cache=store)
         assert offline.attempts == (0 if cached else 1)
 
-    def test_a_next_that_does_not_advance_ends_the_paging(self):
+    def test_a_next_that_does_not_advance_ends_the_paging(self, cache):
         exchange = s2_citations_exchange("p8", ["2024-09-01"], next_offset=0)
         counting = CountingTransport(FixtureTransport.from_pairs([exchange]), max_calls=3)
-        cache = DictCache()
         with pytest.raises(ParseError, match="malformed citations payload: page at offset 0 "
                                              "names next 0, not one past it"):
             fetch_monthly_citations(s2_client(counting), "p8", 6, now=NOW, cache=cache)
-        assert (counting.count, cache.data) == (1, {})
+        assert (counting.count, cached_payloads(cache)) == (1, {})
 
 
 def date_rule(raw) -> tuple[str, tuple[int, int] | None]:
@@ -364,11 +373,12 @@ class TestCitationDateRuleProperties:
     def test_the_series_is_the_bucketing_of_the_dates_for_every_now(self, citing):
         exchange = s2_citations_exchange("pH", citing)
         counting = CountingTransport(FixtureTransport.from_pairs([exchange]))
-        cache = DictCache()
-        for now in NOWS:
-            series = fetch_monthly_citations(s2_client(counting), "pH", 6, now=now, cache=cache)
-            assert (series.monthly_counts, series.dropped_undated,
-                    series.dropped_year_only) == bucketed(citing, now)
+        with SnapshotStore(":memory:") as cache:
+            for now in NOWS:
+                series = fetch_monthly_citations(s2_client(counting), "pH", 6, now=now,
+                                                 cache=cache)
+                assert (series.monthly_counts, series.dropped_undated,
+                        series.dropped_year_only) == bucketed(citing, now)
         assert counting.count == 1
 
     @settings(max_examples=80, deadline=None)
@@ -380,16 +390,16 @@ class TestCitationDateRuleProperties:
         bad = any(date_rule(raw)[0] == "bad" for raw in citing)
         key = retrieval.canonical_json({"op": "citations", "paper_id": "pG"})
         client = s2_client(FixtureTransport.from_pairs([s2_citations_exchange("pG", citing)]))
-        cache = DictCache()
-        try:
-            series = fetch_monthly_citations(client, "pG", 6, now=NOW, cache=cache)
-        except LitmetricsError as exc:
-            assert bad and isinstance(exc, ParseError)
-            assert cache.data == {}
-        else:
-            assert not bad and key in cache.data
-            assert (series.monthly_counts, series.dropped_undated,
-                    series.dropped_year_only) == bucketed(citing, NOW)
+        with SnapshotStore(":memory:") as cache:
+            try:
+                series = fetch_monthly_citations(client, "pG", 6, now=NOW, cache=cache)
+            except LitmetricsError as exc:
+                assert bad and isinstance(exc, ParseError)
+                assert cached_payloads(cache) == {}
+            else:
+                assert not bad and key in cached_payloads(cache)
+                assert (series.monthly_counts, series.dropped_undated,
+                        series.dropped_year_only) == bucketed(citing, NOW)
         # the same through a scoring batch over a store
         store = SnapshotStore(":memory:")
         store.upsert_paper(PaperRecord(
@@ -436,7 +446,7 @@ class TestCountRelevant:
     @pytest.mark.parametrize("total, payload", [(1000, {"count": 900}),
                                                 (4321, {"count": 900, "total": 4321})])
     def test_a_search_its_paging_cannot_finish_caches_its_total(
-            self, fixture_transport_factory, total, payload):
+            self, fixture_transport_factory, cache, total, payload):
         window = {"publicationDateOrYear": "2023-01-01:2023-06-01"}
         hits = [{"publicationDate": "2023-02-01"}] * 90 + [{"publicationDate": None}] * 10
         # the relevance search serves ten pages of 100 and no `next` after them
@@ -444,11 +454,10 @@ class TestCountRelevant:
                                     extra=window, total=total,
                                     next_offset=offset + 100 if offset < 900 else None)
                  for offset in range(0, 1000, 100)]
-        cache = DictCache()
         n = count_relevant(s2_client(fixture_transport_factory(pages)), "kw",
                            date(2023, 1, 1), date(2023, 6, 1), cache=cache)
         assert n == (900, payload.get("total"))
-        assert [json.loads(p) for p in cache.data.values()] == [payload]
+        assert [json.loads(p) for p in cached_payloads(cache).values()] == [payload]
 
 
 class TestLlmTopicKeyword:
@@ -486,6 +495,14 @@ class TestLlmTopicKeyword:
     def test_stub_without_match_raises(self):
         with pytest.raises(LlmUnavailable):
             llm_topic_keyword("T", "A", StubLlm({}))
+
+    def test_the_default_of_a_bare_table_file_is_never_a_key(self, tmp_path):
+        path = tmp_path / "stub.json"
+        path.write_text(json.dumps({"default": "fallback topic", "zebra": "zebra stripes"}))
+        stub = StubLlm.from_json_file(path)
+        for text, answer in (("Title: default colours of the zebra", "zebra stripes"),
+                             ("Title: a horse", "fallback topic")):
+            assert stub.complete([{"role": "user", "content": text}]) == answer
 
     def test_http_client_parses_chat_payload(self, fixture_transport_factory):
         from litmetrics.jsonio import canonical_json
@@ -655,12 +672,27 @@ class TestRetries:
             fetch_topic_sample(client, "x", k=5)
         assert transport.attempts == 1  # no retries on forbidden traffic
 
-    def test_cache_hit_never_touches_offline_transport(self, fixture_transport_factory):
+    def test_a_request_with_no_recording_is_not_retried(self):
+        transport, sleeps = FixtureTransport(), []
+        with pytest.raises(NetworkForbidden, match="no recorded fixture for GET https://x"):
+            retrieval._request_with_retries(transport, None, "GET", "https://x", {}, {},
+                                            sleep=sleeps.append)
+        assert (len(transport.calls), sleeps) == (1, [])
+
+    def test_an_llm_request_with_no_recording_is_unavailable_after_one_attempt(self):
+        transport = FixtureTransport()
+        client = LlmHttpClient("https://llm.example/v1", model="m", transport=transport,
+                               limiter=RateLimiter(10_000.0))
+        with pytest.raises(LlmUnavailable, match="unreachable: no recorded fixture for POST"):
+            client.complete([{"role": "user", "content": "T"}])
+        assert len(transport.calls) == 1
+
+    def test_cache_hit_never_touches_offline_transport(self, fixture_transport_factory,
+                                                       cache):
         data = [{"citationCount": 4}]
         live = fixture_transport_factory(
             [s2_search_exchange("topic", "citationCount", data, limit=5)]
         )
-        cache = DictCache()
         ctx1 = fetch_topic_sample(s2_client(live), "topic", k=5, cache=cache)
         offline = OfflineTransport()
         ctx2 = fetch_topic_sample(s2_client(offline), "topic", k=5, cache=cache)
@@ -806,26 +838,24 @@ class TestCacheIdempotenceAllOps:
     byte-stable, except a reference list, which is never cached: its caller
     keeps the ids."""
 
-    def test_monthly_citations(self, fixture_transport_factory):
+    def test_monthly_citations(self, fixture_transport_factory, cache):
         inner = fixture_transport_factory(
             [s2_citations_exchange("pX", ["2024-09-01", "2024-08-02"])]
         )
         counting = CountingTransport(inner)
-        cache = DictCache()
         client = s2_client(counting)
         first = fetch_monthly_citations(client, "pX", 6, now=NOW, cache=cache)
         second = fetch_monthly_citations(client, "pX", 6, now=NOW, cache=cache)
         assert counting.count == 1
         assert first == second
 
-    def test_count_relevant(self, fixture_transport_factory):
+    def test_count_relevant(self, fixture_transport_factory, cache):
         hits = [{"publicationDate": "2023-02-01"}] * 3
         inner = fixture_transport_factory([
             s2_search_exchange("kw", "publicationDate", hits,
                                extra={"publicationDateOrYear": "2023-01-01:2023-06-01"})
         ])
         counting = CountingTransport(inner)
-        cache = DictCache()
         client = s2_client(counting)
         args = (client, "kw", date(2023, 1, 1), date(2023, 6, 1))
         assert count_relevant(*args, cache=cache) == (3, None)
@@ -946,7 +976,7 @@ class TestNothingUndecodableIsCached:
             "topic-count-fractional", "topic-count-a-bool", "topic-count-a-string",
             "topic-count-negative", "reference-count-fractional",
             "reference-count-infinite", "reference-count-a-bool"])
-    def test_a_value_of_the_wrong_json_type_raises_parse_error(self, op, exchange):
+    def test_a_value_of_the_wrong_json_type_raises_parse_error(self, op, exchange, cache):
         fetch = {
             "citations": lambda client, cache: fetch_monthly_citations(
                 client, "pW", 6, now=NOW, cache=cache),
@@ -956,13 +986,11 @@ class TestNothingUndecodableIsCached:
                 client, "kw", date(2023, 1, 1), date(2023, 6, 1), cache),
             "references": lambda client, cache: fetch_references(client, "pW"),
         }[op]
-        cache = DictCache()
         with pytest.raises(ParseError, match=f"malformed {op} payload: "):
             fetch(s2_client(FixtureTransport.from_pairs([exchange])), cache)
-        assert cache.data == {}
+        assert cached_payloads(cache) == {}
 
-    def test_a_topic_count_cached_before_counts_were_checked_raises_parse_error(self):
-        cache = DictCache()
+    def test_a_topic_count_cached_before_counts_were_checked_raises_parse_error(self, cache):
         key = retrieval.canonical_json({"op": "topic_sample", "keyword": "kw", "k": 5})
         cache.cache_put(key, retrieval.canonical_json(
             {"counts": [3, -5], "fetched_at": "2024-10-01T00:00:00Z", "provenance": {}}))
@@ -1095,19 +1123,19 @@ class TestPageShapeProperties:
         else:
             must_fail = False
         counting = CountingTransport(FixtureTransport.from_pairs(pages), max_calls=len(pages))
-        cache = DictCache()
-        try:
-            result = fetch(s2_client(counting), cache)
-        except ParseError as exc:
-            assert must_fail is not False, exc
-            assert cache.data == {}
-        except EmptyResult:
-            assert op == "topic_sample" and must_fail is not True
-        else:
-            assert must_fail is not True, result
-            if op == "references":
-                assert cache.data == {}
+        with SnapshotStore(":memory:") as cache:
+            try:
+                result = fetch(s2_client(counting), cache)
+            except ParseError as exc:
+                assert must_fail is not False, exc
+                assert cached_payloads(cache) == {}
+            except EmptyResult:
+                assert op == "topic_sample" and must_fail is not True
             else:
-                assert len(cache.data) == 1
-            if mutation is None:
-                assert result == expected
+                assert must_fail is not True, result
+                if op == "references":
+                    assert cached_payloads(cache) == {}
+                else:
+                    assert len(cached_payloads(cache)) == 1
+                if mutation is None:
+                    assert result == expected
