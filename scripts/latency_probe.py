@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import sys
 import tempfile
@@ -90,7 +89,7 @@ def main() -> None:
     llm = None
     if args.llm_latency is not None:
         llm = SlowLlm({p.title: p.topic_keyword for p in papers}, args.llm_latency, args.rate)
-        papers = [dataclasses.replace(p, topic_keyword=None) for p in papers]
+        papers = [p.replace(topic_keyword=None) for p in papers]
     with tempfile.TemporaryDirectory() as tmp:
         db = Path(tmp) / "cold.db"
         with SnapshotStore(db) as store:

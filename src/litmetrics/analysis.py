@@ -6,22 +6,20 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from typing import IO, Callable, Optional, Sequence
 
 from .errors import ConstantInput, EmptyInput, LengthMismatch
 from .indicators import _pairwise_sum, citation_histograms, kl_divergence
 from .retrieval import TopicContext
 from .snapshot import FEATURE_NAMES, FeatureVector
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
-    max: float
-    min: float
-    mean: float
-    median: float
-    mode: float
+class DescriptiveStats(Frozen):
+    _fields = ("max", "min", "mean", "median", "mode")
+
+    def __init__(self, max: float, min: float, mean: float, median: float, mode: float) -> None:
+        vars(self).update(max=max, min=min, mean=mean, median=median, mode=mode)
 
 
 def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
@@ -43,16 +41,16 @@ def descriptive_stats(values: Sequence[float]) -> DescriptiveStats:
     return DescriptiveStats(max=hi, min=lo, mean=mean, median=median, mode=mode)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    pearson_r: float
-    pearson_p: float
-    spearman_rho: float
-    spearman_p: float
-    n: int
-    # the p-values use the t-statistic transform with n-2 degrees of freedom,
-    # which is approximate for very small samples
-    method_note: str = "two-sided p via t-transform, df = n - 2"
+class CorrelationResult(Frozen):
+    _fields = ("pearson_r", "pearson_p", "spearman_rho", "spearman_p", "n", "method_note")
+
+    def __init__(self, pearson_r: float, pearson_p: float, spearman_rho: float,
+                 spearman_p: float, n: int,
+                 # the p-values use the t-statistic transform with n-2 degrees
+                 # of freedom, which is approximate for very small samples
+                 method_note: str = "two-sided p via t-transform, df = n - 2") -> None:
+        vars(self).update(pearson_r=pearson_r, pearson_p=pearson_p, spearman_rho=spearman_rho,
+                          spearman_p=spearman_p, n=n, method_note=method_note)
 
 
 def _pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -141,12 +139,12 @@ def correlations(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureTrend:
-    years: tuple[int, ...]
-    raw: dict[str, tuple[float, ...]]
-    smoothed: dict[str, tuple[float, ...]]
-    sigma: float
+class FeatureTrend(Frozen):
+    _fields = ("years", "raw", "smoothed", "sigma")
+
+    def __init__(self, years: tuple[int, ...], raw: dict[str, tuple[float, ...]],
+                 smoothed: dict[str, tuple[float, ...]], sigma: float) -> None:
+        vars(self).update(years=years, raw=raw, smoothed=smoothed, sigma=sigma)
 
 
 def gaussian_smooth(
@@ -197,19 +195,22 @@ def yearly_feature_trend(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RobustnessGroup:
-    anchor: str
-    per_term: dict[str, float]
+class RobustnessGroup(Frozen):
+    _fields = ("anchor", "per_term")
+
+    def __init__(self, anchor: str, per_term: dict[str, float]) -> None:
+        vars(self).update(anchor=anchor, per_term=per_term)
 
     @property
     def group_kl(self) -> float:
         return sum(self.per_term.values()) / len(self.per_term)
 
 
-@dataclass(frozen=True)
-class RobustnessResult:
-    groups: tuple[RobustnessGroup, ...]
+class RobustnessResult(Frozen):
+    _fields = ("groups",)
+
+    def __init__(self, groups: tuple[RobustnessGroup, ...]) -> None:
+        vars(self).update(groups=groups)
 
     @property
     def overall(self) -> float:

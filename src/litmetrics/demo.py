@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .retrieval import (
     SemanticScholarClient,
 )
 from .snapshot import FeatureVector, SnapshotStore
+from .values import Value
 
 DEMO_NOW = date(2024, 10, 1)
 DEMO_RETRIEVED_AT = datetime(2024, 10, 1, 0, 0, 0)
@@ -40,12 +40,15 @@ REFS_PER_TOPIC = 12
 TOPIC_SAMPLE_SIZE = 200
 
 
-@dataclass
-class DemoCorpus:
-    papers: list[PaperRecord]
-    references: list[PaperRecord]
-    exchanges: list[dict]
-    features: dict[str, FeatureVector]
+class DemoCorpus(Value):
+    _fields = ("papers", "references", "exchanges", "features")
+
+    def __init__(self, papers: list[PaperRecord], references: list[PaperRecord],
+                 exchanges: list[dict], features: dict[str, FeatureVector]) -> None:
+        self.papers = papers
+        self.references = references
+        self.exchanges = exchanges
+        self.features = features
 
 
 def _search_exchange(query: str, fields: str, data: list[dict], offset: int,

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import MalformedResponse
 from .retrieval import LlmBackend
 from .snapshot import FeatureVector
+from .values import FRESH, Frozen, Value
 
 MAX_CHUNK_CHARS = 400
 
@@ -25,10 +25,11 @@ _CAPTION_KEY_TERMS = re.compile(r"\b(fig|figure|tab|table)\b", re.IGNORECASE)
 _CODE_FENCE = re.compile(r"^```[a-zA-Z]*\n|\n?```$")
 
 
-@dataclass(frozen=True)
-class Chunk:
-    text: str
-    oversized: bool = False
+class Chunk(Frozen):
+    _fields = ("text", "oversized")
+
+    def __init__(self, text: str, oversized: bool = False) -> None:
+        vars(self).update(text=text, oversized=oversized)
 
 
 def chunk_text(text: str) -> list[Chunk]:
@@ -94,14 +95,17 @@ def section_positions(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StructuredDocument:
+class StructuredDocument(Value):
     """Pre-extracted review content: title, abstract, TOC, section bodies."""
 
-    title: str = ""
-    abstract: str = ""
-    toc: list[str] = field(default_factory=list)
-    sections: list[tuple[str, str]] = field(default_factory=list)
+    _fields = ("title", "abstract", "toc", "sections")
+
+    def __init__(self, title: str = "", abstract: str = "", toc: list[str] = FRESH,
+                 sections: list[tuple[str, str]] = FRESH) -> None:
+        self.title = title
+        self.abstract = abstract
+        self.toc = [] if toc is FRESH else toc
+        self.sections = [] if sections is FRESH else sections
 
     @property
     def section_titles(self) -> list[str]:

@@ -1,14 +1,14 @@
 """Pure indicator mathematics: TNCSI, IEI, RQM, RUI and their supporting pieces.
 
 Everything in this module is deterministic, side-effect free, and safe to call
-concurrently. Inputs are plain numbers and small frozen dataclasses; no I/O.
+concurrently. Inputs are plain numbers and small frozen value classes; no I/O.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from datetime import date, datetime
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatch,
     ZeroBaseline,
 )
+from .values import FRESH, Frozen, Value
 
 DEFAULT_BETA = 5.0
 DEFAULT_RAD_STEP = 1.0 / 120.0  # years; ten sub-steps per month
@@ -33,26 +34,24 @@ RAD_FIT_WINDOW_MONTHS = 72  # the aging cubic was fitted on 6 years of data
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+class ExponentialFit(Frozen):
     """Decay rate fitted over a topic's citation-count sample.
 
     ``lam`` is the rate of the exponential density ``lam * exp(-lam * x)``;
     the maximum-likelihood estimate is the reciprocal of the sample mean.
     """
 
-    lam: float
-    sample_size: int
+    _fields = ("lam", "sample_size")
 
-    def __post_init__(self) -> None:
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
+    def __init__(self, lam: float, sample_size: int) -> None:
+        vars(self).update(lam=lam, sample_size=sample_size)
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
+        if sample_size < 1:
+            raise ValueError(f"sample_size must be >= 1, got {sample_size}")
 
 
-@dataclass(frozen=True)
-class CitationSeries:
+class CitationSeries(Frozen):
     """New-citation counts per calendar month for one paper, oldest first.
 
     ``window_end`` is the first month *not* covered by the series (the
@@ -61,35 +60,34 @@ class CitationSeries:
     those dated only by year, are left out and counted apart.
     """
 
-    monthly_counts: tuple[int, ...]
-    window_end: date
-    dropped_undated: int = 0
-    dropped_year_only: int = 0
+    _fields = ("monthly_counts", "window_end", "dropped_undated", "dropped_year_only")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "monthly_counts", tuple(self.monthly_counts))
-        if len(self.monthly_counts) < 2:
+    def __init__(self, monthly_counts: Sequence[int], window_end: date,
+                 dropped_undated: int = 0, dropped_year_only: int = 0) -> None:
+        monthly_counts = tuple(monthly_counts)
+        vars(self).update(monthly_counts=monthly_counts, window_end=window_end,
+                          dropped_undated=dropped_undated, dropped_year_only=dropped_year_only)
+        if len(monthly_counts) < 2:
             raise ValueError("need at least 2 monthly counts")
-        if any(c < 0 for c in self.monthly_counts):
+        if any(c < 0 for c in monthly_counts):
             raise ValueError("monthly counts must be non-negative")
 
     def __len__(self) -> int:
         return len(self.monthly_counts)
 
 
-@dataclass(frozen=True)
-class BezierTrend:
+class BezierTrend(Frozen):
     """Control polygon of the citation-trend curve.
 
     Control points are ``(i, count_i)`` with unit x-spacing, so the curve
     degree is one less than the number of points.
     """
 
-    control_points: tuple[tuple[float, float], ...]
+    _fields = ("control_points",)
 
-    def __post_init__(self) -> None:
-        pts = tuple((float(x), float(y)) for x, y in self.control_points)
-        object.__setattr__(self, "control_points", pts)
+    def __init__(self, control_points: Sequence[tuple[float, float]]) -> None:
+        pts = tuple((float(x), float(y)) for x, y in control_points)
+        vars(self).update(control_points=pts)
         if len(pts) < 2:
             raise ValueError("need at least 2 control points")
         for i, (x, _) in enumerate(pts):
@@ -105,34 +103,33 @@ class BezierTrend:
         return cls(tuple((float(i), float(c)) for i, c in enumerate(series.monthly_counts)))
 
 
-@dataclass(frozen=True)
-class RqmInputs:
+class RqmInputs(Frozen):
     """Average reference quality, median reference age in semesters, shift."""
 
-    arq: float
-    s_mp: int
-    beta: float = DEFAULT_BETA
+    _fields = ("arq", "s_mp", "beta")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.arq <= 1.0:
-            raise ValueError(f"arq must lie in [0, 1], got {self.arq}")
-        if self.s_mp < 0:
-            raise ValueError(f"s_mp must be >= 0, got {self.s_mp}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+    def __init__(self, arq: float, s_mp: int, beta: float = DEFAULT_BETA) -> None:
+        vars(self).update(arq=arq, s_mp=s_mp, beta=beta)
+        if not 0.0 <= arq <= 1.0:
+            raise ValueError(f"arq must lie in [0, 1], got {arq}")
+        if s_mp < 0:
+            raise ValueError(f"s_mp must be >= 0, got {s_mp}")
+        if not beta > 0:
+            raise ValueError(f"beta must be positive, got {beta}")
 
 
-@dataclass(frozen=True)
-class AgingPolynomial:
+class AgingPolynomial(Frozen):
     """Cubic fitted to yearly new-citation counts of aging reviews.
 
-    Coefficients are for x**3, x**2, x, 1 with x in years.
+    Coefficients are for x**3, x**2, x, 1 with x in years. Instances hash,
+    so `rad` can remember its results by polynomial.
     """
 
-    c3: float = -0.003
-    c2: float = 0.001
-    c1: float = 0.1267
-    c0: float = 0.0129
+    _fields = ("c3", "c2", "c1", "c0")
+
+    def __init__(self, c3: float = -0.003, c2: float = 0.001, c1: float = 0.1267,
+                 c0: float = 0.0129) -> None:
+        vars(self).update(c3=c3, c2=c2, c1=c1, c0=c0)
 
     def __call__(self, x: float) -> float:
         return ((self.c3 * x + self.c2) * x + self.c1) * x + self.c0
@@ -142,20 +139,18 @@ class AgingPolynomial:
         return (((self.c3 / 4 * x + self.c2 / 3) * x + self.c1 / 2) * x + self.c0) * x
 
 
-@dataclass(frozen=True)
-class RuiWeights:
+class RuiWeights(Frozen):
     """Weights of the coverage-difference and aging terms (defaults 10 and 5)."""
 
-    p: float = 10.0
-    q: float = 5.0
+    _fields = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if not (self.p > 0 and self.q > 0):
+    def __init__(self, p: float = 10.0, q: float = 5.0) -> None:
+        vars(self).update(p=p, q=q)
+        if not (p > 0 and q > 0):
             raise ValueError("weights must be positive")
 
 
-@dataclass
-class IndicatorReport:
+class IndicatorReport(Value):
     """All indicator values computed for one paper, plus provenance.
 
     Fields are None when the corresponding indicator was not requested or
@@ -163,20 +158,40 @@ class IndicatorReport:
     (e.g. aging integral evaluated beyond its fitted window).
     """
 
-    tncsi: Optional[float] = None
-    iei_avg: Optional[float] = None
-    iei_weighted: Optional[float] = None
-    iei_instant: Optional[float] = None
-    arq: Optional[float] = None
-    s_mp: Optional[int] = None
-    rqm: Optional[float] = None
-    cdr: Optional[float] = None
-    rad: Optional[float] = None
-    rui: Optional[float] = None
-    topic_keyword: str = ""
-    sample_size: Optional[int] = None
-    computed_at: Optional[datetime] = None
-    warnings: list[str] = field(default_factory=list)
+    _fields = ("tncsi", "iei_avg", "iei_weighted", "iei_instant", "arq", "s_mp", "rqm",
+               "cdr", "rad", "rui", "topic_keyword", "sample_size", "computed_at", "warnings")
+
+    def __init__(
+        self,
+        tncsi: Optional[float] = None,
+        iei_avg: Optional[float] = None,
+        iei_weighted: Optional[float] = None,
+        iei_instant: Optional[float] = None,
+        arq: Optional[float] = None,
+        s_mp: Optional[int] = None,
+        rqm: Optional[float] = None,
+        cdr: Optional[float] = None,
+        rad: Optional[float] = None,
+        rui: Optional[float] = None,
+        topic_keyword: str = "",
+        sample_size: Optional[int] = None,
+        computed_at: Optional[datetime] = None,
+        warnings: list[str] = FRESH,
+    ) -> None:
+        self.tncsi = tncsi
+        self.iei_avg = iei_avg
+        self.iei_weighted = iei_weighted
+        self.iei_instant = iei_instant
+        self.arq = arq
+        self.s_mp = s_mp
+        self.rqm = rqm
+        self.cdr = cdr
+        self.rad = rad
+        self.rui = rui
+        self.topic_keyword = topic_keyword
+        self.sample_size = sample_size
+        self.computed_at = computed_at
+        self.warnings = [] if warnings is FRESH else warnings
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +393,10 @@ def rqm_at(arq_value: float, s: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# A batch asks for RAD once per review, and its reviews share a few hundred
+# ages at most; the results are floats and can be shared, and a call that
+# raises is not remembered.
+@lru_cache(maxsize=1024)
 def rad(
     m_pc: int,
     poly: AgingPolynomial = AgingPolynomial(),

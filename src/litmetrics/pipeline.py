@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +40,7 @@ from .retrieval import (
     merge_fetched,
 )
 from .snapshot import SnapshotStore
+from .values import Value
 
 ALL_INDICATORS = ("tncsi", "iei", "rqm", "rui")
 IEI_WINDOW_MONTHS = 6
@@ -90,7 +90,7 @@ def harvest(
     """
     records = fetch_arxiv_candidates(client, keyword, limit, cache=store)
     stored = store.get_papers(r.canonical_id for r in records)
-    store.write(new_papers=records, papers=[replace(r, topic_keyword=keyword)
+    store.write(new_papers=records, papers=[r.replace(topic_keyword=keyword)
                                             for r in stored.values() if not r.topic_keyword])
     return [r.canonical_id for r in records]
 
@@ -98,9 +98,10 @@ def harvest(
 def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -> str:
     """Attach citation counts, dates, venue, and the reference list to one paper.
 
-    The graph lookup joins on the arXiv id when present, else the DOI, else a
-    title search as last resort; the join route is recorded in the stored
-    external ids under ``s2_join``. A paper with no arXiv id, DOI or title,
+    The graph lookup joins on the arXiv id when present, else the DOI, else
+    the row's own Semantic Scholar id, else a title search as last resort;
+    the join route is recorded in the stored external ids under ``s2_join``.
+    A paper with no arXiv id, DOI, Semantic Scholar id or title,
     or a title search with no hit, raises `UnknownPaper`, the first with no
     request, and a title search whose page is not a JSON object or whose
     first hit names no ``paperId`` raises `ParseError`. The references not
@@ -117,7 +118,7 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
     record = store.require_paper(paper_id)
     if "s2_join" in record.external_ids:
         return record.canonical_id
-    if record.external_ids.get("arxiv") or record.external_ids.get("doi"):
+    if any(record.external_ids.get(scheme) for scheme in ("arxiv", "doi", "s2")):
         fetched = fetch_paper_record(client, api_id_for(record))
     elif not (record.title or "").strip():
         raise UnknownPaper(f"{paper_id} has no arXiv id, DOI or title to join on")
@@ -158,8 +159,7 @@ def _given(gathered):
     return gathered
 
 
-@dataclass
-class ScoringEngine:
+class ScoringEngine(Value):
     """Computes indicator reports for stored papers.
 
     All remote lookups run through the API cache, so a snapshot that was
@@ -174,20 +174,24 @@ class ScoringEngine:
     from them with no I/O.
     """
 
-    store: SnapshotStore
-    s2: SemanticScholarClient
-    llm: Optional[LlmBackend] = None
-    now: Optional[date] = None
-    beta: float = DEFAULT_BETA
-    topic_k: int = 1000
-    records: dict[str, PaperRecord] = field(default_factory=dict, init=False, repr=False)
-    references: dict[str, Optional[ReferenceFacts]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    # what `gather` fetched, each the value or the library error its fetch
-    # raised: (keyword, citation series, RUI counts) by (paper id, indicators), fits by keyword
-    _inputs: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False)
-    _fits: dict[str, object] = field(default_factory=dict, init=False, repr=False)
+    _fields = ("store", "s2", "llm", "now", "beta", "topic_k")
+
+    def __init__(self, store: SnapshotStore, s2: SemanticScholarClient,
+                 llm: Optional[LlmBackend] = None, now: Optional[date] = None,
+                 beta: float = DEFAULT_BETA, topic_k: int = 1000) -> None:
+        self.store = store
+        self.s2 = s2
+        self.llm = llm
+        self.now = now
+        self.beta = beta
+        self.topic_k = topic_k
+        self.records: dict[str, PaperRecord] = {}
+        self.references: dict[str, Optional[ReferenceFacts]] = {}
+        # what `gather` fetched, each the value or the library error its fetch
+        # raised: (keyword, citation series, reference facts, RUI counts) by
+        # (paper id, indicators), fits by keyword
+        self._inputs: dict[tuple, tuple] = {}
+        self._fits: dict[str, object] = {}
 
     def _now(self) -> date:
         return self.now or date.today()
@@ -200,7 +204,7 @@ class ScoringEngine:
                 f"{record.canonical_id} has no stored topic keyword and no LLM is configured"
             )
         keyword = llm_topic_keyword(record.title, record.abstract, self.llm)
-        updated = PaperRecord(**{**record.__dict__, "topic_keyword": keyword})
+        updated = record.replace(topic_keyword=keyword)
         self.store.upsert_paper(updated)
         self.records[updated.canonical_id] = updated
         return keyword
@@ -227,8 +231,10 @@ class ScoringEngine:
         paper's keyword, from the LLM when none is stored, then its citation
         series when IEI is wanted; stage 2 fits each keyword not fitted yet
         when TNCSI or RQM is wanted; stage 3 takes each paper's two RUI counts
-        when RUI is wanted. A library error is kept in place of its input,
-        for `score` to raise where it uses it; any other propagates."""
+        when RUI is wanted. Each paper's reference facts, which RQM and RUI
+        read, are taken once, on the calling thread, before stage 3. A
+        library error is kept in place of its input, for `score` to raise
+        where it uses it; any other propagates."""
         which = tuple(which) or ALL_INDICATORS
         gathered = list(each(lambda pid: self._gather_paper(pid, which), paper_ids))
         keywords = [kw for kw, _ in gathered]
@@ -237,10 +243,14 @@ class ScoringEngine:
                       if isinstance(kw, str) and kw not in self._fits]
             self._fits.update(zip(topics, each(lambda kw: _kept(self._fetch_topic_fit, kw),
                                                topics)))
-        counts = (each(lambda pid, kw: _kept(self._fetch_counts, pid, kw), paper_ids, keywords)
+        facts = [self._reference_facts(self.records[pid])
+                 if pid in self.records and ("rqm" in which or "rui" in which) else None
+                 for pid in paper_ids]
+        counts = (each(lambda pid, kw, refs: _kept(self._fetch_counts, pid, kw, refs),
+                       paper_ids, keywords, facts)
                   if "rui" in which else [None] * len(paper_ids))
-        self._inputs = {(pid, which): (*got, n)
-                        for pid, got, n in zip(paper_ids, gathered, counts)}
+        self._inputs = {(pid, which): (*got, refs, n)
+                        for pid, got, refs, n in zip(paper_ids, gathered, facts, counts)}
 
     def _gather_paper(self, paper_id: str, which: Sequence[str]) -> tuple:
         """Stage 1 of `gather` for one paper: (keyword, citation series or
@@ -261,15 +271,14 @@ class ScoringEngine:
             raise EmptyResult(f"TNCSI uncomputable: {exc}") from exc
         return fit_exponential_mle(context.sample_citation_counts)
 
-    def _fetch_counts(self, paper_id: str, keyword) -> tuple:
+    def _fetch_counts(self, paper_id: str, keyword, refs: list[ReferenceFacts]) -> tuple:
         """Stage 3 of `gather` for one paper: the relevant papers published
         from its references' lower-median date to its own, and from its own
         to now. None is fetched for a failed keyword, which is raised, or
         for a paper with no publication date or no dated reference."""
         keyword = _given(keyword)
         record = self.records[paper_id]
-        median = lower_median_date(
-            _dated_references(paper_id, record, self._reference_facts(record)))
+        median = lower_median_date(_dated_references(paper_id, record, refs))
         published = record.publication_date
         return (count_relevant(self.s2, keyword, median, published, cache=self.store),
                 count_relevant(self.s2, keyword, published, self._now(), cache=self.store))
@@ -296,7 +305,7 @@ class ScoringEngine:
         if (paper_id, which) not in self._inputs:
             self.load_records([paper_id], which)
             self.gather([paper_id], which)
-        keyword, series, counts = self._inputs[paper_id, which]
+        keyword, series, refs, counts = self._inputs[paper_id, which]
         keyword = _given(keyword)
         record = self.records[paper_id]
         now = self._now()
@@ -329,7 +338,6 @@ class ScoringEngine:
                 )
 
         if "rqm" in which:
-            refs = self._reference_facts(record)
             cited = [count for count, _ in refs if count is not None]
             if not cited:
                 raise EmptyResult(f"{paper_id} has no references with citation counts")
@@ -359,11 +367,14 @@ class ScoringEngine:
         return report
 
 
-@dataclass
-class BatchItem:
-    paper_id: str
-    report: Optional[IndicatorReport] = None
-    error: Optional[str] = None
+class BatchItem(Value):
+    _fields = ("paper_id", "report", "error")
+
+    def __init__(self, paper_id: str, report: Optional[IndicatorReport] = None,
+                 error: Optional[str] = None) -> None:
+        self.paper_id = paper_id
+        self.report = report
+        self.error = error
 
 
 def score_batch(

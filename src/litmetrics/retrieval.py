@@ -16,7 +16,6 @@ import re
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence
@@ -43,6 +42,7 @@ from .jsonio import (
     parse_timestamp,
     utc_now,
 )
+from .values import FRESH, Frozen, Value
 
 ARXIV_API_URL = "https://export.arxiv.org/api/query"
 S2_API_URL = "https://api.semanticscholar.org/graph/v1"
@@ -67,8 +67,7 @@ def _check_count(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass
-class PaperRecord:
+class PaperRecord(Value):
     """Metadata for one scholarly document.
 
     ``citation_count`` is None until citation data has been attached (the
@@ -76,46 +75,62 @@ class PaperRecord:
     or an LLM-assigned topic so offline scoring needs no live keyword step.
     """
 
-    canonical_id: str
-    title: str
-    abstract: str = ""
-    external_ids: dict[str, str] = field(default_factory=dict)
-    publication_date: Optional[date] = None
-    venue: Optional[str] = None
-    citation_count: Optional[int] = None
-    reference_ids: list[str] = field(default_factory=list)
-    author_count: int = 0
-    topic_keyword: Optional[str] = None
-    retrieved_at: datetime = field(default_factory=utc_now)
+    _fields = ("canonical_id", "title", "abstract", "external_ids", "publication_date", "venue",
+               "citation_count", "reference_ids", "author_count", "topic_keyword",
+               "retrieved_at")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.canonical_id, str) and self.canonical_id):
-            raise ValueError(f"canonical_id must be a non-empty string, not {self.canonical_id!r}")
-        if not (self.topic_keyword is None or isinstance(self.topic_keyword, str)):
-            raise ValueError(f"topic_keyword must be a string, not {self.topic_keyword!r}")
-        if not (isinstance(self.reference_ids, list)
-                and all(isinstance(rid, str) for rid in self.reference_ids)):
+    def __init__(
+        self,
+        canonical_id: str,
+        title: str,
+        abstract: str = "",
+        external_ids: dict[str, str] = FRESH,
+        publication_date: Optional[date] = None,
+        venue: Optional[str] = None,
+        citation_count: Optional[int] = None,
+        reference_ids: list[str] = FRESH,
+        author_count: int = 0,
+        topic_keyword: Optional[str] = None,
+        retrieved_at: datetime = FRESH,
+    ) -> None:
+        self.canonical_id = canonical_id
+        self.title = title
+        self.abstract = abstract
+        self.external_ids = external_ids = {} if external_ids is FRESH else external_ids
+        self.publication_date = publication_date
+        self.venue = venue
+        self.citation_count = citation_count
+        self.reference_ids = reference_ids = [] if reference_ids is FRESH else reference_ids
+        self.author_count = author_count
+        self.topic_keyword = topic_keyword
+        self.retrieved_at = retrieved_at = utc_now() if retrieved_at is FRESH else retrieved_at
+        if not (isinstance(canonical_id, str) and canonical_id):
+            raise ValueError(f"canonical_id must be a non-empty string, not {canonical_id!r}")
+        if not (topic_keyword is None or isinstance(topic_keyword, str)):
+            raise ValueError(f"topic_keyword must be a string, not {topic_keyword!r}")
+        if not (isinstance(reference_ids, list)
+                and all(isinstance(rid, str) for rid in reference_ids)):
             raise ValueError("reference_ids must be a list of strings")
         # what the snapshot's text columns hold as given; a null abstract
         # would read back as ""
-        for name, value in (("title", self.title), ("venue", self.venue)):
+        for name, value in (("title", title), ("venue", venue)):
             if not (value is None or isinstance(value, str)):
                 raise ValueError(f"{name} must be a string or null, not {value!r}")
-        if not isinstance(self.abstract, str):
-            raise ValueError(f"abstract must be a string, not {self.abstract!r}")
-        if not (isinstance(self.external_ids, dict) and all(
-                isinstance(k, str) and isinstance(v, str) for k, v in self.external_ids.items())):
+        if not isinstance(abstract, str):
+            raise ValueError(f"abstract must be a string, not {abstract!r}")
+        if not (isinstance(external_ids, dict) and all(
+                isinstance(k, str) and isinstance(v, str) for k, v in external_ids.items())):
             raise ValueError(f"external_ids must map strings to strings, not "
-                             f"{self.external_ids!r:.200}")
+                             f"{external_ids!r:.200}")
         # a count must fit the snapshot's INTEGER column, a signed 64-bit integer
-        _check_count("author_count", self.author_count)
-        if self.author_count >= 2**63:
+        _check_count("author_count", author_count)
+        if author_count >= 2**63:
             raise ValueError("author_count must be below 2**63")
-        if self.citation_count is not None:
-            _check_count("citation_count", self.citation_count)
-            if self.citation_count >= 2**63:
+        if citation_count is not None:
+            _check_count("citation_count", citation_count)
+            if citation_count >= 2**63:
                 raise ValueError("citation_count must be below 2**63")
-        if self.publication_date is not None and self.publication_date > self.retrieved_at.date():
+        if publication_date is not None and publication_date > retrieved_at.date():
             raise ValueError("publication_date cannot postdate retrieval")
 
     def to_json_dict(self) -> dict:
@@ -153,21 +168,18 @@ class PaperRecord:
         )
 
 
-@dataclass(frozen=True)
-class TopicContext:
+class TopicContext(Frozen):
     """Citation-count sample of up to k search hits for one topic keyword."""
 
-    keyword: str
-    sample_citation_counts: tuple[int, ...]
-    k: int
-    fetched_at: datetime
-    provenance: dict = field(default_factory=dict)
+    _fields = ("keyword", "sample_citation_counts", "k", "fetched_at", "provenance")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sample_citation_counts", tuple(self.sample_citation_counts)
-        )
-        if not 1 <= len(self.sample_citation_counts) <= self.k:
+    def __init__(self, keyword: str, sample_citation_counts: Sequence[int], k: int,
+                 fetched_at: datetime, provenance: dict = FRESH) -> None:
+        sample_citation_counts = tuple(sample_citation_counts)
+        vars(self).update(keyword=keyword, sample_citation_counts=sample_citation_counts, k=k,
+                          fetched_at=fetched_at,
+                          provenance={} if provenance is FRESH else provenance)
+        if not 1 <= len(sample_citation_counts) <= k:
             raise ValueError("sample size must lie in 1..k")
 
 
@@ -240,10 +252,11 @@ class RateLimiter:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportResponse:
-    status: int
-    body: str
+class TransportResponse(Frozen):
+    _fields = ("status", "body")
+
+    def __init__(self, status: int, body: str) -> None:
+        vars(self).update(status=status, body=body)
 
 
 class Transport(Protocol):
@@ -995,9 +1008,10 @@ def merge_fetched(record: PaperRecord, fetched: PaperRecord,
                   reference_ids: list[str]) -> PaperRecord:
     """The stored ``record`` enriched with the ``fetched`` record of the same
     paper and its reference ids, which `enrich` writes. The route `enrich`
-    joined it by, arXiv id, DOI or title, is kept under ``s2_join``."""
+    joined it by, arXiv id, DOI, Semantic Scholar id or title, is kept under
+    ``s2_join``."""
     ids = record.external_ids
-    join_key = "arxiv" if ids.get("arxiv") else "doi" if ids.get("doi") else "title"
+    join_key = next((scheme for scheme in ("arxiv", "doi", "s2") if ids.get(scheme)), "title")
     return PaperRecord(
         canonical_id=record.canonical_id,
         title=record.title or fetched.title,

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-import shlex
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date, datetime
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Optional
@@ -29,6 +27,7 @@ from .retrieval import (
     api_id_for,
     merge_fetched,
 )
+from .values import Frozen, Value
 
 SCHEMA_VERSION = 6
 
@@ -56,30 +55,29 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SnapshotMeta:
-    schema_version: int
-    created_at: datetime
-    source_notes: str = ""
+class SnapshotMeta(Frozen):
+    _fields = ("schema_version", "created_at", "source_notes")
+
+    def __init__(self, schema_version: int, created_at: datetime, source_notes: str = "") -> None:
+        vars(self).update(schema_version=schema_version, created_at=created_at,
+                          source_notes=source_notes)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(Frozen):
     """Binary review-content features extracted from one paper."""
 
-    taxonomy: int = 0
-    prisma: int = 0
-    preliminary: int = 0
-    benchmark: int = 0
-    application: int = 0
-    discussion: int = 0
-    structured_abstract: int = 0
+    _fields = FEATURE_NAMES
 
-    def __post_init__(self) -> None:
-        for f in dataclass_fields(self):
-            value = getattr(self, f.name)
+    def __init__(self, taxonomy: int = 0, prisma: int = 0, preliminary: int = 0,
+                 benchmark: int = 0, application: int = 0, discussion: int = 0,
+                 structured_abstract: int = 0) -> None:
+        vars(self).update(taxonomy=taxonomy, prisma=prisma, preliminary=preliminary,
+                          benchmark=benchmark, application=application, discussion=discussion,
+                          structured_abstract=structured_abstract)
+        for name in FEATURE_NAMES:
+            value = getattr(self, name)
             if value not in (0, 1):
-                raise ValueError(f"{f.name} must be 0 or 1, got {value!r}")
+                raise ValueError(f"{name} must be 0 or 1, got {value!r}")
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
@@ -264,13 +262,11 @@ _DELETE_LISTINGS = ("DELETE FROM api_cache WHERE CASE WHEN json_valid(key) THEN 
                     "json_extract(key, '$.op') IN ('paper', 'references') END")
 
 
-_REPORT_FIELDS = [f.name for f in dataclass_fields(IndicatorReport)]
-
-
 def report_to_json_dict(report: IndicatorReport) -> dict:
     """The report's fields by name; ``computed_at`` formatted, or left out
     when unset."""
-    data = {**vars(report), "warnings": list(report.warnings)}
+    data = {name: getattr(report, name) for name in IndicatorReport._fields}
+    data["warnings"] = list(report.warnings)
     computed = data.pop("computed_at")
     if computed is not None:
         data["computed_at"] = format_timestamp(computed)
@@ -280,17 +276,19 @@ def report_to_json_dict(report: IndicatorReport) -> dict:
 def report_from_json_dict(data: dict) -> IndicatorReport:
     computed = data.get("computed_at")
     return IndicatorReport(**{
-        **{name: data.get(name) for name in _REPORT_FIELDS},
+        **{name: data.get(name) for name in IndicatorReport._fields},
         "topic_keyword": data.get("topic_keyword") or "",
         "computed_at": parse_timestamp(computed) if computed else None,
         "warnings": list(data.get("warnings") or []),
     })
 
 
-@dataclass
-class ImportResult:
-    imported: int = 0
-    corrupt: int = 0
+class ImportResult(Value):
+    _fields = ("imported", "corrupt")
+
+    def __init__(self, imported: int = 0, corrupt: int = 0) -> None:
+        self.imported = imported
+        self.corrupt = corrupt
 
 
 class SnapshotStore:
@@ -349,6 +347,8 @@ class SnapshotStore:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
         if row is not None and row[0] in range(1, SCHEMA_VERSION):
             if self.read_only:
+                import shlex
+
                 raise SchemaMismatch(
                     f"snapshot {self.path} has schema {row[0]} and is opened read-only; any "
                     f"writing command upgrades it to schema {SCHEMA_VERSION}, for example "

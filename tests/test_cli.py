@@ -158,8 +158,7 @@ class TestLinks:
         # a stored id imported again, naming a row the same batch adds after it
         added = PaperRecord(canonical_id="arxiv:2409.00001", title="A Reference",
                             retrieved_at=datetime(2024, 10, 1))
-        named = PaperRecord(**{**paper.__dict__,
-                               "reference_ids": [*paper.reference_ids, added.canonical_id]})
+        named = paper.replace(reference_ids=[*paper.reference_ids, added.canonical_id])
         lines = tmp_path / "batch.jsonl"
         lines.write_text(named.to_canonical_json() + "\n" + added.to_canonical_json() + "\n",
                          encoding="utf-8")
@@ -210,6 +209,16 @@ class TestStartup:
         code = ("import sys, litmetrics.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_no_module_imports_dataclasses_or_inspect(self):
+        # `-S` keeps a site `.pth` file from importing either first
+        src = str(Path(litmetrics.__file__).resolve().parents[1])
+        code = ("import sys, litmetrics.cli, litmetrics.analysis, litmetrics.extraction, "
+                "litmetrics.demo; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "[]"
 

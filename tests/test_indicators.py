@@ -416,6 +416,18 @@ class TestRad:
         with pytest.raises(ValueError):
             rad(12, step=0.0)
 
+    def test_each_age_is_computed_once_and_a_failure_is_not_kept(self):
+        rad.cache_clear()
+        ages = [30, 30, 31, 30]
+        assert [rad(m).hex() for m in ages] == [rad.__wrapped__(m).hex() for m in ages]
+        assert (rad.cache_info().hits, rad.cache_info().misses) == (2, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                rad(-1)
+        assert (rad.cache_info().misses, rad.cache_info().currsize) == (4, 2)
+        poly = AgingPolynomial(c0=0.5)
+        assert rad(30, poly) == rad(30, AgingPolynomial(c0=0.5)) != rad(30)
+
     @staticmethod
     def numpy_rad(m_pc: int, poly: AgingPolynomial = AgingPolynomial(),
                   step: float = 1.0 / 120.0) -> float:

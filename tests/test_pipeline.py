@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 from datetime import date, datetime, timedelta
 from types import SimpleNamespace
 
@@ -459,6 +458,18 @@ class TestScoreBatch:
         assert transport.count == fetched and lookups == []
         assert all(report.rui is not None for report in reports)
 
+    def test_each_papers_reference_facts_are_taken_once_per_batch(
+            self, tmp_path, demo_corpus, monkeypatch):
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
+        taken, facts = Counter(), ScoringEngine._reference_facts
+        monkeypatch.setattr(ScoringEngine, "_reference_facts", lambda self, record: (
+            taken.update([record.canonical_id]) or facts(self, record)))
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        items = score_batch(engine, ids, workers=1)
+        assert all(item.report.rqm is not None and item.report.rui is not None for item in items)
+        assert taken == Counter(ids)
+
     def test_sequential_fallback(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         good = review()
@@ -615,7 +626,7 @@ class TestBatchWrites:
         store = SnapshotStore(tmp_path / "s.db")
         store.write(new_papers=[
             *demo_corpus.references,
-            *(replace(p, topic_keyword=None) for p in demo_corpus.papers)])
+            *(p.replace(topic_keyword=None) for p in demo_corpus.papers)])
         stub = StubLlm({p.title: p.topic_keyword for p in demo_corpus.papers})
         engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), llm=stub,
                                now=DEMO_NOW)
@@ -951,8 +962,8 @@ class TestHarvest:
         assert harvest(store, client, "something", 10) == [
             "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
         assert store.get_paper("arxiv:2301.00001") == enriched
-        assert store.get_paper("arxiv:2301.00002") == PaperRecord(
-            **{**as_reference.__dict__, "topic_keyword": "something"})
+        assert store.get_paper("arxiv:2301.00002") == as_reference.replace(
+            topic_keyword="something")
         harvested = store.get_paper("arxiv:2301.00003")
         assert (harvested.title, harvested.topic_keyword, harvested.citation_count) == (
             "A Survey on Something, 3", "something", None)
@@ -1007,6 +1018,24 @@ class TestEnrich:
         merged = store.get_paper("arxiv:2301.00001")
         assert merged.citation_count == 42
         assert merged.reference_ids == ["s2:r1", "s2:r2", "s2:r2"]
+
+    def test_a_row_with_its_own_s2_id_is_joined_by_it(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.upsert_paper(PaperRecord(canonical_id="s2:abc", title="Foo Survey",
+                                       external_ids={"s2": "abc"}, retrieved_at=RETRIEVED))
+        fetched = {"paperId": "abc", "externalIds": {}, "title": "Foo Survey",
+                   "publicationDate": "2023-02-01", "citationCount": 7}
+        transport = CountingTransport(FixtureTransport.from_pairs([
+            s2_search_exchange("Foo Survey", "paperId", [{"paperId": "zzz"}], limit=1),
+            s2_paper_exchange("abc", fetched),
+            s2_references_exchange("abc", self.REFS[:1]),
+        ]))
+        assert enrich(store, replay_client(transport), "s2:abc") == "s2:abc"
+        assert [json.loads(key)["url"] for _, key in transport.calls] == [
+            f"{S2_API_URL}/paper/abc", f"{S2_API_URL}/paper/abc/references"]
+        merged = store.get_paper("s2:abc")
+        assert merged.external_ids == {"s2": "abc", "s2_join": "s2"}
+        assert (merged.citation_count, merged.reference_ids) == (7, ["s2:r1"])
 
     def test_reference_lists_are_kept_in_the_row_only(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
