@@ -4,7 +4,7 @@ robustness, export, import.
 Exit codes: 0 success, 1 operational error (including partial batch
 failures), 2 usage error. Normal results go to stdout; progress and
 diagnostics go to stderr, so identical snapshots and flags produce
-byte-identical stdout. ``--now`` freezes the current date to make
+byte-identical stdout. ``--now`` freezes today's UTC date to make
 time-dependent indicators reproducible.
 """
 
@@ -37,7 +37,7 @@ from .retrieval import (
     Transport,
     fetch_topic_sample,
 )
-from .snapshot import FEATURE_NAMES, SnapshotStore
+from .snapshot import FEATURE_NAMES, PUBLICATION_YEAR, SnapshotStore
 
 CONFIG_KEYS = (
     "db", "rate", "workers", "k", "beta",
@@ -118,10 +118,6 @@ class Runtime:
         self.settings = settings
         if transport is not None:
             self.transport: Transport = transport
-        elif settings.fixtures:
-            if not Path(settings.fixtures).is_dir():
-                raise LitmetricsError(f"fixtures directory not found: {settings.fixtures}")
-            self.transport = FixtureTransport(settings.fixtures)
         elif settings.offline:
             self.transport = OfflineTransport()
         else:
@@ -342,7 +338,7 @@ RECORD_METRICS = {  # metric -> its SQL expression over a `papers` row, NULL for
     "cites": "citation_count",
     "refs": "NULLIF(json_array_length(reference_ids), 0)",
     "authors": "NULLIF(author_count, 0)",
-    "year": "CAST(substr(publication_date, 1, 4) AS INTEGER)",
+    "year": PUBLICATION_YEAR,
 }
 REPORT_METRICS = {  # metric -> IndicatorReport field
     "tncsi": "tncsi", "iei": "iei_avg", "arq": "arq", "s_mp": "s_mp",
@@ -386,13 +382,8 @@ def cmd_stats(runtime: Runtime, args, parser) -> int:
 def cmd_trend(runtime: Runtime, args, parser) -> int:
     from .analysis import trend_rows, write_csv, yearly_feature_trend
 
-    features = runtime.store.all_latest_features()
-    facts = runtime.store.citation_facts(cid for cid, _ in features)
-    rows_in = []
-    for cid, fv in features:
-        _, published = facts.get(cid, (None, None))
-        if published is not None:
-            rows_in.append((published.year, fv))
+    rows_in = [(year, fv) for _, year, fv in runtime.store.all_latest_features()
+               if year is not None]
     if not rows_in:
         print("error: EmptyInput: no stored features with publication years",
               file=sys.stderr)
@@ -484,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="forbid all network traffic")
     parser.add_argument("--fixtures", help="directory of recorded NDJSON exchanges")
     parser.add_argument("--now", type=_parse_date,
-                        help="freeze the current date (YYYY-MM-DD) for reproducible runs")
+                        help="freeze today's UTC date (YYYY-MM-DD) for reproducible runs")
     parser.add_argument("--llm-stub", help="JSON table of canned LLM responses")
     parser.add_argument("--rate", type=float, help="requests per second (default 1)")
     parser.add_argument("--workers", type=int,
@@ -577,6 +568,14 @@ def main(
                 llm = StubLlm.from_json_file(settings.llm_stub)
             except ValueError as exc:  # a file that cannot be read raises OSError, below
                 print(f"error: bad --llm-stub file: {exc}", file=sys.stderr)
+                return 2
+        if transport is None and settings.fixtures:
+            if not Path(settings.fixtures).is_dir():
+                raise LitmetricsError(f"fixtures directory not found: {settings.fixtures}")
+            try:
+                transport = FixtureTransport(settings.fixtures)
+            except ValueError as exc:  # a file that cannot be read raises OSError, below
+                print(f"error: bad --fixtures file: {exc}", file=sys.stderr)
                 return 2
         runtime = Runtime(settings, transport=transport, llm=llm,
                           read_only=args.command in READ_ONLY_COMMANDS)

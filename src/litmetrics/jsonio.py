@@ -27,7 +27,7 @@ def canonical_json(obj: Any) -> str:
 def format_date(d: date | None) -> str | None:
     """`DATE_FMT`, its year zero-padded to four digits as `parse_date` reads
     it, which `strftime` does not do for a year before 1000."""
-    return None if d is None else f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
+    return None if d is None else date.isoformat(d)
 
 
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)
@@ -48,8 +48,7 @@ def format_timestamp(ts: datetime) -> str:
     """`TIMESTAMP_FMT` in UTC, zero-padded as `format_date` is."""
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T"
-            f"{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z")
+    return ts.isoformat(timespec="seconds") + "Z"
 
 
 @lru_cache(maxsize=_PARSE_CACHE_SIZE)

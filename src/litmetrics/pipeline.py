@@ -23,6 +23,7 @@ from .indicators import (
     rui,
     tncsi,
 )
+from .jsonio import utc_now
 from .retrieval import (
     S2_SEARCH_CAP,
     ArxivClient,
@@ -167,8 +168,10 @@ class ScoringEngine(Value):
     payloads are cached in the store, which writes them behind.
 
     A batch is scored as gather, then compute. `load_records` reads the
-    papers into ``records`` and the (citation_count, publication_date) of
-    their references into ``references``, None for an id the store lacks.
+    papers into ``records`` and, as the store returns it, the
+    (citation_count, publication_date) by canonical id of the other stored
+    papers their reference lists name into ``references``, which has no
+    entry for an id the store lacks. ``now`` defaults to today's UTC date.
     `gather` fetches every keyword, citation series, topic fit and RUI
     count, each topic's fit once per engine, and `score` computes a report
     from them with no I/O.
@@ -186,7 +189,7 @@ class ScoringEngine(Value):
         self.beta = beta
         self.topic_k = topic_k
         self.records: dict[str, PaperRecord] = {}
-        self.references: dict[str, Optional[ReferenceFacts]] = {}
+        self.references: dict[str, ReferenceFacts] = {}
         # what `gather` fetched, each the value or the library error its fetch
         # raised: (keyword, citation series, reference facts, RUI counts) by
         # (paper id, indicators), fits by keyword
@@ -194,7 +197,7 @@ class ScoringEngine(Value):
         self._fits: dict[str, object] = {}
 
     def _now(self) -> date:
-        return self.now or date.today()
+        return self.now or utc_now().date()
 
     def topic_keyword_for(self, record: PaperRecord) -> str:
         if record.topic_keyword:
@@ -215,14 +218,11 @@ class ScoringEngine(Value):
         """Read the papers and, when RQM or RUI is wanted, the two fields
         those read of the union of their references, in one bulk read, for
         `gather` and `score` to use."""
-        references = {}
         if {"rqm", "rui"} & set(which or ALL_INDICATORS):
-            records, facts = self.store.get_papers_and_reference_facts(paper_ids)
-            references = {rid: facts.get(rid) for r in records.values()
-                          for rid in r.reference_ids if rid not in records}
+            self.records, self.references = self.store.get_papers_and_reference_facts(paper_ids)
         else:
-            records = self.store.get_papers(paper_ids)
-        self.records, self.references, self._inputs = records, references, {}
+            self.records, self.references = self.store.get_papers(paper_ids), {}
+        self._inputs = {}
 
     def gather(self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS,
                each: Callable = map) -> None:

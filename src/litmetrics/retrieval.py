@@ -328,9 +328,10 @@ class OfflineTransport:
 class FixtureTransport:
     """Replays request->response pairs recorded as newline-delimited JSON.
 
-    Each line holds {"request": {"method", "url", "params"[, "body"]},
-    "response": {"status", "body"}}; requests are matched on the canonical
-    form of the request object. A request with no recording raises
+    Each line holds {"request": {"method", "url"[, "params", "body"]},
+    "response": {"body"[, "status"]}}; requests are matched on the canonical
+    form of the request object. A line of another shape raises ValueError
+    naming its file and line. A request with no recording raises
     `NetworkForbidden`, which is not retried. Call timestamps are kept for
     test inspection.
     """
@@ -342,20 +343,30 @@ class FixtureTransport:
             return
         fixture_dir = Path(fixture_dir)
         for path in sorted(fixture_dir.glob("*.ndjson")):
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
+            with open(path, "rb") as fh:
+                for number, line in enumerate(fh, 1):
+                    if not line.strip():
                         continue
-                    self.add_pair(json.loads(line))
+                    try:
+                        self.add_pair(json.loads(line.decode("utf-8")))
+                    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError too
+                        raise ValueError(f"{path} line {number}: {exc}") from None
 
     def add_pair(self, pair: dict) -> None:
-        req = pair["request"]
+        """Record one exchange; ValueError if it is not of the shape above:
+        a string method, url and response body, an object of params, a
+        string or null request body and an integer status."""
+        req = pair.get("request") if type(pair) is dict else None
+        resp = pair.get("response") if type(pair) is dict else None
+        if not (type(req) is dict and type(resp) is dict
+                and type(req.get("method")) is str and type(req.get("url")) is str
+                and type(req.get("params", {})) is dict
+                and type(req.get("body")) in (str, type(None))
+                and type(resp.get("body")) is str and type(resp.get("status", 200)) is int):
+            raise ValueError('not {"request": {"method", "url"[, "params", "body"]}, '
+                             f'"response": {{"body"[, "status"]}}}}: {pair!r:.200}')
         key = request_key(req["method"], req["url"], req.get("params", {}), req.get("body"))
-        resp = pair["response"]
-        self.responses[key] = TransportResponse(
-            status=int(resp.get("status", 200)), body=resp["body"]
-        )
+        self.responses[key] = TransportResponse(status=resp.get("status", 200), body=resp["body"])
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[dict]) -> "FixtureTransport":

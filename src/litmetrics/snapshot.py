@@ -55,14 +55,6 @@ FEATURE_NAMES = (
 )
 
 
-class SnapshotMeta(Frozen):
-    _fields = ("schema_version", "created_at", "source_notes")
-
-    def __init__(self, schema_version: int, created_at: datetime, source_notes: str = "") -> None:
-        vars(self).update(schema_version=schema_version, created_at=created_at,
-                          source_notes=source_notes)
-
-
 class FeatureVector(Frozen):
     """Binary review-content features extracted from one paper."""
 
@@ -149,8 +141,11 @@ _PAPER_COLUMNS = ("canonical_id", "topic_keyword", "citation_count", "publicatio
 _PAPER_ROW = ", ".join(_PAPER_COLUMNS)
 # what `get_papers` reads: `_PAPER_ROW`, then the row's id
 _LINKED_ROW = _PAPER_ROW + ", id"
-# what `citation_facts` reads of a paper
+# what `get_papers_and_reference_facts` reads of a paper that a read record
+# names: RQM's and RUI's (citation_count, publication_date)
 _FACT_COLUMNS = "canonical_id, citation_count, publication_date"
+# a `papers` row's publication year, NULL when it has no date
+PUBLICATION_YEAR = "CAST(substr(publication_date, 1, 4) AS INTEGER)"
 _INSERT_PAPER = (f"INSERT INTO papers ({_PAPER_ROW}) "
                  f"VALUES ({', '.join('?' * len(_PAPER_COLUMNS))})")
 _UPSERT_PAPER = _INSERT_PAPER + (
@@ -217,12 +212,6 @@ def _padded(values: list) -> list:
     the connection caches every statement text it prepares, so `IN` lists
     come in a few lengths, not one per count of ids."""
     return values + [None] * ((1 << max(0, len(values) - 1).bit_length()) - len(values))
-
-
-def _facts(rows: Iterable[tuple]) -> dict[str, tuple[Optional[int], Optional[date]]]:
-    """(citation_count, publication_date) by canonical id of rows selected as
-    `_FACT_COLUMNS`."""
-    return {cid: (count, parse_date(published)) for cid, count, published in rows}
 
 
 # the columns of schemas 2-4 that hold a record: typed facts, then the rest
@@ -340,30 +329,23 @@ class SnapshotStore:
 
     def _check_schema(self) -> None:
         try:
-            row = self._conn.execute(
-                "SELECT schema_version, created_at, source_notes FROM meta"
-            ).fetchone()
+            row = self._conn.execute("SELECT schema_version FROM meta").fetchone()
         except sqlite3.Error as exc:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
-        if row is not None and row[0] in range(1, SCHEMA_VERSION):
+        version = row[0] if row else "missing"
+        if version in range(1, SCHEMA_VERSION):
             if self.read_only:
                 import shlex
 
                 raise SchemaMismatch(
-                    f"snapshot {self.path} has schema {row[0]} and is opened read-only; any "
+                    f"snapshot {self.path} has schema {version} and is opened read-only; any "
                     f"writing command upgrades it to schema {SCHEMA_VERSION}, for example "
                     f"`litmetrics --db {shlex.quote(str(self.path))} import {os.devnull}`, "
                     "which makes no request"
                 )
-            self._upgrade(row[0])
-            row = (SCHEMA_VERSION, *row[1:])
-        if row is None or row[0] != SCHEMA_VERSION:
-            raise SchemaMismatch(
-                f"snapshot schema {row[0] if row else 'missing'} != supported {SCHEMA_VERSION}"
-            )
-        self.meta = SnapshotMeta(
-            schema_version=row[0], created_at=parse_timestamp(row[1]), source_notes=row[2]
-        )
+            self._upgrade(version)
+        elif version != SCHEMA_VERSION:
+            raise SchemaMismatch(f"snapshot schema {version} != supported {SCHEMA_VERSION}")
 
     def _upgrade(self, version: int) -> None:
         """Bring a schema-1 to -5 file to schema 6 in one transaction: all of
@@ -494,9 +476,10 @@ class SnapshotStore:
     ) -> tuple[dict[str, PaperRecord], dict[str, tuple[Optional[int], Optional[date]]]]:
         """`get_papers(ids)`, and the (citation_count, publication_date) by
         canonical id of the stored papers other than these that their
-        reference lists name, as `citation_facts` reads them. The facts of
-        the links are read in the queries that name them, and those of the
-        dangling ids by canonical id in the same queries."""
+        reference lists name, read from those two columns with no record
+        decoded. The facts of the links are read in the queries that name
+        them, and those of the dangling ids by canonical id in the same
+        queries. A named id the store lacks has no entry."""
         return self._records(self._paper_rows(_LINKED_ROW, ids), facts=True)
 
     def _records(self, rows: list[tuple], facts: bool = False) -> tuple[dict, dict]:
@@ -512,7 +495,8 @@ class SnapshotStore:
                                 dangling, links)
         names.update((row[0], row[1]) for row in read)
         records = {data["canonical_id"]: _paper_record(data, names) for data in datas}
-        return records, _facts(row[1:] for row in read) if facts else {}
+        return records, ({cid: (count, parse_date(published)) for _, cid, count, published in read}
+                         if facts else {})
 
     def _paper_rows(self, columns: str, ids: Optional[Iterable[str]] = None,
                     links: Iterable[int] = ()) -> list[tuple]:
@@ -537,13 +521,6 @@ class SnapshotStore:
                     names + numbers,
                 ).fetchall()
             return rows
-
-    def citation_facts(
-        self, ids: Optional[Iterable[str]] = None
-    ) -> dict[str, tuple[Optional[int], Optional[date]]]:
-        """(citation_count, publication_date) by canonical id, read from their
-        columns as `get_papers` reads rows; no record is decoded."""
-        return _facts(self._paper_rows(_FACT_COLUMNS, ids))
 
     def column_values(self, expression: str) -> list:
         """The SQL ``expression`` over each `papers` row, in canonical id
@@ -704,17 +681,20 @@ class SnapshotStore:
                        recorded_at: Optional[datetime] = None) -> None:
         self.write(features=[(paper_id, fv, recorded_at)])
 
-    def all_latest_features(self) -> list[tuple[str, FeatureVector]]:
-        """Every paper's latest feature vector, by recorded_at and then
-        insertion order, in paper id order."""
+    def all_latest_features(self) -> list[tuple[str, Optional[int], FeatureVector]]:
+        """(paper id, publication year, latest feature vector) of every paper
+        with features, in paper id order, the year None for an undated
+        paper: the vector by recorded_at and then insertion order, the year
+        read from the `papers` row's date column, in one query."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT paper_id, features_json FROM ("
+                f"SELECT paper_id, {PUBLICATION_YEAR}, features_json FROM ("
                 " SELECT paper_id, features_json, ROW_NUMBER() OVER ("
                 "  PARTITION BY paper_id ORDER BY recorded_at DESC, id DESC) AS row_num"
-                " FROM features) WHERE row_num = 1 ORDER BY paper_id"
+                " FROM features) JOIN papers ON canonical_id = paper_id"
+                " WHERE row_num = 1 ORDER BY paper_id"
             ).fetchall()
-        return [(pid, FeatureVector(**json.loads(blob))) for pid, blob in rows]
+        return [(pid, year, FeatureVector(**json.loads(blob))) for pid, year, blob in rows]
 
     # -- API cache ----------------------------------------------------------
 

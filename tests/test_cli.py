@@ -578,6 +578,31 @@ class TestUsageErrors:
         assert captured.err.startswith("error: bad --llm-stub file: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    GOOD_EXCHANGE = {"request": {"method": "GET", "url": "https://example.org/x"},
+                     "response": {"body": "{}"}}
+
+    @pytest.mark.parametrize("line", [
+        "{bad",
+        json.dumps([GOOD_EXCHANGE]),
+        json.dumps({**GOOD_EXCHANGE, "request": {"method": "GET"}}),
+        json.dumps({**GOOD_EXCHANGE, "response": {"body": {"data": []}}}),
+        json.dumps({**GOOD_EXCHANGE, "response": {"body": "{}", "status": "200"}}),
+        b'{"request": "\xff"}',
+    ], ids=["not-json", "not-an-object", "no-url", "body-not-a-string", "status-not-an-integer",
+            "not-utf-8"])
+    def test_a_malformed_fixtures_file_is_a_usage_error(self, demo_db, tmp_path, capsys, line):
+        fixtures = tmp_path / "fx"
+        fixtures.mkdir()
+        line = line if isinstance(line, bytes) else line.encode("utf-8")
+        (fixtures / "recorded.ndjson").write_bytes(
+            json.dumps(self.GOOD_EXCHANGE).encode("utf-8") + b"\n\n" + line + b"\n")
+        assert main(["--db", str(demo_db), "--fixtures", str(fixtures),
+                     "--now", "2024-10-01", "score", "--all"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: bad --fixtures file: {fixtures / 'recorded.ndjson'} line 3: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_bad_now_value(self, demo_db):
         assert main(["--db", str(demo_db), "--now", "not-a-date", "score", "--all"]) == 2
 
@@ -770,7 +795,8 @@ class TestFeaturesCommand:
         out = capsys.readouterr().out
         assert "taxonomy" in out
         with SnapshotStore(db) as store:
-            fv = dict(store.all_latest_features())["arxiv:2403.00001"]
+            (_, year, fv), = store.all_latest_features()
+            assert year == 2023
             assert fv.preliminary == 1 and fv.prisma == 0
 
     def test_features_decode_no_record(self, demo_db, tmp_path, monkeypatch):

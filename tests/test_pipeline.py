@@ -25,7 +25,7 @@ from conftest import (
     s2_search_exchange,
     with_body,
 )
-from litmetrics import retrieval, snapshot
+from litmetrics import pipeline, retrieval, snapshot
 from litmetrics.cli import main
 from litmetrics.demo import DEMO_NOW, DEMO_RETRIEVED_AT, build_demo_corpus, build_demo_snapshot
 from litmetrics.errors import (
@@ -175,6 +175,16 @@ class TestScoringEngine:
         assert item.report.iei_instant == pytest.approx(3.0, abs=1e-12)
         assert item.report.iei_weighted is None
         assert store.latest_report(paper.canonical_id).iei_weighted is None
+
+    def test_today_without_now_is_the_utc_date(self, tmp_path, monkeypatch):
+        # late on New Year's Eve in UTC, which is already January 1 east of it
+        monkeypatch.setattr(pipeline, "utc_now", lambda: datetime(2024, 12, 31, 23, 30))
+        paper = review()
+        store = self.make_store(tmp_path, paper)
+        exchanges = [s2_citations_exchange("ARXIV:2301.00001", ["2024-09-01"])]
+        engine = ScoringEngine(store=store, s2=fast_client(exchanges))
+        report = engine.score(paper.canonical_id, ["iei"])
+        assert report.computed_at == datetime(2024, 12, 31)
 
     def test_undated_citers_warning(self, tmp_path):
         paper = review()

@@ -9,7 +9,7 @@ import os
 import random
 import shlex
 import sqlite3
-from datetime import date, datetime
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given
@@ -346,6 +346,11 @@ def other_tables(path) -> dict:
         conn.close()
 
 
+def schema_version(store) -> int:
+    (version,), = store._conn.execute("SELECT schema_version FROM meta").fetchall()
+    return version
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -383,7 +388,7 @@ class TestSchemaUpgrade:
         path, records = self.legacy_snapshot(tmp_path, version)
         before = other_tables(path)
         with SnapshotStore(path) as store:
-            assert store.meta.schema_version == snapshot.SCHEMA_VERSION
+            assert schema_version(store) == snapshot.SCHEMA_VERSION
             assert store.get_papers() == {r.canonical_id: r for r in records}
             assert store.review_ids() == ["arxiv:1", "arxiv:3"]
             # ids in the old table's order; a stored reference is a link, a
@@ -395,7 +400,7 @@ class TestSchemaUpgrade:
         assert conn.execute("PRAGMA freelist_count").fetchone() == (0,)
         conn.close()
         with SnapshotStore(path, read_only=True) as store:
-            assert store.citation_facts()["arxiv:4"] == (4, date(2023, 5, 1))
+            assert store.all_latest_features() == [("arxiv:1", 2023, FeatureVector(discussion=1))]
 
     @UPGRADED
     def test_a_read_only_open_names_a_command_that_upgrades(self, tmp_path, version):
@@ -618,7 +623,7 @@ class TestReportsAndFeatures:
         store.upsert_paper(record("arxiv:1"))
         fv = FeatureVector(taxonomy=1, discussion=1)
         store.store_features("arxiv:1", fv)
-        assert store.all_latest_features() == [("arxiv:1", fv)]
+        assert store.all_latest_features() == [("arxiv:1", 2023, fv)]
 
     def test_all_latest_features_pick_the_latest_recorded(self, store):
         store.upsert_paper(record("arxiv:1"))
@@ -627,7 +632,18 @@ class TestReportsAndFeatures:
                              recorded_at=datetime(2024, 6, 1))
         store.store_features("arxiv:1", FeatureVector(discussion=0),
                              recorded_at=datetime(2024, 1, 1))
-        assert store.all_latest_features() == [("arxiv:1", FeatureVector(discussion=1))]
+        assert store.all_latest_features() == [("arxiv:1", 2023, FeatureVector(discussion=1))]
+
+    def test_all_latest_features_read_each_year_beside_its_vector(self, store):
+        # an undated paper's year is None, a year before 1000 is read from its
+        # zero-padded column, and a paper with no features is left out
+        store.write(papers=[record("arxiv:1", publication_date=None),
+                            record("arxiv:2", publication_date=date(987, 6, 1)),
+                            record("arxiv:3")])
+        for cid in ("arxiv:2", "arxiv:1"):
+            store.store_features(cid, FeatureVector(taxonomy=1))
+        assert store.all_latest_features() == [("arxiv:1", None, FeatureVector(taxonomy=1)),
+                                               ("arxiv:2", 987, FeatureVector(taxonomy=1))]
 
     def test_features_unknown_paper(self, store):
         with pytest.raises(UnknownPaper):
@@ -680,7 +696,7 @@ class TestReadOnlyAndSchema:
         with pytest.raises(SchemaMismatch, match="is not a snapshot"):
             SnapshotStore(path, read_only=True)
         with SnapshotStore(path) as store:
-            assert store.meta.schema_version == snapshot.SCHEMA_VERSION
+            assert schema_version(store) == snapshot.SCHEMA_VERSION
             store.upsert_paper(record("arxiv:1"))
         with SnapshotStore(path, read_only=True) as store:
             assert store.get_paper("arxiv:1") == record("arxiv:1")
@@ -747,6 +763,31 @@ class TestCanonicalJsonIO:
             assert format_date(d) == d.strftime("%Y-%m-%d")
         if ts.year >= 1000:
             assert format_timestamp(ts) == ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+    @given(st.dates(), st.datetimes(), st.none() | st.builds(
+        timezone, st.timedeltas(min_value=-timedelta(hours=23, minutes=59),
+                                max_value=timedelta(hours=23, minutes=59))))
+    def test_formats_give_the_written_out_fields(self, d, ts, tz):
+        from litmetrics.jsonio import format_date, format_timestamp
+
+        def reference(ts):
+            if ts.tzinfo is not None:
+                ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+            return (f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}T"
+                    f"{ts.hour:02d}:{ts.minute:02d}:{ts.second:02d}Z")
+
+        # microseconds dropped, an aware time in UTC
+        ts = ts.replace(tzinfo=tz)
+        assert format_date(d) == f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
+        assert format_date(ts) == f"{ts.year:04d}-{ts.month:02d}-{ts.day:02d}"
+        assert format_date(None) is None
+        try:
+            expected = reference(ts)
+        except OverflowError:  # UTC falls outside years 1-9999
+            with pytest.raises(OverflowError):
+                format_timestamp(ts)
+        else:
+            assert format_timestamp(ts) == expected
 
     @staticmethod
     def _outcome(parse, s):

@@ -29,7 +29,7 @@ from litmetrics.indicators import (
 from litmetrics.jsonio import utc_now
 from litmetrics.pipeline import BatchItem, ScoringEngine
 from litmetrics.retrieval import PaperRecord, TopicContext, TransportResponse
-from litmetrics.snapshot import FeatureVector, ImportResult, SnapshotMeta
+from litmetrics.snapshot import FeatureVector, ImportResult
 
 STORE, CLIENT = object(), object()
 WHEN = datetime(2024, 1, 1)
@@ -53,7 +53,6 @@ FROZEN = [
     (TopicContext, fields(keyword="k", sample_citation_counts=(1, 2), k=10, fetched_at=WHEN,
                           provenance={"endpoint": "search"})),
     (TransportResponse, fields(status=200, body="{}")),
-    (SnapshotMeta, fields(schema_version=6, created_at=WHEN, source_notes="n")),
     (FeatureVector, fields(taxonomy=1, prisma=0, preliminary=1, benchmark=0, application=0,
                            discussion=1, structured_abstract=0)),
     (DescriptiveStats, fields(max=3.0, min=1.0, mean=2.0, median=2.0, mode=1.0)),
