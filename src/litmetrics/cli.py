@@ -210,13 +210,14 @@ def print_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
 
 def select_ids(store: SnapshotStore, ids: list[str], use_all: bool,
                parser: argparse.ArgumentParser) -> list[str]:
-    """Explicit ids, or with --all every paper carrying a topic keyword
-    (harvested reviews, as opposed to bare reference rows)."""
+    """Explicit ids, each once in first-seen order, or with --all every paper
+    carrying a topic keyword (harvested reviews, as opposed to bare reference
+    rows)."""
     if use_all:
         return store.review_ids()
     if not ids:
         parser.error("give paper ids or --all")
-    return ids
+    return list(dict.fromkeys(ids))
 
 
 def doc_path_for(docs_dir: Path, canonical_id: str) -> Path:

@@ -29,7 +29,7 @@ from .retrieval import (
 )
 from .values import Frozen, Value
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # ids bound per `IN (...)` list, a power of two well below SQLite's parameter
 # limit
@@ -106,32 +106,47 @@ CREATE TABLE {table} (
 # the reviews, in canonical id order, with no table read: `review_ids`
 _REVIEWS_INDEX = ("CREATE INDEX idx_papers_reviews ON papers(canonical_id, topic_keyword) "
                   "WHERE topic_keyword <> ''")
-_SCHEMA = """
+# `reports`, since schema 7: one column per `IndicatorReport` field, in field
+# order and named as the field. The value columns declare no type, so SQLite
+# converts nothing: an int or a float reads back as the type it was written
+# as, and NULL, 0 and 1 take no payload bytes. `computed_at` is the report's
+# time, or the time `write` stamped on a report that had none, and reports are
+# ordered by it, then by `id`. `warnings` is compact JSON, NULL when empty.
+# SQLite stores NaN as NULL, so `write` refuses a report that holds one.
+# Nothing deletes a `reports` or `features` row, so a plain INTEGER PRIMARY
+# KEY numbers them as AUTOINCREMENT did, with no `sqlite_sequence` table. A
+# writing open rebuilds the JSON tables of schemas 1-6 as these, each old row
+# read as schema 6 read it, and refuses a row that fails that read.
+_REPORTS = ("""
+CREATE TABLE reports (
+    id INTEGER PRIMARY KEY,
+    paper_id TEXT NOT NULL REFERENCES papers(canonical_id),
+    tncsi, iei_avg, iei_weighted, iei_instant, arq, s_mp, rqm, cdr, rad, rui,
+    topic_keyword,
+    sample_size,
+    computed_at TEXT NOT NULL,
+    warnings TEXT
+)""", "CREATE INDEX idx_reports_paper ON reports(paper_id)")
+# `features`, since schema 7: one column per `FEATURE_NAMES` entry, with no
+# declared type, after the time the vector was recorded
+_FEATURES = ("""
+CREATE TABLE features (
+    id INTEGER PRIMARY KEY,
+    paper_id TEXT NOT NULL REFERENCES papers(canonical_id),
+    recorded_at TEXT NOT NULL,
+    taxonomy, prisma, preliminary, benchmark, application, discussion, structured_abstract
+)""", "CREATE INDEX idx_features_paper ON features(paper_id)")
+_SCHEMA = ";\n".join(("""
 CREATE TABLE meta (
     schema_version INTEGER NOT NULL,
     created_at TEXT NOT NULL,
     source_notes TEXT NOT NULL DEFAULT ''
 );
-CREATE TABLE reports (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    paper_id TEXT NOT NULL REFERENCES papers(canonical_id),
-    computed_at TEXT NOT NULL,
-    report_json TEXT NOT NULL
-);
-CREATE TABLE features (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    paper_id TEXT NOT NULL REFERENCES papers(canonical_id),
-    recorded_at TEXT NOT NULL,
-    features_json TEXT NOT NULL
-);
 CREATE TABLE api_cache (
     key TEXT PRIMARY KEY,
     payload TEXT NOT NULL,
     stored_at TEXT NOT NULL
-);
-CREATE INDEX idx_reports_paper ON reports(paper_id);
-CREATE INDEX idx_features_paper ON features(paper_id);
-""" + _PAPERS.format(table="papers") + ";\n" + _REVIEWS_INDEX + ";\n"
+)""", *_REPORTS, *_FEATURES, _PAPERS.format(table="papers"), _REVIEWS_INDEX)) + ";\n"
 
 # each column is named as the record's JSON key it holds, so that a row
 # zips into a `to_json_dict()`
@@ -251,25 +266,66 @@ _DELETE_LISTINGS = ("DELETE FROM api_cache WHERE CASE WHEN json_valid(key) THEN 
                     "json_extract(key, '$.op') IN ('paper', 'references') END")
 
 
-def report_to_json_dict(report: IndicatorReport) -> dict:
-    """The report's fields by name; ``computed_at`` formatted, or left out
-    when unset."""
-    data = {name: getattr(report, name) for name in IndicatorReport._fields}
-    data["warnings"] = list(report.warnings)
-    computed = data.pop("computed_at")
-    if computed is not None:
-        data["computed_at"] = format_timestamp(computed)
-    return data
+# a report's `reports` columns, in `IndicatorReport` field order
+_REPORT_ROW = ", ".join(IndicatorReport._fields)
+_INSERT_REPORT = (f"INSERT INTO reports (id, paper_id, {_REPORT_ROW}) "
+                  f"VALUES (?, ?, {', '.join('?' * len(IndicatorReport._fields))})")
+_FEATURE_ROW = ", ".join(FEATURE_NAMES)
+_INSERT_FEATURES = (f"INSERT INTO features (id, paper_id, recorded_at, {_FEATURE_ROW}) "
+                    f"VALUES (?, ?, ?, {', '.join('?' * len(FEATURE_NAMES))})")
 
 
-def report_from_json_dict(data: dict) -> IndicatorReport:
-    computed = data.get("computed_at")
-    return IndicatorReport(**{
-        **{name: data.get(name) for name in IndicatorReport._fields},
-        "topic_keyword": data.get("topic_keyword") or "",
-        "computed_at": parse_timestamp(computed) if computed else None,
-        "warnings": list(data.get("warnings") or []),
-    })
+def _report_row(paper_id: str, report: IndicatorReport, stamp: str) -> tuple:
+    """The `reports` row, less its id, of a paper's report, its time
+    ``stamp`` when it has none. A value that is NaN raises StorageError."""
+    *values, computed, warnings = (getattr(report, name) for name in IndicatorReport._fields)
+    for name, value in zip(IndicatorReport._fields, values):
+        if value != value:
+            raise StorageError(f"report of paper {paper_id!r} holds NaN in {name}, "
+                               "which the snapshot cannot store")
+    return (paper_id, *values, format_timestamp(computed) if computed else stamp,
+            canonical_json(warnings) if warnings else None)
+
+
+def _stored_report(row: tuple) -> IndicatorReport:
+    """The report of a `reports` row selected as `_REPORT_ROW`."""
+    *values, computed, warnings = row
+    return IndicatorReport(*values, parse_timestamp(computed),
+                           [] if warnings is None else json.loads(warnings))
+
+
+def _carried_report(row: tuple) -> tuple:
+    """The `reports` row of a schema-1 to -6 row (id, paper_id,
+    computed_at, report_json), its JSON read as schema 6 read it and its
+    time the old column's when the JSON has none. A row that does not
+    decode, or holds NaN, raises ValueError naming it."""
+    report_id, paper_id, computed, blob = row
+    try:
+        data = json.loads(blob)
+        stamp = data.get("computed_at")
+        report = IndicatorReport(**{
+            **{name: data.get(name) for name in IndicatorReport._fields},
+            "topic_keyword": data.get("topic_keyword") or "",
+            "computed_at": parse_timestamp(stamp) if stamp else None,
+            "warnings": list(data.get("warnings") or []),
+        })
+        return report_id, *_report_row(paper_id, report, computed)
+    except (*PAYLOAD_ERRORS, StorageError) as exc:
+        raise ValueError(f"report {report_id} of paper {paper_id!r} is no valid "
+                         f"report: {exc}") from exc
+
+
+def _carried_features(row: tuple) -> tuple:
+    """The `features` row of a schema-1 to -6 row (id, paper_id,
+    recorded_at, features_json), read as schema 6 read it. A row that does
+    not decode raises ValueError naming it."""
+    features_id, paper_id, recorded, blob = row
+    try:
+        fv = FeatureVector(**json.loads(blob))
+    except PAYLOAD_ERRORS as exc:
+        raise ValueError(f"features {features_id} of paper {paper_id!r} are no valid "
+                         f"feature vector: {exc}") from exc
+    return features_id, paper_id, recorded, *fv.as_dict().values()
 
 
 class ImportResult(Value):
@@ -348,38 +404,49 @@ class SnapshotStore:
             raise SchemaMismatch(f"snapshot schema {version} != supported {SCHEMA_VERSION}")
 
     def _upgrade(self, version: int) -> None:
-        """Bring a schema-1 to -5 file to schema 6 in one transaction: all of
-        it, or, when a row or the write fails, nothing. `papers` is rebuilt
-        once: each row is read as a `PaperRecord`, so a row that fails the
-        record's checks fails the upgrade, and stored as its `to_json_dict()`
-        under its rowid, every stored reference as its link. Then the
-        payloads are converted. A `VACUUM` then returns the pages freed,
-        which would otherwise leave the file larger than before."""
-        columns = {1: "canonical_id, record_json", 5: _PAPER_ROW}.get(
-            version, ", ".join(_LEGACY_COLUMNS))
+        """Bring a schema-1 to -6 file to schema 7 in one transaction: all of
+        it, or, when a row or the write fails, nothing. Below schema 6,
+        `papers` is rebuilt once: each row is read as a `PaperRecord`, so a
+        row that fails the record's checks fails the upgrade, and stored as
+        its `to_json_dict()` under its rowid, every stored reference as its
+        link. Then the payloads are converted. `reports` and `features` are
+        rebuilt from their JSON rows, ids kept. A `VACUUM` then returns the
+        pages freed, which would otherwise leave the file larger than
+        before."""
         with self._lock:
             try:
                 with self._conn:
                     self._conn.execute("BEGIN")
-                    self._conn.execute(_PAPERS.format(table="papers_new"))
-                    old = self._conn.execute(
-                        f"SELECT rowid, {columns} FROM papers ORDER BY rowid").fetchall()
-                    links = {row[1]: row[0] for row in old}
-                    names = {link: cid for cid, link in links.items()}
-                    self._conn.executemany(
-                        f"INSERT INTO papers_new (id, {_PAPER_ROW}) "
-                        f"VALUES (?, {', '.join('?' * len(_PAPER_COLUMNS))})",
-                        ((row[0], *_paper_row(
-                            _carried_record(version, row[1:], names).to_json_dict(), links))
-                         for row in old),
-                    )
-                    self._conn.execute("DROP TABLE papers")
-                    self._conn.execute("ALTER TABLE papers_new RENAME TO papers")
-                    self._conn.execute(_REVIEWS_INDEX)
-                    self._convert_payloads(names)
+                    if version < 6:
+                        columns = {1: "canonical_id, record_json", 5: _PAPER_ROW}.get(
+                            version, ", ".join(_LEGACY_COLUMNS))
+                        self._conn.execute(_PAPERS.format(table="papers_new"))
+                        old = self._conn.execute(
+                            f"SELECT rowid, {columns} FROM papers ORDER BY rowid").fetchall()
+                        links = {row[1]: row[0] for row in old}
+                        names = {link: cid for cid, link in links.items()}
+                        self._conn.executemany(
+                            f"INSERT INTO papers_new (id, {_PAPER_ROW}) "
+                            f"VALUES (?, {', '.join('?' * len(_PAPER_COLUMNS))})",
+                            ((row[0], *_paper_row(
+                                _carried_record(version, row[1:], names).to_json_dict(), links))
+                             for row in old),
+                        )
+                        self._conn.execute("DROP TABLE papers")
+                        self._conn.execute("ALTER TABLE papers_new RENAME TO papers")
+                        self._conn.execute(_REVIEWS_INDEX)
+                        self._convert_payloads(names)
+                    for table, statements, insert, carried in (
+                            ("reports", _REPORTS, _INSERT_REPORT, _carried_report),
+                            ("features", _FEATURES, _INSERT_FEATURES, _carried_features)):
+                        old = self._conn.execute(f"SELECT * FROM {table} ORDER BY id").fetchall()
+                        self._conn.execute(f"DROP TABLE {table}")
+                        for statement in statements:
+                            self._conn.execute(statement)
+                        self._conn.executemany(insert, map(carried, old))
                     self._conn.execute("UPDATE meta SET schema_version = ?", (SCHEMA_VERSION,))
                 self._conn.execute("VACUUM")
-            except (ValueError, TypeError, StorageError) as exc:
+            except (ValueError, TypeError, OverflowError, StorageError) as exc:
                 raise SchemaMismatch(f"cannot upgrade {self.path} to schema "
                                      f"{SCHEMA_VERSION}: {exc}") from exc
             except sqlite3.Error as exc:
@@ -596,25 +663,24 @@ class SnapshotStore:
               new_papers: Iterable[PaperRecord] = (), papers: Iterable[PaperRecord] = (),
               features: Iterable[tuple[str, FeatureVector, Optional[datetime]]] = ()) -> None:
         """Store, in one transaction, all of the following or, when a report
-        or features name an unknown paper or the write fails, none of them,
-        in this order: the ``new_papers`` whose canonical id is not stored
-        yet (stored rows stay untouched, and of two with one id the first
-        wins); the ``papers``, each inserted or replaced by canonical id; the
-        held API payloads; the (paper id, report) pairs; and the (paper id,
-        features, recorded_at) triples. The reports and features are
-        appended. A reference whose row is stored once the new papers are
-        inserted is written as its link. A payload replaces the one stored
-        under its key, stored_at included; after a failure the payloads stay
-        held. The only other writer is a schema upgrade."""
+        or features name an unknown paper, a report holds NaN or the write
+        fails, none of them, in this order: the ``new_papers`` whose
+        canonical id is not stored yet (stored rows stay untouched, and of
+        two with one id the first wins); the ``papers``, each inserted or
+        replaced by canonical id; the held API payloads; the (paper id,
+        report) pairs; and the (paper id, features, recorded_at) triples.
+        The reports and features are appended, those with no time stamped
+        with the time of the write. A reference whose row is stored once the
+        new papers are inserted is written as its link. A payload replaces
+        the one stored under its key, stored_at included; after a failure
+        the payloads stay held. The only other writer is a schema upgrade."""
         new_rows = [r.to_json_dict() for r in new_papers]
         paper_rows = [r.to_json_dict() for r in papers]
-        report_rows = [
-            (paper_id, format_timestamp(report.computed_at or utc_now()),
-             canonical_json(report_to_json_dict(report)))
-            for paper_id, report in reports
-        ]
+        now = format_timestamp(utc_now())
+        report_rows = [(None, *_report_row(paper_id, report, now)) for paper_id, report in reports]
         feature_rows = [
-            (paper_id, format_timestamp(recorded_at or utc_now()), canonical_json(fv.as_dict()))
+            (None, paper_id, format_timestamp(recorded_at) if recorded_at else now,
+             *fv.as_dict().values())
             for paper_id, fv, recorded_at in features
         ]
         with self._lock:
@@ -627,23 +693,16 @@ class SnapshotStore:
                     self._conn.execute("BEGIN IMMEDIATE")
                     self._put_papers(_INSERT_NEW_PAPER, new_rows)
                     self._put_papers(_UPSERT_PAPER, paper_rows)
-                    self.require_stored(row[0] for row in report_rows + feature_rows)
+                    self.require_stored(row[1] for row in report_rows + feature_rows)
                     self._conn.executemany(
                         "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "
                         "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload, "
                         "stored_at = excluded.stored_at",
                         cached,
                     )
-                    self._conn.executemany(
-                        "INSERT INTO reports (paper_id, computed_at, report_json) VALUES (?, ?, ?)",
-                        report_rows,
-                    )
-                    self._conn.executemany(
-                        "INSERT INTO features (paper_id, recorded_at, features_json) "
-                        "VALUES (?, ?, ?)",
-                        feature_rows,
-                    )
-            except sqlite3.Error as exc:
+                    self._conn.executemany(_INSERT_REPORT, report_rows)
+                    self._conn.executemany(_INSERT_FEATURES, feature_rows)
+            except (sqlite3.Error, OverflowError) as exc:
                 raise StorageError(f"snapshot write failed: {exc}") from exc
             self._pending.clear()
             self._written_at = time.monotonic()
@@ -651,31 +710,31 @@ class SnapshotStore:
     def latest_report(self, paper_id: str) -> Optional[IndicatorReport]:
         with self._lock:
             row = self._conn.execute(
-                "SELECT report_json FROM reports WHERE paper_id = ? "
+                f"SELECT {_REPORT_ROW} FROM reports WHERE paper_id = ? "
                 "ORDER BY computed_at DESC, id DESC LIMIT 1",
                 (paper_id,),
             ).fetchone()
-        return report_from_json_dict(json.loads(row[0])) if row else None
+        return _stored_report(row) if row else None
 
     def latest_reports(self) -> dict[str, IndicatorReport]:
         """Every paper's latest report, picked as `latest_report` picks it,
         in one query."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT paper_id, report_json FROM ("
-                " SELECT paper_id, report_json, ROW_NUMBER() OVER ("
+                f"SELECT paper_id, {_REPORT_ROW} FROM ("
+                f" SELECT paper_id, {_REPORT_ROW}, ROW_NUMBER() OVER ("
                 "  PARTITION BY paper_id ORDER BY computed_at DESC, id DESC) AS row_num"
                 " FROM reports) WHERE row_num = 1"
             ).fetchall()
-        return {pid: report_from_json_dict(json.loads(blob)) for pid, blob in rows}
+        return {row[0]: _stored_report(row[1:]) for row in rows}
 
     def report_history(self, paper_id: str) -> list[IndicatorReport]:
         with self._lock:
             rows = self._conn.execute(
-                "SELECT report_json FROM reports WHERE paper_id = ? ORDER BY id",
+                f"SELECT {_REPORT_ROW} FROM reports WHERE paper_id = ? ORDER BY id",
                 (paper_id,),
             ).fetchall()
-        return [report_from_json_dict(json.loads(r[0])) for r in rows]
+        return [_stored_report(row) for row in rows]
 
     def store_features(self, paper_id: str, fv: FeatureVector,
                        recorded_at: Optional[datetime] = None) -> None:
@@ -688,13 +747,13 @@ class SnapshotStore:
         read from the `papers` row's date column, in one query."""
         with self._lock:
             rows = self._conn.execute(
-                f"SELECT paper_id, {PUBLICATION_YEAR}, features_json FROM ("
-                " SELECT paper_id, features_json, ROW_NUMBER() OVER ("
+                f"SELECT paper_id, {PUBLICATION_YEAR}, {_FEATURE_ROW} FROM ("
+                f" SELECT paper_id, {_FEATURE_ROW}, ROW_NUMBER() OVER ("
                 "  PARTITION BY paper_id ORDER BY recorded_at DESC, id DESC) AS row_num"
                 " FROM features) JOIN papers ON canonical_id = paper_id"
                 " WHERE row_num = 1 ORDER BY paper_id"
             ).fetchall()
-        return [(pid, year, FeatureVector(**json.loads(blob))) for pid, year, blob in rows]
+        return [(row[0], row[1], FeatureVector(*row[2:])) for row in rows]
 
     # -- API cache ----------------------------------------------------------
 

@@ -12,7 +12,8 @@ from typing import Iterable
 import pytest
 
 from litmetrics import snapshot
-from litmetrics.jsonio import canonical_json
+from litmetrics.indicators import IndicatorReport
+from litmetrics.jsonio import canonical_json, format_timestamp
 from litmetrics.retrieval import (
     ARXIV_API_URL,
     S2_API_URL,
@@ -237,6 +238,16 @@ def link_pairs(path) -> set[tuple[int, str]]:
         conn.close()
 
 
+def report_rows(path) -> list[tuple[str, ...]]:
+    """Every `reports` row of the file, all its columns, in id order, each
+    value as its repr, so that 1 and 1.0, or 0.0 and -0.0, differ."""
+    conn = sqlite3.connect(path)
+    try:
+        return [tuple(map(repr, row)) for row in conn.execute("SELECT * FROM reports ORDER BY id")]
+    finally:
+        conn.close()
+
+
 LEGACY_STORED_AT = "2024-09-01T00:00:00Z"
 # the `papers` table of schemas 2 and 3, which named every reference by
 # canonical id, and of schema 4, which linked stored references by `id`
@@ -263,16 +274,40 @@ def legacy_paper_row(data: dict) -> tuple:
     return (*(data.get(c) for c in LEGACY_FACTS), canonical_json(rest))
 
 
+# the `reports` and `features` tables of schemas 1-6, which held each report
+# and each vector as canonical JSON
+V6_REPORTS = ("CREATE TABLE reports (id INTEGER PRIMARY KEY AUTOINCREMENT, "
+              "paper_id TEXT NOT NULL REFERENCES papers(canonical_id), "
+              "computed_at TEXT NOT NULL, report_json TEXT NOT NULL)")
+V6_FEATURES = ("CREATE TABLE features (id INTEGER PRIMARY KEY AUTOINCREMENT, "
+               "paper_id TEXT NOT NULL REFERENCES papers(canonical_id), "
+               "recorded_at TEXT NOT NULL, features_json TEXT NOT NULL)")
+
+
+def report_json(report: IndicatorReport) -> str:
+    """The `report_json` that schemas 1-6 stored of a report: its fields
+    by name as canonical JSON, ``computed_at`` formatted, or left out when
+    unset."""
+    data = {name: getattr(report, name) for name in IndicatorReport._fields}
+    data["warnings"] = list(report.warnings)
+    computed = data.pop("computed_at")
+    if computed is not None:
+        data["computed_at"] = format_timestamp(computed)
+    return canonical_json(data)
+
+
 def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                 payloads: dict[str, str] | None = None) -> None:
     """Turn the closed snapshot at ``path`` into a schema-``version`` file,
-    1 to 5, as earlier versions wrote it. ``payloads`` are cached by key,
+    1 to 6, as earlier versions wrote it. ``payloads`` are cached by key,
     as those versions cached them, stamped `LEGACY_STORED_AT`. At schema 1,
     `papers` holds one canonical-JSON record per row, the JSON dicts of
-    ``rows`` unchecked. At schemas 4 and 5 it holds the rows as they are,
-    ids and links kept (schema 5's table is today's), and at schemas 2 and
-    3 in id order with no id, each link replaced by the canonical id it
-    names. The other tables stay as they are."""
+    ``rows`` unchecked. At schemas 4 to 6 it holds the rows as they are,
+    ids and links kept (the table of schemas 5 and 6 is today's), and at
+    schemas 2 and 3 in id order with no id, each link replaced by the
+    canonical id it names. `reports` and `features` hold each stored row,
+    id kept, as `report_json` or `features_json`. `api_cache` stays as it
+    is."""
     conn = sqlite3.connect(path)
     try:
         with conn:
@@ -299,6 +334,21 @@ def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                                              for r in data["reference_ids"]]
                     conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?)",
                                  legacy_paper_row(data))
+            reports = conn.execute(f"SELECT id, paper_id, {snapshot._REPORT_ROW} FROM reports "
+                                   "ORDER BY id").fetchall()
+            features = conn.execute(f"SELECT id, paper_id, recorded_at, {snapshot._FEATURE_ROW} "
+                                    "FROM features ORDER BY id").fetchall()
+            for table, statement in (("reports", V6_REPORTS), ("features", V6_FEATURES)):
+                conn.execute(f"DROP TABLE {table}")
+                conn.execute(statement)
+                conn.execute(f"CREATE INDEX idx_{table}_paper ON {table}(paper_id)")
+            conn.executemany("INSERT INTO reports VALUES (?, ?, ?, ?)", [
+                (report_id, paper_id, row[-2], report_json(snapshot._stored_report(row)))
+                for report_id, paper_id, *row in reports])
+            conn.executemany("INSERT INTO features VALUES (?, ?, ?, ?)", [
+                (features_id, paper_id, recorded,
+                 canonical_json(snapshot.FeatureVector(*values).as_dict()))
+                for features_id, paper_id, recorded, *values in features])
             conn.executemany("INSERT OR REPLACE INTO api_cache VALUES (?, ?, ?)",
                              [(key, payload, LEGACY_STORED_AT)
                               for key, payload in (payloads or {}).items()])

@@ -28,6 +28,7 @@ from conftest import (
     link_pairs,
     make_legacy,
     put_raw_paper,
+    report_rows,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -87,9 +88,9 @@ def test_demo_stdout_matches_golden(demo_stdout, name):
     assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4, 5],
+UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6],
                                    ids=["schema-1", "schema-2", "schema-3", "schema-4",
-                                        "schema-5"])
+                                        "schema-5", "schema-6"])
 
 
 class TestSchemaUpgrade:
@@ -129,6 +130,41 @@ class TestSchemaUpgrade:
         assert main(command, transport=transport) == 0
         assert transport.count == 0
         assert main(["--db", str(path), "stats", "cites"]) == 0
+
+
+    def test_a_scored_schema_6_file_reads_the_same_once_import_upgrades_it(
+            self, tmp_path, capsys):
+        path = tmp_path / "legacy.db"
+        build_demo_snapshot(path)
+        offline = ["--db", str(path), "--offline", "--now", "2024-10-01"]
+        assert main([*offline, *GOLDEN_RUNS["score_all"]], transport=OfflineTransport()) == 0
+        stored = report_rows(path)
+        make_legacy(path, 6)
+        capsys.readouterr()
+        assert main([*offline, "stats", "tncsi"]) == 1
+        err = capsys.readouterr().err
+        assert "has schema 6 and is opened read-only" in err
+        command = shlex.split(re.search(r"`litmetrics (.*)`", err).group(1))
+        # a report that does not decode refuses the upgrade and leaves the file
+        conn = sqlite3.connect(path)
+        with conn:
+            (kept,), = conn.execute("SELECT report_json FROM reports WHERE id = 3").fetchall()
+            conn.execute("UPDATE reports SET report_json = '{' WHERE id = 3")
+        before = path.read_bytes()
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert "error: SchemaMismatch: cannot upgrade" in err and "report 3 of paper" in err
+        assert path.read_bytes() == before
+        with conn:
+            conn.execute("UPDATE reports SET report_json = ? WHERE id = 3", (kept,))
+        conn.close()
+        transport = CountingTransport(OfflineTransport())
+        assert main(command, transport=transport) == 0
+        assert transport.count == 0
+        assert report_rows(path) == stored
+        for name in ("stats_tncsi", "stats_rqm", "trend_discussion"):
+            assert main([*offline, *GOLDEN_RUNS[name]]) == 0
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text("utf-8")
 
 
 class TestLinks:
@@ -373,6 +409,26 @@ class TestScoreCommand:
         assert code == 1
         assert "UnknownPaper" in capsys.readouterr().out
 
+    def test_an_id_named_twice_is_scored_printed_and_stored_once(
+            self, demo_db, tmp_path, capsys):
+        db = tmp_path / "twice.db"
+        shutil.copy(demo_db, db)
+
+        def stored() -> list[int]:
+            with SnapshotStore(db, read_only=True) as store:
+                return [len(store.report_history(cid)) for cid in (first, second)]
+
+        with SnapshotStore(db, read_only=True) as store:
+            first, second = store.review_ids()[:2]
+        before = stored()
+        assert main(["--db", str(db), "--offline", "--now", "2024-10-01",
+                     "score", second, first, second, first, "--tncsi"],
+                    transport=OfflineTransport()) == 0
+        out, err = capsys.readouterr()
+        assert [row.split()[0] for row in out.splitlines()[1:]] == [second, first]
+        assert "scored 2/2 papers" in err
+        assert stored() == [n + 1 for n in before]
+
     def test_one_and_four_workers_print_and_store_the_same(self, demo_db, tmp_path, capsys):
         outputs = []
         for workers in ("1", "4"):
@@ -381,11 +437,7 @@ class TestScoreCommand:
             assert main(["--db", str(db), "--offline", "--now", "2024-10-01",
                          "--workers", workers, "score", "--all"],
                         transport=OfflineTransport()) == 0
-            with sqlite3.connect(db) as conn:
-                stored = conn.execute(
-                    "SELECT paper_id, computed_at, report_json FROM reports ORDER BY id"
-                ).fetchall()
-            outputs.append((capsys.readouterr().out, stored))
+            outputs.append((capsys.readouterr().out, report_rows(db)))
         assert outputs[0] == outputs[1]
 
     def test_error_row_shows_the_keyword_the_llm_assigned(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from conftest import (
     LEGACY_STORED_AT,
     make_legacy,
     papers_rows,
+    report_rows,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -720,9 +721,8 @@ class TestBatchWrites:
                         transport=offline) == 0
             assert offline.count == 0
             out[fmt] = capsys.readouterr().out
+            reports[fmt] = report_rows(db)
             with SnapshotStore(db, read_only=True) as store:
-                reports[fmt] = store._conn.execute(
-                    "SELECT paper_id, computed_at, report_json FROM reports ORDER BY id").fetchall()
                 cached[fmt] = {key: store.cache_get(key) for key in legacy}
                 stamps = {key: stamp for key, stamp in store._conn.execute(
                     "SELECT key, stored_at FROM api_cache") if key in legacy}

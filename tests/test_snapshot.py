@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import sqlite3
 from datetime import date, datetime, timedelta, timezone
@@ -15,7 +16,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import legacy_paper_row, link_pairs, make_legacy, papers_rows, put_raw_paper
+from conftest import (
+    legacy_paper_row,
+    link_pairs,
+    make_legacy,
+    papers_rows,
+    put_raw_paper,
+    report_json,
+)
 from litmetrics import snapshot
 from litmetrics.errors import SchemaMismatch, StorageError, UnknownPaper
 from litmetrics.indicators import IndicatorReport
@@ -335,7 +343,8 @@ class TestRowLayout:
 
 
 def other_tables(path) -> dict:
-    """Every row and the schema of the tables a schema upgrade leaves alone."""
+    """Every row and the schema of the tables other than `papers` and
+    `meta`."""
     conn = sqlite3.connect(path)
     try:
         return {table: (conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall(),
@@ -358,6 +367,10 @@ def sha256(path) -> str:
 UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4, 5],
                                    ids=["schema-1", "schema-2", "schema-3", "schema-4",
                                         "schema-5"])
+# the schemas that held each report and feature vector as JSON: all before 7
+JSON_REPORTS = pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6],
+                                       ids=["schema-1", "schema-2", "schema-3", "schema-4",
+                                            "schema-5", "schema-6"])
 # the schemas that kept the record in `record_json`, where a field can hold
 # any JSON value
 RECORD_JSON = pytest.mark.parametrize("version", [1, 2, 3, 4],
@@ -369,6 +382,8 @@ NAMED = pytest.mark.parametrize("version", [1, 2, 3], ids=["schema-1", "schema-2
 class TestSchemaUpgrade:
     @staticmethod
     def legacy_snapshot(tmp_path, version=1, extra_rows=(), payloads=None) -> tuple:
+        """The path of a schema-``version`` file, its records, and the
+        `other_tables` it held at schema 7 before it was made legacy."""
         path = tmp_path / "legacy.db"
         records = [record(f"arxiv:{i}", cites=i, topic_keyword="t" if i % 2 else None,
                           reference_ids=["arxiv:0"] * i + ["s2:gone"] * (i == 4))
@@ -377,16 +392,21 @@ class TestSchemaUpgrade:
             for r in records:
                 store.upsert_paper(r)
             store.store_report("arxiv:1", IndicatorReport(tncsi=0.5))
+            store.store_report("arxiv:3", IndicatorReport(
+                s_mp=4, rqm=-0.0, topic_keyword="t", computed_at=datetime(2024, 6, 1),
+                warnings=["w\x00 ü"]))
             store.store_features("arxiv:1", FeatureVector(discussion=1))
             store.cache_put("k", "v")
+        tables = other_tables(path)
         make_legacy(path, version, [r.to_json_dict() for r in records] + list(extra_rows),
                     payloads)
-        return path, records
+        return path, records, tables
 
-    @UPGRADED
+    @JSON_REPORTS
     def test_a_writing_open_upgrades_papers_and_leaves_the_rest(self, tmp_path, version):
-        path, records = self.legacy_snapshot(tmp_path, version)
-        before = other_tables(path)
+        # reports and features come back as the rows they were, ids kept,
+        # and the cache as it was
+        path, records, before = self.legacy_snapshot(tmp_path, version)
         with SnapshotStore(path) as store:
             assert schema_version(store) == snapshot.SCHEMA_VERSION
             assert store.get_papers() == {r.canonical_id: r for r in records}
@@ -398,13 +418,21 @@ class TestSchemaUpgrade:
         assert other_tables(path) == before
         conn = sqlite3.connect(path)
         assert conn.execute("PRAGMA freelist_count").fetchone() == (0,)
+        # no `sqlite_sequence` row is left, nor, here, the table itself
+        sequence = conn.execute(
+            "SELECT name FROM sqlite_master WHERE name = 'sqlite_sequence'").fetchall()
+        assert not sequence or conn.execute(
+            "SELECT COUNT(*) FROM sqlite_sequence").fetchone() == (0,)
         conn.close()
         with SnapshotStore(path, read_only=True) as store:
             assert store.all_latest_features() == [("arxiv:1", 2023, FeatureVector(discussion=1))]
+            assert store.report_history("arxiv:3") == [IndicatorReport(
+                s_mp=4, rqm=-0.0, topic_keyword="t", computed_at=datetime(2024, 6, 1),
+                warnings=["w\x00 ü"])]
 
-    @UPGRADED
+    @JSON_REPORTS
     def test_a_read_only_open_names_a_command_that_upgrades(self, tmp_path, version):
-        path, _ = self.legacy_snapshot(tmp_path, version)
+        path = self.legacy_snapshot(tmp_path, version)[0]
         before = sha256(path)
         with pytest.raises(SchemaMismatch) as raised:
             SnapshotStore(path, read_only=True)
@@ -421,7 +449,7 @@ class TestSchemaUpgrade:
             "text-authors", "float-authors", "external-ids-a-list", "references-a-string"])
     def test_a_failed_upgrade_leaves_the_file_as_it_was(self, tmp_path, field, value):
         bad = {**record("arxiv:9").to_json_dict(), field: value}  # stored after the rest
-        path, _ = self.legacy_snapshot(tmp_path, 1, [bad])
+        path = self.legacy_snapshot(tmp_path, 1, [bad])[0]
         before = sha256(path)
         with pytest.raises((SchemaMismatch, StorageError), match="arxiv:9|NOT NULL"):
             SnapshotStore(path)
@@ -431,7 +459,7 @@ class TestSchemaUpgrade:
     def with_legacy_row(tmp_path, version, data):
         """A legacy file that also holds ``data``, stored after the rest as
         its version stored a record, and checked by nothing."""
-        path, _ = TestSchemaUpgrade.legacy_snapshot(tmp_path, version, [data])
+        path = TestSchemaUpgrade.legacy_snapshot(tmp_path, version, [data])[0]
         if version > 1:
             conn = sqlite3.connect(path)
             row = legacy_paper_row(data)
@@ -451,7 +479,7 @@ class TestSchemaUpgrade:
         path = self.with_legacy_row(
             tmp_path, version, {**record("arxiv:9").to_json_dict(), field: value})
         before = sha256(path)
-        with pytest.raises(SchemaMismatch, match=f"schema 6: paper 'arxiv:9' is no valid "
+        with pytest.raises(SchemaMismatch, match=f"schema 7: paper 'arxiv:9' is no valid "
                                                  f"record: {field} must "):
             SnapshotStore(path)
         assert sha256(path) == before
@@ -461,13 +489,42 @@ class TestSchemaUpgrade:
         numbered = {**record("arxiv:9").to_json_dict(), "reference_ids": ["arxiv:0", 1]}
         path = self.with_legacy_row(tmp_path, version, numbered)
         before = sha256(path)
-        with pytest.raises(SchemaMismatch, match="schema 6: paper 'arxiv:9' is no valid record: "
+        with pytest.raises(SchemaMismatch, match="schema 7: paper 'arxiv:9' is no valid record: "
                                                  "reference_ids must be a list of strings"):
             SnapshotStore(path)
         assert sha256(path) == before
 
+    @pytest.mark.parametrize("table, blob, reason", [
+        ("reports", "{bad", "report 1 of paper 'arxiv:1' is no valid report: Expecting "),
+        ("reports", "[0.5]", "report 1 of paper 'arxiv:1' is no valid report: 'list' object "),
+        ("reports", '{"computed_at":"yesterday"}',
+         "report 1 of paper 'arxiv:1' is no valid report: time data 'yesterday' "),
+        ("reports", '{"tncsi":NaN}', "report 1 of paper 'arxiv:1' is no valid report: report "
+                                     "of paper 'arxiv:1' holds NaN in tncsi"),
+        ("reports", '{"s_mp":18446744073709551616}',
+         "Python int too large to convert to SQLite INTEGER"),
+        ("features", '{"taxonomy":2}', "features 1 of paper 'arxiv:1' are no valid feature "
+                                       "vector: taxonomy must be 0 or 1, got 2"),
+        ("features", '{"colour":1}', "features 1 of paper 'arxiv:1' are no valid feature "
+                                     "vector: "),
+    ], ids=["report-no-json", "report-no-object", "report-bad-time", "report-nan",
+            "report-huge-int", "features-out-of-range", "features-unknown-name"])
+    def test_a_report_or_vector_that_does_not_decode_fails_the_upgrade(
+            self, tmp_path, table, blob, reason):
+        path = self.legacy_snapshot(tmp_path, 6)[0]
+        column = {"reports": "report_json", "features": "features_json"}[table]
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(f"UPDATE {table} SET {column} = ? WHERE id = 1", (blob,))
+        conn.close()
+        before = sha256(path)
+        with pytest.raises(SchemaMismatch, match=re.escape(
+                f"cannot upgrade {path} to schema 7: {reason}")):
+            SnapshotStore(path)
+        assert sha256(path) == before
+
     def test_a_schema_4_upgrade_keeps_every_id_and_copies_every_link(self, tmp_path):
-        path, records = self.legacy_snapshot(tmp_path, 4)
+        path, records, _ = self.legacy_snapshot(tmp_path, 4)
         # ids that are not places in the table: each id and link times ten
         conn = sqlite3.connect(path)
         with conn:
@@ -589,6 +646,8 @@ class TestReportsAndFeatures:
         assert verbs.count("BEGIN") == 1 and verbs.count("COMMIT") == 1
         assert verbs.count("INSERT") == 5
         assert [store.latest_report(cid).tncsi for cid in ids] == [0.0, 0.1, 0.2]
+        # a report with no time reads back with the time the write stamped
+        assert store.latest_report(ids[0]).computed_at == datetime(2024, 6, 1)
         assert (store.cache_get("k1"), store.cache_get("k2")) == ("new", "v")
         stamps = dict(store._conn.execute("SELECT key, stored_at FROM api_cache"))
         assert stamps["k1"] == stamps["k2"] == "2024-06-01T00:00:00Z"  # k1 takes its last put
@@ -660,6 +719,60 @@ class TestReportsAndFeatures:
         assert store.latest_report("arxiv:1").warnings == [
             "aging integral beyond fitted window"
         ]
+
+
+class TestReportAndFeatureColumns:
+    """A report or a feature vector reads back from its typed columns as it
+    was written, each value of the type it had, so that it is the JSON that
+    schema 6 stored."""
+
+    NUMBER = st.none() | st.floats(allow_nan=False) | st.integers(-2**63, 2**63 - 1)
+
+    @staticmethod
+    @st.composite
+    def reports(draw) -> IndicatorReport:
+        numbers = {name: draw(TestReportAndFeatureColumns.NUMBER)
+                   for name in IndicatorReport._fields
+                   if name not in ("topic_keyword", "computed_at", "warnings")}
+        return IndicatorReport(
+            **numbers, topic_keyword=draw(st.none() | st.text()),
+            computed_at=draw(st.none() | st.datetimes().map(lambda t: t.replace(microsecond=0))),
+            warnings=draw(st.lists(st.text())))
+
+    @given(reports())
+    def test_a_report_comes_back_as_it_was_written(self, report):
+        with SnapshotStore(":memory:") as store:
+            store.upsert_paper(record("arxiv:1"))
+            store.write([("arxiv:1", report)])
+            stored = store.latest_report("arxiv:1")
+            assert store.latest_reports() == {"arxiv:1": stored}
+            assert store.report_history("arxiv:1") == [stored]
+        # a report with no time takes the one the write stamped
+        expected = report.replace(computed_at=report.computed_at or stored.computed_at)
+        assert stored == expected
+        assert report_json(stored) == report_json(expected)
+
+    @given(st.builds(FeatureVector, **{name: st.sampled_from([0, 1, 0.0, -0.0, 1.0])
+                                       for name in snapshot.FEATURE_NAMES}))
+    def test_a_feature_vector_comes_back_as_it_was_written(self, fv):
+        with SnapshotStore(":memory:") as store:
+            store.upsert_paper(record("arxiv:1"))
+            store.store_features("arxiv:1", fv)
+            (paper_id, year, stored), = store.all_latest_features()
+        assert (paper_id, year, stored) == ("arxiv:1", 2023, fv)
+        assert canonical_json(stored.as_dict()) == canonical_json(fv.as_dict())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tncsi", float("nan"), "report of paper 'arxiv:1' holds NaN in tncsi"),
+        ("rui", float("nan"), "report of paper 'arxiv:1' holds NaN in rui"),
+        ("s_mp", 2**64, "snapshot write failed: Python int too large"),
+    ], ids=["nan-tncsi", "nan-rui", "huge-s_mp"])
+    def test_a_value_no_column_holds_is_refused(self, store, field, value, message):
+        store.upsert_paper(record("arxiv:1"))
+        with pytest.raises(StorageError, match=message):
+            store.write([("arxiv:1", IndicatorReport(tncsi=0.5)),
+                         ("arxiv:1", IndicatorReport(**{field: value}))])
+        assert store.report_history("arxiv:1") == []
 
 
 class TestReadOnlyAndSchema:
