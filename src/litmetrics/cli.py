@@ -585,7 +585,7 @@ def main(
         except SystemExit as exc:  # parser.error inside a command
             return int(exc.code or 0)
         finally:
-            runtime.close()  # writes the payloads the store still holds
+            runtime.close()  # commits what the store wrote since its last commit
     except (LitmetricsError, OSError) as exc:  # OSError: a file named on the command line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -87,7 +87,7 @@ def harvest(
     A match that is not stored is inserted. A stored one keeps every field,
     its enrichment included, except that a row with no topic keyword, such as
     a reference row, takes the keyword and so becomes a review. The matches
-    are written in one transaction, with the search payload if it is held.
+    are written in one write, after the search payload.
     """
     records = fetch_arxiv_candidates(client, keyword, limit, cache=store)
     stored = store.get_papers(r.canonical_id for r in records)
@@ -112,9 +112,9 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
     The paper's row is the only copy of what was fetched; nothing is cached.
     A row that holds ``s2_join`` is enriched already and is returned as it
     is, with no request and no write. The new reference rows and the paper's
-    row are written in one transaction, the references first, so the row
-    links every reference; a failed write stores none of them and leaves the
-    paper without ``s2_join``, and the next call fetches again.
+    row are written in one write, the references first, so the row links
+    every reference; a failed write stores none of them and leaves the paper
+    without ``s2_join``, and the next call fetches again.
     """
     record = store.require_paper(paper_id)
     if "s2_join" in record.external_ids:
@@ -388,12 +388,12 @@ def score_batch(
     The papers and their references are read in bulk, then `gather` fetches
     every keyword, citation series, topic fit and RUI count through the
     pool, or on the calling thread when ``workers`` is 1 or there is one
-    paper. Every paper is then scored on the calling thread. The API payloads
-    fetched are held by the store, within its bounds, and the last of them
-    are written together with the reports in one transaction after the
-    batch. When the batch raises or when no paper scored, the payloads are
-    still written, and no report is. Results keep the input order; per-item
-    failures are captured, never raised.
+    paper. Every paper is then scored on the calling thread. Each API payload
+    fetched is written as it is put, and the reports in one write after the
+    batch, all joining the store's open transaction (see `SnapshotStore`).
+    When the batch raises or when no paper scored, no report is written, and
+    the open transaction is committed. Results keep the input order;
+    per-item failures are captured, never raised.
     """
     engine.load_records(paper_ids, which)
     reports: list[tuple[str, IndicatorReport]] = []

@@ -35,13 +35,12 @@ SCHEMA_VERSION = 7
 # limit
 _IN_CHUNK = 512
 
-# The store holds the API payloads put into it and writes them once this many
-# are held, or at the first put this long after its last write. That bounds
-# what a hard kill loses and what the store holds in memory. At the default
-# `--rate` of one request a second, fetches arrive about this far apart and
-# each is written about as it arrives; faster fetches (a higher rate,
-# replayed fixtures) share a transaction.
-PENDING_MAX = 100
+# The writing connection keeps one transaction open across writes and puts
+# and commits it after the first of them this long after its last commit, and
+# at `close`. That bounds what a hard kill loses to the writes of about the
+# last second. At the default `--rate` of one request a second, writes come
+# farther apart than this and each commits at once; faster ones (a higher
+# rate, replayed fixtures, rows written in a loop) share a transaction.
 PENDING_MAX_AGE_S = 1.0
 
 FEATURE_NAMES = (
@@ -298,14 +297,20 @@ def _carried_report(row: tuple) -> tuple:
     """The `reports` row of a schema-1 to -6 row (id, paper_id,
     computed_at, report_json), its JSON read as schema 6 read it and its
     time the old column's when the JSON has none. A row that does not
-    decode, or holds NaN, raises ValueError naming it."""
+    decode, holds NaN, or holds in a value field anything but a number, a
+    string or null raises ValueError naming it."""
     report_id, paper_id, computed, blob = row
     try:
         data = json.loads(blob)
+        values = {name: data.get(name) for name in IndicatorReport._fields[:-2]}
+        for name, value in values.items():
+            if value is not None and type(value) not in (int, float, str):
+                raise ValueError(f"{name} holds {canonical_json(value)}, which is no "
+                                 "number, string or null")
         stamp = data.get("computed_at")
         report = IndicatorReport(**{
-            **{name: data.get(name) for name in IndicatorReport._fields},
-            "topic_keyword": data.get("topic_keyword") or "",
+            **values,
+            "topic_keyword": values["topic_keyword"] or "",
             "computed_at": parse_timestamp(stamp) if stamp else None,
             "warnings": list(data.get("warnings") or []),
         })
@@ -340,10 +345,14 @@ class SnapshotStore:
     """Versioned local snapshot; safe for concurrent readers, one writer.
 
     sqlite3 here reports threadsafety level 1, so the shared connection is
-    serialized by a lock on every access, reads included. API payloads are
-    written behind: `cache_put` holds them, within the bounds of
-    `PENDING_MAX` and `PENDING_MAX_AGE_S`, and `write` and `close` store
-    what is held.
+    serialized by a lock on every access, reads included. Writes are
+    group-committed: each `write` and `cache_put` joins the one transaction
+    the connection keeps open, which the first write after a commit opens
+    with `BEGIN IMMEDIATE`, and the transaction is committed after the
+    first write `PENDING_MAX_AGE_S` after the last commit, and by `close`.
+    This connection reads what it has not committed yet; other connections
+    see it at the commit. Until then the store holds SQLite's RESERVED
+    lock, so another writer waits.
     """
 
     def __init__(self, path: str | Path, read_only: bool = False,
@@ -351,9 +360,7 @@ class SnapshotStore:
         self.path = Path(path)
         self.read_only = read_only
         self._lock = threading.RLock()
-        # key -> (payload, time of the put), until written; under the lock
-        self._pending: dict[str, tuple[str, datetime]] = {}
-        self._written_at = time.monotonic()
+        self._committed_at = time.monotonic()
         if read_only and not self.path.exists():
             raise StorageError(f"snapshot {self.path} does not exist")
         try:
@@ -495,7 +502,8 @@ class SnapshotStore:
         conn.execute(_DELETE_LISTINGS)
 
     def close(self) -> None:
-        """Write the held payloads, then close the connection."""
+        """Commit the open transaction, then close the connection. When the
+        commit fails, the writes since the last commit are lost."""
         try:
             self.write()
         finally:
@@ -635,8 +643,8 @@ class SnapshotStore:
         return len(records)
 
     def import_jsonl(self, stream: IO[str]) -> ImportResult:
-        """Upsert records from a JSONL stream in one transaction: all of them,
-        or, when the write fails, none. Corrupt lines are skipped and
+        """Upsert records from a JSONL stream in one write: all of them, or,
+        when the write fails, none. Corrupt lines are skipped and
         tallied; of two lines with one id the last wins. Each record is
         inserted before any is written in full, so every reference the file
         or the snapshot stores is written as its link."""
@@ -661,51 +669,61 @@ class SnapshotStore:
 
     def write(self, reports: Iterable[tuple[str, IndicatorReport]] = (), *,
               new_papers: Iterable[PaperRecord] = (), papers: Iterable[PaperRecord] = (),
+              payloads: Iterable[tuple[str, str]] = (),
               features: Iterable[tuple[str, FeatureVector, Optional[datetime]]] = ()) -> None:
-        """Store, in one transaction, all of the following or, when a report
-        or features name an unknown paper, a report holds NaN or the write
-        fails, none of them, in this order: the ``new_papers`` whose
-        canonical id is not stored yet (stored rows stay untouched, and of
-        two with one id the first wins); the ``papers``, each inserted or
-        replaced by canonical id; the held API payloads; the (paper id,
-        report) pairs; and the (paper id, features, recorded_at) triples.
-        The reports and features are appended, those with no time stamped
+        """Store all of the following or, when a report or features name an
+        unknown paper, a report holds NaN or the write fails, none of them,
+        in this order: the ``new_papers`` whose canonical id is not stored
+        yet (stored rows stay untouched, and of two with one id the first
+        wins); the ``papers``, each inserted or replaced by canonical id;
+        the (key, payload) pairs, each replacing what its key held; the
+        (paper id, report) pairs; and the (paper id, features, recorded_at)
+        triples. Payloads, reports and features with no time are stamped
         with the time of the write. A reference whose row is stored once the
-        new papers are inserted is written as its link. A payload replaces
-        the one stored under its key, stored_at included; after a failure
-        the payloads stay held. The only other writer is a schema upgrade."""
+        new papers are inserted is written as its link. The write runs in
+        its own savepoint of the open transaction (see the class), so a
+        failure rolls back its own rows only; one with nothing to store
+        commits. The only other writer is a schema upgrade."""
         new_rows = [r.to_json_dict() for r in new_papers]
         paper_rows = [r.to_json_dict() for r in papers]
         now = format_timestamp(utc_now())
+        payload_rows = [(key, payload, now) for key, payload in payloads]
         report_rows = [(None, *_report_row(paper_id, report, now)) for paper_id, report in reports]
         feature_rows = [
             (None, paper_id, format_timestamp(recorded_at) if recorded_at else now,
              *fv.as_dict().values())
             for paper_id, fv, recorded_at in features
         ]
+        stores = new_rows or paper_rows or payload_rows or report_rows or feature_rows
         with self._lock:
-            cached = [(key, payload, format_timestamp(stored_at))
-                      for key, (payload, stored_at) in self._pending.items()]
-            if not (new_rows or paper_rows or report_rows or feature_rows or cached):
-                return
             try:
-                with self._conn:
-                    self._conn.execute("BEGIN IMMEDIATE")
-                    self._put_papers(_INSERT_NEW_PAPER, new_rows)
-                    self._put_papers(_UPSERT_PAPER, paper_rows)
-                    self.require_stored(row[1] for row in report_rows + feature_rows)
-                    self._conn.executemany(
-                        "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "
-                        "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload, "
-                        "stored_at = excluded.stored_at",
-                        cached,
-                    )
-                    self._conn.executemany(_INSERT_REPORT, report_rows)
-                    self._conn.executemany(_INSERT_FEATURES, feature_rows)
+                if stores:
+                    if not self._conn.in_transaction:
+                        self._conn.execute("BEGIN IMMEDIATE")
+                    self._conn.execute("SAVEPOINT write")
+                    try:
+                        self._put_papers(_INSERT_NEW_PAPER, new_rows)
+                        self._put_papers(_UPSERT_PAPER, paper_rows)
+                        self.require_stored(row[1] for row in report_rows + feature_rows)
+                        self._conn.executemany(
+                            "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "
+                            "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload, "
+                            "stored_at = excluded.stored_at",
+                            payload_rows,
+                        )
+                        self._conn.executemany(_INSERT_REPORT, report_rows)
+                        self._conn.executemany(_INSERT_FEATURES, feature_rows)
+                    except BaseException:
+                        if self._conn.in_transaction:  # SQLite may have rolled it all back
+                            self._conn.execute("ROLLBACK TO write")
+                            self._conn.execute("RELEASE write")
+                        raise
+                    self._conn.execute("RELEASE write")
+                if not stores or time.monotonic() - self._committed_at >= PENDING_MAX_AGE_S:
+                    self._conn.commit()
+                    self._committed_at = time.monotonic()
             except (sqlite3.Error, OverflowError) as exc:
                 raise StorageError(f"snapshot write failed: {exc}") from exc
-            self._pending.clear()
-            self._written_at = time.monotonic()
 
     def latest_report(self, paper_id: str) -> Optional[IndicatorReport]:
         with self._lock:
@@ -758,23 +776,14 @@ class SnapshotStore:
     # -- API cache ----------------------------------------------------------
 
     def cache_get(self, key: str) -> Optional[str]:
-        """The payload held or stored under the key, None if neither."""
+        """The payload stored under the key, None if none is."""
         with self._lock:
-            held = self._pending.get(key)
-            if held is not None:
-                return held[0]
             row = self._conn.execute(
                 "SELECT payload FROM api_cache WHERE key = ?", (key,)
             ).fetchone()
         return row[0] if row else None
 
     def cache_put(self, key: str, payload: str) -> None:
-        """Hold the payload, stamped with the time of the put, and write what
-        is held once a bound is reached."""
-        if self.read_only:
-            raise StorageError(f"snapshot {self.path} is read-only")
-        with self._lock:
-            self._pending[key] = (payload, utc_now())
-            if (len(self._pending) >= PENDING_MAX
-                    or time.monotonic() - self._written_at >= PENDING_MAX_AGE_S):
-                self.write()
+        """Store the payload under the key, stamped with the time of the put,
+        as `write` stores it."""
+        self.write(payloads=[(key, payload)])

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 import sqlite3
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from datetime import date, datetime, timedelta
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +29,7 @@ from conftest import (
     s2_references_exchange,
     s2_search_exchange,
     with_body,
+    write_fixture_dir,
 )
 from litmetrics import pipeline, retrieval, snapshot
 from litmetrics.cli import main
@@ -506,9 +511,10 @@ def demo_payloads(tmp_path_factory):
 
 
 def cold_demo_store(path, corpus) -> SnapshotStore:
-    """The demo papers and references with an empty API cache."""
+    """The demo papers and references, committed, with an empty API cache."""
     store = SnapshotStore(path)
     store.write(new_papers=corpus.references + corpus.papers)
+    store.write()
     return store
 
 
@@ -547,14 +553,20 @@ class BreakingTransport:
         return self.inner.request(method, url, params, headers, body)
 
 
-def begin_count(store, action) -> int:
+def transaction_counts(store, action) -> tuple[int, int]:
+    """The BEGINs and COMMITs the store runs in ``action``."""
     statements = []
     store._conn.set_trace_callback(statements.append)
     try:
         action()
     finally:
         store._conn.set_trace_callback(None)
-    return [sql.split()[0] for sql in statements].count("BEGIN")
+    verbs = [sql.split()[0] for sql in statements]
+    return verbs.count("BEGIN"), verbs.count("COMMIT")
+
+
+def begin_count(store, action) -> int:
+    return transaction_counts(store, action)[0]
 
 
 def stored_rows(path) -> tuple[list, list]:
@@ -568,7 +580,7 @@ def stored_rows(path) -> tuple[list, list]:
 
 
 class TestDemoSnapshot:
-    def test_rows_and_features_take_two_transactions_and_are_those_of_single_writes(
+    def test_rows_and_features_take_two_writes_and_are_those_of_single_writes(
             self, tmp_path, demo_corpus, monkeypatch):
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         written = []
@@ -576,13 +588,14 @@ class TestDemoSnapshot:
 
         def recording_write(self, reports=(), **rows):
             rows = {name: list(items) for name, items in rows.items()}
-            written.append(sum(map(len, rows.values())))
+            if "payloads" not in rows:  # a put is no write of rows
+                written.append(sum(map(len, rows.values())))
             write(self, reports, **rows)
 
         monkeypatch.setattr(SnapshotStore, "write", recording_write)
         build_demo_snapshot(tmp_path / "demo.db")
         # the references, then the papers with their features; then the
-        # payloads at close
+        # commit at close
         assert written == [len(demo_corpus.references), 2 * len(demo_corpus.papers), 0]
         monkeypatch.setattr(SnapshotStore, "write", write)
         # as written one row or feature vector at a time, references first
@@ -604,17 +617,18 @@ class TestBatchWrites:
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         ids = [p.canonical_id for p in demo_corpus.papers]
         engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
-        statements = []
-        store._conn.set_trace_callback(statements.append)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # workers interleave inside the store
-        try:
-            items = score_batch(engine, ids, workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
-            store._conn.set_trace_callback(None)
-        verbs = [sql.split()[0] for sql in statements]
-        assert verbs.count("BEGIN") == 1 and verbs.count("COMMIT") == 1
+        items = []
+
+        def batch_and_close():  # the commit at close included
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # workers interleave inside the store
+            try:
+                items.extend(score_batch(engine, ids, workers=workers))
+            finally:
+                sys.setswitchinterval(interval)
+            store.write()
+
+        assert transaction_counts(store, batch_and_close) == (1, 1)
         assert [i.error for i in items] == [None] * len(ids)
         assert sorted(store.latest_reports()) == sorted(ids)
         assert payloads(store) == demo_payloads
@@ -784,16 +798,40 @@ class TestBatchWrites:
         assert [i.report.cdr for i in items] == [2.0, 2.0]
         assert transport.count == 2
 
-    def test_a_batch_writes_whenever_it_holds_the_most_payloads(
+    def test_each_put_is_a_row_of_the_open_transaction_as_it_arrives(
             self, tmp_path, demo_corpus, demo_payloads, monkeypatch):
-        monkeypatch.setattr(snapshot, "PENDING_MAX", 3)
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         ids = [p.canonical_id for p in demo_corpus.papers]
-        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
-        begins = begin_count(store, lambda: score_batch(engine, ids, workers=1))
-        assert len(demo_payloads) > 3
-        assert begins == len(demo_payloads) // 3 + 1  # and once more for the rest and the reports
+        puts, seen = [0], []
+
+        class RowCountingTransport:
+            """Records, before each request, the payload rows this store
+            reads against the puts made so far."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def request(self, *args, **kwargs):
+                seen.append((store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0],
+                             puts[0]))
+                return self.inner.request(*args, **kwargs)
+
+        put = SnapshotStore.cache_put
+
+        def counting_put(self, key, payload):
+            put(self, key, payload)
+            puts[0] += 1
+
+        monkeypatch.setattr(SnapshotStore, "cache_put", counting_put)
+        transport = RowCountingTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
+        engine = ScoringEngine(store=store, s2=replay_client(transport), now=DEMO_NOW)
+        # however many payloads a batch puts, nothing is held in memory, and
+        # the batch and the close share one transaction
+        assert transaction_counts(store, lambda: (score_batch(engine, ids, workers=1),
+                                                  store.write())) == (1, 1)
+        assert puts[0] == len(demo_payloads) and len(seen) == 66
+        assert all(rows == made for rows, made in seen)
         assert payloads(store) == demo_payloads
         assert sorted(store.latest_reports()) == sorted(ids)
 
@@ -817,17 +855,17 @@ class TestBatchWrites:
         transport = PacedTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
         engine = ScoringEngine(store=store, s2=replay_client(transport), now=DEMO_NOW)
         begins = begin_count(store, lambda: score_batch(engine, ids, ["iei"], workers=1))
-        # puts at 0.6, 1.2, 1.8 and 2.4 s: written at 1.2 and 2.4 s, then the reports
+        # puts at 0.6, 1.2, 1.8 and 2.4 s, committed at 1.2 and 2.4 s; the
+        # reports open a third transaction, which the close commits
         assert begins == 3
         assert len(store._conn.execute("SELECT key FROM api_cache").fetchall()) == 4
 
     def test_puts_while_a_write_runs_are_all_stored(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(snapshot, "PENDING_MAX", 10**9)
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = SnapshotStore(tmp_path / "s.db")
         halfway, go = threading.Barrier(5), threading.Event()
 
-        def put(worker):  # a batch worker, still fetching while the store writes
+        def put(worker):  # a batch worker, still fetching while the store commits
             for n in range(100):
                 store.cache_put(f"{worker}-{n}", "{}")
                 if n == 49:
@@ -839,7 +877,7 @@ class TestBatchWrites:
             thread.start()
         halfway.wait()
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the puts interleave with the write
+        sys.setswitchinterval(1e-6)  # the puts interleave with the commit
         try:
             go.set()
             store.write()
@@ -984,17 +1022,19 @@ class TestHarvest:
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         store = SnapshotStore(tmp_path / "s.db")
         store.upsert_paper(review("arxiv:2301.00002", topic_keyword=None))
+        store.write()
         query = retrieval.arxiv_review_query("something")
         client = retrieval.ArxivClient(
             transport=FixtureTransport.from_pairs([arxiv_exchange(query, 10, self.FEED)]),
             limiter=RateLimiter(100_000.0))
-        assert begin_count(store, lambda: harvest(store, client, "something", 10)) == 1
-        assert store.review_ids() == [
-            "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
-        assert [op for (op,) in store._conn.execute(
-            "SELECT json_extract(key, '$.op') FROM api_cache")] == ["arxiv_candidates"]
-        assert begin_count(store, store.write) == 0  # nothing is left held
+        assert transaction_counts(store, lambda: (harvest(store, client, "something", 10),
+                                                  store.write())) == (1, 1)
         store.close()
+        with SnapshotStore(tmp_path / "s.db", read_only=True) as reopened:
+            assert reopened.review_ids() == [
+                "arxiv:2301.00001", "arxiv:2301.00002", "arxiv:2301.00003"]
+            assert [op for (op,) in reopened._conn.execute(
+                "SELECT json_extract(key, '$.op') FROM api_cache")] == ["arxiv_candidates"]
 
 
 PAPER_KEY = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
@@ -1070,13 +1110,14 @@ class TestEnrich:
                                                         format_timestamp(RETRIEVED)))
 
     def enriched_rows(self, tmp_path, monkeypatch) -> dict[str, tuple]:
-        """The `papers` rows an online enrich leaves, stamped with RETRIEVED."""
-        fresh = SnapshotStore(tmp_path / "fresh.db")
-        fresh.upsert_paper(review(citation_count=None))
-        monkeypatch.setattr(retrieval, "utc_now", lambda: RETRIEVED)
-        enrich(fresh, fast_client(self.EXCHANGES), "arxiv:2301.00001")
-        monkeypatch.undo()
-        return papers_rows(fresh)
+        """The `papers` rows an online enrich leaves, stamped with RETRIEVED,
+        committed."""
+        with SnapshotStore(tmp_path / "fresh.db") as fresh:
+            fresh.upsert_paper(review(citation_count=None))
+            monkeypatch.setattr(retrieval, "utc_now", lambda: RETRIEVED)
+            enrich(fresh, fast_client(self.EXCHANGES), "arxiv:2301.00001")
+            monkeypatch.undo()
+            return papers_rows(fresh)
 
     @staticmethod
     def enrich_offline(path, capsys) -> dict[str, tuple]:
@@ -1214,12 +1255,28 @@ def demo_enrich_exchanges(corpus, bad_reference_of: str = "") -> list[dict]:
 
 
 class TestEnrichWrites:
-    def test_enrich_all_commits_once_a_paper_and_caches_nothing(
-            self, tmp_path, demo_corpus, monkeypatch):
-        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+    @pytest.mark.parametrize("paced", [False, True], ids=["fast", "paced"])
+    def test_enrich_all_commits_once_an_interval_and_caches_nothing(
+            self, tmp_path, demo_corpus, monkeypatch, paced):
+        clock = [0.0]
+
+        class PacedTransport:
+            """Moves the store's clock 0.5 s forward per request when paced:
+            1 s per paper, two requests and one write."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def request(self, *args, **kwargs):
+                clock[0] += 0.5 if paced else 0.0
+                return self.inner.request(*args, **kwargs)
+
+        monkeypatch.setattr(snapshot, "time", SimpleNamespace(monotonic=lambda: clock[0]))
         store = SnapshotStore(tmp_path / "s.db")
         store.write(new_papers=demo_corpus.papers)
-        client = fast_client(demo_enrich_exchanges(demo_corpus))
+        store.write()
+        client = replay_client(PacedTransport(
+            FixtureTransport.from_pairs(demo_enrich_exchanges(demo_corpus))))
         ids = store.review_ids()
 
         def enrich_all():  # as `enrich --all` runs, then closes the store
@@ -1227,8 +1284,10 @@ class TestEnrichWrites:
                 enrich(store, client, cid)
             store.write()
 
-        # each paper's reference rows and the paper itself, together
-        assert begin_count(store, enrich_all) == len(ids)
+        # fast: every paper in one transaction; paced, each paper's reference
+        # rows and the paper itself commit together as they are written
+        n = len(ids) if paced else 1
+        assert transaction_counts(store, enrich_all) == (n, n)
         store.close()
         with SnapshotStore(tmp_path / "s.db", read_only=True) as reopened:
             assert payloads(reopened) == {}
@@ -1290,6 +1349,55 @@ class TestEnrichWrites:
                 else:
                     assert "s2_join" not in record.external_ids
 
+    def test_a_hard_kill_loses_the_open_interval_which_the_next_enrich_fetches_again(
+            self, tmp_path, demo_corpus):
+        db = tmp_path / "s.db"
+        with SnapshotStore(db) as store:
+            store.write(new_papers=demo_corpus.papers)
+        exchanges = demo_enrich_exchanges(demo_corpus)
+        fixtures = write_fixture_dir(tmp_path / "fixtures", exchanges)
+        code = """if True:
+            import os, signal, sys
+            from litmetrics import snapshot
+            from litmetrics.pipeline import enrich
+            from litmetrics.retrieval import FixtureTransport, RateLimiter, SemanticScholarClient
+            snapshot.PENDING_MAX_AGE_S = 1e9  # no write past the first commit is due
+            store = snapshot.SnapshotStore(sys.argv[1])
+            client = SemanticScholarClient(transport=FixtureTransport(sys.argv[2]),
+                                           limiter=RateLimiter(100000.0))
+            ids = store.review_ids()
+            for cid in ids[:8]:
+                enrich(store, client, cid)
+            store.write()  # commits the first eight
+            for cid in ids[8:]:
+                enrich(store, client, cid)
+            os.kill(os.getpid(), signal.SIGKILL)
+        """
+        src = str(Path(snapshot.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code, str(db), str(fixtures)],
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == -signal.SIGKILL
+        ids = sorted(p.canonical_id for p in demo_corpus.papers)
+        committed = set(ids[:8])
+        refs = {rid for p in demo_corpus.papers if p.canonical_id in committed
+                for rid in p.reference_ids}
+        conn = sqlite3.connect(db)  # a writing open rolls the hot journal back
+        try:
+            assert conn.execute("PRAGMA integrity_check").fetchall() == [("ok",)]
+        finally:
+            conn.close()
+        with SnapshotStore(db, read_only=True) as store:
+            records = store.get_papers()
+        assert records.keys() == set(ids) | refs
+        assert {cid for cid in ids if "s2_join" in records[cid].external_ids} == committed
+        transport = CountingTransport(FixtureTransport.from_pairs(exchanges))
+        assert main(["--db", str(db), "--rate", "100000", "enrich", "--all"],
+                    transport=transport) == 0
+        lost = [p for p in demo_corpus.papers if p.canonical_id not in committed]
+        assert sorted(json.loads(key)["url"] for _, key in transport.calls) == sorted(
+            f"{S2_API_URL}/paper/ARXIV:{p.external_ids['arxiv']}{tail}"
+            for p in lost for tail in ("", "/references"))
+
     def test_a_write_that_fails_at_close_exits_1_with_one_line(
             self, tmp_path, demo_corpus, capsys, monkeypatch):
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
@@ -1312,5 +1420,7 @@ class TestEnrichWrites:
         assert capsys.readouterr() == (f"{paper_id}  enriched\n",
                                        "error: StorageError: disk full\n")
         monkeypatch.setattr(SnapshotStore, "write", write)
+        # the final commit did not run, so the paper's enrichment is lost
         with SnapshotStore(db, read_only=True) as store:
-            assert "s2_join" in store.get_paper(paper_id).external_ids
+            assert "s2_join" not in store.get_paper(paper_id).external_ids
+            assert store.paper_count() == len(demo_corpus.papers)

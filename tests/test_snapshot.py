@@ -10,10 +10,12 @@ import random
 import re
 import shlex
 import sqlite3
+import tempfile
 from datetime import date, datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -503,12 +505,19 @@ class TestSchemaUpgrade:
                                      "of paper 'arxiv:1' holds NaN in tncsi"),
         ("reports", '{"s_mp":18446744073709551616}',
          "Python int too large to convert to SQLite INTEGER"),
+        ("reports", '{"tncsi":[1]}', "report 1 of paper 'arxiv:1' is no valid report: tncsi "
+                                     "holds [1], which is no number, string or null"),
+        ("reports", '{"rqm":{}}', "report 1 of paper 'arxiv:1' is no valid report: rqm holds "
+                                  "{}, which is no number, string or null"),
+        ("reports", '{"s_mp":true}', "report 1 of paper 'arxiv:1' is no valid report: s_mp "
+                                     "holds true, which is no number, string or null"),
         ("features", '{"taxonomy":2}', "features 1 of paper 'arxiv:1' are no valid feature "
                                        "vector: taxonomy must be 0 or 1, got 2"),
         ("features", '{"colour":1}', "features 1 of paper 'arxiv:1' are no valid feature "
                                      "vector: "),
     ], ids=["report-no-json", "report-no-object", "report-bad-time", "report-nan",
-            "report-huge-int", "features-out-of-range", "features-unknown-name"])
+            "report-huge-int", "report-array", "report-object", "report-boolean",
+            "features-out-of-range", "features-unknown-name"])
     def test_a_report_or_vector_that_does_not_decode_fails_the_upgrade(
             self, tmp_path, table, blob, reason):
         path = self.legacy_snapshot(tmp_path, 6)[0]
@@ -636,14 +645,17 @@ class TestReportsAndFeatures:
         store.write()
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         monkeypatch.setattr(snapshot, "utc_now", lambda: datetime(2024, 6, 1))
-        store.cache_put("k1", "new")
-        store.cache_put("k2", "v")
         statements = []
         store._conn.set_trace_callback(statements.append)
+        store.cache_put("k1", "new")
+        store.cache_put("k2", "v")
         store.write([(cid, IndicatorReport(tncsi=0.1 * n)) for n, cid in enumerate(ids)])
+        store.write()  # as `close` does
         store._conn.set_trace_callback(None)
         verbs = [sql.split()[0] for sql in statements]
+        # the two puts and the reports share one transaction, each in its savepoint
         assert verbs.count("BEGIN") == 1 and verbs.count("COMMIT") == 1
+        assert verbs.count("SAVEPOINT") == verbs.count("RELEASE") == 3
         assert verbs.count("INSERT") == 5
         assert [store.latest_report(cid).tncsi for cid in ids] == [0.0, 0.1, 0.2]
         # a report with no time reads back with the time the write stamped
@@ -652,17 +664,23 @@ class TestReportsAndFeatures:
         stamps = dict(store._conn.execute("SELECT key, stored_at FROM api_cache"))
         assert stamps["k1"] == stamps["k2"] == "2024-06-01T00:00:00Z"  # k1 takes its last put
 
-    def test_store_reports_with_unknown_paper_stores_none(self, store):
-        store.upsert_paper(record("arxiv:1"))
-        store.cache_put("k", "v")
-        with pytest.raises(UnknownPaper, match="arxiv:nope"):
-            store.write([("arxiv:1", IndicatorReport(tncsi=0.5)),
-                         ("arxiv:nope", IndicatorReport(tncsi=0.5))])
-        assert store.report_history("arxiv:1") == []
-        assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 0
-        assert store.cache_get("k") == "v"  # still held, and written with the next write
-        store.write()
-        assert store._conn.execute("SELECT payload FROM api_cache").fetchall() == [("v",)]
+    def test_store_reports_with_unknown_paper_stores_none(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
+        path = tmp_path / "s.db"
+        with SnapshotStore(path) as store:
+            store.upsert_paper(record("arxiv:1"))
+            store.cache_put("k", "v")
+            with pytest.raises(UnknownPaper, match="arxiv:nope"):
+                store.write([("arxiv:1", IndicatorReport(tncsi=0.5)),
+                             ("arxiv:nope", IndicatorReport(tncsi=0.5))])
+            # only the failed write's rows go: the row and the put before it stay
+            assert store._conn.in_transaction
+            assert store.report_history("arxiv:1") == []
+            assert store.cache_get("k") == "v"
+        with SnapshotStore(path, read_only=True) as reopened:
+            assert reopened.paper_count() == 1
+            assert reopened.report_history("arxiv:1") == []
+            assert reopened._conn.execute("SELECT payload FROM api_cache").fetchall() == [("v",)]
 
     def test_latest_reports_pick_as_latest_report_does(self, store):
         for cid in ("arxiv:1", "arxiv:2", "arxiv:3"):
@@ -849,14 +867,96 @@ class TestCache:
         store.cache_put("k", '{"v": 2}')
         assert store.cache_get("k") == '{"v": 2}'
 
-    def test_a_put_is_held_until_the_store_closes(self, tmp_path, monkeypatch):
+    def test_a_put_is_seen_by_other_connections_once_the_store_closes(
+            self, tmp_path, monkeypatch):
         monkeypatch.setattr(snapshot, "PENDING_MAX_AGE_S", 1e9)
         path = tmp_path / "s.db"
         with SnapshotStore(path) as store:
             store.cache_put("k", "v")
-            assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 0
+            # a row of the open transaction: this connection reads it, another does not
+            assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 1
+            with SnapshotStore(path, read_only=True) as other:
+                assert other.cache_get("k") is None
         with SnapshotStore(path, read_only=True) as reopened:
             assert reopened.cache_get("k") == "v"
+
+
+class TestGroupCommit:
+    PAPERS = ("arxiv:1", "arxiv:2", "arxiv:3")
+    # (kind, paper id or key, value); a report or features naming a paper
+    # not stored yet fail as `unknown` does
+    STEP = st.one_of(
+        st.tuples(st.just("paper"), st.sampled_from(PAPERS), st.integers(0, 99)),
+        st.tuples(st.just("report"), st.sampled_from(PAPERS), st.floats(0, 1)),
+        st.tuples(st.just("features"), st.sampled_from(PAPERS), st.sampled_from([0, 1])),
+        st.tuples(st.just("put"), st.sampled_from(["k1", "k2", "k3"]), st.text(max_size=4)),
+        st.tuples(st.sampled_from(["unknown", "nan", "refused"]), st.sampled_from(PAPERS),
+                  st.integers(0, 99)),
+    )
+    # the report that fails a write of a paper row and a valid report, with
+    # the error it raises
+    FAILING = {
+        "unknown": (lambda key: ("arxiv:nope", IndicatorReport()), UnknownPaper, "arxiv:nope"),
+        "nan": (lambda key: (key, IndicatorReport(tncsi=float("nan"))), StorageError, "NaN"),
+        "refused": (lambda key: (key, IndicatorReport(tncsi=-1.0)), StorageError, "refused"),
+    }
+
+    @staticmethod
+    def step(store, model, kind, key, value) -> None:
+        """Apply one step to the store and, when it succeeds, to the model."""
+        papers, reports, features, payloads = model
+        if kind == "put":
+            store.cache_put(key, value)
+            payloads[key] = value
+        elif kind == "paper":
+            store.upsert_paper(record(key, cites=value))
+            papers[key] = value
+        elif kind == "report" and key in papers:
+            store.store_report(key, IndicatorReport(tncsi=value))
+            reports.setdefault(key, []).append(value)
+        elif kind == "features" and key in papers:
+            store.store_features(key, FeatureVector(taxonomy=value))
+            features.setdefault(key, []).append(value)
+        elif kind in ("report", "features"):
+            with pytest.raises(UnknownPaper, match=re.escape(key)):
+                if kind == "report":
+                    store.write([(key, IndicatorReport())])
+                else:
+                    store.write(features=[(key, FeatureVector(), None)])
+        else:
+            failing, error, message = TestGroupCommit.FAILING[kind]
+            with pytest.raises(error, match=message):
+                store.write([(key, IndicatorReport(tncsi=0.5)), failing(key)],
+                            papers=[record(key, cites=value)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(STEP, max_size=25))
+    def test_a_failed_write_takes_only_its_own_rows(self, steps):
+        model = papers, reports, features, payloads = {}, {}, {}, {}
+        verbs = []
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            # the commit clock stands still: every step joins one transaction
+            mp.setattr(snapshot, "time", SimpleNamespace(monotonic=lambda: 0.0))
+            path = os.path.join(tmp, "s.db")
+            with SnapshotStore(path) as store:
+                store._conn.execute("CREATE TRIGGER refuse BEFORE INSERT ON reports WHEN "
+                                    "NEW.tncsi = -1 BEGIN SELECT RAISE(ABORT, 'refused'); END")
+                store._conn.set_trace_callback(lambda sql: verbs.append(sql.split()[0]))
+                for kind, key, value in steps:
+                    self.step(store, model, kind, key, value)
+                assert "COMMIT" not in verbs
+            with SnapshotStore(path, read_only=True) as reopened:
+                stored = reopened.get_papers()
+                assert {cid: r.citation_count for cid, r in stored.items()} == papers
+                assert {cid: [r.tncsi for r in reopened.report_history(cid)]
+                        for cid in papers if reopened.report_history(cid)} == reports
+                stored = {}
+                for cid, taxonomy in reopened._conn.execute(
+                        "SELECT paper_id, taxonomy FROM features ORDER BY id"):
+                    stored.setdefault(cid, []).append(taxonomy)
+                assert stored == features
+                assert dict(reopened._conn.execute("SELECT key, payload FROM api_cache")) == (
+                    payloads)
 
 
 class TestCanonicalJsonIO:
