@@ -20,13 +20,7 @@ from typing import IO, Iterable, Mapping, Optional
 from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
 from .jsonio import canonical_json, format_timestamp, parse_date, parse_timestamp, utc_now
-from .retrieval import (
-    PAYLOAD_ERRORS,
-    PaperRecord,
-    _citation_months,
-    api_id_for,
-    merge_fetched,
-)
+from .retrieval import PAYLOAD_ERRORS, PaperRecord
 from .values import Frozen, Value
 
 SCHEMA_VERSION = 7
@@ -85,10 +79,10 @@ class FeatureVector(Frozen):
 # its canonical id (a dangling id). Nothing deletes or replaces a `papers`
 # row, and an upsert keeps its `id`, so a link never goes stale. Every row
 # holds a record that passed `PaperRecord`'s checks, so reads trust the
-# columns: `write` stores only records, and a writing open rebuilds the table
-# of schemas 1-5 as this from each old row read as a record.
+# columns: `write` stores only records, and schema 6, the one schema a
+# writing open upgrades, held this table under the same rule.
 _PAPERS = """
-CREATE TABLE {table} (
+CREATE TABLE papers (
     id INTEGER PRIMARY KEY,
     canonical_id TEXT NOT NULL UNIQUE,
     topic_keyword TEXT,
@@ -111,10 +105,11 @@ _REVIEWS_INDEX = ("CREATE INDEX idx_papers_reviews ON papers(canonical_id, topic
 # as, and NULL, 0 and 1 take no payload bytes. `computed_at` is the report's
 # time, or the time `write` stamped on a report that had none, and reports are
 # ordered by it, then by `id`. `warnings` is compact JSON, NULL when empty.
-# SQLite stores NaN as NULL, so `write` refuses a report that holds one.
+# SQLite stores NaN as NULL, and binds no int outside its 64-bit range, so
+# `write` refuses a report that holds either.
 # Nothing deletes a `reports` or `features` row, so a plain INTEGER PRIMARY
 # KEY numbers them as AUTOINCREMENT did, with no `sqlite_sequence` table. A
-# writing open rebuilds the JSON tables of schemas 1-6 as these, each old row
+# writing open rebuilds the JSON tables of schema 6 as these, each old row
 # read as schema 6 read it, and refuses a row that fails that read.
 _REPORTS = ("""
 CREATE TABLE reports (
@@ -145,7 +140,7 @@ CREATE TABLE api_cache (
     key TEXT PRIMARY KEY,
     payload TEXT NOT NULL,
     stored_at TEXT NOT NULL
-)""", *_REPORTS, *_FEATURES, _PAPERS.format(table="papers"), _REVIEWS_INDEX)) + ";\n"
+)""", *_REPORTS, *_FEATURES, _PAPERS, _REVIEWS_INDEX)) + ";\n"
 
 # each column is named as the record's JSON key it holds, so that a row
 # zips into a `to_json_dict()`
@@ -228,43 +223,6 @@ def _padded(values: list) -> list:
     return values + [None] * ((1 << max(0, len(values) - 1).bit_length()) - len(values))
 
 
-# the columns of schemas 2-4 that hold a record: typed facts, then the rest
-_LEGACY_COLUMNS = (*_PAPER_COLUMNS[:5], "record_json")
-
-
-def _legacy_data(version: int, row: tuple) -> dict:
-    """The JSON dict of a schema-``version`` `papers` row selected as
-    `_LEGACY_COLUMNS`, or at schema 1 as its two columns. Schemas 2-4 left
-    out of `record_json` each key at the value `PaperRecord.from_json_dict`
-    reads for an absent one."""
-    if version == 1:
-        canonical_id, record_json = row
-        return {**json.loads(record_json), "canonical_id": canonical_id}
-    return {**json.loads(row[-1]), **dict(zip(_LEGACY_COLUMNS[:-1], row))}
-
-
-def _carried_record(version: int, row: tuple, names: Mapping[int, str]) -> PaperRecord:
-    """The record of a schema-``version`` `papers` row selected, less its
-    rowid, as `_upgrade` selects it, each link named by ``names``. Schemas
-    1-3 named every reference by canonical id, so there a number is no link
-    and fails the record's checks. A row that does not decode or fails the
-    checks raises ValueError naming the paper."""
-    try:
-        data = _row_data(row) if version == 5 else _legacy_data(version, row)
-        return _paper_record(data, names) if version >= 4 else PaperRecord.from_json_dict(data)
-    except PAYLOAD_ERRORS as exc:
-        raise ValueError(f"paper {row[0]!r} is no valid record: {exc}") from exc
-
-
-# `paper` and `references` payloads, and citing dates; a JSON function raises
-# on text that is not JSON, so `json_valid` guards it
-_LEGACY_PAYLOADS = """SELECT key, json_extract(key, '$.op'), payload FROM api_cache
-WHERE CASE WHEN json_valid(key) AND json_valid(payload) THEN json_extract(key, '$.op')
-    IN ('paper', 'references') OR json_type(payload, '$.citing_dates') IS NOT NULL END"""
-_DELETE_LISTINGS = ("DELETE FROM api_cache WHERE CASE WHEN json_valid(key) THEN "
-                    "json_extract(key, '$.op') IN ('paper', 'references') END")
-
-
 # a report's `reports` columns, in `IndicatorReport` field order
 _REPORT_ROW = ", ".join(IndicatorReport._fields)
 _INSERT_REPORT = (f"INSERT INTO reports (id, paper_id, {_REPORT_ROW}) "
@@ -276,12 +234,16 @@ _INSERT_FEATURES = (f"INSERT INTO features (id, paper_id, recorded_at, {_FEATURE
 
 def _report_row(paper_id: str, report: IndicatorReport, stamp: str) -> tuple:
     """The `reports` row, less its id, of a paper's report, its time
-    ``stamp`` when it has none. A value that is NaN raises StorageError."""
+    ``stamp`` when it has none. A value that is NaN, or an int outside
+    SQLite's 64-bit range, raises StorageError naming the paper and field."""
     *values, computed, warnings = (getattr(report, name) for name in IndicatorReport._fields)
     for name, value in zip(IndicatorReport._fields, values):
         if value != value:
             raise StorageError(f"report of paper {paper_id!r} holds NaN in {name}, "
                                "which the snapshot cannot store")
+        if isinstance(value, int) and not -2**63 <= value < 2**63:
+            raise StorageError(f"report of paper {paper_id!r} holds {value} in {name}, "
+                               "outside the 64-bit range the snapshot stores")
     return (paper_id, *values, format_timestamp(computed) if computed else stamp,
             canonical_json(warnings) if warnings else None)
 
@@ -294,11 +256,11 @@ def _stored_report(row: tuple) -> IndicatorReport:
 
 
 def _carried_report(row: tuple) -> tuple:
-    """The `reports` row of a schema-1 to -6 row (id, paper_id,
-    computed_at, report_json), its JSON read as schema 6 read it and its
-    time the old column's when the JSON has none. A row that does not
-    decode, holds NaN, or holds in a value field anything but a number, a
-    string or null raises ValueError naming it."""
+    """The `reports` row of a schema-6 row (id, paper_id, computed_at,
+    report_json), its JSON read as schema 6 read it and its time the old
+    column's when the JSON has none. A row that does not decode, holds NaN
+    or an int `_report_row` refuses, or holds in a value field anything but
+    a number, a string or null raises ValueError naming it."""
     report_id, paper_id, computed, blob = row
     try:
         data = json.loads(blob)
@@ -321,9 +283,9 @@ def _carried_report(row: tuple) -> tuple:
 
 
 def _carried_features(row: tuple) -> tuple:
-    """The `features` row of a schema-1 to -6 row (id, paper_id,
-    recorded_at, features_json), read as schema 6 read it. A row that does
-    not decode raises ValueError naming it."""
+    """The `features` row of a schema-6 row (id, paper_id, recorded_at,
+    features_json), read as schema 6 read it. A row that does not decode
+    raises ValueError naming it."""
     features_id, paper_id, recorded, blob = row
     try:
         fv = FeatureVector(**json.loads(blob))
@@ -396,53 +358,38 @@ class SnapshotStore:
         except sqlite3.Error as exc:
             raise SchemaMismatch(f"{self.path} is not a snapshot: {exc}") from exc
         version = row[0] if row else "missing"
-        if version in range(1, SCHEMA_VERSION):
-            if self.read_only:
-                import shlex
+        if version == SCHEMA_VERSION - 1 and not self.read_only:
+            self._upgrade()
+        elif version != SCHEMA_VERSION:
+            import shlex
 
+            db = shlex.quote(str(self.path))
+            if version == SCHEMA_VERSION - 1:
                 raise SchemaMismatch(
                     f"snapshot {self.path} has schema {version} and is opened read-only; any "
                     f"writing command upgrades it to schema {SCHEMA_VERSION}, for example "
-                    f"`litmetrics --db {shlex.quote(str(self.path))} import {os.devnull}`, "
-                    "which makes no request"
+                    f"`litmetrics --db {db} import {os.devnull}`, which makes no request"
                 )
-            self._upgrade(version)
-        elif version != SCHEMA_VERSION:
+            if version in range(1, SCHEMA_VERSION - 1):
+                raise SchemaMismatch(
+                    f"snapshot {self.path} has schema {version}, and this litmetrics upgrades "
+                    f"only schema {SCHEMA_VERSION - 1}; with the litmetrics that wrote it, run "
+                    f"`litmetrics --db {db} export RECORDS.jsonl`, then with this one "
+                    "`litmetrics --db NEW.db import RECORDS.jsonl`; reports, features and "
+                    "cached payloads are not carried"
+                )
             raise SchemaMismatch(f"snapshot schema {version} != supported {SCHEMA_VERSION}")
 
-    def _upgrade(self, version: int) -> None:
-        """Bring a schema-1 to -6 file to schema 7 in one transaction: all of
-        it, or, when a row or the write fails, nothing. Below schema 6,
-        `papers` is rebuilt once: each row is read as a `PaperRecord`, so a
-        row that fails the record's checks fails the upgrade, and stored as
-        its `to_json_dict()` under its rowid, every stored reference as its
-        link. Then the payloads are converted. `reports` and `features` are
-        rebuilt from their JSON rows, ids kept. A `VACUUM` then returns the
-        pages freed, which would otherwise leave the file larger than
-        before."""
+    def _upgrade(self) -> None:
+        """Bring a schema-6 file to schema 7 in one transaction: all of it,
+        or, when a row or the write fails, nothing. `papers` and `api_cache`
+        are schema 6's; `reports` and `features` are rebuilt from their JSON
+        rows, ids kept. A `VACUUM` then returns the pages freed, which would
+        otherwise leave the file larger than before."""
         with self._lock:
             try:
                 with self._conn:
                     self._conn.execute("BEGIN")
-                    if version < 6:
-                        columns = {1: "canonical_id, record_json", 5: _PAPER_ROW}.get(
-                            version, ", ".join(_LEGACY_COLUMNS))
-                        self._conn.execute(_PAPERS.format(table="papers_new"))
-                        old = self._conn.execute(
-                            f"SELECT rowid, {columns} FROM papers ORDER BY rowid").fetchall()
-                        links = {row[1]: row[0] for row in old}
-                        names = {link: cid for cid, link in links.items()}
-                        self._conn.executemany(
-                            f"INSERT INTO papers_new (id, {_PAPER_ROW}) "
-                            f"VALUES (?, {', '.join('?' * len(_PAPER_COLUMNS))})",
-                            ((row[0], *_paper_row(
-                                _carried_record(version, row[1:], names).to_json_dict(), links))
-                             for row in old),
-                        )
-                        self._conn.execute("DROP TABLE papers")
-                        self._conn.execute("ALTER TABLE papers_new RENAME TO papers")
-                        self._conn.execute(_REVIEWS_INDEX)
-                        self._convert_payloads(names)
                     for table, statements, insert, carried in (
                             ("reports", _REPORTS, _INSERT_REPORT, _carried_report),
                             ("features", _FEATURES, _INSERT_FEATURES, _carried_features)):
@@ -459,47 +406,6 @@ class SnapshotStore:
             except sqlite3.Error as exc:
                 raise StorageError(f"cannot upgrade {self.path} to schema "
                                    f"{SCHEMA_VERSION}: {exc}") from exc
-
-    def _convert_payloads(self, names: Mapping[int, str]) -> None:
-        """Leave each op one payload format; no other code reads the others.
-        Citing dates become their month histogram, `stored_at` kept, or are
-        dropped when a date fails the rule. A row `enrich` looks up by arXiv
-        id or DOI and has not enriched is enriched from its `paper` and
-        `references` payloads as an offline `enrich` of it would be, or left
-        as it is when one is missing or fails its checks. Then every `paper`
-        and `references` payload goes. ``names`` holds the canonical id of
-        every link stored."""
-        conn, listings = self._conn, {}
-
-        def listed(op: str, paper: PaperRecord):
-            return json.loads(listings[canonical_json({"op": op, "paper_id": api_id_for(paper)})])
-
-        for key, op, payload in conn.execute(_LEGACY_PAYLOADS).fetchall():
-            if op != "citations":
-                listings[key] = payload
-                continue
-            try:
-                months = canonical_json(_citation_months(json.loads(payload)["citing_dates"]))
-                conn.execute("UPDATE api_cache SET payload = ? WHERE key = ?", (months, key))
-            except PAYLOAD_ERRORS:
-                conn.execute("DELETE FROM api_cache WHERE key = ?", (key,))
-        for row in self._paper_rows(_PAPER_ROW) if listings else ():
-            try:
-                record = _paper_record(_row_data(row), names)
-                ids = record.external_ids
-                if "s2_join" in ids or not (ids.get("arxiv") or ids.get("doi")):
-                    continue
-                fetched = PaperRecord.from_json_dict(listed("paper", record))
-                listing = listed("references", fetched)
-                references = [] if "ids" in listing else [
-                    PaperRecord.from_json_dict(r) for r in listing["records"]]
-                enriched = merge_fetched(record, fetched, listing["ids"] if "ids" in listing
-                                         else [r.canonical_id for r in references])
-            except (*PAYLOAD_ERRORS, UnknownPaper):
-                continue
-            self._put_papers(_INSERT_NEW_PAPER, [r.to_json_dict() for r in references])
-            self._put_papers(_UPSERT_PAPER, [enriched.to_json_dict()])
-        conn.execute(_DELETE_LISTINGS)
 
     def close(self) -> None:
         """Commit the open transaction, then close the connection. When the
@@ -672,10 +578,11 @@ class SnapshotStore:
               payloads: Iterable[tuple[str, str]] = (),
               features: Iterable[tuple[str, FeatureVector, Optional[datetime]]] = ()) -> None:
         """Store all of the following or, when a report or features name an
-        unknown paper, a report holds NaN or the write fails, none of them,
-        in this order: the ``new_papers`` whose canonical id is not stored
-        yet (stored rows stay untouched, and of two with one id the first
-        wins); the ``papers``, each inserted or replaced by canonical id;
+        unknown paper, a report holds NaN or an int outside the 64-bit
+        range, or the write fails, none of them, in this order: the
+        ``new_papers`` whose canonical id is not stored yet (stored rows
+        stay untouched, and of two with one id the first wins); the
+        ``papers``, each inserted or replaced by canonical id;
         the (key, payload) pairs, each replacing what its key held; the
         (paper id, report) pairs; and the (paper id, features, recorded_at)
         triples. Payloads, reports and features with no time are stamped

@@ -7,7 +7,6 @@ import json
 import sqlite3
 import time
 from pathlib import Path
-from typing import Iterable
 
 import pytest
 
@@ -19,7 +18,6 @@ from litmetrics.retrieval import (
     S2_API_URL,
     S2_PAGE_SIZE,
     FixtureTransport,
-    PaperRecord,
     TransportResponse,
     request_key,
 )
@@ -248,33 +246,7 @@ def report_rows(path) -> list[tuple[str, ...]]:
         conn.close()
 
 
-LEGACY_STORED_AT = "2024-09-01T00:00:00Z"
-# the `papers` table of schemas 2 and 3, which named every reference by
-# canonical id, and of schema 4, which linked stored references by `id`
-V2_PAPERS = ("CREATE TABLE papers (canonical_id TEXT PRIMARY KEY, topic_keyword TEXT, "
-             "citation_count INTEGER, publication_date TEXT, retrieved_at TEXT NOT NULL, "
-             "record_json TEXT NOT NULL)")
-V4_PAPERS = ("CREATE TABLE papers (id INTEGER PRIMARY KEY, canonical_id TEXT NOT NULL UNIQUE, "
-             "topic_keyword TEXT, citation_count INTEGER, publication_date TEXT, "
-             "retrieved_at TEXT NOT NULL, record_json TEXT NOT NULL)")
-# what `PaperRecord.from_json_dict` reads for each absent key
-LEGACY_ABSENT = PaperRecord.from_json_dict(
-    {"canonical_id": "-", "retrieved_at": "2000-01-01T00:00:00Z"}).to_json_dict()
-LEGACY_FACTS = ("canonical_id", "topic_keyword", "citation_count", "publication_date",
-                "retrieved_at")
-
-
-def legacy_paper_row(data: dict) -> tuple:
-    """The `papers` row, less any id, that schemas 2-4 wrote of a record's
-    JSON dict: the typed fact columns, then `record_json`, the rest as
-    compact JSON less each key at the value an absent key reads as."""
-    rest = {key: value for key, value in data.items()
-            if key not in LEGACY_FACTS and not (key in LEGACY_ABSENT
-                                                and value == LEGACY_ABSENT[key])}
-    return (*(data.get(c) for c in LEGACY_FACTS), canonical_json(rest))
-
-
-# the `reports` and `features` tables of schemas 1-6, which held each report
+# the `reports` and `features` tables of schema 6, which held each report
 # and each vector as canonical JSON
 V6_REPORTS = ("CREATE TABLE reports (id INTEGER PRIMARY KEY AUTOINCREMENT, "
               "paper_id TEXT NOT NULL REFERENCES papers(canonical_id), "
@@ -285,7 +257,7 @@ V6_FEATURES = ("CREATE TABLE features (id INTEGER PRIMARY KEY AUTOINCREMENT, "
 
 
 def report_json(report: IndicatorReport) -> str:
-    """The `report_json` that schemas 1-6 stored of a report: its fields
+    """The `report_json` that schema 6 stored of a report: its fields
     by name as canonical JSON, ``computed_at`` formatted, or left out when
     unset."""
     data = {name: getattr(report, name) for name in IndicatorReport._fields}
@@ -296,44 +268,14 @@ def report_json(report: IndicatorReport) -> str:
     return canonical_json(data)
 
 
-def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
-                payloads: dict[str, str] | None = None) -> None:
-    """Turn the closed snapshot at ``path`` into a schema-``version`` file,
-    1 to 6, as earlier versions wrote it. ``payloads`` are cached by key,
-    as those versions cached them, stamped `LEGACY_STORED_AT`. At schema 1,
-    `papers` holds one canonical-JSON record per row, the JSON dicts of
-    ``rows`` unchecked. At schemas 4 to 6 it holds the rows as they are,
-    ids and links kept (the table of schemas 5 and 6 is today's), and at
-    schemas 2 and 3 in id order with no id, each link replaced by the
-    canonical id it names. `reports` and `features` hold each stored row,
-    id kept, as `report_json` or `features_json`. `api_cache` stays as it
-    is."""
+def make_legacy(path: Path) -> None:
+    """Turn the closed snapshot at ``path`` into a schema-6 file, as
+    schema 6 wrote it: `papers` and `api_cache` stay as they are, and
+    `reports` and `features` hold each stored row, id kept, as
+    `report_json` or `features_json`."""
     conn = sqlite3.connect(path)
     try:
         with conn:
-            if version == 1:
-                conn.execute("DROP TABLE papers")
-                conn.execute("CREATE TABLE papers (canonical_id TEXT PRIMARY KEY, "
-                             "record_json TEXT NOT NULL)")
-                conn.executemany("INSERT INTO papers VALUES (?, ?)",
-                                 [(data["canonical_id"], canonical_json(data)) for data in rows])
-            elif version < 5:
-                names = dict(conn.execute("SELECT id, canonical_id FROM papers"))
-                stored = conn.execute(
-                    f"SELECT {snapshot._LINKED_ROW} FROM papers ORDER BY id").fetchall()
-                conn.execute("DROP TABLE papers")
-                conn.execute(V4_PAPERS if version == 4 else V2_PAPERS)
-                conn.execute(snapshot._REVIEWS_INDEX)
-                for row in stored:
-                    data = snapshot._row_data(row)
-                    if version == 4:
-                        conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?, ?)",
-                                     (row[-1], *legacy_paper_row(data)))
-                        continue
-                    data["reference_ids"] = [names[r] if type(r) is int else r
-                                             for r in data["reference_ids"]]
-                    conn.execute("INSERT INTO papers VALUES (?, ?, ?, ?, ?, ?)",
-                                 legacy_paper_row(data))
             reports = conn.execute(f"SELECT id, paper_id, {snapshot._REPORT_ROW} FROM reports "
                                    "ORDER BY id").fetchall()
             features = conn.execute(f"SELECT id, paper_id, recorded_at, {snapshot._FEATURE_ROW} "
@@ -349,10 +291,7 @@ def make_legacy(path: Path, version: int, rows: Iterable[dict] = (),
                 (features_id, paper_id, recorded,
                  canonical_json(snapshot.FeatureVector(*values).as_dict()))
                 for features_id, paper_id, recorded, *values in features])
-            conn.executemany("INSERT OR REPLACE INTO api_cache VALUES (?, ?, ?)",
-                             [(key, payload, LEGACY_STORED_AT)
-                              for key, payload in (payloads or {}).items()])
-            conn.execute("UPDATE meta SET schema_version = ?", (version,))
+            conn.execute("UPDATE meta SET schema_version = 6")
     finally:
         conn.close()
 

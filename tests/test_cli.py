@@ -88,24 +88,34 @@ def test_demo_stdout_matches_golden(demo_stdout, name):
     assert demo_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
 
 
-UPGRADED = pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6],
-                                   ids=["schema-1", "schema-2", "schema-3", "schema-4",
-                                        "schema-5", "schema-6"])
+def command_argv(tmp_path) -> dict[str, list[str]]:
+    """A run of each command, the files it names under ``tmp_path``."""
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps([
+        {"anchor": "object detection", "comparisons": ["diffusion models"]}]))
+    return {
+        "harvest": ["harvest", "reviews"],
+        "enrich": ["enrich", "--all"],
+        "score": ["score", "--all"],
+        "features": ["features", "--all", "--docs", str(tmp_path)],
+        "stats": ["stats", "cites"],
+        "trend": ["trend"],
+        "robustness": ["robustness", str(groups)],
+        "export": ["export", str(tmp_path / "out.jsonl")],
+        "import": ["import", os.devnull],
+    }
 
 
 class TestSchemaUpgrade:
     @staticmethod
-    def legacy_demo(tmp_path, version) -> Path:
+    def legacy_demo(tmp_path) -> Path:
         path = tmp_path / "legacy.db"
         build_demo_snapshot(path)
-        with SnapshotStore(path) as store:
-            rows = [r.to_json_dict() for r in store.get_papers().values()]
-        make_legacy(path, version, rows)
+        make_legacy(path)
         return path
 
-    @UPGRADED
-    def test_an_upgraded_demo_snapshot_gives_the_golden_stdout(self, demo_db, tmp_path, version):
-        path = self.legacy_demo(tmp_path, version)
+    def test_an_upgraded_demo_snapshot_gives_the_golden_stdout(self, demo_db, tmp_path):
+        path = self.legacy_demo(tmp_path)
         transport = CountingTransport(OfflineTransport())
         for name, argv in GOLDEN_RUNS.items():  # `score` comes first and upgrades
             out = io.StringIO()
@@ -118,10 +128,8 @@ class TestSchemaUpgrade:
             assert main(["--db", str(db), "export", str(tmp_path / f"{db.stem}.jsonl")]) == 0
         assert (tmp_path / "legacy.jsonl").read_bytes() == (tmp_path / "demo.jsonl").read_bytes()
 
-    @UPGRADED
-    def test_stats_on_a_legacy_file_names_the_command_that_upgrades_it(
-            self, tmp_path, capsys, version):
-        path = self.legacy_demo(tmp_path, version)
+    def test_stats_on_a_legacy_file_names_the_command_that_upgrades_it(self, tmp_path, capsys):
+        path = self.legacy_demo(tmp_path)
         assert main(["--db", str(path), "stats", "cites"]) == 1
         err = capsys.readouterr().err
         command = shlex.split(re.search(r"`litmetrics (.*)`", err).group(1))
@@ -131,6 +139,99 @@ class TestSchemaUpgrade:
         assert transport.count == 0
         assert main(["--db", str(path), "stats", "cites"]) == 0
 
+    def test_stats_on_an_older_file_names_export_then_import(self, tmp_path, capsys):
+        path = self.legacy_demo(tmp_path)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET schema_version = 5")
+        conn.close()
+        before = path.read_bytes()
+        capsys.readouterr()
+        for argv in (["stats", "cites"], ["import", os.devnull]):
+            assert main(["--db", str(path), *argv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: SchemaMismatch: snapshot {path} has schema 5, ")
+            assert err.count("\n") == 1
+            commands = [shlex.split(c) for c in re.findall(r"`litmetrics (.*?)`", err)]
+            assert commands == [["--db", str(path), "export", "RECORDS.jsonl"],
+                                ["--db", "NEW.db", "import", "RECORDS.jsonl"]]
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_refuses_an_older_file_and_names_export_then_import(
+            self, demo_db, tmp_path, capsys, command):
+        # the refusal comes at the open, before any file, request or row
+        path = tmp_path / "older.db"
+        shutil.copyfile(demo_db, path)
+        make_legacy(path)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET schema_version = 5")
+        conn.close()
+        before = path.read_bytes()
+        capsys.readouterr()
+        transport = CountingTransport(OfflineTransport())
+        assert main(["--db", str(path), *command_argv(tmp_path)[command]],
+                    transport=transport) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: SchemaMismatch: snapshot {path} has schema 5, ")
+        assert err.count("\n") == 1
+        assert [shlex.split(c)[2:] for c in re.findall(r"`litmetrics (.*?)`", err)] == [
+            ["export", "RECORDS.jsonl"], ["import", "RECORDS.jsonl"]]
+        assert path.read_bytes() == before
+        assert transport.count == 0
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_upgrades_a_schema_6_file_or_names_one_that_does(
+            self, demo_db, tmp_path, capsys, command):
+        path = tmp_path / "legacy.db"
+        shutil.copyfile(demo_db, path)
+        make_legacy(path)
+        before = path.read_bytes()
+        capsys.readouterr()
+        # `--rate`: an offline `enrich` still paces the requests it cannot make
+        code = main(["--db", str(path), "--offline", "--rate", "1000", "--now", "2024-10-01",
+                     *command_argv(tmp_path)[command]], transport=OfflineTransport())
+        err = capsys.readouterr().err
+        if command in cli.READ_ONLY_COMMANDS:
+            assert code == 1 and err.count("\n") == 1
+            assert f"snapshot {path} has schema 6 and is opened read-only" in err
+            assert path.read_bytes() == before
+            return
+        assert "SchemaMismatch" not in err
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT schema_version FROM meta").fetchall() == [(7,)]
+        conn.close()
+        # the records are those of the file before
+        for db in (demo_db, path):
+            assert main(["--db", str(db), "export", str(tmp_path / f"{db.stem}.jsonl")]) == 0
+        assert (tmp_path / "legacy.jsonl").read_bytes() == (tmp_path / "demo.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("name", ["legacy.db", "two words.db", "it's.db", "$HOME.db",
+                                      "ünï.db"])
+    @pytest.mark.parametrize("version", [5, 6])
+    def test_the_commands_an_error_names_hold_the_path_as_it_is(
+            self, demo_db, tmp_path, capsys, version, name):
+        path = tmp_path / name
+        shutil.copyfile(demo_db, path)
+        make_legacy(path)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET schema_version = ?", (version,))
+        conn.close()
+        capsys.readouterr()
+        assert main(["--db", str(path), "stats", "cites"]) == 1
+        commands = [shlex.split(c) for c in re.findall(r"`litmetrics (.*?)`",
+                                                       capsys.readouterr().err)]
+        assert commands == {
+            5: [["--db", str(path), "export", "RECORDS.jsonl"],
+                ["--db", "NEW.db", "import", "RECORDS.jsonl"]],
+            6: [["--db", str(path), "import", os.devnull]],
+        }[version]
+        if version == 6:  # as named, the command upgrades the file
+            assert main(commands[0]) == 0
+            assert main(["--db", str(path), "stats", "cites"]) == 0
 
     def test_a_scored_schema_6_file_reads_the_same_once_import_upgrades_it(
             self, tmp_path, capsys):
@@ -139,7 +240,7 @@ class TestSchemaUpgrade:
         offline = ["--db", str(path), "--offline", "--now", "2024-10-01"]
         assert main([*offline, *GOLDEN_RUNS["score_all"]], transport=OfflineTransport()) == 0
         stored = report_rows(path)
-        make_legacy(path, 6)
+        make_legacy(path)
         capsys.readouterr()
         assert main([*offline, "stats", "tncsi"]) == 1
         err = capsys.readouterr().err
@@ -213,7 +314,7 @@ class TestLinks:
             assert store.get_paper(review) == named
             assert store.get_paper(added.canonical_id).topic_keyword == "ai"
         # the upgrade, which ends in `VACUUM`
-        make_legacy(path, 3)
+        make_legacy(path)
         assert main(["--db", str(path), "import", os.devnull]) == 0
         grown()
         assert self.exported(path, tmp_path) == exported
@@ -1092,6 +1193,66 @@ class TestExportImport:
         code = main(["--db", str(db2), "--offline", "import", str(bad)])
         assert code == 1
         assert "1 corrupt" in capsys.readouterr().err
+
+    @staticmethod
+    def routed(demo_db, tmp_path) -> Path:
+        """A new file that `import` filled with the demo's `export`: the
+        route of a file too old for this litmetrics to upgrade."""
+        records, path = tmp_path / "records.jsonl", tmp_path / "new.db"
+        assert main(["--db", str(demo_db), "export", str(records)]) == 0
+        assert main(["--db", str(path), "import", str(records)]) == 0
+        return path
+
+    def test_the_route_carries_the_records_and_nothing_else(self, demo_db, tmp_path, capsys):
+        scored = tmp_path / "scored.db"
+        shutil.copyfile(demo_db, scored)
+        assert main(["--db", str(scored), "--offline", "--now", "2024-10-01", "score", "--all"],
+                    transport=OfflineTransport()) == 0
+        path = self.routed(scored, tmp_path)
+        with SnapshotStore(scored, read_only=True) as demo, \
+                SnapshotStore(path, read_only=True) as store:
+            assert store.get_papers() == demo.get_papers()
+            assert demo.latest_reports() and demo.all_latest_features()
+            assert store.latest_reports() == {} and store.all_latest_features() == []
+            assert store._conn.execute("SELECT count(*) FROM api_cache").fetchone() == (0,)
+        capsys.readouterr()
+        assert main(["--db", str(path), "trend"]) == 1
+        assert capsys.readouterr().err == (
+            "error: EmptyInput: no stored features with publication years\n")
+
+    @pytest.mark.parametrize("metric", list(RECORD_METRICS))
+    def test_the_route_gives_every_record_metric_of_the_file_before(
+            self, demo_db, tmp_path, capsys, metric):
+        path = self.routed(demo_db, tmp_path)
+        capsys.readouterr()
+        outs = []
+        for db in (demo_db, path):
+            assert main(["--db", str(db), "stats", metric]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[1] == outs[0]
+
+    @pytest.mark.parametrize("name", [n for n in GOLDEN_RUNS if n.startswith(("score", "stats"))])
+    def test_the_route_then_a_fetch_gives_the_golden_stdout(self, routed_stdout, name):
+        assert routed_stdout[name] == (0, (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def routed_stdout(tmp_path_factory) -> dict[str, tuple[int, str]]:
+    """Exit code and stdout of each golden run on a demo snapshot carried to
+    a new file by `export`, then `import`. No sample is carried, so `score`
+    fetches them again, from the demo's recorded exchanges."""
+    path = tmp_path_factory.mktemp("routed") / "demo.db"
+    corpus = build_demo_snapshot(path)
+    path = TestExportImport.routed(path, path.parent)
+    transport = FixtureTransport.from_pairs(corpus.exchanges)
+    results = {}
+    for name, argv in GOLDEN_RUNS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["--db", str(path), "--rate", "1000", "--now", "2024-10-01", *argv],
+                        transport=transport)
+        results[name] = (code, out.getvalue())
+    return results
 
 
 class TestSettings:

@@ -20,10 +20,7 @@ import pytest
 from conftest import (
     CountingTransport,
     arxiv_exchange,
-    LEGACY_STORED_AT,
-    make_legacy,
     papers_rows,
-    report_rows,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -718,33 +715,6 @@ class TestBatchWrites:
                 {"months": dict(Counter(d[:7] for d in dates)), "undated": 0, "year_only": 0}
             for paper_id, dates in demo_citing_dates(demo_corpus).items()}
 
-    def test_a_snapshot_cached_citing_dates_scores_the_same(self, tmp_path, demo_corpus, capsys):
-        dbs = {fmt: tmp_path / f"{fmt}.db" for fmt in ("months", "dates")}
-        for db in dbs.values():
-            build_demo_snapshot(db)
-        # a snapshot scored before citations were cached as months held the
-        # citing dates as fetched; the upgrade turns them into months
-        legacy = {canonical_json({"op": "citations", "paper_id": paper_id}):
-                  canonical_json({"citing_dates": dates})
-                  for paper_id, dates in demo_citing_dates(demo_corpus).items()}
-        make_legacy(dbs["dates"], 2, payloads=legacy)
-        out, reports, cached = {}, {}, {}
-        for fmt, db in dbs.items():
-            offline = CountingTransport(OfflineTransport())
-            assert main(["--db", str(db), "--offline", "--now", "2024-10-01", "score", "--all"],
-                        transport=offline) == 0
-            assert offline.count == 0
-            out[fmt] = capsys.readouterr().out
-            reports[fmt] = report_rows(db)
-            with SnapshotStore(db, read_only=True) as store:
-                cached[fmt] = {key: store.cache_get(key) for key in legacy}
-                stamps = {key: stamp for key, stamp in store._conn.execute(
-                    "SELECT key, stored_at FROM api_cache") if key in legacy}
-        assert out["dates"] == out["months"]
-        assert reports["dates"] == reports["months"] and len(reports["dates"]) == 20
-        assert cached["dates"] == cached["months"]
-        assert set(stamps.values()) == {LEGACY_STORED_AT}
-
     def test_each_stored_report_is_the_report_the_batch_returned(
             self, tmp_path, demo_corpus, demo_payloads):
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
@@ -1037,10 +1007,6 @@ class TestHarvest:
                 "SELECT json_extract(key, '$.op') FROM api_cache")] == ["arxiv_candidates"]
 
 
-PAPER_KEY = canonical_json({"op": "paper", "paper_id": "ARXIV:2301.00001"})
-REFERENCES_KEY = canonical_json({"op": "references", "paper_id": "ARXIV:2301.00001"})
-
-
 class TestEnrich:
     FETCHED = {"paperId": "s2rev", "externalIds": {"ArXiv": "2301.00001"},
                "title": "A Survey on Something", "publicationDate": "2024-02-01",
@@ -1094,101 +1060,6 @@ class TestEnrich:
         store.write()
         assert store.get_paper("arxiv:2301.00001").reference_ids == ["s2:r1", "s2:r2", "s2:r2"]
         assert store._conn.execute("SELECT COUNT(*) FROM api_cache").fetchone()[0] == 0
-
-    @staticmethod
-    def legacy_snapshot(path, payloads: dict[str, str], papers=()) -> Path:
-        """A schema-2 file holding an un-enriched review, the ``papers`` and
-        the ``payloads`` that an earlier `enrich` cached."""
-        with SnapshotStore(path) as store:
-            store.write(new_papers=[review(citation_count=None), *papers])
-        make_legacy(path, 2, payloads=payloads)
-        return path
-
-    def legacy_paper(self, **changes) -> str:
-        """The `paper` payload of the review, as an earlier `enrich` cached it."""
-        return canonical_json(retrieval._record_from_s2({**self.FETCHED, **changes},
-                                                        format_timestamp(RETRIEVED)))
-
-    def enriched_rows(self, tmp_path, monkeypatch) -> dict[str, tuple]:
-        """The `papers` rows an online enrich leaves, stamped with RETRIEVED,
-        committed."""
-        with SnapshotStore(tmp_path / "fresh.db") as fresh:
-            fresh.upsert_paper(review(citation_count=None))
-            monkeypatch.setattr(retrieval, "utc_now", lambda: RETRIEVED)
-            enrich(fresh, fast_client(self.EXCHANGES), "arxiv:2301.00001")
-            monkeypatch.undo()
-            return papers_rows(fresh)
-
-    @staticmethod
-    def enrich_offline(path, capsys) -> dict[str, tuple]:
-        """The `papers` rows after an offline `enrich` of the review, whose
-        writing open upgrades the file: it makes no request and leaves no
-        payload."""
-        offline = CountingTransport(OfflineTransport())
-        assert main(["--db", str(path), "--offline", "enrich", "arxiv:2301.00001"],
-                    transport=offline) == 0
-        assert offline.count == 0
-        assert capsys.readouterr().out == "arxiv:2301.00001  enriched\n"
-        with SnapshotStore(path, read_only=True) as store:
-            assert payloads(store) == {}
-            return papers_rows(store)
-
-    def test_a_list_cached_as_records_is_still_served(self, tmp_path, monkeypatch, capsys):
-        # a snapshot enriched before lists were cached as ids: the full
-        # records, as fetched, under the references key, and no reference rows
-        legacy = canonical_json({"records": [
-            retrieval._record_from_s2(ref, format_timestamp(RETRIEVED)) for ref in self.REFS]})
-        path = self.legacy_snapshot(tmp_path / "old.db",
-                                    {PAPER_KEY: self.legacy_paper(), REFERENCES_KEY: legacy})
-        assert self.enrich_offline(path, capsys) == self.enriched_rows(tmp_path, monkeypatch)
-
-    def test_a_list_cached_as_ids_is_still_served(self, tmp_path, monkeypatch, capsys):
-        # the format before lists were kept in the row only: the ids, with
-        # the rows they name stored before them
-        rows = self.enriched_rows(tmp_path, monkeypatch)
-        with SnapshotStore(tmp_path / "fresh.db", read_only=True) as fresh:
-            records = fresh.get_papers()
-        ids = records["arxiv:2301.00001"].reference_ids
-        path = self.legacy_snapshot(
-            tmp_path / "old.db",
-            {PAPER_KEY: self.legacy_paper(), REFERENCES_KEY: canonical_json({"ids": ids})},
-            [records[cid] for cid in ids])
-        assert self.enrich_offline(path, capsys) == rows
-
-    def test_the_upgrade_leaves_a_title_row_and_a_row_whose_pair_fails_as_they_are(
-            self, tmp_path):
-        # a title row's pair is keyed by the id its search found, and the
-        # search is cached nowhere, though here that id is the row's own
-        by_title = review("s2:hit", external_ids={"s2": "hit"}, citation_count=None)
-        bad_paper = review("arxiv:2301.00002", citation_count=None)
-        bad_listing = review("arxiv:2301.00003", citation_count=None)
-        listing = canonical_json({"records": [
-            retrieval._record_from_s2(ref, format_timestamp(RETRIEVED)) for ref in self.REFS]})
-        negative = canonical_json({"records": [retrieval._record_from_s2(
-            {**self.REFS[0], "citationCount": -1}, format_timestamp(RETRIEVED))]})
-
-        def key(op, paper_id):
-            return canonical_json({"op": op, "paper_id": paper_id})
-
-        path = self.legacy_snapshot(tmp_path / "old.db", {
-            key("paper", "hit"): self.legacy_paper(paperId="hit", externalIds={}),
-            key("references", "hit"): listing,
-            key("paper", "ARXIV:2301.00002"): self.legacy_paper(
-                externalIds={"ArXiv": "2301.00002"}, citationCount=-1),
-            key("references", "ARXIV:2301.00002"): listing,
-            key("paper", "ARXIV:2301.00003"): self.legacy_paper(
-                externalIds={"ArXiv": "2301.00003"}),
-            key("references", "ARXIV:2301.00003"): negative,
-        }, [by_title, bad_paper, bad_listing])
-        # the rows as a store that was never a legacy file holds them
-        with SnapshotStore(tmp_path / "fresh.db") as fresh:
-            fresh.write(new_papers=[review(citation_count=None), by_title, bad_paper,
-                                    bad_listing])
-            before = papers_rows(fresh)
-        assert len(before) == 4
-        with SnapshotStore(path) as store:
-            assert papers_rows(store) == before
-            assert payloads(store) == {}
 
     def test_an_enriched_row_is_enriched_from_itself(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")

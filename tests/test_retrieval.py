@@ -19,11 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    LEGACY_STORED_AT,
     CountingTransport,
     FlakyTransport,
     arxiv_exchange,
-    make_legacy,
     s2_citations_exchange,
     s2_paper_exchange,
     s2_references_exchange,
@@ -278,32 +276,6 @@ class TestMonthlyCitations:
             assert series.monthly_counts == (0, 0, 0, 0, 1, 0)
             assert (series.dropped_undated, series.dropped_year_only) == (0, 1)
         assert (counting.count, len(cached_payloads(cache))) == (1, 1)
-
-    @pytest.mark.parametrize("citing, cached", [
-        (["2024-09-10", "2024-08", None, "2023", "2024-05-31"],
-         '{"months":{"2024-05":1,"2024-08":1,"2024-09":1},"undated":1,"year_only":1}'),
-        (["2024-09-10", "2024-13-40"], None),
-    ], ids=["converted", "dropped"])
-    def test_dates_cached_before_months_are_still_served(self, tmp_path, citing, cached):
-        # the upgrade turns the citing dates into the months they count in,
-        # or drops them when a date fails the rule, as a fetch of them would
-        path = tmp_path / "s.db"
-        SnapshotStore(path).close()
-        key = retrieval.canonical_json({"op": "citations", "paper_id": "p7"})
-        make_legacy(path, 2, payloads={key: retrieval.canonical_json({"citing_dates": citing})})
-        offline = OfflineTransport()
-        with SnapshotStore(path) as store:
-            assert store._conn.execute("SELECT payload, stored_at FROM api_cache").fetchall() == (
-                [(cached, LEGACY_STORED_AT)] if cached else [])
-            if cached:
-                fresh = FixtureTransport.from_pairs([s2_citations_exchange("p7", citing)])
-                assert fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW,
-                                               cache=store) == fetch_monthly_citations(
-                    s2_client(fresh), "p7", 6, now=NOW)
-            else:
-                with pytest.raises(NetworkForbidden):
-                    fetch_monthly_citations(s2_client(offline), "p7", 6, now=NOW, cache=store)
-        assert offline.attempts == (0 if cached else 1)
 
     def test_a_next_that_does_not_advance_ends_the_paging(self, cache):
         exchange = s2_citations_exchange("p8", ["2024-09-01"], next_offset=0)
