@@ -122,14 +122,14 @@ class Runtime:
             self.transport = OfflineTransport()
         else:
             self.transport = LiveTransport()
-        # one limiter per remote host, all at the configured budget
-        self.arxiv = ArxivClient(
-            transport=self.transport, limiter=RateLimiter(settings.rate)
-        )
+        # one limiter per remote host, all at the configured budget; an
+        # offline run makes no request, so its limiters pace nothing
+        rate = math.inf if settings.offline else settings.rate
+        self.arxiv = ArxivClient(transport=self.transport, limiter=RateLimiter(rate))
         self.s2 = SemanticScholarClient(
             transport=self.transport,
             api_key=settings.s2_api_key,
-            limiter=RateLimiter(settings.rate),
+            limiter=RateLimiter(rate),
         )
         if llm is not None:
             self.llm = llm

@@ -158,14 +158,13 @@ class IndicatorReport(Value):
     (e.g. aging integral evaluated beyond its fitted window).
     """
 
-    _fields = ("tncsi", "iei_avg", "iei_weighted", "iei_instant", "arq", "s_mp", "rqm",
-               "cdr", "rad", "rui", "topic_keyword", "sample_size", "computed_at", "warnings")
+    _fields = ("tncsi", "iei_avg", "iei_instant", "arq", "s_mp", "rqm", "cdr", "rad", "rui",
+               "topic_keyword", "sample_size", "computed_at", "warnings")
 
     def __init__(
         self,
         tncsi: Optional[float] = None,
         iei_avg: Optional[float] = None,
-        iei_weighted: Optional[float] = None,
         iei_instant: Optional[float] = None,
         arq: Optional[float] = None,
         s_mp: Optional[int] = None,
@@ -180,7 +179,6 @@ class IndicatorReport(Value):
     ) -> None:
         self.tncsi = tncsi
         self.iei_avg = iei_avg
-        self.iei_weighted = iei_weighted
         self.iei_instant = iei_instant
         self.arq = arq
         self.s_mp = s_mp

@@ -20,10 +20,10 @@ from typing import IO, Iterable, Mapping, Optional
 from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
 from .jsonio import canonical_json, format_timestamp, parse_date, parse_timestamp, utc_now
-from .retrieval import PAYLOAD_ERRORS, PaperRecord
+from .retrieval import PaperRecord
 from .values import Frozen, Value
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 # ids bound per `IN (...)` list, a power of two well below SQLite's parameter
 # limit
@@ -79,8 +79,8 @@ class FeatureVector(Frozen):
 # its canonical id (a dangling id). Nothing deletes or replaces a `papers`
 # row, and an upsert keeps its `id`, so a link never goes stale. Every row
 # holds a record that passed `PaperRecord`'s checks, so reads trust the
-# columns: `write` stores only records, and schema 6, the one schema a
-# writing open upgrades, held this table under the same rule.
+# columns: `write` stores only records, and schema 7, the one schema a
+# writing open upgrades, held this same table.
 _PAPERS = """
 CREATE TABLE papers (
     id INTEGER PRIMARY KEY,
@@ -99,7 +99,7 @@ CREATE TABLE papers (
 # the reviews, in canonical id order, with no table read: `review_ids`
 _REVIEWS_INDEX = ("CREATE INDEX idx_papers_reviews ON papers(canonical_id, topic_keyword) "
                   "WHERE topic_keyword <> ''")
-# `reports`, since schema 7: one column per `IndicatorReport` field, in field
+# `reports`, since schema 8: one column per `IndicatorReport` field, in field
 # order and named as the field. The value columns declare no type, so SQLite
 # converts nothing: an int or a float reads back as the type it was written
 # as, and NULL, 0 and 1 take no payload bytes. `computed_at` is the report's
@@ -108,14 +108,13 @@ _REVIEWS_INDEX = ("CREATE INDEX idx_papers_reviews ON papers(canonical_id, topic
 # SQLite stores NaN as NULL, and binds no int outside its 64-bit range, so
 # `write` refuses a report that holds either.
 # Nothing deletes a `reports` or `features` row, so a plain INTEGER PRIMARY
-# KEY numbers them as AUTOINCREMENT did, with no `sqlite_sequence` table. A
-# writing open rebuilds the JSON tables of schema 6 as these, each old row
-# read as schema 6 read it, and refuses a row that fails that read.
+# KEY numbers them as AUTOINCREMENT would, with no `sqlite_sequence` table.
+# A writing open brings schema 7's `reports` to this table (see `_upgrade`).
 _REPORTS = ("""
 CREATE TABLE reports (
     id INTEGER PRIMARY KEY,
     paper_id TEXT NOT NULL REFERENCES papers(canonical_id),
-    tncsi, iei_avg, iei_weighted, iei_instant, arq, s_mp, rqm, cdr, rad, rui,
+    tncsi, iei_avg, iei_instant, arq, s_mp, rqm, cdr, rad, rui,
     topic_keyword,
     sample_size,
     computed_at TEXT NOT NULL,
@@ -255,46 +254,6 @@ def _stored_report(row: tuple) -> IndicatorReport:
                            [] if warnings is None else json.loads(warnings))
 
 
-def _carried_report(row: tuple) -> tuple:
-    """The `reports` row of a schema-6 row (id, paper_id, computed_at,
-    report_json), its JSON read as schema 6 read it and its time the old
-    column's when the JSON has none. A row that does not decode, holds NaN
-    or an int `_report_row` refuses, or holds in a value field anything but
-    a number, a string or null raises ValueError naming it."""
-    report_id, paper_id, computed, blob = row
-    try:
-        data = json.loads(blob)
-        values = {name: data.get(name) for name in IndicatorReport._fields[:-2]}
-        for name, value in values.items():
-            if value is not None and type(value) not in (int, float, str):
-                raise ValueError(f"{name} holds {canonical_json(value)}, which is no "
-                                 "number, string or null")
-        stamp = data.get("computed_at")
-        report = IndicatorReport(**{
-            **values,
-            "topic_keyword": values["topic_keyword"] or "",
-            "computed_at": parse_timestamp(stamp) if stamp else None,
-            "warnings": list(data.get("warnings") or []),
-        })
-        return report_id, *_report_row(paper_id, report, computed)
-    except (*PAYLOAD_ERRORS, StorageError) as exc:
-        raise ValueError(f"report {report_id} of paper {paper_id!r} is no valid "
-                         f"report: {exc}") from exc
-
-
-def _carried_features(row: tuple) -> tuple:
-    """The `features` row of a schema-6 row (id, paper_id, recorded_at,
-    features_json), read as schema 6 read it. A row that does not decode
-    raises ValueError naming it."""
-    features_id, paper_id, recorded, blob = row
-    try:
-        fv = FeatureVector(**json.loads(blob))
-    except PAYLOAD_ERRORS as exc:
-        raise ValueError(f"features {features_id} of paper {paper_id!r} are no valid "
-                         f"feature vector: {exc}") from exc
-    return features_id, paper_id, recorded, *fv.as_dict().values()
-
-
 class ImportResult(Value):
     _fields = ("imported", "corrupt")
 
@@ -381,28 +340,21 @@ class SnapshotStore:
             raise SchemaMismatch(f"snapshot schema {version} != supported {SCHEMA_VERSION}")
 
     def _upgrade(self) -> None:
-        """Bring a schema-6 file to schema 7 in one transaction: all of it,
-        or, when a row or the write fails, nothing. `papers` and `api_cache`
-        are schema 6's; `reports` and `features` are rebuilt from their JSON
-        rows, ids kept. A `VACUUM` then returns the pages freed, which would
-        otherwise leave the file larger than before."""
+        """Bring a schema-7 file to schema 8 in one transaction: all of it,
+        or, when the write fails, nothing. `reports` loses its weighted-IEI
+        column, which no command filled; every row keeps its id and its
+        other columns, and the other tables stay as they were
+        (https://www.sqlite.org/lang_altertable.html#alter_table_drop_column,
+        SQLite 3.35 on). The drop shortens each row in place and frees no
+        page; a `VACUUM` then packs the shortened rows (on 3,000 reports, one
+        4 KiB page less)."""
         with self._lock:
             try:
                 with self._conn:
                     self._conn.execute("BEGIN")
-                    for table, statements, insert, carried in (
-                            ("reports", _REPORTS, _INSERT_REPORT, _carried_report),
-                            ("features", _FEATURES, _INSERT_FEATURES, _carried_features)):
-                        old = self._conn.execute(f"SELECT * FROM {table} ORDER BY id").fetchall()
-                        self._conn.execute(f"DROP TABLE {table}")
-                        for statement in statements:
-                            self._conn.execute(statement)
-                        self._conn.executemany(insert, map(carried, old))
+                    self._conn.execute("ALTER TABLE reports DROP COLUMN iei_weighted")
                     self._conn.execute("UPDATE meta SET schema_version = ?", (SCHEMA_VERSION,))
                 self._conn.execute("VACUUM")
-            except (ValueError, TypeError, OverflowError, StorageError) as exc:
-                raise SchemaMismatch(f"cannot upgrade {self.path} to schema "
-                                     f"{SCHEMA_VERSION}: {exc}") from exc
             except sqlite3.Error as exc:
                 raise StorageError(f"cannot upgrade {self.path} to schema "
                                    f"{SCHEMA_VERSION}: {exc}") from exc

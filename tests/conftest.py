@@ -12,7 +12,6 @@ import pytest
 
 from litmetrics import snapshot
 from litmetrics.indicators import IndicatorReport
-from litmetrics.jsonio import canonical_json, format_timestamp
 from litmetrics.retrieval import (
     ARXIV_API_URL,
     S2_API_URL,
@@ -246,52 +245,37 @@ def report_rows(path) -> list[tuple[str, ...]]:
         conn.close()
 
 
-# the `reports` and `features` tables of schema 6, which held each report
-# and each vector as canonical JSON
-V6_REPORTS = ("CREATE TABLE reports (id INTEGER PRIMARY KEY AUTOINCREMENT, "
-              "paper_id TEXT NOT NULL REFERENCES papers(canonical_id), "
-              "computed_at TEXT NOT NULL, report_json TEXT NOT NULL)")
-V6_FEATURES = ("CREATE TABLE features (id INTEGER PRIMARY KEY AUTOINCREMENT, "
-               "paper_id TEXT NOT NULL REFERENCES papers(canonical_id), "
-               "recorded_at TEXT NOT NULL, features_json TEXT NOT NULL)")
-
-
-def report_json(report: IndicatorReport) -> str:
-    """The `report_json` that schema 6 stored of a report: its fields
-    by name as canonical JSON, ``computed_at`` formatted, or left out when
-    unset."""
-    data = {name: getattr(report, name) for name in IndicatorReport._fields}
-    data["warnings"] = list(report.warnings)
-    computed = data.pop("computed_at")
-    if computed is not None:
-        data["computed_at"] = format_timestamp(computed)
-    return canonical_json(data)
+# the schema that `make_legacy` writes, the one a writing open upgrades
+LEGACY_SCHEMA = 7
+# the `reports` table of schema 7, which also held `iei_weighted`, a column
+# no command filled
+V7_REPORTS = ("""
+CREATE TABLE reports (
+    id INTEGER PRIMARY KEY,
+    paper_id TEXT NOT NULL REFERENCES papers(canonical_id),
+    tncsi, iei_avg, iei_weighted, iei_instant, arq, s_mp, rqm, cdr, rad, rui,
+    topic_keyword,
+    sample_size,
+    computed_at TEXT NOT NULL,
+    warnings TEXT
+)""", "CREATE INDEX idx_reports_paper ON reports(paper_id)")
 
 
 def make_legacy(path: Path) -> None:
-    """Turn the closed snapshot at ``path`` into a schema-6 file, as
-    schema 6 wrote it: `papers` and `api_cache` stay as they are, and
-    `reports` and `features` hold each stored row, id kept, as
-    `report_json` or `features_json`."""
+    """Turn the closed snapshot at ``path`` into a schema-7 file, as
+    schema 7 wrote it: every table but `reports` stays as it is, and
+    `reports` holds each stored row, id kept, with `iei_weighted` NULL."""
     conn = sqlite3.connect(path)
     try:
         with conn:
-            reports = conn.execute(f"SELECT id, paper_id, {snapshot._REPORT_ROW} FROM reports "
-                                   "ORDER BY id").fetchall()
-            features = conn.execute(f"SELECT id, paper_id, recorded_at, {snapshot._FEATURE_ROW} "
-                                    "FROM features ORDER BY id").fetchall()
-            for table, statement in (("reports", V6_REPORTS), ("features", V6_FEATURES)):
-                conn.execute(f"DROP TABLE {table}")
+            columns = ("id", "paper_id", *IndicatorReport._fields)
+            rows = conn.execute(f"SELECT {', '.join(columns)} FROM reports").fetchall()
+            conn.execute("DROP TABLE reports")
+            for statement in V7_REPORTS:
                 conn.execute(statement)
-                conn.execute(f"CREATE INDEX idx_{table}_paper ON {table}(paper_id)")
-            conn.executemany("INSERT INTO reports VALUES (?, ?, ?, ?)", [
-                (report_id, paper_id, row[-2], report_json(snapshot._stored_report(row)))
-                for report_id, paper_id, *row in reports])
-            conn.executemany("INSERT INTO features VALUES (?, ?, ?, ?)", [
-                (features_id, paper_id, recorded,
-                 canonical_json(snapshot.FeatureVector(*values).as_dict()))
-                for features_id, paper_id, recorded, *values in features])
-            conn.execute("UPDATE meta SET schema_version = 6")
+            conn.executemany(f"INSERT INTO reports ({', '.join(columns)}) "
+                             f"VALUES ({', '.join('?' * len(columns))})", rows)
+            conn.execute("UPDATE meta SET schema_version = ?", (LEGACY_SCHEMA,))
     finally:
         conn.close()
 

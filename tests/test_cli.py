@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from datetime import date, datetime
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    LEGACY_SCHEMA,
     CountingTransport,
     arxiv_exchange,
     link_pairs,
@@ -49,7 +51,7 @@ from litmetrics.retrieval import (
     StubLlm,
     arxiv_review_query,
 )
-from litmetrics.snapshot import SnapshotStore
+from litmetrics.snapshot import SCHEMA_VERSION, SnapshotStore
 
 
 
@@ -143,14 +145,15 @@ class TestSchemaUpgrade:
         path = self.legacy_demo(tmp_path)
         conn = sqlite3.connect(path)
         with conn:
-            conn.execute("UPDATE meta SET schema_version = 5")
+            conn.execute("UPDATE meta SET schema_version = ?", (LEGACY_SCHEMA - 1,))
         conn.close()
         before = path.read_bytes()
         capsys.readouterr()
         for argv in (["stats", "cites"], ["import", os.devnull]):
             assert main(["--db", str(path), *argv]) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: SchemaMismatch: snapshot {path} has schema 5, ")
+            assert err.startswith(
+                f"error: SchemaMismatch: snapshot {path} has schema {LEGACY_SCHEMA - 1}, ")
             assert err.count("\n") == 1
             commands = [shlex.split(c) for c in re.findall(r"`litmetrics (.*?)`", err)]
             assert commands == [["--db", str(path), "export", "RECORDS.jsonl"],
@@ -166,7 +169,7 @@ class TestSchemaUpgrade:
         make_legacy(path)
         conn = sqlite3.connect(path)
         with conn:
-            conn.execute("UPDATE meta SET schema_version = 5")
+            conn.execute("UPDATE meta SET schema_version = ?", (LEGACY_SCHEMA - 1,))
         conn.close()
         before = path.read_bytes()
         capsys.readouterr()
@@ -174,7 +177,8 @@ class TestSchemaUpgrade:
         assert main(["--db", str(path), *command_argv(tmp_path)[command]],
                     transport=transport) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: SchemaMismatch: snapshot {path} has schema 5, ")
+        assert err.startswith(
+            f"error: SchemaMismatch: snapshot {path} has schema {LEGACY_SCHEMA - 1}, ")
         assert err.count("\n") == 1
         assert [shlex.split(c)[2:] for c in re.findall(r"`litmetrics (.*?)`", err)] == [
             ["export", "RECORDS.jsonl"], ["import", "RECORDS.jsonl"]]
@@ -183,25 +187,24 @@ class TestSchemaUpgrade:
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
-    def test_every_command_upgrades_a_schema_6_file_or_names_one_that_does(
+    def test_every_command_upgrades_a_legacy_file_or_names_one_that_does(
             self, demo_db, tmp_path, capsys, command):
         path = tmp_path / "legacy.db"
         shutil.copyfile(demo_db, path)
         make_legacy(path)
         before = path.read_bytes()
         capsys.readouterr()
-        # `--rate`: an offline `enrich` still paces the requests it cannot make
-        code = main(["--db", str(path), "--offline", "--rate", "1000", "--now", "2024-10-01",
+        code = main(["--db", str(path), "--offline", "--now", "2024-10-01",
                      *command_argv(tmp_path)[command]], transport=OfflineTransport())
         err = capsys.readouterr().err
         if command in cli.READ_ONLY_COMMANDS:
             assert code == 1 and err.count("\n") == 1
-            assert f"snapshot {path} has schema 6 and is opened read-only" in err
+            assert f"snapshot {path} has schema {LEGACY_SCHEMA} and is opened read-only" in err
             assert path.read_bytes() == before
             return
         assert "SchemaMismatch" not in err
         conn = sqlite3.connect(path)
-        assert conn.execute("SELECT schema_version FROM meta").fetchall() == [(7,)]
+        assert conn.execute("SELECT schema_version FROM meta").fetchall() == [(SCHEMA_VERSION,)]
         conn.close()
         # the records are those of the file before
         for db in (demo_db, path):
@@ -210,7 +213,7 @@ class TestSchemaUpgrade:
 
     @pytest.mark.parametrize("name", ["legacy.db", "two words.db", "it's.db", "$HOME.db",
                                       "ünï.db"])
-    @pytest.mark.parametrize("version", [5, 6])
+    @pytest.mark.parametrize("version", [LEGACY_SCHEMA - 1, LEGACY_SCHEMA])
     def test_the_commands_an_error_names_hold_the_path_as_it_is(
             self, demo_db, tmp_path, capsys, version, name):
         path = tmp_path / name
@@ -225,15 +228,15 @@ class TestSchemaUpgrade:
         commands = [shlex.split(c) for c in re.findall(r"`litmetrics (.*?)`",
                                                        capsys.readouterr().err)]
         assert commands == {
-            5: [["--db", str(path), "export", "RECORDS.jsonl"],
-                ["--db", "NEW.db", "import", "RECORDS.jsonl"]],
-            6: [["--db", str(path), "import", os.devnull]],
+            LEGACY_SCHEMA - 1: [["--db", str(path), "export", "RECORDS.jsonl"],
+                                ["--db", "NEW.db", "import", "RECORDS.jsonl"]],
+            LEGACY_SCHEMA: [["--db", str(path), "import", os.devnull]],
         }[version]
-        if version == 6:  # as named, the command upgrades the file
+        if version == LEGACY_SCHEMA:  # as named, the command upgrades the file
             assert main(commands[0]) == 0
             assert main(["--db", str(path), "stats", "cites"]) == 0
 
-    def test_a_scored_schema_6_file_reads_the_same_once_import_upgrades_it(
+    def test_a_scored_legacy_file_reads_the_same_once_import_upgrades_it(
             self, tmp_path, capsys):
         path = tmp_path / "legacy.db"
         build_demo_snapshot(path)
@@ -244,21 +247,8 @@ class TestSchemaUpgrade:
         capsys.readouterr()
         assert main([*offline, "stats", "tncsi"]) == 1
         err = capsys.readouterr().err
-        assert "has schema 6 and is opened read-only" in err
+        assert f"has schema {LEGACY_SCHEMA} and is opened read-only" in err
         command = shlex.split(re.search(r"`litmetrics (.*)`", err).group(1))
-        # a report that does not decode refuses the upgrade and leaves the file
-        conn = sqlite3.connect(path)
-        with conn:
-            (kept,), = conn.execute("SELECT report_json FROM reports WHERE id = 3").fetchall()
-            conn.execute("UPDATE reports SET report_json = '{' WHERE id = 3")
-        before = path.read_bytes()
-        assert main(command) == 1
-        err = capsys.readouterr().err
-        assert "error: SchemaMismatch: cannot upgrade" in err and "report 3 of paper" in err
-        assert path.read_bytes() == before
-        with conn:
-            conn.execute("UPDATE reports SET report_json = ? WHERE id = 3", (kept,))
-        conn.close()
         transport = CountingTransport(OfflineTransport())
         assert main(command, transport=transport) == 0
         assert transport.count == 0
@@ -921,6 +911,20 @@ class TestHarvestEnrich:
         assert code == 1
         assert "UnknownPaper" in capsys.readouterr().out
 
+    def test_an_offline_enrich_at_the_default_rate_waits_for_nothing(
+            self, demo_db, tmp_path, capsys, monkeypatch):
+        # an offline run makes no request, so its limiters let each one
+        # through at once, to be refused
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        assert main(["--db", str(db), "--offline", "enrich", "--all"]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 20
+        assert all(" error: NetworkForbidden: offline mode forbids GET " in row for row in rows)
+        assert sleeps == []
+
 
 class TestFeaturesCommand:
     def test_features_with_stub(self, tmp_path, capsys):
@@ -1160,8 +1164,7 @@ class TestStatsTrendRobustness:
         groups.write_text(json.dumps(
             {"groups": [{"anchor": "object detection", "comparisons": ["never sampled"]}]}
         ))
-        code = main(["--db", str(demo_db), "--offline", "--rate", "1000",
-                     "robustness", str(groups)])
+        code = main(["--db", str(demo_db), "--offline", "robustness", str(groups)])
         assert code == 1
 
 

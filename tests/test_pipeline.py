@@ -168,17 +168,6 @@ class TestScoringEngine:
         assert report.cdr == 2.0
         assert any("beyond its fitted window" in w for w in report.warnings)
 
-    def test_the_weighted_trend_is_stored_unset(self, tmp_path):
-        paper = review()
-        store = self.make_store(tmp_path, paper)
-        citing = ["2024-09-01", "2024-09-02", "2024-09-03"]
-        exchanges = [s2_citations_exchange("ARXIV:2301.00001", citing)]
-        engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
-        [item] = score_batch(engine, [paper.canonical_id], ["iei"], workers=1)
-        assert item.report.iei_instant == pytest.approx(3.0, abs=1e-12)
-        assert item.report.iei_weighted is None
-        assert store.latest_report(paper.canonical_id).iei_weighted is None
-
     def test_today_without_now_is_the_utc_date(self, tmp_path, monkeypatch):
         # late on New Year's Eve in UTC, which is already January 1 east of it
         monkeypatch.setattr(pipeline, "utc_now", lambda: datetime(2024, 12, 31, 23, 30))

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LEGACY_SCHEMA,
     link_pairs,
     make_legacy,
     papers_rows,
-    report_json,
 )
 from litmetrics import snapshot
 from litmetrics.errors import SchemaMismatch, StorageError, UnknownPaper
@@ -352,15 +352,19 @@ class TestRowLayout:
             assert snapshot._paper_record(snapshot._row_data(row), {}) == paper
 
 
-def other_tables(path) -> dict:
-    """Every row and the schema of the tables other than `papers` and
-    `meta`."""
+def contents(path) -> dict:
+    """Every row of every table but `meta`, in id or key order, each value
+    as its repr, so that 1 and 1.0, or 0.0 and -0.0, differ; and, under
+    `sqlite_master`, the (type, name, tbl_name, sql) of every table and
+    index."""
     conn = sqlite3.connect(path)
     try:
-        return {table: (conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall(),
-                        conn.execute("SELECT sql FROM sqlite_master WHERE tbl_name = ?",
-                                     (table,)).fetchall())
-                for table in ("api_cache", "reports", "features")}
+        tables = {table: [tuple(map(repr, row))
+                          for row in conn.execute(f"SELECT * FROM {table} ORDER BY 1")]
+                  for table in ("papers", "api_cache", "reports", "features")}
+        tables["sqlite_master"] = sorted(
+            conn.execute("SELECT type, name, tbl_name, sql FROM sqlite_master"))
+        return tables
     finally:
         conn.close()
 
@@ -377,8 +381,8 @@ def sha256(path) -> str:
 class TestSchemaUpgrade:
     @staticmethod
     def legacy_snapshot(tmp_path) -> tuple:
-        """The path of a schema-6 file, its records, and the `other_tables`
-        it held at schema 7 before it was made legacy."""
+        """The path of a schema-7 file, its records, and the `contents` it
+        held at the current schema before it was made legacy."""
         path = tmp_path / "legacy.db"
         records = [record(f"arxiv:{i}", cites=i, topic_keyword="t" if i % 2 else None,
                           reference_ids=["arxiv:0"] * i + ["s2:gone"] * (i == 4))
@@ -390,16 +394,18 @@ class TestSchemaUpgrade:
             store.store_report("arxiv:3", IndicatorReport(
                 s_mp=4, rqm=-0.0, topic_keyword="t", computed_at=datetime(2024, 6, 1),
                 warnings=["w\x00 ü"]))
+            store.store_report("arxiv:3", IndicatorReport(iei_avg=1, iei_instant=2.0, rui=-1.5))
             store.store_features("arxiv:1", FeatureVector(discussion=1))
             store.cache_put("k", "v")
-        tables = other_tables(path)
+        tables = contents(path)
         make_legacy(path)
         return path, records, tables
 
     def test_a_writing_open_upgrades_and_leaves_the_rest(self, tmp_path):
-        # reports and features come back as the rows they were, ids kept,
-        # and papers and the cache as they were
+        # every row comes back as it was, each report with its id and every
+        # column but the one dropped, and the schema is a fresh file's
         path, records, before = self.legacy_snapshot(tmp_path)
+        assert contents(path) != before
         with SnapshotStore(path) as store:
             assert schema_version(store) == snapshot.SCHEMA_VERSION
             assert store.get_papers() == {r.canonical_id: r for r in records}
@@ -407,32 +413,31 @@ class TestSchemaUpgrade:
             # a stored reference is a link, a dangling one stays text
             assert link_pairs(path) == {(n + 1, f"arxiv:{n}") for n in range(5)}
             assert json.loads(papers_rows(store)["arxiv:4"][-1]) == [1, 1, 1, 1, "s2:gone"]
-        assert other_tables(path) == before
+        assert contents(path) == before
+        SnapshotStore(tmp_path / "fresh.db").close()
+        assert contents(path)["sqlite_master"] == contents(tmp_path / "fresh.db")["sqlite_master"]
         conn = sqlite3.connect(path)
         assert conn.execute("PRAGMA freelist_count").fetchone() == (0,)
-        # no `sqlite_sequence` row is left, nor, here, the table itself
-        sequence = conn.execute(
-            "SELECT name FROM sqlite_master WHERE name = 'sqlite_sequence'").fetchall()
-        assert not sequence or conn.execute(
-            "SELECT COUNT(*) FROM sqlite_sequence").fetchone() == (0,)
+        assert conn.execute("PRAGMA integrity_check").fetchone() == ("ok",)
         conn.close()
         with SnapshotStore(path, read_only=True) as store:
             assert store.all_latest_features() == [("arxiv:1", 2023, FeatureVector(discussion=1))]
-            assert store.report_history("arxiv:3") == [IndicatorReport(
+            assert store.report_history("arxiv:3")[0] == IndicatorReport(
                 s_mp=4, rqm=-0.0, topic_keyword="t", computed_at=datetime(2024, 6, 1),
-                warnings=["w\x00 ü"])]
+                warnings=["w\x00 ü"])
 
     def test_a_read_only_open_names_a_command_that_upgrades(self, tmp_path):
         path = self.legacy_snapshot(tmp_path)[0]
         before = sha256(path)
         with pytest.raises(SchemaMismatch) as raised:
             SnapshotStore(path, read_only=True)
-        assert "has schema 6 and is opened read-only" in str(raised.value)
+        assert f"has schema {LEGACY_SCHEMA} and is opened read-only" in str(raised.value)
         assert f"`litmetrics --db {shlex.quote(str(path))} import {os.devnull}`" in str(
             raised.value)
         assert sha256(path) == before
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 8, None])
+    @pytest.mark.parametrize("version", [0, *range(1, snapshot.SCHEMA_VERSION - 1),
+                                         snapshot.SCHEMA_VERSION + 1, None])
     @pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writing"])
     def test_a_file_of_another_schema_is_refused_and_left_as_it_was(
             self, tmp_path, version, read_only):
@@ -452,83 +457,84 @@ class TestSchemaUpgrade:
         with pytest.raises(SchemaMismatch) as raised:
             SnapshotStore(path, read_only=read_only)
         message = str(raised.value)
-        if version in range(1, 6):
-            assert f"{path} has schema {version}, and this litmetrics upgrades only schema 6" \
-                in message
+        if version in range(1, snapshot.SCHEMA_VERSION - 1):
+            assert (f"{path} has schema {version}, and this litmetrics upgrades only schema "
+                    f"{snapshot.SCHEMA_VERSION - 1}") in message
             assert message.index(" export ") < message.index(" import ")
         else:
             shown = "missing" if version is None else version
-            assert message == f"snapshot schema {shown} != supported 7"
+            assert message == f"snapshot schema {shown} != supported {snapshot.SCHEMA_VERSION}"
         assert sha256(path) == before
 
-    @pytest.mark.parametrize("table, blob, reason", [
-        ("reports", "{bad", "report 1 of paper 'arxiv:1' is no valid report: Expecting "),
-        ("reports", "[0.5]", "report 1 of paper 'arxiv:1' is no valid report: 'list' object "),
-        ("reports", '{"computed_at":"yesterday"}',
-         "report 1 of paper 'arxiv:1' is no valid report: time data 'yesterday' "),
-        ("reports", '{"tncsi":NaN}', "report 1 of paper 'arxiv:1' is no valid report: report "
-                                     "of paper 'arxiv:1' holds NaN in tncsi"),
-        ("reports", '{"s_mp":18446744073709551616}',
-         "report 1 of paper 'arxiv:1' is no valid report: report of paper 'arxiv:1' holds "
-         "18446744073709551616 in s_mp, outside the 64-bit range the snapshot stores"),
-        ("reports", '{"s_mp":-9223372036854775809}',
-         "report 1 of paper 'arxiv:1' is no valid report: report of paper 'arxiv:1' holds "
-         "-9223372036854775809 in s_mp, outside the 64-bit range the snapshot stores"),
-        ("reports", '{"tncsi":[1]}', "report 1 of paper 'arxiv:1' is no valid report: tncsi "
-                                     "holds [1], which is no number, string or null"),
-        ("reports", '{"rqm":{}}', "report 1 of paper 'arxiv:1' is no valid report: rqm holds "
-                                  "{}, which is no number, string or null"),
-        ("reports", '{"s_mp":true}', "report 1 of paper 'arxiv:1' is no valid report: s_mp "
-                                     "holds true, which is no number, string or null"),
-        ("features", '{"taxonomy":2}', "features 1 of paper 'arxiv:1' are no valid feature "
-                                       "vector: taxonomy must be 0 or 1, got 2"),
-        ("features", '{"colour":1}', "features 1 of paper 'arxiv:1' are no valid feature "
-                                     "vector: "),
-        ("reports", "null", "report 1 of paper 'arxiv:1' is no valid report: 'NoneType' "),
-        ("reports", '{"computed_at":5}', "report 1 of paper 'arxiv:1' is no valid report: "
-                                         "expected string or bytes-like object"),
-        ("reports", '{"warnings":5}', "report 1 of paper 'arxiv:1' is no valid report: 'int' "
-                                      "object is not iterable"),
-        ("features", "{bad", "features 1 of paper 'arxiv:1' are no valid feature vector: "
-                             "Expecting "),
-        ("features", "[1]", "features 1 of paper 'arxiv:1' are no valid feature vector: "),
-        ("features", '{"prisma":"1"}', "features 1 of paper 'arxiv:1' are no valid feature "
-                                       "vector: prisma must be 0 or 1, got '1'"),
-        ("features", '{"prisma":null}', "features 1 of paper 'arxiv:1' are no valid feature "
-                                        "vector: prisma must be 0 or 1, got None"),
-        ("features", '{"prisma":-1}', "features 1 of paper 'arxiv:1' are no valid feature "
-                                      "vector: prisma must be 0 or 1, got -1"),
-    ], ids=["report-no-json", "report-no-object", "report-bad-time", "report-nan",
-            "report-huge-int", "report-huge-negative-int", "report-array", "report-object",
-            "report-boolean", "features-out-of-range", "features-unknown-name", "report-null",
-            "report-numeric-time", "report-numeric-warnings", "features-no-json",
-            "features-no-object", "features-text-value", "features-null-value",
-            "features-negative"])
-    def test_a_report_or_vector_that_does_not_decode_fails_the_upgrade(
-            self, tmp_path, table, blob, reason):
+    @pytest.mark.parametrize("field, column, value", [
+        ("tncsi", -0.0, -0.0),
+        ("iei_avg", 2**53 + 1, 2**53 + 1),
+        ("iei_instant", float("inf"), float("inf")),
+        ("arq", 5e-324, 5e-324),
+        ("s_mp", 7, 7),
+        ("rqm", 1.0, 1.0),
+        ("cdr", -float("inf"), -float("inf")),
+        ("rad", 1.7976931348623157e308, 1.7976931348623157e308),
+        ("rui", -2, -2),
+        ("topic_keyword", "w\x00 ü", "w\x00 ü"),
+        ("sample_size", 0, 0),
+        ("computed_at", "1999-12-31T23:59:59Z", datetime(1999, 12, 31, 23, 59, 59)),
+        ("warnings", '["a","b"]', ["a", "b"]),
+    ], ids=IndicatorReport._fields)
+    def test_each_column_but_the_dropped_one_reads_back_into_its_field(
+            self, tmp_path, field, column, value):
+        # the drop moves every column after `iei_weighted` one place left,
+        # a filled `iei_weighted` too; each value lands in its own field
         path = self.legacy_snapshot(tmp_path)[0]
-        column = {"reports": "report_json", "features": "features_json"}[table]
         conn = sqlite3.connect(path)
         with conn:
-            conn.execute(f"UPDATE {table} SET {column} = ? WHERE id = 1", (blob,))
+            conn.execute(f"UPDATE reports SET iei_weighted = 0.25, {field} = ? WHERE id = 1",
+                         (column,))
         conn.close()
-        before = sha256(path)
-        with pytest.raises(SchemaMismatch, match=re.escape(
-                f"cannot upgrade {path} to schema 7: {reason}")):
-            SnapshotStore(path)
-        assert sha256(path) == before
+        with SnapshotStore(path) as store:
+            report, = store.report_history("arxiv:1")
+        assert report == IndicatorReport(
+            tncsi=0.5, computed_at=report.computed_at).replace(**{field: value})
+        assert repr(getattr(report, field)) == repr(value)
 
     @pytest.mark.parametrize("value", [2**63 - 1, -2**63], ids=["max", "min"])
     def test_an_int_at_the_64_bit_bounds_is_carried(self, tmp_path, value):
         path = self.legacy_snapshot(tmp_path)[0]
         conn = sqlite3.connect(path)
         with conn:
-            conn.execute("UPDATE reports SET report_json = ? WHERE id = 1", (canonical_json(
-                {"s_mp": value, "sample_size": value, "computed_at": "2024-06-01T00:00:00Z"}),))
+            conn.execute("UPDATE reports SET s_mp = ?, sample_size = ?, computed_at = ? "
+                         "WHERE id = 1", (value, value, "2024-06-01T00:00:00Z"))
         conn.close()
         with SnapshotStore(path) as store:
-            assert store.report_history("arxiv:1")[0] == IndicatorReport(
-                s_mp=value, sample_size=value, computed_at=datetime(2024, 6, 1))
+            assert store.report_history("arxiv:1") == [IndicatorReport(
+                tncsi=0.5, s_mp=value, sample_size=value, computed_at=datetime(2024, 6, 1))]
+
+    @pytest.mark.parametrize("statement", [
+        "ALTER TABLE reports RENAME COLUMN iei_weighted TO iei_other",
+        "CREATE INDEX obstacle ON reports(iei_weighted)",
+        "CREATE UNIQUE INDEX obstacle ON reports(paper_id, iei_weighted)",
+        "CREATE INDEX obstacle ON reports(coalesce(iei_weighted, 0))",
+        "CREATE INDEX obstacle ON reports(paper_id) WHERE iei_weighted IS NULL",
+        "CREATE VIEW obstacle AS SELECT paper_id, iei_weighted FROM reports",
+        "CREATE TRIGGER obstacle AFTER INSERT ON reports BEGIN SELECT new.iei_weighted; END",
+        "ALTER TABLE reports ADD COLUMN obstacle AS (iei_weighted * 2)",
+    ], ids=["no-column", "index", "unique-index", "expression-index", "partial-index", "view",
+            "trigger", "generated-column"])
+    def test_a_schema_7_file_the_drop_cannot_alter_is_refused_and_left_as_it_was(
+            self, tmp_path, statement):
+        # SQLite refuses to drop a column that another part of the schema
+        # names; the upgrade then fails as a whole
+        path = self.legacy_snapshot(tmp_path)[0]
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(statement)
+        conn.close()
+        before = sha256(path)
+        with pytest.raises(StorageError, match=re.escape(
+                f"cannot upgrade {path} to schema {snapshot.SCHEMA_VERSION}: ")) as raised:
+            SnapshotStore(path)
+        assert "iei_weighted" in str(raised.value)
+        assert sha256(path) == before
 
     def test_a_failed_write_leaves_the_file_as_it_was(self, tmp_path):
         # the last step of the transaction, the version's update, fails
@@ -539,7 +545,7 @@ class TestSchemaUpgrade:
                          "BEGIN SELECT RAISE(ABORT, 'refused'); END")
         unchanged = sha256(path)
         with pytest.raises(StorageError, match=re.escape(
-                f"cannot upgrade {path} to schema 7: refused")):
+                f"cannot upgrade {path} to schema {snapshot.SCHEMA_VERSION}: refused")):
             SnapshotStore(path)
         assert sha256(path) == unchanged
         with conn:
@@ -548,7 +554,7 @@ class TestSchemaUpgrade:
         with SnapshotStore(path) as store:
             assert schema_version(store) == snapshot.SCHEMA_VERSION
             assert store.get_papers() == {r.canonical_id: r for r in records}
-        assert other_tables(path) == before
+        assert contents(path) == before
 
 
 class TestReportsAndFeatures:
@@ -670,8 +676,7 @@ class TestReportsAndFeatures:
 
 class TestReportAndFeatureColumns:
     """A report or a feature vector reads back from its typed columns as it
-    was written, each value of the type it had, so that it is the JSON that
-    schema 6 stored."""
+    was written, each value of the type it had."""
 
     NUMBER = st.none() | st.floats(allow_nan=False) | st.integers(-2**63, 2**63 - 1)
 
@@ -697,7 +702,9 @@ class TestReportAndFeatureColumns:
         # a report with no time takes the one the write stamped
         expected = report.replace(computed_at=report.computed_at or stored.computed_at)
         assert stored == expected
-        assert report_json(stored) == report_json(expected)
+        # each value of the type and sign it had: 1 is not 1.0, nor -0.0 0.0
+        assert all(repr(getattr(stored, name)) == repr(getattr(expected, name))
+                   for name in IndicatorReport._fields if name != "computed_at")
 
     @given(st.builds(FeatureVector, **{name: st.sampled_from([0, 1, 0.0, -0.0, 1.0])
                                        for name in snapshot.FEATURE_NAMES}))

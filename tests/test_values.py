@@ -65,10 +65,9 @@ FROZEN = [
     (Chunk, fields(text="t", oversized=True)),
 ]
 MUTABLE = [
-    (IndicatorReport, fields(tncsi=0.5, iei_avg=None, iei_weighted=None, iei_instant=1.0,
-                             arq=None, s_mp=3, rqm=None, cdr=None, rad=None, rui=None,
-                             topic_keyword="k", sample_size=200, computed_at=WHEN,
-                             warnings=["w"])),
+    (IndicatorReport, fields(tncsi=0.5, iei_avg=None, iei_instant=1.0, arq=None, s_mp=3,
+                             rqm=None, cdr=None, rad=None, rui=None, topic_keyword="k",
+                             sample_size=200, computed_at=WHEN, warnings=["w"])),
     (PaperRecord, fields(canonical_id="arxiv:1", title="T", abstract="", external_ids={},
                          publication_date=date(2023, 1, 1), venue=None, citation_count=4,
                          reference_ids=["s2:a"], author_count=2, topic_keyword="k",
