@@ -586,6 +586,8 @@ def main(
             return int(exc.code or 0)
         finally:
             runtime.close()  # commits what the store wrote since its last commit
+    except BrokenPipeError:  # stdout closed early, which `entrypoint` makes a quiet exit
+        raise
     except (LitmetricsError, OSError) as exc:  # OSError: a file named on the command line
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -601,7 +603,16 @@ def entrypoint() -> None:
     # again. Only the console entry point freezes; `main` called in-process
     # (tests, a benchmark's warm-up, traced runs) leaves the collector as it is.
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone, as after `| head`: exit 1 with no message,
+        # stdout pointed at devnull so that the flush at exit cannot fail again
+        # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .retrieval import (
     fetch_paper_record,
     fetch_references,
     fetch_topic_sample,
+    join_route,
     llm_topic_keyword,
     merge_fetched,
 )
@@ -119,8 +120,8 @@ def enrich(store: SnapshotStore, client: SemanticScholarClient, paper_id: str) -
     record = store.require_paper(paper_id)
     if "s2_join" in record.external_ids:
         return record.canonical_id
-    if any(record.external_ids.get(scheme) for scheme in ("arxiv", "doi", "s2")):
-        fetched = fetch_paper_record(client, api_id_for(record))
+    if route := join_route(record):
+        fetched = fetch_paper_record(client, route[1])
     elif not (record.title or "").strip():
         raise UnknownPaper(f"{paper_id} has no arXiv id, DOI or title to join on")
     else:

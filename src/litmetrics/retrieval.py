@@ -940,27 +940,24 @@ def count_relevant(
     )
 
 
-def _record_from_s2(data: dict, retrieved_at: str) -> dict:
-    """The `PaperRecord` JSON dict of one S2 paper object, fetched at
-    ``retrieved_at`` (a `format_timestamp` string)."""
+def _record_from_s2(data: dict, retrieved_at: datetime) -> PaperRecord:
+    """The `PaperRecord` of one S2 paper object, fetched at ``retrieved_at``."""
     external = {}
     for source, value in (data.get("externalIds") or {}).items():
         external[source.lower()] = str(value)
     if data.get("paperId"):
         external["s2"] = data["paperId"]
-    return {
-        "canonical_id": canonical_id_for_s2(data),
-        "external_ids": external,
-        "title": _collapse_ws(data.get("title") or ""),
-        "abstract": _collapse_ws(data.get("abstract") or ""),
-        "publication_date": data.get("publicationDate"),
-        "venue": data.get("venue") or None,
-        "citation_count": data.get("citationCount"),
-        "reference_ids": [],
-        "author_count": len(data.get("authors") or []),
-        "topic_keyword": None,
-        "retrieved_at": retrieved_at,
-    }
+    return PaperRecord(
+        canonical_id=canonical_id_for_s2(data),
+        title=_collapse_ws(data.get("title") or ""),
+        abstract=_collapse_ws(data.get("abstract") or ""),
+        external_ids=external,
+        publication_date=parse_date(data.get("publicationDate")),
+        venue=data.get("venue") or None,
+        citation_count=data.get("citationCount"),
+        author_count=len(data.get("authors") or []),
+        retrieved_at=retrieved_at,
+    )
 
 
 def canonical_id_for_s2(data: dict) -> str:
@@ -974,25 +971,27 @@ def canonical_id_for_s2(data: dict) -> str:
     return f"s2:{data.get('paperId')}"
 
 
+def join_route(record: PaperRecord) -> Optional[tuple[str, str]]:
+    """(scheme, graph API id) of the external id a record is joined on: its
+    arXiv id, else its DOI, else its Semantic Scholar id; None when it has
+    none of them."""
+    for scheme, prefix in (("arxiv", "ARXIV:"), ("doi", "DOI:"), ("s2", "")):
+        if record.external_ids.get(scheme):
+            return scheme, prefix + record.external_ids[scheme]
+    return None
+
+
 def api_id_for(record: PaperRecord) -> str:
     """Identifier accepted by the graph API for an already-stored record."""
-    arxiv_id = record.external_ids.get("arxiv")
-    if arxiv_id:
-        return f"ARXIV:{arxiv_id}"
-    doi = record.external_ids.get("doi")
-    if doi:
-        return f"DOI:{doi}"
-    s2_id = record.external_ids.get("s2")
-    if s2_id:
-        return s2_id
+    if route := join_route(record):
+        return route[1]
     raise UnknownPaper(f"{record.canonical_id} has no API-resolvable identifier")
 
 
 def fetch_paper_record(client: SemanticScholarClient, paper_id: str) -> PaperRecord:
     """One paper's metadata by S2-acceptable id (ARXIV:..., DOI:..., sha).
     A payload that fails `PaperRecord`'s checks raises `ParseError`."""
-    return _checked("paper", lambda: PaperRecord.from_json_dict(
-        _record_from_s2(client.paper(paper_id), format_timestamp(utc_now()))))
+    return _checked("paper", lambda: _record_from_s2(client.paper(paper_id), utc_now()))
 
 
 def fetch_references(client: SemanticScholarClient, paper_id: str) -> list[PaperRecord]:
@@ -1002,14 +1001,13 @@ def fetch_references(client: SemanticScholarClient, paper_id: str) -> list[Paper
 
     def fetch() -> list[PaperRecord]:
         records = []
-        retrieved_at = format_timestamp(utc_now())
+        retrieved_at = utc_now()
         for _, data in _pages(
                 lambda offset: client.references_page(paper_id, offset, S2_PAGE_SIZE)):
             for item in data:
                 cited = item.get("citedPaper") or {}
                 if cited.get("paperId"):
-                    records.append(PaperRecord.from_json_dict(
-                        _record_from_s2(cited, retrieved_at)))
+                    records.append(_record_from_s2(cited, retrieved_at))
         return records
 
     return _checked("references", fetch)
@@ -1022,7 +1020,7 @@ def merge_fetched(record: PaperRecord, fetched: PaperRecord,
     joined it by, arXiv id, DOI, Semantic Scholar id or title, is kept under
     ``s2_join``."""
     ids = record.external_ids
-    join_key = next((scheme for scheme in ("arxiv", "doi", "s2") if ids.get(scheme)), "title")
+    join_key = (join_route(record) or ("title",))[0]
     return PaperRecord(
         canonical_id=record.canonical_id,
         title=record.title or fetched.title,

@@ -19,7 +19,8 @@ from typing import IO, Iterable, Mapping, Optional
 
 from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
-from .jsonio import canonical_json, format_timestamp, parse_date, parse_timestamp, utc_now
+from .jsonio import (canonical_json, format_date, format_timestamp, parse_date,
+                     parse_timestamp, utc_now)
 from .retrieval import PaperRecord
 from .values import Frozen, Value
 
@@ -78,9 +79,10 @@ class FeatureVector(Frozen):
 # when its citing row was written is its `id`, a JSON integer, and any other
 # its canonical id (a dangling id). Nothing deletes or replaces a `papers`
 # row, and an upsert keeps its `id`, so a link never goes stale. Every row
-# holds a record that passed `PaperRecord`'s checks, so reads trust the
-# columns: `write` stores only records, and schema 7, the one schema a
-# writing open upgrades, held this same table.
+# holds a record that passed `PaperRecord`'s checks: `write` stores only
+# records, and schema 7, the one schema a writing open upgrades, held this
+# same table. A read builds each record anew, so a damaged row fails its
+# checks there, as a StorageError naming the paper.
 _PAPERS = """
 CREATE TABLE papers (
     id INTEGER PRIMARY KEY,
@@ -141,8 +143,8 @@ CREATE TABLE api_cache (
     stored_at TEXT NOT NULL
 )""", *_REPORTS, *_FEATURES, _PAPERS, _REVIEWS_INDEX)) + ";\n"
 
-# each column is named as the record's JSON key it holds, so that a row
-# zips into a `to_json_dict()`
+# each column is named as the `PaperRecord` field it holds: `_paper_row`
+# builds a row from a record's fields, and `_paper_record` a record from a row
 _PAPER_COLUMNS = ("canonical_id", "topic_keyword", "citation_count", "publication_date",
                   "retrieved_at", "title", "abstract", "venue", "author_count", "external_ids",
                   "reference_ids")
@@ -172,47 +174,52 @@ def _own_id(canonical_id: str) -> tuple[str, str]:
     return (scheme, value) if colon and scheme in _OWN_ID_SCHEMES else ("", "")
 
 
-def _paper_row(data: dict, links: Mapping[str, int]) -> tuple:
-    """The `papers` row, in `_PAPER_ROW` order, of a record's
-    `to_json_dict()`, each reference that ``links`` holds written as its
-    link."""
-    ids = dict(data["external_ids"])
-    scheme, own = _own_id(data["canonical_id"])
+def _paper_row(record: PaperRecord, links: Mapping[str, int]) -> tuple:
+    """The `papers` row, in `_PAPER_ROW` order, of a record, each reference
+    that ``links`` holds written as its link."""
+    ids = dict(record.external_ids)
+    scheme, own = _own_id(record.canonical_id)
     if scheme and ids.setdefault(scheme, None) == own:
         del ids[scheme]
-    references = [links.get(r, r) if type(r) is str else r for r in data["reference_ids"]]
-    return (*(data.get(c) for c in _PAPER_COLUMNS[:-2]),
+    references = [links.get(r, r) for r in record.reference_ids]
+    return (record.canonical_id, record.topic_keyword, record.citation_count,
+            format_date(record.publication_date), format_timestamp(record.retrieved_at),
+            record.title, record.abstract, record.venue, record.author_count,
             canonical_json(ids) if ids else None,
             canonical_json(references) if references else None)
 
 
-def _row_data(row: tuple) -> dict:
-    """The JSON dict of a `papers` row selected as `_PAPER_ROW` or
-    `_LINKED_ROW`, its links as stored."""
-    data = dict(zip(_PAPER_COLUMNS, row))
-    ids, references = data["external_ids"], data["reference_ids"]
-    ids = {} if ids is None else json.loads(ids)
-    scheme, own = _own_id(data["canonical_id"])
-    if scheme and ids.setdefault(scheme, own) is None:
-        del ids[scheme]
-    data["external_ids"] = ids
-    data["reference_ids"] = [] if references is None else json.loads(references)
-    return data
-
-
-def _paper_record(data: dict, names: Mapping[int, str]) -> PaperRecord:
-    """The record of a stored row's JSON dict, each link replaced by the
-    canonical id ``names`` holds for it. A link it lacks, which no row has,
-    raises StorageError. A `reference_ids` that is no list is left for the
-    record to reject."""
+def _stored_references(row: tuple) -> list:
+    """The decoded `reference_ids` of a `papers` row selected as `_LINKED_ROW`,
+    its links as stored. A column that holds no JSON list raises StorageError."""
     try:
-        if type(data.get("reference_ids")) is list:
-            data["reference_ids"] = [names[r] if type(r) is int else r
-                                     for r in data["reference_ids"]]
-    except KeyError as exc:
-        raise StorageError(f"paper {data['canonical_id']!r} names reference link "
-                           f"{exc.args[0]}, which is no `papers` row id") from None
-    return PaperRecord.from_json_dict(data)
+        references = [] if row[-2] is None else json.loads(row[-2])
+        if type(references) is list:
+            return references
+        raise ValueError(f"reference_ids must be a list, not {references!r:.80}")
+    except ValueError as exc:
+        raise StorageError(f"paper {row[0]!r} has a corrupt `papers` row: {exc}") from None
+
+
+def _paper_record(row: tuple, references: list, names: Mapping[int, str]) -> PaperRecord:
+    """The record of a `papers` row selected as `_LINKED_ROW` whose
+    `reference_ids` decode to ``references``, each link replaced by the
+    canonical id ``names`` holds for it. A link it lacks, which no row has,
+    or a row that fails the record's checks, raises StorageError."""
+    cid, keyword, count, published, retrieved, title, abstract, venue, authors, ids, _, _ = row
+    try:
+        references = [names[r] if type(r) is int else r for r in references]
+        ids = {} if ids is None else json.loads(ids)
+        scheme, own = _own_id(cid)
+        if scheme and ids.setdefault(scheme, own) is None:
+            del ids[scheme]
+        return PaperRecord(cid, title, abstract or "", ids, parse_date(published), venue,
+                           count, references, authors, keyword, parse_timestamp(retrieved))
+    except KeyError as exc:  # only `names` is looked up by key
+        raise StorageError(f"paper {cid!r} names reference link {exc.args[0]}, "
+                           "which is no `papers` row id") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise StorageError(f"paper {cid!r} has a corrupt `papers` row: {exc}") from None
 
 
 def _padded(values: list) -> list:
@@ -382,15 +389,15 @@ class SnapshotStore:
         self.write(papers=[record])
         return record.canonical_id
 
-    def _put_papers(self, statement: str, rows: list[dict]) -> None:
-        """Run the `papers` statement over records' JSON dicts in one
+    def _put_papers(self, statement: str, records: list[PaperRecord]) -> None:
+        """Run the `papers` statement over records' rows in one
         `executemany`, inside the caller's transaction. A reference stored
         before the statement runs, read in one chunked query, is written as
         its link; any other, a row the statement itself adds included, stays
         its canonical id."""
-        named = {r for data in rows for r in data["reference_ids"] if type(r) is str}
+        named = {r for record in records for r in record.reference_ids}
         links = dict(self._paper_rows("canonical_id, id", named))
-        self._conn.executemany(statement, [_paper_row(data, links) for data in rows])
+        self._conn.executemany(statement, [_paper_row(record, links) for record in records])
 
     def get_paper(self, canonical_id: str) -> Optional[PaperRecord]:
         return self.get_papers([canonical_id]).get(canonical_id)
@@ -419,15 +426,16 @@ class SnapshotStore:
         """The records of rows selected as `_LINKED_ROW`, by canonical id,
         and with ``facts`` the facts of the other papers they name."""
         names = {row[-1]: row[0] for row in rows}
-        datas = [_row_data(row) for row in rows]
-        listed = [r for data in datas for r in data["reference_ids"]]
+        stored = [_stored_references(row) for row in rows]
+        listed = [r for references in stored for r in references]
         links = {r for r in listed if type(r) is int} - names.keys()
         dangling = ({r for r in listed if type(r) is str} - {row[0] for row in rows}
                     if facts else ())
         read = self._paper_rows("id, " + (_FACT_COLUMNS if facts else "canonical_id"),
                                 dangling, links)
         names.update((row[0], row[1]) for row in read)
-        records = {data["canonical_id"]: _paper_record(data, names) for data in datas}
+        records = {row[0]: _paper_record(row, references, names)
+                   for row, references in zip(rows, stored)}
         return records, ({cid: (count, parse_date(published)) for _, cid, count, published in read}
                          if facts else {})
 
@@ -543,8 +551,7 @@ class SnapshotStore:
         its own savepoint of the open transaction (see the class), so a
         failure rolls back its own rows only; one with nothing to store
         commits. The only other writer is a schema upgrade."""
-        new_rows = [r.to_json_dict() for r in new_papers]
-        paper_rows = [r.to_json_dict() for r in papers]
+        new_papers, papers = list(new_papers), list(papers)
         now = format_timestamp(utc_now())
         payload_rows = [(key, payload, now) for key, payload in payloads]
         report_rows = [(None, *_report_row(paper_id, report, now)) for paper_id, report in reports]
@@ -553,7 +560,7 @@ class SnapshotStore:
              *fv.as_dict().values())
             for paper_id, fv, recorded_at in features
         ]
-        stores = new_rows or paper_rows or payload_rows or report_rows or feature_rows
+        stores = new_papers or papers or payload_rows or report_rows or feature_rows
         with self._lock:
             try:
                 if stores:
@@ -561,8 +568,8 @@ class SnapshotStore:
                         self._conn.execute("BEGIN IMMEDIATE")
                     self._conn.execute("SAVEPOINT write")
                     try:
-                        self._put_papers(_INSERT_NEW_PAPER, new_rows)
-                        self._put_papers(_UPSERT_PAPER, paper_rows)
+                        self._put_papers(_INSERT_NEW_PAPER, new_papers)
+                        self._put_papers(_UPSERT_PAPER, papers)
                         self.require_stored(row[1] for row in report_rows + feature_rows)
                         self._conn.executemany(
                             "INSERT INTO api_cache (key, payload, stored_at) VALUES (?, ?, ?) "

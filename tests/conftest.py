@@ -219,11 +219,26 @@ def papers_rows(store) -> dict[str, tuple]:
 
 
 def put_raw_paper(store, data: dict) -> None:
-    """Store a record's JSON dict as its `papers` row with no check, so a
-    row that `PaperRecord` rejects can be written. A reference that is a
-    number is written as that link."""
+    """Store a record's JSON dict as its `papers` row in plain SQL, with no
+    check, so a row that `PaperRecord` rejects can be written: each key's
+    value goes into the column of its name as it is, the two lists as JSON.
+    A reference that is a number is written as that link."""
+    row = {**data, **{key: json.dumps(data[key]) for key in ("external_ids", "reference_ids")}}
     with store._lock, store._conn:
-        store._put_papers(snapshot._UPSERT_PAPER, [data])
+        store._conn.execute(
+            f"INSERT INTO papers ({', '.join(row)}) VALUES ({', '.join('?' * len(row))}) "
+            "ON CONFLICT(canonical_id) DO UPDATE SET "
+            + ", ".join(f"{key} = excluded.{key}" for key in row), list(row.values()))
+
+
+def count_decodes(monkeypatch) -> list[str]:
+    """The canonical id of each `papers` row the store decodes into a
+    record from now on, in decode order."""
+    decoded = []
+    decode = snapshot._paper_record
+    monkeypatch.setattr(snapshot, "_paper_record",
+                        lambda row, *args: decoded.append(row[0]) or decode(row, *args))
+    return decoded
 
 
 def link_pairs(path) -> set[tuple[int, str]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -27,6 +28,7 @@ from conftest import (
     LEGACY_SCHEMA,
     CountingTransport,
     arxiv_exchange,
+    count_decodes,
     link_pairs,
     make_legacy,
     put_raw_paper,
@@ -328,6 +330,29 @@ class TestLinks:
             assert err == ("error: StorageError: paper 'arxiv:2500.10000' names reference "
                            "link 9999, which is no `papers` row id\n")
 
+    @pytest.mark.parametrize("column, value, reason", [
+        ("reference_ids", '"abc"', "reference_ids must be a list, not 'abc'"),
+        ("reference_ids", "5", "reference_ids must be a list, not 5"),
+        ("publication_date", "2024-13-45",
+         "time data '2024-13-45' does not match format '%Y-%m-%d'"),
+        ("citation_count", -3, "citation_count must be non-negative"),
+    ], ids=["references-a-string", "references-a-number", "bad-date", "negative-count"])
+    def test_a_row_the_record_refuses_is_one_error_line(self, demo_db, tmp_path, capsys,
+                                                        column, value, reason):
+        path = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, path)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(f"UPDATE papers SET {column} = ? WHERE canonical_id = ?",
+                         (value, "arxiv:2500.10000"))
+        conn.close()
+        before = hashlib.sha256(path.read_bytes()).hexdigest()
+        for argv in (["export", str(tmp_path / "out.jsonl")], ["--offline", "score", "--all"]):
+            assert main(["--db", str(path), *argv]) == 1
+            assert capsys.readouterr() == ("", "error: StorageError: paper 'arxiv:2500.10000' "
+                                               f"has a corrupt `papers` row: {reason}\n")
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
 
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
@@ -425,6 +450,39 @@ class TestStartup:
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout == (GOLDEN / "score_all.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["--offline", "enrich", "--all"],
+        ["--offline", "--now", "2024-10-01", "score", "--all"],
+        ["export", "/dev/stdout"],
+    ], ids=["enrich", "score", "export"])
+    def test_a_closed_stdout_is_a_quiet_exit(self, demo_db, tmp_path, argv, unbuffered):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        with SnapshotStore(db, read_only=True) as store:
+            stored = len(store._conn.execute("SELECT id FROM reports").fetchall())
+        src = str(Path(litmetrics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:  # the first print fails, inside `main`; else the flush at exit does
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # a reader that is gone: every write to stdout fails
+        try:
+            done = subprocess.run([sys.executable, "-m", "litmetrics", "--db", str(db), *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=120)
+        finally:
+            os.close(write)
+        # no error line; a buffered `score` has printed its summary before
+        # its table reaches stdout
+        summary = "scored 20/20 papers\n" if "score" in argv and not unbuffered else ""
+        assert (done.returncode, done.stderr) == (1, summary)
+        with SnapshotStore(db, read_only=True) as store:
+            reports = len(store._conn.execute("SELECT id FROM reports").fetchall())
+        assert reports == stored + (20 if "score" in argv else 0)
 
     def test_latency_probe_scores_the_cold_demo(self):
         src = str(Path(litmetrics.__file__).resolve().parents[1])
@@ -966,10 +1024,7 @@ class TestFeaturesCommand:
         with SnapshotStore(db) as store:
             store.upsert_paper(PaperRecord(canonical_id="arxiv:2403.00001", title="A review",
                                            retrieved_at=datetime(2024, 1, 1)))
-        decodes = []
-        decode = PaperRecord.__dict__["from_json_dict"].__func__
-        monkeypatch.setattr(PaperRecord, "from_json_dict", classmethod(
-            lambda cls, data: decodes.append(data["canonical_id"]) or decode(cls, data)))
+        decodes = count_decodes(monkeypatch)
         stub = Path(__file__).parent / "fixtures" / "stubs" / "extraction_stub.json"
         assert main(["--db", str(db), "--offline", "--llm-stub", str(stub),
                      "features", "arxiv:2403.00001", "--docs", str(docs)]) == 0
@@ -993,8 +1048,6 @@ class TestFeaturesCommand:
 
 class TestStatsTrendRobustness:
     def test_stats_table_and_read_only_no_mutation(self, demo_db, capsys):
-        import hashlib
-
         before = hashlib.sha256(demo_db.read_bytes()).hexdigest()
         assert main(["--db", str(demo_db), "--offline", "stats", "cites"]) == 0
         out = capsys.readouterr().out
@@ -1047,19 +1100,13 @@ class TestStatsTrendRobustness:
         flags = ["--db", str(db), "--offline", "--now", "2024-10-01"]
         assert main([*flags, "score", "--all"]) == 0
         capsys.readouterr()
-        decoded = []
-        decode = PaperRecord.from_json_dict.__func__
-        monkeypatch.setattr(PaperRecord, "from_json_dict",
-                            classmethod(lambda cls, d: decoded.append(d) or decode(cls, d)))
+        decoded = count_decodes(monkeypatch)
         assert main([*flags, "stats", "tncsi"]) == 0
         assert decoded == []
         assert capsys.readouterr().out == (GOLDEN / "stats_tncsi.txt").read_text(encoding="utf-8")
 
     def test_record_metric_decodes_no_record(self, demo_db, monkeypatch, capsys):
-        decoded = []
-        decode = PaperRecord.from_json_dict.__func__
-        monkeypatch.setattr(PaperRecord, "from_json_dict",
-                            classmethod(lambda cls, d: decoded.append(d) or decode(cls, d)))
+        decoded = count_decodes(monkeypatch)
         assert main(["--db", str(demo_db), "--offline", "stats", "cites"]) == 0
         assert decoded == []
         assert capsys.readouterr().out == (GOLDEN / "stats_cites.txt").read_text(encoding="utf-8")
@@ -1097,10 +1144,7 @@ class TestStatsTrendRobustness:
         assert "EmptyInput" in capsys.readouterr().err
 
     def test_trend_decodes_no_record(self, demo_db, monkeypatch, capsys):
-        decoded = []
-        decode = PaperRecord.from_json_dict.__func__
-        monkeypatch.setattr(PaperRecord, "from_json_dict",
-                            classmethod(lambda cls, d: decoded.append(d) or decode(cls, d)))
+        decoded = count_decodes(monkeypatch)
         assert main(["--db", str(demo_db), "--offline", "trend",
                      "--feature", "discussion", "--sigma", "1.0"]) == 0
         assert decoded == []

@@ -20,6 +20,7 @@ import pytest
 from conftest import (
     CountingTransport,
     arxiv_exchange,
+    count_decodes,
     papers_rows,
     s2_citations_exchange,
     s2_paper_exchange,
@@ -893,15 +894,8 @@ class TestBulkReads:
             store.upsert_paper(paper)
             ids.append(paper.canonical_id)
 
-        decodes = Counter()
-        decode = PaperRecord.__dict__["from_json_dict"].__func__
-
-        def counting(cls, data):
-            decodes[data["canonical_id"]] += 1
-            return decode(cls, data)
-
         queries = []
-        monkeypatch.setattr(PaperRecord, "from_json_dict", classmethod(counting))
+        decoded = count_decodes(monkeypatch)
         store._conn.set_trace_callback(queries.append)
         try:
             engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
@@ -911,7 +905,7 @@ class TestBulkReads:
             monkeypatch.undo()
         reference_engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
         assert [i.report for i in items] == [reference_engine.score(pid, which) for pid in ids]
-        return decodes, [q for q in queries if "FROM papers" in q]
+        return Counter(decoded), [q for q in queries if "FROM papers" in q]
 
     def test_only_the_reviews_are_decoded_in_a_constant_number_of_queries(
             self, tmp_path, monkeypatch):

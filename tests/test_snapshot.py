@@ -232,6 +232,13 @@ class TestJsonl:
         assert store.get_paper("arxiv:0").citation_count == 1
 
 
+def read_back(row: tuple, names: dict) -> PaperRecord:
+    """The record the store decodes from a row `_paper_row` built, read as
+    `_LINKED_ROW` with no row id."""
+    linked = (*row, None)
+    return snapshot._paper_record(linked, snapshot._stored_references(linked), names)
+
+
 class TestRowLayout:
     TEXT = st.one_of(st.sampled_from(["", "x"]), st.text(max_size=12))
     # rows stored, by their ids, before a drawn record is written
@@ -278,8 +285,8 @@ class TestRowLayout:
     @given(records())
     def test_a_record_comes_back_from_its_row_as_it_was(self, paper):
         data = paper.to_json_dict()
-        row = snapshot._paper_row(data, {})
-        assert snapshot._paper_record(snapshot._row_data(row), {}) == paper
+        row = snapshot._paper_row(paper, {})
+        assert read_back(row, {}) == paper
         # a column per field; the last two hold JSON
         assert row[:-2] == tuple(data[key] for key in (
             "canonical_id", "topic_keyword", "citation_count", "publication_date",
@@ -300,7 +307,7 @@ class TestRowLayout:
             own_link = self.STORED.get(paper.canonical_id, len(self.STORED) + 1)
             for links in (self.STORED, {**self.STORED, paper.canonical_id: own_link}):
                 store.upsert_paper(paper)
-                assert papers_rows(store)[paper.canonical_id] == snapshot._paper_row(data, links)
+                assert papers_rows(store)[paper.canonical_id] == snapshot._paper_row(paper, links)
                 assert store.get_paper(paper.canonical_id) == paper
                 expected = {r.canonical_id: r for r in stored} | {paper.canonical_id: paper}
                 assert self.exported(store) == "".join(
@@ -320,8 +327,7 @@ class TestRowLayout:
             links = {**self.STORED, **{paper.canonical_id: link for link, paper in
                                        enumerate(batch, len(self.STORED) + 1)}}
             for paper in batch:
-                assert rows[paper.canonical_id] == snapshot._paper_row(
-                    paper.to_json_dict(), links)
+                assert rows[paper.canonical_id] == snapshot._paper_row(paper, links)
             assert store.get_papers(r.canonical_id for r in batch) == {
                 r.canonical_id: r for r in batch}
             expected = {r.canonical_id: r for r in batch} | {
@@ -331,25 +337,25 @@ class TestRowLayout:
 
     def test_each_field_is_a_column_and_the_own_id_is_stored_once(self):
         bare = record("arxiv:1", abstract="", publication_date=None)
-        assert snapshot._paper_row(bare.to_json_dict(), {}) == (
+        assert snapshot._paper_row(bare, {}) == (
             "arxiv:1", None, None, None, "2024-10-01T12:00:00Z", "A Survey about arxiv:1", "",
             None, 0, '{"arxiv":null}', None)
         blank = record("arxiv:1", title="", topic_keyword="", venue="",
                        external_ids={"arxiv": "1", "doi": "10.1/x"},
                        reference_ids=["s2:a", "s2:b", "s2:a"])
-        row = snapshot._paper_row(blank.to_json_dict(), {"s2:a": 7})
+        row = snapshot._paper_row(blank, {"s2:a": 7})
         assert row == ("arxiv:1", "", None, "2023-05-01", "2024-10-01T12:00:00Z", "",
                        "Abstract of arxiv:1.", "", 0, '{"doi":"10.1/x"}', '[7,"s2:b",7]')
-        assert snapshot._paper_record(snapshot._row_data(row), {7: "s2:a"}) == blank
+        assert read_back(row, {7: "s2:a"}) == blank
         for cid, ids, stored in [("s2:abc", {"s2": "abc"}, None),
                                  ("s2:abc", {"s2": "other"}, '{"s2":"other"}'),
                                  ("doi:10.1/x", {"doi": "10.1/x", "s2": "p"}, '{"s2":"p"}'),
                                  ("corpusid:5", {}, None),
                                  ("corpusid:5", {"corpusid": "5"}, '{"corpusid":"5"}')]:
             paper = record(cid, external_ids=ids)
-            row = snapshot._paper_row(paper.to_json_dict(), {})
+            row = snapshot._paper_row(paper, {})
             assert row[-2] == stored
-            assert snapshot._paper_record(snapshot._row_data(row), {}) == paper
+            assert read_back(row, {}) == paper
 
 
 def contents(path) -> dict:
