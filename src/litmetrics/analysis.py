@@ -10,7 +10,7 @@ from typing import IO, Callable, Optional, Sequence
 
 from .errors import ConstantInput, EmptyInput, LengthMismatch
 from .indicators import _pairwise_sum, citation_histograms, kl_divergence
-from .retrieval import TopicContext
+from .records import TopicContext
 from .snapshot import FEATURE_NAMES, FeatureVector
 from .values import Frozen
 

@@ -192,6 +192,17 @@ class IndicatorReport(Value):
         self.warnings = [] if warnings is FRESH else warnings
 
 
+# each indicator, in the order `score` computes and prints them, and the
+# report fields it fills
+INDICATOR_FIELDS = {
+    "tncsi": ("tncsi",),
+    "iei": ("iei_avg", "iei_instant"),
+    "rqm": ("arq", "s_mp", "rqm"),
+    "rui": ("cdr", "rad", "rui"),
+}
+ALL_INDICATORS = tuple(INDICATOR_FIELDS)
+
+
 # ---------------------------------------------------------------------------
 # TNCSI
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import EmptyResult, LitmetricsError, LlmUnavailable, ParseError, UnknownPaper
 from .indicators import (
+    ALL_INDICATORS,
     DEFAULT_BETA,
     RAD_FIT_WINDOW_MONTHS,
     ExponentialFit,
@@ -24,11 +25,10 @@ from .indicators import (
     tncsi,
 )
 from .jsonio import utc_now
+from .records import S2_SEARCH_CAP, PaperRecord
 from .retrieval import (
-    S2_SEARCH_CAP,
     ArxivClient,
     LlmBackend,
-    PaperRecord,
     SemanticScholarClient,
     api_id_for,
     count_relevant,
@@ -44,7 +44,6 @@ from .retrieval import (
 from .snapshot import SnapshotStore
 from .values import Value
 
-ALL_INDICATORS = ("tncsi", "iei", "rqm", "rui")
 IEI_WINDOW_MONTHS = 6
 # what RQM and RUI read of a reference: (citation_count, publication_date)
 ReferenceFacts = tuple[Optional[int], Optional[date]]

@@ -21,7 +21,7 @@ from .errors import SchemaMismatch, StorageError, UnknownPaper
 from .indicators import IndicatorReport
 from .jsonio import (canonical_json, format_date, format_timestamp, parse_date,
                      parse_timestamp, utc_now)
-from .retrieval import PaperRecord
+from .records import PaperRecord
 from .values import Frozen, Value
 
 SCHEMA_VERSION = 8
@@ -222,6 +222,16 @@ def _paper_record(row: tuple, references: list, names: Mapping[int, str]) -> Pap
         raise StorageError(f"paper {cid!r} has a corrupt `papers` row: {exc}") from None
 
 
+def _reference_fact(row: tuple) -> tuple:
+    """(canonical_id, (citation_count, publication_date)) of a row read as
+    ``id, `` + `_FACT_COLUMNS`; a date that does not parse raises StorageError."""
+    _, cid, count, published = row
+    try:
+        return cid, (count, parse_date(published))
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"paper {cid!r} has a corrupt `papers` row: {exc}") from None
+
+
 def _padded(values: list) -> list:
     """``values`` padded with NULLs, which match no row, to a power of two:
     the connection caches every statement text it prepares, so `IN` lists
@@ -293,8 +303,10 @@ class SnapshotStore:
             raise StorageError(f"snapshot {self.path} does not exist")
         try:
             if read_only:
+                # percent-encoded, a `#`, `?` or `%` in the path is part of the
+                # name, not a URI's fragment, query or escape
                 self._conn = sqlite3.connect(
-                    f"file:{self.path}?mode=ro", uri=True, check_same_thread=False
+                    self.path.resolve().as_uri() + "?mode=ro", uri=True, check_same_thread=False
                 )
                 self._conn.execute("PRAGMA query_only = ON")
             else:
@@ -436,8 +448,7 @@ class SnapshotStore:
         names.update((row[0], row[1]) for row in read)
         records = {row[0]: _paper_record(row, references, names)
                    for row, references in zip(rows, stored)}
-        return records, ({cid: (count, parse_date(published)) for _, cid, count, published in read}
-                         if facts else {})
+        return records, dict(map(_reference_fact, read)) if facts else {}
 
     def _paper_rows(self, columns: str, ids: Optional[Iterable[str]] = None,
                     links: Iterable[int] = ()) -> list[tuple]:

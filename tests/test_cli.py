@@ -330,26 +330,30 @@ class TestLinks:
             assert err == ("error: StorageError: paper 'arxiv:2500.10000' names reference "
                            "link 9999, which is no `papers` row id\n")
 
-    @pytest.mark.parametrize("column, value, reason", [
-        ("reference_ids", '"abc"', "reference_ids must be a list, not 'abc'"),
-        ("reference_ids", "5", "reference_ids must be a list, not 5"),
-        ("publication_date", "2024-13-45",
+    @pytest.mark.parametrize("paper, column, value, reason", [
+        ("arxiv:2500.10000", "reference_ids", '"abc"', "reference_ids must be a list, not 'abc'"),
+        ("arxiv:2500.10000", "reference_ids", "5", "reference_ids must be a list, not 5"),
+        ("arxiv:2500.10000", "publication_date", "2024-13-45",
          "time data '2024-13-45' does not match format '%Y-%m-%d'"),
-        ("citation_count", -3, "citation_count must be non-negative"),
-    ], ids=["references-a-string", "references-a-number", "bad-date", "negative-count"])
+        ("arxiv:2500.10000", "citation_count", -3, "citation_count must be non-negative"),
+        # a reference's row, whose date `score` reads with no record decoded
+        ("s2:ref-0-7", "publication_date", "2024-13-45",
+         "time data '2024-13-45' does not match format '%Y-%m-%d'"),
+    ], ids=["references-a-string", "references-a-number", "bad-date", "negative-count",
+            "reference-bad-date"])
     def test_a_row_the_record_refuses_is_one_error_line(self, demo_db, tmp_path, capsys,
-                                                        column, value, reason):
+                                                        paper, column, value, reason):
         path = tmp_path / "demo.db"
         shutil.copyfile(demo_db, path)
         conn = sqlite3.connect(path)
         with conn:
             conn.execute(f"UPDATE papers SET {column} = ? WHERE canonical_id = ?",
-                         (value, "arxiv:2500.10000"))
+                         (value, paper))
         conn.close()
         before = hashlib.sha256(path.read_bytes()).hexdigest()
         for argv in (["export", str(tmp_path / "out.jsonl")], ["--offline", "score", "--all"]):
             assert main(["--db", str(path), *argv]) == 1
-            assert capsys.readouterr() == ("", "error: StorageError: paper 'arxiv:2500.10000' "
+            assert capsys.readouterr() == ("", f"error: StorageError: paper {paper!r} "
                                                f"has a corrupt `papers` row: {reason}\n")
             assert hashlib.sha256(path.read_bytes()).hexdigest() == before
 
@@ -425,6 +429,41 @@ class TestStartup:
                      "--workers", "4", "score", "--all"], transport=transport) == 0
         assert bool(started) == (source == "injected")
         assert capsys.readouterr().out == (GOLDEN / "score_all.txt").read_text(encoding="utf-8")
+
+    @staticmethod
+    def imports(*args: str) -> set[str]:
+        """The `litmetrics` modules that a fresh `python -S` process imports to
+        run ``args``, as `-X importtime` lists them; the run must exit 0."""
+        src = str(Path(litmetrics.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        return set(re.findall(r"^import time:.*\| +(litmetrics\S*)$", done.stderr, re.MULTILINE))
+
+    def test_a_package_import_loads_no_module_of_it(self):
+        assert self.imports("-c", "import litmetrics") == {"litmetrics"}
+
+    def test_the_snapshot_loads_no_client_or_pipeline(self):
+        loaded = self.imports("-c", "import litmetrics.snapshot")
+        assert "litmetrics.records" in loaded
+        assert not loaded & {"litmetrics.retrieval", "litmetrics.pipeline"}
+
+    @pytest.mark.parametrize("argv", [["stats", "tncsi"], ["trend"], ["export"], ["import"]],
+                             ids=["stats", "trend", "export", "import"])
+    def test_a_store_only_command_loads_no_client_or_pipeline(self, demo_db, tmp_path, argv):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        records = tmp_path / "records.jsonl"
+        assert main(["--db", str(db), "--offline", "--now", "2024-10-01", "score", "--all"],
+                    transport=OfflineTransport()) == 0
+        assert main(["--db", str(db), "export", str(records)]) == 0
+        if argv[0] == "import":
+            db = tmp_path / "copy.db"  # a fresh file, so every record is written
+        loaded = self.imports("-m", "litmetrics", "--db", str(db), "--offline", *argv,
+                              *[str(records)] * (argv[0] in ("export", "import")))
+        assert {"litmetrics.cli", "litmetrics.snapshot"} <= loaded
+        assert not loaded & {"litmetrics.retrieval", "litmetrics.pipeline"}
 
     def test_a_star_import_resolves_every_exported_name(self):
         namespace = {}
@@ -1054,6 +1093,18 @@ class TestStatsTrendRobustness:
         assert out.splitlines()[0].split() == ["metric", "n", "max", "min", "mean",
                                                "median", "mode"]
         assert hashlib.sha256(demo_db.read_bytes()).hexdigest() == before
+
+    @pytest.mark.parametrize("name", ["a#b.db", "a?b.db", "c%41.db"],
+                             ids=["hash", "question-mark", "percent"])
+    def test_a_read_only_open_takes_the_path_as_named(self, demo_db, tmp_path, capsys, name):
+        # opened by URI, the name is escaped: a `#`, `?` or `%` in it is no
+        # fragment, query or escape that opens, or creates, another file
+        path = tmp_path / name
+        shutil.copyfile(demo_db, path)
+        for argv in (["stats", "cites"], ["trend"]):
+            assert main(["--db", str(path), *argv]) == 0
+        assert capsys.readouterr().err == ""
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_stats_json_and_csv(self, demo_db, tmp_path, capsys):
         db = tmp_path / "demo.db"
