@@ -13,8 +13,10 @@ behind its own limiter at ``--rate``, assign them. Compare, for example:
   python scripts/latency_probe.py --latency 1.5 --workers 1
   python scripts/latency_probe.py --latency 1.5 --workers 4
 
-The probe exits 1 when the score exits non-zero or prints a failed row, so a
-short run, such as ``--latency 0.01 --rate 1000``, checks the worker pool.
+The probe exits 1 when the score exits non-zero or prints a failed row, or,
+with ``--llm-latency``, when a review's assigned keyword does not read back
+from the snapshot after the run; so a short run, such as ``--latency 0.01
+--rate 1000``, checks the worker pool.
 """
 
 from __future__ import annotations
@@ -104,11 +106,17 @@ def main() -> None:
         with contextlib.redirect_stdout(out):
             code = litmetrics_main(argv, transport=transport, llm=llm)
         elapsed = time.monotonic() - started
+        with SnapshotStore(db, read_only=True) as store:
+            keywords = {cid: r.topic_keyword
+                        for cid, r in store.get_papers(p.canonical_id for p in papers).items()}
+    # each keyword the LLM assigned is stored by the batch's write
+    unstored = [p.canonical_id for p in corpus.papers
+                if llm and keywords.get(p.canonical_id) != p.topic_keyword]
     failed_rows = out.getvalue().count("Error")
     print(f"workers={args.workers} latency={args.latency}s rate={args.rate}/s "
           f"exit={code} requests={transport.count} llm_calls={llm.count if llm else 0} "
-          f"score_s={elapsed:.1f} failed_rows={failed_rows}")
-    if code or failed_rows:
+          f"score_s={elapsed:.1f} unstored_keywords={len(unstored)} failed_rows={failed_rows}")
+    if code or failed_rows or unstored:
         sys.exit(1)
 
 

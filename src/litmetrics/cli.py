@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from .errors import LitmetricsError
 from .indicators import ALL_INDICATORS, DEFAULT_BETA, INDICATOR_FIELDS
 from .jsonio import canonical_json, parse_date
-from .records import S2_SEARCH_CAP
+from .records import DEFAULT_TOPIC_SAMPLE_K, S2_SEARCH_CAP
 from .snapshot import FEATURE_NAMES, PUBLICATION_YEAR, SnapshotStore
 
 # the commands that fetch import the pipeline and the clients when they run
@@ -36,6 +36,8 @@ CONFIG_KEYS = (
     "db", "rate", "workers", "k", "beta",
     "s2_api_key", "llm_api_key", "llm_base_url", "llm_stub",
 )
+DEFAULT_RATE = 1.0  # requests per second per host
+DEFAULT_WORKERS = 4
 
 
 def read_config_file(path: Path) -> dict[str, str]:
@@ -74,13 +76,13 @@ class Settings:
             return default
 
         self.db = str(pick(args.db, None, "db", "litmetrics.db"))
-        self.rate = float(pick(args.rate, None, "rate", 1.0))
+        self.rate = float(pick(args.rate, None, "rate", DEFAULT_RATE))
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
-        self.workers = int(pick(args.workers, None, "workers", 4))
+        self.workers = int(pick(args.workers, None, "workers", DEFAULT_WORKERS))
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        self.topic_k = int(pick(args.k, None, "k", 1000))
+        self.topic_k = int(pick(args.k, None, "k", DEFAULT_TOPIC_SAMPLE_K))
         if self.topic_k < 1:
             raise ValueError(f"k must be at least 1, got {self.topic_k}")
         if self.topic_k > S2_SEARCH_CAP:
@@ -218,7 +220,9 @@ def select_ids(store: SnapshotStore, ids: list[str], use_all: bool,
                parser: argparse.ArgumentParser) -> list[str]:
     """Explicit ids, each once in first-seen order, or with --all every paper
     carrying a topic keyword (harvested reviews, as opposed to bare reference
-    rows)."""
+    rows); a usage error for neither or both."""
+    if use_all and ids:
+        parser.error("give paper ids or --all, not both")
     if use_all:
         return store.review_ids()
     if not ids:
@@ -488,12 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--now", type=_parse_date,
                         help="freeze today's UTC date (YYYY-MM-DD) for reproducible runs")
     parser.add_argument("--llm-stub", help="JSON table of canned LLM responses")
-    parser.add_argument("--rate", type=float, help="requests per second (default 1)")
+    parser.add_argument("--rate", type=float,
+                        help=f"requests per second (default {DEFAULT_RATE:g})")
     parser.add_argument("--workers", type=int,
-                        help="batch worker threads when fetching "
-                             "(default 4; runs that cannot fetch use one)")
-    parser.add_argument("--k", type=int, help="topic sample size, 1-1000 (default 1000)")
-    parser.add_argument("--beta", type=float, help="RQM shift parameter (default 5)")
+                        help=f"batch worker threads when fetching "
+                             f"(default {DEFAULT_WORKERS}; runs that cannot fetch use one)")
+    parser.add_argument("--k", type=int, help=f"topic sample size, 1-{S2_SEARCH_CAP} "
+                                              f"(default {DEFAULT_TOPIC_SAMPLE_K})")
+    parser.add_argument("--beta", type=float,
+                        help=f"RQM shift parameter (default {DEFAULT_BETA:g})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,6 +16,7 @@ import random
 from datetime import date, datetime
 from pathlib import Path
 
+from .indicators import IEI_WINDOW_MONTHS
 from .jsonio import format_date
 from .pipeline import ScoringEngine, lower_median_date
 from .retrieval import (
@@ -25,6 +26,7 @@ from .retrieval import (
     PaperRecord,
     RateLimiter,
     SemanticScholarClient,
+    month_index,
 )
 from .snapshot import FeatureVector, SnapshotStore
 from .values import Value
@@ -139,11 +141,11 @@ def build_demo_corpus(now: date = DEMO_NOW) -> DemoCorpus:
             )
             papers.append(paper)
 
-            # citing papers for the six full months before `now`
+            # citing papers for the IEI window's full months before `now`
             citing_dates: list[str] = []
-            for back in range(6, 0, -1):
-                month_index = (window_end.year * 12 + window_end.month - 1) - back
-                month = date(month_index // 12, month_index % 12 + 1, 15)
+            for back in range(IEI_WINDOW_MONTHS, 0, -1):
+                index = month_index(window_end) - back
+                month = date(index // 12, index % 12 + 1, 15)
                 for _ in range(rng.randint(0, 8)):
                     citing_dates.append(format_date(month))
             exchanges.append(_citations_exchange(f"ARXIV:{arxiv_id}", citing_dates))
@@ -207,7 +209,6 @@ def build_demo_snapshot(path: str | Path, now: date = DEMO_NOW) -> DemoCorpus:
 
         engine = ScoringEngine(store=store, s2=client, now=now)
         ids = [paper.canonical_id for paper in corpus.papers]
-        engine.load_records(ids)
         engine.gather(ids)
     return corpus
 

@@ -26,6 +26,7 @@ from .values import FRESH, Frozen, Value
 
 DEFAULT_BETA = 5.0
 DEFAULT_RAD_STEP = 1.0 / 120.0  # years; ten sub-steps per month
+IEI_WINDOW_MONTHS = 6  # the full calendar months an IEI citation series covers
 RAD_FIT_WINDOW_MONTHS = 72  # the aging cubic was fitted on 6 years of data
 
 

@@ -25,7 +25,7 @@ from .indicators import (
     tncsi,
 )
 from .jsonio import utc_now
-from .records import S2_SEARCH_CAP, PaperRecord
+from .records import DEFAULT_TOPIC_SAMPLE_K, S2_SEARCH_CAP, PaperRecord
 from .retrieval import (
     ArxivClient,
     LlmBackend,
@@ -40,19 +40,18 @@ from .retrieval import (
     join_route,
     llm_topic_keyword,
     merge_fetched,
+    month_index,
 )
 from .snapshot import SnapshotStore
 from .values import Value
 
-IEI_WINDOW_MONTHS = 6
 # what RQM and RUI read of a reference: (citation_count, publication_date)
 ReferenceFacts = tuple[Optional[int], Optional[date]]
 
 
 def months_between(earlier: date, later: date) -> int:
     """Whole calendar months from one date to another (day-of-month ignored)."""
-    diff = (later.year - earlier.year) * 12 + (later.month - earlier.month)
-    return max(0, diff)
+    return max(0, month_index(later) - month_index(earlier))
 
 
 def lower_median_date(dates: Sequence[date]) -> date:
@@ -167,37 +166,33 @@ class ScoringEngine(Value):
     populated online can be re-scored offline and byte-identically. Fetched
     payloads are cached in the store, which writes them behind.
 
-    A batch is scored as gather, then compute. `load_records` reads the
-    papers into ``records`` and, as the store returns it, the
-    (citation_count, publication_date) by canonical id of the other stored
-    papers their reference lists name into ``references``, which has no
-    entry for an id the store lacks. ``now`` defaults to today's UTC date.
-    `gather` fetches every keyword, citation series, topic fit and RUI
-    count, each topic's fit once per engine, and `score` computes a report
-    from them with no I/O.
+    A batch is scored as gather, then compute: `gather` reads the papers and
+    fetches every input of their reports, and `score` computes one paper's
+    report from them with no I/O. ``now`` defaults to today's UTC date, read
+    once, so every report of the engine has one date and one IEI window.
     """
 
     _fields = ("store", "s2", "llm", "now", "beta", "topic_k")
 
     def __init__(self, store: SnapshotStore, s2: SemanticScholarClient,
                  llm: Optional[LlmBackend] = None, now: Optional[date] = None,
-                 beta: float = DEFAULT_BETA, topic_k: int = 1000) -> None:
+                 beta: float = DEFAULT_BETA, topic_k: int = DEFAULT_TOPIC_SAMPLE_K) -> None:
         self.store = store
         self.s2 = s2
         self.llm = llm
-        self.now = now
+        self.now = now or utc_now().date()
         self.beta = beta
         self.topic_k = topic_k
+        self.which = ALL_INDICATORS
         self.records: dict[str, PaperRecord] = {}
         self.references: dict[str, ReferenceFacts] = {}
+        # the records whose keyword the LLM assigned, for the batch's write
+        self.assigned: list[PaperRecord] = []
         # what `gather` fetched, each the value or the library error its fetch
         # raised: (keyword, citation series, reference facts, RUI counts) by
-        # (paper id, indicators), fits by keyword
-        self._inputs: dict[tuple, tuple] = {}
+        # paper id, fits by keyword
+        self._inputs: dict[str, tuple] = {}
         self._fits: dict[str, object] = {}
-
-    def _now(self) -> date:
-        return self.now or utc_now().date()
 
     def topic_keyword_for(self, record: PaperRecord) -> str:
         if record.topic_keyword:
@@ -208,35 +203,35 @@ class ScoringEngine(Value):
             )
         keyword = llm_topic_keyword(record.title, record.abstract, self.llm)
         updated = record.replace(topic_keyword=keyword)
-        self.store.upsert_paper(updated)
         self.records[updated.canonical_id] = updated
+        self.assigned.append(updated)
         return keyword
-
-    def load_records(
-        self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS
-    ) -> None:
-        """Read the papers and, when RQM or RUI is wanted, the two fields
-        those read of the union of their references, in one bulk read, for
-        `gather` and `score` to use."""
-        if {"rqm", "rui"} & set(which or ALL_INDICATORS):
-            self.records, self.references = self.store.get_papers_and_reference_facts(paper_ids)
-        else:
-            self.records, self.references = self.store.get_papers(paper_ids), {}
-        self._inputs = {}
 
     def gather(self, paper_ids: Sequence[str], which: Sequence[str] = ALL_INDICATORS,
                each: Callable = map) -> None:
-        """Fetch what `score` needs of the papers `load_records` read, in three
-        stages run through ``each`` (``map`` or a pool's). Stage 1 takes each
-        paper's keyword, from the LLM when none is stored, then its citation
-        series when IEI is wanted; stage 2 fits each keyword not fitted yet
-        when TNCSI or RQM is wanted; stage 3 takes each paper's two RUI counts
-        when RUI is wanted. Each paper's reference facts, which RQM and RUI
-        read, are taken once, on the calling thread, before stage 3. A
-        library error is kept in place of its input, for `score` to raise
-        where it uses it; any other propagates."""
-        which = tuple(which) or ALL_INDICATORS
-        gathered = list(each(lambda pid: self._gather_paper(pid, which), paper_ids))
+        """Read the papers and fetch what `score` needs of them for ``which``
+        (every indicator when empty), in place of what the last call kept.
+
+        One bulk read takes the papers into ``records`` and, when RQM or RUI
+        is wanted, the `ReferenceFacts` of the other stored papers their
+        reference lists name into ``references``. Three stages then run
+        through ``each`` (``map`` or a pool's). Stage 1 takes each paper's
+        keyword, from the LLM when none is stored, then its citation series
+        when IEI is wanted; stage 2 fits each keyword not fitted yet when
+        TNCSI or RQM is wanted; stage 3 takes each paper's two RUI counts when
+        RUI is wanted, after its reference facts are taken on the calling
+        thread. A library error is kept in place of its input, for `score` to
+        raise where it uses it; any other propagates. Only the fetched
+        payloads are written: a record whose keyword the LLM assigned is kept
+        in ``assigned``, for the caller's write."""
+        # first, so a read that raises leaves no record of the last batch to write
+        self._inputs, self.assigned = {}, []
+        self.which = which = tuple(which) or ALL_INDICATORS
+        if "rqm" in which or "rui" in which:
+            self.records, self.references = self.store.get_papers_and_reference_facts(paper_ids)
+        else:
+            self.records, self.references = self.store.get_papers(paper_ids), {}
+        gathered = list(each(self._gather_paper, paper_ids))
         keywords = [kw for kw, _ in gathered]
         if "tncsi" in which or "rqm" in which:
             topics = [kw for kw in dict.fromkeys(keywords)
@@ -249,20 +244,20 @@ class ScoringEngine(Value):
         counts = (each(lambda pid, kw, refs: _kept(self._fetch_counts, pid, kw, refs),
                        paper_ids, keywords, facts)
                   if "rui" in which else [None] * len(paper_ids))
-        self._inputs = {(pid, which): (*got, refs, n)
+        self._inputs = {pid: (*got, refs, n)
                         for pid, got, refs, n in zip(paper_ids, gathered, facts, counts)}
 
-    def _gather_paper(self, paper_id: str, which: Sequence[str]) -> tuple:
+    def _gather_paper(self, paper_id: str) -> tuple:
         """Stage 1 of `gather` for one paper: (keyword, citation series or
         None). No series is fetched for an unknown paper, a failed keyword
         or, when TNCSI is wanted, a paper with no citation count."""
         record = self.records.get(paper_id)
         keyword = _kept(self.topic_keyword_for, record) if record else UnknownPaper(paper_id)
-        if ("iei" not in which or isinstance(keyword, LitmetricsError)
-                or ("tncsi" in which and record.citation_count is None)):
+        if ("iei" not in self.which or isinstance(keyword, LitmetricsError)
+                or ("tncsi" in self.which and record.citation_count is None)):
             return keyword, None
         return keyword, _kept(lambda: fetch_monthly_citations(
-            self.s2, api_id_for(record), IEI_WINDOW_MONTHS, now=self._now(), cache=self.store))
+            self.s2, api_id_for(record), now=self.now, cache=self.store))
 
     def _fetch_topic_fit(self, keyword: str) -> ExponentialFit:
         try:
@@ -281,7 +276,7 @@ class ScoringEngine(Value):
         median = lower_median_date(_dated_references(paper_id, record, refs))
         published = record.publication_date
         return (count_relevant(self.s2, keyword, median, published, cache=self.store),
-                count_relevant(self.s2, keyword, published, self._now(), cache=self.store))
+                count_relevant(self.s2, keyword, published, self.now, cache=self.store))
 
     def _reference_facts(self, record: PaperRecord) -> list[ReferenceFacts]:
         """(citation_count, publication_date) of the record's stored
@@ -296,19 +291,14 @@ class ScoringEngine(Value):
                 facts.append(fact)
         return facts
 
-    def score(
-        self, paper_id: str, which: Sequence[str] = ALL_INDICATORS
-    ) -> IndicatorReport:
-        """One paper's report, computed from its gathered inputs with no I/O;
-        a paper not gathered for ``which`` is read and gathered first."""
-        which = tuple(which) or ALL_INDICATORS
-        if (paper_id, which) not in self._inputs:
-            self.load_records([paper_id], which)
-            self.gather([paper_id], which)
-        keyword, series, refs, counts = self._inputs[paper_id, which]
+    def score(self, paper_id: str) -> IndicatorReport:
+        """One paper's report for the indicators `gather` was given, computed
+        from what it gathered, with no I/O; KeyError for a paper it did not
+        gather."""
+        keyword, series, refs, counts = self._inputs[paper_id]
         keyword = _given(keyword)
         record = self.records[paper_id]
-        now = self._now()
+        which, now = self.which, self.now
         report = IndicatorReport(computed_at=datetime(now.year, now.month, now.day))
         report.topic_keyword = keyword
 
@@ -319,9 +309,7 @@ class ScoringEngine(Value):
 
         if "tncsi" in which:
             if record.citation_count is None:
-                raise EmptyResult(
-                    f"{paper_id} has no citation count; run enrich first"
-                )
+                raise EmptyResult(f"{paper_id} has no citation count; run enrich first")
             report.tncsi = tncsi(record.citation_count, fit)
 
         if "iei" in which:
@@ -329,13 +317,10 @@ class ScoringEngine(Value):
             report.iei_avg = iei_average(series)
             report.iei_instant = iei_instantaneous(series)
             if series.dropped_undated:
-                report.warnings.append(
-                    f"{series.dropped_undated} undated citing papers dropped"
-                )
+                report.warnings.append(f"{series.dropped_undated} undated citing papers dropped")
             if series.dropped_year_only:
                 report.warnings.append(
-                    f"{series.dropped_year_only} citing papers dated only by year dropped"
-                )
+                    f"{series.dropped_year_only} citing papers dated only by year dropped")
 
         if "rqm" in which:
             cited = [count for count, _ in refs if count is not None]
@@ -383,19 +368,18 @@ def score_batch(
     which: Sequence[str] = ALL_INDICATORS,
     workers: int = 4,
 ) -> list[BatchItem]:
-    """Score many papers, fetching through a bounded worker pool.
+    """Score many papers: one `gather`, then each paper's `score` on the
+    calling thread, then one write of what the batch produced.
 
-    The papers and their references are read in bulk, then `gather` fetches
-    every keyword, citation series, topic fit and RUI count through the
-    pool, or on the calling thread when ``workers`` is 1 or there is one
-    paper. Every paper is then scored on the calling thread. Each API payload
-    fetched is written as it is put, and the reports in one write after the
-    batch, all joining the store's open transaction (see `SnapshotStore`).
-    When the batch raises or when no paper scored, no report is written, and
-    the open transaction is committed. Results keep the input order;
-    per-item failures are captured, never raised.
+    `gather` fetches through a bounded worker pool, or on the calling thread
+    when ``workers`` is 1 or there is one paper. Each API payload fetched is
+    written as it is put; the reports and the records whose keyword the LLM
+    assigned are written after the batch in one write, and all join the
+    store's open transaction (see `SnapshotStore`). When the batch raises or
+    no paper scored, no report is written but the keywords are, and the open
+    transaction is committed. Results keep the input order; per-item
+    failures are captured, never raised.
     """
-    engine.load_records(paper_ids, which)
     reports: list[tuple[str, IndicatorReport]] = []
     try:
         if workers <= 1 or len(paper_ids) <= 1:
@@ -408,10 +392,10 @@ def score_batch(
         items = []
         for pid in paper_ids:
             try:
-                items.append(BatchItem(pid, report=engine.score(pid, which)))
+                items.append(BatchItem(pid, report=engine.score(pid)))
             except LitmetricsError as exc:
                 items.append(BatchItem(pid, error=f"{type(exc).__name__}: {exc}"))
         reports = [(item.paper_id, item.report) for item in items if item.report is not None]
     finally:
-        engine.store.write(reports)
+        engine.store.write(reports, papers=engine.assigned)
     return items

@@ -14,6 +14,8 @@ from .values import FRESH, Frozen, Value
 # S2's relevance search serves no hit past the first 1,000 of a query
 # (https://api.semanticscholar.org/api-docs/graph): the most a sample holds
 S2_SEARCH_CAP = 1000
+# the topic sample a TNCSI fit takes by default: the whole of that cap
+DEFAULT_TOPIC_SAMPLE_K = 1000
 
 
 def _check_count(name: str, value: Any) -> None:

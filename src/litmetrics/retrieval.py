@@ -33,7 +33,7 @@ from .errors import (
     RateLimited,
     UnknownPaper,
 )
-from .indicators import CitationSeries
+from .indicators import IEI_WINDOW_MONTHS, CitationSeries
 from .jsonio import (
     canonical_json,
     format_date,
@@ -42,12 +42,11 @@ from .jsonio import (
     parse_timestamp,
     utc_now,
 )
-from .records import PaperRecord, TopicContext, _check_count
+from .records import DEFAULT_TOPIC_SAMPLE_K, PaperRecord, TopicContext, _check_count
 from .values import Frozen
 
 ARXIV_API_URL = "https://export.arxiv.org/api/query"
 S2_API_URL = "https://api.semanticscholar.org/graph/v1"
-DEFAULT_TOPIC_SAMPLE_K = 1000
 S2_PAGE_SIZE = 100
 ATOM_NS = {"atom": "http://www.w3.org/2005/Atom"}
 
@@ -637,7 +636,8 @@ def fetch_topic_sample(
     return context
 
 
-def _month_index(d: date) -> int:
+def month_index(d: date) -> int:
+    """The month of ``d`` as one integer, counted from January of year 0."""
     return d.year * 12 + (d.month - 1)
 
 
@@ -666,7 +666,7 @@ def _citation_months(citing_dates: Iterable[Any]) -> dict:
         if d is None:
             undated += 1
         else:
-            month_indexes.append(_month_index(d))
+            month_indexes.append(month_index(d))
     return {
         "months": {f"{i // 12:04d}-{i % 12 + 1:02d}": n
                    for i, n in Counter(month_indexes).items()},
@@ -693,7 +693,7 @@ def _partial_date(raw: Any) -> Optional[date]:
 def fetch_monthly_citations(
     client: SemanticScholarClient,
     paper_id: str,
-    window_months: int = 6,
+    window_months: int = IEI_WINDOW_MONTHS,
     now: Optional[date] = None,
     cache: Optional[ApiCache] = None,
 ) -> CitationSeries:
@@ -713,7 +713,7 @@ def fetch_monthly_citations(
         raise ValueError("window_months must be >= 2")
     now = now or utc_now().date()
     window_end = date(now.year, now.month, 1)
-    start_index = _month_index(window_end) - window_months
+    start_index = month_index(window_end) - window_months
 
     def compute() -> dict:
         citing_dates: list[Optional[str]] = []
@@ -728,7 +728,7 @@ def fetch_monthly_citations(
         counts = [0] * window_months
         for month, n in payload["months"].items():
             _check_count("monthly count", n)
-            i = _month_index(date(int(month[:4]), int(month[5:]), 1)) - start_index
+            i = month_index(date(int(month[:4]), int(month[5:]), 1)) - start_index
             if 0 <= i < window_months:
                 counts[i] += n
         _check_count("undated", payload["undated"])

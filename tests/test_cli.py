@@ -768,6 +768,14 @@ class TestUsageErrors:
     def test_score_without_selection(self, demo_db):
         assert main(["--db", str(demo_db), "--offline", "score"]) == 2
 
+    @pytest.mark.parametrize("command", ["enrich", "score", "features"])
+    def test_ids_with_all_are_a_usage_error(self, demo_db, tmp_path, capsys, command):
+        argv = command_argv(tmp_path)[command]
+        assert main(["--db", str(demo_db), "--offline", *argv, "arxiv:nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: give paper ids or --all, not both\n")
+
     def test_missing_fixtures_dir_is_operational_error(self, demo_db, capsys):
         code = main(["--db", str(demo_db), "--fixtures", "/no/such/dir",
                      "score", "--all"])

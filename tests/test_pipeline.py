@@ -73,6 +73,12 @@ def fast_client(exchanges):
     return replay_client(FixtureTransport.from_pairs(exchanges))
 
 
+def score_one(engine, paper_id, which):
+    """The paper's report, gathered and scored on its own."""
+    engine.gather([paper_id], which)
+    return engine.score(paper_id)
+
+
 class SlowCountingTransport:
     """Counts requests per (url, query, fields) and holds each one briefly, so
     concurrent workers overlap inside a fetch."""
@@ -165,7 +171,7 @@ class TestScoringEngine:
                 extra={"publicationDateOrYear": "2017-01-01:2024-10-01"}),
         ]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
-        report = engine.score(paper.canonical_id, ["rui"])
+        report = score_one(engine, paper.canonical_id, ["rui"])
         assert report.cdr == 2.0
         assert any("beyond its fitted window" in w for w in report.warnings)
 
@@ -176,8 +182,27 @@ class TestScoringEngine:
         store = self.make_store(tmp_path, paper)
         exchanges = [s2_citations_exchange("ARXIV:2301.00001", ["2024-09-01"])]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges))
-        report = engine.score(paper.canonical_id, ["iei"])
+        assert engine.now == date(2024, 12, 31)
+        report = score_one(engine, paper.canonical_id, ["iei"])
         assert report.computed_at == datetime(2024, 12, 31)
+
+    def test_a_batch_across_midnight_has_one_date_and_one_iei_window(
+            self, tmp_path, monkeypatch):
+        # the clock reads the last minute of September once, then October:
+        # a citation in September is outside a window that ends with August
+        clock = iter([datetime(2024, 9, 30, 23, 59)])
+        monkeypatch.setattr(pipeline, "utc_now", lambda: next(clock, datetime(2024, 10, 1)))
+        ids = ["arxiv:2301.00001", "arxiv:2301.00002"]
+        store = SnapshotStore(tmp_path / "s.db")
+        store.write(new_papers=[review(cid) for cid in ids])
+        exchanges = [s2_citations_exchange(f"ARXIV:{cid[6:]}", ["2024-08-01", "2024-09-01"])
+                     for cid in ids]
+        engine = ScoringEngine(store=store, s2=fast_client(exchanges))
+        first, second = [i.report for i in score_batch(engine, ids, ["iei"], workers=1)]
+        assert first == second
+        assert first.computed_at == datetime(2024, 9, 30)
+        frozen = ScoringEngine(store=store, s2=fast_client(exchanges), now=date(2024, 9, 30))
+        assert first == score_one(frozen, ids[0], ["iei"])
 
     def test_undated_citers_warning(self, tmp_path):
         paper = review()
@@ -185,7 +210,7 @@ class TestScoringEngine:
         exchanges = [s2_citations_exchange("ARXIV:2301.00001",
                                            ["2024-09-01", None, None])]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
-        report = engine.score(paper.canonical_id, ["iei"])
+        report = score_one(engine, paper.canonical_id, ["iei"])
         assert "2 undated citing papers dropped" in report.warnings
 
     def test_year_only_citers_warning(self, tmp_path):
@@ -193,7 +218,7 @@ class TestScoringEngine:
         exchanges = [s2_citations_exchange("ARXIV:2301.00001",
                                            ["2024-09-01", "2024", None, "2023", "2024-08"])]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
-        report = engine.score("arxiv:2301.00001", ["iei"])
+        report = score_one(engine, "arxiv:2301.00001", ["iei"])
         assert report.warnings == ["1 undated citing papers dropped",
                                    "2 citing papers dated only by year dropped"]
 
@@ -209,7 +234,7 @@ class TestScoringEngine:
                 extra={"publicationDateOrYear": "2024-02-01:2024-10-01"}),
         ]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
-        report = engine.score("arxiv:2301.00001", ["rui"])
+        report = score_one(engine, "arxiv:2301.00001", ["rui"])
         assert report.cdr == 2.0  # the counts are what the paging reached
         assert report.warnings == ["n_mp counted from the first 1000 of 5000 search hits"]
 
@@ -219,8 +244,8 @@ class TestScoringEngine:
         stub = StubLlm({"A Survey on Something": "something niche"})
         exchanges = [s2_citations_exchange("ARXIV:2301.00001", ["2024-09-01"])]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), llm=stub, now=NOW)
-        report = engine.score(paper.canonical_id, ["iei"])
-        assert report.topic_keyword == "something niche"
+        [item] = score_batch(engine, [paper.canonical_id], ["iei"])
+        assert item.report.topic_keyword == "something niche"
         assert store.get_paper(paper.canonical_id).topic_keyword == "something niche"
 
     def test_missing_keyword_without_llm(self, tmp_path):
@@ -228,7 +253,7 @@ class TestScoringEngine:
         store = self.make_store(tmp_path, paper)
         engine = ScoringEngine(store=store, s2=fast_client([]), now=NOW)
         with pytest.raises(LlmUnavailable):
-            engine.score(paper.canonical_id, ["iei"])
+            score_one(engine, paper.canonical_id, ["iei"])
 
     def test_rqm_requires_cited_references(self, tmp_path):
         paper = review(reference_ids=[])
@@ -237,7 +262,7 @@ class TestScoringEngine:
                                         [{"citationCount": 3}], limit=100)]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
         with pytest.raises(EmptyResult, match="references with citation counts"):
-            engine.score(paper.canonical_id, ["rqm"])
+            score_one(engine, paper.canonical_id, ["rqm"])
 
     def test_tncsi_requires_citation_count(self, tmp_path):
         paper = review(citation_count=None)
@@ -246,7 +271,7 @@ class TestScoringEngine:
                                         [{"citationCount": 3}], limit=100)]
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
         with pytest.raises(EmptyResult, match="no citation count"):
-            engine.score(paper.canonical_id, ["tncsi"])
+            score_one(engine, paper.canonical_id, ["tncsi"])
 
 
 class TestScoreBatch:
@@ -406,7 +431,7 @@ class TestScoreBatch:
             *(canonical_json({"op": "citations", "paper_id": f"ARXIV:2301.{n:05d}"})
               for n in range(3))}
 
-    def test_score_after_a_batch_of_other_indicators_gathers_its_own(self, tmp_path):
+    def test_a_second_batch_of_other_indicators_gathers_its_own(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
         paper = review()
         store.upsert_paper(paper)
@@ -416,8 +441,8 @@ class TestScoreBatch:
         engine = ScoringEngine(store=store, s2=fast_client(exchanges), now=NOW)
         [item] = score_batch(engine, [paper.canonical_id], ["tncsi"])
         assert item.report.tncsi is not None and item.report.iei_instant is None
-        report = engine.score(paper.canonical_id, ["iei"])
-        assert report.iei_instant is not None and report.tncsi is None
+        [item] = score_batch(engine, [paper.canonical_id], ["iei"])
+        assert item.report.iei_instant is not None and item.report.tncsi is None
 
     def test_a_paper_that_fails_tncsi_or_rqm_has_its_rui_counts_fetched(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
@@ -453,13 +478,14 @@ class TestScoreBatch:
         transport = CountingTransport(FixtureTransport.from_pairs(demo_corpus.exchanges))
         engine = ScoringEngine(store=store, s2=replay_client(transport), now=DEMO_NOW)
         ids = [p.canonical_id for p in demo_corpus.papers]
-        engine.load_records(ids, which)
         engine.gather(ids, which)
         fetched, lookups = transport.count, []
         monkeypatch.setattr(store, "cache_get", lookups.append)
-        reports = [engine.score(pid, which) for pid in ids]
+        reports = [engine.score(pid) for pid in ids]
         assert transport.count == fetched and lookups == []
         assert all(report.rui is not None for report in reports)
+        with pytest.raises(KeyError):  # a paper not gathered is the caller's defect
+            engine.score("arxiv:not-gathered")
 
     def test_each_papers_reference_facts_are_taken_once_per_batch(
             self, tmp_path, demo_corpus, monkeypatch):
@@ -656,6 +682,35 @@ class TestBatchWrites:
             assert {cid: r.topic_keyword for cid, r in reopened.get_papers(ids).items()} == {
                 p.canonical_id: p.topic_keyword for p in demo_corpus.papers}
             assert sorted(reopened.latest_reports()) == sorted(ids)
+
+    def test_llm_keywords_are_stored_by_the_batch_write_with_its_reports(
+            self, tmp_path, demo_corpus, monkeypatch):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.write(new_papers=[
+            *demo_corpus.references,
+            *(p.replace(topic_keyword=None) for p in demo_corpus.papers)])
+        upserts, writes = [], []
+        monkeypatch.setattr(SnapshotStore, "upsert_paper", lambda self, r: upserts.append(r))
+        write = SnapshotStore.write
+
+        def recording_write(self, reports=(), **rows):
+            reports = list(reports)
+            if "payloads" not in rows:  # a put is no write of rows
+                writes.append((reports, rows))
+            write(self, reports, **rows)
+
+        monkeypatch.setattr(SnapshotStore, "write", recording_write)
+        stub = StubLlm({p.title: p.topic_keyword for p in demo_corpus.papers})
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), llm=stub,
+                               now=DEMO_NOW)
+        ids = [p.canonical_id for p in demo_corpus.papers]
+        items = score_batch(engine, ids, workers=4)
+        assert [i.error for i in items] == [None] * len(ids)
+        assert upserts == []
+        [(reports, rows)] = writes
+        assert reports == [(i.paper_id, i.report) for i in items]
+        assert sorted((r.canonical_id, r.topic_keyword) for r in rows["papers"]) == sorted(
+            (p.canonical_id, p.topic_keyword) for p in demo_corpus.papers)
 
     def test_cold_run_caches_every_fetch_and_replays_offline(self, tmp_path, demo_corpus, capsys):
         db = tmp_path / "s.db"
@@ -904,7 +959,8 @@ class TestBulkReads:
             store._conn.set_trace_callback(None)
             monkeypatch.undo()
         reference_engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
-        assert [i.report for i in items] == [reference_engine.score(pid, which) for pid in ids]
+        assert [i.report for i in items] == [score_one(reference_engine, pid, which)
+                                             for pid in ids]
         return Counter(decoded), [q for q in queries if "FROM papers" in q]
 
     def test_only_the_reviews_are_decoded_in_a_constant_number_of_queries(
