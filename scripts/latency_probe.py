@@ -13,7 +13,8 @@ behind its own limiter at ``--rate``, assign them. Compare, for example:
   python scripts/latency_probe.py --latency 1.5 --workers 1
   python scripts/latency_probe.py --latency 1.5 --workers 4
 
-The probe exits 1 when the score exits non-zero or prints a failed row, or,
+The probe exits 1 when the score exits non-zero or prints a failed row, when
+a request key is answered more than once (a 429 refusal is no answer), or,
 with ``--llm-latency``, when a review's assigned keyword does not read back
 from the snapshot after the run; so a short run, such as ``--latency 0.01
 --rate 1000``, checks the worker pool.
@@ -26,7 +27,9 @@ import contextlib
 import io
 import sys
 import tempfile
+import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 from litmetrics.cli import main as litmetrics_main
@@ -36,7 +39,8 @@ from litmetrics.snapshot import SnapshotStore
 
 
 class SlowTransport:
-    """Replays ``inner`` after ``latency`` seconds; optionally a 429 first."""
+    """Replays ``inner`` after ``latency`` seconds; optionally a 429 first.
+    Counts the answers given to each request key."""
 
     def __init__(self, inner, latency: float, retry_every: int = 0):
         self.inner = inner
@@ -44,15 +48,22 @@ class SlowTransport:
         self.retry_every = retry_every
         self.order: dict[str, int] = {}
         self.refused: set[str] = set()
+        self.answered: Counter[str] = Counter()
         self.count = 0
+        self.lock = threading.Lock()
 
     def request(self, method, url, params, headers, body=None):
-        self.count += 1
         time.sleep(self.latency)
         key = request_key(method, url, params, body)
-        n = self.order.setdefault(key, len(self.order))
-        if self.retry_every and n % self.retry_every == 0 and key not in self.refused:
-            self.refused.add(key)
+        with self.lock:
+            self.count += 1
+            n = self.order.setdefault(key, len(self.order))
+            refuse = self.retry_every and n % self.retry_every == 0 and key not in self.refused
+            if refuse:
+                self.refused.add(key)
+            else:
+                self.answered[key] += 1
+        if refuse:
             return TransportResponse(status=429, body="")
         return self.inner.request(method, url, params, headers, body)
 
@@ -112,11 +123,15 @@ def main() -> None:
     # each keyword the LLM assigned is stored by the batch's write
     unstored = [p.canonical_id for p in corpus.papers
                 if llm and keywords.get(p.canonical_id) != p.topic_keyword]
+    # each payload is fetched once: the batch's stages split its fetches among
+    # the workers, and none fetches what another does
+    repeated = sum(n - 1 for n in transport.answered.values())
     failed_rows = out.getvalue().count("Error")
     print(f"workers={args.workers} latency={args.latency}s rate={args.rate}/s "
-          f"exit={code} requests={transport.count} llm_calls={llm.count if llm else 0} "
-          f"score_s={elapsed:.1f} unstored_keywords={len(unstored)} failed_rows={failed_rows}")
-    if code or failed_rows or unstored:
+          f"exit={code} requests={transport.count} repeated={repeated} "
+          f"llm_calls={llm.count if llm else 0} score_s={elapsed:.1f} "
+          f"unstored_keywords={len(unstored)} failed_rows={failed_rows}")
+    if code or failed_rows or unstored or repeated:
         sys.exit(1)
 
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from .errors import LitmetricsError
 from .indicators import ALL_INDICATORS, DEFAULT_BETA, INDICATOR_FIELDS
 from .jsonio import canonical_json, parse_date
-from .records import DEFAULT_TOPIC_SAMPLE_K, S2_SEARCH_CAP
+from .records import DEFAULT_TOPIC_SAMPLE_K, DEFAULT_WORKERS, S2_SEARCH_CAP
 from .snapshot import FEATURE_NAMES, PUBLICATION_YEAR, SnapshotStore
 
 # the commands that fetch import the pipeline and the clients when they run
@@ -37,7 +37,6 @@ CONFIG_KEYS = (
     "s2_api_key", "llm_api_key", "llm_base_url", "llm_stub",
 )
 DEFAULT_RATE = 1.0  # requests per second per host
-DEFAULT_WORKERS = 4
 
 
 def read_config_file(path: Path) -> dict[str, str]:

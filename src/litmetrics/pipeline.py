@@ -25,7 +25,7 @@ from .indicators import (
     tncsi,
 )
 from .jsonio import utc_now
-from .records import DEFAULT_TOPIC_SAMPLE_K, S2_SEARCH_CAP, PaperRecord
+from .records import DEFAULT_TOPIC_SAMPLE_K, DEFAULT_WORKERS, S2_SEARCH_CAP, PaperRecord
 from .retrieval import (
     ArxivClient,
     LlmBackend,
@@ -61,15 +61,14 @@ def lower_median_date(dates: Sequence[date]) -> date:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def _dated_references(paper_id: str, record: PaperRecord,
-                      refs: Sequence[ReferenceFacts]) -> list[date]:
+def _dated_references(record: PaperRecord, refs: Sequence[ReferenceFacts]) -> list[date]:
     """The dates of the dated ``refs``, where RQM's ages and RUI's first window
     start; EmptyResult when the paper has no date or no reference has one."""
     if record.publication_date is None:
-        raise EmptyResult(f"{paper_id} has no publication date")
+        raise EmptyResult(f"{record.canonical_id} has no publication date")
     dated = [published for _, published in refs if published is not None]
     if not dated:
-        raise EmptyResult(f"{paper_id} has no dated references")
+        raise EmptyResult(f"{record.canonical_id} has no dated references")
     return dated
 
 
@@ -212,52 +211,49 @@ class ScoringEngine(Value):
         """Read the papers and fetch what `score` needs of them for ``which``
         (every indicator when empty), in place of what the last call kept.
 
-        One bulk read takes the papers into ``records`` and, when RQM or RUI
-        is wanted, the `ReferenceFacts` of the other stored papers their
-        reference lists name into ``references``. Three stages then run
-        through ``each`` (``map`` or a pool's). Stage 1 takes each paper's
-        keyword, from the LLM when none is stored, then its citation series
-        when IEI is wanted; stage 2 fits each keyword not fitted yet when
-        TNCSI or RQM is wanted; stage 3 takes each paper's two RUI counts when
-        RUI is wanted, after its reference facts are taken on the calling
-        thread. A library error is kept in place of its input, for `score` to
-        raise where it uses it; any other propagates. Only the fetched
-        payloads are written: a record whose keyword the LLM assigned is kept
-        in ``assigned``, for the caller's write."""
+        One bulk read, whatever ``which`` is, takes the papers into
+        ``records`` and the `ReferenceFacts` of every stored paper their
+        reference lists name into ``references``. Two stages then run through
+        ``each`` (``map`` or a pool's). Stage 1, `_gather_paper`, takes each
+        paper's keyword, reference facts, citation series and RUI counts;
+        stage 2 fits each keyword not fitted yet when TNCSI or RQM is wanted.
+        A library error is kept in place of its input, for `score` to raise
+        where it uses it; any other propagates. Only the fetched payloads are
+        written: a record whose keyword the LLM assigned is kept in
+        ``assigned``, for the caller's write."""
         # first, so a read that raises leaves no record of the last batch to write
         self._inputs, self.assigned = {}, []
         self.which = which = tuple(which) or ALL_INDICATORS
-        if "rqm" in which or "rui" in which:
-            self.records, self.references = self.store.get_papers_and_reference_facts(paper_ids)
-        else:
-            self.records, self.references = self.store.get_papers(paper_ids), {}
+        self.records, self.references = self.store.get_papers_and_reference_facts(paper_ids)
         gathered = list(each(self._gather_paper, paper_ids))
-        keywords = [kw for kw, _ in gathered]
         if "tncsi" in which or "rqm" in which:
-            topics = [kw for kw in dict.fromkeys(keywords)
+            topics = [kw for kw in dict.fromkeys(kw for kw, *_ in gathered)
                       if isinstance(kw, str) and kw not in self._fits]
             self._fits.update(zip(topics, each(lambda kw: _kept(self._fetch_topic_fit, kw),
                                                topics)))
-        facts = [self._reference_facts(self.records[pid])
-                 if pid in self.records and ("rqm" in which or "rui" in which) else None
-                 for pid in paper_ids]
-        counts = (each(lambda pid, kw, refs: _kept(self._fetch_counts, pid, kw, refs),
-                       paper_ids, keywords, facts)
-                  if "rui" in which else [None] * len(paper_ids))
-        self._inputs = {pid: (*got, refs, n)
-                        for pid, got, refs, n in zip(paper_ids, gathered, facts, counts)}
+        self._inputs = dict(zip(paper_ids, gathered))
 
     def _gather_paper(self, paper_id: str) -> tuple:
-        """Stage 1 of `gather` for one paper: (keyword, citation series or
-        None). No series is fetched for an unknown paper, a failed keyword
-        or, when TNCSI is wanted, a paper with no citation count."""
+        """Stage 1 of `gather` for one paper: (keyword, citation series,
+        reference facts, RUI counts), None in place of what is not taken. The
+        facts, of its stored references in reference order, are looked up in
+        ``references`` alone. Nothing is fetched for an unknown paper or a
+        failed keyword; no series when IEI is not wanted or, when TNCSI is,
+        for a paper with no citation count; no counts when RUI is not wanted."""
         record = self.records.get(paper_id)
-        keyword = _kept(self.topic_keyword_for, record) if record else UnknownPaper(paper_id)
-        if ("iei" not in self.which or isinstance(keyword, LitmetricsError)
-                or ("tncsi" in self.which and record.citation_count is None)):
-            return keyword, None
-        return keyword, _kept(lambda: fetch_monthly_citations(
-            self.s2, api_id_for(record), now=self.now, cache=self.store))
+        if record is None:
+            return UnknownPaper(paper_id), None, None, None
+        keyword = _kept(self.topic_keyword_for, record)
+        refs = [self.references[rid] for rid in record.reference_ids if rid in self.references]
+        if isinstance(keyword, LitmetricsError):
+            return keyword, None, refs, None
+        which, series, counts = self.which, None, None
+        if "iei" in which and not ("tncsi" in which and record.citation_count is None):
+            series = _kept(lambda: fetch_monthly_citations(
+                self.s2, api_id_for(record), now=self.now, cache=self.store))
+        if "rui" in which:
+            counts = _kept(self._fetch_counts, record, keyword, refs)
+        return keyword, series, refs, counts
 
     def _fetch_topic_fit(self, keyword: str) -> ExponentialFit:
         try:
@@ -266,30 +262,16 @@ class ScoringEngine(Value):
             raise EmptyResult(f"TNCSI uncomputable: {exc}") from exc
         return fit_exponential_mle(context.sample_citation_counts)
 
-    def _fetch_counts(self, paper_id: str, keyword, refs: list[ReferenceFacts]) -> tuple:
-        """Stage 3 of `gather` for one paper: the relevant papers published
-        from its references' lower-median date to its own, and from its own
-        to now. None is fetched for a failed keyword, which is raised, or
-        for a paper with no publication date or no dated reference."""
-        keyword = _given(keyword)
-        record = self.records[paper_id]
-        median = lower_median_date(_dated_references(paper_id, record, refs))
+    def _fetch_counts(self, record: PaperRecord, keyword: str,
+                      refs: list[ReferenceFacts]) -> tuple:
+        """The paper's two RUI counts: the relevant papers published from its
+        references' lower-median date to its own, and from its own to now.
+        None is fetched for a paper with no publication date or no dated
+        reference."""
+        median = lower_median_date(_dated_references(record, refs))
         published = record.publication_date
         return (count_relevant(self.s2, keyword, median, published, cache=self.store),
                 count_relevant(self.s2, keyword, published, self.now, cache=self.store))
-
-    def _reference_facts(self, record: PaperRecord) -> list[ReferenceFacts]:
-        """(citation_count, publication_date) of the record's stored
-        references, in reference order. A reference of the batch's own papers
-        uses that paper's record, and an id the store lacks is left out."""
-        facts = []
-        for rid in record.reference_ids:
-            paper = self.records.get(rid)
-            if paper is not None:
-                facts.append((paper.citation_count, paper.publication_date))
-            elif (fact := self.references.get(rid)) is not None:
-                facts.append(fact)
-        return facts
 
     def score(self, paper_id: str) -> IndicatorReport:
         """One paper's report for the indicators `gather` was given, computed
@@ -329,7 +311,7 @@ class ScoringEngine(Value):
             report.arq = arq([tncsi(c, fit) for c in cited])
             report.s_mp = median_semesters([
                 months_between(published, record.publication_date)
-                for published in _dated_references(paper_id, record, refs)])
+                for published in _dated_references(record, refs)])
             report.rqm = rqm(RqmInputs(arq=report.arq, s_mp=report.s_mp, beta=self.beta))
 
         if "rui" in which:
@@ -366,7 +348,7 @@ def score_batch(
     engine: ScoringEngine,
     paper_ids: Sequence[str],
     which: Sequence[str] = ALL_INDICATORS,
-    workers: int = 4,
+    workers: int = DEFAULT_WORKERS,
 ) -> list[BatchItem]:
     """Score many papers: one `gather`, then each paper's `score` on the
     calling thread, then one write of what the batch produced.

@@ -16,6 +16,8 @@ from .values import FRESH, Frozen, Value
 S2_SEARCH_CAP = 1000
 # the topic sample a TNCSI fit takes by default: the whole of that cap
 DEFAULT_TOPIC_SAMPLE_K = 1000
+# the threads a batch that may fetch gathers its inputs on by default
+DEFAULT_WORKERS = 4
 
 
 def _check_count(name: str, value: Any) -> None:

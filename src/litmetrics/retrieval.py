@@ -981,10 +981,12 @@ class LlmHttpClient:
         if resp.status != 200:
             raise LlmUnavailable(f"LLM endpoint returned {resp.status}")
         try:
-            data = json.loads(resp.body)
-            return data["choices"][0]["message"]["content"]
+            content = json.loads(resp.body)["choices"][0]["message"]["content"]
         except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponse(f"unparseable completion payload: {exc}") from exc
+        if not isinstance(content, str):
+            raise MalformedResponse(f"completion content is not a string: {content!r:.80}")
+        return content
 
 
 class StubLlm:

@@ -427,16 +427,17 @@ class SnapshotStore:
         self, ids: Iterable[str]
     ) -> tuple[dict[str, PaperRecord], dict[str, tuple[Optional[int], Optional[date]]]]:
         """`get_papers(ids)`, and the (citation_count, publication_date) by
-        canonical id of the stored papers other than these that their
-        reference lists name, read from those two columns with no record
-        decoded. The facts of the links are read in the queries that name
-        them, and those of the dangling ids by canonical id in the same
-        queries. A named id the store lacks has no entry."""
+        canonical id of these papers, from their records, and of every other
+        stored paper their reference lists name, read from those two columns
+        with no record decoded: the links' in the queries that name them, the
+        dangling ids' by canonical id in the same queries. A named id the
+        store lacks has no entry; a date that does not parse raises
+        StorageError."""
         return self._records(self._paper_rows(_LINKED_ROW, ids), facts=True)
 
     def _records(self, rows: list[tuple], facts: bool = False) -> tuple[dict, dict]:
         """The records of rows selected as `_LINKED_ROW`, by canonical id,
-        and with ``facts`` the facts of the other papers they name."""
+        and with ``facts`` the facts of these and of the other papers they name."""
         names = {row[-1]: row[0] for row in rows}
         stored = [_stored_references(row) for row in rows]
         listed = [r for references in stored for r in references]
@@ -448,7 +449,10 @@ class SnapshotStore:
         names.update((row[0], row[1]) for row in read)
         records = {row[0]: _paper_record(row, references, names)
                    for row, references in zip(rows, stored)}
-        return records, dict(map(_reference_fact, read)) if facts else {}
+        if not facts:
+            return records, {}
+        own = {cid: (r.citation_count, r.publication_date) for cid, r in records.items()}
+        return records, dict(map(_reference_fact, read)) | own
 
     def _paper_rows(self, columns: str, ids: Optional[Iterable[str]] = None,
                     links: Iterable[int] = ()) -> list[tuple]:

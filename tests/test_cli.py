@@ -48,9 +48,12 @@ from litmetrics.demo import build_demo_corpus, build_demo_snapshot, write_fixtur
 from litmetrics.indicators import IndicatorReport
 from litmetrics.retrieval import (
     FixtureTransport,
+    LlmHttpClient,
     OfflineTransport,
     PaperRecord,
+    RateLimiter,
     StubLlm,
+    TransportResponse,
     arxiv_review_query,
 )
 from litmetrics.snapshot import SCHEMA_VERSION, SnapshotStore
@@ -336,7 +339,8 @@ class TestLinks:
         ("arxiv:2500.10000", "publication_date", "2024-13-45",
          "time data '2024-13-45' does not match format '%Y-%m-%d'"),
         ("arxiv:2500.10000", "citation_count", -3, "citation_count must be non-negative"),
-        # a reference's row, whose date `score` reads with no record decoded
+        # a reference's row, whose date `score` reads with no record decoded,
+        # for every indicator subset
         ("s2:ref-0-7", "publication_date", "2024-13-45",
          "time data '2024-13-45' does not match format '%Y-%m-%d'"),
     ], ids=["references-a-string", "references-a-number", "bad-date", "negative-count",
@@ -351,7 +355,9 @@ class TestLinks:
                          (value, paper))
         conn.close()
         before = hashlib.sha256(path.read_bytes()).hexdigest()
-        for argv in (["export", str(tmp_path / "out.jsonl")], ["--offline", "score", "--all"]):
+        for argv in (["export", str(tmp_path / "out.jsonl")], ["--offline", "score", "--all"],
+                     ["--offline", "score", "arxiv:2500.10000", "--tncsi"],
+                     ["--offline", "score", "arxiv:2500.10000", "--iei"]):
             assert main(["--db", str(path), *argv]) == 1
             assert capsys.readouterr() == ("", f"error: StorageError: paper {paper!r} "
                                                f"has a corrupt `papers` row: {reason}\n")
@@ -531,8 +537,27 @@ class TestStartup:
                                "--workers", "2", "--llm-latency", "0"],
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120, check=True)
-        assert "exit=0 requests=66 llm_calls=20 " in done.stdout
+        assert "exit=0 requests=66 repeated=0 llm_calls=20 " in done.stdout
         assert done.stdout.rstrip().endswith("failed_rows=0")
+
+
+class NullContentHost:
+    """A chat-completion host whose every reply has `"content": null`."""
+
+    def __init__(self):
+        self.count = 0
+
+    def request(self, method, url, params, headers, body=None):
+        self.count += 1
+        return TransportResponse(status=200, body='{"choices": [{"message": {"content": null}}]}')
+
+
+def null_content_llm() -> LlmHttpClient:
+    return LlmHttpClient("https://llm.example/v1", transport=NullContentHost(),
+                         limiter=RateLimiter(100_000.0))
+
+
+NULL_CONTENT_ERROR = "error: MalformedResponse: completion content is not a string: None"
 
 
 class TestScoreCommand:
@@ -641,6 +666,24 @@ class TestScoreCommand:
         assert code == 1
         row = capsys.readouterr().out.splitlines()[1]
         assert row.startswith("arxiv:2402.11111  -     -      graph learning  -      error: ")
+
+    def test_a_null_llm_reply_fails_its_paper_only(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        unkeyed = ["arxiv:2402.11111", "arxiv:2402.22222"]
+        with SnapshotStore(db) as store:
+            store.write(new_papers=[PaperRecord(
+                canonical_id=cid, title=f"A Survey {cid}", external_ids={"arxiv": cid[6:]},
+                retrieved_at=datetime(2024, 10, 1)) for cid in unkeyed])
+        llm = null_content_llm()
+        code = main(["--db", str(db), "--offline", "--now", "2024-10-01",
+                     "score", unkeyed[0], "arxiv:2500.10000", unkeyed[1], "--tncsi"],
+                    transport=OfflineTransport(), llm=llm)
+        assert code == 1 and llm.transport.count == 2
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == [unkeyed[0], "arxiv:2500.10000", unkeyed[1]]
+        assert rows[0].endswith(NULL_CONTENT_ERROR) and rows[2].endswith(NULL_CONTENT_ERROR)
+        assert "error" not in rows[1]
 
     @staticmethod
     def score_iei_with_a_bad_second_page(tmp_path, capsys, bad_page: dict) -> str:
@@ -1076,6 +1119,21 @@ class TestFeaturesCommand:
         assert main(["--db", str(db), "--offline", "--llm-stub", str(stub),
                      "features", "arxiv:2403.00001", "--docs", str(docs)]) == 0
         assert decodes == []
+
+    def test_a_null_llm_reply_is_the_papers_error(self, demo_db, tmp_path, capsys):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        source = Path(__file__).parent / "fixtures" / "docs" / "multiview_summarization.txt"
+        for name in ("arxiv_2500.10000.txt", "arxiv_2500.10001.txt"):
+            (docs / name).write_text(source.read_text(encoding="utf-8"))
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        code = main(["--db", str(db), "--offline", "features", "arxiv:2500.10000",
+                     "arxiv:2500.10001", "--docs", str(docs)], llm=null_content_llm())
+        assert code == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["arxiv:2500.10000", "arxiv:2500.10001"]
+        assert all(row.endswith(NULL_CONTENT_ERROR) for row in rows)
 
     def test_features_without_llm(self, demo_db, capsys):
         code = main(["--db", str(demo_db), "--offline",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -39,6 +40,7 @@ from litmetrics.errors import (
     StorageError,
     UnknownPaper,
 )
+from litmetrics.indicators import ALL_INDICATORS
 from litmetrics.jsonio import canonical_json, format_date, format_timestamp
 from litmetrics.pipeline import (
     ScoringEngine,
@@ -491,13 +493,18 @@ class TestScoreBatch:
             self, tmp_path, demo_corpus, monkeypatch):
         store = cold_demo_store(tmp_path / "s.db", demo_corpus)
         engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
-        taken, facts = Counter(), ScoringEngine._reference_facts
-        monkeypatch.setattr(ScoringEngine, "_reference_facts", lambda self, record: (
-            taken.update([record.canonical_id]) or facts(self, record)))
+        taken, stage = Counter(), ScoringEngine._gather_paper
+        monkeypatch.setattr(ScoringEngine, "_gather_paper", lambda self, pid: (
+            taken.update([pid]) or stage(self, pid)))
         ids = [p.canonical_id for p in demo_corpus.papers]
         items = score_batch(engine, ids, workers=1)
         assert all(item.report.rqm is not None and item.report.rui is not None for item in items)
         assert taken == Counter(ids)
+        # the facts of the stored references, in reference order
+        facts = {r.canonical_id: (r.citation_count, r.publication_date)
+                 for r in demo_corpus.references}
+        assert [engine._inputs[p.canonical_id][2] for p in demo_corpus.papers] == [
+            [facts[rid] for rid in p.reference_ids if rid in facts] for p in demo_corpus.papers]
 
     def test_sequential_fallback(self, tmp_path):
         store = SnapshotStore(tmp_path / "s.db")
@@ -993,9 +1000,35 @@ class TestBulkReads:
         assert stored == [[1, 2, 3], paper.reference_ids]
         assert reports[0] == reports[1] and reports[0].rqm is not None
 
-    def test_references_are_not_read_for_tncsi_alone(self, tmp_path, monkeypatch):
+    def test_references_are_not_decoded_for_tncsi_alone(self, tmp_path, monkeypatch):
         decodes, _ = self.score_counted(tmp_path, monkeypatch, 5, which=("tncsi",))
         assert sorted(decodes) == [f"arxiv:2301.{n:05d}" for n in range(6)]
+
+    @pytest.mark.parametrize("which", [
+        which for n in range(1, len(ALL_INDICATORS) + 1)
+        for which in itertools.combinations(ALL_INDICATORS, n)], ids="-".join)
+    def test_every_subset_reads_its_papers_and_reference_facts_once(
+            self, tmp_path, demo_corpus, monkeypatch, which):
+        store = cold_demo_store(tmp_path / "s.db", demo_corpus)
+        reads = Counter()
+        for name in ("get_papers", "get_papers_and_reference_facts"):
+            monkeypatch.setattr(store, name, lambda ids, name=name, read=getattr(store, name): (
+                reads.update([name]) or read(ids)))
+        engine = ScoringEngine(store=store, s2=fast_client(demo_corpus.exchanges), now=DEMO_NOW)
+        engine.gather([p.canonical_id for p in demo_corpus.papers], which)
+        assert reads == Counter(["get_papers_and_reference_facts"])
+
+    def test_a_reference_that_is_a_paper_of_the_batch_gives_its_record_facts(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        cited = review("arxiv:2301.00001", publication_date=date(2020, 5, 1), citation_count=9)
+        citing = review("arxiv:2301.00002", reference_ids=[cited.canonical_id, "s2:gone"])
+        store.write(new_papers=[cited, citing])
+        engine = ScoringEngine(store=store, s2=fast_client(self.SAMPLE), now=NOW)
+        items = score_batch(engine, [citing.canonical_id, cited.canonical_id], ["rqm"],
+                            workers=1)
+        assert engine.references[cited.canonical_id] == (9, date(2020, 5, 1))
+        assert engine._inputs[citing.canonical_id][2] == [(9, date(2020, 5, 1))]
+        assert items[0].report.rqm is not None and items[0].report.s_mp == 7
 
 
 class TestHarvest:

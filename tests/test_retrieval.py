@@ -501,6 +501,20 @@ class TestLlmTopicKeyword:
         )
         assert llm_topic_keyword("T", "A", client) == "neural rendering"
 
+    @pytest.mark.parametrize("content", ["null", "5", '["neural rendering"]'])
+    def test_http_client_refuses_content_that_is_no_string(self, content):
+        from litmetrics.retrieval import TransportResponse
+
+        class Host:
+            def request(self, method, url, params, headers, body=None):
+                return TransportResponse(
+                    status=200, body=f'{{"choices": [{{"message": {{"content": {content}}}}}]}}')
+
+        client = LlmHttpClient("https://llm.example/v1", transport=Host(),
+                               limiter=RateLimiter(10_000.0))
+        with pytest.raises(MalformedResponse, match="completion content is not a string"):
+            llm_topic_keyword("T", "A", client)
+
 
 class TestLazyLoading:
     PAPER = {
