@@ -196,6 +196,17 @@ def _finite_float(accept: Callable[[float], bool], rule: str) -> Callable[[str],
     return parse
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of 1 or more, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def fmt(value, digits: int = 4) -> str:
     if value is None:
         return "-"
@@ -459,8 +470,10 @@ def cmd_robustness(runtime: Runtime, args, parser) -> int:
 
 
 def cmd_export(runtime: Runtime, args, parser) -> int:
+    if args.ids is not None:  # before the file is opened, so an unknown id leaves it as it is
+        runtime.store.require_stored(args.ids)
     with open(args.path, "w", encoding="utf-8") as fh:
-        n = runtime.store.export_jsonl(fh, ids=args.ids or None)
+        n = runtime.store.export_jsonl(fh, ids=args.ids)
     print(f"exported {n} records to {args.path}", file=sys.stderr)
     return 0
 
@@ -505,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("harvest", help="query arXiv for reviews and store matches")
     p.add_argument("keyword")
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_positive_int, default=100)
 
     p = sub.add_parser("enrich", help="attach citation data and references")
     p.add_argument("ids", nargs="*")
@@ -541,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write papers as canonical JSONL")
     p.add_argument("path")
-    p.add_argument("--ids", nargs="*")
+    p.add_argument("--ids", nargs="+")
 
     p = sub.add_parser("import", help="read papers from JSONL")
     p.add_argument("path")

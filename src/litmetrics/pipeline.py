@@ -5,7 +5,8 @@ from __future__ import annotations
 from datetime import date, datetime
 from typing import Callable, Optional, Sequence
 
-from .errors import EmptyResult, LitmetricsError, LlmUnavailable, ParseError, UnknownPaper
+from .errors import (EmptyResult, InvalidDateRange, LitmetricsError, LlmUnavailable, ParseError,
+                     UnknownPaper)
 from .indicators import (
     ALL_INDICATORS,
     DEFAULT_BETA,
@@ -237,12 +238,20 @@ class ScoringEngine(Value):
         """Stage 1 of `gather` for one paper: (keyword, citation series,
         reference facts, RUI counts), None in place of what is not taken. The
         facts, of its stored references in reference order, are looked up in
-        ``references`` alone. Nothing is fetched for an unknown paper or a
-        failed keyword; no series when IEI is not wanted or, when TNCSI is,
-        for a paper with no citation count; no counts when RUI is not wanted."""
+        ``references`` alone. Nothing is fetched for an unknown paper, a paper
+        published after ``now`` (`InvalidDateRange`, which fails every
+        indicator and asks no keyword of the LLM) or a failed keyword; no
+        series when IEI is not wanted or, when TNCSI is, for a paper with no
+        citation count; no counts when RUI is not wanted. The series and the
+        counts are each fetched whether or not the other, or the paper's topic
+        fit, fails."""
         record = self.records.get(paper_id)
         if record is None:
             return UnknownPaper(paper_id), None, None, None
+        published = record.publication_date
+        if published is not None and published > self.now:
+            return InvalidDateRange(f"{paper_id} was published on {published}, "
+                                    f"after now ({self.now})"), None, None, None
         keyword = _kept(self.topic_keyword_for, record)
         refs = [self.references[rid] for rid in record.reference_ids if rid in self.references]
         if isinstance(keyword, LitmetricsError):
@@ -354,11 +363,13 @@ def score_batch(
     calling thread, then one write of what the batch produced.
 
     `gather` fetches through a bounded worker pool, or on the calling thread
-    when ``workers`` is 1 or there is one paper. Each API payload fetched is
-    written as it is put; the reports and the records whose keyword the LLM
-    assigned are written after the batch in one write, and all join the
-    store's open transaction (see `SnapshotStore`). When the batch raises or
-    no paper scored, no report is written but the keywords are, and the open
+    when ``workers`` is 1 or there is one paper. In the pool each paper's
+    stage 1, and each topic's fit, runs on one worker, whose waits on a slow
+    host or LLM overlap the others'. Each API payload fetched is written as
+    it is put; the reports and the records whose keyword the LLM assigned
+    are written after the batch in one write, and all join the store's open
+    transaction (see `SnapshotStore`). When the batch raises or no paper
+    scored, no report is written but the keywords are, and the open
     transaction is committed. Results keep the input order; per-item
     failures are captured, never raised.
     """

@@ -95,6 +95,9 @@ class PaperRecord(Value):
             raise ValueError("publication_date cannot postdate retrieval")
 
     def to_json_dict(self) -> dict:
+        """The record as a JSON object: the form of an `export`/`import` line
+        and of a cached arXiv payload. A `papers` row holds the fields as
+        columns instead, with no JSON form between."""
         return {
             "canonical_id": self.canonical_id,
             "external_ids": dict(sorted(self.external_ids.items())),

@@ -147,7 +147,9 @@ def request_key(method: str, url: str, params: dict, body: Optional[str] = None)
 class LiveTransport:
     """Real HTTP via urllib, imported on the first request, so building one
     is network-free and import-free. Every status comes back as a response;
-    a failed connection, a timeout or a body cut short is a NetworkError."""
+    a failed connection, a timeout or a body cut short is a NetworkError.
+    The body is decoded by the charset its Content-Type names, as UTF-8 when
+    it names none or one Python does not know, undecodable bytes replaced."""
 
     def __init__(self, timeout: float = 60.0):
         self.timeout = timeout
@@ -704,8 +706,9 @@ def fetch_monthly_citations(
     apart. Months with no citations are explicit zeros. The current month is
     excluded, and so is any later one.
 
-    The payload is cached as the month histogram of `_citation_months`, built
-    and checked before it is cached, so a citing date that fails the checks
+    The payload is cached as the month histogram of `_citation_months`, which
+    holds no window, so one payload serves any ``now``. It is built and
+    checked before it is cached, so a citing date that fails the checks
     raises `ParseError` and leaves no entry. A tally that is not a
     non-negative integer, fetched or cached, raises `ParseError` too.
     """

@@ -792,6 +792,34 @@ class TestScoreCommand:
         with SnapshotStore(db, read_only=True) as store:
             assert len(store.latest_reports()) == len(papers) - len(spoiled)
 
+    @pytest.mark.parametrize("flags", [[], ["--tncsi"], ["--iei"], ["--rqm"], ["--rui"]],
+                             ids=["all", "tncsi", "iei", "rqm", "rui"])
+    def test_a_paper_published_after_now_fails_before_any_fetch(
+            self, demo_db, tmp_path, capsys, flags):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        with SnapshotStore(db) as store:  # no keyword and nothing cached
+            store.write(new_papers=[PaperRecord(
+                canonical_id="arxiv:2402.11111", title="A Survey on Graphs",
+                external_ids={"arxiv": "2402.11111"}, publication_date=date(2023, 6, 1),
+                citation_count=5, reference_ids=["arxiv:2500.10000"],
+                retrieved_at=datetime(2024, 10, 1))])
+        before = report_rows(db)
+        transport, llm = CountingTransport(OfflineTransport()), StubLlm(default="graphs")
+        code = main(["--db", str(db), "--offline", "--now", "2019-01-01",
+                     "score", "arxiv:2500.10000", "arxiv:2402.11111", *flags],
+                    transport=transport, llm=llm)
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 1
+        assert [row.split("  error: ", 1)[1] for row in rows] == [
+            "InvalidDateRange: arxiv:2500.10000 was published on 2021-01-01, "
+            "after now (2019-01-01)",
+            "InvalidDateRange: arxiv:2402.11111 was published on 2023-06-01, "
+            "after now (2019-01-01)",
+        ]
+        assert transport.count == 0 and llm.calls == []
+        assert report_rows(db) == before
+
     def test_reports_are_persisted(self, demo_db):
         with SnapshotStore(demo_db, read_only=True) as store:
             report = store.latest_report("arxiv:2500.10000")
@@ -804,6 +832,14 @@ class TestUsageErrors:
     def test_empty_harvest_keyword(self, tmp_path):
         code = main(["--db", str(tmp_path / "x.db"), "harvest", ""])
         assert code == 2
+
+    @pytest.mark.parametrize("limit", ["0", "-3", "x"])
+    def test_a_harvest_limit_below_1_is_a_usage_error(self, tmp_path, capsys, limit):
+        db = tmp_path / "x.db"
+        assert main(["--db", str(db), "harvest", "reviews", f"--limit={limit}"]) == 2
+        assert (f"error: argument --limit: not a positive integer: {limit!r}"
+                in capsys.readouterr().err)
+        assert not db.exists()
 
     def test_unknown_subcommand(self, tmp_path):
         assert main(["--db", str(tmp_path / "x.db"), "frobnicate"]) == 2
@@ -1345,6 +1381,20 @@ class TestExportImport:
                      "--ids", "arxiv:2500.10000", "arxiv:2500.10000"]) == 0
         assert len(out_path.read_text().splitlines()) == 1
         assert "exported 1 records" in capsys.readouterr().err
+
+    def test_export_of_an_unknown_id_leaves_the_file_as_it_is(self, demo_db, tmp_path, capsys):
+        out_path = tmp_path / "kept.jsonl"
+        out_path.write_text("kept\n")
+        assert main(["--db", str(demo_db), "export", str(out_path),
+                     "--ids", "arxiv:2500.10000", "arxiv:nope"]) == 1
+        assert capsys.readouterr().err == "error: UnknownPaper: arxiv:nope\n"
+        assert out_path.read_text() == "kept\n"
+
+    def test_export_ids_without_an_id_is_a_usage_error(self, demo_db, tmp_path, capsys):
+        out_path = tmp_path / "none.jsonl"
+        assert main(["--db", str(demo_db), "export", str(out_path), "--ids"]) == 2
+        assert "argument --ids: expected at least one argument" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_import_tallies_corrupt_lines(self, demo_db, tmp_path, capsys):
         out_path = tmp_path / "dump.jsonl"
