@@ -25,7 +25,7 @@ from .errors import LitmetricsError
 from .indicators import ALL_INDICATORS, DEFAULT_BETA, INDICATOR_FIELDS
 from .jsonio import canonical_json, parse_date
 from .records import DEFAULT_TOPIC_SAMPLE_K, DEFAULT_WORKERS, S2_SEARCH_CAP
-from .snapshot import FEATURE_NAMES, PUBLICATION_YEAR, SnapshotStore
+from .snapshot import FEATURE_NAMES, STATS_METRICS, SnapshotStore
 
 # the commands that fetch import the pipeline and the clients when they run
 if TYPE_CHECKING:
@@ -101,7 +101,8 @@ class Settings:
 
 class Runtime:
     """The store of one CLI invocation, and its transport and clients, each
-    built on first use: a command that does not fetch imports none of them."""
+    built on first use: a command that does not fetch imports none of them,
+    and one that stops at a usage check opens, and so creates, no snapshot."""
 
     def __init__(
         self,
@@ -118,7 +119,11 @@ class Runtime:
         # one limiter per remote host, all at the configured budget; an
         # offline run makes no request, so its limiters pace nothing
         self.rate = math.inf if settings.offline else settings.rate
-        self.store = SnapshotStore(settings.db, read_only=read_only)
+        self.read_only = read_only
+
+    @cached_property
+    def store(self) -> SnapshotStore:
+        return SnapshotStore(self.settings.db, read_only=self.read_only)
 
     @cached_property
     def transport(self) -> Transport:
@@ -162,7 +167,8 @@ class Runtime:
         )
 
     def close(self) -> None:
-        self.store.close()
+        if "store" in vars(self):  # opened
+            self.store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +232,22 @@ def print_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
         print("  ".join(str(c).ljust(widths[i]) for i, c in enumerate(row)).rstrip())
 
 
-def select_ids(store: SnapshotStore, ids: list[str], use_all: bool,
-               parser: argparse.ArgumentParser) -> list[str]:
+def check_selection(args, parser: argparse.ArgumentParser) -> None:
+    """A usage error unless the command names paper ids or --all, not both."""
+    if args.all and args.ids:
+        parser.error("give paper ids or --all, not both")
+    if not (args.all or args.ids):
+        parser.error("give paper ids or --all")
+
+
+def select_ids(runtime: Runtime, args, parser: argparse.ArgumentParser) -> list[str]:
     """Explicit ids, each once in first-seen order, or with --all every paper
     carrying a topic keyword (harvested reviews, as opposed to bare reference
-    rows); a usage error for neither or both."""
-    if use_all and ids:
-        parser.error("give paper ids or --all, not both")
-    if use_all:
-        return store.review_ids()
-    if not ids:
-        parser.error("give paper ids or --all")
-    return list(dict.fromkeys(ids))
+    rows), after `check_selection`. The store opens here, so a snapshot that
+    does not open fails the command, not each paper."""
+    check_selection(args, parser)
+    store = runtime.store
+    return store.review_ids() if args.all else list(dict.fromkeys(args.ids))
 
 
 def doc_path_for(docs_dir: Path, canonical_id: str) -> Path:
@@ -264,7 +274,7 @@ def cmd_harvest(runtime: Runtime, args, parser) -> int:
 def cmd_enrich(runtime: Runtime, args, parser) -> int:
     from .pipeline import enrich
 
-    ids = select_ids(runtime.store, args.ids, args.all, parser)
+    ids = select_ids(runtime, args, parser)
     failures = 0
     for cid in ids:
         try:
@@ -287,7 +297,7 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
     which = [name for name in ALL_INDICATORS if getattr(args, name)]
     if not which:
         which = list(ALL_INDICATORS)
-    ids = select_ids(runtime.store, args.ids, args.all, parser)
+    ids = select_ids(runtime, args, parser)
     engine = runtime.engine()
     # a batch that can reach no host and no live LLM has no wait for a pool
     # to overlap, so it runs on the calling thread; replayed fixtures answer
@@ -326,11 +336,12 @@ def cmd_score(runtime: Runtime, args, parser) -> int:
 def cmd_features(runtime: Runtime, args, parser) -> int:
     from .extraction import extract_features_from_document, load_structured_text
 
-    ids = select_ids(runtime.store, args.ids, args.all, parser)
+    check_selection(args, parser)
     if runtime.llm is None:
         print("error: LlmUnavailable: features need --llm-stub or an LLM endpoint",
               file=sys.stderr)
         return 1
+    ids = select_ids(runtime, args, parser)
     docs_dir = Path(args.docs)
     header = ["id", *FEATURE_NAMES, "note"]
     rows = []
@@ -340,12 +351,12 @@ def cmd_features(runtime: Runtime, args, parser) -> int:
         try:
             runtime.store.require_stored([cid])
             if not path.exists():
-                raise LitmetricsError(f"no structured-text document at {path}")
+                raise FileNotFoundError(f"no structured-text document at {path}")
             doc = load_structured_text(path)
             fv = extract_features_from_document(doc, runtime.llm)
             runtime.store.store_features(cid, fv, recorded_at=_frozen_ts(runtime))
             rows.append([cid] + [str(getattr(fv, n)) for n in FEATURE_NAMES] + [""])
-        except LitmetricsError as exc:
+        except (LitmetricsError, OSError) as exc:  # OSError: a document that cannot be read
             failures += 1
             rows.append([cid] + ["-"] * len(FEATURE_NAMES) +
                         [f"error: {type(exc).__name__}: {exc}"])
@@ -358,30 +369,10 @@ def _frozen_ts(runtime: Runtime) -> Optional[datetime]:
     return datetime(now.year, now.month, now.day) if now else None
 
 
-RECORD_METRICS = {  # metric -> its SQL expression over a `papers` row, NULL for none
-    "cites": "citation_count",
-    "refs": "NULLIF(json_array_length(reference_ids), 0)",
-    "authors": "NULLIF(author_count, 0)",
-    "year": PUBLICATION_YEAR,
-}
-REPORT_METRICS = {  # metric -> IndicatorReport field
-    "tncsi": "tncsi", "iei": "iei_avg", "arq": "arq", "s_mp": "s_mp",
-    "rqm": "rqm", "cdr": "cdr", "rad": "rad", "rui": "rui",
-}
-
-
 def cmd_stats(runtime: Runtime, args, parser) -> int:
     from .analysis import descriptive_stats, write_csv
 
-    if args.metric in REPORT_METRICS:
-        # every report belongs to a stored paper, so no record is read; the
-        # values keep the paper-id order of the record metrics below
-        name = REPORT_METRICS[args.metric]
-        reports = sorted(runtime.store.latest_reports().items())
-        values = [getattr(rep, name) for _, rep in reports]
-    else:
-        values = runtime.store.column_values(RECORD_METRICS[args.metric])
-    values = [v for v in values if v is not None]
+    values = [v for v in runtime.store.review_values(args.metric) if v is not None]
     if not values:
         print(f"error: EmptyInput: no values for metric {args.metric!r}", file=sys.stderr)
         return 1
@@ -444,8 +435,7 @@ def cmd_robustness(runtime: Runtime, args, parser) -> int:
     try:
         groups = read_groups_file(Path(args.groups_file))
     except ValueError as exc:  # a file that cannot be read raises OSError, for `main`
-        print(f"error: bad groups file: {exc}", file=sys.stderr)
-        return 2
+        parser.error(f"bad groups file: {exc}")
 
     def fetch(keyword: str):
         return fetch_topic_sample(runtime.s2, keyword, runtime.settings.topic_k,
@@ -470,10 +460,13 @@ def cmd_robustness(runtime: Runtime, args, parser) -> int:
 
 
 def cmd_export(runtime: Runtime, args, parser) -> int:
-    if args.ids is not None:  # before the file is opened, so an unknown id leaves it as it is
-        runtime.store.require_stored(args.ids)
+    # before the file is opened, so a snapshot that does not open, or an
+    # unknown id, leaves it as it is
+    store = runtime.store
+    if args.ids is not None:
+        store.require_stored(args.ids)
     with open(args.path, "w", encoding="utf-8") as fh:
-        n = runtime.store.export_jsonl(fh, ids=args.ids)
+        n = store.export_jsonl(fh, ids=args.ids)
     print(f"exported {n} records to {args.path}", file=sys.stderr)
     return 0
 
@@ -536,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs", required=True, help="directory of structured-text documents")
 
     p = sub.add_parser("stats", help="descriptive statistics for one metric")
-    p.add_argument("metric", choices=sorted([*RECORD_METRICS, *REPORT_METRICS]))
+    p.add_argument("metric", choices=sorted(STATS_METRICS))
     p.add_argument("--csv")
     p.add_argument("--json")
 
@@ -559,6 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("import", help="read papers from JSONL")
     p.add_argument("path")
 
+    for p in sub.choices.values():  # a command's usage errors print its own usage
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -603,7 +598,7 @@ def main(
                 return 2
         if transport is None and settings.fixtures:
             if not Path(settings.fixtures).is_dir():
-                raise LitmetricsError(f"fixtures directory not found: {settings.fixtures}")
+                raise FileNotFoundError(f"fixtures directory not found: {settings.fixtures}")
             from .retrieval import FixtureTransport
 
             try:
@@ -614,8 +609,8 @@ def main(
         runtime = Runtime(settings, transport=transport, llm=llm,
                           read_only=args.command in READ_ONLY_COMMANDS)
         try:
-            return COMMANDS[args.command](runtime, args, parser)
-        except SystemExit as exc:  # parser.error inside a command
+            return COMMANDS[args.command](runtime, args, args.parser)
+        except SystemExit as exc:  # a usage error inside a command
             return int(exc.code or 0)
         finally:
             runtime.close()  # commits what the store wrote since its last commit

@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import MalformedResponse
+from .errors import MalformedResponse, ParseError
 from .retrieval import LlmBackend
 from .snapshot import FeatureVector
 from .values import FRESH, Frozen, Value
@@ -169,7 +169,12 @@ def parse_structured_text(text: str) -> StructuredDocument:
 
 
 def load_structured_text(path: str | Path) -> StructuredDocument:
-    return parse_structured_text(Path(path).read_text(encoding="utf-8"))
+    """The document of a UTF-8 file; ParseError for other bytes."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_structured_text(text)
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ _LINKED_ROW = _PAPER_ROW + ", id"
 # names: RQM's and RUI's (citation_count, publication_date)
 _FACT_COLUMNS = "canonical_id, citation_count, publication_date"
 # a `papers` row's publication year, NULL when it has no date
-PUBLICATION_YEAR = "CAST(substr(publication_date, 1, 4) AS INTEGER)"
+_PUBLICATION_YEAR = "CAST(substr(publication_date, 1, 4) AS INTEGER)"
 _INSERT_PAPER = (f"INSERT INTO papers ({_PAPER_ROW}) "
                  f"VALUES ({', '.join('?' * len(_PAPER_COLUMNS))})")
 _UPSERT_PAPER = _INSERT_PAPER + (
@@ -245,6 +245,21 @@ def _padded(values: list) -> list:
 _REPORT_ROW = ", ".join(IndicatorReport._fields)
 _INSERT_REPORT = (f"INSERT INTO reports (id, paper_id, {_REPORT_ROW}) "
                   f"VALUES (?, ?, {', '.join('?' * len(IndicatorReport._fields))})")
+# each paper's latest report: its last by `computed_at`, then by `id`; a
+# `paper_id = ?` term is pushed into the window's partition and searches the index
+_LATEST_REPORTS = (f"(SELECT * FROM (SELECT paper_id, {_REPORT_ROW}, ROW_NUMBER() OVER ("
+                   "PARTITION BY paper_id ORDER BY computed_at DESC, id DESC) AS row_num "
+                   "FROM reports) WHERE row_num = 1)")
+# the `stats` metrics, each an SQL expression over a review's `papers` row
+# joined to its latest report's columns, NULL where the review has no value
+STATS_METRICS = {
+    "cites": "citation_count",
+    "refs": "NULLIF(json_array_length(reference_ids), 0)",
+    "authors": "NULLIF(author_count, 0)",
+    "year": _PUBLICATION_YEAR,
+    "tncsi": "tncsi", "iei": "iei_avg", "arq": "arq", "s_mp": "s_mp",
+    "rqm": "rqm", "cdr": "cdr", "rad": "rad", "rui": "rui",
+}
 _FEATURE_ROW = ", ".join(FEATURE_NAMES)
 _INSERT_FEATURES = (f"INSERT INTO features (id, paper_id, recorded_at, {_FEATURE_ROW}) "
                     f"VALUES (?, ?, ?, {', '.join('?' * len(FEATURE_NAMES))})")
@@ -480,11 +495,6 @@ class SnapshotStore:
                 ).fetchall()
             return rows
 
-    def column_values(self, expression: str) -> list:
-        """The SQL ``expression`` over each `papers` row, in canonical id
-        order, read in one query with no record decoded."""
-        return [value for (value,) in self._paper_rows(expression)]
-
     def require_paper(self, canonical_id: str) -> PaperRecord:
         record = self.get_paper(canonical_id)
         if record is None:
@@ -510,6 +520,18 @@ class SnapshotStore:
                 "ORDER BY canonical_id"
             ).fetchall()
         return [r[0] for r in rows]
+
+    def review_values(self, metric: str) -> list:
+        """The `STATS_METRICS` ``metric`` of each of `review_ids`, in its
+        order, None for no value: one query over each review's `papers` row
+        and latest report, with no record or report decoded."""
+        with self._lock:
+            rows = self._conn.execute(
+                f"SELECT {STATS_METRICS[metric]} FROM papers LEFT JOIN {_LATEST_REPORTS} "
+                "ON paper_id = canonical_id WHERE papers.topic_keyword <> '' "
+                "ORDER BY canonical_id"
+            ).fetchall()
+        return [value for (value,) in rows]
 
     def paper_count(self) -> int:
         with self._lock:
@@ -611,21 +633,15 @@ class SnapshotStore:
     def latest_report(self, paper_id: str) -> Optional[IndicatorReport]:
         with self._lock:
             row = self._conn.execute(
-                f"SELECT {_REPORT_ROW} FROM reports WHERE paper_id = ? "
-                "ORDER BY computed_at DESC, id DESC LIMIT 1",
-                (paper_id,),
+                f"SELECT {_REPORT_ROW} FROM {_LATEST_REPORTS} WHERE paper_id = ?", (paper_id,)
             ).fetchone()
         return _stored_report(row) if row else None
 
     def latest_reports(self) -> dict[str, IndicatorReport]:
-        """Every paper's latest report, picked as `latest_report` picks it,
-        in one query."""
+        """Every paper's latest report (see `_LATEST_REPORTS`), in one query."""
         with self._lock:
             rows = self._conn.execute(
-                f"SELECT paper_id, {_REPORT_ROW} FROM ("
-                f" SELECT paper_id, {_REPORT_ROW}, ROW_NUMBER() OVER ("
-                "  PARTITION BY paper_id ORDER BY computed_at DESC, id DESC) AS row_num"
-                " FROM reports) WHERE row_num = 1"
+                f"SELECT paper_id, {_REPORT_ROW} FROM {_LATEST_REPORTS}"
             ).fetchall()
         return {row[0]: _stored_report(row[1:]) for row in rows}
 
@@ -648,7 +664,7 @@ class SnapshotStore:
         read from the `papers` row's date column, in one query."""
         with self._lock:
             rows = self._conn.execute(
-                f"SELECT paper_id, {PUBLICATION_YEAR}, {_FEATURE_ROW} FROM ("
+                f"SELECT paper_id, {_PUBLICATION_YEAR}, {_FEATURE_ROW} FROM ("
                 f" SELECT paper_id, {_FEATURE_ROW}, ROW_NUMBER() OVER ("
                 "  PARTITION BY paper_id ORDER BY recorded_at DESC, id DESC) AS row_num"
                 " FROM features) JOIN papers ON canonical_id = paper_id"

@@ -233,11 +233,14 @@ def put_raw_paper(store, data: dict) -> None:
 
 def count_decodes(monkeypatch) -> list[str]:
     """The canonical id of each `papers` row the store decodes into a
-    record from now on, in decode order."""
+    record from now on, and "report" for each `reports` row it decodes
+    into a report, in decode order."""
     decoded = []
-    decode = snapshot._paper_record
+    decode, decode_report = snapshot._paper_record, snapshot._stored_report
     monkeypatch.setattr(snapshot, "_paper_record",
                         lambda row, *args: decoded.append(row[0]) or decode(row, *args))
+    monkeypatch.setattr(snapshot, "_stored_report",
+                        lambda row: decoded.append("report") or decode_report(row))
     return decoded
 
 

@@ -43,7 +43,7 @@ from conftest import (
 import litmetrics
 from litmetrics import cli
 from litmetrics.analysis import descriptive_stats
-from litmetrics.cli import RECORD_METRICS, Settings, build_parser, main, read_config_file
+from litmetrics.cli import Settings, build_parser, main, read_config_file
 from litmetrics.demo import build_demo_corpus, build_demo_snapshot, write_fixture_ndjson
 from litmetrics.indicators import IndicatorReport
 from litmetrics.retrieval import (
@@ -56,8 +56,17 @@ from litmetrics.retrieval import (
     TransportResponse,
     arxiv_review_query,
 )
-from litmetrics.snapshot import SCHEMA_VERSION, SnapshotStore
+from litmetrics.snapshot import SCHEMA_VERSION, STATS_METRICS, SnapshotStore
 
+# the `stats` metrics that a review's record holds, each read from the
+# decoded record; the others are its report's
+RECORD_METRICS = {
+    "cites": lambda rec: rec.citation_count,
+    "refs": lambda rec: len(rec.reference_ids) or None,
+    "authors": lambda rec: rec.author_count or None,
+    "year": lambda rec: rec.publication_date and rec.publication_date.year,
+}
+STUB = Path(__file__).parent / "fixtures" / "stubs" / "extraction_stub.json"
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +113,8 @@ def command_argv(tmp_path) -> dict[str, list[str]]:
         "harvest": ["harvest", "reviews"],
         "enrich": ["enrich", "--all"],
         "score": ["score", "--all"],
-        "features": ["features", "--all", "--docs", str(tmp_path)],
+        # with no LLM, `features` stops before it opens the snapshot
+        "features": ["--llm-stub", str(STUB), "features", "--all", "--docs", str(tmp_path)],
         "stats": ["stats", "cites"],
         "trend": ["trend"],
         "robustness": ["robustness", str(groups)],
@@ -190,6 +200,23 @@ class TestSchemaUpgrade:
         assert path.read_bytes() == before
         assert transport.count == 0
         assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["enrich", "score", "features"])
+    def test_a_file_that_does_not_open_fails_the_command_not_each_paper(
+            self, demo_db, tmp_path, capsys, command):
+        path = tmp_path / "older.db"
+        shutil.copyfile(demo_db, path)
+        make_legacy(path)
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("UPDATE meta SET schema_version = ?", (LEGACY_SCHEMA - 1,))
+        conn.close()
+        argv = [arg for arg in command_argv(tmp_path)[command] if arg != "--all"]
+        assert main(["--db", str(path), "--offline", *argv, "arxiv:2500.10000",
+                     "arxiv:2500.10001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: SchemaMismatch: ")
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_every_command_upgrades_a_legacy_file_or_names_one_that_does(
@@ -855,11 +882,36 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.endswith("error: give paper ids or --all, not both\n")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["harvest", " "], 2),
+        (["enrich"], 2),
+        (["score"], 2),
+        (["score", "--all", "arxiv:2500.10000"], 2),
+        (["features", "--all", "arxiv:2500.10000", "--docs", "."], 2),
+        (["robustness", "{groups}"], 2),
+        (["features", "--all", "--docs", "."], 1),  # no LLM
+    ], ids=["harvest-blank", "enrich-no-ids", "score-no-ids", "score-ids-and-all",
+            "features-ids-and-all", "robustness-bad-groups", "features-no-llm"])
+    def test_a_command_that_stops_before_it_runs_creates_no_snapshot(
+            self, tmp_path, capsys, argv, code):
+        groups = tmp_path / "groups.json"
+        groups.write_text("{not json")
+        db = tmp_path / "new.db"
+        argv = [arg.format(groups=groups) for arg in argv]
+        assert main(["--db", str(db), "--offline", *argv]) == code
+        err = capsys.readouterr().err
+        if code == 2:  # the command's own usage, then its error line
+            lines = err.splitlines()
+            assert lines[0].startswith(f"usage: litmetrics {argv[0]} ")
+            assert lines[-1].startswith(f"litmetrics {argv[0]}: error: ")
+        assert not db.exists()
+
     def test_missing_fixtures_dir_is_operational_error(self, demo_db, capsys):
         code = main(["--db", str(demo_db), "--fixtures", "/no/such/dir",
                      "score", "--all"])
         assert code == 1
-        assert "fixtures directory not found" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: FileNotFoundError: fixtures directory not found: /no/such/dir\n")
 
     def test_a_defect_prints_one_line_and_exits_1(self, tmp_path, monkeypatch, capsys):
         class BrokenTransport:
@@ -1110,6 +1162,14 @@ class TestHarvestEnrich:
         assert sleeps == []
 
 
+def feature_count(path) -> int:
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("SELECT count(*) FROM features").fetchone()[0]
+    finally:
+        conn.close()
+
+
 class TestFeaturesCommand:
     def test_features_with_stub(self, tmp_path, capsys):
         db = tmp_path / "f.db"
@@ -1186,6 +1246,29 @@ class TestFeaturesCommand:
         assert code == 1
         assert "no structured-text document" in capsys.readouterr().out
 
+    def test_an_unreadable_document_fails_its_own_row(self, demo_db, tmp_path, capsys):
+        db = tmp_path / "demo.db"
+        shutil.copyfile(demo_db, db)
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        source = Path(__file__).parent / "fixtures" / "docs" / "multiview_summarization.txt"
+        (docs / "arxiv_2500.10000.txt").mkdir()
+        (docs / "arxiv_2500.10001.txt").write_bytes(b"# TITLE: caf\xe9\n")
+        (docs / "arxiv_2500.10003.txt").write_text(source.read_text(encoding="utf-8"))
+        ids = ["arxiv:2500.10000", "arxiv:2500.10001", "arxiv:2500.10002", "arxiv:2500.10003"]
+        before = feature_count(db)
+        assert main(["--db", str(db), "--offline", "--llm-stub", str(STUB),
+                     "features", *ids, "--docs", str(docs)]) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ids
+        notes = [row.split("error: ", 1)[-1] if "error: " in row else "" for row in rows]
+        assert notes[0].startswith("IsADirectoryError: ")
+        assert notes[1].startswith("ParseError: ") and "not UTF-8" in notes[1]
+        assert notes[2] == ("FileNotFoundError: no structured-text document at "
+                            f"{docs / 'arxiv_2500.10002.txt'}")
+        assert notes[3] == ""
+        assert feature_count(db) == before + 1
+
 
 class TestStatsTrendRobustness:
     def test_stats_table_and_read_only_no_mutation(self, demo_db, capsys):
@@ -1227,6 +1310,7 @@ class TestStatsTrendRobustness:
         with SnapshotStore(db) as store:
             for n in range(4):
                 store.upsert_paper(PaperRecord(canonical_id=f"arxiv:{n}", title="t",
+                                               topic_keyword="topic",
                                                retrieved_at=datetime(2024, 10, 1)))
             store.store_report("arxiv:0", IndicatorReport(tncsi=0.2, computed_at=tied))
             store.store_report("arxiv:0", IndicatorReport(tncsi=0.9, computed_at=tied))
@@ -1264,30 +1348,52 @@ class TestStatsTrendRobustness:
         assert decoded == []
         assert capsys.readouterr().out == (GOLDEN / "stats_cites.txt").read_text(encoding="utf-8")
 
-    def test_record_metrics_read_what_the_records_hold(self, demo_db, tmp_path):
+    def test_stats_metrics_read_what_the_reviews_hold(self, demo_db, tmp_path):
         db = tmp_path / "demo.db"
         shutil.copyfile(demo_db, db)
-        decoded_metrics = {
-            "cites": lambda rec: rec.citation_count,
-            "refs": lambda rec: len(rec.reference_ids) if rec.reference_ids else None,
-            "authors": lambda rec: rec.author_count or None,
-            "year": lambda rec: rec.publication_date.year if rec.publication_date else None,
-        }
         with SnapshotStore(db) as store:
+            # a row with no topic keyword is a reference, not a review: its
+            # values, and those of a report stored for it, are left out
             store.upsert_paper(PaperRecord(canonical_id="s2:bare", title="Bare",
+                                           citation_count=5, author_count=3,
+                                           publication_date=date(2001, 1, 1),
                                            retrieved_at=datetime(2024, 10, 1)))
+            store.store_report("s2:bare", IndicatorReport(tncsi=0.5))
             store.upsert_paper(PaperRecord(
                 canonical_id="s2:full", title="Full", publication_date=date(1999, 12, 31),
                 citation_count=0, reference_ids=["s2:bare", "s2:gone"], author_count=7,
-                retrieved_at=datetime(2024, 10, 1)))
+                topic_keyword="topic", retrieved_at=datetime(2024, 10, 1)))
             store.upsert_paper(PaperRecord(  # a year that `%Y` would not pad
                 canonical_id="s2:old", title="Old", publication_date=date(812, 3, 1),
-                retrieved_at=datetime(2024, 10, 1)))
-            records = store.get_papers().values()
-            assert set(decoded_metrics) == set(RECORD_METRICS)
-            for metric, extract in decoded_metrics.items():
-                assert store.column_values(RECORD_METRICS[metric]) == [
-                    extract(rec) for rec in records], metric
+                topic_keyword="topic", retrieved_at=datetime(2024, 10, 1)))
+            ids = store.review_ids()
+            records = store.get_papers(ids)
+            assert "s2:bare" not in ids and {"s2:full", "s2:old"} <= set(ids)
+            for metric, extract in RECORD_METRICS.items():
+                assert store.review_values(metric) == [
+                    extract(records[cid]) for cid in ids], metric
+            reports = [store.latest_report(cid) for cid in ids]
+            for metric in STATS_METRICS.keys() - set(RECORD_METRICS):
+                field = "iei_avg" if metric == "iei" else metric
+                assert store.review_values(metric) == [
+                    getattr(report, field, None) for report in reports], metric
+
+    @pytest.mark.parametrize("metric", list(RECORD_METRICS))
+    def test_a_record_metric_describes_the_reviews(self, demo_db, tmp_path, metric):
+        """`stats` of a record metric, against the same statistics computed
+        in Python from the decoded records of `review_ids()`."""
+        with SnapshotStore(demo_db, read_only=True) as store:
+            ids = store.review_ids()
+            records = store.get_papers(ids)
+            assert store.paper_count() > len(ids) == 20  # the reference rows are left out
+        values = [RECORD_METRICS[metric](records[cid]) for cid in ids]
+        values = [v for v in values if v is not None]
+        s = descriptive_stats(values)
+        jpath = tmp_path / "stats.json"
+        assert main(["--db", str(demo_db), "stats", metric, "--json", str(jpath)]) == 0
+        assert json.loads(jpath.read_text()) == {
+            "metric": metric, "n": len(values), "max": s.max, "min": s.min, "mean": s.mean,
+            "median": s.median, "mode": s.mode}
 
     def test_stats_empty_metric(self, tmp_path, capsys):
         db = tmp_path / "empty.db"
@@ -1354,7 +1460,9 @@ class TestStatsTrendRobustness:
         path.write_text(groups if isinstance(groups, str) else json.dumps(groups))
         assert main(["--db", str(demo_db), "--offline", "robustness", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: bad groups file: ") and captured.out == ""
+        usage, message = captured.err.splitlines()
+        assert usage.startswith("usage: litmetrics robustness ") and captured.out == ""
+        assert message.startswith("litmetrics robustness: error: bad groups file: ")
 
     def test_robustness_missing_term(self, demo_db, tmp_path, capsys):
         groups = tmp_path / "groups.json"
